@@ -13,13 +13,14 @@
 //!
 //! `GET`s take their shard's DB lock *shared*, so point lookups run
 //! genuinely concurrently; memtable hits never touch the exclusive
-//! block-cache lock at all. `PUT`s take their shard's DB lock
-//! exclusive and pay writer admission on that shard only. The batched
-//! and aggregate verbs (`MGET`/`MSET`/`SCAN`/`STATS`) visit shards
-//! one at a time and never hold two shard locks at once — per-shard
-//! atomic, cross-shard racy snapshot (see
-//! [`malthus_storage::sharded`] for the full contract, which is also
-//! the wire contract).
+//! block-cache lock at all, and a batch's per-shard sub-group takes it
+//! at most once, on its first memtable miss. `PUT`s take their
+//! shard's DB lock exclusive and pay writer admission on that shard
+//! only. The batched and aggregate verbs
+//! (`MGET`/`MSET`/`SCAN`/`STATS`) visit shards one at a time and
+//! never hold two shard locks at once — per-shard atomic, cross-shard
+//! racy snapshot (see [`malthus_storage::sharded`] for the full
+//! contract, which is also the wire contract).
 //!
 //! The wire protocol is line-oriented text (one line per request, one
 //! line per response):

@@ -12,7 +12,7 @@
 //! | [`SplayArena`] | Solaris libc malloc (splay tree + one mutex) | mmicro |
 //! | [`MiniKv`] | leveldb 1.18 (memtable + block-cache) | readwhilewriting |
 //! | [`KcCacheDb`] | Kyoto Cabinet `CacheDB` | kccachetest |
-//! | [`SimpleLru`] | CEPH `SimpleLRU` | LRUCache |
+//! | [`SimpleLru`] | CEPH `SimpleLRU` (exact LRU; slab + hash index, not CEPH's `std::map`) | LRUCache |
 //! | [`BoundedQueue`] | COZ `producer_consumer` queue | prodcons |
 //! | [`BufferPool`] | the §6.11 blocking buffer pool | bufferpool |
 //!

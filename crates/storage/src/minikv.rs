@@ -29,7 +29,11 @@ use crate::simplelru::SimpleLru;
 #[derive(Debug)]
 pub struct MiniKv {
     memtable: BTreeMap<u64, u64>,
-    /// Immutable runs, newest first. Each run is sorted.
+    /// Immutable runs, each strictly ascending by key. **Ordering
+    /// invariant: `runs[0]` is the newest run and the last element the
+    /// oldest** — a freeze inserts at the front, reads walk front to
+    /// back so the newest value of a key is found first, and
+    /// compaction merges the two at the back.
     runs: Vec<Vec<(u64, u64)>>,
     memtable_limit: usize,
     writes: AtomicU64,
@@ -64,14 +68,9 @@ impl MiniKv {
             // Background compaction stand-in: bound the run count by
             // merging the two oldest runs.
             if self.runs.len() > 4 {
-                let old = self.runs.pop().expect("len > 4");
-                let older = self.runs.pop().expect("len > 3");
-                let mut merged: BTreeMap<u64, u64> = older.into_iter().collect();
-                // `old` is newer than `older`: its values win.
-                for (k, v) in old {
-                    merged.insert(k, v);
-                }
-                self.runs.push(merged.into_iter().collect());
+                let oldest = self.runs.pop().expect("len > 4");
+                let second_oldest = self.runs.pop().expect("len > 3");
+                self.runs.push(merge_runs(second_oldest, oldest));
             }
         }
     }
@@ -166,6 +165,27 @@ impl MiniKv {
     }
 }
 
+/// Linear two-way merge of two sorted runs; on a key both hold, the
+/// value from `newer` wins.
+fn merge_runs(newer: Vec<(u64, u64)>, older: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    let mut merged = Vec::with_capacity(newer.len() + older.len());
+    let mut older = older.into_iter().peekable();
+    for pair in newer {
+        while let Some(old) = older.next_if(|old| old.0 <= pair.0) {
+            if old.0 < pair.0 {
+                merged.push(old);
+            }
+        }
+        merged.push(pair);
+    }
+    merged.extend(older);
+    debug_assert!(
+        merged.windows(2).all(|w| w[0].0 < w[1].0),
+        "a merged run must be strictly ascending"
+    );
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +240,47 @@ mod tests {
         for k in 0..4u64 {
             assert_eq!(kv.get(k, &mut c, 0), Some(500 + k), "key {k}");
         }
+    }
+
+    #[test]
+    fn merge_keeps_the_newer_value_of_an_overwritten_key() {
+        // Key 0 is written twice, then enough *other* keys follow that
+        // both writes sink into the two oldest runs and get merged:
+        // from then on the merged run is the only place key 0 lives.
+        let mut kv = MiniKv::new(4);
+        let mut c = cache();
+        for k in 0..4u64 {
+            kv.put(k, k); // run A: key 0 -> 0
+        }
+        kv.put(0, 1_000); // run B: key 0 -> 1000, the latest value
+        for k in 10..13u64 {
+            kv.put(k, k);
+        }
+        assert_eq!(kv.run_count(), 2);
+        for k in 100..140u64 {
+            kv.put(k, k); // ten more freezes, none touching key 0
+        }
+        assert!(kv.writes() / 4 > 4, "more than 4 freezes");
+        assert_eq!(kv.run_count(), 4, "compaction ran");
+        assert_eq!(kv.get_memtable(0), None);
+        assert_eq!(kv.get(0, &mut c, 0), Some(1_000), "stale value read");
+        assert_eq!(kv.scan_from(0, 1), vec![(0, 1_000)]);
+        // Every other key survived the merges too.
+        for k in (1..4).chain(10..13).chain(100..140) {
+            assert_eq!(kv.get(k, &mut c, 0), Some(k), "key {k}");
+        }
+    }
+
+    #[test]
+    fn merge_runs_is_a_newer_wins_union() {
+        let newer = vec![(1, 11), (3, 13), (5, 15)];
+        let older = vec![(0, 0), (1, 1), (2, 2), (5, 5), (9, 9)];
+        assert_eq!(
+            merge_runs(newer.clone(), older.clone()),
+            vec![(0, 0), (1, 11), (2, 2), (3, 13), (5, 15), (9, 9)]
+        );
+        assert_eq!(merge_runs(Vec::new(), older.clone()), older);
+        assert_eq!(merge_runs(newer.clone(), Vec::new()), newer);
     }
 
     #[test]

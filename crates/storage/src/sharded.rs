@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use malthus::{current_thread_index, LockCounter, McsCrMutex};
+use malthus::{current_thread_index, LockCounter, McsCrLock, McsCrMutex, MutexGuard};
 use malthus_metrics::LatencyHistogram;
 use malthus_rwlock::{RwCrMutex, RwStats};
 
@@ -249,6 +249,8 @@ struct Shard {
     /// The shard's central database lock (memtable + runs + WAL).
     db: RwCrMutex<ShardState>,
     /// The shard's block-cache lock (exclusive: lookups edit recency).
+    /// Always taken inside a `db` hold (db → cache), at most once per
+    /// sub-group; only [`ShardedKv::shard_stats`] takes it alone.
     cache: McsCrMutex<SimpleLru>,
     /// MGET batches that touched this shard. Bumped under the
     /// *shared* `db` lock, where concurrent bumpers are legal, so
@@ -279,6 +281,12 @@ struct Shard {
     /// Heal probes that succeeded and flipped the shard writable.
     heals: AtomicU64,
 }
+
+/// One sub-group's hold of its shard's block-cache lock: `None` until
+/// the sub-group's first memtable miss, then the guard, kept to the
+/// end of the sub-group (see [`ShardedKv::get_in_shard`]). Declared
+/// *after* the DB guard it nests inside, so it drops first.
+type HeldCache<'s> = Option<MutexGuard<'s, SimpleLru, McsCrLock>>;
 
 impl Shard {
     fn build(state: ShardState, cache_blocks: usize) -> Self {
@@ -726,21 +734,17 @@ impl ShardedKv {
 
     /// Point lookup on the key's shard: shared DB lock, memtable
     /// first, block cache only on a memtable miss — the same split
-    /// read path as the single-lock service, now per shard.
+    /// read path as the single-lock service, now per shard (a
+    /// sub-group of one; see [`ShardedKv::get_in_shard`]).
     pub fn get(&self, key: u64) -> Option<u64> {
-        let tid = current_thread_index();
         let shard = &self.shards[self.router.route(key)];
         let db = shard.db.read();
-        if let Some(v) = db.get_memtable(key) {
-            return Some(v);
-        }
-        let mut cache = shard.cache.lock();
-        db.get_runs(key, &mut cache, tid)
+        Self::get_in_shard(shard, &db, key, current_thread_index(), &mut None)
     }
 
-    /// Batched lookup: results in `keys` order, each shard's lock
-    /// taken at most once. Per-shard atomic, cross-shard racy (see
-    /// the module contract).
+    /// Batched lookup: results in `keys` order, each shard's DB lock
+    /// and cache lock taken at most once. Per-shard atomic,
+    /// cross-shard racy (see the module contract).
     pub fn mget(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let tid = current_thread_index();
         let mut out = vec![None; keys.len()];
@@ -756,12 +760,9 @@ impl ShardedKv {
             let shard = &self.shards[shard];
             let db = shard.db.read();
             shard.mgets.fetch_add(1, Ordering::Relaxed);
+            let mut cache = None;
             for i in indices {
-                let key = keys[i];
-                out[i] = db.get_memtable(key).or_else(|| {
-                    let mut cache = shard.cache.lock();
-                    db.get_runs(key, &mut cache, tid)
-                });
+                out[i] = Self::get_in_shard(shard, &db, keys[i], tid, &mut cache);
             }
         }
         out
@@ -815,8 +816,10 @@ impl ShardedKv {
     /// touched shard**: the ops' keys are grouped by destination via
     /// [`ShardRouter::group_indices`], and each shard's sub-group runs
     /// under a single hold of that shard's DB lock — *shared* when the
-    /// group is read-only, *exclusive* when it contains any write.
-    /// Replies come back in `ops` order.
+    /// group is read-only, *exclusive* when it contains any write —
+    /// and, nested inside it, at most one hold of the shard's cache
+    /// lock (see [`ShardedKv::get_in_shard`]). Replies come back in
+    /// `ops` order.
     ///
     /// This is the under-lock amortization the pipelined KV protocol
     /// exists for: a connection that delivers a batch of `n` puts to
@@ -885,9 +888,28 @@ impl ShardedKv {
                 group.len() as u64,
             );
             let dirty = group.iter().any(|&f| ops[flat[f].0 as usize].is_write());
+            // A read serves the same way under either DB hold: through
+            // the sub-group's one cache hold, into the op's reply.
+            // Returns whether the op was an MGET.
+            let read =
+                |db: &ShardState, cache: &mut _, replies: &mut [BatchReply], oi: usize, slot| {
+                    let v = Self::get_in_shard(shard, db, ops[oi].key_at(slot), tid, cache);
+                    match &mut replies[oi] {
+                        BatchReply::Value(out) => {
+                            *out = v;
+                            false
+                        }
+                        BatchReply::Values(outs) => {
+                            outs[slot] = v;
+                            true
+                        }
+                        _ => unreachable!("read op paired with a write reply"),
+                    }
+                };
             let mut saw_mget = false;
             if dirty {
                 let mut db = shard.db.write();
+                let mut cache = None;
                 // Group commit: the whole sub-group's writes (in op
                 // order) become durable with ONE append + ONE fsync
                 // *before* any op executes — the same boundary that
@@ -924,16 +946,8 @@ impl ShardedKv {
                             }
                             Err(_) => replies[oi] = BatchReply::Readonly,
                         },
-                        BatchOp::Get(k) => {
-                            let v = Self::get_in_shard(shard, &db, *k, tid);
-                            replies[oi] = BatchReply::Value(v);
-                        }
-                        BatchOp::Mget(keys) => {
-                            let v = Self::get_in_shard(shard, &db, keys[slot], tid);
-                            if let BatchReply::Values(vs) = &mut replies[oi] {
-                                vs[slot] = v;
-                            }
-                            saw_mget = true;
+                        BatchOp::Get(_) | BatchOp::Mget(_) => {
+                            saw_mget |= read(&db, &mut cache, &mut replies, oi, slot);
                         }
                     }
                 }
@@ -942,25 +956,10 @@ impl ShardedKv {
                 }
             } else {
                 let db = shard.db.read();
+                let mut cache = None;
                 for &f in &group {
                     let (oi, slot) = flat[f];
-                    let (oi, slot) = (oi as usize, slot as usize);
-                    match &ops[oi] {
-                        BatchOp::Get(k) => {
-                            let v = Self::get_in_shard(shard, &db, *k, tid);
-                            replies[oi] = BatchReply::Value(v);
-                        }
-                        BatchOp::Mget(keys) => {
-                            let v = Self::get_in_shard(shard, &db, keys[slot], tid);
-                            if let BatchReply::Values(vs) = &mut replies[oi] {
-                                vs[slot] = v;
-                            }
-                            saw_mget = true;
-                        }
-                        BatchOp::Put(..) | BatchOp::Mset(..) => {
-                            unreachable!("read-only group contains a write")
-                        }
-                    }
+                    saw_mget |= read(&db, &mut cache, &mut replies, oi as usize, slot as usize);
                 }
             }
             if saw_mget {
@@ -975,14 +974,26 @@ impl ShardedKv {
         replies
     }
 
-    /// The split read path of [`ShardedKv::get`] against an
+    /// The split read path every read goes through, against an
     /// already-held DB guard: memtable first, block cache only on a
-    /// miss (the cache lock nests inside the db hold, the fixed
-    /// db → cache order).
-    fn get_in_shard(shard: &Shard, db: &ShardState, key: u64, tid: u32) -> Option<u64> {
+    /// miss. A sub-group takes the cache lock **at most once** — on
+    /// its first memtable miss, into the caller's `cache` slot — and
+    /// keeps it until the slot drops at the end of the sub-group,
+    /// nested inside the DB hold in the fixed db → cache order. The
+    /// DB lock already amortizes admission over the sub-group this
+    /// way; `n` run-resident keys now pay one cache admission too, not
+    /// `n`, and sub-groups that never leave the memtable still never
+    /// touch the cache lock.
+    fn get_in_shard<'s>(
+        shard: &'s Shard,
+        db: &ShardState,
+        key: u64,
+        tid: u32,
+        cache: &mut HeldCache<'s>,
+    ) -> Option<u64> {
         db.get_memtable(key).or_else(|| {
-            let mut cache = shard.cache.lock();
-            db.get_runs(key, &mut cache, tid)
+            let cache = cache.get_or_insert_with(|| shard.cache.lock());
+            db.get_runs(key, cache, tid)
         })
     }
 
@@ -1473,6 +1484,94 @@ mod tests {
         assert_eq!(replies[0], BatchReply::Value(Some(1)));
         assert_eq!(replies[2], BatchReply::Values(vec![Some(4), Some(5)]));
         assert_eq!(replies[3], BatchReply::Value(Some(32)));
+    }
+
+    /// A one-shard store whose keys `0..keys` (value `k + 1`) are all
+    /// frozen into runs.
+    fn run_resident_store(keys: u64) -> ShardedKv {
+        let kv = ShardedKv::new(1, 4, 64);
+        for k in 0..keys {
+            kv.put(k, k + 1).unwrap();
+        }
+        let db = kv.db_lock(0).read();
+        assert!((0..keys).all(|k| db.get_memtable(k).is_none()));
+        drop(db);
+        kv
+    }
+
+    #[test]
+    fn cache_hold_starts_at_the_first_miss_and_lasts_until_the_slot_drops() {
+        let kv = run_resident_store(64);
+        kv.put(1_000, 7).unwrap(); // memtable-resident
+        let shard = &kv.shards[0];
+        let db = shard.db.read();
+        let mut cache = None;
+        // Memtable hits leave the cache lock alone.
+        assert_eq!(
+            ShardedKv::get_in_shard(shard, &db, 1_000, 0, &mut cache),
+            Some(7)
+        );
+        assert!(cache.is_none() && shard.cache.try_lock().is_some());
+        // From the first miss on the lock is held at every key
+        // boundary. It is not reentrant, so a second acquisition
+        // inside the hold could only deadlock: held throughout means
+        // acquired once.
+        for k in 0..64u64 {
+            let v = ShardedKv::get_in_shard(shard, &db, k, 0, &mut cache);
+            assert_eq!(v, Some(k + 1));
+            assert!(shard.cache.try_lock().is_none(), "released after key {k}");
+        }
+        drop(cache);
+        assert!(shard.cache.try_lock().is_some(), "released with the slot");
+    }
+
+    #[test]
+    fn read_sub_group_takes_the_cache_lock_once() {
+        // `McsCrLock` keeps no acquisition count (`cr_stats` counts
+        // culls, reprovisions and fairness grants), so a sub-group's
+        // acquisitions are counted from outside: an observer that
+        // keeps cycling the cache lock can see the sub-group's cache
+        // traffic grow only *between* two of the reader's holds. One
+        // hold per sub-group means it always arrives all at once; one
+        // hold per key shows up as soon as the observer gets in
+        // between two of them, which the rounds give it many tries at.
+        const KEYS: u64 = 2_048;
+        let kv = run_resident_store(KEYS);
+        let keys: Vec<u64> = (0..KEYS).collect();
+        let (gets, mget) = keys.split_at(keys.len() / 2);
+        let mut ops: Vec<BatchOp> = gets.iter().map(|&k| BatchOp::Get(k)).collect();
+        ops.push(BatchOp::Mget(mget));
+        let lookups = |s: LruStats| s.hits + s.misses;
+        // A key's lookup count depends on which run holds it, not on
+        // the cache's state: one dry run gives the sub-group's total.
+        let idle = lookups(kv.shard_stats(0).cache);
+        kv.execute_batch(&ops);
+        let per_batch = lookups(kv.shard_stats(0).cache) - idle;
+        assert!(per_batch >= KEYS);
+
+        let cache = &kv.shards[0].cache;
+        for round in 0..8 {
+            let mut guard = cache.lock();
+            let start = lookups(guard.stats());
+            let holds_observed = std::thread::scope(|s| {
+                let reader = s.spawn(|| kv.execute_batch(&ops));
+                let (mut seen, mut holds_observed) = (start, 0);
+                while seen < start + per_batch {
+                    drop(guard);
+                    guard = cache.lock();
+                    let now = lookups(guard.stats());
+                    if now != seen {
+                        holds_observed += 1;
+                        seen = now;
+                    }
+                }
+                drop(guard);
+                let replies = reader.join().unwrap();
+                assert_eq!(replies[0], BatchReply::Value(Some(1)));
+                holds_observed
+            });
+            assert_eq!(holds_observed, 1, "round {round}: {KEYS} keys, one hold");
+        }
     }
 
     #[test]

@@ -1,15 +1,30 @@
 //! A port of CEPH's `SimpleLRU` (the Figure 12 software cache).
 //!
-//! §6.9: an ordered map (CEPH uses a red-black `std::map`; we use the
-//! standard library's `BTreeMap`) plus an LRU list; recently accessed
-//! elements move to the front and excess elements are trimmed from the
-//! tail. On a miss the key itself is installed as the value. The
-//! interesting behaviour for the paper is *software-cache thrashing*:
-//! with many threads circulating, each thread's keyset evicts the
-//! others' — the LRU cache behaves like a small perfectly-associative
-//! shared hardware cache.
+//! §6.9: recently accessed elements move to the front of an LRU list
+//! and excess elements are trimmed from the tail; on a miss the key
+//! itself is installed as the value. The interesting behaviour for the
+//! paper is *software-cache thrashing*: with many threads circulating,
+//! each thread's keyset evicts the others' — the LRU cache behaves
+//! like a small perfectly-associative shared hardware cache.
+//!
+//! **Departure from CEPH.** CEPH finds entries through a red-black
+//! `std::map`; this port uses leveldb's `LRUCache` shape instead: one
+//! slab of entries linked into an intrusive MRU↔LRU list, plus a
+//! `key → slot` hash index. The policy is still exact LRU — the same
+//! keys hit, miss and get displaced, by the same installers — but a
+//! lookup is O(1) and, once the slab and the index have grown to
+//! capacity, allocates nothing. The subject of §6.9 is the *lock*
+//! around this structure, not the map inside it: the critical section
+//! only has to be a realistic one, and a tree walk of several hundred
+//! nanoseconds under the exclusive lock was not.
+//!
+//! The index hashes with a fixed multiply-shift, not SipHash: block
+//! ids are dense small integers and the hash sits on the hot path. The
+//! price is the default hasher's collision-flooding protection, which
+//! a benchmark substrate does not need.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hit/miss and displacement counters.
 ///
@@ -42,13 +57,41 @@ impl LruStats {
     }
 }
 
+/// Multiply-shift hash for `u32` block ids (Fibonacci constant). The
+/// product's high half is folded down because the table takes its
+/// bucket from the low bits and its tag from the top ones.
+#[derive(Debug, Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("SimpleLru keys hash through write_u32");
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        let product = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = product ^ (product >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// "No slot": the list's ends, and the links of an unlinked entry.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry. The value is not stored: the miss policy installs
+/// the key as its own value.
 #[derive(Debug)]
 struct Entry {
-    value: u32,
-    /// Monotonic recency stamp (larger = more recent).
-    stamp: u64,
+    key: u32,
     /// Which thread installed this entry.
     installer: u32,
+    /// Neighbour towards the MRU end.
+    prev: u32,
+    /// Neighbour towards the LRU end.
+    next: u32,
 }
 
 /// A capacity-bounded LRU map from `u32` keys to `u32` values.
@@ -71,11 +114,16 @@ struct Entry {
 /// ```
 #[derive(Debug)]
 pub struct SimpleLru {
-    map: BTreeMap<u32, Entry>,
-    /// stamp -> key, the recency order (BTreeMap as ordered list).
-    order: BTreeMap<u64, u32>,
+    /// The slab: grows to `capacity`, after which the LRU victim's
+    /// slot is reused in place.
+    entries: Vec<Entry>,
+    /// key -> slot in `entries`.
+    index: HashMap<u32, u32, BuildHasherDefault<BlockHasher>>,
+    /// Most recently used slot (`NIL` when empty).
+    head: u32,
+    /// Least recently used slot (`NIL` when empty).
+    tail: u32,
     capacity: usize,
-    clock: u64,
     stats: LruStats,
 }
 
@@ -88,27 +136,30 @@ impl SimpleLru {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity cache");
         SimpleLru {
-            map: BTreeMap::new(),
-            order: BTreeMap::new(),
-            capacity,
-            clock: 0,
+            entries: Vec::new(),
+            index: HashMap::default(),
+            head: NIL,
+            tail: NIL,
+            // Slot ids are `u32` with `NIL` reserved; `u32` keys could
+            // not fill a larger cache anyway.
+            capacity: capacity.min(NIL as usize),
             stats: LruStats::default(),
         }
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether `key` is resident (does not touch recency).
     pub fn contains(&self, key: u32) -> bool {
-        self.map.contains_key(&key)
+        self.index.contains_key(&key)
     }
 
     /// Counters.
@@ -120,40 +171,67 @@ impl SimpleLru {
     /// key as its own value (the paper's miss policy) and trims the
     /// tail. Returns the value.
     pub fn lookup_or_insert(&mut self, key: u32, thread: u32) -> u32 {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.map.get_mut(&key) {
+        if let Some(&slot) = self.index.get(&key) {
             self.stats.hits += 1;
-            // Move to the front of the recency order.
-            let old = e.stamp;
-            e.stamp = clock;
-            let v = e.value;
-            self.order.remove(&old);
-            self.order.insert(clock, key);
-            return v;
+            if slot != self.head {
+                self.unlink(slot);
+                self.link_front(slot);
+            }
+            return key;
         }
         self.stats.misses += 1;
-        if self.map.len() == self.capacity {
-            // Trim the LRU tail (smallest stamp).
-            let (&oldest, &victim_key) = self.order.iter().next().expect("cache full");
-            let victim = self.map.remove(&victim_key).expect("consistent");
-            self.order.remove(&oldest);
+        let slot = if self.entries.len() == self.capacity {
+            // Trim the LRU tail and reuse its slot.
+            let slot = self.tail;
+            let victim = &self.entries[slot as usize];
             if victim.installer == thread {
                 self.stats.self_displacements += 1;
             } else {
                 self.stats.cross_displacements += 1;
             }
-        }
-        self.map.insert(
-            key,
-            Entry {
-                value: key,
-                stamp: clock,
+            self.index.remove(&victim.key);
+            self.unlink(slot);
+            let entry = &mut self.entries[slot as usize];
+            entry.key = key;
+            entry.installer = thread;
+            slot
+        } else {
+            self.entries.push(Entry {
+                key,
                 installer: thread,
-            },
-        );
-        self.order.insert(clock, key);
+                prev: NIL,
+                next: NIL,
+            });
+            (self.entries.len() - 1) as u32
+        };
+        self.index.insert(key, slot);
+        self.link_front(slot);
         key
+    }
+
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Entry { prev, next, .. } = self.entries[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+    }
+
+    /// Makes the unlinked `slot` the most recently used.
+    fn link_front(&mut self, slot: u32) {
+        let old_head = std::mem::replace(&mut self.head, slot);
+        let entry = &mut self.entries[slot as usize];
+        entry.prev = NIL;
+        entry.next = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.entries[h as usize].prev = slot,
+        }
     }
 }
 

@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-use malthus_storage::{ShardRouter, ShardedKv};
+use malthus_pool::kv::{AdmissionSnapshot, AdmissionStats, KvService, Parsed};
+use malthus_storage::{BatchOp, BatchReply, ShardRouter, ShardedKv};
 
 /// Finds one key per shard (smallest key routing there), so lock
 /// tests can aim at specific shards deterministically.
@@ -213,6 +214,81 @@ fn writers_on_different_shards_hold_exclusive_locks_simultaneously() {
         done,
         "writers on independent shards deadlocked: shard locks are not independent"
     );
+}
+
+/// `STATS` never appears in the batches below, so admission counters
+/// are never asked for.
+struct NoAdmission;
+
+impl AdmissionStats for NoAdmission {
+    fn admission_snapshot(&self) -> AdmissionSnapshot {
+        AdmissionSnapshot::default()
+    }
+}
+
+/// Overwritten keys keep their latest value through freeze-time run
+/// merges, end to end: every key gets a fresh value per round through
+/// `KvService::apply_batch` (wire grammar → `execute_batch`), rounds
+/// are sized so every shard freezes well over 4 times — the point from
+/// which each freeze merges the shard's two oldest runs — and then
+/// every key is read back through both the service and the store.
+#[test]
+fn overwrites_survive_run_merges_end_to_end() {
+    const SHARDS: usize = 4;
+    const MEMTABLE: usize = 16;
+    const KEYS: u64 = 400;
+    const ROUNDS: u64 = 4;
+    let service = KvService::with_shards(SHARDS, MEMTABLE, 64);
+    let fresh = |key: u64, round: u64| round * 1_000_000 + key * 3 + 1;
+    let keys: Vec<u64> = (0..KEYS).collect();
+    let mut out = String::new();
+    for round in 0..ROUNDS {
+        for window in keys.chunks(16) {
+            // Half the window as PUTs, half as one MSET.
+            let (puts, mset) = window.split_at(window.len() / 2);
+            let mut lines: Vec<String> = puts
+                .iter()
+                .map(|&k| format!("PUT {k} {}", fresh(k, round)))
+                .collect();
+            let pairs: Vec<String> = mset
+                .iter()
+                .map(|&k| format!("{k} {}", fresh(k, round)))
+                .collect();
+            lines.push(format!("MSET {}", pairs.join(" ")));
+            let batch: Vec<Parsed> = lines.iter().map(|l| Parsed::from_line(l)).collect();
+            out.clear();
+            service.apply_batch(&batch, &NoAdmission, &mut out);
+            assert!(!out.contains("ERR"), "round {round}: {out}");
+        }
+    }
+    let stats = service.store().stats();
+    for (i, shard) in stats.per_shard.iter().enumerate() {
+        let freezes = shard.writes / MEMTABLE as u64;
+        assert!(freezes > 4, "shard {i} froze only {freezes} times");
+        assert!(
+            shard.runs <= 4,
+            "shard {i} never merged: {} runs",
+            shard.runs
+        );
+    }
+
+    let last = ROUNDS - 1;
+    for window in keys.chunks(16) {
+        let batch: Vec<Parsed> = window
+            .iter()
+            .map(|k| Parsed::from_line(&format!("GET {k}")))
+            .collect();
+        out.clear();
+        service.apply_batch(&batch, &NoAdmission, &mut out);
+        let want: String = window
+            .iter()
+            .map(|&k| format!("VAL {}\n", fresh(k, last)))
+            .collect();
+        assert_eq!(out, want, "stale value served for keys {window:?}");
+    }
+    let replies = service.store().execute_batch(&[BatchOp::Mget(&keys)]);
+    let want: Vec<Option<u64>> = keys.iter().map(|&k| Some(fresh(k, last))).collect();
+    assert_eq!(replies, vec![BatchReply::Values(want)]);
 }
 
 /// While one shard's writer *holds* its exclusive lock, reads and
