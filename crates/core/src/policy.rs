@@ -8,8 +8,8 @@
 //! both at lock level ([`should_cull`]/[`should_reprovision`]), for
 //! the read-write lock's shared side ([`rw_reader_batch`], consumed by
 //! `malthus-rwlock`), and one layer up at task-scheduler level
-//! ([`crew_has_surplus`]/[`crew_should_reprovision`], §7's "applies to
-//! any contended resource").
+//! ([`crew_has_surplus`]/[`crew_should_reprovision`], sized by
+//! [`acs_target`]; §7's "applies to any contended resource").
 
 use malthus_park::XorShift64;
 
@@ -115,6 +115,16 @@ pub fn crew_has_surplus(active_workers: usize, acs_limit: usize) -> bool {
 /// trigger.
 pub fn crew_should_reprovision(backlog: usize, high_watermark: usize, passive_len: usize) -> bool {
     backlog >= high_watermark && passive_len > 0
+}
+
+/// The one steady-state ACS-sizing rule for executor-level admission
+/// (the crew's task queue, the reactor's `epoll_wait`): one
+/// circulating thread per independent admission point (shard),
+/// bounded by the host's cores and the worker count, never below one.
+/// A caller with no notion of admission points passes `usize::MAX`.
+pub fn acs_target(workers: usize, admission_points: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    workers.min(cpus).min(admission_points).max(1)
 }
 
 /// Reader-reprovisioning batch for a concurrency-restricting

@@ -94,10 +94,9 @@ impl ReactorConfig {
     /// host's parallelism, 5 ms stall window, the paper's 1/1000
     /// fairness period.
     pub fn malthusian(workers: usize) -> Self {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         ReactorConfig {
             workers: workers.max(1),
-            acs_target: workers.max(1).min(cpus),
+            acs_target: policy::acs_target(workers, usize::MAX),
             stall_threshold: Duration::from_millis(5),
             fairness_period: Some(policy::DEFAULT_FAIRNESS_PERIOD),
             seed: 0x4D414C54,

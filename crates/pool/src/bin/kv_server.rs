@@ -1,8 +1,10 @@
 //! `kv_server` — the Malthusian KV service over TCP.
 //!
 //! Serves the line protocol of [`malthus_pool::kv`] with request
-//! execution dispatched onto a concurrency-restricting [`WorkCrew`]
-//! over a sharded store: `--shards N` gives each of N shards its own
+//! execution admitted by a concurrency-restricting [`WorkCrew`] — a
+//! cheap batch runs on its connection thread under an ACS place the
+//! crew lends it, a dear one is queued to a crew worker; the exit
+//! report's `inline=` counts the former — over a sharded store: `--shards N` gives each of N shards its own
 //! Malthusian RW-CR DB lock and block-cache lock, so admission is
 //! per shard. Runs until a client sends `SHUTDOWN` or the process
 //! receives `SIGTERM`; either way the server stops accepting, drains
@@ -67,7 +69,8 @@
 //!   reaps them via the reactor's timer wheel.
 //!
 //! With restriction on, the crew's ACS target is
-//! `min(workers, cpus, shards)`: one hot lock pair deserves one
+//! `min(workers, cpus, shards)` ([`malthus::policy::acs_target`], the
+//! one sizing rule both front-ends use): one hot lock pair deserves one
 //! circulating thread (more would just queue at the lock — the §6.5
 //! situation), and each extra shard adds an independent admission
 //! point that can keep one more thread usefully busy, up to the core
@@ -245,14 +248,12 @@ fn main() {
         eprintln!("# kv_server: fault plan armed: {}", plan.render(seed));
     }
 
-    // One circulating thread per independent admission point (shard),
-    // bounded by cores and worker count — the same sizing whether the
-    // admitted resource is the crew's task queue or the reactor's
-    // `epoll_wait`.
+    // The same sizing whether the admitted resource is the crew's
+    // task queue or the reactor's `epoll_wait`.
     let acs = if opts.unrestricted {
         opts.workers
     } else {
-        opts.workers.min(cpus).min(opts.shards).max(1)
+        malthus::policy::acs_target(opts.workers, opts.shards)
     };
     let cfg = if opts.unrestricted {
         PoolConfig::unrestricted(opts.workers, opts.queue)
@@ -417,8 +418,12 @@ fn main() {
 
         let stats = crew.shutdown();
         eprintln!(
-            "# kv_server: completed={} culls={} reprovisions={} promotions={}",
-            stats.completed, stats.culls, stats.reprovisions, stats.fairness_promotions
+            "# kv_server: completed={} inline={} culls={} reprovisions={} promotions={}",
+            stats.completed,
+            stats.inline,
+            stats.culls,
+            stats.reprovisions,
+            stats.fairness_promotions
         );
     }
     // Shutdown epilogue, in order: stop probing (the healer must not

@@ -5,7 +5,8 @@
 //! exposition (parsed with the shared [`malthus_obs::exposition`]
 //! parser) and renders interval **rates** (ops/s, fsyncs/s, batches/s
 //! — diffed between polls) next to the admission picture (exclusive
-//! episodes per write, crew active/passive, hot-shard write share),
+//! episodes per write, crew active/passive and batches run in place per
+//! second, hot-shard write share),
 //! interval latency quantiles (batch size, batch drain, fsync —
 //! computed from histogram-bucket deltas), a per-stage **latency
 //! waterfall** (where the interval's batches spent their time:
@@ -335,11 +336,12 @@ fn render(
     );
     let _ = writeln!(
         f,
-        "crew active {:.0}  passive {:.0}  backlog {:.0}   hot-shard write share {:.2}   \
-         readonly shards {readonly:.0}   idle disconnects {:.0}",
+        "crew active {:.0}  passive {:.0}  backlog {:.0}  inline/s {:.0}   \
+         hot-shard write share {:.2}   readonly shards {readonly:.0}   idle disconnects {:.0}",
         later.exp.get("crew_active_workers"),
         later.exp.get("crew_passive_workers"),
         later.exp.get("crew_backlog"),
+        rate(later, earlier, "crew_inline_total", &[]),
         later.exp.get("kv_hottest_shard_write_share"),
         later.exp.get("kv_idle_disconnects_total"),
     );

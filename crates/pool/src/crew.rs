@@ -32,6 +32,16 @@
 //!   that just finished a task swap places with the *eldest* passive
 //!   worker (the bottom of the LIFO stack), bounding per-worker
 //!   starvation without perturbing the ACS size.
+//! * **Lending** — a thread that would otherwise block on a crew
+//!   round trip (submit, park, be unparked by the worker's reply) may
+//!   instead borrow an *idle* ACS member's place with
+//!   [`WorkCrew::try_enter`] and run the work itself: no parked thread
+//!   is woken on the critical path (§4, and the hand-off costs of §5).
+//!   The lent worker stays parked and stays counted in the ACS, so the
+//!   number of threads executing crew work never exceeds the ACS
+//!   limit, and a slot is only lent while the queue is empty, so a
+//!   caller never overtakes queued work. Dropping the [`Slot`] returns
+//!   the place exactly as the worker finishing a task would have.
 //!
 //! Tasks are never lost: culled workers are reprovisioned while
 //! backlog exists, and [`WorkCrew::shutdown`] drains the queue before
@@ -117,10 +127,9 @@ impl PoolConfig {
     /// on any pending backlog, and the paper's default 1/1000
     /// fairness period.
     pub fn malthusian(workers: usize, queue_bound: usize) -> Self {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         PoolConfig {
             workers,
-            acs_target: workers.min(cpus),
+            acs_target: policy::acs_target(workers, usize::MAX),
             queue_bound,
             backlog_watermark: 1,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
@@ -181,8 +190,12 @@ impl PoolConfig {
 pub struct PoolStats {
     /// Tasks accepted by `submit`/`try_submit`.
     pub submitted: u64,
-    /// Tasks executed to completion.
+    /// Units of work executed to completion: dequeued tasks plus
+    /// [`Slot`]s returned.
     pub completed: u64,
+    /// The part of `completed` that ran on the caller's thread under a
+    /// lent [`Slot`]; not charged to `per_worker_completed`.
+    pub inline: u64,
     /// Workers culled onto the passive stack (excluding fairness
     /// swaps).
     pub culls: u64,
@@ -203,6 +216,8 @@ enum Role {
     Active,
     /// In the ACS but parked because the queue was empty.
     Idle,
+    /// In the ACS and parked, its place lent to a [`Slot`] holder.
+    Lent,
     /// Culled: parked on the passive stack.
     Passive,
 }
@@ -215,7 +230,7 @@ struct State {
     /// Ids of `Passive` workers; eldest at index 0, newest last (LIFO
     /// top).
     passive: Vec<usize>,
-    /// Workers in `Active` or `Idle` role.
+    /// Workers in `Active`, `Idle` or `Lent` role.
     active: usize,
     /// Temporary ACS enlargement granted by reprovisioning; shed as
     /// the backlog drains.
@@ -239,6 +254,7 @@ struct Shared {
     cfg: PoolConfig,
     submitted: AtomicU64,
     completed: AtomicU64,
+    inline: AtomicU64,
     culls: AtomicU64,
     reprovisions: AtomicU64,
     fairness_promotions: AtomicU64,
@@ -258,6 +274,61 @@ impl Shared {
         if let Some(w) = state.idle.pop() {
             state.roles[w] = Role::Active;
             self.unparkers[w].unpark();
+        }
+    }
+
+    /// Boost decay under sustained saturation, run after every unit of
+    /// work: when no stall has re-raised the boost for several
+    /// windows, shed one step even though the queue never empties —
+    /// otherwise a long-lived saturated crew with occasional blocking
+    /// tasks ratchets its ACS up to `workers` permanently and
+    /// restriction is lost.
+    fn decay_boost(&self, state: &mut State) {
+        if state.boost > 0
+            && !state.shutdown
+            && state.last_boost_change.elapsed() >= self.cfg.stall_threshold * 8
+        {
+            state.boost -= 1;
+            state.last_boost_change = Instant::now();
+        }
+    }
+}
+
+/// An ACS place lent by [`WorkCrew::try_enter`]: while it lives, the
+/// holder's thread stands in for one parked crew worker. Dropping it
+/// (also on unwind) does that worker's post-task bookkeeping and
+/// returns the place.
+#[must_use = "the slot is returned when this guard drops"]
+pub struct Slot<'a> {
+    shared: &'a Shared,
+    worker: usize,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let (shared, w) = (self.shared, self.worker);
+        if std::thread::panicking() {
+            shared.panicked.fetch_add(1, Ordering::Relaxed);
+        } else {
+            shared.completed.fetch_add(1, Ordering::Relaxed);
+            shared.inline.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut state = shared.state.lock().expect("crew mutex poisoned");
+        shared.decay_boost(&mut state);
+        if state.roles[w] != Role::Lent {
+            return; // `shutdown` already released the worker
+        }
+        // Work queued behind the slot, or a boost that decayed to a
+        // surplus: the worker must run its own loop. Otherwise it goes
+        // back to being the most recently idled member.
+        if state.queue.is_empty()
+            && !policy::crew_has_surplus(state.active, shared.acs_limit(&state))
+        {
+            state.roles[w] = Role::Idle;
+            state.idle.push(w);
+        } else {
+            state.roles[w] = Role::Active;
+            shared.unparkers[w].unpark();
         }
     }
 }
@@ -321,6 +392,7 @@ impl WorkCrew {
             unparkers,
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
             culls: AtomicU64::new(0),
             reprovisions: AtomicU64::new(0),
             fairness_promotions: AtomicU64::new(0),
@@ -400,6 +472,29 @@ impl WorkCrew {
         Ok(())
     }
 
+    /// Borrows an **idle** ACS member's place so the caller can run
+    /// one unit of crew work on its own thread, with no hand-off.
+    ///
+    /// Refuses (`None`) when the crew is shutting down, when the queue
+    /// is non-empty (a caller never overtakes queued work), or when no
+    /// worker is idle (every ACS place is running or lent) — the
+    /// caller then falls back to [`WorkCrew::submit`]. The lent worker
+    /// stays parked and counted in the ACS, so admission arithmetic is
+    /// unchanged; the stall stamp is refreshed as a dequeue would, and
+    /// a holder that then blocks is rescued by the same stall-driven
+    /// reprovisioning as a blocked task.
+    pub fn try_enter(&self) -> Option<Slot<'_>> {
+        let shared = &*self.shared;
+        let mut state = shared.state.lock().expect("crew mutex poisoned");
+        if state.shutdown || !state.queue.is_empty() {
+            return None;
+        }
+        let worker = state.idle.pop()?;
+        state.roles[worker] = Role::Lent;
+        state.last_dequeue = Instant::now();
+        Some(Slot { shared, worker })
+    }
+
     /// Current queue depth (racy diagnostic).
     pub fn backlog(&self) -> usize {
         self.shared
@@ -431,6 +526,7 @@ impl WorkCrew {
         PoolStats {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
+            inline: s.inline.load(Ordering::Relaxed),
             culls: s.culls.load(Ordering::Relaxed),
             reprovisions: s.reprovisions.load(Ordering::Relaxed),
             fairness_promotions: s.fairness_promotions.load(Ordering::Relaxed),
@@ -453,14 +549,19 @@ impl WorkCrew {
     pub fn register_metrics(&self, registry: &malthus_obs::Registry) {
         type SharedCounter = fn(&Shared) -> u64;
         let no_labels: &[(&str, &str)] = &[];
-        let counters: [(&str, &str, SharedCounter); 6] = [
+        let counters: [(&str, &str, SharedCounter); 7] = [
             ("crew_submitted_total", "Tasks accepted by the crew.", |s| {
                 s.submitted.load(Ordering::Relaxed)
             }),
             (
                 "crew_completed_total",
-                "Tasks completed by the crew.",
+                "Units of work completed: dequeued tasks plus returned slots.",
                 |s| s.completed.load(Ordering::Relaxed),
+            ),
+            (
+                "crew_inline_total",
+                "Completions that ran on the caller's thread under a lent slot.",
+                |s| s.inline.load(Ordering::Relaxed),
             ),
             (
                 "crew_culls_total",
@@ -523,15 +624,13 @@ impl WorkCrew {
         {
             let mut state = self.shared.state.lock().expect("crew mutex poisoned");
             state.shutdown = true;
-            // Emptying the membership lists releases idle and passive
-            // workers from their park loops; active bookkeeping stops
-            // mattering once culling is disabled by `shutdown`.
-            let mut released: Vec<usize> = state.idle.drain(..).collect();
-            released.append(&mut state.passive);
-            state.active += released.len();
-            for w in released {
-                state.roles[w] = Role::Active;
-            }
+            // Making every worker `Active` releases idle, lent and
+            // passive workers from their park loops; culling is
+            // disabled by `shutdown`, so they all help drain the queue.
+            state.idle.clear();
+            state.passive.clear();
+            state.roles.fill(Role::Active);
+            state.active = self.shared.cfg.workers;
             drop(state);
             self.shared.not_full.notify_all();
             for u in &self.shared.unparkers {
@@ -571,21 +670,22 @@ impl std::fmt::Debug for WorkCrew {
     }
 }
 
-/// Parks until some other thread removes `me` from the membership
-/// list whose role is `waiting_as` (promotion, wake, or shutdown).
+/// Parks an idle worker until some other thread makes it `Active`
+/// again (queued work, a returned slot, or shutdown).
 ///
 /// Returns the re-acquired state guard. Handles spurious parker
-/// returns by re-checking the role under the lock.
+/// returns by re-checking the role under the lock: `Idle` and `Lent`
+/// both keep parking, so a stray unpark never makes a lent worker
+/// dequeue beside its slot holder.
 fn park_until_released<'a>(
     me: usize,
     parker: &Parker,
     shared: &'a Shared,
-    waiting_as: Role,
 ) -> std::sync::MutexGuard<'a, State> {
     loop {
         parker.park();
         let state = shared.state.lock().expect("crew mutex poisoned");
-        if state.roles[me] != waiting_as {
+        if state.roles[me] == Role::Active {
             return state;
         }
         drop(state);
@@ -683,19 +783,7 @@ fn worker_loop(me: usize, parker: Parker, shared: &Shared) {
                 }
             }
             state = shared.state.lock().expect("crew mutex poisoned");
-            // Boost decay under sustained saturation: when no stall
-            // has re-raised the boost for several windows, shed one
-            // step even though the queue never empties — otherwise a
-            // long-lived saturated crew with occasional blocking
-            // tasks ratchets its ACS up to `workers` permanently and
-            // restriction is lost.
-            if state.boost > 0
-                && !state.shutdown
-                && state.last_boost_change.elapsed() >= shared.cfg.stall_threshold * 8
-            {
-                state.boost -= 1;
-                state.last_boost_change = Instant::now();
-            }
+            shared.decay_boost(&mut state);
             // 3. Long-term fairness: episodically swap with the eldest
             //    passive worker (stack bottom), keeping the ACS size
             //    unchanged — the pool analogue of the lock ceding
@@ -730,7 +818,7 @@ fn worker_loop(me: usize, parker: Parker, shared: &Shared) {
         state.roles[me] = Role::Idle;
         state.idle.push(me);
         drop(state);
-        state = park_until_released(me, &parker, shared, Role::Idle);
+        state = park_until_released(me, &parker, shared);
     }
 }
 
@@ -965,6 +1053,110 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 20, "workers must survive");
         assert_eq!(stats.panicked, 1);
         assert_eq!(stats.completed, 20);
+    }
+
+    /// Spins until the crew has an idle ACS member to lend (workers
+    /// take a moment to start, cull and idle).
+    fn enter_when_idle(crew: &WorkCrew) -> Slot<'_> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(slot) = crew.try_enter() {
+                return slot;
+            }
+            assert!(Instant::now() < deadline, "no worker ever idled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn wait_for(hits: &AtomicU64, n: u64) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while hits.load(Ordering::Relaxed) < n && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        hits.load(Ordering::Relaxed) >= n
+    }
+
+    #[test]
+    fn try_enter_never_overtakes_queued_work() {
+        // (b) A task already queued — here planted without the wake a
+        // real submit sends, so a worker is idle *and* the queue is
+        // non-empty — must make `try_enter` refuse, and must run
+        // before anything submitted after it.
+        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        drop(enter_when_idle(&crew));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let o = Arc::clone(&order);
+        let first: Task = Box::new(move || o.lock().unwrap().push(1));
+        crew.shared.state.lock().unwrap().queue.push_back(first);
+        assert!(crew.try_enter().is_none(), "queued work must go first");
+        let o = Arc::clone(&order);
+        crew.submit(move || o.lock().unwrap().push(2)).unwrap();
+        let stats = crew.shutdown();
+        assert_eq!(*order.lock().unwrap(), [1, 2]);
+        assert_eq!((stats.completed, stats.inline), (3, 1));
+        assert_eq!(stats.per_worker_completed, [2], "slots are not a worker's");
+    }
+
+    #[test]
+    fn a_panicking_slot_holder_returns_the_slot() {
+        // (c) One worker, so a slot that is not given back leaves
+        // nobody to run the next task (no passive worker to promote).
+        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = enter_when_idle(&crew);
+            panic!("request bug on a connection thread");
+        }));
+        assert!(outcome.is_err());
+        let hits = count_tasks(&crew, 1);
+        let ran = wait_for(&hits, 1);
+        let relent = crew.try_enter().is_some();
+        let stats = crew.shutdown();
+        assert!(ran, "the slot was not given back: {stats:?}");
+        assert!(relent, "the worker must be lendable again");
+        assert_eq!((stats.panicked, stats.completed, stats.inline), (1, 2, 1));
+    }
+
+    #[test]
+    fn a_blocked_slot_holder_triggers_stall_reprovisioning() {
+        // (e) ACS of 1, lent to a holder that then "blocks" (as in a
+        // write to a slow client): the backlog behind it must promote
+        // a culled worker exactly as a blocked task would.
+        let cfg = PoolConfig::malthusian(3, 32)
+            .with_acs_target(1)
+            .with_fairness_period(None)
+            .with_stall_threshold(Duration::from_millis(5));
+        let crew = WorkCrew::new(cfg);
+        let slot = enter_when_idle(&crew);
+        let hits = count_tasks(&crew, 20);
+        let drained = wait_for(&hits, 20);
+        let mid_stats = crew.stats();
+        drop(slot);
+        let stats = crew.shutdown();
+        assert!(drained, "tasks stranded behind the slot: {mid_stats:?}");
+        assert!(mid_stats.reprovisions >= 1, "{mid_stats:?}");
+        assert_eq!((stats.completed, stats.inline), (21, 1));
+    }
+
+    #[test]
+    fn a_spurious_unpark_leaves_a_lent_worker_parked() {
+        // (f) The only worker is lent and a task waits in the queue: a
+        // stray unpark must not make the worker dequeue beside its
+        // slot holder — that would be two threads in an ACS of one.
+        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        let slot = enter_when_idle(&crew);
+        let hits = count_tasks(&crew, 1);
+        for _ in 0..5 {
+            crew.shared.unparkers[slot.worker].unpark();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(hits.load(Ordering::Relaxed), 0, "lent worker dequeued");
+        assert_eq!(
+            crew.shared.state.lock().unwrap().roles[slot.worker],
+            Role::Lent
+        );
+        drop(slot); // queue non-empty: the worker is woken, not idled
+        assert!(wait_for(&hits, 1), "returned slot must wake the worker");
+        crew.shutdown();
     }
 
     #[test]

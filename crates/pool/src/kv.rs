@@ -6,7 +6,7 @@
 //! TCP: a [`ShardedKv`](malthus_storage::ShardedKv) of N shards, each
 //! its own `MiniKv` behind a Malthusian **read-write** DB lock plus a
 //! `SimpleLru` block cache behind an MCSCR mutex, with request
-//! execution dispatched onto a [`WorkCrew`]. Admission control
+//! execution admitted by a [`WorkCrew`]. Admission control
 //! operates at *both* layers: the crew restricts how many threads run
 //! at all, and the N CR lock pairs restrict circulation per shard —
 //! one hot shard culls its own surplus while the others keep serving.
@@ -70,7 +70,7 @@
 //! client's bookkeeping, not for reordering. What pipelining changes
 //! is the server's execution shape: each reader wakeup **drains every
 //! complete request line already buffered** on the connection and
-//! submits the whole batch as *one* crew task. The batch groups its
+//! runs the whole batch as *one* unit of crew work. The batch groups its
 //! GET/PUT/MGET/MSET ops by shard (via
 //! [`ShardRouter::group_indices`](malthus_storage::ShardRouter::group_indices))
 //! and executes each shard's group under a **single** DB-lock
@@ -91,12 +91,20 @@
 //! paths.
 //!
 //! Connection readers are plain threads (cheap, blocked on I/O); all
-//! request *execution* flows through the crew, which is where
-//! concurrency is restricted. A reader submits one batch at a time
-//! and waits for its flush before draining the next, so batches from
-//! one connection never interleave; the next burst accumulates in the
-//! socket while the current batch executes, which is exactly what
-//! makes the next drain bigger under load (group-commit dynamics).
+//! request *execution* is admitted by the crew, which is where
+//! concurrency is restricted — but admission does not always mean a
+//! hand-off. A batch whose connection's previous batch was cheap
+//! (under [`INLINE_MAX_DRAIN_NS`]) runs **in place** on the reader
+//! thread when [`WorkCrew::try_enter`] can lend it an idle ACS
+//! member's place: the parked worker stays parked, nobody is woken on
+//! the critical path, and the number of threads executing never
+//! exceeds the ACS limit. A dear batch, or one that finds the queue
+//! non-empty or no worker idle, is submitted to the crew's FIFO queue
+//! and the reader waits for its flush. Either way a reader has one
+//! batch in flight at a time, so batches from one connection never
+//! interleave; the next burst accumulates in the socket while the
+//! current batch executes, which is exactly what makes the next drain
+//! bigger under load (group-commit dynamics).
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
@@ -165,6 +173,21 @@ impl<T: AdmissionStats + ?Sized> AdmissionStats for Arc<T> {
         (**self).admission_snapshot()
     }
 }
+
+/// The cost rule of the threaded front-end: a connection's batch runs
+/// in place on its own thread (under a slot lent by
+/// [`WorkCrew::try_enter`]) only while that connection's previous
+/// batch applied in under this many nanoseconds; a dearer one is
+/// queued to the crew as before.
+///
+/// 50 µs, because handing a batch to a crew worker costs a 30–40 µs
+/// round trip (two park/unpark pairs; `pool.crew_roundtrip_us` in the
+/// benchmark's ledger) and only pays once the work outweighs it —
+/// where batches are long (≈150 µs on a store far beyond its block
+/// cache) the crew's FIFO queue and always-running workers keep the
+/// tail short, and four connection threads convoying on the shard
+/// locks do not.
+pub const INLINE_MAX_DRAIN_NS: u64 = 50_000;
 
 /// Default TCP address for the server and load-generator binaries.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
@@ -1100,12 +1123,15 @@ pub fn bind(addr: &str) -> std::io::Result<(TcpListener, ServerControl)> {
 /// their responses may not be deliverable).
 ///
 /// Each connection gets a reader thread that drains complete request
-/// lines per wakeup and submits each drained batch to `crew` as one
-/// task; responses are rendered and flushed (one write per batch)
-/// from the crew worker. Clients may run closed-loop (one outstanding
-/// request) or pipelined (a tagged window, as `kv_load
-/// --pipeline-depth` does). Transient `accept` failures (`EMFILE`,
-/// `ECONNABORTED`, …) are logged and survived, not propagated.
+/// lines per wakeup into one batch. A cheap batch runs on the reader
+/// thread itself under an ACS place lent by `crew`
+/// ([`WorkCrew::try_enter`], see [`INLINE_MAX_DRAIN_NS`]); any other
+/// is submitted to `crew` as one task. Whichever thread runs the batch
+/// renders and flushes its responses (one write per batch). Clients
+/// may run closed-loop (one outstanding request) or pipelined (a
+/// tagged window, as `kv_load --pipeline-depth` does). Transient
+/// `accept` failures (`EMFILE`, `ECONNABORTED`, …) are logged and
+/// survived, not propagated.
 pub fn serve(
     listener: TcpListener,
     control: &ServerControl,
@@ -1187,17 +1213,26 @@ fn handle_connection(
     if opts.read_timeout.is_some() {
         let _ = stream.set_read_timeout(opts.read_timeout);
     }
-    let Ok(writer) = stream.try_clone().map(Arc::new) else {
+    let Ok(writer) = stream.try_clone() else {
         return;
     };
+    let runner = Arc::new(BatchRunner {
+        service: Arc::clone(service),
+        crew: Arc::clone(crew),
+        writer,
+    });
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     // Reused across batches: the parsed-request vector and the
-    // rendered-response buffer round-trip through the batch task's
-    // completion channel, so the steady state allocates per *batch*
-    // (one boxed task + one channel), never per request.
+    // rendered-response buffer stay here for a batch that runs in
+    // place and round-trip through the completion channel for a queued
+    // one, so the steady state allocates at most per *batch* (one
+    // boxed task + one channel), never per request.
     let mut batch: Vec<Parsed> = Vec::new();
     let mut out = String::new();
+    // How long this connection's previous batch took to apply: the
+    // observable the in-place/queued choice is made from.
+    let mut last_drain_ns = 0u64;
     // Per-connection batch-size distribution, visible to quantile
     // queries while the connection lives and folded into the
     // service-wide histogram on disconnect (STATS pbatch_p50/p99).
@@ -1272,53 +1307,48 @@ fn handle_connection(
             if read_t0 != 0 {
                 span.add(Stage::Read, span::now_ns().saturating_sub(read_t0));
             }
-            // One crew task per batch: the batch is the admission
-            // unit. The channel returns the buffers for reuse and
-            // doubles as the completion signal — the reader keeps a
-            // single batch in flight so responses from one connection
-            // never interleave; the wait overlaps the client's own
-            // turnaround, and the next burst accumulates in the
-            // socket meanwhile.
-            let (tx, rx) = mpsc::channel();
-            let service_task = Arc::clone(service);
-            let crew_task = Arc::clone(crew);
-            let writer_task = Arc::clone(&writer);
-            let mut reqs = std::mem::take(&mut batch);
-            let mut buf = std::mem::take(&mut out);
-            let submit_ns = if span.is_active() { span::now_ns() } else { 0 };
-            let submitted = crew.submit(move || {
-                // Queue stage: submit → this task actually starting on
-                // a crew worker (crew backlog + admission).
-                if submit_ns != 0 {
-                    span.add(Stage::Queue, span::now_ns().saturating_sub(submit_ns));
+            // The batch is the admission unit, and the reader keeps a
+            // single one in flight, so responses from one connection
+            // never interleave. A cheap batch runs right here under a
+            // lent ACS slot; otherwise it is handed to the crew.
+            let queue_t0 = if span.is_active() { span::now_ns() } else { 0 };
+            let slot = if last_drain_ns < INLINE_MAX_DRAIN_NS {
+                crew.try_enter()
+            } else {
+                None
+            };
+            if let Some(_slot) = slot {
+                last_drain_ns = runner.run(&batch, &mut out, &mut span, queue_t0);
+                batch.clear();
+            } else {
+                // One crew task per batch. The channel returns the
+                // buffers for reuse and doubles as the completion
+                // signal; the wait overlaps the client's own
+                // turnaround, and the next burst accumulates in the
+                // socket meanwhile.
+                let (tx, rx) = mpsc::channel();
+                let task_runner = Arc::clone(&runner);
+                let mut reqs = std::mem::take(&mut batch);
+                let mut buf = std::mem::take(&mut out);
+                let submitted = crew.submit(move || {
+                    let drain_ns = task_runner.run(&reqs, &mut buf, &mut span, queue_t0);
+                    reqs.clear();
+                    let _ = tx.send((reqs, buf, drain_ns));
+                });
+                if submitted.is_err() {
+                    let _ = write_all(&runner.writer, b"ERR shutting down\n");
+                    break 'conn;
                 }
-                buf.clear();
-                let drain_start = Instant::now();
-                service_task.apply_batch_span(&reqs, &crew_task, &mut buf, &mut span);
-                let drain_ns = drain_start.elapsed().as_nanos() as u64;
-                service_task.pipeline_stats().note_drain_ns(drain_ns);
-                // All of the batch's responses leave in one write.
-                let flush_t0 = if span.is_active() { span::now_ns() } else { 0 };
-                let _ = write_all(&writer_task, buf.as_bytes());
-                if flush_t0 != 0 {
-                    span.add(Stage::Flush, span::now_ns().saturating_sub(flush_t0));
+                match rx.recv() {
+                    Ok((reqs_back, buf_back, drain_ns)) => {
+                        batch = reqs_back;
+                        out = buf_back;
+                        last_drain_ns = drain_ns;
+                    }
+                    // The batch task died without reporting (panicked
+                    // mid-request): the response stream is broken, close.
+                    Err(_) => break 'conn,
                 }
-                service_task.finish_span(&mut span);
-                reqs.clear();
-                let _ = tx.send((reqs, buf));
-            });
-            if submitted.is_err() {
-                let _ = write_all(&writer, b"ERR shutting down\n");
-                break 'conn;
-            }
-            match rx.recv() {
-                Ok((reqs_back, buf_back)) => {
-                    batch = reqs_back;
-                    out = buf_back;
-                }
-                // The batch task died without reporting (panicked
-                // mid-request): the response stream is broken, close.
-                Err(_) => break 'conn,
             }
         }
         match control_verb {
@@ -1326,7 +1356,7 @@ fn handle_connection(
                 out.clear();
                 write_tag(&mut out, tag);
                 out.push_str("OK\n");
-                let _ = write_all(&writer, out.as_bytes());
+                let _ = write_all(&runner.writer, out.as_bytes());
                 control.stop();
                 break 'conn;
             }
@@ -1342,12 +1372,48 @@ fn handle_connection(
     service.pipeline_stats().retire_connection(conn_hist);
 }
 
+/// What running a batch needs besides the batch itself; one per
+/// connection, shared by its reader thread and the crew tasks it
+/// submits.
+struct BatchRunner {
+    service: Arc<KvService>,
+    crew: Arc<WorkCrew>,
+    writer: TcpStream,
+}
+
+impl BatchRunner {
+    /// The one execution path of a drained batch, whichever thread
+    /// runs it: apply → flush every response in one write → finish the
+    /// span. The span's `queue` stage is `queue_t0` (0 = spans off) →
+    /// here: the time spent in `try_enter` for a batch run in place,
+    /// submit → start on a crew worker (backlog + admission) for a
+    /// queued one. Returns the apply time (what
+    /// [`PipelineStats::drain_quantiles`] reports, and what
+    /// [`INLINE_MAX_DRAIN_NS`] is compared against).
+    fn run(&self, reqs: &[Parsed], buf: &mut String, span: &mut SpanContext, queue_t0: u64) -> u64 {
+        if queue_t0 != 0 {
+            span.add(Stage::Queue, span::now_ns().saturating_sub(queue_t0));
+        }
+        buf.clear();
+        let drain_start = Instant::now();
+        self.service.apply_batch_span(reqs, &self.crew, buf, span);
+        let drain_ns = drain_start.elapsed().as_nanos() as u64;
+        self.service.pipeline_stats().note_drain_ns(drain_ns);
+        let flush_t0 = if span.is_active() { span::now_ns() } else { 0 };
+        let _ = write_all(&self.writer, buf.as_bytes());
+        if flush_t0 != 0 {
+            span.add(Stage::Flush, span::now_ns().saturating_sub(flush_t0));
+        }
+        self.service.finish_span(span);
+        drain_ns
+    }
+}
+
 /// Writes `bytes` (one or more newline-terminated response lines) as
 /// a single `write` so a batch's responses leave in one TCP segment
 /// where they fit.
-fn write_all(stream: &Arc<TcpStream>, bytes: &[u8]) -> std::io::Result<()> {
-    let mut s: &TcpStream = stream;
-    s.write_all(bytes)
+fn write_all(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<()> {
+    stream.write_all(bytes)
 }
 
 /// A minimal client for tests and the load generator: closed-loop via
@@ -1687,6 +1753,7 @@ mod tests {
             "kv_shard_writes_total{shard=\"1\"}",
             "lock_write_episodes_total{lock=\"db\",shard=\"0\"}",
             "crew_completed_total",
+            "crew_inline_total",
             "crew_active_workers",
             "kv_shard_wal_syncs_total{shard=\"0\"}",
             "# TYPE kv_wal_fsync_ns histogram",

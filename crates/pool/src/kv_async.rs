@@ -55,10 +55,9 @@ impl AsyncServeOptions {
     /// `workers` reactor threads with the Malthusian default ACS
     /// (min(workers, cpus)) and no idle reaping.
     pub fn malthusian(workers: usize) -> Self {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         AsyncServeOptions {
             workers: workers.max(1),
-            acs_target: workers.max(1).min(cpus),
+            acs_target: malthus::policy::acs_target(workers, usize::MAX),
             read_timeout: None,
         }
     }

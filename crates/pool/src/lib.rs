@@ -7,15 +7,19 @@
 //!
 //! * [`WorkCrew`] — a bounded-queue executor whose worker threads are
 //!   partitioned into an active circulating set and a LIFO passive
-//!   stack, with backlog-driven reprovisioning and episodic
-//!   eldest-first fairness promotion. The admission decisions are the
+//!   stack, with backlog-driven reprovisioning, episodic
+//!   eldest-first fairness promotion, and *lending*: a caller may
+//!   borrow an idle ACS member's place ([`WorkCrew::try_enter`]) and
+//!   run its work in place instead of paying a hand-off. The
+//!   admission decisions are the
 //!   *same functions* the locks use
 //!   ([`malthus::policy::crew_has_surplus`],
 //!   [`malthus::policy::crew_should_reprovision`],
 //!   [`malthus::policy::FairnessTrigger`]), so pool and locks share
 //!   one policy module.
 //! * [`kv`] — a line-protocol TCP key-value service ([`KvService`])
-//!   dispatching request execution onto the crew against a
+//!   whose request execution is admitted by the crew (cheap batches in
+//!   place on their connection thread, dear ones queued) against a
 //!   [`ShardedKv`](malthus_storage::ShardedKv): N shards, each
 //!   §6.5's two contended locks (`--shards 1` is the paper-faithful
 //!   single pair), with batched `MGET`/`MSET` and aggregated
@@ -54,6 +58,6 @@ mod crew;
 pub mod kv;
 pub mod kv_async;
 
-pub use crew::{PoolConfig, PoolStats, SubmitError, Task, WorkCrew, DEFAULT_STALL_THRESHOLD};
+pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, Task, WorkCrew, DEFAULT_STALL_THRESHOLD};
 pub use kv::{KvClient, KvService, Parsed, PipelineStats, Request, ServeOptions, ServerControl};
 pub use kv_async::{serve_async, AsyncServeOptions, KvHandler};

@@ -238,7 +238,7 @@ fn run_pipeline_on(
         FrontEnd::Threaded => (2 * conns).max(4),
         FrontEnd::Reactor => cpus.max(2),
     };
-    let acs = workers.min(cpus).min(shards).max(1);
+    let acs = malthus::policy::acs_target(workers, shards);
     // Only the threaded front-end dispatches onto a crew; building
     // one for a reactor cell would just park idle threads during the
     // measurement.
