@@ -24,17 +24,13 @@
 //! 2 on unreadable/unparsable input, disjoint documents, or bad
 //! usage.
 
-use malthus_bench::compare::{compare, parse, OVERSUBSCRIBED_DISCOUNT};
+use malthus_bench::compare::{compare, parse_file, OVERSUBSCRIBED_DISCOUNT};
 
 const USAGE: &str = "usage: bench_compare <old.json> <new.json> [--fail-below <ratio>]";
 
 fn load(path: &str) -> malthus_bench::compare::Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_compare: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse(&text).unwrap_or_else(|e| {
-        eprintln!("bench_compare: {path} is not valid bench JSON: {e}");
+    parse_file(path).unwrap_or_else(|e| {
+        eprintln!("bench_compare: {e}");
         std::process::exit(2);
     })
 }

@@ -228,6 +228,13 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Reads and parses the JSON document at `path`; the error names the
+/// path.
+pub fn parse_file(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
+}
+
 /// Parses one JSON document (the subset the bench binaries emit).
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {

@@ -22,8 +22,30 @@
 //! poller at once. A ready connection is drained with a bounded read
 //! budget, handed to the [`Handler`] as one batch, and its response
 //! flushed nonblockingly — whatever doesn't fit rides an `EPOLLOUT`
-//! re-arm. Idle connections cost one slab slot and one timer-wheel
-//! token; no thread, no stack.
+//! re-arm. Idle connections cost one slab slot, one timer-wheel
+//! token and at most `BUFFER_RETAIN` bytes per buffer; no thread, no
+//! stack.
+//!
+//! # The short-read rule
+//!
+//! Each worker reads into one scratch block of its own (zeroed once,
+//! at spawn) and appends only the bytes received to the connection's
+//! buffer, so a connection's buffer holds an unfinished request and
+//! nothing else. **A read that returns less than the block ends the
+//! drain**: the socket had less than was asked for, so it is empty
+//! now, and asking again would only buy an `EAGAIN`. Nothing can be
+//! stranded by stopping there, because the one-shot re-arm is
+//! level-triggered — `EPOLL_CTL_MOD` reports bytes that landed after
+//! the read as a fresh event. A ready batch therefore costs one
+//! `read`.
+//!
+//! The exception is an event that carries `EPOLLRDHUP` or `EPOLLHUP`.
+//! The peer has sent its last byte, so the drain keeps reading until
+//! `read` returns 0: that is the only way to *see* the end of the
+//! stream, and seeing it in the dispatch that delivers the final
+//! requests is what lets their responses leave before the close hook
+//! runs — instead of re-arming a socket that will report `RDHUP` for
+//! ever.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,8 +76,14 @@ const POLL_MS: i32 = 100;
 /// the level-triggered one-shot re-arm redelivers whatever remains,
 /// so a fire-hosing client cannot pin a reactor worker.
 const READ_BUDGET: usize = 64 * 1024;
-/// Read chunk growth quantum.
+/// Size of each worker's read scratch block: the most one `read`
+/// takes off a socket.
 const READ_CHUNK: usize = 16 * 1024;
+/// Capacity a connection's read or write buffer may keep while it is
+/// empty; anything above is given back, so an idle connection holds at
+/// most twice this. Sized to hold a pipelined window of short requests
+/// (or its responses) without reallocating per batch.
+const BUFFER_RETAIN: usize = 512;
 /// Accepts per listener wakeup before re-arming (the re-arm fires
 /// again immediately if the backlog still has connections).
 const ACCEPT_BUDGET: usize = 256;
@@ -156,6 +184,9 @@ pub struct ReactorStats {
     pub idle_reaps: u64,
     /// Flush attempts that could not complete and re-armed `EPOLLOUT`.
     pub partial_flushes: u64,
+    /// Bytes of read- and write-buffer capacity held across all open
+    /// connections.
+    pub buffer_bytes: usize,
 }
 
 /// One registered connection: sockets plus the buffer pair that
@@ -175,6 +206,8 @@ struct Connection<H: Handler> {
     /// (SHUTDOWN verb).
     shutdown_on_close: bool,
     closed: bool,
+    /// This connection's share of [`Inner::buffer_bytes`].
+    buffer_bytes: usize,
     state: H::Conn,
 }
 
@@ -239,6 +272,9 @@ struct Inner<H: Handler> {
     accepts: AtomicU64,
     idle_reaps: AtomicU64,
     partial_flushes: AtomicU64,
+    /// Buffer capacity held by open connections (each one's share is
+    /// its `buffer_bytes`, settled whenever its capacities change).
+    buffer_bytes: AtomicUsize,
     /// Ready sockets per non-empty `epoll_wait` return.
     ready_hist: LatencyHistogram,
 }
@@ -319,6 +355,7 @@ impl<H: Handler> Reactor<H> {
             accepts: AtomicU64::new(0),
             idle_reaps: AtomicU64::new(0),
             partial_flushes: AtomicU64::new(0),
+            buffer_bytes: AtomicUsize::new(0),
             ready_hist: LatencyHistogram::new(),
             cfg,
         });
@@ -413,6 +450,9 @@ impl<H: Handler> Reactor<H> {
                 c.closed = true;
                 self.inner.conns_open.fetch_sub(1, Ordering::SeqCst);
                 self.inner
+                    .buffer_bytes
+                    .fetch_sub(c.buffer_bytes, Ordering::Relaxed);
+                self.inner
                     .handler
                     .on_close(&mut c.state, CloseReason::ServerShutdown);
             }
@@ -436,6 +476,13 @@ impl<H: Handler> Reactor<H> {
             "Connections currently registered with the reactor.",
             no_labels,
             move || i.conns_open.load(Ordering::Relaxed) as f64,
+        );
+        let i = Arc::clone(&self.inner);
+        registry.gauge(
+            "kv_reactor_buffer_bytes",
+            "Read and write buffer capacity held by open connections.",
+            no_labels,
+            move || i.buffer_bytes.load(Ordering::Relaxed) as f64,
         );
         let i = Arc::clone(&self.inner);
         registry.gauge(
@@ -562,6 +609,7 @@ impl<H: Handler> Inner<H> {
             fairness_promotions: self.adm.fairness_promotions.load(Ordering::Relaxed),
             idle_reaps: self.idle_reaps.load(Ordering::Relaxed),
             partial_flushes: self.partial_flushes.load(Ordering::Relaxed),
+            buffer_bytes: self.buffer_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -702,6 +750,7 @@ impl<H: Handler> Inner<H> {
                 closing: false,
                 shutdown_on_close: false,
                 closed: false,
+                buffer_bytes: 0,
                 state,
             })));
             token
@@ -786,10 +835,28 @@ impl<H: Handler> Inner<H> {
         Ok(true)
     }
 
-    /// One ready-connection dispatch: drain the socket (bounded),
-    /// hand the bytes to the handler as a batch, flush the response,
-    /// re-arm or close.
-    fn conn_ready(self: &Arc<Self>, token: u64, mask: u32) {
+    /// Gives back the capacity an empty buffer holds above
+    /// [`BUFFER_RETAIN`] and settles the connection's share of
+    /// `buffer_bytes` — no atomic traffic while capacities are steady.
+    fn settle_buffers(&self, c: &mut Connection<H>) {
+        for buf in [&mut c.read_buf, &mut c.write_buf] {
+            if buf.is_empty() && buf.capacity() > BUFFER_RETAIN {
+                buf.shrink_to(BUFFER_RETAIN);
+            }
+        }
+        let held = c.read_buf.capacity() + c.write_buf.capacity();
+        if held != c.buffer_bytes {
+            self.buffer_bytes.fetch_add(held, Ordering::Relaxed);
+            self.buffer_bytes
+                .fetch_sub(c.buffer_bytes, Ordering::Relaxed);
+            c.buffer_bytes = held;
+        }
+    }
+
+    /// One ready-connection dispatch: drain the socket (bounded) by
+    /// way of the worker's `scratch` block, hand the bytes to the
+    /// handler as a batch, flush the response, re-arm or close.
+    fn conn_ready(self: &Arc<Self>, token: u64, mask: u32, scratch: &mut [u8]) {
         let Some(arc) = self.lookup(token) else {
             return; // already closed; stale one-shot event
         };
@@ -821,10 +888,11 @@ impl<H: Handler> Inner<H> {
             && mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0
         {
             let conn = &mut *c;
+            // See the module docs: a short read ends the drain unless
+            // the peer has hung up.
+            let hangup = mask & (sys::EPOLLRDHUP | sys::EPOLLHUP) != 0;
             let mut total = 0;
             loop {
-                let len = conn.read_buf.len();
-                conn.read_buf.resize(len + READ_CHUNK, 0);
                 // Fault injection ahead of the real read: a planned
                 // reset exercises the error-close path, a planned
                 // EAGAIN the spurious-readiness re-arm path.
@@ -836,31 +904,25 @@ impl<H: Handler> Inner<H> {
                 } else if malthus_fault::fire(malthus_fault::Site::NetEagain) {
                     Err(io::ErrorKind::WouldBlock.into())
                 } else {
-                    conn.stream.read(&mut conn.read_buf[len..])
+                    conn.stream.read(scratch)
                 };
                 match got {
                     Ok(0) => {
-                        conn.read_buf.truncate(len);
                         eof = true;
                         break;
                     }
                     Ok(n) => {
-                        conn.read_buf.truncate(len + n);
+                        conn.read_buf.extend_from_slice(&scratch[..n]);
                         read_any = true;
                         total += n;
-                        if total >= READ_BUDGET {
-                            break; // re-arm redelivers the rest
+                        // Past the budget the re-arm redelivers the rest.
+                        if total >= READ_BUDGET || (n < scratch.len() && !hangup) {
+                            break;
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        conn.read_buf.truncate(len);
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                        conn.read_buf.truncate(len);
-                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
-                        conn.read_buf.truncate(len);
                         reason = Some(CloseReason::Error);
                         break;
                     }
@@ -911,6 +973,7 @@ impl<H: Handler> Inner<H> {
                 shutdown_after
             }
             None => {
+                self.settle_buffers(&mut c);
                 let mut m = sys::EPOLLRDHUP | sys::EPOLLONESHOT;
                 if !c.closing {
                     m |= sys::EPOLLIN;
@@ -944,6 +1007,8 @@ impl<H: Handler> Inner<H> {
             let _ = sys::epoll_ctl_op(self.epfd, sys::EPOLL_CTL_DEL, c.stream.as_raw_fd(), 0, 0);
         }
         self.handler.on_close(&mut c.state, reason);
+        self.buffer_bytes
+            .fetch_sub(c.buffer_bytes, Ordering::Relaxed);
         let index = (c.token & u64::from(u32::MAX)) as usize;
         let gen = (c.token >> 32) as u32;
         let mut slab = self.slab.lock().expect("reactor slab poisoned");
@@ -989,6 +1054,7 @@ impl<H: Handler> Inner<H> {
 /// polling as the admitted work.
 fn worker_loop<H: Handler>(inner: &Arc<Inner<H>>, id: usize, parker: Parker) {
     let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
+    let mut scratch = vec![0u8; READ_CHUNK];
     let mut is_active = true;
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
@@ -1037,7 +1103,7 @@ fn worker_loop<H: Handler>(inner: &Arc<Inner<H>>, id: usize, parker: Parker) {
                     inner.accept_ready();
                 } else {
                     ready_conns += 1;
-                    inner.conn_ready(token, mask);
+                    inner.conn_ready(token, mask, &mut scratch);
                 }
             }
             if ready_conns > 0 {

@@ -1,5 +1,6 @@
 //! The headline claim, asserted: 1024 idle connections served by a
-//! fixed worker count — no thread, no stack per connection.
+//! fixed worker count — no thread, no stack per connection, and once
+//! each has been served, no more than 1 KiB of buffer either.
 //!
 //! This test is alone in its file on purpose: integration tests in
 //! one file share a process, and a concurrent test's threads would
@@ -114,7 +115,32 @@ fn serves_1024_idle_connections_without_extra_threads() {
         assert_eq!(read_line(c), "alive");
     }
     assert_eq!(proc_threads(), threads_booted);
+    // A connection that has been served goes back to costing next to
+    // nothing: every one of them sends a request four times the size
+    // an idle buffer may keep, and once answered none holds more than
+    // 1 KiB of read and write buffer together.
+    let request = format!("{}\n", "x".repeat(2047));
+    for c in conns.iter_mut() {
+        c.write_all(request.as_bytes()).unwrap();
+    }
+    for c in conns.iter_mut() {
+        assert_eq!(read_line(c).len(), 2047);
+    }
+    // The reply leaves before the reactor settles the buffers it came
+    // from, so give the last few dispatches a moment to finish.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while reactor.stats().buffer_bytes > CONNS * 1024 {
+        assert!(
+            Instant::now() < deadline,
+            "{CONNS} idle connections still hold {} buffer bytes",
+            reactor.stats().buffer_bytes
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(reactor.stats().buffer_bytes > 0, "the gauge is not wired");
+    assert_eq!(proc_threads(), threads_booted);
     drop(conns);
     let stats = reactor.join();
     assert_eq!(stats.accepts as usize, CONNS);
+    assert_eq!(stats.buffer_bytes, 0, "closed connections hold nothing");
 }

@@ -71,8 +71,7 @@
 //! is the server's execution shape: each reader wakeup **drains every
 //! complete request line already buffered** on the connection and
 //! runs the whole batch as *one* unit of crew work. The batch groups its
-//! GET/PUT/MGET/MSET ops by shard (via
-//! [`ShardRouter::group_indices`](malthus_storage::ShardRouter::group_indices))
+//! GET/PUT/MGET/MSET ops by shard
 //! and executes each shard's group under a **single** DB-lock
 //! acquisition — shared if the group is read-only, exclusive if it
 //! contains any write ([`ShardedKv::execute_batch`]) — then flushes
@@ -107,7 +106,7 @@
 //! bigger under load (group-commit dynamics).
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -120,6 +119,8 @@ use malthus_obs::{SlowEntry, SlowRing, SpanContext};
 use malthus_storage::{BatchOp, BatchReply, RecoveryReport, ShardedKv, WriteError};
 
 use crate::crew::WorkCrew;
+use crate::protocol::{drain_lines, push_u64, write_tag, DrainEnd, MAX_LINE_BYTES};
+pub use crate::protocol::{split_tag, Parsed, Request, DEFAULT_SLOWLOG_ENTRIES, MAX_BATCH_KEYS};
 
 /// The response line for a write refused by a read-only (WAL-poisoned)
 /// shard.
@@ -189,6 +190,10 @@ impl<T: AdmissionStats + ?Sized> AdmissionStats for Arc<T> {
 /// locks do not.
 pub const INLINE_MAX_DRAIN_NS: u64 = 50_000;
 
+/// Bytes a connection thread asks the socket for per `read` (and the
+/// size its request buffer starts at). Bounds a drained batch.
+const READ_BLOCK: usize = 8 * 1024;
+
 /// Default TCP address for the server and load-generator binaries.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 /// Memtable entries before a shard's MiniKv freezes a run.
@@ -198,173 +203,13 @@ pub const DEFAULT_CACHE_BLOCKS: usize = 8_192;
 /// Default shard count: one, the paper-faithful §6.5 single hot lock
 /// pair. `kv_server --shards N` raises it.
 pub const DEFAULT_SHARDS: usize = 1;
-/// Upper bound on keys per `MGET` / pairs per `MSET` line: bounds
-/// the parsed batch (and so how long one batch monopolizes the crew
-/// worker executing it). The raw line is still read unbounded before
-/// parsing, like every other verb's.
-pub const MAX_BATCH_KEYS: usize = 1_024;
 /// Slowlog ring capacity: the newest this many slow batches are
 /// retained for `SLOWLOG` to read back.
 pub const SLOWLOG_CAPACITY: usize = 128;
-/// Entries a bare `SLOWLOG` (no count) returns.
-pub const DEFAULT_SLOWLOG_ENTRIES: usize = 16;
 /// Default slowlog threshold in microseconds: batches slower than
 /// this end-to-end land in the slowlog (`kv_server
 /// --slowlog-threshold-us` overrides; 0 disables).
 pub const DEFAULT_SLOWLOG_THRESHOLD_US: u64 = 10_000;
-
-/// One parsed request line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// `PUT <key> <value>`
-    Put(u64, u64),
-    /// `GET <key>`
-    Get(u64),
-    /// `MGET <key>...` (at least one key)
-    Mget(Vec<u64>),
-    /// `MSET <key> <value>...` (at least one pair)
-    Mset(Vec<(u64, u64)>),
-    /// `SCAN <start> <limit>`
-    Scan(u64, u64),
-    /// `PING`
-    Ping,
-    /// `STATS`
-    Stats,
-    /// `METRICS` — the unified registry exposition, terminated by a
-    /// `# EOF` line.
-    Metrics,
-    /// `TRACE DUMP` — the flight recorder's merged JSON lines,
-    /// terminated by a `# EOF` line.
-    TraceDump,
-    /// `SLOWLOG [n]` — the newest `n` slow-batch stage breakdowns
-    /// (default [`DEFAULT_SLOWLOG_ENTRIES`]), newest first,
-    /// terminated by a `# EOF` line.
-    Slowlog(usize),
-    /// `SLOWLOG RESET` — hides every current slowlog entry.
-    SlowlogReset,
-    /// `SHUTDOWN`
-    Shutdown,
-    /// `QUIT`
-    Quit,
-}
-
-impl Request {
-    /// Parses one line of the wire protocol.
-    pub fn parse(line: &str) -> Result<Request, String> {
-        let mut parts = line.split_ascii_whitespace();
-        let verb = parts.next().ok_or_else(|| "empty request".to_string())?;
-        let mut int = |name: &str| -> Result<u64, String> {
-            parts
-                .next()
-                .ok_or_else(|| format!("{verb} missing {name}"))?
-                .parse::<u64>()
-                .map_err(|_| format!("{verb} {name} must be a u64"))
-        };
-        let req = match verb {
-            "PUT" => Request::Put(int("key")?, int("value")?),
-            "GET" => Request::Get(int("key")?),
-            "MGET" => {
-                let keys = rest_u64s(verb, parts)?;
-                if keys.is_empty() {
-                    return Err("MGET needs at least one key".to_string());
-                }
-                if keys.len() > MAX_BATCH_KEYS {
-                    return Err(format!("MGET capped at {MAX_BATCH_KEYS} keys"));
-                }
-                return Ok(Request::Mget(keys));
-            }
-            "MSET" => {
-                let flat = rest_u64s(verb, parts)?;
-                if flat.is_empty() || flat.len() % 2 != 0 {
-                    return Err("MSET needs one or more <key> <value> pairs".to_string());
-                }
-                if flat.len() / 2 > MAX_BATCH_KEYS {
-                    return Err(format!("MSET capped at {MAX_BATCH_KEYS} pairs"));
-                }
-                return Ok(Request::Mset(
-                    flat.chunks_exact(2).map(|kv| (kv[0], kv[1])).collect(),
-                ));
-            }
-            "SCAN" => Request::Scan(int("start")?, int("limit")?),
-            "PING" => Request::Ping,
-            "STATS" => Request::Stats,
-            "METRICS" => Request::Metrics,
-            "TRACE" => match parts.next() {
-                Some("DUMP") => Request::TraceDump,
-                Some(other) => return Err(format!("unknown TRACE subcommand {other}")),
-                None => return Err("TRACE needs a subcommand (DUMP)".to_string()),
-            },
-            "SLOWLOG" => match parts.next() {
-                None => Request::Slowlog(DEFAULT_SLOWLOG_ENTRIES),
-                Some("RESET") => Request::SlowlogReset,
-                Some(n) => Request::Slowlog(
-                    n.parse::<usize>()
-                        .map_err(|_| format!("SLOWLOG count must be an integer, got {n:?}"))?,
-                ),
-            },
-            "SHUTDOWN" => Request::Shutdown,
-            "QUIT" => Request::Quit,
-            other => return Err(format!("unknown verb {other}")),
-        };
-        if parts.next().is_some() {
-            return Err(format!("{verb} given too many arguments"));
-        }
-        Ok(req)
-    }
-}
-
-/// Collects the remaining whitespace-separated tokens as u64s.
-fn rest_u64s<'a>(verb: &str, parts: impl Iterator<Item = &'a str>) -> Result<Vec<u64>, String> {
-    parts
-        .map(|tok| {
-            tok.parse::<u64>()
-                .map_err(|_| format!("{verb} arguments must be u64s, got {tok:?}"))
-        })
-        .collect()
-}
-
-/// Splits an optional `#<tag>` pipeline prefix off a request line,
-/// returning `(tag, rest-of-line)`.
-///
-/// Lines not starting with `#` are untagged — the pre-pipelining
-/// grammar, passed through untouched. A line that starts with `#` but
-/// whose tag is not a u64 is an error: the server answers it with an
-/// *untagged* `ERR` (there is no trustworthy tag to echo) and keeps
-/// the connection open.
-pub fn split_tag(line: &str) -> Result<(Option<u64>, &str), String> {
-    let Some(rest) = line.strip_prefix('#') else {
-        return Ok((None, line));
-    };
-    let (tag_str, after) = match rest.split_once(char::is_whitespace) {
-        Some((t, a)) => (t, a),
-        None => (rest, ""),
-    };
-    let tag = tag_str
-        .parse::<u64>()
-        .map_err(|_| format!("malformed tag {tag_str:?} (tags are u64s)"))?;
-    Ok((Some(tag), after.trim_start()))
-}
-
-/// Appends the `#<tag> ` reply prefix for a tagged request; untagged
-/// requests get none (byte-identical legacy framing).
-fn write_tag(out: &mut String, tag: Option<u64>) {
-    if let Some(t) = tag {
-        let _ = write!(out, "#{t} ");
-    }
-}
-
-/// [`write_tag`] + body + newline straight into a byte buffer — the
-/// reactor front-end renders control-verb replies into the reactor's
-/// write buffer rather than a `String`.
-pub(crate) fn write_tag_line(out: &mut Vec<u8>, tag: Option<u64>, body: &str) {
-    if let Some(t) = tag {
-        let mut prefix = String::new();
-        let _ = write!(prefix, "#{t} ");
-        out.extend_from_slice(prefix.as_bytes());
-    }
-    out.extend_from_slice(body.as_bytes());
-    out.push(b'\n');
-}
 
 /// Service-wide pipeline observability: how much batching the drained
 /// wakeups actually achieved, and what each batch cost to execute.
@@ -768,34 +613,20 @@ impl KvService {
                 Ok(()) => out.push_str("OK"),
                 Err(_) => out.push_str(READONLY_ERR),
             },
-            Request::Get(k) => match self.get(*k) {
-                Some(v) => {
-                    let _ = write!(out, "VAL {v}");
-                }
-                None => out.push_str("NIL"),
-            },
-            Request::Mget(keys) => {
-                out.push_str("VALS");
-                for v in self.store.mget(keys) {
-                    match v {
-                        Some(v) => {
-                            let _ = write!(out, " {v}");
-                        }
-                        None => out.push_str(" -"),
-                    }
-                }
-            }
+            Request::Get(k) => Self::render_value(out, self.get(*k)),
+            Request::Mget(keys) => Self::render_values(out, &self.store.mget(keys)),
             Request::Mset(pairs) => match self.store.mset(pairs) {
-                Ok(n) => {
-                    let _ = write!(out, "OK {n}");
-                }
+                Ok(n) => Self::render_wrote(out, n),
                 Err(_) => out.push_str(READONLY_ERR),
             },
             Request::Scan(start, limit) => {
                 let limit = usize::try_from(*limit).unwrap_or(usize::MAX);
                 out.push_str("RANGE");
                 for (k, v) in self.store.scan(*start, limit) {
-                    let _ = write!(out, " {k}={v}");
+                    out.push(' ');
+                    push_u64(out, k);
+                    out.push('=');
+                    push_u64(out, v);
                 }
             }
             Request::Ping => out.push_str("PONG"),
@@ -891,28 +722,44 @@ impl KvService {
         }
     }
 
+    /// `VAL <value>` or `NIL`.
+    fn render_value(out: &mut String, value: Option<u64>) {
+        match value {
+            Some(v) => {
+                out.push_str("VAL ");
+                push_u64(out, v);
+            }
+            None => out.push_str("NIL"),
+        }
+    }
+
+    /// `VALS <value>...`, a miss rendered as `-`.
+    fn render_values(out: &mut String, values: &[Option<u64>]) {
+        out.push_str("VALS");
+        for v in values {
+            match v {
+                Some(v) => {
+                    out.push(' ');
+                    push_u64(out, *v);
+                }
+                None => out.push_str(" -"),
+            }
+        }
+    }
+
+    /// `OK <pairs-written>`.
+    fn render_wrote(out: &mut String, pairs: usize) {
+        out.push_str("OK ");
+        push_u64(out, pairs as u64);
+    }
+
     /// Renders the response to one reply of a storage batch.
     fn render_batch_reply(out: &mut String, reply: &BatchReply) {
         match reply {
-            BatchReply::Value(Some(v)) => {
-                let _ = write!(out, "VAL {v}");
-            }
-            BatchReply::Value(None) => out.push_str("NIL"),
+            BatchReply::Value(v) => Self::render_value(out, *v),
             BatchReply::Done => out.push_str("OK"),
-            BatchReply::Values(vs) => {
-                out.push_str("VALS");
-                for v in vs {
-                    match v {
-                        Some(v) => {
-                            let _ = write!(out, " {v}");
-                        }
-                        None => out.push_str(" -"),
-                    }
-                }
-            }
-            BatchReply::Wrote(n) => {
-                let _ = write!(out, "OK {n}");
-            }
+            BatchReply::Values(vs) => Self::render_values(out, vs),
+            BatchReply::Wrote(n) => Self::render_wrote(out, *n),
             BatchReply::Readonly => out.push_str(READONLY_ERR),
         }
     }
@@ -992,7 +839,8 @@ impl KvService {
             match &p.body {
                 Ok(req) => self.apply_into(req, admission, out),
                 Err(e) => {
-                    let _ = write!(out, "ERR {e}");
+                    out.push_str("ERR ");
+                    out.push_str(e);
                 }
             }
             out.push('\n');
@@ -1013,43 +861,6 @@ impl KvService {
                 elapsed.saturating_sub(lock_wait + cull_wait + span.get(Stage::WalFsync)),
             );
         }
-    }
-}
-
-/// One request of a drained batch: its echo tag (if tagged) and the
-/// parse result — errors ride along so `ERR` renders at the request's
-/// position in the response stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Parsed {
-    /// The `#<tag>` to echo, if the request carried one.
-    pub tag: Option<u64>,
-    /// The parsed request, or the parse error to report.
-    pub body: Result<Request, String>,
-}
-
-impl Parsed {
-    /// Parses one raw line: tag prefix first, then the verb grammar.
-    /// A malformed tag yields an untagged error body.
-    pub fn from_line(line: &str) -> Parsed {
-        match split_tag(line) {
-            Ok((tag, rest)) => Parsed {
-                tag,
-                body: Request::parse(rest),
-            },
-            Err(e) => Parsed {
-                tag: None,
-                body: Err(e),
-            },
-        }
-    }
-
-    /// Whether this request can join a storage batch run (data ops
-    /// with parse errors, control verbs and aggregates excluded).
-    fn is_batchable(&self) -> bool {
-        matches!(
-            self.body,
-            Ok(Request::Get(_) | Request::Put(..) | Request::Mget(_) | Request::Mset(_))
-        )
     }
 }
 
@@ -1221,8 +1032,15 @@ fn handle_connection(
         crew: Arc::clone(crew),
         writer,
     });
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Requests are read a block at a time, not a line at a time: one
+    // `read` takes whatever the socket holds (up to the free part of
+    // the block) and `drain_lines` takes every complete line out of
+    // it, so a pipelined window costs one system call and the batch is
+    // bounded by the block. `block[..filled]` is the unfinished line
+    // carried over from the previous read; the block is zeroed once,
+    // here, and grows only when a single line outgrows it.
+    let mut block = vec![0u8; READ_BLOCK];
+    let mut filled = 0;
     // Reused across batches: the parsed-request vector and the
     // rendered-response buffer stay here for a batch that runs in
     // place and round-trip through the completion channel for a queued
@@ -1239,11 +1057,16 @@ fn handle_connection(
     let conn_hist = service.pipeline_stats().register_connection();
     malthus_obs::record(malthus_obs::EventKind::ConnOpen, 0, 0);
     'conn: loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        if filled == block.len() {
+            if filled >= MAX_LINE_BYTES {
+                break; // an unbounded line is a protocol violation
+            }
+            block.resize(2 * filled, 0);
+        }
+        match (&stream).read(&mut block[filled..]) {
             Ok(0) => break, // disconnected
-            // Only this *blocking* read can hit the idle timeout: the
-            // drain loop below reads already-buffered bytes.
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -1255,49 +1078,21 @@ fn handle_connection(
                 break;
             }
             Err(_) => break,
-            Ok(_) => {}
         }
         // Span tracing: the batch's span is born here, right after the
-        // blocking read delivered the first byte — so the Read stage
-        // covers drain + parse, never the idle wait for traffic.
+        // blocking read delivered — so the Read stage covers drain +
+        // parse, never the idle wait for traffic.
         let mut span = if span::enabled() {
             SpanContext::start(0, 0) // identity assigned at submit
         } else {
             SpanContext::detached()
         };
         let read_t0 = if span.is_active() { span::now_ns() } else { 0 };
-        // Drain-per-wakeup: after the blocking read above, every
-        // further *complete* line already sitting in the BufReader
-        // joins this batch — a pipelined burst mostly arrives in one
-        // `fill_buf`, so the whole window becomes one batch. Only
-        // buffered lines are taken (never another blocking read), so
-        // the batch is naturally bounded by the read-buffer capacity
-        // and a slow client cannot stall a crew worker.
-        let mut control_verb: Option<(Option<u64>, Request)> = None;
-        loop {
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                let p = Parsed::from_line(trimmed);
-                match p.body {
-                    Ok(Request::Quit) => {
-                        control_verb = Some((p.tag, Request::Quit));
-                        break;
-                    }
-                    Ok(Request::Shutdown) => {
-                        control_verb = Some((p.tag, Request::Shutdown));
-                        break;
-                    }
-                    _ => batch.push(p),
-                }
-            }
-            if !reader.buffer().contains(&b'\n') {
-                break;
-            }
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
+        let drained = drain_lines(&block[..filled], &mut batch);
+        block.copy_within(drained.consumed..filled, 0);
+        filled -= drained.consumed;
+        if drained.end == DrainEnd::InvalidUtf8 {
+            break;
         }
         if !batch.is_empty() {
             let n = batch.len() as u64;
@@ -1351,8 +1146,8 @@ fn handle_connection(
                 }
             }
         }
-        match control_verb {
-            Some((tag, Request::Shutdown)) => {
+        match drained.end {
+            DrainEnd::Shutdown(tag) => {
                 out.clear();
                 write_tag(&mut out, tag);
                 out.push_str("OK\n");
@@ -1360,15 +1155,15 @@ fn handle_connection(
                 control.stop();
                 break 'conn;
             }
-            Some(_) => break 'conn, // QUIT: close without a response
-            None => {}
+            DrainEnd::Quit => break 'conn, // close without a response
+            DrainEnd::Open | DrainEnd::InvalidUtf8 => {}
         }
     }
     // The accept loop holds its own clone of this socket (its
     // shutdown handle), so merely dropping our halves would leave the
     // connection open and the peer blocked in read. `shutdown` acts
     // on the socket itself: the peer sees EOF immediately.
-    let _ = reader.get_ref().shutdown(std::net::Shutdown::Both);
+    let _ = stream.shutdown(std::net::Shutdown::Both);
     service.pipeline_stats().retire_connection(conn_hist);
 }
 
@@ -1584,86 +1379,6 @@ mod tests {
     use crate::crew::PoolConfig;
 
     #[test]
-    fn parse_round_trips_the_grammar() {
-        assert_eq!(Request::parse("PUT 1 2"), Ok(Request::Put(1, 2)));
-        assert_eq!(Request::parse("GET 7"), Ok(Request::Get(7)));
-        assert_eq!(
-            Request::parse("MGET 1 2 3"),
-            Ok(Request::Mget(vec![1, 2, 3]))
-        );
-        assert_eq!(
-            Request::parse("MSET 1 10 2 20"),
-            Ok(Request::Mset(vec![(1, 10), (2, 20)]))
-        );
-        assert_eq!(Request::parse("SCAN 5 100"), Ok(Request::Scan(5, 100)));
-        assert_eq!(Request::parse("PING"), Ok(Request::Ping));
-        assert_eq!(Request::parse("STATS"), Ok(Request::Stats));
-        assert_eq!(Request::parse("SHUTDOWN"), Ok(Request::Shutdown));
-        assert_eq!(Request::parse("QUIT"), Ok(Request::Quit));
-        assert_eq!(Request::parse("  GET   9  "), Ok(Request::Get(9)));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(Request::parse("").is_err());
-        assert!(Request::parse("PUT 1").is_err());
-        assert!(Request::parse("PUT 1 2 3").is_err());
-        assert!(Request::parse("GET banana").is_err());
-        assert!(Request::parse("DEL 1").is_err());
-        assert!(Request::parse("MGET").is_err());
-        assert!(Request::parse("MGET 1 banana").is_err());
-        assert!(Request::parse("MSET").is_err());
-        assert!(Request::parse("MSET 1 2 3").is_err(), "odd pair list");
-        assert!(Request::parse("SCAN 1").is_err());
-        assert!(Request::parse("SCAN 1 2 3").is_err());
-    }
-
-    #[test]
-    fn parse_caps_batch_sizes() {
-        let huge: String = std::iter::once("MGET".to_string())
-            .chain((0..=MAX_BATCH_KEYS as u64).map(|k| k.to_string()))
-            .collect::<Vec<_>>()
-            .join(" ");
-        assert!(Request::parse(&huge).is_err());
-        let ok: String = std::iter::once("MGET".to_string())
-            .chain((0..MAX_BATCH_KEYS as u64).map(|k| k.to_string()))
-            .collect::<Vec<_>>()
-            .join(" ");
-        assert!(Request::parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn split_tag_round_trips_the_framing() {
-        assert_eq!(split_tag("GET 1"), Ok((None, "GET 1")));
-        assert_eq!(split_tag("#0 GET 1"), Ok((Some(0), "GET 1")));
-        assert_eq!(split_tag("#42 PUT 1 2"), Ok((Some(42), "PUT 1 2")));
-        assert_eq!(
-            split_tag(&format!("#{} PING", u64::MAX)),
-            Ok((Some(u64::MAX), "PING"))
-        );
-        // Tag but no body: parse of "" fails later as "empty request".
-        assert_eq!(split_tag("#7"), Ok((Some(7), "")));
-        assert_eq!(split_tag("#7   GET   1"), Ok((Some(7), "GET   1")));
-        assert!(split_tag("#").is_err());
-        assert!(split_tag("#banana GET 1").is_err());
-        assert!(split_tag("#-3 GET 1").is_err());
-        assert!(split_tag("#1.5 GET 1").is_err());
-    }
-
-    #[test]
-    fn parsed_carries_tags_and_errors_positionally() {
-        let p = Parsed::from_line("#9 GET 4");
-        assert_eq!(p.tag, Some(9));
-        assert_eq!(p.body, Ok(Request::Get(4)));
-        let p = Parsed::from_line("#9 BOGUS");
-        assert_eq!(p.tag, Some(9), "tag echoes even on a bad verb");
-        assert!(p.body.is_err());
-        let p = Parsed::from_line("#oops GET 4");
-        assert_eq!(p.tag, None, "malformed tag cannot be echoed");
-        assert!(p.body.unwrap_err().contains("malformed tag"));
-    }
-
-    #[test]
     fn apply_batch_preserves_request_order_and_tags() {
         let svc = KvService::with_shards(4, 64, 256);
         let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
@@ -1773,19 +1488,6 @@ mod tests {
         }
         assert!(doc.ends_with("# EOF"), "{doc}");
         crew.shutdown();
-    }
-
-    #[test]
-    fn parse_slowlog_grammar() {
-        assert_eq!(
-            Request::parse("SLOWLOG"),
-            Ok(Request::Slowlog(DEFAULT_SLOWLOG_ENTRIES))
-        );
-        assert_eq!(Request::parse("SLOWLOG 5"), Ok(Request::Slowlog(5)));
-        assert_eq!(Request::parse("SLOWLOG RESET"), Ok(Request::SlowlogReset));
-        assert!(Request::parse("SLOWLOG banana").is_err());
-        assert!(Request::parse("SLOWLOG 5 6").is_err());
-        assert!(Request::parse("SLOWLOG RESET 2").is_err());
     }
 
     #[test]

@@ -34,7 +34,8 @@ use malthus_net::{Action, CloseReason, Handler, Reactor, ReactorConfig, StatsPro
 use malthus_obs::span::{self, Stage};
 use malthus_obs::SpanContext;
 
-use crate::kv::{AdmissionSnapshot, AdmissionStats, KvService, Parsed, Request, ServerControl};
+use crate::kv::{AdmissionSnapshot, AdmissionStats, KvService, Parsed, ServerControl};
+use crate::protocol::{drain_lines, write_tag_line, DrainEnd};
 
 /// Knobs for [`serve_async`] — the reactor-side analogue of
 /// [`crate::kv::ServeOptions`].
@@ -72,6 +73,7 @@ impl AsyncServeOptions {
 /// The probe cell starts empty — the handler must exist before the
 /// reactor that will answer its stats does — and `STATS` renders
 /// zeros until [`serve_async`] fills it right after reactor start.
+#[derive(Clone)]
 struct ReactorAdmission(Arc<OnceLock<StatsProbe>>);
 
 impl AdmissionStats for ReactorAdmission {
@@ -114,14 +116,17 @@ pub struct KvConn {
 #[derive(Clone)]
 pub struct KvHandler {
     service: Arc<KvService>,
-    probe: Arc<OnceLock<StatsProbe>>,
+    admission: ReactorAdmission,
 }
 
 impl KvHandler {
     /// A handler over `service` whose `STATS` admission numbers come
     /// from the (not-yet-started) reactor via the shared probe cell.
     pub fn new(service: Arc<KvService>, probe: Arc<OnceLock<StatsProbe>>) -> Self {
-        KvHandler { service, probe }
+        KvHandler {
+            service,
+            admission: ReactorAdmission(probe),
+        }
     }
 }
 
@@ -145,12 +150,10 @@ impl Handler for KvHandler {
         write_buf: &mut Vec<u8>,
     ) -> Action {
         // A readiness wakeup drains every *complete* line buffered on
-        // the connection into one batch — the reactor's analogue of
-        // the threaded reader's drain-per-wakeup loop. Bytes after
-        // the last newline stay buffered for the next wakeup.
-        let Some(last_nl) = read_buf.iter().rposition(|&b| b == b'\n') else {
-            return Action::Continue;
-        };
+        // the connection into one batch — the same `drain_lines` pass
+        // the threaded reader runs per block. Bytes after the last
+        // newline stay buffered for the next wakeup.
+        //
         // Span tracing: born at readiness, so Read covers UTF-8
         // validation + parse — never the wait for traffic.
         let mut span = if span::enabled() {
@@ -159,35 +162,11 @@ impl Handler for KvHandler {
             SpanContext::detached()
         };
         let read_t0 = if span.is_active() { span::now_ns() } else { 0 };
-        let Ok(text) = std::str::from_utf8(&read_buf[..=last_nl]) else {
-            // The threaded front-end's `read_line` fails the read on
-            // invalid UTF-8 and closes; match it.
-            read_buf.drain(..=last_nl);
+        let drained = drain_lines(read_buf, &mut conn.batch);
+        read_buf.drain(..drained.consumed);
+        if drained.end == DrainEnd::InvalidUtf8 {
             return Action::Close;
-        };
-        // Quit/Shutdown split the drain exactly like the threaded
-        // loop: requests before the control verb execute, lines after
-        // it die with the connection.
-        let mut control_verb: Option<(Option<u64>, Request)> = None;
-        for line in text.lines() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let p = Parsed::from_line(trimmed);
-            match p.body {
-                Ok(Request::Quit) => {
-                    control_verb = Some((p.tag, Request::Quit));
-                    break;
-                }
-                Ok(Request::Shutdown) => {
-                    control_verb = Some((p.tag, Request::Shutdown));
-                    break;
-                }
-                _ => conn.batch.push(p),
-            }
         }
-        read_buf.drain(..=last_nl);
         if !conn.batch.is_empty() {
             let n = conn.batch.len() as u64;
             self.service.pipeline_stats().note_batch(n);
@@ -201,9 +180,8 @@ impl Handler for KvHandler {
             // happened at `epoll_wait`, not at a task queue.
             conn.out.clear();
             let drain_start = Instant::now();
-            let admission = ReactorAdmission(Arc::clone(&self.probe));
             self.service
-                .apply_batch_span(&conn.batch, &admission, &mut conn.out, &mut span);
+                .apply_batch_span(&conn.batch, &self.admission, &mut conn.out, &mut span);
             self.service
                 .pipeline_stats()
                 .note_drain_ns(drain_start.elapsed().as_nanos() as u64);
@@ -215,16 +193,16 @@ impl Handler for KvHandler {
                 conn.pending.push(span);
             }
         }
-        match control_verb {
-            Some((tag, Request::Shutdown)) => {
+        match drained.end {
+            DrainEnd::Shutdown(tag) => {
                 // `OK` must still reach the client: the reactor
                 // flushes the write buffer before honouring the
                 // shutdown.
-                crate::kv::write_tag_line(write_buf, tag, "OK");
+                write_tag_line(write_buf, tag, "OK");
                 Action::ShutdownServer
             }
-            Some(_) => Action::Close, // QUIT: close without a response
-            None => Action::Continue,
+            DrainEnd::Quit => Action::Close, // close without a response
+            DrainEnd::Open | DrainEnd::InvalidUtf8 => Action::Continue,
         }
     }
 

@@ -57,6 +57,7 @@
 mod crew;
 pub mod kv;
 pub mod kv_async;
+mod protocol;
 
 pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, Task, WorkCrew, DEFAULT_STALL_THRESHOLD};
 pub use kv::{KvClient, KvService, Parsed, PipelineStats, Request, ServeOptions, ServerControl};

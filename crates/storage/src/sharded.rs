@@ -54,6 +54,7 @@
 //! with [`ShardedKv::new`] is memory-only (no logs, infallible-ish
 //! writes that still return `Result` for a uniform signature).
 
+use std::cell::Cell;
 use std::io;
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
@@ -280,6 +281,56 @@ struct Shard {
     heal_attempts: AtomicU64,
     /// Heal probes that succeeded and flipped the shard writable.
     heals: AtomicU64,
+}
+
+/// Per-thread grouping scratch of [`ShardedKv::execute_batch_span`]:
+/// a batch's routed keys, sorted by destination shard.
+#[derive(Default)]
+struct BatchScratch {
+    /// One `(op index, key slot)` per routed key, grouped by shard;
+    /// within a shard, in op order.
+    order: Vec<(u32, u32)>,
+    /// `ends[s]` is where shard `s`'s group ends in `order` (it starts
+    /// where shard `s - 1`'s ends).
+    ends: Vec<u32>,
+    /// The write pairs of the shard sub-group being committed.
+    write_pairs: Vec<(u64, u64)>,
+}
+
+thread_local! {
+    static BATCH_SCRATCH: Cell<BatchScratch> = Cell::default();
+}
+
+impl BatchScratch {
+    /// Fills `order` and `ends` for `ops`: a stable counting sort of
+    /// the routed keys by shard — count, prefix-sum, place.
+    fn group(&mut self, ops: &[BatchOp<'_>], router: ShardRouter) {
+        let keys = || {
+            ops.iter().enumerate().flat_map(|(oi, op)| {
+                (0..op.key_count()).map(move |slot| (oi as u32, slot as u32, op.key_at(slot)))
+            })
+        };
+        self.ends.clear();
+        self.ends.resize(router.shards(), 0);
+        let mut total = 0;
+        for (_, _, key) in keys() {
+            self.ends[router.route(key)] += 1;
+            total += 1;
+        }
+        // Counts become start offsets, which placement then advances
+        // one key at a time until each is its group's end.
+        let mut start = 0;
+        for end in &mut self.ends {
+            start += std::mem::replace(end, start);
+        }
+        self.order.clear();
+        self.order.resize(total, (0, 0));
+        for (oi, slot, key) in keys() {
+            let at = &mut self.ends[router.route(key)];
+            self.order[*at as usize] = (oi, slot);
+            *at += 1;
+        }
+    }
 }
 
 /// One sub-group's hold of its shard's block-cache lock: `None` until
@@ -813,8 +864,9 @@ impl ShardedKv {
     }
 
     /// Executes a request group with **one lock acquisition per
-    /// touched shard**: the ops' keys are grouped by destination via
-    /// [`ShardRouter::group_indices`], and each shard's sub-group runs
+    /// touched shard**: the ops' keys are grouped by destination (a
+    /// stable counting sort into per-thread scratch, so grouping
+    /// allocates nothing), and each shard's sub-group runs
     /// under a single hold of that shard's DB lock — *shared* when the
     /// group is read-only, *exclusive* when it contains any write —
     /// and, nested inside it, at most one hold of the shard's cache
@@ -857,17 +909,12 @@ impl ShardedKv {
         span: &mut malthus_obs::SpanContext,
     ) -> Vec<BatchReply> {
         let tid = current_thread_index();
-        // One flat work item per routed key: flat index -> (op, slot).
-        let mut flat: Vec<(u32, u32)> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            for slot in 0..op.key_count() {
-                flat.push((i as u32, slot as u32));
-            }
-        }
-        let groups = self.router.group_indices(
-            ops.iter()
-                .flat_map(|op| (0..op.key_count()).map(move |s| op.key_at(s))),
-        );
+        // The grouping scratch is this thread's, kept across batches,
+        // so grouping allocates nothing once warm. Taken out of its
+        // cell for the batch (a panic mid-batch just costs the next
+        // batch a fresh one).
+        let mut scratch = BATCH_SCRATCH.take();
+        scratch.group(ops, self.router);
         let mut replies: Vec<BatchReply> = ops
             .iter()
             .map(|op| match op {
@@ -877,7 +924,15 @@ impl ShardedKv {
                 BatchOp::Mset(pairs) => BatchReply::Wrote(pairs.len()),
             })
             .collect();
-        for (shard_idx, group) in groups.into_iter().enumerate() {
+        let BatchScratch {
+            order,
+            ends,
+            write_pairs,
+        } = &mut scratch;
+        let mut begin = 0;
+        for (shard_idx, &end) in ends.iter().enumerate() {
+            let group = &order[begin..end as usize];
+            begin = end as usize;
             if group.is_empty() {
                 continue;
             }
@@ -887,7 +942,7 @@ impl ShardedKv {
                 shard_idx as u64,
                 group.len() as u64,
             );
-            let dirty = group.iter().any(|&f| ops[flat[f].0 as usize].is_write());
+            let dirty = group.iter().any(|&(oi, _)| ops[oi as usize].is_write());
             // A read serves the same way under either DB hold: through
             // the sub-group's one cache hold, into the op's reply.
             // Returns whether the op was an MGET.
@@ -917,21 +972,17 @@ impl ShardedKv {
                 // refusal (shard read-only, or this very commit
                 // failing fsync) the group's writes are skipped and
                 // their replies turn `Readonly`; its reads still run.
-                let write_pairs: Vec<(u64, u64)> = group
-                    .iter()
-                    .filter_map(|&f| {
-                        let (oi, slot) = flat[f];
-                        match &ops[oi as usize] {
-                            BatchOp::Put(k, v) => Some((*k, *v)),
-                            BatchOp::Mset(pairs) => Some(pairs[slot as usize]),
-                            BatchOp::Get(_) | BatchOp::Mget(_) => None,
-                        }
-                    })
-                    .collect();
-                let committed = shard.wal_commit(shard_idx, &mut db, &write_pairs, span);
+                write_pairs.clear();
+                write_pairs.extend(group.iter().filter_map(|&(oi, slot)| {
+                    match &ops[oi as usize] {
+                        BatchOp::Put(k, v) => Some((*k, *v)),
+                        BatchOp::Mset(pairs) => Some(pairs[slot as usize]),
+                        BatchOp::Get(_) | BatchOp::Mget(_) => None,
+                    }
+                }));
+                let committed = shard.wal_commit(shard_idx, &mut db, write_pairs, span);
                 let mut saw_mset = false;
-                for &f in &group {
-                    let (oi, slot) = flat[f];
+                for &(oi, slot) in group {
                     let (oi, slot) = (oi as usize, slot as usize);
                     match &ops[oi] {
                         BatchOp::Put(k, v) => match committed {
@@ -957,8 +1008,7 @@ impl ShardedKv {
             } else {
                 let db = shard.db.read();
                 let mut cache = None;
-                for &f in &group {
-                    let (oi, slot) = flat[f];
+                for &(oi, slot) in group {
                     saw_mget |= read(&db, &mut cache, &mut replies, oi as usize, slot as usize);
                 }
             }
@@ -971,6 +1021,7 @@ impl ShardedKv {
                 group.len() as u64,
             );
         }
+        BATCH_SCRATCH.set(scratch);
         replies
     }
 
@@ -1605,6 +1656,53 @@ mod tests {
             replies,
             vec![BatchReply::Values(Vec::new()), BatchReply::Wrote(0)]
         );
+    }
+
+    #[test]
+    fn batch_grouping_is_the_stable_partition_group_indices_gives() {
+        // The counting sort against the `Vec<Vec<usize>>` grouping it
+        // replaced: same groups, same (op) order inside each, over
+        // seeded batches mixing all four op shapes — and the scratch
+        // carries nothing over from one batch to the next.
+        let rng = malthus_park::XorShift64::new(0x5EED_0BA7);
+        let mut scratch = BatchScratch::default();
+        for shards in [1usize, 2, 3, 4, 7, 16] {
+            let router = ShardRouter::new(shards);
+            for _ in 0..200 {
+                let keys: Vec<u64> = (0..rng.next_below(40)).map(|_| rng.next_u64()).collect();
+                let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k ^ 1, k)).collect();
+                let ops: Vec<BatchOp<'_>> = (0..rng.next_below(24))
+                    .map(|_| {
+                        let cut = rng.next_below(keys.len() as u64 + 1) as usize;
+                        match rng.next_below(4) {
+                            0 => BatchOp::Get(rng.next_u64()),
+                            1 => BatchOp::Put(rng.next_u64(), 1),
+                            2 => BatchOp::Mget(&keys[..cut]),
+                            _ => BatchOp::Mset(&pairs[cut..]),
+                        }
+                    })
+                    .collect();
+                let flat: Vec<(u32, u32)> = ops
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(oi, op)| (0..op.key_count()).map(move |s| (oi as u32, s as u32)))
+                    .collect();
+                let want = router.group_indices(
+                    flat.iter()
+                        .map(|&(oi, slot)| ops[oi as usize].key_at(slot as usize)),
+                );
+                scratch.group(&ops, router);
+                assert_eq!(scratch.ends.len(), shards);
+                let mut begin = 0;
+                for (shard, group) in want.iter().enumerate() {
+                    let end = scratch.ends[shard] as usize;
+                    let want: Vec<(u32, u32)> = group.iter().map(|&f| flat[f]).collect();
+                    assert_eq!(scratch.order[begin..end], want, "shard {shard} of {shards}");
+                    begin = end;
+                }
+                assert_eq!(begin, flat.len(), "every routed key is in some group");
+            }
+        }
     }
 
     #[test]
