@@ -5,7 +5,7 @@
 //! connection count × shard count, windowed tagged clients), but
 //! every cell boots `serve_async` — readiness-driven reactor workers
 //! with Malthusian poll admission — instead of thread-per-connection
-//! `kv::serve`. Series keep the `depth<D>@shards<S>` names and the
+//! `server::serve`. Series keep the `depth<D>@shards<S>` names and the
 //! same connection-count cells, so `bench_compare BENCH_net.json
 //! BENCH_pipeline.json` lines the two front-ends up cell for cell;
 //! CI gates the threaded front-end (whose cheap batches run in place

@@ -3,7 +3,7 @@
 //!
 //! Sweeps **pipeline depth × connection count × shard count** with
 //! the `workloads::pipeline` live loop: each cell boots a fresh
-//! `kv::serve` instance on an ephemeral port and drives it with
+//! `server::serve` instance on an ephemeral port and drives it with
 //! windowed tagged clients (depth 1 = the classic untagged closed
 //! loop, the pre-pipelining baseline). Series are named
 //! `depth<D>@shards<S>`, one contended cell per connection count,

@@ -2,7 +2,7 @@
 //! `BENCH_shard.json`.
 //!
 //! Sweeps **shard count × thread count × key skew** over the live
-//! [`ShardedKv`](malthus_storage::ShardedKv) using the
+//! [`ShardedKv`] using the
 //! `sharded_contention` workload (PUT-heavy by default — writes are
 //! what a single hot lock pair serializes, so they are where sharding
 //! must pay). Series are named `shards<N>@<uniform|skewed>`, one

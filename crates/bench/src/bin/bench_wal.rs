@@ -3,7 +3,7 @@
 //!
 //! Sweeps **pipeline depth × connection count** with the
 //! `workloads::pipeline` live loop against a **durable** store
-//! (`run_pipeline_loop_durable`): each cell boots a fresh `kv::serve`
+//! (`run_pipeline_loop_durable`): each cell boots a fresh `server::serve`
 //! instance over a fresh temporary data directory, drives it with
 //! windowed tagged clients at 100% PUT (every op pays the WAL), and
 //! tears both down. Series are named `depth<D>@shards<S>`, one

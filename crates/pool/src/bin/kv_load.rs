@@ -5,7 +5,7 @@
 //! xorshift key stream for `MALTHUS_KV_SECONDS`, then reports
 //! aggregate throughput plus **per-op-type** counts and p50/p99
 //! latencies from separate
-//! [`LatencyHistogram`](malthus_metrics::LatencyHistogram)s, merged
+//! [`LatencyHistogram`]s, merged
 //! (via `LatencyHistogram::merge`) into the service-wide `all` line —
 //! so both the per-path admission costs (GETs ride the RW-CR read
 //! side; PUTs pay writer admission; MGETs batch per shard) and the
@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use malthus_metrics::LatencyHistogram;
 use malthus_park::XorShift64;
-use malthus_pool::kv::DEFAULT_ADDR;
+use malthus_pool::server::DEFAULT_ADDR;
 use malthus_pool::KvClient;
 
 /// Keys per MGET request when `MALTHUS_KV_MGET_PCT` > 0.

@@ -84,15 +84,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use malthus_pool::kv::{self, KvService, ServeOptions, DEFAULT_ADDR, DEFAULT_SHARDS};
+use malthus_pool::kv::{self, KvService, DEFAULT_SHARDS};
 use malthus_pool::kv::{DEFAULT_CACHE_BLOCKS, DEFAULT_MEMTABLE_LIMIT};
+use malthus_pool::server::{self, ServeOptions, DEFAULT_ADDR};
 use malthus_pool::{serve_async, AsyncServeOptions, PoolConfig, WorkCrew};
 use malthus_storage::{spawn_healer, HealerConfig};
 
 /// Set (only) by the `SIGTERM` handler; a watcher thread turns it
 /// into a normal [`ServerControl::stop`].
 ///
-/// [`ServerControl::stop`]: malthus_pool::kv::ServerControl::stop
+/// [`ServerControl::stop`]: malthus_pool::server::ServerControl::stop
 static TERM_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 const SIGTERM: i32 = 15;
@@ -356,7 +357,7 @@ fn main() {
         }
     }
 
-    let (listener, control) = kv::bind(&opts.addr).expect("bind listen address");
+    let (listener, control) = server::bind(&opts.addr).expect("bind listen address");
     println!("listening on {}", control.addr());
 
     // SIGTERM → the same graceful path as the SHUTDOWN verb. The
@@ -407,7 +408,7 @@ fn main() {
     } else {
         let serve_opts = ServeOptions { read_timeout };
         let crew = Arc::new(WorkCrew::new(cfg));
-        kv::serve_with(
+        server::serve_with(
             listener,
             &control,
             Arc::clone(&crew),

@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 
 use malthus_obs::exposition::{interval_quantiles, Exposition};
 use malthus_obs::span::{Stage, STAGE_COUNT};
-use malthus_pool::kv::{KvClient, DEFAULT_ADDR};
+use malthus_pool::server::DEFAULT_ADDR;
+use malthus_pool::KvClient;
 
 /// One poll: the parsed exposition plus the raw slowlog document.
 struct Sample {

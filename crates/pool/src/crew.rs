@@ -333,8 +333,8 @@ impl Drop for Slot<'_> {
     }
 }
 
-/// The concurrency-restricting executor. See the [module docs](self)
-/// for the admission state machine.
+/// The concurrency-restricting executor; the [crate docs](crate) give
+/// the admission state machine in outline.
 ///
 /// # Examples
 ///

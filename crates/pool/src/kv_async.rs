@@ -1,5 +1,5 @@
 //! The reactor front-end for the KV service: the same wire protocol,
-//! spans, WAL group commit and SLOWLOG as [`crate::kv::serve`], but
+//! spans, WAL group commit and SLOWLOG as [`crate::server::serve`], but
 //! driven by `malthus-net`'s readiness reactor instead of a thread
 //! per connection.
 //!
@@ -10,14 +10,17 @@
 //! `epoll_wait` is itself Malthusian-admitted — surplus pollers cull
 //! to a LIFO passive stack and are reprovisioned on stall, so the
 //! poll crew exhibits the same active/passive partitioning as the
-//! locks and the work crew. A ready connection **is** a batch: every
-//! complete request line buffered on it is drained, parsed and
-//! executed through [`KvService::apply_batch_span`] — identical
-//! batching, span and durability semantics to the threaded path, so
-//! clients cannot tell the front-ends apart on the wire.
+//! locks and the work crew. A ready connection **is** a batch, and it
+//! is handed to the same per-connection `Session` the threaded reader
+//! drives — drain, [`KvService::apply_batch_span`], render — so
+//! clients cannot tell the front-ends apart on the wire. What is left
+//! here is the front-end itself: poll admission in place of a task
+//! queue (so spans carry no `queue` stage), the reactor's write buffer
+//! in place of a blocking write, and the `flush` stage settled when
+//! the bytes have really left.
 //!
 //! What changes is the cost model. Per-connection state shrinks from
-//! a thread (stack, scheduler presence) to a buffer pair inside the
+//! a thread (stack, scheduler presence) to a session inside the
 //! reactor's slab, so idle connections cost memory, not threads —
 //! `kv_server --async` holds 1024 idle connections on two reactor
 //! threads. Idle reaping moves from per-socket read timeouts to the
@@ -27,18 +30,19 @@
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use malthus_metrics::LatencyHistogram;
 use malthus_net::{Action, CloseReason, Handler, Reactor, ReactorConfig, StatsProbe};
-use malthus_obs::span::{self, Stage};
+use malthus_obs::span::Stage;
 use malthus_obs::SpanContext;
 
-use crate::kv::{AdmissionSnapshot, AdmissionStats, KvService, Parsed, ServerControl};
-use crate::protocol::{drain_lines, write_tag_line, DrainEnd};
+use crate::kv::{AdmissionSnapshot, AdmissionStats, KvService};
+use crate::protocol::DrainEnd;
+use crate::server::ServerControl;
+use crate::session::Session;
 
 /// Knobs for [`serve_async`] — the reactor-side analogue of
-/// [`crate::kv::ServeOptions`].
+/// [`crate::server::ServeOptions`].
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncServeOptions {
     /// Total reactor worker threads (active + passive).
@@ -91,18 +95,11 @@ impl AdmissionStats for ReactorAdmission {
     }
 }
 
-/// Per-connection protocol state: the buffer pair plus span
-/// bookkeeping. This — not a thread — is the whole per-connection
-/// footprint of the async front-end.
+/// Per-connection protocol state: the session plus the spans still
+/// waiting for their flush. This — not a thread — is the whole
+/// per-connection footprint of the async front-end.
 pub struct KvConn {
-    /// Per-connection batch-size histogram, folded into the
-    /// service-wide distribution on close (same lifecycle as the
-    /// threaded reader's).
-    conn_hist: Arc<LatencyHistogram>,
-    /// Parsed-request scratch, reused across batches.
-    batch: Vec<Parsed>,
-    /// Response-render scratch, reused across batches.
-    out: String,
+    session: Session,
     /// Spans of batches whose responses are still (partly) in the
     /// reactor's write buffer, oldest first. Flush time lands on the
     /// oldest; a completed flush finishes them all — responses leave
@@ -134,11 +131,8 @@ impl Handler for KvHandler {
     type Conn = KvConn;
 
     fn on_open(&self, _stream: &TcpStream) -> KvConn {
-        malthus_obs::record(malthus_obs::EventKind::ConnOpen, 0, 0);
         KvConn {
-            conn_hist: self.service.pipeline_stats().register_connection(),
-            batch: Vec::new(),
-            out: String::new(),
+            session: Session::open(&self.service),
             pending: Vec::new(),
         }
     }
@@ -150,59 +144,31 @@ impl Handler for KvHandler {
         write_buf: &mut Vec<u8>,
     ) -> Action {
         // A readiness wakeup drains every *complete* line buffered on
-        // the connection into one batch — the same `drain_lines` pass
-        // the threaded reader runs per block. Bytes after the last
-        // newline stay buffered for the next wakeup.
-        //
-        // Span tracing: born at readiness, so Read covers UTF-8
-        // validation + parse — never the wait for traffic.
-        let mut span = if span::enabled() {
-            SpanContext::start(0, 0) // identity assigned once sized
-        } else {
-            SpanContext::detached()
-        };
-        let read_t0 = if span.is_active() { span::now_ns() } else { 0 };
-        let drained = drain_lines(read_buf, &mut conn.batch);
-        read_buf.drain(..drained.consumed);
-        if drained.end == DrainEnd::InvalidUtf8 {
-            return Action::Close;
-        }
-        if !conn.batch.is_empty() {
-            let n = conn.batch.len() as u64;
-            self.service.pipeline_stats().note_batch(n);
-            conn.conn_hist.record_ns(n);
-            span.set_identity(self.service.next_batch_id(), n as u32);
-            if read_t0 != 0 {
-                span.add(Stage::Read, span::now_ns().saturating_sub(read_t0));
-            }
-            // No queue stage: the ready batch executes right here on
-            // the reactor worker that won poll admission — admission
-            // happened at `epoll_wait`, not at a task queue.
-            conn.out.clear();
-            let drain_start = Instant::now();
-            self.service
-                .apply_batch_span(&conn.batch, &self.admission, &mut conn.out, &mut span);
-            self.service
-                .pipeline_stats()
-                .note_drain_ns(drain_start.elapsed().as_nanos() as u64);
-            write_buf.extend_from_slice(conn.out.as_bytes());
-            conn.batch.clear();
+        // the connection into one batch; bytes after the last newline
+        // stay buffered for the next wakeup.
+        let (consumed, span) = conn.session.drain(&self.service, read_buf);
+        read_buf.drain(..consumed);
+        if let Some(mut span) = span {
+            // The ready batch executes right here on the reactor
+            // worker that won poll admission — admission happened at
+            // `epoll_wait`, not at a task queue. The reactor flushes
+            // the write buffer — a `SHUTDOWN`'s `OK` included — before
+            // it honours the returned action.
+            let replies = conn
+                .session
+                .apply(&self.service, &self.admission, &mut span);
+            write_buf.extend_from_slice(replies);
             if span.is_active() {
                 // Flush happens later, nonblocking, possibly in
                 // pieces; `on_flushed` settles the span.
                 conn.pending.push(span);
             }
         }
-        match drained.end {
-            DrainEnd::Shutdown(tag) => {
-                // `OK` must still reach the client: the reactor
-                // flushes the write buffer before honouring the
-                // shutdown.
-                write_tag_line(write_buf, tag, "OK");
-                Action::ShutdownServer
-            }
-            DrainEnd::Quit => Action::Close, // close without a response
-            DrainEnd::Open | DrainEnd::InvalidUtf8 => Action::Continue,
+        match conn.session.end {
+            DrainEnd::Open => Action::Continue,
+            DrainEnd::Shutdown(_) => Action::ShutdownServer,
+            // QUIT closes without a response.
+            DrainEnd::Quit | DrainEnd::InvalidUtf8 => Action::Close,
         }
     }
 
@@ -227,15 +193,13 @@ impl Handler for KvHandler {
         for mut span in conn.pending.drain(..) {
             self.service.finish_span(&mut span);
         }
-        self.service
-            .pipeline_stats()
-            .retire_connection(Arc::clone(&conn.conn_hist));
+        conn.session.close(&self.service);
     }
 }
 
 /// Serves `listener` through the reactor until [`ServerControl::stop`]
 /// is called or a client sends `SHUTDOWN` — the async counterpart of
-/// [`crate::kv::serve`]. Registers the reactor's gauges and counters
+/// [`crate::server::serve`]. Registers the reactor's gauges and counters
 /// in the service's unified registry (as `serve` does the crew's), so
 /// `METRICS` and `kvtop` see whichever front-end is live.
 pub fn serve_async(

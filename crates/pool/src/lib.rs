@@ -17,15 +17,24 @@
 //!   [`malthus::policy::crew_should_reprovision`],
 //!   [`malthus::policy::FairnessTrigger`]), so pool and locks share
 //!   one policy module.
-//! * [`kv`] — a line-protocol TCP key-value service ([`KvService`])
-//!   whose request execution is admitted by the crew (cheap batches in
-//!   place on their connection thread, dear ones queued) against a
-//!   [`ShardedKv`](malthus_storage::ShardedKv): N shards, each
-//!   §6.5's two contended locks (`--shards 1` is the paper-faithful
-//!   single pair), with batched `MGET`/`MSET` and aggregated
-//!   `SCAN`/`STATS` cross-shard verbs. Binaries: `kv_server`
-//!   (`--shards`), `kv_load` (`--pipeline-depth`, per-op-type
-//!   latencies).
+//! * [`kv`] — a line-protocol key-value service ([`KvService`]) over a
+//!   [`ShardedKv`](malthus_storage::ShardedKv): N shards, each §6.5's
+//!   two contended locks (`--shards 1` is the paper-faithful single
+//!   pair). It has **one request path**: a connection's drained batch
+//!   goes through [`KvService::apply_batch_span`], and its data runs
+//!   (`GET`/`PUT`/`MGET`/`MSET`, a run of one included) through
+//!   `ShardedKv::execute_batch_span` — one lock hold per touched
+//!   shard; `SCAN`/`STATS` and the control verbs render between the
+//!   runs. [`protocol`] is its wire grammar.
+//! * [`server`] and [`kv_async`] — the two front-ends, which share the
+//!   per-connection driver (bytes in → drained batch → replies out)
+//!   and keep only their accept loop, their admission choice and their
+//!   flush: a reader thread per connection whose batches the crew
+//!   admits (cheap ones in place on a lent slot, dear ones queued), or
+//!   a readiness reactor whose `epoll_wait` is itself
+//!   Malthusian-admitted. [`client`] is the matching [`KvClient`].
+//!   Binaries: `kv_server` (`--shards`, `--async`), `kv_load`
+//!   (`--pipeline-depth`, per-op-type latencies), `kvtop`.
 //!
 //! The `bench_pool` binary (in `malthus-bench`) compares unrestricted
 //! and Malthusian crews at rising oversubscription and writes
@@ -54,11 +63,17 @@
 
 #![warn(missing_docs)]
 
+pub mod client;
 mod crew;
 pub mod kv;
 pub mod kv_async;
-mod protocol;
+pub mod protocol;
+pub mod server;
+mod session;
 
+pub use client::KvClient;
 pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, Task, WorkCrew, DEFAULT_STALL_THRESHOLD};
-pub use kv::{KvClient, KvService, Parsed, PipelineStats, Request, ServeOptions, ServerControl};
+pub use kv::{KvService, PipelineStats};
 pub use kv_async::{serve_async, AsyncServeOptions, KvHandler};
+pub use protocol::{Parsed, Request};
+pub use server::{ServeOptions, ServerControl};

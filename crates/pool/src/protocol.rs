@@ -1,5 +1,5 @@
 //! The text layer of the wire protocol: one byte-level tokenizer, the
-//! per-wakeup drain loop both front-ends run, and the reply renderer.
+//! per-wakeup drain loop every connection runs, and the reply renderer.
 //!
 //! A request line is split exactly once, on bytes: an optional `#<tag>`
 //! prefix, a verb, and unsigned 64-bit arguments separated by ASCII
@@ -13,7 +13,7 @@
 //! Unicode `White_Space` character; arguments are *separated* by ASCII
 //! whitespace only. The multi-byte members of the first class are
 //! recognised by their UTF-8 encodings, which is exact because
-//! [`drain_lines`] validates a chunk as UTF-8 before tokenizing it.
+//! the drain loop validates a chunk as UTF-8 before tokenizing it.
 
 use std::borrow::Cow;
 
@@ -113,15 +113,6 @@ impl Parsed {
                 body: Err(e),
             },
         }
-    }
-
-    /// Whether this request can join a storage batch run (data ops
-    /// with parse errors, control verbs and aggregates excluded).
-    pub(crate) fn is_batchable(&self) -> bool {
-        matches!(
-            self.body,
-            Ok(Request::Get(_) | Request::Put(..) | Request::Mget(_) | Request::Mset(_))
-        )
     }
 }
 
@@ -376,9 +367,10 @@ pub(crate) struct Drained {
     pub end: DrainEnd,
 }
 
-/// The drain both front-ends run per wakeup: parses every *complete*
-/// line buffered in `bytes` onto `batch` (blank lines skipped), leaving
-/// the bytes after the last newline for the next wakeup.
+/// The drain a connection's session runs per wakeup: parses every
+/// *complete* line buffered in `bytes` onto `batch` (blank lines
+/// skipped), leaving the bytes after the last newline for the next
+/// wakeup.
 ///
 /// `QUIT` and `SHUTDOWN` split the drain: the requests before the
 /// control verb are in `batch` and execute, the lines after it die
@@ -479,19 +471,6 @@ pub(crate) fn write_tag(out: &mut String, tag: Option<u64>) {
         push_u64(out, t);
         out.push(' ');
     }
-}
-
-/// [`write_tag`] + body + newline straight into a byte buffer — the
-/// reactor front-end renders control-verb replies into the reactor's
-/// write buffer rather than a `String`.
-pub(crate) fn write_tag_line(out: &mut Vec<u8>, tag: Option<u64>, body: &str) {
-    if let Some(t) = tag {
-        out.push(b'#');
-        out.extend_from_slice(u64_digits(t, &mut [0; 20]).as_bytes());
-        out.push(b' ');
-    }
-    out.extend_from_slice(body.as_bytes());
-    out.push(b'\n');
 }
 
 #[cfg(test)]
@@ -978,10 +957,6 @@ mod tests {
         assert_eq!(out, "");
         write_tag(&mut out, Some(u64::MAX));
         assert_eq!(out, format!("#{} ", u64::MAX));
-        let mut bytes = b"x\n".to_vec();
-        write_tag_line(&mut bytes, Some(10), "OK");
-        write_tag_line(&mut bytes, None, "OK");
-        assert_eq!(bytes, b"x\n#10 OK\nOK\n");
     }
 
     #[test]

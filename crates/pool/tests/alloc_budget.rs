@@ -1,11 +1,14 @@
 //! The allocation budget of the batch path, asserted: once warm,
-//! applying a 16-op GET/PUT batch over 4 shards allocates at most
-//! twice — the `ops` vector handed to storage and the `replies` vector
-//! it hands back. Grouping by shard, collecting a shard's write pairs
-//! and rendering the replies all run in reused scratch; this test is
-//! what keeps that reuse from silently rotting.
+//! applying a GET/PUT batch allocates at most twice — the `ops` vector
+//! handed to storage and the `replies` vector it hands back — whether
+//! it holds sixteen ops over 4 shards or, the degenerate case every
+//! request of a depth-1 client is, one. Grouping by shard, collecting a
+//! shard's write pairs and rendering the replies all run in reused
+//! scratch; these tests are what keeps that reuse from silently
+//! rotting, and what gives the batch of one a number instead of prose.
 //!
-//! Alone in its file: the counting allocator is process-wide.
+//! Alone in its file: the counting allocator is process-wide (the
+//! counter is per thread, so the tests may run side by side).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,4 +99,26 @@ fn a_warm_get_put_batch_allocates_at_most_twice() {
         allocations <= 2,
         "a warm 16-op batch made {allocations} allocations (budget: ops + replies)"
     );
+}
+
+#[test]
+fn a_warm_one_request_batch_allocates_at_most_twice() {
+    let service = KvService::with_shards(4, 4_096, 256);
+    for line in ["#7 GET 1000", "GET 1000", "#8 PUT 1000 5", "PUT 1000 6"] {
+        let batch = [Parsed::from_line(line)];
+        let mut out = String::new();
+        for _ in 0..3 {
+            out.clear();
+            service.apply_batch(&batch, &NoAdmission, &mut out);
+        }
+        out.clear();
+        let before = ALLOCATIONS.with(Cell::get);
+        service.apply_batch(&batch, &NoAdmission, &mut out);
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(out.lines().count(), 1, "{line}: {out:?}");
+        assert!(
+            allocations <= 2,
+            "a warm batch of one `{line}` made {allocations} allocations (budget: ops + replies)"
+        );
+    }
 }

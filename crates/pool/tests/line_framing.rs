@@ -1,23 +1,35 @@
-//! Line framing is one piece of code (`drain_lines`) behind two
-//! readers — the threaded front-end's block reader and the reactor's
-//! scratch-block drain — so each framing case is asserted once and run
-//! against both: a line split across two writes, a line longer than
-//! either reader's block, Unicode whitespace around a line, and
-//! invalid UTF-8 closing the connection.
+//! Line framing and everything after it is one piece of code (the
+//! per-connection session) behind two readers — the threaded
+//! front-end's block reader and the reactor's scratch-block drain — so
+//! each case is asserted once and run against both: a line split
+//! across two writes, a line longer than either reader's block,
+//! Unicode whitespace around a line, invalid UTF-8 closing the
+//! connection, and a seeded script of every request shape, delivered
+//! in random-sized pieces, whose reply stream must be the same bytes
+//! from both front-ends and from a sequential model of the service.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use malthus_pool::kv::{self, KvService, MAX_BATCH_KEYS};
-use malthus_pool::{serve_async, AsyncServeOptions, PoolConfig, WorkCrew};
+use malthus_park::XorShift64;
+use malthus_pool::protocol::MAX_BATCH_KEYS;
+use malthus_pool::{
+    serve_async, server, AsyncServeOptions, KvService, Parsed, PoolConfig, WorkCrew,
+};
+
+/// The store every server here, and the model they are compared with,
+/// is built over.
+fn service() -> KvService {
+    KvService::with_shards(4, 4_096, 256)
+}
 
 /// Boots one front-end on an ephemeral port; the closer stops it.
 fn start(reactor: bool) -> (SocketAddr, Box<dyn FnOnce()>) {
-    let (listener, control) = kv::bind("127.0.0.1:0").unwrap();
+    let (listener, control) = server::bind("127.0.0.1:0").unwrap();
     let addr = control.addr();
-    let service = Arc::new(KvService::with_shards(4, 4_096, 256));
+    let service = Arc::new(service());
     let crew = Arc::new(WorkCrew::new(PoolConfig::malthusian(2, 16)));
     let server = {
         let (control, crew) = (control.clone(), Arc::clone(&crew));
@@ -30,7 +42,7 @@ fn start(reactor: bool) -> (SocketAddr, Box<dyn FnOnce()>) {
                     AsyncServeOptions::malthusian(2),
                 )
             } else {
-                kv::serve(listener, &control, crew, service)
+                server::serve(listener, &control, crew, service)
             }
             .unwrap()
         })
@@ -126,4 +138,152 @@ fn invalid_utf8_closes_the_connection_and_nothing_executes() {
         c.write_all(b"GET 5\n").unwrap();
         assert_eq!(reply(&mut replies), "NIL\n");
     });
+}
+
+/// A seeded script of request lines: runs of one and longer runs of
+/// data ops over a small key space (so reads meet earlier writes),
+/// `MGET`/`MSET` spanning shards, control verbs and parse errors
+/// splitting the runs, tags on some lines and not on others, blank
+/// lines — and `QUIT` as its last bytes.
+fn script(rng: &XorShift64) -> String {
+    let key = || rng.next_below(200);
+    let mut text = String::new();
+    let mut tag = 0u64;
+    while text.len() < 48 * 1024 {
+        let run = match rng.next_below(4) {
+            0 => 1,
+            _ => 1 + rng.next_below(24),
+        };
+        for _ in 0..run {
+            if rng.one_in(2) {
+                tag += 1;
+                text.push_str(&format!("#{tag} "));
+            }
+            match rng.next_below(8) {
+                0..=2 => text.push_str(&format!("GET {}", key())),
+                3..=5 => text.push_str(&format!("PUT {} {}", key(), rng.next_u64())),
+                6 => {
+                    text.push_str("MGET");
+                    for _ in 0..=rng.next_below(8) {
+                        text.push_str(&format!(" {}", key()));
+                    }
+                }
+                _ => {
+                    text.push_str("MSET");
+                    for _ in 0..=rng.next_below(6) {
+                        text.push_str(&format!(" {} {}", key(), rng.next_u64()));
+                    }
+                }
+            }
+            text.push('\n');
+        }
+        // What ends the run: a control verb, a line that does not
+        // parse, or nothing (a blank line does not split a batch).
+        text.push_str(match rng.next_below(12) {
+            0 => "PING",
+            1 => "#5 PING",
+            2 => "STATS",
+            3 => "#6 STATS",
+            4 => "SCAN 0 300",
+            5 => "#7 SCAN 100 5",
+            6 => "#banana GET 1",
+            7 => "#",
+            8 => "#1.5 PING",
+            9 => "#3 BOGUS 1",
+            10 => "#4",
+            _ => "",
+        });
+        text.push('\n');
+    }
+    text.push_str("QUIT\n");
+    text
+}
+
+/// `STATS` replies reduced to the fields the request stream alone
+/// decides; how the stream was cut into batches — which the other
+/// fields count — is the front-end's and the scheduler's business.
+fn without_batching_counters(replies: &str) -> String {
+    let mut out = String::new();
+    for line in replies.lines() {
+        if line.split(' ').any(|word| word == "STATS") {
+            let kept: Vec<&str> = line
+                .split(' ')
+                .filter(|w| {
+                    !w.contains('=')
+                        || ["reads=", "writes=", "shards="]
+                            .iter()
+                            .any(|f| w.starts_with(f))
+                })
+                .collect();
+            out.push_str(&kept.join(" "));
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn a_seeded_script_in_random_chunks_reads_the_same_from_both_front_ends_and_the_model() {
+    struct NoAdmission;
+    impl malthus_pool::kv::AdmissionStats for NoAdmission {
+        fn admission_snapshot(&self) -> malthus_pool::kv::AdmissionSnapshot {
+            Default::default()
+        }
+    }
+    let rng = XorShift64::new(0x5E55_1011);
+    let script = script(&rng);
+    // The model: one thread, one request at a time, no sockets.
+    let model = service();
+    let mut want = String::new();
+    for line in script.lines().filter(|l| !l.is_empty() && *l != "QUIT") {
+        model.apply_batch(&[Parsed::from_line(line)], &NoAdmission, &mut want);
+    }
+    let want = without_batching_counters(&want);
+    let requests = want.lines().count();
+    assert!(requests > 1_000, "a script of only {requests} requests");
+
+    // One chunking for both front-ends: mostly a few bytes, now and
+    // then more than a read block, sometimes with a pause so that the
+    // server really sees the piece on its own.
+    let mut chunks = Vec::new();
+    let mut at = 0;
+    while at < script.len() {
+        let len = match rng.next_below(16) {
+            0 => 8 * 1024 + rng.next_below(4 * 1024),
+            1..=3 => 1,
+            _ => 1 + rng.next_below(96),
+        } as usize;
+        let end = (at + len).min(script.len());
+        chunks.push((at..end, rng.one_in(8)));
+        at = end;
+    }
+    assert!(chunks.iter().any(|(c, _)| c.len() > 8 * 1024));
+    assert!(chunks.iter().any(|(c, _)| c.len() == 1));
+
+    let streams = std::cell::RefCell::new(Vec::new());
+    on_both_front_ends(|addr| {
+        let (mut c, mut replies) = connect(addr);
+        let got = std::thread::scope(|s| {
+            // Replies are read while requests are written: neither
+            // side may fill its socket waiting for the other.
+            let reader = s.spawn(move || {
+                let mut got = String::new();
+                replies.read_to_string(&mut got).unwrap();
+                got
+            });
+            for (chunk, pause) in &chunks {
+                c.write_all(&script.as_bytes()[chunk.clone()]).unwrap();
+                if *pause {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
+            reader.join().unwrap()
+        });
+        streams.borrow_mut().push(without_batching_counters(&got));
+    });
+    let streams = streams.into_inner();
+    assert!(streams[0] == want, "the threaded front-end left the model");
+    assert!(streams[1] == want, "the reactor front-end left the model");
 }

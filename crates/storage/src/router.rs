@@ -67,9 +67,10 @@ impl ShardRouter {
     /// holds the positions in `keys` routed to shard `s`, in input
     /// order.
     ///
-    /// Batched cross-shard operations (MGET/MSET) use this to touch
-    /// each shard's lock exactly once while still answering in the
-    /// caller's key order.
+    /// The *reference* partition: nothing in the store calls it —
+    /// [`ShardedKv`](crate::ShardedKv)'s one executor groups with a
+    /// counting sort into reused scratch — but that sort is tested
+    /// against this, and the benchmark's router probe times it.
     pub fn group_indices(&self, keys: impl IntoIterator<Item = u64>) -> Vec<Vec<usize>> {
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards];
         for (i, key) in keys.into_iter().enumerate() {

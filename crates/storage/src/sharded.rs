@@ -783,84 +783,42 @@ impl ShardedKv {
         Ok(())
     }
 
-    /// Point lookup on the key's shard: shared DB lock, memtable
-    /// first, block cache only on a memtable miss — the same split
-    /// read path as the single-lock service, now per shard (a
-    /// sub-group of one; see [`ShardedKv::get_in_shard`]).
+    /// Point lookup on the key's shard, for in-process callers (wire
+    /// requests arrive through [`ShardedKv::execute_batch_span`]):
+    /// shared DB lock, memtable first, and the block-cache lock only on
+    /// a memtable miss, nested in the fixed db → cache order.
     pub fn get(&self, key: u64) -> Option<u64> {
         let shard = &self.shards[self.router.route(key)];
         let db = shard.db.read();
         Self::get_in_shard(shard, &db, key, current_thread_index(), &mut None)
     }
 
-    /// Batched lookup: results in `keys` order, each shard's DB lock
-    /// and cache lock taken at most once. Per-shard atomic,
-    /// cross-shard racy (see the module contract).
+    /// Batched lookup, results in `keys` order: the one-op batch
+    /// `[BatchOp::Mget(keys)]` through [`ShardedKv::execute_batch`], so
+    /// each touched shard's DB lock and cache lock is taken at most
+    /// once. Per-shard atomic, cross-shard racy (see the module
+    /// contract).
     pub fn mget(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let tid = current_thread_index();
-        let mut out = vec![None; keys.len()];
-        for (shard, indices) in self
-            .router
-            .group_indices(keys.iter().copied())
-            .into_iter()
-            .enumerate()
-        {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[shard];
-            let db = shard.db.read();
-            shard.mgets.fetch_add(1, Ordering::Relaxed);
-            let mut cache = None;
-            for i in indices {
-                out[i] = Self::get_in_shard(shard, &db, keys[i], tid, &mut cache);
-            }
+        match self.execute_batch(&[BatchOp::Mget(keys)]).pop() {
+            Some(BatchReply::Values(values)) => values,
+            other => unreachable!("an MGET answers with its values, not {other:?}"),
         }
-        out
     }
 
-    /// Batched insert/update; later duplicates in `pairs` win, as
-    /// with sequential puts. Each shard's write lock is taken at most
-    /// once, and on a durable store each shard's sub-group commits
-    /// with **one** fsync (group commit) before it is applied; the
-    /// batch becomes visible shard-by-shard (see the module
-    /// contract). Returns the number of pairs written, or the first
-    /// refusal if any touched shard is read-only — per-shard
-    /// atomicity means pairs on healthy shards were still written.
+    /// Batched insert/update: the one-op batch `[BatchOp::Mset(pairs)]`
+    /// through the same executor as [`ShardedKv::execute_batch`]. Later
+    /// duplicates in `pairs` win, as with sequential puts; each shard's
+    /// write lock is taken at most once and, on a durable store, each
+    /// shard's sub-group commits with **one** fsync (group commit)
+    /// before it is applied; the batch becomes visible shard-by-shard
+    /// (see the module contract). Returns the number of pairs written,
+    /// or the first refusal (lowest shard index) if any touched shard
+    /// is read-only — per-shard atomicity means pairs on healthy shards
+    /// were still written.
     pub fn mset(&self, pairs: &[(u64, u64)]) -> Result<usize, WriteError> {
-        let mut refused = None;
-        for (shard, indices) in self
-            .router
-            .group_indices(pairs.iter().map(|&(k, _)| k))
-            .into_iter()
-            .enumerate()
-        {
-            if indices.is_empty() {
-                continue;
-            }
-            let index = shard;
-            let shard = &self.shards[shard];
-            let group: Vec<(u64, u64)> = indices.iter().map(|&i| pairs[i]).collect();
-            let mut db = shard.db.write();
-            match shard.wal_commit(
-                index,
-                &mut db,
-                &group,
-                &mut malthus_obs::SpanContext::detached(),
-            ) {
-                Ok(()) => {
-                    shard.msets.bump();
-                    for (k, v) in group {
-                        db.put(k, v);
-                    }
-                }
-                Err(e) => refused = refused.or(Some(e)),
-            }
-        }
-        match refused {
-            Some(e) => Err(e),
-            None => Ok(pairs.len()),
-        }
+        let span = &mut malthus_obs::SpanContext::detached();
+        let (_, refused) = self.execute(&[BatchOp::Mset(pairs)], span);
+        refused.map_or(Ok(pairs.len()), Err)
     }
 
     /// Executes a request group with **one lock acquisition per
@@ -870,8 +828,8 @@ impl ShardedKv {
     /// under a single hold of that shard's DB lock — *shared* when the
     /// group is read-only, *exclusive* when it contains any write —
     /// and, nested inside it, at most one hold of the shard's cache
-    /// lock (see [`ShardedKv::get_in_shard`]). Replies come back in
-    /// `ops` order.
+    /// lock, taken on the sub-group's first memtable miss. Replies come
+    /// back in `ops` order.
     ///
     /// This is the under-lock amortization the pipelined KV protocol
     /// exists for: a connection that delivers a batch of `n` puts to
@@ -908,6 +866,18 @@ impl ShardedKv {
         ops: &[BatchOp<'_>],
         span: &mut malthus_obs::SpanContext,
     ) -> Vec<BatchReply> {
+        self.execute(ops, span).0
+    }
+
+    /// The one executor behind every batched entry point: the replies,
+    /// plus the first write refusal — shards are visited in index
+    /// order, so the lowest refusing shard — which is all
+    /// [`ShardedKv::mset`]'s `Result` adds to a [`BatchReply::Readonly`].
+    fn execute(
+        &self,
+        ops: &[BatchOp<'_>],
+        span: &mut malthus_obs::SpanContext,
+    ) -> (Vec<BatchReply>, Option<WriteError>) {
         let tid = current_thread_index();
         // The grouping scratch is this thread's, kept across batches,
         // so grouping allocates nothing once warm. Taken out of its
@@ -929,6 +899,7 @@ impl ShardedKv {
             ends,
             write_pairs,
         } = &mut scratch;
+        let mut refused = None;
         let mut begin = 0;
         for (shard_idx, &end) in ends.iter().enumerate() {
             let group = &order[begin..end as usize];
@@ -981,6 +952,7 @@ impl ShardedKv {
                     }
                 }));
                 let committed = shard.wal_commit(shard_idx, &mut db, write_pairs, span);
+                refused = refused.or(committed.err());
                 let mut saw_mset = false;
                 for &(oi, slot) in group {
                     let (oi, slot) = (oi as usize, slot as usize);
@@ -1022,7 +994,7 @@ impl ShardedKv {
             );
         }
         BATCH_SCRATCH.set(scratch);
-        replies
+        (replies, refused)
     }
 
     /// The split read path every read goes through, against an
@@ -1824,6 +1796,76 @@ mod tests {
         assert_eq!(replies[1], BatchReply::Done);
         assert_eq!(replies[2], BatchReply::Value(Some(5)));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mget_and_mset_are_the_one_op_batch() {
+        use crate::wal::FaultPlan;
+        // Twin stores, shard 0 of each refusing its first fsync: one
+        // is driven through `mget`/`mset`, the other through the
+        // equivalent one-op `execute_batch`. Results and every
+        // per-shard counter must agree — there is one executor.
+        let open = |tag| {
+            let dir = temp_dir(tag);
+            let opts = WalOptions {
+                faults: vec![(
+                    0,
+                    FaultPlan {
+                        fail_sync_at: Some(0),
+                        ..FaultPlan::default()
+                    },
+                )],
+                ..WalOptions::default()
+            };
+            let (kv, _) = ShardedKv::open_with(&dir, 4, 16, 64, opts).unwrap();
+            (kv, dir)
+        };
+        let (direct, direct_dir) = open("oneop-direct");
+        let (batched, batched_dir) = open("oneop-batched");
+        let rng = malthus_park::XorShift64::new(0x0E0F_BA7C);
+        for round in 0..40 {
+            let pairs: Vec<(u64, u64)> = (0..rng.next_below(24))
+                .map(|_| (rng.next_below(64), rng.next_u64()))
+                .collect();
+            let keys: Vec<u64> = (0..rng.next_below(24))
+                .map(|_| rng.next_below(96))
+                .collect();
+            let touches_shard_0 = pairs.iter().any(|&(k, _)| direct.router().route(k) == 0);
+            let wrote = direct.mset(&pairs);
+            let replies = batched.execute_batch(&[BatchOp::Mset(&pairs)]);
+            match wrote {
+                Ok(n) => {
+                    assert!(!touches_shard_0, "round {round}");
+                    assert_eq!(replies, vec![BatchReply::Wrote(n)]);
+                }
+                Err(e) => {
+                    assert!(touches_shard_0, "round {round}");
+                    assert_eq!(e, WriteError { shard: 0 }, "the first refusing shard");
+                    assert_eq!(replies, vec![BatchReply::Readonly]);
+                }
+            }
+            let values = direct.mget(&keys);
+            assert_eq!(
+                batched.execute_batch(&[BatchOp::Mget(&keys)]),
+                vec![BatchReply::Values(values)],
+                "round {round}"
+            );
+        }
+        let (direct, batched) = (direct.stats(), batched.stats());
+        assert_eq!(direct.readonly_shards(), 1);
+        assert!(direct.per_shard[0].readonly_rejects > 0 && direct.writes() > 0);
+        for (shard, (d, b)) in direct.per_shard.iter().zip(&batched.per_shard).enumerate() {
+            let counters = |s: &ShardSnapshot| {
+                (
+                    (s.reads, s.writes, s.mgets, s.msets),
+                    (s.db_lock.write_episodes, s.wal_syncs, s.readonly_rejects),
+                    s.readonly,
+                )
+            };
+            assert_eq!(counters(d), counters(b), "shard {shard}");
+        }
+        std::fs::remove_dir_all(&direct_dir).unwrap();
+        std::fs::remove_dir_all(&batched_dir).unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! every response in one write — so the closed loop is priced by the
 //! store, not by per-request round trips and scheduler handoffs.
 //! This module measures that end to end: it boots a real
-//! [`kv::serve`] loop on an ephemeral loopback port, drives it with
+//! [`server::serve`] loop on an ephemeral loopback port, drives it with
 //! `conns` windowed client threads (depth 1 = the classic untagged
 //! closed loop), and reports throughput *plus the admission
 //! evidence* — drained-batch statistics from the server's
@@ -25,7 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use malthus_park::XorShift64;
-use malthus_pool::kv::{self, KvService};
+use malthus_pool::kv::KvService;
+use malthus_pool::server;
 use malthus_pool::{serve_async, AsyncServeOptions, KvClient, PoolConfig, WorkCrew};
 
 /// Per-shard memtable limit for the workload store: large enough that
@@ -229,7 +230,7 @@ fn run_pipeline_on(
     front: FrontEnd,
 ) -> PipelineReport {
     let shards = service.store().shard_count();
-    let (listener, control) = kv::bind("127.0.0.1:0").expect("bind loopback");
+    let (listener, control) = server::bind("127.0.0.1:0").expect("bind loopback");
     let addr = control.addr();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The reactor needs no thread per connection, so its pool stays
@@ -279,7 +280,7 @@ fn run_pipeline_on(
             let crew = Arc::clone(crew);
             let service = Arc::clone(&service);
             let control = control.clone();
-            std::thread::spawn(move || kv::serve(listener, &control, crew, service))
+            std::thread::spawn(move || server::serve(listener, &control, crew, service))
         }
         _ => {
             let service = Arc::clone(&service);

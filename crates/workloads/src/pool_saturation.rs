@@ -3,7 +3,7 @@
 //! The pool analogue of the lock loops in [`live`](crate::live): real
 //! submitter threads keep a [`WorkCrew`]'s bounded queue saturated
 //! with KV tasks — a `PUT`/`GET` mix against a shared
-//! [`MiniKv`](malthus_storage::MiniKv) behind one FIFO MCS lock plus a
+//! [`MiniKv`] behind one FIFO MCS lock plus a
 //! block cache behind another, the §6.5 contention shape — and each
 //! task's submit-to-completion latency lands in a shared
 //! [`LatencyHistogram`]. Because the *storage* locks here are strict

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use malthusian::pool::kv::{self, KvService};
+use malthusian::pool::{server, KvService};
 use malthusian::pool::{KvClient, PoolConfig, WorkCrew};
 use malthusian::workloads::pipeline::{run_pipeline_loop, PipelineShape};
 
@@ -25,7 +25,7 @@ fn interval_ms() -> u64 {
 
 fn main() {
     // A small live server for the wire-level tour.
-    let (listener, control) = kv::bind("127.0.0.1:0").expect("bind loopback");
+    let (listener, control) = server::bind("127.0.0.1:0").expect("bind loopback");
     let addr = control.addr();
     let crew = Arc::new(WorkCrew::new(
         PoolConfig::malthusian(4, 64).with_acs_target(1),
@@ -35,7 +35,7 @@ fn main() {
         let crew = Arc::clone(&crew);
         let service = Arc::clone(&service);
         let control = control.clone();
-        std::thread::spawn(move || kv::serve(listener, &control, crew, service).unwrap())
+        std::thread::spawn(move || server::serve(listener, &control, crew, service).unwrap())
     };
 
     // A tagged burst: eight requests leave before any response is

@@ -5,16 +5,17 @@
 //! answers every line, a depth-16 stress run passes under the
 //! watchdog, and — reactor-specific — idle connections are reaped by
 //! the timer wheel into `STATS idle_disconnects=`. The protocol is
-//! byte-identical between front-ends, so these assertions are the
-//! same ones `tests/pipelined_kv.rs` makes of the threaded server.
+//! byte-identical between front-ends, so the shared assertions are
+//! the very functions (`tests/common`) that `tests/pipelined_kv.rs`
+//! runs against the threaded server.
 
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
-use malthus_pool::kv::{self, KvService};
-use malthus_pool::{serve_async, AsyncServeOptions, KvClient};
+use malthus_pool::{serve_async, server, AsyncServeOptions, KvClient, KvService};
+
+mod common;
 
 /// Boots a reactor-front-end server on an ephemeral loopback port;
 /// returns the address and a closer that shuts everything down.
@@ -22,7 +23,7 @@ fn start_async_server(
     shards: usize,
     read_timeout: Option<Duration>,
 ) -> (SocketAddr, Arc<KvService>, impl FnOnce()) {
-    let (listener, control) = kv::bind("127.0.0.1:0").unwrap();
+    let (listener, control) = server::bind("127.0.0.1:0").unwrap();
     let addr = control.addr();
     let service = Arc::new(KvService::with_shards(shards, 64, 256));
     let server = {
@@ -53,62 +54,21 @@ fn start_async_server(
 #[test]
 fn tagged_responses_echo_in_request_order() {
     let (addr, _service, close) = start_async_server(2, None);
-    let mut c = KvClient::connect(addr).unwrap();
-    for tag in 0..32u64 {
-        c.send_tagged(tag, &format!("PUT {tag} {}", tag * 10))
-            .unwrap();
-    }
-    for tag in 0..32u64 {
-        let (got, resp) = c.recv_tagged().unwrap();
-        assert_eq!(got, tag, "response order must match request order");
-        assert_eq!(resp, "OK");
-    }
-    for tag in 0..32u64 {
-        c.send_tagged(1_000 + tag, &format!("GET {tag}")).unwrap();
-    }
-    for tag in 0..32u64 {
-        let (got, resp) = c.recv_tagged().unwrap();
-        assert_eq!(got, 1_000 + tag);
-        assert_eq!(resp, format!("VAL {}", tag * 10));
-    }
-    drop(c);
+    common::tagged_responses_echo_in_request_order(addr);
     close();
 }
 
 #[test]
 fn tagged_and_untagged_streams_interleave() {
     let (addr, _service, close) = start_async_server(2, None);
-    let mut c = KvClient::connect(addr).unwrap();
-    c.send_tagged(7, "PUT 5 55").unwrap();
-    c.send_line("GET 5").unwrap();
-    c.send_tagged(8, "GET 5").unwrap();
-    c.send_line("PING").unwrap();
-    c.send_tagged(9, "MGET 5 6").unwrap();
-    assert_eq!(c.recv_line().unwrap(), "#7 OK");
-    assert_eq!(c.recv_line().unwrap(), "VAL 55");
-    assert_eq!(c.recv_line().unwrap(), "#8 VAL 55");
-    assert_eq!(c.recv_line().unwrap(), "PONG");
-    assert_eq!(c.recv_line().unwrap(), "#9 VALS 55 -");
-    drop(c);
+    common::tagged_and_untagged_streams_interleave(addr);
     close();
 }
 
 #[test]
 fn malformed_tags_err_without_killing_the_connection() {
     let (addr, _service, close) = start_async_server(1, None);
-    let mut c = KvClient::connect(addr).unwrap();
-    let resp = c.roundtrip("#banana GET 1").unwrap();
-    assert!(resp.starts_with("ERR malformed tag"), "{resp}");
-    let resp = c.roundtrip("#").unwrap();
-    assert!(resp.starts_with("ERR malformed tag"), "{resp}");
-    assert_eq!(
-        c.roundtrip("#3 BOGUS 1").unwrap(),
-        "#3 ERR unknown verb BOGUS"
-    );
-    assert_eq!(c.roundtrip("#4").unwrap(), "#4 ERR empty request");
-    assert_eq!(c.roundtrip("PING").unwrap(), "PONG");
-    assert_eq!(c.roundtrip("#5 PING").unwrap(), "#5 PONG");
-    drop(c);
+    common::malformed_tags_err_without_killing_the_connection(addr);
     close();
 }
 
@@ -118,39 +78,7 @@ fn malformed_tags_err_without_killing_the_connection() {
 #[test]
 fn single_write_burst_answers_every_line() {
     let (addr, service, close) = start_async_server(2, None);
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut burst = String::new();
-    for k in 0..24u64 {
-        burst.push_str(&format!("PUT {k} {}\n", k + 100));
-    }
-    burst.push_str("GET 3\n#77 GET 23\nPING\n");
-    writer.write_all(burst.as_bytes()).unwrap();
-    let mut line = String::new();
-    for _ in 0..24 {
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "OK");
-    }
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), "VAL 103");
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), "#77 VAL 123");
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), "PONG");
-    assert!(service.pipeline_stats().batches() >= 1);
-    assert!(
-        service.pipeline_stats().max_batch() >= 2,
-        "a 27-line single segment must drain as a batch, max = {}",
-        service.pipeline_stats().max_batch()
-    );
-    drop(writer);
-    drop(reader);
+    common::single_write_burst_answers_every_line(addr, &service);
     close();
 }
 
@@ -171,77 +99,13 @@ fn control_verbs_match_the_threaded_front_end() {
     close(); // already stopping; must not hang or double-panic
 }
 
-/// Depth-16 windows from several connections against a 4-shard async
-/// server: every response matches its request (tag AND value), under
-/// the watchdog so a lost readiness wakeup fails loudly instead of
-/// hanging CI. Assertions identical to the threaded suite's.
+/// The depth-16 stress of the threaded suite, under the watchdog so a
+/// lost readiness wakeup fails loudly instead of hanging CI.
 #[test]
 fn depth_16_stress_against_four_shards() {
-    let done = run_with_watchdog(Duration::from_secs(60), || {
+    let done = common::run_with_watchdog(Duration::from_secs(60), || {
         let (addr, service, close) = start_async_server(4, None);
-        let conns = 3usize;
-        let per_conn = 2_000u64;
-        let depth = 16usize;
-        let workers: Vec<_> = (0..conns)
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let mut client = KvClient::connect(addr).unwrap();
-                    let base = c as u64 * 1_000_000;
-                    let mut outstanding: std::collections::VecDeque<(u64, u64, bool)> =
-                        std::collections::VecDeque::with_capacity(depth);
-                    let mut sent = 0u64;
-                    let mut received = 0u64;
-                    while received < per_conn {
-                        while sent < per_conn && outstanding.len() < depth {
-                            let key = base + (sent / 2);
-                            // PUT then GET of the same key: the GET
-                            // rides the same or a later batch and must
-                            // observe the PUT (per-key FIFO).
-                            let is_put = sent.is_multiple_of(2);
-                            if is_put {
-                                client
-                                    .send_tagged(sent, &format!("PUT {key} {}", key + 7))
-                                    .unwrap();
-                            } else {
-                                client.send_tagged(sent, &format!("GET {key}")).unwrap();
-                            }
-                            outstanding.push_back((sent, key, is_put));
-                            sent += 1;
-                        }
-                        let (exp, key, is_put) = outstanding.pop_front().unwrap();
-                        let (tag, resp) = client.recv_tagged().unwrap();
-                        assert_eq!(tag, exp, "conn {c}: tag order");
-                        if is_put {
-                            assert_eq!(resp, "OK", "conn {c} key {key}");
-                        } else {
-                            assert_eq!(
-                                resp,
-                                format!("VAL {}", key + 7),
-                                "conn {c}: GET after PUT of key {key}"
-                            );
-                        }
-                        received += 1;
-                    }
-                    assert!(outstanding.is_empty());
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let p = service.pipeline_stats();
-        assert!(p.batches() > 0);
-        assert!(p.max_batch() >= 1);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while p.merged_batches() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(
-            p.merged_batches() > 0,
-            "closed connections must fold their batch histograms in"
-        );
-        let (p50, p99) = p.batch_quantiles();
-        assert!(p50 >= 1 && p99 >= p50, "p50 {p50} p99 {p99}");
+        common::depth_16_stress_against_four_shards(addr, &service);
         close();
     });
     assert!(done, "async pipelined stress timed out");
@@ -271,22 +135,4 @@ fn idle_connections_feed_idle_disconnects() {
     assert_eq!(busy.roundtrip("GET 1").unwrap(), "NIL");
     drop(busy);
     close();
-}
-
-/// Runs `f` on a helper thread and fails (returning `false`) if it
-/// does not complete within `timeout` — a lost wakeup must fail the
-/// test, not hang CI (same pattern as the threaded suite).
-fn run_with_watchdog(timeout: Duration, f: impl FnOnce() + Send + 'static) -> bool {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        f();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(timeout) {
-        Ok(()) => {
-            worker.join().unwrap();
-            true
-        }
-        Err(_) => false,
-    }
 }

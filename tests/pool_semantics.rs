@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use malthusian::pool::{kv, KvClient, KvService, PoolConfig, WorkCrew};
+use malthusian::pool::{server, KvClient, KvService, PoolConfig, WorkCrew};
 
 #[test]
 fn culled_workers_are_reprovisioned_and_no_task_is_lost() {
@@ -192,7 +192,7 @@ fn shutdown_with_a_slot_lent_drains_the_queue_without_hanging() {
 
 #[test]
 fn kv_service_round_trips_under_the_restricted_crew() {
-    let (listener, control) = kv::bind("127.0.0.1:0").unwrap();
+    let (listener, control) = server::bind("127.0.0.1:0").unwrap();
     let addr = control.addr();
     let crew = Arc::new(WorkCrew::new(
         PoolConfig::malthusian(4, 64).with_acs_target(1),
@@ -202,7 +202,7 @@ fn kv_service_round_trips_under_the_restricted_crew() {
         let crew = Arc::clone(&crew);
         let svc = Arc::clone(&svc);
         let control = control.clone();
-        std::thread::spawn(move || kv::serve(listener, &control, crew, svc).unwrap())
+        std::thread::spawn(move || server::serve(listener, &control, crew, svc).unwrap())
     };
 
     // Two concurrent closed-loop clients with disjoint key ranges.

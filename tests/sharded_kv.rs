@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-use malthus_pool::kv::{AdmissionSnapshot, AdmissionStats, KvService, Parsed};
+use malthus_pool::kv::{AdmissionSnapshot, AdmissionStats};
+use malthus_pool::{KvService, Parsed};
 use malthus_storage::{BatchOp, BatchReply, ShardRouter, ShardedKv};
 
 /// Finds one key per shard (smallest key routing there), so lock
