@@ -206,17 +206,21 @@ pub fn to_json(series: &[Series], extras: &[(String, String)]) -> String {
         }
     }
     let mut out = String::from("{\n");
-    out.push_str("  \"uncontended_ns_per_op\": {\n");
-    for (i, s) in series.iter().enumerate() {
-        let comma = if i + 1 < series.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            s.name,
-            num(s.uncontended_ns),
-            comma
-        ));
+    // A sweep with no single-thread latency cell (every value NaN)
+    // leaves the section out instead of writing a map of `null`s.
+    if series.iter().any(|s| s.uncontended_ns.is_finite()) {
+        out.push_str("  \"uncontended_ns_per_op\": {\n");
+        for (i, s) in series.iter().enumerate() {
+            let comma = if i + 1 < series.len() { "," } else { "" };
+            out.push_str(&format!(
+                "    \"{}\": {}{}\n",
+                s.name,
+                num(s.uncontended_ns),
+                comma
+            ));
+        }
+        out.push_str("  },\n");
     }
-    out.push_str("  },\n");
     out.push_str("  \"contended_ops_per_sec\": {\n");
     for (i, s) in series.iter().enumerate() {
         let comma = if i + 1 < series.len() { "," } else { "" };
@@ -306,5 +310,14 @@ mod tests {
         assert!(j.contains("\"1\": 0.050, \"4\": 0.800"));
         assert!(j.contains("\"note\": \"hi\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        // A sweep that measured no single-thread latency says nothing
+        // about it, rather than `null` per series.
+        let unmeasured = Series {
+            uncontended_ns: f64::NAN,
+            ..s
+        };
+        let j = to_json(&[unmeasured], &[]);
+        assert!(!j.contains("uncontended_ns_per_op") && !j.contains("null"));
+        assert!(crate::compare::parse(&j).is_ok());
     }
 }

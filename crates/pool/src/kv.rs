@@ -14,7 +14,8 @@
 //! `GET`s take their shard's DB lock *shared*, so point lookups run
 //! genuinely concurrently; memtable hits never touch the exclusive
 //! block-cache lock at all, and a batch's per-shard sub-group takes it
-//! at most once, on its first memtable miss. `PUT`s take their
+//! at most once, after its last op, only to replay the LRU touches of
+//! the (at most two) runs each miss searched. `PUT`s take their
 //! shard's DB lock exclusive and pay writer admission on that shard
 //! only. The batched and aggregate verbs
 //! (`MGET`/`MSET`/`SCAN`/`STATS`) visit shards one at a time and

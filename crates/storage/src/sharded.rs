@@ -61,11 +61,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use malthus::{current_thread_index, LockCounter, McsCrLock, McsCrMutex, MutexGuard};
+use malthus::{current_thread_index, LockCounter, McsCrMutex};
 use malthus_metrics::LatencyHistogram;
 use malthus_rwlock::{RwCrMutex, RwStats};
 
-use crate::minikv::MiniKv;
+use crate::minikv::{MiniKv, MAX_RUNS};
 use crate::router::ShardRouter;
 use crate::simplelru::{LruStats, SimpleLru};
 use crate::wal::{
@@ -251,7 +251,9 @@ struct Shard {
     db: RwCrMutex<ShardState>,
     /// The shard's block-cache lock (exclusive: lookups edit recency).
     /// Always taken inside a `db` hold (db → cache), at most once per
-    /// sub-group; only [`ShardedKv::shard_stats`] takes it alone.
+    /// sub-group and only for the sub-group's LRU touches — the runs
+    /// are searched before it is taken (see [`Shard::touch`]); only
+    /// [`ShardedKv::shard_stats`] takes it alone.
     cache: McsCrMutex<SimpleLru>,
     /// MGET batches that touched this shard. Bumped under the
     /// *shared* `db` lock, where concurrent bumpers are legal, so
@@ -295,6 +297,9 @@ struct BatchScratch {
     ends: Vec<u32>,
     /// The write pairs of the shard sub-group being committed.
     write_pairs: Vec<(u64, u64)>,
+    /// The block ids the sub-group's run searches consulted, in order,
+    /// waiting for its one cache hold.
+    touches: Vec<u32>,
 }
 
 thread_local! {
@@ -333,12 +338,6 @@ impl BatchScratch {
     }
 }
 
-/// One sub-group's hold of its shard's block-cache lock: `None` until
-/// the sub-group's first memtable miss, then the guard, kept to the
-/// end of the sub-group (see [`ShardedKv::get_in_shard`]). Declared
-/// *after* the DB guard it nests inside, so it drops first.
-type HeldCache<'s> = Option<MutexGuard<'s, SimpleLru, McsCrLock>>;
-
 impl Shard {
     fn build(state: ShardState, cache_blocks: usize) -> Self {
         Shard {
@@ -352,6 +351,35 @@ impl Shard {
             readonly_rejects: AtomicU64::new(0),
             heal_attempts: AtomicU64::new(0),
             heals: AtomicU64::new(0),
+        }
+    }
+
+    /// The first half of every read, against an already-held DB guard
+    /// and **outside** the cache lock: memtable first, then the runs,
+    /// whose consulted block ids go to `consulted` for [`Shard::touch`]
+    /// to replay. Searching at the moment of the read keeps a dirty
+    /// sub-group in op order (a later freeze cannot change what an
+    /// earlier GET saw); deferring only the touches keeps the
+    /// exclusive cache hold down to recency bookkeeping, as leveldb's
+    /// `LRUCache::Lookup` releases its mutex before the block is read.
+    fn search(db: &ShardState, key: u64, consulted: impl FnMut(u32)) -> Option<u64> {
+        db.get_memtable(key)
+            .or_else(|| db.search_runs(key, consulted))
+    }
+
+    /// The second half: replays `blocks` — what the sub-group's
+    /// searches consulted, in order — under **one** hold of the cache
+    /// lock, nested inside the caller's DB hold in the fixed db →
+    /// cache order. Exactly the lookups, ids, order and `tid`
+    /// attribution of [`MiniKv::get_runs`] per key; a sub-group that
+    /// never left the memtable never takes the lock.
+    fn touch(&self, blocks: &[u32], tid: u32) {
+        if blocks.is_empty() {
+            return;
+        }
+        let mut cache = self.cache.lock();
+        for &block in blocks {
+            cache.lookup_or_insert(block, tid);
         }
     }
 
@@ -785,12 +813,20 @@ impl ShardedKv {
 
     /// Point lookup on the key's shard, for in-process callers (wire
     /// requests arrive through [`ShardedKv::execute_batch_span`]):
-    /// shared DB lock, memtable first, and the block-cache lock only on
-    /// a memtable miss, nested in the fixed db → cache order.
+    /// shared DB lock, memtable first, then the runs; the block-cache
+    /// lock is taken only after a memtable miss, once the search is
+    /// done, for the touches of the runs consulted — nested in the
+    /// fixed db → cache order.
     pub fn get(&self, key: u64) -> Option<u64> {
         let shard = &self.shards[self.router.route(key)];
         let db = shard.db.read();
-        Self::get_in_shard(shard, &db, key, current_thread_index(), &mut None)
+        let (mut blocks, mut consulted) = ([0; MAX_RUNS], 0);
+        let value = Shard::search(&db, key, |block| {
+            blocks[consulted] = block;
+            consulted += 1;
+        });
+        shard.touch(&blocks[..consulted], current_thread_index());
+        value
     }
 
     /// Batched lookup, results in `keys` order: the one-op batch
@@ -828,8 +864,9 @@ impl ShardedKv {
     /// under a single hold of that shard's DB lock — *shared* when the
     /// group is read-only, *exclusive* when it contains any write —
     /// and, nested inside it, at most one hold of the shard's cache
-    /// lock, taken on the sub-group's first memtable miss. Replies come
-    /// back in `ops` order.
+    /// lock, taken after the sub-group's last op to replay the LRU
+    /// touches of the runs its reads searched (none if every read hit
+    /// the memtable). Replies come back in `ops` order.
     ///
     /// This is the under-lock amortization the pipelined KV protocol
     /// exists for: a connection that delivers a batch of `n` puts to
@@ -898,6 +935,7 @@ impl ShardedKv {
             order,
             ends,
             write_pairs,
+            touches,
         } = &mut scratch;
         let mut refused = None;
         let mut begin = 0;
@@ -914,28 +952,27 @@ impl ShardedKv {
                 group.len() as u64,
             );
             let dirty = group.iter().any(|&(oi, _)| ops[oi as usize].is_write());
-            // A read serves the same way under either DB hold: through
-            // the sub-group's one cache hold, into the op's reply.
-            // Returns whether the op was an MGET.
-            let read =
-                |db: &ShardState, cache: &mut _, replies: &mut [BatchReply], oi: usize, slot| {
-                    let v = Self::get_in_shard(shard, db, ops[oi].key_at(slot), tid, cache);
-                    match &mut replies[oi] {
-                        BatchReply::Value(out) => {
-                            *out = v;
-                            false
-                        }
-                        BatchReply::Values(outs) => {
-                            outs[slot] = v;
-                            true
-                        }
-                        _ => unreachable!("read op paired with a write reply"),
+            // A read serves the same way under either DB hold: searched
+            // now, into the op's reply, its cache touches left in
+            // `touches` for the sub-group's one cache hold. Returns
+            // whether the op was an MGET.
+            let mut read = |db: &ShardState, replies: &mut [BatchReply], oi: usize, slot| {
+                let v = Shard::search(db, ops[oi].key_at(slot), |block| touches.push(block));
+                match &mut replies[oi] {
+                    BatchReply::Value(out) => {
+                        *out = v;
+                        false
                     }
-                };
+                    BatchReply::Values(outs) => {
+                        outs[slot] = v;
+                        true
+                    }
+                    _ => unreachable!("read op paired with a write reply"),
+                }
+            };
             let mut saw_mget = false;
             if dirty {
                 let mut db = shard.db.write();
-                let mut cache = None;
                 // Group commit: the whole sub-group's writes (in op
                 // order) become durable with ONE append + ONE fsync
                 // *before* any op executes — the same boundary that
@@ -970,20 +1007,22 @@ impl ShardedKv {
                             Err(_) => replies[oi] = BatchReply::Readonly,
                         },
                         BatchOp::Get(_) | BatchOp::Mget(_) => {
-                            saw_mget |= read(&db, &mut cache, &mut replies, oi, slot);
+                            saw_mget |= read(&db, &mut replies, oi, slot);
                         }
                     }
                 }
                 if saw_mset {
                     shard.msets.bump();
                 }
+                shard.touch(touches, tid);
             } else {
                 let db = shard.db.read();
-                let mut cache = None;
                 for &(oi, slot) in group {
-                    saw_mget |= read(&db, &mut cache, &mut replies, oi as usize, slot as usize);
+                    saw_mget |= read(&db, &mut replies, oi as usize, slot as usize);
                 }
+                shard.touch(touches, tid);
             }
+            touches.clear();
             if saw_mget {
                 shard.mgets.fetch_add(1, Ordering::Relaxed);
             }
@@ -995,29 +1034,6 @@ impl ShardedKv {
         }
         BATCH_SCRATCH.set(scratch);
         (replies, refused)
-    }
-
-    /// The split read path every read goes through, against an
-    /// already-held DB guard: memtable first, block cache only on a
-    /// miss. A sub-group takes the cache lock **at most once** — on
-    /// its first memtable miss, into the caller's `cache` slot — and
-    /// keeps it until the slot drops at the end of the sub-group,
-    /// nested inside the DB hold in the fixed db → cache order. The
-    /// DB lock already amortizes admission over the sub-group this
-    /// way; `n` run-resident keys now pay one cache admission too, not
-    /// `n`, and sub-groups that never leave the memtable still never
-    /// touch the cache lock.
-    fn get_in_shard<'s>(
-        shard: &'s Shard,
-        db: &ShardState,
-        key: u64,
-        tid: u32,
-        cache: &mut HeldCache<'s>,
-    ) -> Option<u64> {
-        db.get_memtable(key).or_else(|| {
-            let cache = cache.get_or_insert_with(|| shard.cache.lock());
-            db.get_runs(key, cache, tid)
-        })
     }
 
     /// Ordered range scan: up to `limit` pairs with `key >= start`,
@@ -1523,29 +1539,125 @@ mod tests {
     }
 
     #[test]
-    fn cache_hold_starts_at_the_first_miss_and_lasts_until_the_slot_drops() {
-        let kv = run_resident_store(64);
-        kv.put(1_000, 7).unwrap(); // memtable-resident
+    fn a_sub_group_searches_its_runs_without_the_cache_lock() {
+        // The observer holds the cache lock for as long as the
+        // sub-group searches: every key's search (counted by the
+        // store's read counter, which the observer samples under the
+        // shared DB lock) must get done anyway, with not one lookup
+        // reaching the cache, and the touches land once it lets go.
+        const KEYS: u64 = 256;
+        let kv = run_resident_store(KEYS);
+        let ops: Vec<BatchOp> = (0..KEYS).map(BatchOp::Get).collect();
         let shard = &kv.shards[0];
-        let db = shard.db.read();
-        let mut cache = None;
-        // Memtable hits leave the cache lock alone.
+        let lookups = |s: LruStats| s.hits + s.misses;
+        let reads = || shard.db.read().reads();
+        let guard = shard.cache.lock();
+        let (reads_before, lookups_before) = (reads(), lookups(guard.stats()));
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| kv.execute_batch(&ops));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while reads() < reads_before + KEYS && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let searched = reads() - reads_before;
+            let touched = lookups(guard.stats()) - lookups_before;
+            // Released before anything can fail: a reader stuck on
+            // the lock would keep the scope from ever joining.
+            drop(guard);
+            let replies = reader.join().unwrap();
+            assert_eq!(searched, KEYS, "the searches waited for the cache lock");
+            assert_eq!(touched, 0, "the cache was touched from outside its lock");
+            for (k, reply) in (0..KEYS).zip(&replies) {
+                assert_eq!(*reply, BatchReply::Value(Some(k + 1)));
+            }
+        });
+        let touched = lookups(kv.shard_stats(0).cache) - lookups_before;
+        assert!(touched >= KEYS, "one touch per run consulted: {touched}");
+        // Memtable hits still leave the cache lock alone.
+        kv.put(1_000, 7).unwrap();
+        let guard = shard.cache.lock();
+        assert_eq!(kv.get(1_000), Some(7));
         assert_eq!(
-            ShardedKv::get_in_shard(shard, &db, 1_000, 0, &mut cache),
-            Some(7)
+            kv.execute_batch(&[BatchOp::Get(1_000)]),
+            [BatchReply::Value(Some(7))]
         );
-        assert!(cache.is_none() && shard.cache.try_lock().is_some());
-        // From the first miss on the lock is held at every key
-        // boundary. It is not reentrant, so a second acquisition
-        // inside the hold could only deadlock: held throughout means
-        // acquired once.
-        for k in 0..64u64 {
-            let v = ShardedKv::get_in_shard(shard, &db, k, 0, &mut cache);
-            assert_eq!(v, Some(k + 1));
-            assert!(shard.cache.try_lock().is_none(), "released after key {k}");
+        drop(guard);
+    }
+
+    #[test]
+    fn deferred_touches_are_the_interleaved_touches() {
+        // The same op stream through `execute_batch` (search now,
+        // replay the touches at the end of the sub-group) and through
+        // a twin `MiniKv` + `SimpleLru` served op by op with
+        // `get_runs` (touch while searching): after every sub-group
+        // the replies, the cache counters and the resident set agree
+        // — also when a freeze renumbers the runs in the middle of a
+        // sub-group, and with sub-groups coming from different
+        // threads (the displacement counters attribute by thread).
+        const KEY_SPACE: u64 = 40_000;
+        let block_ids = || {
+            (0..MAX_RUNS as u32)
+                .flat_map(|run| (0..=KEY_SPACE as u32 / 64).map(move |b| run << 24 | b))
+        };
+        let mut reads_after_a_freeze = 0;
+        for (seed, limit, blocks) in [(1u64, 1, 8), (2, 3, 64), (3, 64, 16), (4, 64, 700)] {
+            let kv = ShardedKv::new(1, limit, blocks);
+            let (mut twin, mut twin_cache) = (MiniKv::new(limit), SimpleLru::new(blocks));
+            let rng = malthus_park::XorShift64::new(seed);
+            for group in 0..600 {
+                let mget_keys: Vec<u64> = (0..5).map(|_| rng.next_below(KEY_SPACE)).collect();
+                let ops: Vec<BatchOp> = (0..1 + rng.next_below(32))
+                    .map(|_| match rng.next_below(10) {
+                        0..=5 => BatchOp::Get(rng.next_below(KEY_SPACE)),
+                        6 => BatchOp::Mget(&mget_keys),
+                        _ => BatchOp::Put(rng.next_below(KEY_SPACE), rng.next_u64()),
+                    })
+                    .collect();
+                let run = || (current_thread_index(), kv.execute_batch(&ops));
+                let (tid, replies) = if group % 2 == 0 {
+                    run()
+                } else {
+                    std::thread::scope(|s| s.spawn(run).join().unwrap())
+                };
+                let froze = Cell::new(false);
+                let mut twin_get = |twin: &MiniKv, key| {
+                    reads_after_a_freeze += usize::from(froze.get());
+                    twin.get_memtable(key)
+                        .or_else(|| twin.get_runs(key, &mut twin_cache, tid))
+                };
+                for (op, reply) in ops.iter().zip(&replies) {
+                    let expect = match *op {
+                        BatchOp::Get(key) => BatchReply::Value(twin_get(&twin, key)),
+                        BatchOp::Mget(keys) => {
+                            BatchReply::Values(keys.iter().map(|&k| twin_get(&twin, k)).collect())
+                        }
+                        BatchOp::Put(key, value) => {
+                            twin.put(key, value);
+                            froze.set(froze.get() || twin.get_memtable(key).is_none());
+                            BatchReply::Done
+                        }
+                        BatchOp::Mset(_) => unreachable!("not generated"),
+                    };
+                    assert_eq!(*reply, expect, "seed {seed} group {group}");
+                }
+                let cache = kv.shards[0].cache.lock();
+                assert_eq!(
+                    cache.stats(),
+                    twin_cache.stats(),
+                    "seed {seed} group {group}"
+                );
+                assert_eq!(cache.len(), twin_cache.len());
+                if group % 16 == 0 {
+                    for id in block_ids() {
+                        assert_eq!(cache.contains(id), twin_cache.contains(id), "block {id:#x}");
+                    }
+                }
+            }
+            let stats = kv.shard_stats(0);
+            assert!(stats.cache.cross_displacements > 0 && stats.cache.self_displacements > 0);
+            assert!(stats.runs <= MAX_RUNS);
         }
-        drop(cache);
-        assert!(shard.cache.try_lock().is_some(), "released with the slot");
+        assert!(reads_after_a_freeze > 1_000, "{reads_after_a_freeze}");
     }
 
     #[test]
@@ -1555,9 +1667,10 @@ mod tests {
         // acquisitions are counted from outside: an observer that
         // keeps cycling the cache lock can see the sub-group's cache
         // traffic grow only *between* two of the reader's holds. One
-        // hold per sub-group means it always arrives all at once; one
-        // hold per key shows up as soon as the observer gets in
-        // between two of them, which the rounds give it many tries at.
+        // hold per sub-group means its touches always arrive all at
+        // once; one hold per key shows up as soon as the observer gets
+        // in between two of them, which the rounds give it many tries
+        // at.
         const KEYS: u64 = 2_048;
         let kv = run_resident_store(KEYS);
         let keys: Vec<u64> = (0..KEYS).collect();

@@ -18,6 +18,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use malthus_pool::protocol::MAX_BATCH_KEYS;
 use malthus_pool::{server, KvClient, KvService, PoolConfig, WorkCrew};
 
 mod common;
@@ -239,35 +240,81 @@ fn queued_batches_keep_the_wire_invariants() {
     assert!(done, "queued set-up timed out");
 }
 
-/// One connection alternating cheap batches with dear ones (512-pair
-/// `MSET`s into a store many freezes deep): each dear batch sends the
-/// next one to the queue, each cheap one lets the next run in place,
-/// and replies stay in order and correct across every flip.
+/// One connection alternating dear batches with cheap ones: each dear
+/// batch sends the next one to the queue, each cheap one lets the next
+/// run in place, and replies stay in order and correct across every
+/// flip. Which batches were dear is not assumed from their size but
+/// read back from the service's own record of what each one cost
+/// (`kv_batch_drain_ns`, the number the rule itself compares against
+/// [`server::INLINE_MAX_DRAIN_NS`]); the largest `MSET` the protocol
+/// takes is the candidate, retried until enough of them were dear.
 #[test]
 fn the_cost_rule_flips_both_ways_on_one_connection() {
-    let (addr, _service, crew, close) = start_server_with_crew(4);
+    /// What the service recorded for one batch, as far as its
+    /// histogram bucket tells.
+    #[derive(PartialEq)]
+    enum Cost {
+        Dear,
+        Cheap,
+        /// The bucket straddles the constant.
+        Unknown,
+    }
+    let (addr, service, crew, close) = start_server_with_crew(4);
     let mut c = KvClient::connect(addr).unwrap();
-    let rounds = 12u64;
-    for round in 0..rounds {
-        let pairs: Vec<String> = (0..512u64)
-            .map(|k| format!("{} {}", round * 512 + k, round))
+    // One request per round trip, so one batch and one new sample.
+    let mut seen = service.pipeline_stats().drain_snapshot();
+    let mut roundtrip = |line: &str| {
+        let queued_before = crew.stats().submitted;
+        let reply = c.roundtrip(line).unwrap().to_owned();
+        let queued = crew.stats().submitted - queued_before;
+        let now = service.pipeline_stats().drain_snapshot();
+        let sample = now.delta(&seen);
+        assert_eq!(sample.count(), 1, "one batch per round trip");
+        let floor = sample.quantile(1.0).as_nanos() as u64;
+        let (ceiling, _) = sample.nonzero_buckets().next().unwrap();
+        seen = now;
+        let cost = if floor >= server::INLINE_MAX_DRAIN_NS {
+            Cost::Dear
+        } else if ceiling <= server::INLINE_MAX_DRAIN_NS {
+            Cost::Cheap
+        } else {
+            Cost::Unknown
+        };
+        (reply, cost, queued)
+    };
+    let (rounds, mut dear_rounds, mut ran_in_place) = (12u64, 0u64, 0u64);
+    for round in 0..4 * rounds {
+        let pairs: Vec<String> = (0..MAX_BATCH_KEYS as u64)
+            .map(|k| format!("{} {}", round * MAX_BATCH_KEYS as u64 + k, round))
             .collect();
         // Dear batch, then two cheap ones, one batch at a time.
-        let resp = c.roundtrip(&format!("#{round} MSET {}", pairs.join(" ")));
-        assert_eq!(resp.unwrap(), format!("#{round} OK 512"));
-        let probe = round * 512 + 7;
-        assert_eq!(
-            c.roundtrip(&format!("GET {probe}")).unwrap(),
-            format!("VAL {round}")
-        );
-        assert_eq!(c.roundtrip("#5 PING").unwrap(), "#5 PONG");
+        let (reply, dear, _) = roundtrip(&format!("#{round} MSET {}", pairs.join(" ")));
+        assert_eq!(reply, format!("#{round} OK {MAX_BATCH_KEYS}"));
+        let probe = round * MAX_BATCH_KEYS as u64 + 7;
+        let (reply, cheap, queued) = roundtrip(&format!("GET {probe}"));
+        assert_eq!(reply, format!("VAL {round}"));
+        if dear == Cost::Dear {
+            // A dear predecessor: handed to a crew worker, always.
+            assert_eq!(queued, 1, "round {round}: ran in place after a dear batch");
+            dear_rounds += 1;
+        }
+        let (reply, _, queued) = roundtrip("#5 PING");
+        assert_eq!(reply, "#5 PONG");
+        // A cheap predecessor: in place whenever a worker is idle to
+        // lend its slot (the one that ran the GET may still be on its
+        // way back), so it is counted here and asserted below.
+        ran_in_place += u64::from(cheap == Cost::Cheap && queued == 0);
+        if dear_rounds >= rounds && ran_in_place > 0 {
+            break;
+        }
     }
     let stats = crew.stats();
-    // Every MSET took far longer than `INLINE_MAX_DRAIN_NS`, so the
-    // batch after it was queued; the PINGs after the GETs had a cheap
-    // predecessor and (the worker having idled again) ran in place.
-    assert!(stats.submitted >= rounds, "{stats:?}");
-    assert!(stats.inline > 0, "{stats:?}");
+    assert!(
+        dear_rounds >= rounds,
+        "{dear_rounds} dear batches; {stats:?}"
+    );
+    assert!(stats.submitted >= dear_rounds, "{stats:?}");
+    assert!(ran_in_place > 0 && stats.inline > 0, "{stats:?}");
     drop(c);
     check_shutdown_drains_the_window(addr);
     close();

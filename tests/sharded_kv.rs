@@ -230,15 +230,19 @@ impl AdmissionStats for NoAdmission {
 /// Overwritten keys keep their latest value through freeze-time run
 /// merges, end to end: every key gets a fresh value per round through
 /// `KvService::apply_batch` (wire grammar → `execute_batch`), rounds
-/// are sized so every shard freezes well over 4 times — the point from
-/// which each freeze merges the shard's two oldest runs — and then
-/// every key is read back through both the service and the store.
+/// are sized so every shard freezes some 25 times — each freeze merged
+/// over the shard's accumulator run, the accumulator folded over the
+/// base every few freezes — and then every key is read back through
+/// both the service and the store.
 #[test]
 fn overwrites_survive_run_merges_end_to_end() {
     const SHARDS: usize = 4;
     const MEMTABLE: usize = 16;
-    const KEYS: u64 = 400;
-    const ROUNDS: u64 = 4;
+    // About 25 keys a shard: a key's next value is frozen while its
+    // last one still sits in the accumulator, so all three merge
+    // orders (memtable, accumulator, base) are exercised.
+    const KEYS: u64 = 100;
+    const ROUNDS: u64 = 16;
     let service = KvService::with_shards(SHARDS, MEMTABLE, 64);
     let fresh = |key: u64, round: u64| round * 1_000_000 + key * 3 + 1;
     let keys: Vec<u64> = (0..KEYS).collect();
@@ -266,10 +270,14 @@ fn overwrites_survive_run_merges_end_to_end() {
     for (i, shard) in stats.per_shard.iter().enumerate() {
         let freezes = shard.writes / MEMTABLE as u64;
         assert!(freezes > 4, "shard {i} froze only {freezes} times");
+        assert!(shard.runs <= 2, "shard {i} holds {} runs", shard.runs);
+        // Every key was written ROUNDS times; a store that merged its
+        // runs no longer holds most of the shadowed values.
         assert!(
-            shard.runs <= 4,
-            "shard {i} never merged: {} runs",
-            shard.runs
+            shard.keys as u64 <= shard.writes / 2,
+            "shard {i} never merged: {} pairs resident of {} written",
+            shard.keys,
+            shard.writes
         );
     }
 
