@@ -3,9 +3,9 @@
 //!
 //! Dependency-free (`harness = false`): measures uncontended
 //! acquire/release latency and 4-thread contended throughput for each
-//! algorithm, with `std::sync::Mutex` as the external baseline and the
-//! pre-refactor `BaselineMcsCrLock` as the internal one. Absolute host
-//! numbers are not comparable to the paper's T5; orderings are.
+//! algorithm, with `std::sync::Mutex` as the external baseline.
+//! Absolute host numbers are not comparable to the paper's T5;
+//! orderings are.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -14,7 +14,6 @@ use malthus::{
     ClhLock, LifoCrLock, LoiterLock, McsCrLock, McsCrnLock, McsLock, RawLock, TasLock, TatasLock,
     TicketLock,
 };
-use malthus_bench::baseline::BaselineMcsCrLock;
 use malthus_bench::livebench::{
     contended_ops_per_sec, contended_ops_per_sec_with, uncontended_ns_per_op,
 };
@@ -47,8 +46,6 @@ fn main() {
     bench_raw("MCSCRN-STP", McsCrnLock::stp);
     bench_raw("LIFO-CR-STP", LifoCrLock::stp);
     bench_raw("LOITER", LoiterLock::default);
-    bench_raw("baseline:MCSCR-S", BaselineMcsCrLock::spin);
-    bench_raw("baseline:MCSCR-STP", BaselineMcsCrLock::stp);
 
     // std::sync::Mutex reference point (not a RawLock — its guard is
     // scoped — so it goes through the closure-based harness variant).

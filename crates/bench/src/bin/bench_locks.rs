@@ -1,9 +1,7 @@
 //! Live-lock throughput harness: writes `BENCH_locks.json`.
 //!
 //! Measures uncontended lock/unlock latency (ns/op) and a contended
-//! throughput sweep (ops/s) for the MCS family on the host, including
-//! the pre-refactor [`BaselineMcsCrLock`] so every run records the
-//! padded/arena refactor's delta alongside the current numbers.
+//! throughput sweep (ops/s) for the MCS family on the host.
 //!
 //! Each contended cell also records its per-trial relative spread
 //! (`contended_rel_spread`), and thread counts above the host's CPU
@@ -23,7 +21,6 @@
 use std::sync::Arc;
 
 use malthus::{McsCrLock, McsLock, RawLock};
-use malthus_bench::baseline::BaselineMcsCrLock;
 use malthus_bench::livebench::{measure_interleaved, to_json, LockFactory, Series};
 use malthus_bench::{env_u64, thread_sweep};
 
@@ -48,79 +45,11 @@ fn main() {
         ("MCS-STP", factory(McsLock::stp)),
         ("MCSCR-S", factory(McsCrLock::spin)),
         ("MCSCR-STP", factory(McsCrLock::stp)),
-        ("baseline:MCSCR-S", factory(BaselineMcsCrLock::spin)),
-        ("baseline:MCSCR-STP", factory(BaselineMcsCrLock::stp)),
     ];
     let series: Vec<Series> =
         measure_interleaved(&named, &threads, uncontended_iters, contended_ms);
 
-    // Refactor-vs-baseline speedups (contended sweep), recorded so the
-    // JSON carries both absolute numbers and the comparison.
-    let speedup = |new_name: &str, base_name: &str| -> String {
-        let new = series.iter().find(|s| s.name == new_name).unwrap();
-        let base = series.iter().find(|s| s.name == base_name).unwrap();
-        let per_thread: Vec<String> = new
-            .contended
-            .iter()
-            .zip(&base.contended)
-            .map(|(&(t, n), &(_, b))| format!("\"{t}\": {:.3}", n / b))
-            .collect();
-        format!("{{{}}}", per_thread.join(", "))
-    };
-    let geomean = |new_name: &str, base_name: &str| -> f64 {
-        let new = series.iter().find(|s| s.name == new_name).unwrap();
-        let base = series.iter().find(|s| s.name == base_name).unwrap();
-        let log_sum: f64 = new
-            .contended
-            .iter()
-            .zip(&base.contended)
-            .map(|(&(_, n), &(_, b))| (n / b).ln())
-            .sum();
-        (log_sum / new.contended.len() as f64).exp()
-    };
     let extras = vec![
-        (
-            "speedup_vs_baseline_contended".to_string(),
-            format!(
-                "{{\"MCSCR-S\": {}, \"MCSCR-STP\": {}}}",
-                speedup("MCSCR-S", "baseline:MCSCR-S"),
-                speedup("MCSCR-STP", "baseline:MCSCR-STP")
-            ),
-        ),
-        (
-            "speedup_vs_baseline_uncontended".to_string(),
-            format!(
-                "{{\"MCSCR-S\": {:.3}, \"MCSCR-STP\": {:.3}}}",
-                series
-                    .iter()
-                    .find(|s| s.name == "baseline:MCSCR-S")
-                    .unwrap()
-                    .uncontended_ns
-                    / series
-                        .iter()
-                        .find(|s| s.name == "MCSCR-S")
-                        .unwrap()
-                        .uncontended_ns,
-                series
-                    .iter()
-                    .find(|s| s.name == "baseline:MCSCR-STP")
-                    .unwrap()
-                    .uncontended_ns
-                    / series
-                        .iter()
-                        .find(|s| s.name == "MCSCR-STP")
-                        .unwrap()
-                        .uncontended_ns
-            ),
-        ),
-        (
-            "speedup_vs_baseline_contended_geomean".to_string(),
-            format!(
-                "{{\"MCSCR-S\": {:.3}, \"MCSCR-STP\": {:.3}}}",
-                geomean("MCSCR-S", "baseline:MCSCR-S"),
-                geomean("MCSCR-STP", "baseline:MCSCR-STP")
-            ),
-        ),
         (
             "host_cpus".to_string(),
             std::thread::available_parallelism()

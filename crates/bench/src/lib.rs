@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod compare;
 pub mod livebench;
 pub mod rwbench;

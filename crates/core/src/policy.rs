@@ -1,15 +1,21 @@
 //! Concurrency-restriction policy decisions, shared with the simulator.
 //!
 //! The live locks (this crate), the discrete-event machine model
-//! (`malthus-machinesim`), and the work-crew executor (`malthus-pool`)
-//! must make the *same* admission decisions for the reproduction to be
-//! faithful, so the decisions are factored out here: when to cull,
-//! when to reprovision, and when to pay the long-term-fairness tax —
-//! both at lock level ([`should_cull`]/[`should_reprovision`]), for
-//! the read-write lock's shared side ([`rw_reader_batch`], consumed by
-//! `malthus-rwlock`), and one layer up at task-scheduler level
-//! ([`crew_has_surplus`]/[`crew_should_reprovision`], sized by
-//! [`acs_target`]; §7's "applies to any contended resource").
+//! (`malthus-machinesim`), and the executors (`malthus-pool`'s work
+//! crew, `malthus-net`'s reactor) must make the *same* admission
+//! decisions for the reproduction to be faithful, so the decisions are
+//! factored out here: when to cull, when to reprovision, and when to
+//! pay the long-term-fairness tax — at lock level
+//! ([`should_cull`]/[`should_reprovision`]), for the read-write lock's
+//! shared side ([`rw_reader_batch`], consumed by `malthus-rwlock`),
+//! and one layer up, where the contended resource is the CPU set (§7's
+//! "applies to any contended resource"): [`Membership`] is the whole
+//! executor-level machine — which threads circulate, which are parked
+//! LIFO, when the top is reprovisioned, when the eldest rotates back
+//! in — written once, sized by [`acs_target`], and owned by both
+//! executors under the mutex each already had.
+
+use std::time::{Duration, Instant};
 
 use malthus_park::XorShift64;
 
@@ -29,7 +35,7 @@ pub const DEFAULT_PREPEND_PROBABILITY: f64 = 0.999;
 /// Marsaglia xorshift generator. One trigger lives inside each CR lock
 /// and is only consulted by the lock holder, so no synchronization is
 /// needed beyond the lock itself.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FairnessTrigger {
     rng: XorShift64,
     period: u64,
@@ -91,32 +97,6 @@ pub fn should_reprovision(main_queue_empty: bool, passive_len: usize) -> bool {
     main_queue_empty && passive_len > 0
 }
 
-/// Pool-level surplus: a work-crew worker is surplus when the active
-/// circulating set exceeds its admission limit.
-///
-/// §7 notes that concurrency restriction "can be applied to any
-/// contended resource" — one layer up from `lock()`, the contended
-/// resource is the CPU set itself, and the executor's ACS limit plays
-/// the role the saturated lock plays for [`should_cull`]: any active
-/// worker beyond it only adds preemption and cache pressure, so it is
-/// culled onto the passive stack.
-pub fn crew_has_surplus(active_workers: usize, acs_limit: usize) -> bool {
-    active_workers > acs_limit
-}
-
-/// Pool-level reprovisioning: promote a passivated worker when the
-/// task queue has backed up to the high watermark.
-///
-/// The work-conservation analogue of [`should_reprovision`]: a lock
-/// reprovisions when its main queue goes *empty* (the resource would
-/// idle); a queue-fed crew reprovisions when the task backlog *grows*
-/// past the watermark (the restricted ACS is no longer keeping up,
-/// e.g. a task blocked). Both promote exactly one passive thread per
-/// trigger.
-pub fn crew_should_reprovision(backlog: usize, high_watermark: usize, passive_len: usize) -> bool {
-    backlog >= high_watermark && passive_len > 0
-}
-
 /// The one steady-state ACS-sizing rule for executor-level admission
 /// (the crew's task queue, the reactor's `epoll_wait`): one
 /// circulating thread per independent admission point (shard),
@@ -125,6 +105,240 @@ pub fn crew_should_reprovision(backlog: usize, high_watermark: usize, passive_le
 pub fn acs_target(workers: usize, admission_points: usize) -> usize {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     workers.min(cpus).min(admission_points).max(1)
+}
+
+/// Default progress-stall window before reprovisioning; long enough to
+/// ride out a scheduler quantum on an oversubscribed host, short
+/// enough that a thread blocking on I/O promotes a replacement quickly.
+pub const DEFAULT_STALL_THRESHOLD: Duration = Duration::from_millis(5);
+
+/// Default seed of an executor's fairness trigger ("MALT").
+pub const DEFAULT_SEED: u64 = 0x4D41_4C54;
+
+/// Stall windows a boost outlives its last change, and a standby
+/// thread sleeps while the work is attended.
+const RELAXED_WINDOWS: u32 = 8;
+
+/// Gauge and counter snapshot of a [`Membership`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MembershipStats {
+    /// Workers in the active circulating set.
+    pub active: usize,
+    /// Workers on the passive stack.
+    pub passive: usize,
+    /// Workers culled onto the passive stack (excluding rotations).
+    pub culls: u64,
+    /// Stack tops promoted because progress stalled while work waited.
+    pub reprovisions: u64,
+    /// Eldest passive workers rotated in by the fairness trigger.
+    pub fairness_promotions: u64,
+}
+
+/// The executor-level membership machine: which of an executor's
+/// `workers` threads circulate and which are parked.
+///
+/// The lock-level policy one layer up (§7): the active circulating
+/// set is kept at `target` workers, the surplus is culled onto a LIFO
+/// passive stack, the stack top is reprovisioned — with a temporary
+/// `boost` of the limit — when progress has stalled a full window
+/// while work waits (the LOITER standby thread of A.1), the boost is
+/// shed as the work drains or after eight windows without a new stall,
+/// and an episodic [`FairnessTrigger`] swaps a worker with the
+/// *eldest* passive one so LIFO residency stays long-term fair.
+///
+/// A plain state machine: it holds no lock, parks nobody and never
+/// reads a clock. Its owner keeps it under the mutex that serialises
+/// its admission decisions, calls one method per event with the time
+/// it read, and performs the park or unpark the answer asks for. A
+/// parked worker re-checks [`Membership::is_passive`] after *every*
+/// return from its park, so a stray unpark changes nothing. Throughout,
+/// `target + boost <= active <= workers` (the unit tests walk every
+/// reachable state of a three-worker machine to check it).
+#[derive(Debug, Clone)]
+pub struct Membership {
+    workers: usize,
+    target: usize,
+    stall: Duration,
+    /// Temporary enlargement of the limit granted by reprovisioning.
+    boost: usize,
+    active: usize,
+    /// Passive worker ids; eldest at index 0, LIFO top last.
+    passive: Vec<usize>,
+    fairness: Option<FairnessTrigger>,
+    last_progress: Instant,
+    /// Paces [`Membership::decay`], so the set relaxes back to its
+    /// target once stalls stop even if the work never drains.
+    last_boost_change: Instant,
+    culls: u64,
+    reprovisions: u64,
+    fairness_promotions: u64,
+}
+
+impl Membership {
+    /// A machine with every worker active; the surplus culls itself as
+    /// each worker first asks ([`Membership::cull`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= target <= workers`, or if `fairness_period`
+    /// is `Some(0)`.
+    pub fn new(
+        workers: usize,
+        target: usize,
+        stall: Duration,
+        fairness_period: Option<u64>,
+        seed: u64,
+        now: Instant,
+    ) -> Self {
+        assert!(
+            (1..=workers).contains(&target),
+            "ACS target must be in 1..=workers"
+        );
+        Membership {
+            workers,
+            target,
+            stall,
+            boost: 0,
+            active: workers,
+            passive: Vec::new(),
+            fairness: fairness_period.map(|p| FairnessTrigger::new(p, seed)),
+            last_progress: now,
+            last_boost_change: now,
+            culls: 0,
+            reprovisions: 0,
+            fairness_promotions: 0,
+        }
+    }
+
+    /// Whether the active set exceeds its current limit: a worker
+    /// beyond it only adds preemption and cache pressure.
+    #[inline]
+    pub fn surplus(&self) -> bool {
+        self.active > self.target + self.boost
+    }
+
+    /// Culls `me` (an active worker) onto the passive stack if the set
+    /// has surplus; on `true` the caller parks as a standby thread.
+    #[inline]
+    pub fn cull(&mut self, me: usize) -> bool {
+        if !self.surplus() {
+            return false;
+        }
+        self.active -= 1;
+        self.passive.push(me);
+        self.culls += 1;
+        true
+    }
+
+    /// An active worker made progress (dequeued a task, returned from
+    /// a poll, lent its place): restarts the stall window.
+    #[inline]
+    pub fn progress(&mut self, now: Instant) {
+        self.last_progress = now;
+    }
+
+    /// The work ran dry (empty queue, empty poll): the enlarged set
+    /// kept up, so it sheds one step of boost.
+    #[inline]
+    pub fn drained(&mut self, now: Instant) {
+        if self.boost > 0 {
+            self.boost -= 1;
+            self.last_boost_change = now;
+        }
+    }
+
+    /// Sheds one step of boost once no stall has re-raised it for
+    /// eight windows. Run with every unit of work: under sustained
+    /// saturation the work never drains, and without this a long-lived
+    /// executor with occasional blocking ratchets its set up to
+    /// `workers` for good.
+    #[inline]
+    pub fn decay(&mut self, now: Instant) {
+        if self.boost > 0
+            && now.saturating_duration_since(self.last_boost_change) >= self.stall * RELAXED_WINDOWS
+        {
+            self.boost -= 1;
+            self.last_boost_change = now;
+        }
+    }
+
+    /// Long-term fairness: when the trigger fires and someone is
+    /// passive, `me` (an active worker that just finished a unit of
+    /// work) takes the stack top and the *eldest* passive worker takes
+    /// its place — in one step, so the set's size never moves. The
+    /// caller unparks the returned worker and parks.
+    #[inline]
+    pub fn rotate(&mut self, me: usize) -> Option<usize> {
+        let fired = self.fairness.as_mut().is_some_and(FairnessTrigger::fire);
+        if !fired || self.passive.is_empty() {
+            return None;
+        }
+        let eldest = self.passive.remove(0);
+        self.passive.push(me);
+        self.fairness_promotions += 1;
+        Some(eldest)
+    }
+
+    /// Work conservation: promotes `me` if it is the stack top, work
+    /// is waiting with nobody attending it, and progress is a full
+    /// window stale — every active worker blocked or descheduled.
+    /// Work waiting alone deliberately does not promote: under
+    /// saturation work *always* waits, and promoting on that
+    /// degenerates into cull/unpark thrash. The boost keeps the
+    /// promoted worker from being surplus at once, and resetting the
+    /// stamps limits the cascade to one promotion per window.
+    pub fn promote_if_stalled(&mut self, me: usize, work_waiting: bool, now: Instant) -> bool {
+        if self.passive.last() != Some(&me)
+            || !work_waiting
+            || now.saturating_duration_since(self.last_progress) < self.stall
+        {
+            return false;
+        }
+        self.passive.pop();
+        self.active += 1;
+        self.boost += 1;
+        self.last_progress = now;
+        self.last_boost_change = now;
+        self.reprovisions += 1;
+        true
+    }
+
+    /// Whether `me` is (still) on the passive stack.
+    pub fn is_passive(&self, me: usize) -> bool {
+        self.passive.contains(&me)
+    }
+
+    /// How long a passive worker parks before it looks again: one
+    /// window while work is unattended (it may have to rescue it),
+    /// eight otherwise.
+    pub fn standby_interval(&self, work_waiting: bool) -> Duration {
+        if work_waiting {
+            self.stall
+        } else {
+            self.stall * RELAXED_WINDOWS
+        }
+    }
+
+    /// Shutdown: every worker becomes active and stays so (the limit
+    /// becomes `workers`, so nothing culls again). The caller unparks
+    /// them all.
+    pub fn release_all(&mut self) {
+        self.passive.clear();
+        self.active = self.workers;
+        self.target = self.workers;
+        self.boost = 0;
+    }
+
+    /// Current gauges and counters.
+    pub fn stats(&self) -> MembershipStats {
+        MembershipStats {
+            active: self.active,
+            passive: self.passive.len(),
+            culls: self.culls,
+            reprovisions: self.reprovisions,
+            fairness_promotions: self.fairness_promotions,
+        }
+    }
 }
 
 /// Reader-reprovisioning batch for a concurrency-restricting
@@ -247,22 +461,164 @@ mod tests {
         FairnessTrigger::new(0, 1);
     }
 
-    #[test]
-    fn crew_surplus_tracks_limit() {
-        assert!(!crew_has_surplus(0, 1));
-        assert!(!crew_has_surplus(1, 1));
-        assert!(crew_has_surplus(2, 1));
-        assert!(!crew_has_surplus(4, 4));
-        assert!(crew_has_surplus(5, 4));
+    /// A machine plus the virtual time the walk has reached.
+    #[derive(Clone)]
+    struct Node {
+        m: Membership,
+        now: Instant,
+    }
+
+    const WINDOW: Duration = Duration::from_millis(5);
+
+    impl Node {
+        /// Everything a transition can depend on: the ages saturate
+        /// where the machine stops telling them apart (one window for
+        /// progress, eight for the boost), and a period-1 trigger
+        /// fires whatever its generator holds.
+        fn key(&self) -> (usize, usize, usize, Vec<usize>, u128, u128) {
+            let m = &self.m;
+            let windows = |since: Instant, cap: u128| {
+                (self.now.duration_since(since).as_nanos() / WINDOW.as_nanos()).min(cap)
+            };
+            (
+                m.target,
+                m.boost,
+                m.active,
+                m.passive.clone(),
+                windows(m.last_progress, 1),
+                windows(m.last_boost_change, RELAXED_WINDOWS.into()),
+            )
+        }
+
+        fn check(&self) {
+            let m = &self.m;
+            assert_eq!(m.active + m.passive.len(), m.workers, "{m:?}");
+            let mut ids = m.passive.clone();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), m.passive.len(), "an id twice: {m:?}");
+            assert!(m.target + m.boost <= m.active, "undershoot: {m:?}");
+            assert!(m.active <= m.workers, "{m:?}");
+            assert_eq!(m.stats().active, m.active);
+            assert_eq!(m.stats().passive, m.passive.len());
+        }
+
+        /// Every event enabled here, each applied to its own copy and
+        /// checked for what that event promises.
+        fn successors(&self) -> Vec<Node> {
+            let mut out = Vec::new();
+            let mut step = |f: &dyn Fn(&mut Node)| {
+                let mut next = self.clone();
+                f(&mut next);
+                next.check();
+                out.push(next);
+            };
+            let before = &self.m;
+            let fair = before.fairness.is_some();
+            let stale = self.now.duration_since(before.last_progress) >= WINDOW;
+            for w in (0..before.workers).filter(|w| !before.is_passive(*w)) {
+                step(&|n| {
+                    let culled = n.m.cull(w);
+                    assert_eq!(culled, before.surplus());
+                    assert_eq!(culled, n.m.passive.last() == Some(&w));
+                    assert_eq!(n.m.culls, before.culls + u64::from(culled));
+                });
+                step(&|n| {
+                    let promoted = n.m.rotate(w);
+                    // The *eldest* comes in, `w` goes on top, and the
+                    // set's size does not move.
+                    let eldest = before.passive.first().copied().filter(|_| fair);
+                    assert_eq!(promoted, eldest);
+                    assert_eq!(n.m.active, before.active);
+                    if let Some(e) = promoted {
+                        assert!(!n.m.is_passive(e));
+                        assert_eq!(n.m.passive.last(), Some(&w));
+                    }
+                });
+            }
+            for &w in &before.passive {
+                let top = before.passive.last() == Some(&w);
+                for waiting in [true, false] {
+                    step(&|n| {
+                        let promoted = n.m.promote_if_stalled(w, waiting, n.now);
+                        // Only the top, only for stalled waiting work
+                        // — and then always (work conservation).
+                        assert_eq!(promoted, top && waiting && stale, "{before:?}");
+                        assert_eq!(n.m.is_passive(w), !promoted);
+                        // The boost admits the promoted worker, and
+                        // the next promotion waits out a fresh window.
+                        assert_eq!(n.m.surplus(), before.surplus(), "{before:?}");
+                        if let (true, Some(&next)) = (promoted, n.m.passive.last()) {
+                            assert!(!n.m.clone().promote_if_stalled(next, true, n.now));
+                        }
+                    });
+                }
+            }
+            step(&|n| n.m.progress(n.now));
+            step(&|n| {
+                n.m.drained(n.now);
+                assert_eq!(n.m.boost, before.boost.saturating_sub(1));
+            });
+            step(&|n| {
+                n.m.decay(n.now);
+                let due =
+                    n.now.duration_since(before.last_boost_change) >= WINDOW * RELAXED_WINDOWS;
+                assert_eq!(
+                    n.m.boost,
+                    before.boost - usize::from(due && before.boost > 0)
+                );
+            });
+            step(&|n| n.now += WINDOW);
+            step(&|n| n.now += WINDOW * RELAXED_WINDOWS);
+            step(&|n| {
+                n.m.release_all();
+                assert!(!n.m.surplus() && n.m.passive.is_empty());
+            });
+            out
+        }
     }
 
     #[test]
-    fn crew_reprovision_requires_backlog_and_passives() {
-        assert!(!crew_should_reprovision(0, 4, 3));
-        assert!(!crew_should_reprovision(3, 4, 3));
-        assert!(crew_should_reprovision(4, 4, 3));
-        assert!(crew_should_reprovision(9, 4, 1));
-        assert!(!crew_should_reprovision(9, 4, 0));
+    fn membership_walk_of_every_reachable_state() {
+        let workers = 3;
+        let mut total = 0;
+        for target in 1..=workers {
+            for fair in [false, true] {
+                let now = Instant::now();
+                let period = fair.then_some(1);
+                let start = Node {
+                    m: Membership::new(workers, target, WINDOW, period, 1, now),
+                    now,
+                };
+                start.check();
+                assert_eq!(start.m.standby_interval(true), WINDOW);
+                assert_eq!(start.m.standby_interval(false), WINDOW * RELAXED_WINDOWS);
+                let mut seen = std::collections::HashSet::from([start.key()]);
+                let mut frontier = vec![start];
+                while let Some(node) = frontier.pop() {
+                    for next in node.successors() {
+                        if seen.insert(next.key()) {
+                            frontier.push(next);
+                        }
+                    }
+                }
+                // The walk got somewhere: with a surplus to cull, the
+                // full passive stack and a boost old enough to decay
+                // were both seen.
+                if target < workers {
+                    assert!(seen.iter().any(|k| k.1 > 0 && k.5 == 8), "{seen:?}");
+                    assert!(seen.iter().any(|k| k.3.len() == workers - target));
+                }
+                total += seen.len();
+            }
+        }
+        assert!(total > 100, "only {total} states");
+    }
+
+    #[test]
+    #[should_panic(expected = "ACS target must be in 1..=workers")]
+    fn membership_rejects_a_target_beyond_the_workers() {
+        Membership::new(2, 3, WINDOW, None, 1, Instant::now());
     }
 
     #[test]

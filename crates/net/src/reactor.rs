@@ -7,13 +7,16 @@
 //! only an active circulating set of `acs_target` of them may poll
 //! and drain ready sockets; the surplus is culled onto a LIFO passive
 //! stack ([`malthus_park::Parker`]), where it stays cache-warm and
-//! cheap. When every active worker is busy dispatching (nobody
-//! polling, last poll return stale past the stall threshold), the
-//! passive *stack top* self-promotes with a temporary ACS boost —
-//! stall-based reprovisioning, [`policy::crew_has_surplus`] deciding
-//! surplus exactly as the work crew does. Boost decays as polls come
-//! back empty, and an episodic [`FairnessTrigger`] swap promotes the
-//! *eldest* passive worker so LIFO residency stays long-term fair.
+//! cheap. Who polls and who is parked is the work crew's machine,
+//! [`Membership`], not a copy of it: the reactor keeps one under a
+//! mutex and supplies the events — *progress* is a return from
+//! `epoll_wait`, *drained* is a poll that came back empty, a
+//! dispatched batch is the moment for boost decay and the fairness
+//! rotation. What the reactor owns is the one signal the machine
+//! cannot know, `waiting`: with nobody inside `epoll_wait`, readiness
+//! may be sitting undelivered, and that is the *work waiting* a
+//! passive stack top rescues once the last poll return is a full stall
+//! window stale.
 //!
 //! Readiness dispatch uses `EPOLLONESHOT`: one worker owns a ready
 //! connection until it re-arms it, so per-connection handler state
@@ -51,12 +54,12 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use malthus::policy::{self, FairnessTrigger};
+use malthus::policy::{self, Membership};
 use malthus_metrics::LatencyHistogram;
-use malthus_park::{ParkResult, Parker, Unparker};
+use malthus_park::{Parker, Unparker};
 
 use crate::handler::{Action, CloseReason, Handler};
 use crate::sys;
@@ -119,15 +122,15 @@ pub struct ReactorConfig {
 
 impl ReactorConfig {
     /// A Malthusian reactor: `workers` threads, ACS capped at the
-    /// host's parallelism, 5 ms stall window, the paper's 1/1000
-    /// fairness period.
+    /// host's parallelism, the default stall window, the paper's
+    /// 1/1000 fairness period.
     pub fn malthusian(workers: usize) -> Self {
         ReactorConfig {
             workers: workers.max(1),
             acs_target: policy::acs_target(workers, usize::MAX),
-            stall_threshold: Duration::from_millis(5),
+            stall_threshold: policy::DEFAULT_STALL_THRESHOLD,
             fairness_period: Some(policy::DEFAULT_FAIRNESS_PERIOD),
-            seed: 0x4D414C54,
+            seed: policy::DEFAULT_SEED,
             read_timeout: None,
             stop_flag: None,
         }
@@ -229,28 +232,6 @@ struct Slab<H: Handler> {
     free: Vec<u32>,
 }
 
-/// Poll-admission state: the work crew's membership machine with
-/// "dequeue a task" replaced by "return from `epoll_wait`".
-struct Admission {
-    /// Workers currently active (polling or dispatching).
-    active: AtomicUsize,
-    /// Temporary ACS enlargement from reprovisioning; decays on empty
-    /// polls.
-    boost: AtomicUsize,
-    /// Workers currently blocked inside `epoll_wait`. Zero while the
-    /// last poll return goes stale means readiness may be sitting
-    /// undelivered — the reprovision signal.
-    waiting: AtomicUsize,
-    /// Monotonic-ms stamp of the most recent `epoll_wait` return.
-    last_poll_ms: AtomicU64,
-    /// Passive worker ids; eldest at 0, LIFO top last.
-    passive: Mutex<Vec<usize>>,
-    fairness: Mutex<Option<FairnessTrigger>>,
-    culls: AtomicU64,
-    reprovisions: AtomicU64,
-    fairness_promotions: AtomicU64,
-}
-
 struct Inner<H: Handler> {
     epfd: i32,
     wake_r: i32,
@@ -259,13 +240,17 @@ struct Inner<H: Handler> {
     listener: TcpListener,
     handler: H,
     cfg: ReactorConfig,
-    stall_ms: u64,
     epoch: Instant,
     shutdown: AtomicBool,
     slab: Mutex<Slab<H>>,
     conns_open: AtomicUsize,
     wheel: Option<TimerWheel>,
-    adm: Admission,
+    /// Which workers poll and which are parked.
+    adm: Mutex<Membership>,
+    /// Workers currently blocked inside `epoll_wait`. Zero means
+    /// readiness may be sitting undelivered: the *work waiting* the
+    /// passive stack top rescues if the last poll return goes stale.
+    waiting: AtomicUsize,
     unparkers: Vec<Unparker>,
     epoll_waits: AtomicU64,
     ready_batches: AtomicU64,
@@ -292,10 +277,13 @@ impl<H: Handler> Reactor<H> {
     /// threads. Returns once the workers are running; serving needs
     /// no further calls.
     pub fn start(listener: TcpListener, handler: H, cfg: ReactorConfig) -> io::Result<Reactor<H>> {
-        assert!(cfg.workers >= 1, "reactor needs at least one worker");
-        assert!(
-            (1..=cfg.workers).contains(&cfg.acs_target),
-            "ACS target must be in 1..=workers"
+        let adm = Membership::new(
+            cfg.workers,
+            cfg.acs_target,
+            cfg.stall_threshold,
+            cfg.fairness_period,
+            cfg.seed,
+            Instant::now(),
         );
         listener.set_nonblocking(true)?;
         let epfd = sys::epoll_create()?;
@@ -318,7 +306,6 @@ impl<H: Handler> Reactor<H> {
         )?;
         let parkers: Vec<Parker> = (0..cfg.workers).map(|_| Parker::new()).collect();
         let unparkers = parkers.iter().map(Parker::unparker).collect();
-        let stall_ms = (cfg.stall_threshold.as_millis() as u64).max(1);
         let inner = Arc::new(Inner {
             epfd,
             wake_r,
@@ -326,7 +313,6 @@ impl<H: Handler> Reactor<H> {
             fds_closed: AtomicBool::new(false),
             listener,
             handler,
-            stall_ms,
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
             slab: Mutex::new(Slab {
@@ -335,20 +321,8 @@ impl<H: Handler> Reactor<H> {
             }),
             conns_open: AtomicUsize::new(0),
             wheel: cfg.read_timeout.map(TimerWheel::new),
-            adm: Admission {
-                active: AtomicUsize::new(cfg.workers),
-                boost: AtomicUsize::new(0),
-                waiting: AtomicUsize::new(0),
-                last_poll_ms: AtomicU64::new(0),
-                passive: Mutex::new(Vec::new()),
-                fairness: Mutex::new(
-                    cfg.fairness_period
-                        .map(|p| FairnessTrigger::new(p, cfg.seed)),
-                ),
-                culls: AtomicU64::new(0),
-                reprovisions: AtomicU64::new(0),
-                fairness_promotions: AtomicU64::new(0),
-            },
+            adm: Mutex::new(adm),
+            waiting: AtomicUsize::new(0),
             unparkers,
             epoll_waits: AtomicU64::new(0),
             ready_batches: AtomicU64::new(0),
@@ -489,17 +463,14 @@ impl<H: Handler> Reactor<H> {
             "kv_reactor_workers",
             "Reactor workers by admission state.",
             &[("state", "active")],
-            move || i.adm.active.load(Ordering::Relaxed) as f64,
+            move || i.admission().stats().active as f64,
         );
         let i = Arc::clone(&self.inner);
         registry.gauge(
             "kv_reactor_workers",
             "Reactor workers by admission state.",
             &[("state", "passive")],
-            move || {
-                let passive = i.adm.passive.lock().expect("reactor admission poisoned");
-                passive.len() as f64
-            },
+            move || i.admission().stats().passive as f64,
         );
         let i = Arc::clone(&self.inner);
         registry.counter(
@@ -513,14 +484,14 @@ impl<H: Handler> Reactor<H> {
             "kv_reactor_culls_total",
             "Reactor workers passivated by poll admission.",
             no_labels,
-            move || i.adm.culls.load(Ordering::Relaxed),
+            move || i.admission().stats().culls,
         );
         let i = Arc::clone(&self.inner);
         registry.counter(
             "kv_reactor_reprovisions_total",
             "Passive reactor workers self-promoted on poll stall.",
             no_labels,
-            move || i.adm.reprovisions.load(Ordering::Relaxed),
+            move || i.admission().stats().reprovisions,
         );
         let i = Arc::clone(&self.inner);
         registry.counter(
@@ -577,8 +548,8 @@ impl<H: Handler> Inner<H> {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn acs_limit(&self) -> usize {
-        (self.cfg.acs_target + self.adm.boost.load(Ordering::SeqCst)).min(self.cfg.workers)
+    fn admission(&self) -> MutexGuard<'_, Membership> {
+        self.adm.lock().expect("reactor admission poisoned")
     }
 
     fn initiate_shutdown(&self) {
@@ -586,127 +557,58 @@ impl<H: Handler> Inner<H> {
             return;
         }
         sys::wake_write(self.wake_w);
+        self.admission().release_all();
         for u in &self.unparkers {
             u.unpark();
         }
     }
 
     fn stats(&self) -> ReactorStats {
+        let members = self.admission().stats();
         ReactorStats {
             conns_open: self.conns_open.load(Ordering::SeqCst),
-            active_workers: self.adm.active.load(Ordering::SeqCst),
-            passive_workers: self
-                .adm
-                .passive
-                .lock()
-                .expect("reactor admission poisoned")
-                .len(),
+            active_workers: members.active,
+            passive_workers: members.passive,
             epoll_waits: self.epoll_waits.load(Ordering::Relaxed),
             ready_batches: self.ready_batches.load(Ordering::Relaxed),
             accepts: self.accepts.load(Ordering::Relaxed),
-            culls: self.adm.culls.load(Ordering::Relaxed),
-            reprovisions: self.adm.reprovisions.load(Ordering::Relaxed),
-            fairness_promotions: self.adm.fairness_promotions.load(Ordering::Relaxed),
+            culls: members.culls,
+            reprovisions: members.reprovisions,
+            fairness_promotions: members.fairness_promotions,
             idle_reaps: self.idle_reaps.load(Ordering::Relaxed),
             partial_flushes: self.partial_flushes.load(Ordering::Relaxed),
             buffer_bytes: self.buffer_bytes.load(Ordering::Relaxed),
         }
     }
 
-    /// Culls the calling worker if the ACS has surplus. The recheck
-    /// under the passive mutex serializes concurrent cull decisions
-    /// so the set never undershoots the limit.
-    fn try_cull(&self, id: usize) -> bool {
-        let mut passive = self.adm.passive.lock().expect("reactor admission poisoned");
-        if self.shutdown.load(Ordering::Acquire)
-            || !policy::crew_has_surplus(self.adm.active.load(Ordering::SeqCst), self.acs_limit())
-        {
-            return false;
-        }
-        passive.push(id);
-        self.adm.active.fetch_sub(1, Ordering::SeqCst);
-        self.adm.culls.fetch_add(1, Ordering::Relaxed);
-        true
+    /// Whether nobody is inside `epoll_wait`.
+    fn unattended(&self) -> bool {
+        self.waiting.load(Ordering::SeqCst) == 0
     }
 
-    /// Parks a culled worker until promotion (returns `true`) or
-    /// shutdown (`false`). Only the stack top may self-promote, and
-    /// only when nobody is polling and the last poll return has gone
-    /// stale — the reactor's analogue of a dequeue stall with backlog
-    /// waiting.
-    fn park_passive(&self, id: usize, parker: &Parker) -> bool {
+    /// Parks a culled worker as a standby thread until it is active
+    /// again: rotated in, released by shutdown, or — as the stack top,
+    /// with nobody polling and the last poll return a full window
+    /// stale — self-promoted. Every return from the park, a stray
+    /// unpark included, re-asks the machine under its mutex. Takes the
+    /// guard the worker was culled under and returns the re-acquired
+    /// one.
+    fn park_passive<'a>(
+        &'a self,
+        id: usize,
+        parker: &Parker,
+        mut adm: MutexGuard<'a, Membership>,
+    ) -> MutexGuard<'a, Membership> {
         loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return false;
-            }
-            match parker.park_timeout(self.cfg.stall_threshold) {
-                ParkResult::Unparked => {
-                    // A promoter (fairness swap or shutdown) already
-                    // did the membership bookkeeping for us.
-                    return !self.shutdown.load(Ordering::Acquire);
-                }
-                ParkResult::TimedOut => {
-                    if self.adm.waiting.load(Ordering::SeqCst) != 0 {
-                        continue;
-                    }
-                    let stale = self
-                        .now_ms()
-                        .saturating_sub(self.adm.last_poll_ms.load(Ordering::Acquire));
-                    if stale < self.stall_ms {
-                        continue;
-                    }
-                    let mut passive = self.adm.passive.lock().expect("reactor admission poisoned");
-                    if passive.last() == Some(&id) {
-                        passive.pop();
-                        drop(passive);
-                        self.adm.active.fetch_add(1, Ordering::SeqCst);
-                        self.adm.boost.fetch_add(1, Ordering::SeqCst);
-                        self.adm.reprovisions.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                }
+            let interval = adm.standby_interval(self.unattended());
+            drop(adm);
+            parker.park_timeout(interval);
+            adm = self.admission();
+            if !adm.is_passive(id) || adm.promote_if_stalled(id, self.unattended(), Instant::now())
+            {
+                return adm;
             }
         }
-    }
-
-    /// Sheds one unit of reprovisioning boost after an empty poll —
-    /// readiness kept up with the enlarged set, so it relaxes back
-    /// toward the target.
-    fn decay_boost(&self) {
-        let _ = self
-            .adm
-            .boost
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1));
-    }
-
-    /// Episodic eldest-fairness: swap the calling worker for the
-    /// eldest passive one. Returns `true` if the caller passivated
-    /// (it must then park).
-    fn fairness_swap(&self, id: usize) -> bool {
-        let fired = {
-            let mut trig = self
-                .adm
-                .fairness
-                .lock()
-                .expect("reactor admission poisoned");
-            trig.as_mut().is_some_and(FairnessTrigger::fire)
-        };
-        if !fired {
-            return false;
-        }
-        let mut passive = self.adm.passive.lock().expect("reactor admission poisoned");
-        if passive.is_empty() || self.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
-        let eldest = passive.remove(0);
-        passive.push(id);
-        drop(passive);
-        // A swap: the eldest joins the ACS here; the caller leaves it
-        // (decrementing `active`) on its way to the passive park.
-        self.adm.active.fetch_add(1, Ordering::SeqCst);
-        self.unparkers[eldest].unpark();
-        self.adm.fairness_promotions.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     fn lookup(&self, token: u64) -> Option<Arc<Mutex<Connection<H>>>> {
@@ -1050,35 +952,31 @@ impl<H: Handler> Inner<H> {
     }
 }
 
-/// The reactor worker: the crew's admission state machine with
-/// polling as the admitted work.
+/// The reactor worker: polling is the admitted work. The admission
+/// mutex is taken twice per `epoll_wait` return — the progress stamp,
+/// and one hold after dispatch that settles the boost, the fairness
+/// rotation and whether this worker polls again (a culled worker
+/// parks out of that same hold).
 fn worker_loop<H: Handler>(inner: &Arc<Inner<H>>, id: usize, parker: Parker) {
     let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
     let mut scratch = vec![0u8; READ_CHUNK];
-    let mut is_active = true;
+    // Admission gate: surplus pollers cull themselves onto the passive
+    // stack before ever touching epoll.
+    let mut adm = inner.admission();
+    let mut culled = adm.cull(id);
     loop {
+        if culled {
+            adm = inner.park_passive(id, &parker, adm);
+        }
+        drop(adm);
         if inner.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // Admission gate: surplus pollers cull themselves onto the
-        // passive stack before ever touching epoll.
-        if policy::crew_has_surplus(inner.adm.active.load(Ordering::SeqCst), inner.acs_limit())
-            && inner.try_cull(id)
-        {
-            is_active = false;
-            if !inner.park_passive(id, &parker) {
-                break;
-            }
-            is_active = true;
-            continue;
-        }
-        inner.adm.waiting.fetch_add(1, Ordering::SeqCst);
+        inner.waiting.fetch_add(1, Ordering::SeqCst);
         let polled = sys::epoll_wait_events(inner.epfd, &mut events, POLL_MS);
-        inner.adm.waiting.fetch_sub(1, Ordering::SeqCst);
-        inner
-            .adm
-            .last_poll_ms
-            .store(inner.now_ms(), Ordering::Release);
+        inner.waiting.fetch_sub(1, Ordering::SeqCst);
+        let now = Instant::now();
+        inner.admission().progress(now);
         inner.epoll_waits.fetch_add(1, Ordering::Relaxed);
         if inner.shutdown.load(Ordering::Acquire) {
             break;
@@ -1090,46 +988,90 @@ fn worker_loop<H: Handler>(inner: &Arc<Inner<H>>, id: usize, parker: Parker) {
                 break;
             }
         };
-        if n == 0 {
-            inner.decay_boost();
-        } else {
-            let mut ready_conns = 0u64;
-            for ev in &events[..n] {
-                let token = { ev.data };
-                let mask = { ev.events };
-                if token == TOKEN_WAKE {
-                    continue; // shutdown checked at loop top
-                } else if token == TOKEN_LISTENER {
-                    inner.accept_ready();
-                } else {
-                    ready_conns += 1;
-                    inner.conn_ready(token, mask, &mut scratch);
-                }
-            }
-            if ready_conns > 0 {
-                inner.ready_hist.record_ns(ready_conns);
-                if inner.fairness_swap(id) {
-                    inner.adm.active.fetch_sub(1, Ordering::SeqCst);
-                    is_active = false;
-                    if !inner.park_passive(id, &parker) {
-                        break;
-                    }
-                    is_active = true;
-                    continue;
-                }
+        let mut ready_conns = 0u64;
+        for ev in &events[..n] {
+            let token = { ev.data };
+            let mask = { ev.events };
+            if token == TOKEN_WAKE {
+                continue; // shutdown checked at loop top
+            } else if token == TOKEN_LISTENER {
+                inner.accept_ready();
+            } else {
+                ready_conns += 1;
+                inner.conn_ready(token, mask, &mut scratch);
             }
         }
+        if ready_conns > 0 {
+            inner.ready_hist.record_ns(ready_conns);
+        }
         inner.tick_wheel();
+        adm = inner.admission();
+        if n == 0 {
+            adm.drained(now);
+        } else {
+            adm.decay(now);
+        }
+        // A dispatched batch is the reactor's unit of work: the moment
+        // for the fairness rotation, as a finished task is the crew's.
+        let eldest = if ready_conns > 0 {
+            adm.rotate(id)
+        } else {
+            None
+        };
+        if let Some(eldest) = eldest {
+            inner.unparkers[eldest].unpark();
+        }
+        culled = eldest.is_some() || adm.cull(id);
     }
-    // Exit bookkeeping so post-shutdown gauges read zero.
-    if is_active {
-        inner.adm.active.fetch_sub(1, Ordering::SeqCst);
-    } else {
-        let mut passive = inner
-            .adm
-            .passive
-            .lock()
-            .expect("reactor admission poisoned");
-        passive.retain(|&w| w != id);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Silent;
+
+    impl Handler for Silent {
+        type Conn = ();
+        fn on_open(&self, _stream: &TcpStream) {}
+        fn on_data(&self, _conn: &mut (), read_buf: &mut Vec<u8>, _out: &mut Vec<u8>) -> Action {
+            read_buf.clear();
+            Action::Continue
+        }
+        fn on_close(&self, _conn: &mut (), _reason: CloseReason) {}
+    }
+
+    #[test]
+    fn a_spurious_unpark_leaves_a_passive_worker_parked() {
+        // A stall window of an hour: nothing but an unpark wakes the
+        // passive worker, and nothing legitimately promotes it.
+        let mut cfg = ReactorConfig::malthusian(2)
+            .with_acs_target(1)
+            .with_stall_threshold(Duration::from_secs(3600));
+        cfg.fairness_period = None;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let reactor = Reactor::start(listener, Silent, cfg).unwrap();
+        let inner = &reactor.inner;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while inner.admission().stats().passive != 1 {
+            assert!(Instant::now() < deadline, "the surplus poller never culled");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let passive = (0..2).find(|&w| inner.admission().is_passive(w)).unwrap();
+        // Two threads inside `epoll_wait` would be two pollers in an
+        // ACS of one. (The one poller is briefly outside it every
+        // POLL_MS, so only "never above one" can be asserted.)
+        let mut most_polling = 0;
+        for _ in 0..5 {
+            inner.unparkers[passive].unpark();
+            for _ in 0..5 {
+                std::thread::sleep(Duration::from_millis(2));
+                most_polling = most_polling.max(inner.waiting.load(Ordering::SeqCst));
+            }
+        }
+        assert_eq!(most_polling, 1, "the passive worker went polling");
+        assert!(inner.admission().is_passive(passive));
+        let stats = reactor.join();
+        assert_eq!((stats.culls, stats.reprovisions), (1, 0), "{stats:?}");
     }
 }

@@ -386,6 +386,103 @@ fn surplus_workers_cull_to_the_passive_stack() {
     reactor.join();
 }
 
+/// A client socket whose reads give up after 10 s, so a reactor that
+/// stops answering fails the test instead of hanging it.
+fn connect_watched(addr: std::net::SocketAddr) -> TcpStream {
+    let c = TcpStream::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    c.set_nodelay(true).unwrap();
+    c
+}
+
+#[test]
+fn a_blocked_handler_reprovisions_a_passive_poller() {
+    let stall = Duration::from_millis(25);
+    let mut cfg = ReactorConfig::malthusian(2)
+        .with_acs_target(1)
+        .with_stall_threshold(stall);
+    cfg.fairness_period = None;
+    let (echo, open_gate) = Echo::gated();
+    let (reactor, _echo, addr) = start_echo_with(cfg, echo);
+    // Declared after the reactor, so dropped before it: a failed
+    // assertion opens the gate before the reactor joins its workers.
+    let open_gate = open_gate;
+    wait_until("the surplus poller to cull", || {
+        reactor.stats().passive_workers == 1
+    });
+    let mut blocked = connect_watched(addr);
+    let mut other = connect_watched(addr);
+    let mut busy: Vec<TcpStream> = (0..4).map(|_| connect_watched(addr)).collect();
+    wait_until("the accepts", || reactor.stats().conns_open == 6);
+    let batches = reactor.stats().ready_batches;
+    blocked.write_all(b"wait\n").unwrap();
+    wait_until("the only poller to take the blocking batch", || {
+        reactor.stats().ready_batches == batches + 1
+    });
+    // Nobody is polling now: the passive worker must notice and take
+    // over, or this line is never answered.
+    let sent = Instant::now();
+    other.write_all(b"rescue\n").unwrap();
+    assert_eq!(read_line(&mut other), "RESCUE");
+    let rescue = sent.elapsed();
+    let rescued = reactor.stats();
+    // Echo traffic dense enough that no poller ever waits out POLL_MS,
+    // so no poll comes back empty to shed the boost: only its age can.
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let (settled, stats) = std::thread::scope(|scope| {
+        for c in &mut busy {
+            let stop = &stop;
+            scope.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    c.write_all(b"ping\n").unwrap();
+                    assert_eq!(read_line(c), "PING");
+                }
+            });
+        }
+        open_gate.send(()).unwrap();
+        let deadline = Instant::now() + stall * 20;
+        let mut stats = reactor.stats();
+        while stats.active_workers != 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+            stats = reactor.stats();
+        }
+        stop.store(true, Ordering::SeqCst);
+        (stats.active_workers == 1, stats)
+    });
+    assert_eq!(read_line(&mut blocked), "WAIT");
+    assert!(rescued.reprovisions >= 1, "{rescued:?}");
+    assert!(rescue <= stall * 20, "rescue took {rescue:?}");
+    assert!(settled, "the boost outlived the stall: {stats:?}");
+    reactor.join();
+}
+
+#[test]
+fn rotation_never_leaves_the_poll_unattended() {
+    // Every dispatched batch rotates the poller out for the eldest
+    // passive worker, and a stall window of an hour means no rescue can
+    // paper over a rotation that leaves nobody polling: the round trip
+    // would simply never come back.
+    let mut cfg = ReactorConfig::malthusian(3)
+        .with_acs_target(1)
+        .with_stall_threshold(Duration::from_secs(3600));
+    cfg.fairness_period = Some(1);
+    let (reactor, _echo, addr) = start_echo(cfg);
+    let mut c = connect_watched(addr);
+    for i in 0..3_000 {
+        c.write_all(format!("trip-{i}\n").as_bytes()).unwrap();
+        assert_eq!(read_line(&mut c), format!("TRIP-{i}"));
+    }
+    wait_until("the last rotation to settle", || {
+        let s = reactor.stats();
+        (s.active_workers, s.passive_workers) == (1, 2)
+    });
+    let stats = reactor.stats();
+    assert!(stats.fairness_promotions > 0, "{stats:?}");
+    assert_eq!(stats.reprovisions, 0, "{stats:?}");
+    drop(c);
+    reactor.join();
+}
+
 // The 1024-idle-connection thread census lives in tests/census.rs:
 // it needs its own process so other tests' threads cannot skew
 // /proc/self/status.

@@ -3,35 +3,25 @@
 //! A bounded task queue feeds `workers` OS threads, but only an
 //! admission-controlled **active circulating set** (ACS) of them
 //! dequeues at any moment; the rest are culled onto a LIFO **passive
-//! stack** and parked on their [`Parker`]s. The partition moves:
+//! stack** and parked on their [`Parker`]s. Who circulates and who is
+//! parked is not decided here: that is [`Membership`], the
+//! executor-level machine the reactor owns too, kept inside the crew's
+//! one mutex and told one event at a time.
 //!
-//! * **Culling** — whenever the active count exceeds the current ACS
-//!   limit ([`policy::crew_has_surplus`]), the worker observing it
-//!   pushes itself onto the passive stack and parks. The stack is
-//!   LIFO, so short-term reprovisioning reuses the most recently
-//!   passivated (cache-warm) worker, exactly like the lock's passive
-//!   list (§4).
-//! * **Reprovisioning** — passive workers are *standby threads* in
-//!   the sense of the paper's LOITER appendix (A.1): they park with a
-//!   timeout, and the top of the stack self-promotes when it observes
-//!   queued work ([`policy::crew_should_reprovision`]) while dequeues
-//!   have stalled for [`PoolConfig::stall_threshold`] — every active
-//!   worker blocked inside a task or descheduled. That is the crew's
-//!   work-conservation signal, mirroring the lock's empty-main-queue
-//!   rule. A promotion raises a temporary `boost` on the ACS limit,
-//!   which is shed one step each time a worker finds the queue empty
-//!   — and, under sustained saturation where the queue never empties,
-//!   decays one step per few stall windows without a new stall — so
-//!   the ACS shrinks back once blocking stops. Backlog depth
-//!   alone deliberately does not reprovision: under saturation the
-//!   queue is *always* deep, and promoting on depth degenerates into
-//!   cull/unpark thrash that converges on the unrestricted pool.
-//! * **Long-term fairness** — an episodic
-//!   [`FairnessTrigger`](malthus::policy::FairnessTrigger) (the same
-//!   Bernoulli trial the locks use, §4) occasionally makes a worker
-//!   that just finished a task swap places with the *eldest* passive
-//!   worker (the bottom of the LIFO stack), bounding per-worker
-//!   starvation without perturbing the ACS size.
+//! * **Culling, reprovisioning, boost decay, long-term fairness** —
+//!   [`Membership`]'s. The crew supplies its events: *progress* is a
+//!   dequeue (or a slot lent), *drained* is a worker finding the queue
+//!   empty, *work waiting* is a backlog at
+//!   [`PoolConfig::backlog_watermark`]; a unit of work taken is the
+//!   moment for boost decay, one finished for the fairness rotation
+//!   (one clock reading per unit either way). It parks a
+//!   culled worker as a *standby thread* (the paper's LOITER appendix,
+//!   A.1: a timed park, after which the worker asks the machine
+//!   whether it is still passive and whether it must rescue a stalled
+//!   queue) and unparks whom the machine names.
+//! * **The queue and `Idle`** — the crew's own. An ACS member that
+//!   finds the queue empty parks as *idle* (still counted in the ACS)
+//!   and the next submission wakes the most recently idled one.
 //! * **Lending** — a thread that would otherwise block on a crew
 //!   round trip (submit, park, be unparked by the worker's reply) may
 //!   instead borrow an *idle* ACS member's place with
@@ -52,13 +42,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use malthus::policy::{self, FairnessTrigger};
+pub use malthus::policy::DEFAULT_STALL_THRESHOLD;
+use malthus::policy::{self, Membership, MembershipStats};
 use malthus_park::{Parker, Unparker};
-
-/// Default dequeue-stall window before reprovisioning; long enough to
-/// ride out a scheduler quantum on an oversubscribed host, short
-/// enough that a task blocking on I/O promotes a replacement quickly.
-pub const DEFAULT_STALL_THRESHOLD: Duration = Duration::from_millis(5);
 
 /// A unit of work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -118,7 +104,7 @@ impl PoolConfig {
             backlog_watermark: 1,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
             fairness_period: None,
-            seed: 0x4D414C54,
+            seed: policy::DEFAULT_SEED,
         }
     }
 
@@ -134,7 +120,7 @@ impl PoolConfig {
             backlog_watermark: 1,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
             fairness_period: Some(policy::DEFAULT_FAIRNESS_PERIOD),
-            seed: 0x4D414C54,
+            seed: policy::DEFAULT_SEED,
         }
     }
 
@@ -209,17 +195,15 @@ pub struct PoolStats {
     pub per_worker_completed: Vec<u64>,
 }
 
-/// Where a worker currently stands in the admission state machine.
+/// What a worker that [`Membership`] does not hold passive is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
-    /// In the ACS: running a task or hunting for one.
+    /// Running a task or hunting for one.
     Active,
     /// In the ACS but parked because the queue was empty.
     Idle,
     /// In the ACS and parked, its place lent to a [`Slot`] holder.
     Lent,
-    /// Culled: parked on the passive stack.
-    Passive,
 }
 
 struct State {
@@ -227,22 +211,9 @@ struct State {
     roles: Vec<Role>,
     /// Ids of `Idle` workers, most recently idled last.
     idle: Vec<usize>,
-    /// Ids of `Passive` workers; eldest at index 0, newest last (LIFO
-    /// top).
-    passive: Vec<usize>,
-    /// Workers in `Active`, `Idle` or `Lent` role.
-    active: usize,
-    /// Temporary ACS enlargement granted by reprovisioning; shed as
-    /// the backlog drains.
-    boost: usize,
-    /// When a worker last dequeued a task; reprovisioning triggers on
-    /// this going stale while backlog waits (service has stalled).
-    last_dequeue: Instant,
-    /// When `boost` last changed; paces boost decay so the ACS relaxes
-    /// back to its target once stalls stop, even if the queue never
-    /// goes empty (sustained saturation).
-    last_boost_change: Instant,
-    fairness: Option<FairnessTrigger>,
+    /// Who circulates and who is culled; `Idle` and `Lent` workers
+    /// count as active in it.
+    members: Membership,
     shutdown: bool,
 }
 
@@ -255,16 +226,20 @@ struct Shared {
     submitted: AtomicU64,
     completed: AtomicU64,
     inline: AtomicU64,
-    culls: AtomicU64,
-    reprovisions: AtomicU64,
-    fairness_promotions: AtomicU64,
     panicked: AtomicU64,
     per_worker: Vec<AtomicU64>,
 }
 
 impl Shared {
-    fn acs_limit(&self, state: &State) -> usize {
-        (self.cfg.acs_target + state.boost).min(self.cfg.workers)
+    /// Racy snapshot of the membership gauges and counters.
+    fn members(&self) -> MembershipStats {
+        let state = self.state.lock().expect("crew mutex poisoned");
+        state.members.stats()
+    }
+
+    /// The backlog the stack top must rescue if dequeues stall.
+    fn work_waiting(&self, state: &State) -> bool {
+        state.queue.len() >= self.cfg.backlog_watermark
     }
 
     /// Wakes an idle worker for a freshly queued task. Stalls are not
@@ -274,22 +249,6 @@ impl Shared {
         if let Some(w) = state.idle.pop() {
             state.roles[w] = Role::Active;
             self.unparkers[w].unpark();
-        }
-    }
-
-    /// Boost decay under sustained saturation, run after every unit of
-    /// work: when no stall has re-raised the boost for several
-    /// windows, shed one step even though the queue never empties —
-    /// otherwise a long-lived saturated crew with occasional blocking
-    /// tasks ratchets its ACS up to `workers` permanently and
-    /// restriction is lost.
-    fn decay_boost(&self, state: &mut State) {
-        if state.boost > 0
-            && !state.shutdown
-            && state.last_boost_change.elapsed() >= self.cfg.stall_threshold * 8
-        {
-            state.boost -= 1;
-            state.last_boost_change = Instant::now();
         }
     }
 }
@@ -314,16 +273,13 @@ impl Drop for Slot<'_> {
             shared.inline.fetch_add(1, Ordering::Relaxed);
         }
         let mut state = shared.state.lock().expect("crew mutex poisoned");
-        shared.decay_boost(&mut state);
         if state.roles[w] != Role::Lent {
             return; // `shutdown` already released the worker
         }
         // Work queued behind the slot, or a boost that decayed to a
         // surplus: the worker must run its own loop. Otherwise it goes
         // back to being the most recently idled member.
-        if state.queue.is_empty()
-            && !policy::crew_has_surplus(state.active, shared.acs_limit(&state))
-        {
+        if state.queue.is_empty() && !state.members.surplus() {
             state.roles[w] = Role::Idle;
             state.idle.push(w);
         } else {
@@ -372,20 +328,20 @@ impl WorkCrew {
         cfg.validate();
         let parkers: Vec<Parker> = (0..cfg.workers).map(|_| Parker::new()).collect();
         let unparkers: Vec<Unparker> = parkers.iter().map(Parker::unparker).collect();
-        let fairness = cfg
-            .fairness_period
-            .map(|p| FairnessTrigger::new(p, cfg.seed | 1));
+        let members = Membership::new(
+            cfg.workers,
+            cfg.acs_target,
+            cfg.stall_threshold,
+            cfg.fairness_period,
+            cfg.seed | 1,
+            Instant::now(),
+        );
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 roles: vec![Role::Active; cfg.workers],
                 idle: Vec::new(),
-                passive: Vec::new(),
-                active: cfg.workers,
-                boost: 0,
-                last_dequeue: Instant::now(),
-                last_boost_change: Instant::now(),
-                fairness,
+                members,
                 shutdown: false,
             }),
             not_full: Condvar::new(),
@@ -393,9 +349,6 @@ impl WorkCrew {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             inline: AtomicU64::new(0),
-            culls: AtomicU64::new(0),
-            reprovisions: AtomicU64::new(0),
-            fairness_promotions: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             per_worker: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
             cfg,
@@ -491,7 +444,9 @@ impl WorkCrew {
         }
         let worker = state.idle.pop()?;
         state.roles[worker] = Role::Lent;
-        state.last_dequeue = Instant::now();
+        let now = Instant::now();
+        state.members.decay(now);
+        state.members.progress(now);
         Some(Slot { shared, worker })
     }
 
@@ -507,12 +462,7 @@ impl WorkCrew {
 
     /// Number of passivated workers right now (racy diagnostic).
     pub fn passive_len(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("crew mutex poisoned")
-            .passive
-            .len()
+        self.shared.members().passive
     }
 
     /// The configuration the crew was built with.
@@ -523,13 +473,14 @@ impl WorkCrew {
     /// Racy live snapshot of the activity counters.
     pub fn stats(&self) -> PoolStats {
         let s = &*self.shared;
+        let members = s.members();
         PoolStats {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
             inline: s.inline.load(Ordering::Relaxed),
-            culls: s.culls.load(Ordering::Relaxed),
-            reprovisions: s.reprovisions.load(Ordering::Relaxed),
-            fairness_promotions: s.fairness_promotions.load(Ordering::Relaxed),
+            culls: members.culls,
+            reprovisions: members.reprovisions,
+            fairness_promotions: members.fairness_promotions,
             panicked: s.panicked.load(Ordering::Relaxed),
             per_worker_completed: s
                 .per_worker
@@ -566,17 +517,17 @@ impl WorkCrew {
             (
                 "crew_culls_total",
                 "Workers passivated by admission control.",
-                |s| s.culls.load(Ordering::Relaxed),
+                |s| s.members().culls,
             ),
             (
                 "crew_reprovisions_total",
                 "Passive workers self-promoted on backlog stall.",
-                |s| s.reprovisions.load(Ordering::Relaxed),
+                |s| s.members().reprovisions,
             ),
             (
                 "crew_fairness_promotions_total",
                 "Eldest passive workers promoted by the fairness trigger.",
-                |s| s.fairness_promotions.load(Ordering::Relaxed),
+                |s| s.members().fairness_promotions,
             ),
             ("crew_panicked_total", "Tasks that panicked.", |s| {
                 s.panicked.load(Ordering::Relaxed)
@@ -591,20 +542,14 @@ impl WorkCrew {
             "crew_active_workers",
             "Workers currently in the active circulating set.",
             no_labels,
-            move || {
-                let state = shared.state.lock().expect("crew mutex poisoned");
-                state.active as f64
-            },
+            move || shared.members().active as f64,
         );
         let shared = Arc::clone(&self.shared);
         registry.gauge(
             "crew_passive_workers",
             "Workers currently parked on the passive LIFO stack.",
             no_labels,
-            move || {
-                let state = shared.state.lock().expect("crew mutex poisoned");
-                state.passive.len() as f64
-            },
+            move || shared.members().passive as f64,
         );
         let shared = Arc::clone(&self.shared);
         registry.gauge(
@@ -625,12 +570,11 @@ impl WorkCrew {
             let mut state = self.shared.state.lock().expect("crew mutex poisoned");
             state.shutdown = true;
             // Making every worker `Active` releases idle, lent and
-            // passive workers from their park loops; culling is
-            // disabled by `shutdown`, so they all help drain the queue.
+            // passive workers from their park loops, and nothing culls
+            // after `release_all`, so they all help drain the queue.
             state.idle.clear();
-            state.passive.clear();
+            state.members.release_all();
             state.roles.fill(Role::Active);
-            state.active = self.shared.cfg.workers;
             drop(state);
             self.shared.not_full.notify_all();
             for u in &self.shared.unparkers {
@@ -692,81 +636,59 @@ fn park_until_released<'a>(
     }
 }
 
-/// Passive (culled) workers park as *standby threads*: a timed park,
-/// with the top of the LIFO stack self-promoting when it observes
-/// backlog whose dequeues have stalled a full window — every active
-/// worker blocked in a task or descheduled. This keeps the crew work-
-/// conserving with no external stall detector, the same trick as the
-/// LOITER standby thread's periodic polling (paper, appendix A.1).
+/// Parks a culled worker as a *standby thread*: a timed park, after
+/// every return from which — timeout, promotion, shutdown or a stray
+/// unpark alike — it asks the machine whether it is still passive and,
+/// if so, whether it is the stack top with a stalled backlog to
+/// rescue. This keeps the crew work-conserving with no external stall
+/// detector, the same trick as the LOITER standby thread's periodic
+/// polling (paper, appendix A.1).
 ///
-/// Returns the re-acquired state guard once `me` is active again
-/// (self-promotion, fairness promotion, or shutdown release).
+/// Takes the state guard the worker was culled under and returns the
+/// re-acquired one once `me` is active again.
 fn standby_park<'a>(
     me: usize,
     parker: &Parker,
     shared: &'a Shared,
+    mut state: std::sync::MutexGuard<'a, State>,
 ) -> std::sync::MutexGuard<'a, State> {
-    // Off-backlog polling is relaxed: an idle pool's standby threads
-    // wake an order of magnitude less often.
-    let mut interval = shared.cfg.stall_threshold * 8;
     loop {
+        let interval = state.members.standby_interval(shared.work_waiting(&state));
+        drop(state);
         parker.park_timeout(interval);
-        let mut state = shared.state.lock().expect("crew mutex poisoned");
-        if state.roles[me] != Role::Passive {
-            return state; // promoted or released
+        state = shared.state.lock().expect("crew mutex poisoned");
+        if !state.members.is_passive(me) {
+            return state; // rotated in or released
         }
-        let stack_top = state.passive.last() == Some(&me);
-        if stack_top
-            && !state.shutdown
-            && policy::crew_should_reprovision(
-                state.queue.len(),
-                shared.cfg.backlog_watermark,
-                state.passive.len(),
-            )
-            && state.active < shared.cfg.workers
-            && state.last_dequeue.elapsed() >= shared.cfg.stall_threshold
+        let waiting = shared.work_waiting(&state);
+        if state
+            .members
+            .promote_if_stalled(me, waiting, Instant::now())
         {
-            // Self-promote; resetting the stamp rate-limits the
-            // cascade to one promotion per stall window.
-            state.passive.pop();
-            state.roles[me] = Role::Active;
-            state.active += 1;
-            state.boost += 1;
-            state.last_dequeue = Instant::now();
-            state.last_boost_change = Instant::now();
-            shared.reprovisions.fetch_add(1, Ordering::Relaxed);
             malthus_obs::record(malthus_obs::EventKind::CrewPromote, me as u64, 0);
             return state;
         }
-        // Poll fast while there is work we might have to rescue, slow
-        // otherwise.
-        interval = if state.queue.is_empty() {
-            shared.cfg.stall_threshold * 8
-        } else {
-            shared.cfg.stall_threshold
-        };
-        drop(state);
     }
 }
 
 fn worker_loop(me: usize, parker: Parker, shared: &Shared) {
     let mut state = shared.state.lock().expect("crew mutex poisoned");
     loop {
-        // 1. Admission check: am I surplus? (Disabled during shutdown
-        //    so every worker helps drain the queue.)
-        if !state.shutdown && policy::crew_has_surplus(state.active, shared.acs_limit(&state)) {
-            state.roles[me] = Role::Passive;
-            state.active -= 1;
-            state.passive.push(me);
-            shared.culls.fetch_add(1, Ordering::Relaxed);
+        // One clock reading per unit of work, taken with the lock held
+        // so the dequeue stamp is exact.
+        let now = Instant::now();
+        // 1. Admission check: shed a boost no stall has renewed, then
+        //    am I surplus? (Never again once shutdown has released
+        //    everyone, so every worker helps drain.)
+        state.members.decay(now);
+        if state.members.cull(me) {
             malthus_obs::record(malthus_obs::EventKind::CrewPark, me as u64, 0);
-            drop(state);
-            state = standby_park(me, &parker, shared);
+            state = standby_park(me, &parker, shared, state);
             continue;
         }
         // 2. Take work.
         if let Some(task) = state.queue.pop_front() {
-            state.last_dequeue = Instant::now();
+            state.members.progress(now);
             drop(state);
             shared.not_full.notify_one();
             // A panicking task is a bug in the submitted work, not in
@@ -783,22 +705,13 @@ fn worker_loop(me: usize, parker: Parker, shared: &Shared) {
                 }
             }
             state = shared.state.lock().expect("crew mutex poisoned");
-            shared.decay_boost(&mut state);
             // 3. Long-term fairness: episodically swap with the eldest
-            //    passive worker (stack bottom), keeping the ACS size
-            //    unchanged — the pool analogue of the lock ceding
+            //    passive worker — the pool analogue of the lock ceding
             //    ownership to the tail of its passive list (§4).
-            let fire = state.fairness.as_mut().is_some_and(FairnessTrigger::fire);
-            if fire && !state.shutdown && !state.passive.is_empty() {
-                let eldest = state.passive.remove(0);
-                state.roles[eldest] = Role::Active;
-                state.roles[me] = Role::Passive;
-                state.passive.push(me);
-                shared.fairness_promotions.fetch_add(1, Ordering::Relaxed);
+            if let Some(eldest) = state.members.rotate(me) {
                 malthus_obs::record(malthus_obs::EventKind::CrewPromote, eldest as u64, 1);
                 shared.unparkers[eldest].unpark();
-                drop(state);
-                state = standby_park(me, &parker, shared);
+                state = standby_park(me, &parker, shared, state);
             }
             continue;
         }
@@ -806,13 +719,8 @@ fn worker_loop(me: usize, parker: Parker, shared: &Shared) {
         if state.shutdown {
             return;
         }
-        // The backlog has drained: shed one step of reprovision boost
-        // so the ACS relaxes back toward its steady-state target.
-        if state.boost > 0 {
-            state.boost -= 1;
-            state.last_boost_change = Instant::now();
-        }
-        if policy::crew_has_surplus(state.active, shared.acs_limit(&state)) {
+        state.members.drained(now);
+        if state.members.surplus() {
             continue; // culled at the top of the loop
         }
         state.roles[me] = Role::Idle;
@@ -1157,6 +1065,52 @@ mod tests {
         drop(slot); // queue non-empty: the worker is woken, not idled
         assert!(wait_for(&hits, 1), "returned slot must wake the worker");
         crew.shutdown();
+    }
+
+    #[test]
+    fn a_spurious_unpark_leaves_a_passive_worker_parked() {
+        // (g) The only ACS member is wedged in a task and another task
+        // waits; with a stall window of an hour nothing legitimately
+        // promotes the culled worker, so a stray unpark must not make
+        // it dequeue — that would be two threads in an ACS of one.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let cfg = PoolConfig::malthusian(2, 8)
+            .with_acs_target(1)
+            .with_fairness_period(None)
+            .with_stall_threshold(Duration::from_secs(3600));
+        let crew = WorkCrew::new(cfg);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while crew.passive_len() < 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let g = Arc::clone(&gate);
+        crew.submit(move || {
+            let (lock, cv) = &*g;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        })
+        .unwrap();
+        let hits = count_tasks(&crew, 1);
+        let is_passive = |w| crew.shared.state.lock().unwrap().members.is_passive(w);
+        let passive = (0..2).find(|&w| is_passive(w));
+        for _ in 0..5 {
+            crew.shared.unparkers[passive.unwrap_or(0)].unpark();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let ran_early = hits.load(Ordering::Relaxed);
+        let still_passive = passive.is_some_and(is_passive);
+        // Open the gate before asserting anything: a failed assert
+        // must not leave the wedged worker unjoinable.
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+        assert!(wait_for(&hits, 1), "the queued task never ran");
+        let stats = crew.shutdown();
+        assert_eq!(ran_early, 0, "the passive worker dequeued");
+        assert!(still_passive, "passive = {passive:?}");
+        assert_eq!((stats.culls, stats.reprovisions), (1, 0), "{stats:?}");
     }
 
     #[test]

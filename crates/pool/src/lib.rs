@@ -7,16 +7,13 @@
 //!
 //! * [`WorkCrew`] — a bounded-queue executor whose worker threads are
 //!   partitioned into an active circulating set and a LIFO passive
-//!   stack, with backlog-driven reprovisioning, episodic
-//!   eldest-first fairness promotion, and *lending*: a caller may
-//!   borrow an idle ACS member's place ([`WorkCrew::try_enter`]) and
-//!   run its work in place instead of paying a hand-off. The
-//!   admission decisions are the
-//!   *same functions* the locks use
-//!   ([`malthus::policy::crew_has_surplus`],
-//!   [`malthus::policy::crew_should_reprovision`],
-//!   [`malthus::policy::FairnessTrigger`]), so pool and locks share
-//!   one policy module.
+//!   stack, with stall-driven reprovisioning, episodic eldest-first
+//!   fairness promotion, and *lending*: a caller may borrow an idle
+//!   ACS member's place ([`WorkCrew::try_enter`]) and run its work in
+//!   place instead of paying a hand-off. The partition itself is
+//!   [`malthus::policy::Membership`] — the one executor-level machine,
+//!   which `malthus-net`'s reactor owns too — kept under the crew's
+//!   mutex; the crew's own are the queue, idling and lending.
 //! * [`kv`] — a line-protocol key-value service ([`KvService`]) over a
 //!   [`ShardedKv`](malthus_storage::ShardedKv): N shards, each §6.5's
 //!   two contended locks (`--shards 1` is the paper-faithful single
