@@ -5,9 +5,13 @@
 //! breakdown (see [`crate::span`]); the `SLOWLOG [n]` wire verb reads
 //! the most recent entries back out. Writers never block and never
 //! allocate: a global ticket counter picks the slot, and each slot is
-//! guarded by its own seqlock (odd = write in progress), so
-//! concurrent writers that lap each other tear nothing — a reader
-//! that observes a torn slot simply skips it.
+//! guarded by its own seqlock (odd = write in progress) that a writer
+//! must *claim* — a compare-and-swap even → odd — before it stores
+//! anything. Two writers a whole lap apart can reach one slot at once;
+//! the one that loses the claim drops its entry (counted in
+//! [`SlowRing::dropped`]) rather than wait on the batch path, so a slot
+//! only ever holds one writer's fields — a reader that observes a slot
+//! mid-write simply skips it.
 //!
 //! `SLOWLOG RESET` does not touch the slots at all: it advances a
 //! floor ticket, and readers ignore entries older than the floor.
@@ -77,12 +81,29 @@ impl Slot {
         }
     }
 
-    fn write(&self, e: &SlowEntry) {
-        // Odd seq opens the write window; Release orders it before
-        // the payload stores as observed by a reader's Acquire.
-        let seq = self.seq.load(Ordering::Relaxed).wrapping_add(1);
-        debug_assert!(seq % 2 == 1);
-        self.seq.store(seq, Ordering::Release);
+    /// Copies `e` in, or returns `false` without touching the slot if
+    /// another writer holds it (or takes it first).
+    fn write(&self, e: &SlowEntry) -> bool {
+        // Odd seq opens the write window, and only the writer whose
+        // compare-and-swap made it odd may store: a bare load-then-store
+        // would let two writers one lap apart interleave their fields
+        // under a seq that reads even at both ends. The fence orders
+        // the claim before the payload stores as observed by a reader's
+        // Acquire.
+        let open = self.seq.load(Ordering::Relaxed);
+        if open % 2 == 1
+            || self
+                .seq
+                .compare_exchange(
+                    open,
+                    open.wrapping_add(1),
+                    Ordering::Acquire,
+                    Ordering::Relaxed,
+                )
+                .is_err()
+        {
+            return false;
+        }
         std::sync::atomic::fence(Ordering::Release);
         self.batch_id.store(e.batch_id, Ordering::Relaxed);
         self.ops.store(u64::from(e.ops), Ordering::Relaxed);
@@ -92,7 +113,8 @@ impl Slot {
         }
         // Even seq closes it; Release orders the payload before the
         // close as observed by the reader's first Acquire load.
-        self.seq.store(seq.wrapping_add(1), Ordering::Release);
+        self.seq.store(open.wrapping_add(2), Ordering::Release);
+        true
     }
 
     /// Copies the slot out, or `None` if a writer raced (torn).
@@ -122,6 +144,8 @@ pub struct SlowRing {
     head: AtomicU64,
     /// Tickets below this are hidden (advanced by `reset`).
     floor: AtomicU64,
+    /// Entries dropped because their slot was mid-write.
+    dropped: AtomicU64,
 }
 
 impl SlowRing {
@@ -133,6 +157,7 @@ impl SlowRing {
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             head: AtomicU64::new(0),
             floor: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
         }
     }
 
@@ -146,11 +171,20 @@ impl SlowRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Records one slow batch. Lock-free: a ticket fetch-add plus a
-    /// seqlock slot write.
+    /// Entries lost to a writer a lap behind (or ahead) that held the
+    /// same slot; counted in [`SlowRing::inserted`] too.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Records one slow batch. Wait-free: a ticket fetch-add plus a
+    /// seqlock slot write, or — when a lapped writer is still in the
+    /// slot — a drop.
     pub fn push(&self, e: &SlowEntry) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        self.slots[(ticket % self.slots.len() as u64) as usize].write(e);
+        if !self.slots[(ticket % self.slots.len() as u64) as usize].write(e) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Hides every current entry. Racing inserts land wholly before
@@ -214,6 +248,12 @@ mod tests {
         u64::from(e.ops) == fill && e.stage_ns.iter().all(|&s| s == fill)
     }
 
+    /// [`is_consistent`] for the tests that push `entry(fill, fill)`:
+    /// the id belongs to the same writer as the rest.
+    fn is_one_writers(e: &SlowEntry) -> bool {
+        is_consistent(e) && e.batch_id == e.total_ns
+    }
+
     #[test]
     fn push_and_recent_newest_first() {
         let ring = SlowRing::new(4);
@@ -272,7 +312,7 @@ mod tests {
                 let mut seen = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     for e in ring.recent(8) {
-                        assert!(is_consistent(&e), "torn entry: {e:?}");
+                        assert!(is_one_writers(&e), "torn entry: {e:?}");
                         seen += 1;
                     }
                 }
@@ -301,9 +341,28 @@ mod tests {
         let finals = ring.recent(8);
         assert_eq!(finals.len(), 8);
         for e in &finals {
-            assert!(is_consistent(e));
+            assert!(is_one_writers(e), "mixed entry: {e:?}");
         }
+        // A writer that found its slot taken dropped its entry whole.
+        assert!(ring.dropped() < ring.inserted());
         let _ = seen;
+    }
+
+    #[test]
+    fn a_writer_that_loses_the_claim_drops_its_entry() {
+        let ring = SlowRing::new(1);
+        ring.push(&entry(1, 1));
+        // A lapped writer caught mid-write: the slot reads odd.
+        ring.slots[0].seq.fetch_add(1, Ordering::Relaxed);
+        ring.push(&entry(2, 2));
+        assert_eq!((ring.inserted(), ring.dropped()), (2, 1));
+        assert!(ring.recent(1).is_empty(), "an open slot is skipped");
+        // It finishes: its entry is intact and the slot takes writes again.
+        ring.slots[0].seq.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(ring.recent(1), [entry(1, 1)]);
+        ring.push(&entry(3, 3));
+        assert_eq!(ring.recent(1), [entry(3, 3)]);
+        assert_eq!(ring.dropped(), 1);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! Serves the line protocol of [`malthus_pool::kv`] with request
 //! execution admitted by a concurrency-restricting [`WorkCrew`] — a
-//! cheap batch runs on its connection thread under an ACS place the
-//! crew lends it, a dear one is queued to a crew worker; the exit
-//! report's `inline=` counts the former — over a sharded store: `--shards N` gives each of N shards its own
-//! Malthusian RW-CR DB lock and block-cache lock, so admission is
-//! per shard. Runs until a client sends `SHUTDOWN` or the process
-//! receives `SIGTERM`; either way the server stops accepting, drains
-//! in-flight batches, final-fsyncs every healthy shard and stamps a
+//! cheap batch is applied on its connection thread under an ACS place
+//! the crew lends it (and flushed once the place is returned), a dear
+//! one is queued to a crew worker; the exit report's `inline=` counts
+//! the former and `refused=` the cheap ones that asked for a place and
+//! found none idle — over a sharded store: `--shards N` gives each of
+//! N shards its own Malthusian RW-CR DB lock and block-cache lock, so
+//! admission is per shard. Runs until a client sends `SHUTDOWN` or the
+//! process receives `SIGTERM`; either way the server stops accepting,
+//! drains in-flight batches, final-fsyncs every healthy shard and stamps a
 //! clean-shutdown marker in the data dir's `MANIFEST` (reported by
 //! the recovery banner on the next boot). On a durable store a
 //! background healer probes read-only (poisoned) shards with capped
@@ -419,9 +421,10 @@ fn main() {
 
         let stats = crew.shutdown();
         eprintln!(
-            "# kv_server: completed={} inline={} culls={} reprovisions={} promotions={}",
+            "# kv_server: completed={} inline={} refused={} culls={} reprovisions={} promotions={}",
             stats.completed,
             stats.inline,
+            stats.enter_refused,
             stats.culls,
             stats.reprovisions,
             stats.fairness_promotions

@@ -337,12 +337,13 @@ fn render(
     );
     let _ = writeln!(
         f,
-        "crew active {:.0}  passive {:.0}  backlog {:.0}  inline/s {:.0}   \
+        "crew active {:.0}  passive {:.0}  backlog {:.0}  inline/s {:.0}  refused/s {:.0}   \
          hot-shard write share {:.2}   readonly shards {readonly:.0}   idle disconnects {:.0}",
         later.exp.get("crew_active_workers"),
         later.exp.get("crew_passive_workers"),
         later.exp.get("crew_backlog"),
         rate(later, earlier, "crew_inline_total", &[]),
+        rate(later, earlier, "crew_enter_refused_total", &[]),
         later.exp.get("kv_hottest_shard_write_share"),
         later.exp.get("kv_idle_disconnects_total"),
     );

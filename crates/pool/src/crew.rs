@@ -182,6 +182,10 @@ pub struct PoolStats {
     /// The part of `completed` that ran on the caller's thread under a
     /// lent [`Slot`]; not charged to `per_worker_completed`.
     pub inline: u64,
+    /// [`WorkCrew::try_enter`] calls that found no place to lend (queue
+    /// non-empty, no worker idle, or shutting down) — "no idle place",
+    /// as opposed to a caller that chose to queue without asking.
+    pub enter_refused: u64,
     /// Workers culled onto the passive stack (excluding fairness
     /// swaps).
     pub culls: u64,
@@ -226,6 +230,7 @@ struct Shared {
     submitted: AtomicU64,
     completed: AtomicU64,
     inline: AtomicU64,
+    enter_refused: AtomicU64,
     panicked: AtomicU64,
     per_worker: Vec<AtomicU64>,
 }
@@ -257,6 +262,12 @@ impl Shared {
 /// holder's thread stands in for one parked crew worker. Dropping it
 /// (also on unwind) does that worker's post-task bookkeeping and
 /// returns the place.
+///
+/// Hold it for the shared-state work only. Every place held is one the
+/// next caller cannot borrow, and a refused caller pays the two
+/// hand-offs lending exists to avoid — so private work that can wait
+/// (writing a reply to the holder's own socket) belongs after the
+/// drop, as the threaded KV front-end does it.
 #[must_use = "the slot is returned when this guard drops"]
 pub struct Slot<'a> {
     shared: &'a Shared,
@@ -349,6 +360,7 @@ impl WorkCrew {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             inline: AtomicU64::new(0),
+            enter_refused: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             per_worker: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
             cfg,
@@ -439,10 +451,15 @@ impl WorkCrew {
     pub fn try_enter(&self) -> Option<Slot<'_>> {
         let shared = &*self.shared;
         let mut state = shared.state.lock().expect("crew mutex poisoned");
-        if state.shutdown || !state.queue.is_empty() {
+        let idle = if state.shutdown || !state.queue.is_empty() {
+            None
+        } else {
+            state.idle.pop()
+        };
+        let Some(worker) = idle else {
+            shared.enter_refused.fetch_add(1, Ordering::Relaxed);
             return None;
-        }
-        let worker = state.idle.pop()?;
+        };
         state.roles[worker] = Role::Lent;
         let now = Instant::now();
         state.members.decay(now);
@@ -478,6 +495,7 @@ impl WorkCrew {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
             inline: s.inline.load(Ordering::Relaxed),
+            enter_refused: s.enter_refused.load(Ordering::Relaxed),
             culls: members.culls,
             reprovisions: members.reprovisions,
             fairness_promotions: members.fairness_promotions,
@@ -500,7 +518,7 @@ impl WorkCrew {
     pub fn register_metrics(&self, registry: &malthus_obs::Registry) {
         type SharedCounter = fn(&Shared) -> u64;
         let no_labels: &[(&str, &str)] = &[];
-        let counters: [(&str, &str, SharedCounter); 7] = [
+        let counters: [(&str, &str, SharedCounter); 8] = [
             ("crew_submitted_total", "Tasks accepted by the crew.", |s| {
                 s.submitted.load(Ordering::Relaxed)
             }),
@@ -513,6 +531,11 @@ impl WorkCrew {
                 "crew_inline_total",
                 "Completions that ran on the caller's thread under a lent slot.",
                 |s| s.inline.load(Ordering::Relaxed),
+            ),
+            (
+                "crew_enter_refused_total",
+                "try_enter calls that found no idle place to lend.",
+                |s| s.enter_refused.load(Ordering::Relaxed),
             ),
             (
                 "crew_culls_total",

@@ -393,6 +393,13 @@ impl KvService {
                 &[],
                 move || sl.inserted(),
             );
+            let sl = Arc::clone(&slowlog);
+            registry.counter(
+                "kv_slowlog_dropped_total",
+                "Slow batches not recorded: a lapped writer still held their slot",
+                &[],
+                move || sl.dropped(),
+            );
             // Dashboards (kvtop) watch this gauge *decrease* to detect
             // a server restart, i.e. that every cumulative counter
             // above just reset to zero.
@@ -910,6 +917,7 @@ mod tests {
             "lock_write_episodes_total{lock=\"db\",shard=\"0\"}",
             "crew_completed_total",
             "crew_inline_total",
+            "crew_enter_refused_total",
             "crew_active_workers",
             "kv_shard_wal_syncs_total{shard=\"0\"}",
             "# TYPE kv_wal_fsync_ns histogram",
@@ -922,6 +930,7 @@ mod tests {
             "kv_stage_ns_bucket{stage=\"lock_wait\",le=",
             "kv_stage_ns_count{stage=\"exec\"}",
             "kv_slowlog_inserted_total 0",
+            "kv_slowlog_dropped_total 0",
             "kv_uptime_seconds",
             "kv_build_info{version=\"",
         ] {

@@ -10,7 +10,10 @@
 //!   stack, with stall-driven reprovisioning, episodic eldest-first
 //!   fairness promotion, and *lending*: a caller may borrow an idle
 //!   ACS member's place ([`WorkCrew::try_enter`]) and run its work in
-//!   place instead of paying a hand-off. The partition itself is
+//!   place instead of paying a hand-off — holding the [`Slot`] for the
+//!   shared-state part of that work only, so the place is back before
+//!   the caller turns to anything private and slow. The partition
+//!   itself is
 //!   [`malthus::policy::Membership`] — the one executor-level machine,
 //!   which `malthus-net`'s reactor owns too — kept under the crew's
 //!   mutex; the crew's own are the queue, idling and lending.
@@ -27,7 +30,8 @@
 //!   per-connection driver (bytes in → drained batch → replies out)
 //!   and keep only their accept loop, their admission choice and their
 //!   flush: a reader thread per connection whose batches the crew
-//!   admits (cheap ones in place on a lent slot, dear ones queued), or
+//!   admits (cheap ones applied in place on a lent slot that is
+//!   returned before the reply is written, dear ones queued), or
 //!   a readiness reactor whose `epoll_wait` is itself
 //!   Malthusian-admitted. [`client`] is the matching [`KvClient`].
 //!   Binaries: `kv_server` (`--shards`, `--async`), `kv_load`

@@ -17,6 +17,21 @@
 //! current batch executes, which is exactly what makes the next drain
 //! bigger under load (group-commit dynamics).
 //!
+//! A lent place covers the **apply** and nothing else. A batch is two
+//! halves — *apply* (the shard locks, the store, the WAL: everything
+//! shared) and *flush* (one `write` of the replies to the connection's
+//! own socket, then the span's books) — and what a holder does while it
+//! holds sets the ceiling for everyone waiting behind it, so the reader
+//! returns the place between the two and flushes holding nothing. For a
+//! cheap batch the flush is about two thirds of the whole (≈8.8 µs of
+//! loopback `write` against ≈4.5 µs of apply for 16 ops), and a client
+//! that stops reading blocks only its own reader, not an ACS place. A
+//! *queued* batch is applied and flushed on the crew worker, on
+//! purpose: returning the replies to the reader first would put a
+//! park/unpark hand-off (≈19 µs) in front of every reply of exactly
+//! the batches that were dear enough to queue (`deep_read` 1.11M →
+//! 1.01M ops/s, p99 500 → 592 µs when tried).
+//!
 //! What a drained batch *means* — framing, accounting, spans,
 //! execution, rendering — is the per-connection `Session` both
 //! front-ends share; this module keeps only the accept loop, the
@@ -117,11 +132,12 @@ pub fn bind(addr: &str) -> std::io::Result<(TcpListener, ServerControl)> {
 /// their responses may not be deliverable).
 ///
 /// Each connection gets a reader thread that drains complete request
-/// lines per wakeup into one batch. A cheap batch runs on the reader
-/// thread itself under an ACS place lent by `crew`
-/// ([`WorkCrew::try_enter`], see [`INLINE_MAX_DRAIN_NS`]); any other
-/// is submitted to `crew` as one task. Whichever thread runs the batch
-/// renders and flushes its responses (one write per batch). Clients
+/// lines per wakeup into one batch. A cheap batch is applied on the
+/// reader thread itself under an ACS place lent by `crew`
+/// ([`WorkCrew::try_enter`], see [`INLINE_MAX_DRAIN_NS`]) and flushed
+/// once the place is returned; any other is submitted to `crew` as one
+/// task. Whichever thread applies the batch renders and flushes its
+/// responses (one write per batch). Clients
 /// may run closed-loop (one outstanding request) or pipelined (a
 /// tagged window, as `kv_load --pipeline-depth` does). Transient
 /// `accept` failures (`EMFILE`, `ECONNABORTED`, …) are logged and
@@ -260,17 +276,19 @@ fn handle_connection(
             // The batch is the admission unit, and the reader keeps a
             // single one in flight, so responses from one connection
             // never interleave. A cheap batch — its connection's last
-            // one applied in under `INLINE_MAX_DRAIN_NS` — runs right
-            // here under a lent ACS slot; otherwise it is handed to
-            // the crew.
+            // one applied in under `INLINE_MAX_DRAIN_NS` — is applied
+            // right here under a lent ACS slot, held for the apply
+            // only; otherwise it is handed to the crew.
             let queue_t0 = if span.is_active() { span::now_ns() } else { 0 };
             let slot = if session.last_drain_ns < INLINE_MAX_DRAIN_NS {
                 crew.try_enter()
             } else {
                 None
             };
-            if let Some(_slot) = slot {
-                runner.run(&mut session, &mut span, queue_t0);
+            if let Some(slot) = slot {
+                runner.apply(&mut session, &mut span, queue_t0);
+                drop(slot);
+                runner.flush(&session, &mut span);
             } else {
                 // One crew task per batch. The channel returns the
                 // session for reuse and doubles as the completion
@@ -280,7 +298,8 @@ fn handle_connection(
                 let (tx, rx) = mpsc::channel();
                 let task_runner = Arc::clone(&runner);
                 let submitted = crew.submit(move || {
-                    task_runner.run(&mut session, &mut span, queue_t0);
+                    task_runner.apply(&mut session, &mut span, queue_t0);
+                    task_runner.flush(&session, &mut span);
                     let _ = tx.send(session);
                 });
                 if submitted.is_err() {
@@ -332,6 +351,14 @@ fn settle_block(block: &mut Vec<u8>, carried: usize) {
 /// What running a batch needs besides the session itself; one per
 /// connection, shared by its reader thread and the crew tasks it
 /// submits.
+///
+/// A batch runs as [`apply`](BatchRunner::apply) then
+/// [`flush`](BatchRunner::flush), each written once. Only `apply`
+/// touches anything shared, so only `apply` needs an ACS place: in
+/// place, the reader drops its lent [`Slot`](crate::crew::Slot)
+/// between the two; queued, the crew worker runs both back to back —
+/// it is the thread that has the replies, and waking the reader to
+/// write them would cost more than the write.
 struct BatchRunner {
     service: Arc<KvService>,
     crew: Arc<WorkCrew>,
@@ -339,20 +366,26 @@ struct BatchRunner {
 }
 
 impl BatchRunner {
-    /// The one execution path of a drained batch, whichever thread
-    /// runs it: apply → flush every response in one write (so a
-    /// batch's responses leave in one TCP segment where they fit) →
-    /// finish the span. The span's `queue` stage is `queue_t0` (0 =
-    /// spans off) → here: the time spent in `try_enter` for a batch run
-    /// in place, submit → start on a crew worker (backlog + admission)
-    /// for a queued one.
-    fn run(&self, session: &mut Session, span: &mut SpanContext, queue_t0: u64) {
+    /// The half that needs an ACS place: closes the span's `queue`
+    /// stage — `queue_t0` (0 = spans off) → here: the time spent in
+    /// `try_enter` for a batch run in place, submit → start on a crew
+    /// worker (backlog + admission) for a queued one — and applies the
+    /// batch, leaving its rendered replies in the session.
+    fn apply(&self, session: &mut Session, span: &mut SpanContext, queue_t0: u64) {
         if queue_t0 != 0 {
             span.add(Stage::Queue, span::now_ns().saturating_sub(queue_t0));
         }
-        let replies = session.apply(&self.service, &*self.crew, span);
+        session.apply(&self.service, &*self.crew, span);
+    }
+
+    /// The half that needs nothing shared: every response of the
+    /// applied batch in one write (so they leave in one TCP segment
+    /// where they fit), then the span is finished. May block for as
+    /// long as the client does not read; whoever calls it under an ACS
+    /// place lends that place to the client's socket buffer.
+    fn flush(&self, session: &Session, span: &mut SpanContext) {
         let flush_t0 = if span.is_active() { span::now_ns() } else { 0 };
-        let _ = (&self.writer).write_all(replies);
+        let _ = (&self.writer).write_all(session.replies());
         if flush_t0 != 0 {
             span.add(Stage::Flush, span::now_ns().saturating_sub(flush_t0));
         }

@@ -116,6 +116,12 @@ impl Session {
             write_tag(&mut self.out, tag);
             self.out.push_str("OK\n");
         }
+        self.replies()
+    }
+
+    /// The rendered replies of the last applied batch, for a caller
+    /// that flushes apart from the [`Session::apply`] that made them.
+    pub(crate) fn replies(&self) -> &[u8] {
         self.out.as_bytes()
     }
 

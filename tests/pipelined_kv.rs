@@ -11,9 +11,11 @@
 //! worker — and which one is chosen from observed state, so the last
 //! three tests replay the tag-order, interleave and `SHUTDOWN`-drain
 //! invariants in set-ups that pin each way and one that flips between
-//! them on a single connection.
+//! them on a single connection. A lent slot covers a batch's apply and
+//! not its reply `write`, and the last test holds the server to that
+//! with a client that stops reading.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,11 +38,17 @@ fn start_server(shards: usize) -> (SocketAddr, Arc<KvService>, impl FnOnce()) {
 fn start_server_with_crew(
     shards: usize,
 ) -> (SocketAddr, Arc<KvService>, Arc<WorkCrew>, impl FnOnce()) {
+    start_server_with(shards, PoolConfig::malthusian(4, 64).with_acs_target(1))
+}
+
+/// [`start_server_with_crew`] over a crew of the caller's shape.
+fn start_server_with(
+    shards: usize,
+    crew: PoolConfig,
+) -> (SocketAddr, Arc<KvService>, Arc<WorkCrew>, impl FnOnce()) {
     let (listener, control) = server::bind("127.0.0.1:0").unwrap();
     let addr = control.addr();
-    let crew = Arc::new(WorkCrew::new(
-        PoolConfig::malthusian(4, 64).with_acs_target(1),
-    ));
+    let crew = Arc::new(WorkCrew::new(crew));
     let service = Arc::new(KvService::with_shards(shards, 64, 256));
     let server = {
         let crew = Arc::clone(&crew);
@@ -197,6 +205,9 @@ fn cheap_batches_run_in_place_and_keep_the_wire_invariants() {
         .map(|s| ns(s))
         .sum();
         assert!(sum <= total, "stages overlap: {entry}");
+        // The flush is stamped after the lent slot is gone; it must
+        // not be lost with it.
+        assert!(ns("FLUSH_NS") > 0, "no flush stage: {entry}");
         // A preemption between two stage stamps is unattributed time
         // no design can avoid, so the tolerance is asked of nine
         // spans in ten, not of every one.
@@ -318,4 +329,106 @@ fn the_cost_rule_flips_both_ways_on_one_connection() {
     drop(c);
     check_shutdown_drains_the_window(addr);
     close();
+}
+
+/// A client that stops reading costs the crew nothing: connection A
+/// pipelines one block of large-reply requests as its first batch
+/// (first, so it is applied in place under the crew's only place) and
+/// never reads, until the server's `write` to it blocks; connection B
+/// then runs cheap depth-16 windows. The place was returned when A's
+/// apply ended, so B's batches borrow it one after another and none
+/// has to wait for the stall window to promote the standby worker.
+/// Held across the flush instead, the place stays with A's socket
+/// buffer and B completes only through `reprovisions >= 1`.
+#[test]
+fn a_client_that_stops_reading_does_not_hold_an_acs_place() {
+    const SCANS: usize = 680; // "SCAN 0 1024\n" x 680 = 8160 bytes: one read block
+    const WINDOWS: u64 = 300;
+    let done = run_with_watchdog(Duration::from_secs(120), || {
+        let cfg = PoolConfig::malthusian(2, 16)
+            .with_acs_target(1)
+            .with_fairness_period(None);
+        let (addr, service, crew, close) = start_server_with(2, cfg);
+        // 1024 keys with 20-digit values, loaded past the crew: each
+        // SCAN answers ≈27 KiB, the batch ≈17 MiB — several times what
+        // a send buffer (4 MiB at most) and the window of a receiver
+        // that never reads (it only grows with reading) can take.
+        let pairs: Vec<(u64, u64)> = (0..MAX_BATCH_KEYS as u64)
+            .map(|k| (k, u64::MAX - k))
+            .collect();
+        service.store().mset(&pairs).unwrap();
+        // The crew has settled — one worker culled, the other idle with
+        // the place to lend — before A asks for it; a batch that met
+        // the workers still starting up would be queued, and block a
+        // worker rather than the reader.
+        while crew.passive_len() == 0 || crew.try_enter().is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut a = TcpStream::connect(addr).unwrap();
+        a.write_all("SCAN 0 1024\n".repeat(SCANS).as_bytes())
+            .unwrap();
+        // Applied (the service has recorded what the batch cost), then
+        // given time to fill both buffers and block.
+        while service.pipeline_stats().drain_snapshot().count() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+
+        let (before, batches_before) = (crew.stats(), service.pipeline_stats().batches());
+        assert_eq!(before.submitted, 0, "A's batch was queued: {before:?}");
+        let b = TcpStream::connect(addr).unwrap();
+        let mut b_writer = b.try_clone().unwrap();
+        let mut b_reader = BufReader::new(b);
+        let mut line = String::new();
+        for w in 0..WINDOWS {
+            // Eight PUTs and the eight GETs that must observe them.
+            let key = |i: u64| 1_000_000 + (w * 8 + i) % 64;
+            let mut burst = String::new();
+            for i in 0..8 {
+                burst.push_str(&format!("#{i} PUT {} {}\n", key(i), w + i));
+            }
+            for i in 0..8 {
+                burst.push_str(&format!("#{} GET {}\n", 8 + i, key(i)));
+            }
+            b_writer.write_all(burst.as_bytes()).unwrap();
+            for i in 0..16u64 {
+                line.clear();
+                b_reader.read_line(&mut line).unwrap();
+                let want = match i {
+                    0..8 => format!("#{i} OK"),
+                    _ => format!("#{i} VAL {}", w + i - 8),
+                };
+                assert_eq!(line.trim_end(), want, "window {w}");
+            }
+        }
+        let after = crew.stats();
+        let batches = service.pipeline_stats().batches() - batches_before;
+        let inline = after.inline - before.inline;
+        assert!(batches >= WINDOWS, "{batches} batches");
+        assert_eq!(after.reprovisions, 0, "rescued by a stall: {after:?}");
+        // All of B's batches ran in place, but for the first (it may
+        // meet A's slot on its way back) and any a preemption made
+        // look dear, which sends the next one to the queue and may
+        // catch the one after that with the worker not yet idle again.
+        assert!(
+            inline * 10 >= batches * 9,
+            "{inline} of {batches} in place; {after:?}"
+        );
+
+        // A reads at last: every reply is there, whole and in order.
+        let want = {
+            let mut l = String::from("RANGE");
+            for (k, v) in &pairs {
+                l.push_str(&format!(" {k}={v}"));
+            }
+            l.push('\n');
+            l
+        };
+        let mut replies = vec![0u8; SCANS * want.len()];
+        a.read_exact(&mut replies).unwrap();
+        assert!(replies.len() > 16 << 20);
+        assert!(replies.chunks(want.len()).all(|l| l == want.as_bytes()));
+        close();
+    });
+    assert!(done, "a blocked reader stalled the server");
 }
