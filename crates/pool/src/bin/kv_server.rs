@@ -458,9 +458,10 @@ fn main() {
     // each shard's admission (and durability) machinery did.
     for (i, s) in service.store().stats().per_shard.iter().enumerate() {
         eprintln!(
-            "# kv_server: shard {i}: reads={} writes={} keys={} runs={} \
+            "# kv_server: shard {i}: reads={} filter_skips={} writes={} keys={} runs={} \
              rculls={} wepisodes={} wal_syncs={} wal_errors={}{}",
             s.reads,
+            s.filter_skips,
             s.writes,
             s.keys,
             s.runs,

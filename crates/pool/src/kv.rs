@@ -913,6 +913,7 @@ mod tests {
             "# HELP kv_shard_reads_total",
             "# TYPE kv_shard_reads_total counter",
             "kv_shard_reads_total{shard=\"0\"}",
+            "kv_shard_filter_skips_total{shard=\"0\"}",
             "kv_shard_writes_total{shard=\"1\"}",
             "lock_write_episodes_total{lock=\"db\",shard=\"0\"}",
             "crew_completed_total",

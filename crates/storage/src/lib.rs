@@ -1,17 +1,16 @@
 //! Storage substrates backing the paper's application benchmarks.
 //!
 //! The paper evaluates CR on real lock-hungry software we cannot ship:
-//! the Solaris libc splay-tree allocator (mmicro, Figure 7), leveldb
-//! (Figure 8), Kyoto Cabinet (Figure 9), CEPH's `SimpleLRU`
-//! (Figure 12), a COZ-style bounded queue (Figure 10), and a blocking
-//! buffer pool (Figure 14). This crate implements functional
-//! equivalents from scratch so those workloads run as real code:
+//! leveldb (Figure 8), CEPH's `SimpleLRU` (Figure 12), a COZ-style
+//! bounded queue (Figure 10), and a blocking buffer pool (Figure 14).
+//! This crate implements functional equivalents from scratch so those
+//! workloads run as real code (the splay-tree allocator of Figure 7
+//! and the Kyoto Cabinet cache of Figure 9 exist as simulator models
+//! only, in `malthus-workloads`):
 //!
 //! | Type | Stands in for | Used by |
 //! |---|---|---|
-//! | [`SplayArena`] | Solaris libc malloc (splay tree + one mutex) | mmicro |
 //! | [`MiniKv`] | leveldb 1.18 (memtable + block-cache) | readwhilewriting |
-//! | [`KcCacheDb`] | Kyoto Cabinet `CacheDB` | kccachetest |
 //! | [`SimpleLru`] | CEPH `SimpleLRU` (exact LRU; slab + hash index, not CEPH's `std::map`) | LRUCache |
 //! | [`BoundedQueue`] | COZ `producer_consumer` queue | prodcons |
 //! | [`BufferPool`] | the §6.11 blocking buffer pool | bufferpool |
@@ -32,18 +31,15 @@
 mod bounded_queue;
 mod buffer_pool;
 pub mod healer;
-mod kccache;
 mod minikv;
 mod router;
 pub mod sharded;
 mod simplelru;
-mod splay;
 pub mod wal;
 
 pub use bounded_queue::BoundedQueue;
 pub use buffer_pool::{BufferPool, PoolBuffer, SemBufferPool};
 pub use healer::{spawn_healer, HealerConfig};
-pub use kccache::KcCacheDb;
 pub use minikv::MiniKv;
 pub use router::{ShardRouter, FIB_HASH_MULT};
 pub use sharded::{
@@ -51,7 +47,6 @@ pub use sharded::{
     WriteError, MAX_SCAN_LIMIT,
 };
 pub use simplelru::{LruStats, SimpleLru};
-pub use splay::SplayArena;
 pub use wal::{
     crc32, stamp_clean_shutdown, take_clean_shutdown, ChaosWalIo, FaultPlan, FaultyWalIo,
     FileWalIo, RecoveryReport, ShardRecovery, ShardWal, WalIo, WalOptions, CLEAN_SHUTDOWN_MARKER,

@@ -13,10 +13,23 @@
 //!
 //! Like leveldb, reads consult the memtable, then the frozen runs —
 //! each found through its fence index, one block-cache touch per run
-//! consulted. The search itself never needs the cache: the walker
-//! reports block ids to a sink, so a caller may search first and
-//! replay the touches under the cache lock afterwards, the way
-//! `LRUCache::Lookup` drops its mutex before the block is searched.
+//! *consulted*. A run is consulted for a key when its block is
+//! searched; the accumulator carries a Bloom filter, and a key its
+//! filter rejects does not consult it at all — no fence search, no
+//! block id, no cache touch — as leveldb's filter block spares the
+//! block-cache lookup of a table that cannot hold the key. The search
+//! itself never needs the cache: the walker reports block ids to a
+//! sink, so a caller may search first and replay the touches under the
+//! cache lock afterwards, the way `LRUCache::Lookup` drops its mutex
+//! before the block is searched.
+//!
+//! The unit of search is a *stretch* of keys, not a key
+//! ([`MiniKv::search_many`]): a lookup far beyond the CPU caches is a
+//! chain of dependent misses, and serving keys one at a time lets
+//! nothing of key *i + 1* start before key *i* is done. The walker
+//! goes stage by stage over the whole stretch instead, so the misses
+//! of different keys overlap; single-key callers pass a one-key slice
+//! to the same walker.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,19 +45,43 @@ pub(crate) const MAX_RUNS: usize = 2;
 /// plus a binary search inside one block of this many pairs (1 KiB).
 const BLOCK_PAIRS: usize = 64;
 
-/// One immutable run: `pairs` strictly ascending by key, and `fences`,
+/// Filter bits per pair of a filtered run: one `u64` word per four
+/// pairs, 1/64th of the run like the fences.
+const FILTER_BITS_PER_KEY: usize = 16;
+
+/// Bits a key sets, and a probe tests, in its one filter word. Three
+/// of 64 at four keys a word reject about 99 of 100 absent keys.
+const FILTER_BITS_PER_PROBE: u32 = 3;
+
+/// Keys the walker carries through its stages at a time: enough that
+/// their cache misses overlap, few enough that the per-key state
+/// between two stages stays on the stack.
+const WALK_KEYS: usize = 32;
+
+/// One immutable run: `pairs` strictly ascending by key; `fences`,
 /// the first key of every [`BLOCK_PAIRS`]-pair block of `pairs` —
 /// 1/64th of the run, small enough to stay cache-resident where the
-/// run itself (4 MiB at 250 000 pairs) does not.
+/// run itself (4 MiB at 250 000 pairs) does not; and, for the
+/// accumulator only, `filter`: a blocked Bloom filter, one word per
+/// probe, that holds every key of `pairs`. An empty `filter` rejects
+/// nothing.
+///
+/// Only the accumulator is filtered because only there a rejection
+/// saves anything: it holds one key in sixteen yet stood in front of
+/// every lookup, while the base is the last stop — a miss there is
+/// the answer "absent", and a filter on it bought no throughput for
+/// the time every fold would spend building one.
 #[derive(Debug)]
 struct Run {
     pairs: Vec<(u64, u64)>,
     fences: Vec<u64>,
+    filter: Vec<u64>,
 }
 
 impl Run {
-    /// Takes over `pairs`, strictly ascending, and notes the fences.
-    fn new(pairs: Vec<(u64, u64)>) -> Run {
+    /// Takes over `pairs`, strictly ascending, and notes the fences
+    /// and, if `filtered`, the filter.
+    fn new(pairs: Vec<(u64, u64)>, filtered: bool) -> Run {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "a run must be strictly ascending"
@@ -52,22 +89,49 @@ impl Run {
         #[cfg(test)]
         tests::PAIRS_WRITTEN.set(tests::PAIRS_WRITTEN.get() + pairs.len() as u64);
         let fences = pairs.iter().step_by(BLOCK_PAIRS).map(|p| p.0).collect();
-        Run { pairs, fences }
+        let mut filter = Vec::new();
+        if filtered {
+            filter.resize((pairs.len() * FILTER_BITS_PER_KEY).div_ceil(64), 0);
+            for &(key, _) in &pairs {
+                let (word, bits) = filter_probe(key, filter.len());
+                filter[word] |= bits;
+            }
+        }
+        Run {
+            pairs,
+            fences,
+            filter,
+        }
+    }
+
+    /// Whether the run can hold `key`: never `false` for a key it
+    /// holds, seldom `true` for one a filtered run does not.
+    fn may_hold(&self, key: u64) -> bool {
+        if self.filter.is_empty() {
+            return true;
+        }
+        let (word, bits) = filter_probe(key, self.filter.len());
+        self.filter[word] & bits == bits
+    }
+
+    /// Where the one block that can hold `key` begins in `pairs`,
+    /// picked by the fences.
+    fn block_begin(&self, key: u64) -> usize {
+        let block = self.fences.partition_point(|&first| first <= key);
+        block.saturating_sub(1) * BLOCK_PAIRS
+    }
+
+    /// The block of `pairs` that begins at `begin`.
+    fn block(&self, begin: usize) -> &[(u64, u64)] {
+        &self.pairs[begin..(begin + BLOCK_PAIRS).min(self.pairs.len())]
     }
 
     /// Index of the first pair whose key is `>= key`: the fences pick
     /// the one block that can hold it, a binary search finishes inside
     /// that block.
     fn lower_bound(&self, key: u64) -> usize {
-        let block = self.fences.partition_point(|&first| first <= key);
-        let begin = block.saturating_sub(1) * BLOCK_PAIRS;
-        let end = (begin + BLOCK_PAIRS).min(self.pairs.len());
-        begin + self.pairs[begin..end].partition_point(|&(k, _)| k < key)
-    }
-
-    fn get(&self, key: u64) -> Option<u64> {
-        let &(k, v) = self.pairs.get(self.lower_bound(key))?;
-        (k == key).then_some(v)
+        let begin = self.block_begin(key);
+        begin + self.block(begin).partition_point(|&(k, _)| k < key)
     }
 
     /// The run's first `limit` pairs with key `>= start`.
@@ -101,6 +165,7 @@ pub struct MiniKv {
     memtable_limit: usize,
     writes: AtomicU64,
     reads: AtomicU64,
+    filter_skips: AtomicU64,
 }
 
 impl MiniKv {
@@ -118,6 +183,7 @@ impl MiniKv {
             memtable_limit,
             writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),
+            filter_skips: AtomicU64::new(0),
         }
     }
 
@@ -142,7 +208,7 @@ impl MiniKv {
         }
         let frozen: Vec<(u64, u64)> = std::mem::take(&mut self.memtable).into_iter().collect();
         let Some(base) = self.runs.pop() else {
-            self.runs.push(Run::new(frozen));
+            self.runs.push(Run::new(frozen, false));
             return;
         };
         let mut acc = self.runs.pop().map_or(Vec::new(), |acc| acc.pairs);
@@ -150,9 +216,9 @@ impl MiniKv {
         if acc.len() * acc.len() >= base.pairs.len() * self.memtable_limit {
             let mut folded = base.pairs;
             merge_runs(&acc, &mut folded);
-            self.runs.push(Run::new(folded));
+            self.runs.push(Run::new(folded, false));
         } else {
-            self.runs.push(Run::new(acc));
+            self.runs.push(Run::new(acc, true));
             self.runs.push(base);
         }
     }
@@ -162,10 +228,14 @@ impl MiniKv {
     ///
     /// Takes `&self` and counts one read: the whole read path works
     /// through a shared reference, so a Malthusian read-write lock can
-    /// serve gets without exclusive access to the store.
+    /// serve gets without exclusive access to the store. A one-key
+    /// [`MiniKv::search_many`].
     pub fn get(&self, key: u64, cache: &mut SimpleLru, thread: u32) -> Option<u64> {
-        self.get_memtable(key)
-            .or_else(|| self.get_runs(key, cache, thread))
+        let mut value = [None];
+        self.search_many(&[key], &mut value, |block| {
+            cache.lookup_or_insert(block, thread);
+        });
+        value[0]
     }
 
     /// The first half of the read path: memtable only, no block-cache
@@ -180,28 +250,102 @@ impl MiniKv {
     }
 
     /// The second half of the read path: the frozen runs, consulting
-    /// `cache` once per run touched. Does **not** count a read (the
-    /// preceding [`MiniKv::get_memtable`] already did).
+    /// `cache` once per run consulted. Does **not** count a read (the
+    /// preceding [`MiniKv::get_memtable`] already did). The run stages
+    /// of a one-key [`MiniKv::search_many`].
     pub fn get_runs(&self, key: u64, cache: &mut SimpleLru, thread: u32) -> Option<u64> {
-        self.search_runs(key, |block| {
+        let mut value = [None];
+        self.walk_runs(&[key], &mut value, |block| {
             cache.lookup_or_insert(block, thread);
-        })
+        });
+        value[0]
     }
 
-    /// The run walk behind [`MiniKv::get_runs`], with the block cache
-    /// abstracted to a sink: visits the runs newest first, hands
-    /// `consulted` the block id of each run it looks into — the run
-    /// plus the key's block within it — and stops at the first hit.
-    /// Needs no cache, so it can run outside the cache lock; replaying
-    /// the ids in order is the same cache traffic `get_runs` makes.
-    pub(crate) fn search_runs(&self, key: u64, mut consulted: impl FnMut(u32)) -> Option<u64> {
-        for (run_idx, run) in self.runs.iter().enumerate() {
-            consulted(((run_idx as u32) << 24) | (((key as u32) & 0x00FF_FFFF) / 64));
-            if let Some(value) = run.get(key) {
-                return Some(value);
+    /// The read path for a stretch of keys: `out[i]` becomes the value
+    /// of `keys[i]`, and `consulted` is handed the block id — the run
+    /// plus the key's block within it — of every run block searched
+    /// for it. Counts one read per key, in one addition.
+    ///
+    /// Staged over the stretch, not key by key: the memtable for
+    /// every key; then run by run, newest first, for every key still
+    /// unanswered the run's filter, its fence search and a load of
+    /// the middle pair of the key's block, and only then the searches
+    /// inside those blocks. Each key's block is on its way into the
+    /// cache while the next key's is being located, which is where a
+    /// lookup in a run far larger than the CPU caches spends its
+    /// time. The warming load is an ordinary load folded into a word
+    /// the optimizer must keep ([`std::hint::black_box`]): nothing
+    /// waits for its value, so the loads of a whole stretch are in
+    /// flight together, as with a prefetch instruction but in safe
+    /// code.
+    ///
+    /// A run whose filter rejects the key is not consulted (counted
+    /// in [`MiniKv::filter_skips`]), and a key stops at the first run
+    /// that holds it. The ids reach `consulted` **in key order, each
+    /// key's newest run first** — what serving the keys one after the
+    /// other reports. The search needs no cache, so it can run outside
+    /// the cache lock; replaying the ids in order is the same cache
+    /// traffic [`MiniKv::get_runs`] makes per key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` and `out` differ in length.
+    pub fn search_many(&self, keys: &[u64], out: &mut [Option<u64>], consulted: impl FnMut(u32)) {
+        assert_eq!(keys.len(), out.len(), "one answer slot per key");
+        for (key, out) in keys.iter().zip(out.iter_mut()) {
+            *out = self.memtable.get(key).copied();
+        }
+        self.walk_runs(keys, out, consulted);
+        self.reads.fetch_add(keys.len() as u64, Ordering::Relaxed);
+    }
+
+    /// The run stages of [`MiniKv::search_many`], for the keys whose
+    /// `out` slot is still `None` — the one place that decides which
+    /// runs a key consults. A store that never froze returns at once.
+    fn walk_runs(&self, keys: &[u64], out: &mut [Option<u64>], mut consulted: impl FnMut(u32)) {
+        if self.runs.is_empty() {
+            return;
+        }
+        let mut skips = 0;
+        for (keys, out) in keys.chunks(WALK_KEYS).zip(out.chunks_mut(WALK_KEYS)) {
+            // Per key: the runs consulted (bit `r` for `runs[r]`) and
+            // where its block in the run at hand begins.
+            let mut looked = [0u8; WALK_KEYS];
+            let mut begins = [0usize; WALK_KEYS];
+            for (r, run) in self.runs.iter().enumerate() {
+                let mut warm = 0;
+                for (i, &key) in keys.iter().enumerate() {
+                    if out[i].is_some() {
+                        continue;
+                    }
+                    if !run.may_hold(key) {
+                        skips += 1;
+                        continue;
+                    }
+                    begins[i] = run.block_begin(key);
+                    let block = run.block(begins[i]);
+                    warm ^= block[block.len() / 2].0;
+                    looked[i] |= 1 << r;
+                }
+                std::hint::black_box(warm);
+                for (i, &key) in keys.iter().enumerate() {
+                    if looked[i] & (1 << r) == 0 {
+                        continue;
+                    }
+                    let block = run.block(begins[i]);
+                    let at = block.partition_point(|&(k, _)| k < key);
+                    out[i] = block.get(at).filter(|p| p.0 == key).map(|p| p.1);
+                }
+            }
+            for (&key, looked) in keys.iter().zip(looked) {
+                for r in (0..self.runs.len()).filter(|r| looked & (1 << r) != 0) {
+                    consulted(block_id(r, key));
+                }
             }
         }
-        None
+        if skips > 0 {
+            self.filter_skips.fetch_add(skips, Ordering::Relaxed);
+        }
     }
 
     /// Ordered range scan: up to `limit` live `(key, value)` pairs
@@ -250,10 +394,40 @@ impl MiniKv {
         self.reads.load(Ordering::Relaxed)
     }
 
+    /// Runs not consulted because their filter rejected the key: each
+    /// one a fence search, a block search and a block-cache touch that
+    /// did not happen.
+    pub fn filter_skips(&self) -> u64 {
+        self.filter_skips.load(Ordering::Relaxed)
+    }
+
     /// Number of frozen runs.
     pub fn run_count(&self) -> usize {
         self.runs.len()
     }
+}
+
+/// The block-cache id of `key`'s block in `runs[run]`: the run, then
+/// the key's 64-key block of the key space.
+fn block_id(run: usize, key: u64) -> u32 {
+    ((run as u32) << 24) | (((key as u32) & 0x00FF_FFFF) / 64)
+}
+
+/// The filter word `key` falls into among `words`, and the bits it
+/// sets or tests there.
+///
+/// The hash shares no constant with [`ShardRouter`](crate::ShardRouter):
+/// a shard holds exactly the keys whose fibonacci product lands in its
+/// slice of the range, so a word index cut from that same product
+/// would leave all but `1 / shards` of a shard's filter words empty
+/// and pack every key into the rest.
+fn filter_probe(key: u64, words: usize) -> (usize, u64) {
+    let mut h = (key ^ (key >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^= h >> 33;
+    let word = ((u128::from(h) * words as u128) >> 64) as usize;
+    let bits = (0..FILTER_BITS_PER_PROBE).fold(0, |bits, i| bits | 1u64 << ((h >> (6 * i)) & 63));
+    (word, bits)
 }
 
 /// Linear merge of the strictly ascending `newer` into the strictly
@@ -316,14 +490,28 @@ mod tests {
     }
 
     /// What must hold of every run: strictly ascending, one fence per
-    /// started block, each fence its block's first key.
+    /// started block, each fence its block's first key; and a filter
+    /// on the accumulator alone, which every one of its keys passes,
+    /// while the base turns no key away.
     fn assert_runs_well_formed(kv: &MiniKv) {
         assert!(kv.runs.len() <= MAX_RUNS);
-        for run in &kv.runs {
+        for (r, run) in kv.runs.iter().enumerate() {
             assert!(run.pairs.windows(2).all(|w| w[0].0 < w[1].0));
             assert_eq!(run.fences.len(), run.pairs.len().div_ceil(BLOCK_PAIRS));
             for (i, &fence) in run.fences.iter().enumerate() {
                 assert_eq!(fence, run.pairs[i * BLOCK_PAIRS].0, "fence {i}");
+            }
+            if r + 1 < kv.runs.len() {
+                let words = (run.pairs.len() * FILTER_BITS_PER_KEY).div_ceil(64);
+                assert_eq!(run.filter.len(), words);
+                for &(key, _) in &run.pairs {
+                    assert!(run.may_hold(key), "the filter lost key {key}");
+                }
+            } else {
+                assert!(run.filter.is_empty(), "the base carries a filter");
+                for &(key, _) in run.pairs.iter().step_by(7) {
+                    assert!(run.may_hold(key) && run.may_hold(key ^ 1) && run.may_hold(!key));
+                }
             }
         }
     }
@@ -590,6 +778,112 @@ mod tests {
         assert!(kv.scan_from(0, 0).is_empty());
         // Scans count as reads.
         assert!(kv.reads() >= 3);
+    }
+
+    #[test]
+    fn a_shards_filter_turns_away_the_shards_other_keys() {
+        // A filter only ever sees keys the router sent to its shard,
+        // which all share the top bits of their fibonacci product: a
+        // word index taken from that product would crowd them into a
+        // quarter of the words of a 4-shard store and let most absent
+        // keys through. One key in sixteen is held, the accumulator's
+        // share; the rest of the shard probes.
+        let router = crate::ShardRouter::new(4);
+        for shard in 0..4 {
+            let keys = (0..400_000u64).filter(|&k| router.route(k) == shard);
+            let (held, absent): (Vec<_>, Vec<_>) = keys.partition(|k| k % 16 == 0);
+            let run = Run::new(held.iter().map(|&k| (k, k)).collect(), true);
+            assert!(held.iter().all(|&k| run.may_hold(k)));
+            let passed = absent.iter().filter(|&&k| run.may_hold(k)).count();
+            assert!(
+                passed * 20 < absent.len(),
+                "shard {shard}: {passed} of {} absent keys pass the filter",
+                absent.len()
+            );
+            let in_use = run.filter.iter().filter(|&&w| w != 0).count();
+            assert!(in_use * 10 > run.filter.len() * 9, "{in_use} words in use");
+        }
+    }
+
+    #[test]
+    fn a_run_whose_filter_rejects_the_key_is_not_consulted() {
+        let mut kv = MiniKv::new(64);
+        for k in 0..40_000u64 {
+            kv.put(k * 3, k);
+        }
+        while kv.run_count() < MAX_RUNS || kv.runs[0].pairs.len() < 1_000 {
+            kv.put(kv.writes() * 3, 7);
+        }
+        assert_runs_well_formed(&kv);
+        let acc = &kv.runs[0].pairs;
+        let in_acc = |key| acc.binary_search_by_key(&key, |p| p.0).map(|at| acc[at].1);
+        // What one key consults, and how many runs it was spared.
+        let consults = |key| {
+            let (mut value, mut ids) = ([None], Vec::new());
+            let before = kv.filter_skips();
+            kv.search_many(&[key], &mut value, |id| ids.push(id));
+            (value[0], ids, kv.filter_skips() - before)
+        };
+        let (mut spared, mut looked_up) = (0, 0);
+        for &(key, value) in kv.runs[1].pairs.iter().chain(&kv.runs[0].pairs) {
+            if kv.memtable.contains_key(&key) {
+                continue;
+            }
+            // An absent neighbour (keys are multiples of three) walks
+            // to the base like a key only the base holds.
+            for (key, expect) in [(key, Some(value)), (key + 1, None)] {
+                let (got, ids, skips) = consults(key);
+                if let Ok(newest) = in_acc(key) {
+                    assert_eq!((got, ids, skips), (Some(newest), vec![block_id(0, key)], 0));
+                    continue;
+                }
+                assert_eq!(got, expect, "key {key}");
+                match skips {
+                    0 => assert_eq!(ids, [block_id(0, key), block_id(1, key)]),
+                    _ => assert_eq!((ids, skips), (vec![block_id(1, key)], 1)),
+                }
+                spared += skips;
+                looked_up += 1;
+            }
+        }
+        assert!(spared * 20 > looked_up * 19, "{spared} of {looked_up}");
+        // The cache sees what was consulted and nothing else.
+        let mut c = cache();
+        let key = kv.runs[1]
+            .pairs
+            .iter()
+            .map(|p| p.0)
+            .find(|&k| in_acc(k).is_err());
+        let (_, ids, _) = consults(key.unwrap());
+        kv.get_runs(key.unwrap(), &mut c, 0);
+        assert_eq!(c.stats().misses, ids.len() as u64);
+    }
+
+    #[test]
+    fn a_stretch_reports_its_touches_in_key_order_newest_run_first() {
+        // More keys than one pass of the walker carries, duplicates
+        // among them, against the same keys served one by one.
+        let mut kv = MiniKv::new(8);
+        for k in 0..3_000u64 {
+            kv.put(k * 5 % 2_003, k);
+        }
+        assert_eq!(kv.run_count(), MAX_RUNS);
+        let keys: Vec<u64> = (0..3 * WALK_KEYS as u64 + 5)
+            .map(|i| i * 37 % 2_100)
+            .collect();
+        let (mut values, mut ids) = (vec![None; keys.len()], Vec::new());
+        let reads = kv.reads();
+        kv.search_many(&keys, &mut values, |id| ids.push(id));
+        assert_eq!(kv.reads() - reads, keys.len() as u64);
+        let (mut one_by_one, mut ids_one_by_one) = (Vec::new(), Vec::new());
+        for &key in &keys {
+            let mut value = [None];
+            kv.search_many(&[key], &mut value, |id| ids_one_by_one.push(id));
+            one_by_one.push(value[0]);
+        }
+        assert_eq!(values, one_by_one);
+        assert_eq!(ids, ids_one_by_one);
+        assert!(ids.iter().any(|id| id >> 24 == 0) && ids.iter().any(|id| id >> 24 == 1));
     }
 
     #[test]

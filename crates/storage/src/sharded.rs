@@ -252,8 +252,9 @@ struct Shard {
     /// The shard's block-cache lock (exclusive: lookups edit recency).
     /// Always taken inside a `db` hold (db → cache), at most once per
     /// sub-group and only for the sub-group's LRU touches — the runs
-    /// are searched before it is taken (see [`Shard::touch`]); only
-    /// [`ShardedKv::shard_stats`] takes it alone.
+    /// are searched before it is taken (see [`Shard::search`] and
+    /// [`Shard::touch`]); only [`ShardedKv::shard_stats`] takes it
+    /// alone.
     cache: McsCrMutex<SimpleLru>,
     /// MGET batches that touched this shard. Bumped under the
     /// *shared* `db` lock, where concurrent bumpers are legal, so
@@ -297,8 +298,18 @@ struct BatchScratch {
     ends: Vec<u32>,
     /// The write pairs of the shard sub-group being committed.
     write_pairs: Vec<(u64, u64)>,
-    /// The block ids the sub-group's run searches consulted, in order,
-    /// waiting for its one cache hold.
+    reads: ReadScratch,
+}
+
+/// What [`Shard::search`] works in, sized by the stretch at hand.
+#[derive(Default)]
+struct ReadScratch {
+    /// The stretch's keys, in op order.
+    keys: Vec<u64>,
+    /// Their values, as the walker leaves them.
+    values: Vec<Option<u64>>,
+    /// The block ids the sub-group's run searches consulted so far, in
+    /// order, waiting for its one cache hold.
     touches: Vec<u32>,
 }
 
@@ -355,23 +366,64 @@ impl Shard {
     }
 
     /// The first half of every read, against an already-held DB guard
-    /// and **outside** the cache lock: memtable first, then the runs,
-    /// whose consulted block ids go to `consulted` for [`Shard::touch`]
-    /// to replay. Searching at the moment of the read keeps a dirty
-    /// sub-group in op order (a later freeze cannot change what an
-    /// earlier GET saw); deferring only the touches keeps the
-    /// exclusive cache hold down to recency bookkeeping, as leveldb's
-    /// `LRUCache::Lookup` releases its mutex before the block is read.
-    fn search(db: &ShardState, key: u64, consulted: impl FnMut(u32)) -> Option<u64> {
-        db.get_memtable(key)
-            .or_else(|| db.search_runs(key, consulted))
+    /// and **outside** the cache lock: serves one read *stretch* — a
+    /// maximal run of consecutive read ops of a sub-group, `stretch`
+    /// being their `(op, slot)` entries — as one staged pass of
+    /// [`MiniKv::search_many`] (memtable for every key, then each run
+    /// for the keys still unanswered), writes the values into the ops'
+    /// replies and leaves the consulted block ids in `scratch.touches`
+    /// for [`Shard::touch`] to replay. Returns whether an MGET was
+    /// among the ops.
+    ///
+    /// Searching at the moment of the stretch keeps a dirty sub-group
+    /// in op order (a later write, or the freeze it causes, cannot
+    /// change what an earlier GET saw); deferring only the touches
+    /// keeps the exclusive cache hold down to recency bookkeeping, as
+    /// leveldb's `LRUCache::Lookup` releases its mutex before the
+    /// block is read. The store's `reads` and `filter_skips` counters
+    /// move once per stretch, not once per key: one RMW each on a line
+    /// every CPU under the shared hold writes.
+    fn search(
+        db: &ShardState,
+        ops: &[BatchOp<'_>],
+        stretch: &[(u32, u32)],
+        replies: &mut [BatchReply],
+        scratch: &mut ReadScratch,
+    ) -> bool {
+        let ReadScratch {
+            keys,
+            values,
+            touches,
+        } = scratch;
+        keys.clear();
+        keys.extend(
+            stretch
+                .iter()
+                .map(|&(oi, slot)| ops[oi as usize].key_at(slot as usize)),
+        );
+        values.clear();
+        values.resize(keys.len(), None);
+        db.search_many(keys, values, |block| touches.push(block));
+        let mut saw_mget = false;
+        for (&(oi, slot), &value) in stretch.iter().zip(values.iter()) {
+            match &mut replies[oi as usize] {
+                BatchReply::Value(out) => *out = value,
+                BatchReply::Values(outs) => {
+                    outs[slot as usize] = value;
+                    saw_mget = true;
+                }
+                _ => unreachable!("read op paired with a write reply"),
+            }
+        }
+        saw_mget
     }
 
     /// The second half: replays `blocks` — what the sub-group's
-    /// searches consulted, in order — under **one** hold of the cache
+    /// stretches consulted, in order — under **one** hold of the cache
     /// lock, nested inside the caller's DB hold in the fixed db →
     /// cache order. Exactly the lookups, ids, order and `tid`
-    /// attribution of [`MiniKv::get_runs`] per key; a sub-group that
+    /// attribution of [`MiniKv::get_runs`] key after key, a run whose
+    /// filter rejected the key appearing in neither; a sub-group that
     /// never left the memtable never takes the lock.
     fn touch(&self, blocks: &[u32], tid: u32) {
         if blocks.is_empty() {
@@ -425,8 +477,12 @@ impl Shard {
 /// contract).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardSnapshot {
-    /// Reads served by this shard's [`MiniKv`].
+    /// Reads served by this shard's [`MiniKv`]: one per key looked up.
     pub reads: u64,
+    /// Runs this shard's reads did not consult because the run's
+    /// filter rejected the key — each one a block search and a
+    /// block-cache lookup that `cache`'s counters never saw.
+    pub filter_skips: u64,
     /// Writes accepted by this shard's [`MiniKv`].
     pub writes: u64,
     /// Resident keys (memtable + runs, duplicates included).
@@ -820,13 +876,14 @@ impl ShardedKv {
     pub fn get(&self, key: u64) -> Option<u64> {
         let shard = &self.shards[self.router.route(key)];
         let db = shard.db.read();
+        let mut value = [None];
         let (mut blocks, mut consulted) = ([0; MAX_RUNS], 0);
-        let value = Shard::search(&db, key, |block| {
+        db.search_many(&[key], &mut value, |block| {
             blocks[consulted] = block;
             consulted += 1;
         });
         shard.touch(&blocks[..consulted], current_thread_index());
-        value
+        value[0]
     }
 
     /// Batched lookup, results in `keys` order: the one-op batch
@@ -868,6 +925,12 @@ impl ShardedKv {
     /// touches of the runs its reads searched (none if every read hit
     /// the memtable). Replies come back in `ops` order.
     ///
+    /// A sub-group's reads are searched a *stretch* at a time — a
+    /// maximal run of consecutive read ops, the whole sub-group when it
+    /// holds no write — each as one staged pass over its keys (see
+    /// [`MiniKv::search_many`]), so that the cache misses of a dozen
+    /// lookups overlap where one key at a time serializes them.
+    ///
     /// This is the under-lock amortization the pipelined KV protocol
     /// exists for: a connection that delivers a batch of `n` puts to
     /// one shard pays **one** writer admission instead of `n` — the
@@ -880,7 +943,9 @@ impl ShardedKv {
     /// * Each shard's sub-group executes **in op order** under one
     ///   hold, so per-key (a key lives on one shard) the batch behaves
     ///   exactly like the same ops issued sequentially — a `Get`
-    ///   placed after a `Put` of the same key observes it.
+    ///   placed after a `Put` of the same key observes it. Stretches
+    ///   split at every write, and reads do not change the store, so
+    ///   searching a stretch together is searching it in order.
     /// * A mixed read/write sub-group escalates its reads into the
     ///   exclusive hold rather than splitting into two holds, which
     ///   would reorder same-key ops (and cost a second admission).
@@ -935,8 +1000,9 @@ impl ShardedKv {
             order,
             ends,
             write_pairs,
-            touches,
+            reads,
         } = &mut scratch;
+        let is_write = |&(oi, _): &(u32, u32)| ops[oi as usize].is_write();
         let mut refused = None;
         let mut begin = 0;
         for (shard_idx, &end) in ends.iter().enumerate() {
@@ -951,27 +1017,8 @@ impl ShardedKv {
                 shard_idx as u64,
                 group.len() as u64,
             );
-            let dirty = group.iter().any(|&(oi, _)| ops[oi as usize].is_write());
-            // A read serves the same way under either DB hold: searched
-            // now, into the op's reply, its cache touches left in
-            // `touches` for the sub-group's one cache hold. Returns
-            // whether the op was an MGET.
-            let mut read = |db: &ShardState, replies: &mut [BatchReply], oi: usize, slot| {
-                let v = Shard::search(db, ops[oi].key_at(slot), |block| touches.push(block));
-                match &mut replies[oi] {
-                    BatchReply::Value(out) => {
-                        *out = v;
-                        false
-                    }
-                    BatchReply::Values(outs) => {
-                        outs[slot] = v;
-                        true
-                    }
-                    _ => unreachable!("read op paired with a write reply"),
-                }
-            };
             let mut saw_mget = false;
-            if dirty {
+            if group.iter().any(is_write) {
                 let mut db = shard.db.write();
                 // Group commit: the whole sub-group's writes (in op
                 // order) become durable with ONE append + ONE fsync
@@ -990,39 +1037,39 @@ impl ShardedKv {
                 }));
                 let committed = shard.wal_commit(shard_idx, &mut db, write_pairs, span);
                 refused = refused.or(committed.err());
+                // Op order, a stretch at a time: reads between two
+                // writes are searched together, the writes between two
+                // read stretches applied one by one — their pairs are
+                // the next of `write_pairs`.
+                let mut unapplied = write_pairs.as_slice();
                 let mut saw_mset = false;
-                for &(oi, slot) in group {
-                    let (oi, slot) = (oi as usize, slot as usize);
-                    match &ops[oi] {
-                        BatchOp::Put(k, v) => match committed {
-                            Ok(()) => db.put(*k, *v),
-                            Err(_) => replies[oi] = BatchReply::Readonly,
-                        },
-                        BatchOp::Mset(pairs) => match committed {
+                for stretch in group.chunk_by(|a, b| is_write(a) == is_write(b)) {
+                    if !is_write(&stretch[0]) {
+                        saw_mget |= Shard::search(&db, ops, stretch, &mut replies, reads);
+                        continue;
+                    }
+                    let (pairs, rest) = unapplied.split_at(stretch.len());
+                    unapplied = rest;
+                    for (&(oi, _), &(k, v)) in stretch.iter().zip(pairs) {
+                        match committed {
                             Ok(()) => {
-                                let (k, v) = pairs[slot];
                                 db.put(k, v);
-                                saw_mset = true;
+                                saw_mset |= matches!(ops[oi as usize], BatchOp::Mset(_));
                             }
-                            Err(_) => replies[oi] = BatchReply::Readonly,
-                        },
-                        BatchOp::Get(_) | BatchOp::Mget(_) => {
-                            saw_mget |= read(&db, &mut replies, oi, slot);
+                            Err(_) => replies[oi as usize] = BatchReply::Readonly,
                         }
                     }
                 }
                 if saw_mset {
                     shard.msets.bump();
                 }
-                shard.touch(touches, tid);
+                shard.touch(&reads.touches, tid);
             } else {
                 let db = shard.db.read();
-                for &(oi, slot) in group {
-                    saw_mget |= read(&db, &mut replies, oi as usize, slot as usize);
-                }
-                shard.touch(touches, tid);
+                saw_mget = Shard::search(&db, ops, group, &mut replies, reads);
+                shard.touch(&reads.touches, tid);
             }
-            touches.clear();
+            reads.touches.clear();
             if saw_mget {
                 shard.mgets.fetch_add(1, Ordering::Relaxed);
             }
@@ -1084,10 +1131,11 @@ impl ShardedKv {
     /// Panics if `index` is out of range.
     pub fn shard_stats(&self, index: usize) -> ShardSnapshot {
         let shard = &self.shards[index];
-        let (reads, writes, keys, runs, wal_appends, wal_syncs, wal_bytes) = {
+        let (reads, filter_skips, writes, keys, runs, wal_appends, wal_syncs, wal_bytes) = {
             let db = shard.db.read();
             (
                 db.reads(),
+                db.filter_skips(),
                 db.writes(),
                 db.len_estimate(),
                 db.run_count(),
@@ -1099,6 +1147,7 @@ impl ShardedKv {
         let cache = shard.cache.lock().stats();
         ShardSnapshot {
             reads,
+            filter_skips,
             writes,
             keys,
             runs,
@@ -1127,10 +1176,15 @@ impl ShardedKv {
     /// one shard's locks it reports on.
     pub fn register_metrics(self: &Arc<Self>, registry: &malthus_obs::Registry) {
         type SnapshotCounter = fn(&ShardSnapshot) -> u64;
-        let shard_counters: [(&str, &str, SnapshotCounter); 11] = [
+        let shard_counters: [(&str, &str, SnapshotCounter); 12] = [
             ("kv_shard_reads_total", "Reads served by the shard.", |s| {
                 s.reads
             }),
+            (
+                "kv_shard_filter_skips_total",
+                "Runs not consulted because their filter rejected the key.",
+                |s| s.filter_skips,
+            ),
             (
                 "kv_shard_writes_total",
                 "Writes accepted by the shard.",
@@ -1658,6 +1712,50 @@ mod tests {
             assert!(stats.runs <= MAX_RUNS);
         }
         assert!(reads_after_a_freeze > 1_000, "{reads_after_a_freeze}");
+    }
+
+    #[test]
+    fn a_put_that_freezes_splits_the_sub_group_into_two_stretches() {
+        // `GET k, PUT k, GET k, GET j` on one shard whose memtable
+        // holds a single entry: the PUT freezes — merging into the
+        // accumulator or folding it into the base, so the runs the
+        // second stretch walks are not the ones the first did — and
+        // lands between the two stretches. Against the same ops issued
+        // one at a time, over stores of every small size so that `k`
+        // and `j` are met in the accumulator, in the base and absent.
+        for preloaded in 0..48u64 {
+            let (batched, sequential) = (ShardedKv::new(1, 1, 8), ShardedKv::new(1, 1, 8));
+            for key in 0..preloaded {
+                batched.put(key * 64, key).unwrap();
+                sequential.put(key * 64, key).unwrap();
+            }
+            let (k, j) = (preloaded / 2 * 64, preloaded / 3 * 64);
+            let old = (preloaded > 0).then_some(preloaded / 2);
+            let ops = [
+                BatchOp::Get(k),
+                BatchOp::Put(k, 1_000),
+                BatchOp::Get(k),
+                BatchOp::Get(j),
+            ];
+            let replies = batched.execute_batch(&ops);
+            let one_by_one = [
+                BatchReply::Value(sequential.get(k)),
+                sequential
+                    .put(k, 1_000)
+                    .map_or(BatchReply::Readonly, |()| BatchReply::Done),
+                BatchReply::Value(sequential.get(k)),
+                BatchReply::Value(sequential.get(j)),
+            ];
+            assert_eq!(replies, one_by_one, "{preloaded} keys");
+            assert_eq!(replies[0], BatchReply::Value(old), "{preloaded} keys");
+            assert_eq!(replies[2], BatchReply::Value(Some(1_000)));
+            let (b, s) = (batched.shard_stats(0), sequential.shard_stats(0));
+            assert_eq!(
+                (b.reads, b.filter_skips, b.runs, b.cache),
+                (s.reads, s.filter_skips, s.runs, s.cache),
+                "{preloaded} keys"
+            );
+        }
     }
 
     #[test]

@@ -921,6 +921,124 @@ mod tests {
         assert_eq!(replay(&buf2).bad_records, 1);
     }
 
+    /// A valid log: its bytes, the groups it records, and where each
+    /// record starts (the log's end last).
+    struct SeededLog {
+        bytes: Vec<u8>,
+        groups: Vec<Vec<(u64, u64)>>,
+        starts: Vec<usize>,
+    }
+
+    impl SeededLog {
+        /// 1–6 groups of 0–5 pairs.
+        fn new(rng: &malthus_park::XorShift64) -> SeededLog {
+            let groups: Vec<Vec<(u64, u64)>> = (0..1 + rng.next_below(6))
+                .map(|_| {
+                    (0..rng.next_below(6))
+                        .map(|_| (rng.next_u64(), rng.next_u64()))
+                        .collect()
+                })
+                .collect();
+            let (mut bytes, mut starts) = (Vec::new(), vec![0]);
+            for group in &groups {
+                encode_record(&mut bytes, group);
+                starts.push(bytes.len());
+            }
+            SeededLog {
+                bytes,
+                groups,
+                starts,
+            }
+        }
+
+        /// What must hold of `replay(damaged)` when `damaged` is this
+        /// log altered from offset `damaged_at` on: the groups
+        /// recovered are a prefix of the original ones, no shorter
+        /// than the records the damage left whole, and the flags say
+        /// why the walk stopped where it did.
+        fn assert_replays_a_prefix(&self, damaged: &[u8], damaged_at: usize, what: &str) {
+            let out = replay(damaged);
+            let recovered = out.records as usize;
+            assert!(recovered <= self.groups.len(), "{what}: {out:?}");
+            assert_eq!(out.pairs, self.groups[..recovered].concat(), "{what}");
+            assert_eq!(out.valid_bytes, self.starts[recovered] as u64, "{what}");
+            let whole = self.starts[1..].iter().filter(|&&end| end <= damaged_at);
+            assert!(recovered >= whole.count(), "{what}: {recovered} records");
+            // A `Vec` grown by pushes at most doubles: anything larger
+            // was reserved from a length field.
+            assert!(out.pairs.capacity() <= damaged.len() / 8 + 4, "{what}");
+            let rest = &damaged[self.starts[recovered]..];
+            let (torn_tail, bad_records) = match rest.len() {
+                0 => (false, 0),
+                1..RECORD_HEADER_BYTES => (true, 0),
+                _ => match read_u32(rest, 0) as usize {
+                    len if len >= 4 && len > rest.len() - RECORD_HEADER_BYTES => (true, 0),
+                    _ => (false, 1),
+                },
+            };
+            assert_eq!(
+                (out.torn_tail, out.bad_records),
+                (torn_tail, bad_records),
+                "{what}: stopped at {} of {}",
+                out.valid_bytes,
+                damaged.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_hundred_thousand_damaged_logs_replay_to_a_prefix() {
+        let rng = malthus_park::XorShift64::new(0x0BAD_1065);
+        let below = |n: usize| rng.next_below(n as u64) as usize;
+        let mut damaged = 0;
+        while damaged < 100_000 {
+            let log = SeededLog::new(&rng);
+            let len = log.bytes.len();
+            log.assert_replays_a_prefix(&log.bytes, len, "undamaged");
+            // Cut at every offset.
+            for cut in 0..len {
+                log.assert_replays_a_prefix(&log.bytes[..cut], cut, "cut");
+                damaged += 1;
+            }
+            for _ in 0..64 {
+                let record = below(log.groups.len());
+                let (start, end) = (log.starts[record], log.starts[record + 1]);
+                let mut bytes = log.bytes.clone();
+                let (what, at) = match below(3) {
+                    0 => {
+                        let bit = below(len * 8);
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                        ("bit flip", bit / 8)
+                    }
+                    1 => {
+                        // A length field of any size, with the small
+                        // and the huge ones it must not trust.
+                        let garbage = match below(4) {
+                            0 => below(12) as u32,
+                            1 => u32::MAX - below(12) as u32,
+                            2 => ((end - start) as u32).wrapping_sub(below(24) as u32),
+                            _ => rng.next_u64() as u32,
+                        };
+                        bytes[start..start + 4].copy_from_slice(&garbage.to_le_bytes());
+                        ("length field", start)
+                    }
+                    _ => {
+                        // Another stretch of the log — often whole
+                        // records, checksums and all — dropped into
+                        // the middle of a record.
+                        let at = start + 1 + below(end - start - 1);
+                        let from = log.starts[below(log.groups.len())];
+                        let to = from + 1 + below(len - from);
+                        bytes.splice(at..at, log.bytes[from..to].iter().copied());
+                        ("splice", at)
+                    }
+                };
+                log.assert_replays_a_prefix(&bytes, at, what);
+                damaged += 1;
+            }
+        }
+    }
+
     #[test]
     fn group_commit_syncs_once_per_group() {
         let mut wal = ShardWal::new(Box::<VecWalIo>::default());

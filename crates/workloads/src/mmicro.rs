@@ -2,10 +2,9 @@
 //!
 //! Each thread loops: allocate and zero a batch of 1000-byte blocks,
 //! then free them. Every malloc and free acquires the allocator's
-//! central mutex (the Solaris libc splay-tree design reproduced by
-//! `malthus_storage::SplayArena`). Besides lock contention, CR also
-//! reduces the number of distinct malloc'd blocks in flight, improving
-//! cache and DTLB hit rates (§6.4).
+//! central mutex (the Solaris libc splay-tree design). Besides lock
+//! contention, CR also reduces the number of distinct malloc'd blocks
+//! in flight, improving cache and DTLB hit rates (§6.4).
 //!
 //! Simulated counterpart: the critical section touches the allocator
 //! metadata (splay-tree nodes in a shared region); the block zeroing

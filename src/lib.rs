@@ -12,8 +12,8 @@
 //! * [`metrics`] — LWSS, MTTR, Gini, RSTDDEV fairness metrics.
 //! * [`cachesim`] — the installer-tagged cache/TLB emulation.
 //! * [`machinesim`] — the discrete-event T5 machine model.
-//! * [`storage`] — splay allocator, SimpleLRU, MiniKv, KcCacheDb,
-//!   bounded queue, buffer pools.
+//! * [`storage`] — SimpleLRU, MiniKv, the sharded KV store and its
+//!   write-ahead log, bounded queue, buffer pools.
 //! * [`pool`] — the Malthusian work crew (concurrency-restricting
 //!   executor) and the TCP KV service built on it.
 //! * [`workloads`] — the paper's twelve evaluation workloads.

@@ -298,6 +298,15 @@ fn overwrites_survive_run_merges_end_to_end() {
     let replies = service.store().execute_batch(&[BatchOp::Mget(&keys)]);
     let want: Vec<Option<u64>> = keys.iter().map(|&k| Some(fresh(k, last))).collect();
     assert_eq!(replies, vec![BatchReply::Values(want)]);
+    // A read is a key looked up, however many of them a shard serves
+    // in one pass: the GETs above and the MGET, nothing else.
+    let stats = service.store().stats();
+    assert_eq!(stats.reads(), 2 * KEYS);
+    for (i, shard) in stats.per_shard.iter().enumerate() {
+        let lookups = shard.cache.hits + shard.cache.misses;
+        assert!(shard.filter_skips <= shard.reads, "shard {i}: {shard:?}");
+        assert!(lookups + shard.filter_skips <= 2 * shard.reads, "shard {i}");
+    }
 }
 
 /// While one shard's writer *holds* its exclusive lock, reads and
