@@ -18,11 +18,13 @@
 //! `--fail-below <ratio>` turns the tool into a CI regression gate:
 //! when the overall weighted geomean comes out below `ratio` (e.g.
 //! `0.95` = "NEW may be at most 5% slower than OLD"), the report is
-//! still printed but the process exits with status 1.
+//! still printed but the process exits with status 1. Both
+//! documents' `host_cpus` are printed; when they differ the report
+//! is still printed, but a gate across hosts is refused (status 2).
 //!
 //! Exit status: 0 on success, 1 when the `--fail-below` gate fires,
-//! 2 on unreadable/unparsable input, disjoint documents, or bad
-//! usage.
+//! 2 on unreadable/unparsable input, disjoint documents, a gate
+//! across hosts, or bad usage.
 
 use malthus_bench::compare::{compare, parse_file, OVERSUBSCRIBED_DISCOUNT};
 
@@ -71,6 +73,13 @@ fn main() {
     });
 
     println!("# {new_path} vs {old_path} (ratio > 1 means the new document is faster)");
+    let cpus = |n: Option<u64>| n.map_or("unrecorded".to_string(), |n| n.to_string());
+    let (old_cpus, new_cpus) = report.host_cpus;
+    println!(
+        "# host_cpus: old {}, new {}",
+        cpus(old_cpus),
+        cpus(new_cpus)
+    );
     println!(
         "{:<28} {:>8} {:>14} {:>14} {:>8} {:>8}  flags",
         "lock", "threads", "old ops/s", "new ops/s", "ratio", "weight"
@@ -99,6 +108,13 @@ fn main() {
     println!("{:<28} {:>8.3}", "OVERALL", report.overall);
 
     if let Some(threshold) = fail_below {
+        if !report.same_host() {
+            eprintln!(
+                "bench_compare: a gate across hosts is not a gate — the documents record \
+                 different host_cpus, so --fail-below {threshold:.3} is refused"
+            );
+            std::process::exit(2);
+        }
         // A NaN geomean (no finite cells) must fail the gate too.
         if report.overall.is_nan() || report.overall < threshold {
             eprintln!(

@@ -4,13 +4,13 @@
 //! Runs the pipelined KV workload (real loopback TCP, windowed tagged
 //! clients, batched under-lock execution) four times per cell: flight
 //! recorder **off**, **on** (every event), **sampled** (1 in
-//! `MALTHUS_OBS_SAMPLE`), and **spans** (recorder off, the per-batch
-//! stage clocks of `malthus_obs::span` on), interleaved
-//! median-of-trials. Both facilities are process-global, so enabling
-//! them here instruments the in-process server exactly as `kv_server`
-//! would. The first three modes force the span gate *off* so the
-//! recorder baseline is clean; the spans mode is the only one paying
-//! for stage clocks.
+//! [`SAMPLE`]), and **spans** (recorder off, the per-batch stage
+//! clocks of `malthus_obs::span` on), interleaved median-of-trials.
+//! Both facilities are process-global, so enabling them here
+//! instruments the in-process server exactly as `kv_server` would.
+//! The first three modes force the span gate *off* so the recorder
+//! baseline is clean; the spans mode is the only one paying for stage
+//! clocks.
 //!
 //! The combined `BENCH_obs.json` carries one series per mode
 //! (`recorder-off@shards<S>`, …) for eyeballing. The part files
@@ -24,253 +24,129 @@
 //!
 //! Environment knobs:
 //!
-//! * `MALTHUS_OBS_SAMPLE` — sampling stride of the sampled mode
-//!   (default 64).
-//! * `MALTHUS_OBS_TRACE_BUF` — per-thread ring capacity in events
-//!   (default 4096).
 //! * `MALTHUS_PIPE_SHARDS` — shard counts (default `2`).
 //! * `MALTHUS_THREAD_SWEEP` — connection counts (default `2,4`).
-//! * `MALTHUS_PIPE_DEPTH` — pipeline depth (default 8).
-//! * `MALTHUS_PIPE_PUT_PCT` — PUT percentage (default 20).
-//! * `MALTHUS_PIPE_KEYS` — key-space size (default 10000).
 //! * `MALTHUS_BENCH_MS` — interval per cell in ms (default 300).
 //! * `MALTHUS_BENCH_TRIALS` — trials per cell (default 5).
 //! * `MALTHUS_BENCH_OUT` — combined output path (default
 //!   `BENCH_obs.json`); part files replace its `.json` suffix with
 //!   `_<mode>.json`.
 
-use malthus_bench::livebench::{median, rel_spread, to_json, Series};
+use malthus_bench::livebench::{median, trials};
+use malthus_bench::pipebench::{memory_service, ops_per_sec, KEYS, PUT_PCT};
+use malthus_bench::sweep::Sweep;
 use malthus_bench::{env_sweep, env_u64, thread_sweep};
-use malthus_workloads::pipeline::{run_pipeline_loop, PipelineShape};
+use malthus_workloads::pipeline::{run_pipeline, FrontEnd, PipelineShape};
 
-/// The four observability configurations under test: recorder
-/// `stride` of 0 means disabled, 1 records every event, N records one
-/// in N; `spans` turns the per-batch stage clocks on (recorder off).
-const MODES: [(&str, u32, bool); 4] = [
+/// Sampling stride of the sampled mode.
+const SAMPLE: u32 = 64;
+/// Per-thread ring capacity in events.
+const TRACE_BUF: usize = 4_096;
+/// Pipeline depth of every cell.
+const DEPTH: usize = 8;
+
+/// The four observability configurations under test: `(name,
+/// recorder stride, spans)` — stride 0 means disabled, 1 records every
+/// event, N one in N; `spans` turns the per-batch stage clocks on.
+type Mode = (&'static str, u32, bool);
+const MODES: [Mode; 4] = [
     ("off", 0, false),
     ("on", 1, false),
-    ("sampled", 0 /* knob */, false),
+    ("sampled", SAMPLE, false),
     ("spans", 0, true),
 ];
 
-/// The workload constants shared by every cell of the sweep.
-struct SweepCfg {
-    trace_buf: usize,
-    interval_ms: u64,
-    keys: u64,
-    put_pct: u32,
-    depth: usize,
-}
-
 fn measure_cell(
-    cfg: &SweepCfg,
-    stride: u32,
-    spans: bool,
+    (_, stride, spans): Mode,
     shards: usize,
     conns: usize,
+    seconds: f64,
     seed: u64,
 ) -> f64 {
     if stride > 0 {
-        malthus_obs::recorder::enable(cfg.trace_buf, stride);
+        malthus_obs::recorder::enable(TRACE_BUF, stride);
     } else {
         malthus_obs::recorder::disable();
     }
     // The span gate defaults on process-wide; set it explicitly both
     // ways so the non-span modes measure a clean baseline.
     malthus_obs::span::set_enabled(spans);
-    let shape = PipelineShape::new(cfg.keys, cfg.put_pct, cfg.depth);
-    let report = run_pipeline_loop(shards, conns, cfg.interval_ms as f64 / 1_000.0, shape, seed);
+    let shape = PipelineShape::new(KEYS, PUT_PCT, DEPTH);
+    let service = memory_service(shards);
+    let report = run_pipeline(service, FrontEnd::Threaded, conns, seconds, shape, seed);
     // Quiesced now (server and clients joined): drop the cell's rings
     // so a long sweep's ring memory stays flat.
     malthus_obs::recorder::disable();
     malthus_obs::recorder::clear();
-    report.ops() as f64 / report.elapsed_secs.max(f64::EPSILON)
+    ops_per_sec(&report)
 }
 
 fn main() {
-    let sample = env_u64("MALTHUS_OBS_SAMPLE", 64).max(2) as u32;
-    let trace_buf = env_u64("MALTHUS_OBS_TRACE_BUF", 4_096).max(16) as usize;
     let shard_counts = env_sweep("MALTHUS_PIPE_SHARDS", &[2]);
-    let conns = thread_sweep(&[2, 4]);
-    let depth = env_u64("MALTHUS_PIPE_DEPTH", 8).max(1) as usize;
-    let put_pct = env_u64("MALTHUS_PIPE_PUT_PCT", 20).min(100) as u32;
-    let keys = env_u64("MALTHUS_PIPE_KEYS", 10_000).max(1);
-    let interval_ms = env_u64("MALTHUS_BENCH_MS", 300);
-    let out_path =
-        std::env::var("MALTHUS_BENCH_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_string());
-    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let n_trials = malthus_bench::livebench::trials();
-
-    let modes: Vec<(&str, u32, bool)> = MODES
-        .iter()
-        .map(|&(name, stride, spans)| {
-            (name, if name == "sampled" { sample } else { stride }, spans)
-        })
-        .collect();
-
-    eprintln!(
-        "# bench_obs: {{recorder off, on, 1-in-{sample}, spans}} x conns {conns:?} x \
-         shards {shard_counts:?}, depth {depth}, {put_pct}% PUT, {interval_ms} ms per cell, \
-         {n_trials} trials, {host_cpus} host CPUs"
-    );
-
-    let cfg = SweepCfg {
-        trace_buf,
-        interval_ms,
-        keys,
-        put_pct,
-        depth,
+    let seconds = env_u64("MALTHUS_BENCH_MS", 300) as f64 / 1_000.0;
+    let sweep = Sweep {
+        series: (MODES.iter())
+            .flat_map(|&mode| {
+                (shard_counts.iter())
+                    .map(move |&s| (format!("recorder-{}@shards{s}", mode.0), (mode, s)))
+            })
+            .collect(),
+        cells: thread_sweep(&[2, 4]),
+        trials: trials(),
+        diagnostics: &[],
+        axes: vec![("shard_sweep", shard_counts.clone())],
     };
-
-    // (mode index, shard index) → per-conn trial vectors, interleaved
-    // rounds so host drift biases every mode equally.
-    let n_cells = modes.len() * shard_counts.len();
-    let mut ops: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); conns.len()]; n_cells];
-    for round in 0..n_trials {
-        for (mi, &(_, stride, spans)) in modes.iter().enumerate() {
-            for (si, &shards) in shard_counts.iter().enumerate() {
-                for (j, &c) in conns.iter().enumerate() {
-                    let seed = 0x0B50_0000 + (round * 1_000 + mi * 100 + si * 10 + j) as u64;
-                    let o = measure_cell(&cfg, stride, spans, shards, c, seed);
-                    ops[mi * shard_counts.len() + si][j].push(o);
-                }
-            }
-        }
-    }
+    eprintln!(
+        "# bench_obs: {{recorder off, on, 1-in-{SAMPLE}, spans}}, depth {DEPTH}, \
+         {PUT_PCT}% PUT, {seconds} s per cell"
+    );
+    let result = sweep.run(None, &mut |&(mode, shards), conns, seed| {
+        (measure_cell(mode, shards, conns, seconds, seed), vec![])
+    });
     // Leave the process-global gate in its default (on) state.
     malthus_obs::span::set_enabled(true);
 
-    let build_series = |mi: usize, si: usize, name: String| -> Series {
-        let i = mi * shard_counts.len() + si;
-        Series {
-            name,
-            uncontended_ns: f64::NAN,
-            contended: conns
-                .iter()
-                .enumerate()
-                .map(|(j, &c)| (c, median(ops[i][j].clone())))
-                .collect(),
-            contended_spread: conns
-                .iter()
-                .enumerate()
-                .map(|(j, &c)| (c, rel_spread(&ops[i][j])))
-                .collect(),
-        }
-    };
-
-    let list = |xs: &[usize]| {
-        xs.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let base_extras = vec![
-        ("host_cpus".to_string(), host_cpus.to_string()),
-        ("recorder_sample".to_string(), sample.to_string()),
-        ("recorder_trace_buf".to_string(), trace_buf.to_string()),
-        ("pipeline_depth".to_string(), depth.to_string()),
-        (
-            "shard_sweep".to_string(),
-            format!("[{}]", list(&shard_counts)),
-        ),
-        ("threads_swept".to_string(), format!("[{}]", list(&conns))),
-        (
-            "oversubscribed_threads".to_string(),
-            format!(
-                "[{}]",
-                list(
-                    &conns
-                        .iter()
-                        .copied()
-                        .filter(|&c| c > host_cpus.max(1))
-                        .collect::<Vec<_>>()
-                )
-            ),
-        ),
-        ("put_pct".to_string(), put_pct.to_string()),
-        ("keys".to_string(), keys.to_string()),
-    ];
-
-    // Combined document: one series per (mode, shards).
-    let combined: Vec<Series> = modes
-        .iter()
-        .enumerate()
-        .flat_map(|(mi, &(mode, _, _))| {
-            shard_counts
-                .iter()
-                .enumerate()
-                .map(move |(si, &s)| (mi, si, format!("recorder-{mode}@shards{s}")))
-        })
-        .map(|(mi, si, name)| build_series(mi, si, name))
-        .collect();
-
     // Headline overhead ratios (median over the per-cell ratios of
     // medians): the number the CI gate enforces for sampled mode.
-    let mode_ratio = |mi: usize| -> f64 {
+    let vs_off = |mode: &str| -> f64 {
         let mut ratios = Vec::new();
-        for si in 0..shard_counts.len() {
-            // Row `si` is the recorder-off baseline (mode 0).
-            let mode_row = &ops[mi * shard_counts.len() + si];
-            for (off_trials, mode_trials) in ops[si].iter().zip(mode_row) {
-                let off = median(off_trials.clone());
-                let m = median(mode_trials.clone());
+        for &s in &shard_counts {
+            for &c in &sweep.cells {
+                let off = result.ops(&format!("recorder-off@shards{s}"), c);
                 if off > 0.0 {
-                    ratios.push(m / off);
+                    ratios.push(result.ops(&format!("recorder-{mode}@shards{s}"), c) / off);
                 }
             }
         }
         median(ratios)
     };
-    let on_ratio = mode_ratio(1);
-    let sampled_ratio = mode_ratio(2);
-    let spans_ratio = mode_ratio(3);
+    let [on, sampled, spans] = ["on", "sampled", "spans"].map(vs_off);
 
-    let mut extras = base_extras.clone();
-    extras.push(("recorder_on_vs_off".to_string(), format!("{on_ratio:.4}")));
-    extras.push((
-        "recorder_sampled_vs_off".to_string(),
-        format!("{sampled_ratio:.4}"),
-    ));
-    extras.push(("spans_vs_off".to_string(), format!("{spans_ratio:.4}")));
-    let json = to_json(&combined, &extras);
-    std::fs::write(&out_path, &json).expect("write BENCH_obs.json");
-    eprintln!("# wrote {out_path}");
+    let base_extras = [
+        ("recorder_sample", SAMPLE.to_string()),
+        ("recorder_trace_buf", TRACE_BUF.to_string()),
+        ("pipeline_depth", DEPTH.to_string()),
+        ("put_pct", PUT_PCT.to_string()),
+        ("keys", KEYS.to_string()),
+    ];
+    let mut extras = base_extras.to_vec();
+    extras.push(("recorder_on_vs_off", format!("{on:.4}")));
+    extras.push(("recorder_sampled_vs_off", format!("{sampled:.4}")));
+    extras.push(("spans_vs_off", format!("{spans:.4}")));
+    let out_path = result.emit("BENCH_obs.json", &extras);
+    println!(
+        "# overhead: recorder on {on:.3}x of off, sampled (1-in-{SAMPLE}) {sampled:.3}x of off, \
+         spans {spans:.3}x of off"
+    );
 
     // Part files for bench_compare: same series names across modes so
     // every contended cell matches.
     let stem = out_path.strip_suffix(".json").unwrap_or(&out_path);
-    for (mi, &(mode, _, _)) in modes.iter().enumerate() {
-        let series: Vec<Series> = shard_counts
-            .iter()
-            .enumerate()
-            .map(|(si, &s)| build_series(mi, si, format!("pipeline@shards{s}")))
-            .collect();
-        let mut extras = base_extras.clone();
-        extras.push(("recorder_mode".to_string(), format!("\"{mode}\"")));
-        let part = format!("{stem}_{mode}.json");
-        std::fs::write(&part, to_json(&series, &extras)).expect("write part file");
-        eprintln!("# wrote {part}");
+    for (mode, ..) in MODES {
+        let prefix = format!("recorder-{mode}@");
+        let part = result.renamed(|name| Some(format!("pipeline@{}", name.strip_prefix(&prefix)?)));
+        let mut extras = base_extras.to_vec();
+        extras.push(("recorder_mode", format!("\"{mode}\"")));
+        part.write(&format!("{stem}_{mode}.json"), &extras);
     }
-
-    println!(
-        "{:<22} {}",
-        "series",
-        conns
-            .iter()
-            .map(|c| format!("{c:>12}C"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    for s in &combined {
-        let cells: Vec<String> = s
-            .contended
-            .iter()
-            .map(|(_, o)| format!("{o:>11.0}/s"))
-            .collect();
-        println!("{:<22} {}", s.name, cells.join(" "));
-    }
-    println!(
-        "# overhead: recorder on {on_ratio:.3}x of off, sampled (1-in-{sample}) \
-         {sampled_ratio:.3}x of off, spans {spans_ratio:.3}x of off"
-    );
 }

@@ -20,32 +20,11 @@
 
 use std::time::Duration;
 
-use malthus_bench::env_u64;
 use malthus_bench::livebench::median;
+use malthus_bench::sweep::host_cpus;
+use malthus_bench::{env_sweep, env_u64};
 use malthus_pool::PoolConfig;
 use malthus_workloads::pool_saturation::{run_pool_saturation, SaturationReport, SaturationShape};
-
-fn factors() -> Vec<usize> {
-    match std::env::var("MALTHUS_POOL_FACTORS") {
-        Ok(v) => {
-            let parsed: Vec<usize> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&f| f > 0)
-                .collect();
-            if parsed.is_empty() {
-                eprintln!(
-                    "warning: MALTHUS_POOL_FACTORS={v:?} contains no positive integers; \
-                     using default 1,2,4"
-                );
-                vec![1, 2, 4]
-            } else {
-                parsed
-            }
-        }
-        Err(_) => vec![1, 2, 4],
-    }
-}
 
 /// One measured cell, median-of-trials.
 struct Cell {
@@ -84,12 +63,12 @@ fn cell_json(c: &Cell) -> String {
 }
 
 fn main() {
-    let factors = factors();
+    let factors = env_sweep("MALTHUS_POOL_FACTORS", &[1, 2, 4]);
     let interval = Duration::from_millis(env_u64("MALTHUS_BENCH_MS", 400));
     let trials = env_u64("MALTHUS_BENCH_TRIALS", 3).max(1) as usize;
     let out_path =
         std::env::var("MALTHUS_BENCH_OUT").unwrap_or_else(|_| "BENCH_pool.json".to_string());
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpus = host_cpus().max(1);
     let queue_bound = 64;
     let shape = SaturationShape::default();
 

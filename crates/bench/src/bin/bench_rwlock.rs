@@ -11,8 +11,8 @@
 //!
 //! Environment knobs:
 //!
-//! * `MALTHUS_RW_FRACTIONS` — comma-separated read percentages
-//!   (default `50,90,99`).
+//! * `MALTHUS_RW_FRACTIONS` — comma-separated read percentages,
+//!   1–100 (default `50,90,99`).
 //! * `MALTHUS_THREAD_SWEEP` — contended thread counts (default
 //!   `2,4,8`).
 //! * `MALTHUS_BENCH_ITERS` — uncontended read iterations (default
@@ -24,171 +24,73 @@
 
 use std::sync::Arc;
 
-use malthus_bench::livebench::{to_json, Series};
-use malthus_bench::rwbench::{measure_rw_interleaved, RwFactory, BENCH_TABLE_SLOTS};
-use malthus_bench::{env_u64, thread_sweep};
+use malthus_bench::livebench::trials;
+use malthus_bench::rwbench::{contended_rw_ops_per_sec, uncontended_read_ns, BENCH_TABLE_SLOTS};
+use malthus_bench::sweep::Sweep;
+use malthus_bench::{env_sweep, env_u64, thread_sweep};
 use malthus_rwlock::{RwCrLock, RwCrMutex, RwMutex};
 use malthus_workloads::rwreadwrite::SharedTableRw;
 
-fn fractions() -> Vec<u32> {
-    match std::env::var("MALTHUS_RW_FRACTIONS") {
-        Ok(v) => {
-            let parsed: Vec<u32> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&f| f <= 100)
-                .collect();
-            if parsed.is_empty() {
-                eprintln!(
-                    "warning: MALTHUS_RW_FRACTIONS={v:?} contains no percentages; \
-                     using default 50,90,99"
-                );
-                vec![50, 90, 99]
-            } else {
-                parsed
-            }
-        }
-        Err(_) => vec![50, 90, 99],
-    }
+type TableFactory = fn() -> Arc<dyn SharedTableRw>;
+
+fn slots() -> Vec<u64> {
+    vec![0; BENCH_TABLE_SLOTS]
 }
 
 fn main() {
-    let fractions = fractions();
-    let threads = thread_sweep(&[2, 4, 8]);
+    let fractions = env_sweep("MALTHUS_RW_FRACTIONS", &[50, 90, 99]);
     let uncontended_iters = env_u64("MALTHUS_BENCH_ITERS", 200_000);
     let contended_ms = env_u64("MALTHUS_BENCH_MS", 300);
-    let out_path =
-        std::env::var("MALTHUS_BENCH_OUT").unwrap_or_else(|_| "BENCH_rwlock.json".to_string());
-    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-
-    eprintln!(
-        "# bench_rwlock: fractions {fractions:?} x threads {threads:?}, \
-         {contended_ms} ms per cell, {host_cpus} host CPUs"
-    );
-
-    let named: Vec<(&str, RwFactory)> = vec![
-        (
-            "std::RwLock",
-            Box::new(|| {
-                Arc::new(std::sync::RwLock::new(vec![0u64; BENCH_TABLE_SLOTS]))
-                    as Arc<dyn SharedTableRw>
-            }),
-        ),
-        (
-            "RW-CR-S",
-            Box::new(|| {
-                Arc::new(RwMutex::with_raw(
-                    RwCrLock::spin(),
-                    vec![0u64; BENCH_TABLE_SLOTS],
-                )) as Arc<dyn SharedTableRw>
-            }),
-        ),
-        (
-            "RW-CR-STP",
-            Box::new(|| {
-                Arc::new(RwCrMutex::default_cr(vec![0u64; BENCH_TABLE_SLOTS]))
-                    as Arc<dyn SharedTableRw>
-            }),
-        ),
+    let locks: [(&str, TableFactory); 3] = [
+        ("std::RwLock", || Arc::new(std::sync::RwLock::new(slots()))),
+        ("RW-CR-S", || {
+            Arc::new(RwMutex::with_raw(RwCrLock::spin(), slots()))
+        }),
+        ("RW-CR-STP", || Arc::new(RwCrMutex::default_cr(slots()))),
     ];
-    let series: Vec<Series> = measure_rw_interleaved(
-        &named,
-        &fractions,
-        &threads,
-        uncontended_iters,
-        contended_ms,
+    let sweep = Sweep {
+        series: (locks.iter())
+            .flat_map(|&(lock, mk)| {
+                (fractions.iter()).map(move |&f| (format!("{lock}@r{f}"), (mk, f as u32)))
+            })
+            .collect(),
+        cells: thread_sweep(&[2, 4, 8]),
+        trials: trials(),
+        diagnostics: &[],
+        axes: vec![("read_fractions", fractions.clone())],
+    };
+    eprintln!("# bench_rwlock: fractions {fractions:?}, {contended_ms} ms per cell");
+    // The uncontended read latency does not depend on the read
+    // fraction (single thread, reads only); each of a lock's series
+    // takes its own sample of it.
+    let result = sweep.run(
+        Some(&mut |&(mk, _)| uncontended_read_ns(&*mk(), uncontended_iters)),
+        &mut |&(mk, read_pct), threads, seed| {
+            let ops = contended_rw_ops_per_sec(mk(), read_pct, threads, contended_ms, seed);
+            (ops, vec![])
+        },
     );
 
     // RW-CR vs std speedups per fraction (weighted aggregation is
     // bench_compare's job; these are the raw per-cell ratios).
-    let speedup = |cr_name: &str| -> String {
-        let per_fraction: Vec<String> = fractions
-            .iter()
+    let speedup = |cr: &str| -> String {
+        let per_fraction: Vec<String> = (fractions.iter())
             .map(|f| {
-                let cr = series
-                    .iter()
-                    .find(|s| s.name == format!("{cr_name}@r{f}"))
-                    .expect("series measured");
-                let base = series
-                    .iter()
-                    .find(|s| s.name == format!("std::RwLock@r{f}"))
-                    .expect("series measured");
-                let cells: Vec<String> = cr
-                    .contended
-                    .iter()
-                    .zip(&base.contended)
-                    .map(|(&(t, n), &(_, b))| format!("\"{t}\": {:.3}", n / b))
+                let cells: Vec<String> = (sweep.cells.iter())
+                    .map(|&t| {
+                        let ratio = result.ops(&format!("{cr}@r{f}"), t)
+                            / result.ops(&format!("std::RwLock@r{f}"), t);
+                        format!("\"{t}\": {ratio:.3}")
+                    })
                     .collect();
                 format!("\"r{f}\": {{{}}}", cells.join(", "))
             })
             .collect();
-        format!("{{{}}}", per_fraction.join(", "))
+        format!("\"{cr}\": {{{}}}", per_fraction.join(", "))
     };
-    let extras = vec![
-        (
-            "speedup_vs_std_contended".to_string(),
-            format!(
-                "{{\"RW-CR-S\": {}, \"RW-CR-STP\": {}}}",
-                speedup("RW-CR-S"),
-                speedup("RW-CR-STP")
-            ),
-        ),
-        ("host_cpus".to_string(), host_cpus.to_string()),
-        (
-            "read_fractions".to_string(),
-            format!(
-                "[{}]",
-                fractions
-                    .iter()
-                    .map(|f| f.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        ),
-        (
-            "threads_swept".to_string(),
-            format!(
-                "[{}]",
-                threads
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        ),
-        (
-            "oversubscribed_threads".to_string(),
-            format!(
-                "[{}]",
-                threads
-                    .iter()
-                    .filter(|&&t| t > host_cpus.max(1))
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        ),
-    ];
-
-    println!(
-        "{:<22} {:>14}  contended ops/s (reads+writes)",
-        "series", "uncont read"
+    let speedups = format!("{{{}, {}}}", speedup("RW-CR-S"), speedup("RW-CR-STP"));
+    result.emit(
+        "BENCH_rwlock.json",
+        &[("speedup_vs_std_contended", speedups)],
     );
-    for s in &series {
-        let cont: Vec<String> = s
-            .contended
-            .iter()
-            .map(|(t, ops)| format!("{t}T:{ops:.0}"))
-            .collect();
-        println!(
-            "{:<22} {:>11.1} ns  {}",
-            s.name,
-            s.uncontended_ns,
-            cont.join("  ")
-        );
-    }
-
-    let json = to_json(&series, &extras);
-    std::fs::write(&out_path, &json).expect("write BENCH_rwlock.json");
-    eprintln!("# wrote {out_path}");
 }

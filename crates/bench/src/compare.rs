@@ -278,6 +278,17 @@ pub struct CompareReport {
     pub per_lock: Vec<(String, f64)>,
     /// Weighted geometric-mean ratio over all cells.
     pub overall: f64,
+    /// `host_cpus` of document A and of document B, where recorded.
+    pub host_cpus: (Option<u64>, Option<u64>),
+}
+
+impl CompareReport {
+    /// Whether both documents record the same `host_cpus`. Every
+    /// contended cell depends on the CPU count, so a ratio across
+    /// hosts can be reported but must not gate anything.
+    pub fn same_host(&self) -> bool {
+        self.host_cpus.0 == self.host_cpus.1
+    }
 }
 
 fn oversubscribed_set(doc: &Json) -> Vec<String> {
@@ -379,10 +390,16 @@ pub fn compare(a: &Json, b: &Json) -> Result<CompareReport, String> {
         })
         .collect();
     let overall = weighted_geomean(&cells.iter().collect::<Vec<_>>());
+    let host_cpus = |doc: &Json| {
+        doc.get("host_cpus")
+            .and_then(Json::as_f64)
+            .map(|n| n as u64)
+    };
     Ok(CompareReport {
         cells,
         per_lock,
         overall,
+        host_cpus: (host_cpus(a), host_cpus(b)),
     })
 }
 
@@ -490,6 +507,23 @@ mod tests {
         assert!(cell.oversubscribed);
         let expected = 1.0 / (1.0 + 6.0) * OVERSUBSCRIBED_DISCOUNT;
         assert!((cell.weight - expected).abs() < 1e-12, "{}", cell.weight);
+    }
+
+    #[test]
+    fn documents_from_different_hosts_are_told_apart() {
+        let a = parse(DOC_A).unwrap();
+        let same = compare(&a, &a).unwrap();
+        assert_eq!(same.host_cpus, (Some(1), Some(1)));
+        assert!(same.same_host());
+        let b = parse(&DOC_A.replace("\"host_cpus\": 1", "\"host_cpus\": 2")).unwrap();
+        let across = compare(&a, &b).unwrap();
+        assert_eq!(across.host_cpus, (Some(1), Some(2)));
+        assert!(!across.same_host());
+        // The ratios are still reported: only a gate is refused.
+        assert_eq!(across.cells.len(), 4);
+        // A document that does not say where it ran matches no host.
+        let unlabelled = parse(&DOC_A.replace("\"host_cpus\": 1,", "")).unwrap();
+        assert!(!compare(&a, &unlabelled).unwrap().same_host());
     }
 
     #[test]

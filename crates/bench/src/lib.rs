@@ -12,7 +12,9 @@
 
 pub mod compare;
 pub mod livebench;
+pub mod pipebench;
 pub mod rwbench;
+pub mod sweep;
 
 use malthus_machinesim::{RunReport, Simulation};
 use malthus_metrics::{format_table, Column};

@@ -113,7 +113,8 @@ pub struct Series {
 /// hosts. Override with `MALTHUS_BENCH_TRIALS`.
 pub const DEFAULT_TRIALS: usize = 5;
 
-/// Number of trials per cell, honouring `MALTHUS_BENCH_TRIALS`.
+/// Number of trials per cell, honouring `MALTHUS_BENCH_TRIALS`. For
+/// a `main` to call: the harness takes the count as a parameter.
 pub fn trials() -> usize {
     std::env::var("MALTHUS_BENCH_TRIALS")
         .ok()
@@ -149,55 +150,10 @@ pub fn rel_spread(xs: &[f64]) -> f64 {
     (max - min) / m
 }
 
-/// A type-erased lock factory for interleaved comparisons.
-pub type LockFactory = Box<dyn Fn() -> Arc<dyn RawLock>>;
-
-/// Measures several lock types with **interleaved** trial rounds
-/// (lock₁ cell, lock₂ cell, …, repeated `MALTHUS_BENCH_TRIALS`
-/// times, medians per cell). Interleaving makes the baseline
-/// comparison a paired experiment: slow drift in host load biases
-/// every series equally instead of whichever happened to run last.
-pub fn measure_interleaved(
-    named: &[(&str, LockFactory)],
-    threads: &[usize],
-    uncontended_iters: u64,
-    contended_interval_ms: u64,
-) -> Vec<Series> {
-    let n = trials();
-    let mut uncont: Vec<Vec<f64>> = vec![Vec::new(); named.len()];
-    let mut cont: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); threads.len()]; named.len()];
-    for _round in 0..n {
-        for (i, (_, mk)) in named.iter().enumerate() {
-            uncont[i].push(uncontended_ns_per_op(&*mk(), uncontended_iters));
-            for (j, &t) in threads.iter().enumerate() {
-                cont[i][j].push(contended_ops_per_sec(mk(), t, contended_interval_ms));
-            }
-        }
-    }
-    named
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| Series {
-            name: name.to_string(),
-            uncontended_ns: median(uncont[i].clone()),
-            contended: threads
-                .iter()
-                .enumerate()
-                .map(|(j, &t)| (t, median(cont[i][j].clone())))
-                .collect(),
-            contended_spread: threads
-                .iter()
-                .enumerate()
-                .map(|(j, &t)| (t, rel_spread(&cont[i][j])))
-                .collect(),
-        })
-        .collect()
-}
-
 /// Serializes measured series (plus an optional extras map) as the
 /// `BENCH_locks.json` document. Hand-rolled JSON — no serde in the
 /// container.
-pub fn to_json(series: &[Series], extras: &[(String, String)]) -> String {
+pub fn to_json(series: &[Series], extras: &[(&str, String)]) -> String {
     fn num(x: f64) -> String {
         if x.is_finite() {
             format!("{x:.2}")
@@ -265,18 +221,24 @@ pub fn to_json(series: &[Series], extras: &[(String, String)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Sweep;
     use malthus::McsLock;
 
     #[test]
     fn harness_measures_positive_numbers() {
-        std::env::set_var("MALTHUS_BENCH_TRIALS", "1");
-        let named: Vec<(&str, LockFactory)> = vec![(
-            "MCS-STP",
-            Box::new(|| Arc::new(McsLock::stp()) as Arc<dyn RawLock>),
-        )];
-        let out = measure_interleaved(&named, &[1, 2], 1_000, 20);
-        assert_eq!(out.len(), 1);
-        let s = &out[0];
+        let sweep = Sweep {
+            series: vec![("MCS-STP".to_string(), McsLock::stp as fn() -> McsLock)],
+            cells: vec![1, 2],
+            trials: 1,
+            diagnostics: &[],
+            axes: Vec::new(),
+        };
+        let out = sweep.run(
+            Some(&mut |mk| uncontended_ns_per_op(&mk(), 1_000)),
+            &mut |mk, threads, _| (contended_ops_per_sec(Arc::new(mk()), threads, 20), vec![]),
+        );
+        assert_eq!(out.series.len(), 1);
+        let s = &out.series[0];
         assert!(s.uncontended_ns > 0.0);
         assert_eq!(s.contended.len(), 2);
         assert!(s.contended.iter().all(|&(_, ops)| ops > 0.0));
@@ -300,10 +262,7 @@ mod tests {
             contended: vec![(1, 100.0), (4, 50.0)],
             contended_spread: vec![(1, 0.05), (4, 0.8)],
         };
-        let j = to_json(
-            std::slice::from_ref(&s),
-            &[("note".into(), "\"hi\"".into())],
-        );
+        let j = to_json(std::slice::from_ref(&s), &[("note", "\"hi\"".into())]);
         assert!(j.contains("\"X\": 12.50"));
         assert!(j.contains("\"1\": 100.00, \"4\": 50.00"));
         assert!(j.contains("contended_rel_spread"));

@@ -1,11 +1,8 @@
-//! Read-fraction × thread-count measurement harness for the live
-//! reader-writer locks (the `bench_rwlock` binary).
+//! Cell functions of the read-fraction × thread-count sweep over the
+//! live reader-writer locks (the `bench_rwlock` binary).
 //!
-//! Same discipline as [`livebench`](crate::livebench): interleaved
-//! trial rounds (every series measured once per round, medians per
-//! cell) so slow host drift biases all series equally, per-cell
-//! relative spread recorded for downstream weighting. Each read
-//! fraction becomes its own [`Series`] named `<lock>@r<pct>`, so the
+//! Each (lock, read fraction) pair is one series of a
+//! [`Sweep`](crate::sweep::Sweep), named `<lock>@r<pct>`, so the
 //! emitted JSON has exactly the `BENCH_locks.json` shape and the
 //! `bench_compare` tooling works on it unchanged.
 
@@ -13,11 +10,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use malthus_workloads::rwreadwrite::{run_rw_loop, RwLoopShape, SharedTableRw};
-
-use crate::livebench::{median, rel_spread, trials, Series};
-
-/// A type-erased factory producing a fresh shared table per trial.
-pub type RwFactory = Box<dyn Fn() -> Arc<dyn SharedTableRw>>;
 
 /// Table slots used by the benchmark loop (every write stamps all of
 /// them, every read scans all of them — a small but real critical
@@ -39,73 +31,32 @@ pub fn uncontended_read_ns(table: &dyn SharedTableRw, iters: u64) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Measures the full (lock × fraction × threads) grid with
-/// interleaved trial rounds; one [`Series`] per (lock, fraction).
+/// Measures one contended cell: `threads` threads mixing whole-table
+/// reads (`read_pct` percent) and stamping writes for `interval_ms`,
+/// in operations per second.
 ///
 /// # Panics
 ///
-/// Panics if a trial observes a torn read: that means the lock under
+/// Panics if the cell observes a torn read: that means the lock under
 /// measurement failed reader/writer exclusion, and its throughput
 /// number would be meaningless.
-pub fn measure_rw_interleaved(
-    named: &[(&str, RwFactory)],
-    fractions: &[u32],
-    threads: &[usize],
-    uncontended_iters: u64,
+pub fn contended_rw_ops_per_sec(
+    table: Arc<dyn SharedTableRw>,
+    read_pct: u32,
+    threads: usize,
     interval_ms: u64,
-) -> Vec<Series> {
-    let rounds = trials();
-    let cells = named.len() * fractions.len();
-    // The uncontended read latency is independent of the read
-    // fraction (single thread, reads only), so it is measured once
-    // per lock per round and shared across that lock's fractions.
-    let mut uncont: Vec<Vec<f64>> = vec![Vec::new(); named.len()];
-    let mut cont: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); threads.len()]; cells];
-    for round in 0..rounds {
-        for (li, (_, mk)) in named.iter().enumerate() {
-            uncont[li].push(uncontended_read_ns(&*mk(), uncontended_iters));
-            for (fi, &frac) in fractions.iter().enumerate() {
-                let idx = li * fractions.len() + fi;
-                for (ti, &t) in threads.iter().enumerate() {
-                    let shape = RwLoopShape::new(BENCH_TABLE_SLOTS, frac);
-                    let seed = 0xBE9C_0000 ^ (round as u64) << 16 ^ (idx as u64) << 8 ^ ti as u64;
-                    let report = run_rw_loop(mk(), t, interval_ms as f64 / 1_000.0, shape, seed);
-                    assert_eq!(
-                        report.torn_reads, 0,
-                        "torn reads under {} at r{frac}/t{t}",
-                        named[li].0
-                    );
-                    let secs = (interval_ms as f64 / 1_000.0).max(f64::EPSILON);
-                    cont[idx][ti].push(report.ops() as f64 / secs);
-                }
-            }
-        }
-    }
-    named
-        .iter()
-        .enumerate()
-        .flat_map(|(li, (name, _))| {
-            let uncont = &uncont;
-            let cont = &cont;
-            fractions.iter().enumerate().map(move |(fi, &frac)| {
-                let idx = li * fractions.len() + fi;
-                Series {
-                    name: format!("{name}@r{frac}"),
-                    uncontended_ns: median(uncont[li].clone()),
-                    contended: threads
-                        .iter()
-                        .enumerate()
-                        .map(|(ti, &t)| (t, median(cont[idx][ti].clone())))
-                        .collect(),
-                    contended_spread: threads
-                        .iter()
-                        .enumerate()
-                        .map(|(ti, &t)| (t, rel_spread(&cont[idx][ti])))
-                        .collect(),
-                }
-            })
-        })
-        .collect()
+    seed: u64,
+) -> f64 {
+    let secs = (interval_ms as f64 / 1_000.0).max(f64::EPSILON);
+    let shape = RwLoopShape::new(BENCH_TABLE_SLOTS, read_pct);
+    let report = run_rw_loop(Arc::clone(&table), threads, secs, shape, seed);
+    assert_eq!(
+        report.torn_reads,
+        0,
+        "torn reads under {} at r{read_pct}/t{threads}",
+        table.label()
+    );
+    report.ops() as f64 / secs
 }
 
 #[cfg(test)]
@@ -115,21 +66,13 @@ mod tests {
 
     #[test]
     fn rw_harness_measures_positive_numbers() {
-        std::env::set_var("MALTHUS_BENCH_TRIALS", "1");
-        let named: Vec<(&str, RwFactory)> = vec![(
-            "RW-CR-STP",
-            Box::new(|| {
-                Arc::new(RwCrMutex::default_cr(vec![0u64; BENCH_TABLE_SLOTS]))
-                    as Arc<dyn SharedTableRw>
-            }),
-        )];
-        let series = measure_rw_interleaved(&named, &[50, 99], &[1, 2], 500, 20);
-        assert_eq!(series.len(), 2);
-        for s in &series {
-            assert!(s.name.starts_with("RW-CR-STP@r"), "{}", s.name);
-            assert!(s.uncontended_ns > 0.0);
-            assert_eq!(s.contended.len(), 2);
-            assert!(s.contended.iter().all(|&(_, ops)| ops > 0.0));
+        let table = || {
+            Arc::new(RwCrMutex::default_cr(vec![0u64; BENCH_TABLE_SLOTS])) as Arc<dyn SharedTableRw>
+        };
+        assert!(uncontended_read_ns(&*table(), 500) > 0.0);
+        for (read_pct, threads) in [(50, 1), (50, 2), (99, 1), (99, 2)] {
+            let ops = contended_rw_ops_per_sec(table(), read_pct, threads, 20, 7);
+            assert!(ops > 0.0, "r{read_pct}/t{threads}: {ops}");
         }
     }
 }

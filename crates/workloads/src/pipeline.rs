@@ -19,7 +19,6 @@
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,9 +31,9 @@ use malthus_pool::{serve_async, AsyncServeOptions, KvClient, PoolConfig, WorkCre
 /// Per-shard memtable limit for the workload store: large enough that
 /// run freezes are rare during a cell, so the measured exclusive
 /// episodes are request-driven.
-const MEMTABLE_LIMIT: usize = 4_096;
-/// Per-shard block-cache capacity.
-const CACHE_BLOCKS: usize = 4_096;
+pub const MEMTABLE_LIMIT: usize = 4_096;
+/// Per-shard block-cache capacity of the workload store.
+pub const CACHE_BLOCKS: usize = 4_096;
 
 /// Geometry of one pipelined-traffic run.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +67,7 @@ impl PipelineShape {
     }
 }
 
-/// Aggregate result of one [`run_pipeline_loop`] interval.
+/// Aggregate result of one [`run_pipeline`] interval.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
     /// Completed GETs (client-side, successful responses).
@@ -143,91 +142,58 @@ fn connect_with_retry(addr: SocketAddr) -> KvClient {
         .unwrap_or_else(|e| panic!("could not connect to {addr} after {TRIES} tries: {e}"))
 }
 
-/// Boots a fresh **memory-only** server (`shards` shards, crew ACS
-/// sized as `kv_server` sizes it) on an ephemeral loopback port,
-/// drives it with `conns` client threads at `shape.depth` for
-/// `seconds`, and tears everything down. Deterministic key streams
-/// per `seed`.
-pub fn run_pipeline_loop(
-    shards: usize,
-    conns: usize,
-    seconds: f64,
-    shape: PipelineShape,
-    seed: u64,
-) -> PipelineReport {
-    let service = Arc::new(KvService::with_shards(shards, MEMTABLE_LIMIT, CACHE_BLOCKS));
-    run_pipeline_on(service, conns, seconds, shape, seed, FrontEnd::Threaded)
-}
-
-/// [`run_pipeline_loop`] against the **reactor front-end**
-/// ([`serve_async`]): same memory-only store, same windowed clients,
-/// same report — only the server side changes from thread-per-
-/// connection + crew to readiness-driven reactor workers with
-/// Malthusian poll admission. `bench_net` sweeps this against the
-/// threaded `BENCH_pipeline.json` cells.
-pub fn run_pipeline_loop_async(
-    shards: usize,
-    conns: usize,
-    seconds: f64,
-    shape: PipelineShape,
-    seed: u64,
-) -> PipelineReport {
-    let service = Arc::new(KvService::with_shards(shards, MEMTABLE_LIMIT, CACHE_BLOCKS));
-    run_pipeline_on(service, conns, seconds, shape, seed, FrontEnd::Reactor)
-}
-
-/// [`run_pipeline_loop`] against a **durable** store rooted at `dir`:
-/// every PUT is group-committed to the per-shard WALs before it is
-/// acknowledged, so the report's [`PipelineReport::wal_syncs`] (and
-/// [`PipelineReport::fsyncs_per_write`]) measure how much of the
-/// fsync cost the pipelined batching amortized away. The prefill is
-/// WAL-committed too (in large MSET chunks, so it costs a handful of
-/// fsyncs, not `keys` of them) and is excluded from the interval
-/// deltas.
-///
-/// # Errors
-///
-/// Propagates the store-open failure (unusable directory, shard-count
-/// mismatch with an existing manifest).
-pub fn run_pipeline_loop_durable(
-    dir: &Path,
-    shards: usize,
-    conns: usize,
-    seconds: f64,
-    shape: PipelineShape,
-    seed: u64,
-) -> std::io::Result<PipelineReport> {
-    let (service, _report) = KvService::open(dir, shards, MEMTABLE_LIMIT, CACHE_BLOCKS)?;
-    Ok(run_pipeline_on(
-        Arc::new(service),
-        conns,
-        seconds,
-        shape,
-        seed,
-        FrontEnd::Threaded,
-    ))
-}
-
 /// Which server front-end a pipeline cell boots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrontEnd {
-    /// Thread-per-connection readers dispatching onto a [`WorkCrew`].
+pub enum FrontEnd {
+    /// Thread-per-connection readers dispatching onto a [`WorkCrew`]
+    /// ([`server::serve`]).
     Threaded,
-    /// The `malthus-net` reactor: poll-admitted workers, ready
-    /// connections drained as batches in place.
+    /// The `malthus-net` reactor ([`serve_async`]): poll-admitted
+    /// workers, ready connections drained as batches in place.
     Reactor,
 }
 
-/// The shared measurement core: boots the serve loop over an
-/// already-built service, runs the windowed client threads, and
-/// reports interval deltas (admission episodes, writes, WAL fsyncs).
-fn run_pipeline_on(
+/// Client-side reply counters of one connection.
+#[derive(Default)]
+struct Tally {
+    reads: u64,
+    writes: u64,
+    errors: u64,
+}
+
+impl Tally {
+    /// Books one reply; `false` means the transport failed and the
+    /// connection is done.
+    fn book(&mut self, reply: std::io::Result<&str>, is_put: bool) -> bool {
+        match reply {
+            Ok(resp) if resp.starts_with("ERR") => self.errors += 1,
+            Ok(_) if is_put => self.writes += 1,
+            Ok(_) => self.reads += 1,
+            Err(_) => {
+                self.errors += 1;
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Boots `front` on an ephemeral loopback port over an already-built
+/// `service` (crew ACS sized as `kv_server` sizes it), prefills the
+/// key space, drives it with `conns` client threads at `shape.depth`
+/// for `seconds`, and tears the server down. Reports interval deltas
+/// (admission episodes, writes, WAL fsyncs — the prefill is
+/// excluded), so over a durable service
+/// [`PipelineReport::fsyncs_per_write`] measures how much of the
+/// fsync cost the pipelined batching amortized away. Deterministic
+/// key streams per `seed`.
+pub fn run_pipeline(
     service: Arc<KvService>,
+    front: FrontEnd,
     conns: usize,
     seconds: f64,
     shape: PipelineShape,
     seed: u64,
-    front: FrontEnd,
 ) -> PipelineReport {
     let shards = service.store().shard_count();
     let (listener, control) = server::bind("127.0.0.1:0").expect("bind loopback");
@@ -275,14 +241,14 @@ fn run_pipeline_on(
     let writes_before = before.writes();
     let wal_syncs_before = before.wal_syncs();
 
-    let server = match (&crew, front) {
-        (Some(crew), FrontEnd::Threaded) => {
+    let server = match &crew {
+        Some(crew) => {
             let crew = Arc::clone(crew);
             let service = Arc::clone(&service);
             let control = control.clone();
             std::thread::spawn(move || server::serve(listener, &control, crew, service))
         }
-        _ => {
+        None => {
             let service = Arc::clone(&service);
             let control = control.clone();
             let opts = AsyncServeOptions {
@@ -308,7 +274,7 @@ fn run_pipeline_on(
                 let mut client = connect_with_retry(addr);
                 let rng = XorShift64::new(seed ^ (0x71BE_1100 + c as u64));
                 let mut req = String::new();
-                let (mut r, mut w, mut e) = (0u64, 0u64, 0u64);
+                let mut tally = Tally::default();
                 let build = |req: &mut String| -> bool {
                     let key = rng.next_below(shape.keys);
                     req.clear();
@@ -325,78 +291,50 @@ fn run_pipeline_on(
                 if shape.depth == 1 {
                     while !stop.load(Ordering::Relaxed) {
                         let is_put = build(&mut req);
-                        match client.roundtrip(&req) {
-                            Ok(resp) if resp.starts_with("ERR") => e += 1,
-                            Ok(_) => {
-                                if is_put {
-                                    w += 1;
-                                } else {
-                                    r += 1;
-                                }
-                            }
-                            Err(_) => {
-                                e += 1;
-                                break;
-                            }
+                        if !tally.book(client.roundtrip(&req), is_put) {
+                            break;
                         }
                     }
                 } else {
                     let mut outstanding: VecDeque<(u64, bool)> =
                         VecDeque::with_capacity(shape.depth);
                     let mut seq = 0u64;
-                    'window: while !stop.load(Ordering::Relaxed) {
-                        while outstanding.len() < shape.depth {
+                    // Cleared by a failed send: nothing more goes
+                    // out, but what was sent is still collected, so
+                    // every sent request lands in exactly one counter.
+                    let mut sending = true;
+                    loop {
+                        while sending
+                            && !stop.load(Ordering::Relaxed)
+                            && outstanding.len() < shape.depth
+                        {
                             let is_put = build(&mut req);
                             if client.send_tagged(seq, &req).is_err() {
-                                e += 1;
-                                break 'window;
+                                tally.errors += 1;
+                                sending = false;
+                                break;
                             }
                             outstanding.push_back((seq, is_put));
                             seq += 1;
                         }
-                        let (exp, is_put) = outstanding.pop_front().expect("window just filled");
-                        match client.recv_tagged() {
-                            Ok((tag, resp)) => {
-                                assert_eq!(tag, exp, "pipeline tag mismatch");
-                                if resp.starts_with("ERR") {
-                                    e += 1;
-                                } else if is_put {
-                                    w += 1;
-                                } else {
-                                    r += 1;
-                                }
-                            }
-                            Err(_) => {
-                                e += 1;
-                                break 'window;
-                            }
-                        }
-                    }
-                    // Drain the window so every sent request lands in
-                    // exactly one counter.
-                    while let Some((exp, is_put)) = outstanding.pop_front() {
-                        match client.recv_tagged() {
-                            Ok((tag, resp)) => {
-                                assert_eq!(tag, exp, "pipeline tag mismatch");
-                                if resp.starts_with("ERR") {
-                                    e += 1;
-                                } else if is_put {
-                                    w += 1;
-                                } else {
-                                    r += 1;
-                                }
-                            }
-                            Err(_) => {
-                                e += 1;
-                                break;
-                            }
+                        // Empty only once the interval is over (or a
+                        // send failed) and the window has drained.
+                        let Some((exp, is_put)) = outstanding.pop_front() else {
+                            break;
+                        };
+                        let reply = client.recv_tagged().map(|(tag, resp)| {
+                            assert_eq!(tag, exp, "pipeline tag mismatch");
+                            resp
+                        });
+                        if !tally.book(reply, is_put) {
+                            break;
                         }
                     }
                 }
                 let stopped = Instant::now();
-                reads.fetch_add(r, Ordering::Relaxed);
-                writes.fetch_add(w, Ordering::Relaxed);
-                errors.fetch_add(e, Ordering::Relaxed);
+                reads.fetch_add(tally.reads, Ordering::Relaxed);
+                writes.fetch_add(tally.writes, Ordering::Relaxed);
+                errors.fetch_add(tally.errors, Ordering::Relaxed);
                 (started, stopped)
             })
         })
@@ -444,9 +382,20 @@ fn run_pipeline_on(
 mod tests {
     use super::*;
 
+    fn memory(shards: usize) -> Arc<KvService> {
+        Arc::new(KvService::with_shards(shards, MEMTABLE_LIMIT, CACHE_BLOCKS))
+    }
+
     #[test]
     fn depth_one_is_the_classic_closed_loop() {
-        let report = run_pipeline_loop(2, 2, 0.2, PipelineShape::new(1_000, 20, 1), 7);
+        let report = run_pipeline(
+            memory(2),
+            FrontEnd::Threaded,
+            2,
+            0.2,
+            PipelineShape::new(1_000, 20, 1),
+            7,
+        );
         assert!(report.ops() > 0);
         assert_eq!(report.errors, 0);
         assert!(report.elapsed_secs >= 0.15, "{}", report.elapsed_secs);
@@ -460,7 +409,14 @@ mod tests {
 
     #[test]
     fn reactor_front_end_serves_the_same_loop() {
-        let report = run_pipeline_loop_async(2, 2, 0.2, PipelineShape::new(1_000, 20, 8), 13);
+        let report = run_pipeline(
+            memory(2),
+            FrontEnd::Reactor,
+            2,
+            0.2,
+            PipelineShape::new(1_000, 20, 8),
+            13,
+        );
         assert!(report.ops() > 0);
         assert_eq!(report.errors, 0);
         assert!(report.batches > 0);
@@ -476,7 +432,14 @@ mod tests {
 
     #[test]
     fn deep_window_batches_and_amortizes() {
-        let report = run_pipeline_loop(2, 2, 0.3, PipelineShape::new(1_000, 20, 8), 11);
+        let report = run_pipeline(
+            memory(2),
+            FrontEnd::Threaded,
+            2,
+            0.3,
+            PipelineShape::new(1_000, 20, 8),
+            11,
+        );
         assert!(report.ops() > 0);
         assert_eq!(report.errors, 0);
         assert!(report.batches > 0);
@@ -496,7 +459,14 @@ mod tests {
 
     #[test]
     fn memory_run_reports_zero_fsyncs() {
-        let report = run_pipeline_loop(1, 1, 0.2, PipelineShape::new(200, 50, 4), 3);
+        let report = run_pipeline(
+            memory(1),
+            FrontEnd::Threaded,
+            1,
+            0.2,
+            PipelineShape::new(200, 50, 4),
+            3,
+        );
         assert!(report.ops() > 0);
         assert_eq!(report.wal_syncs, 0);
         assert_eq!(report.fsyncs_per_write(), 0.0);
@@ -507,9 +477,15 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("malthus-pipeline-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let report =
-            run_pipeline_loop_durable(&dir, 1, 2, 0.3, PipelineShape::new(500, 100, 16), 13)
-                .unwrap();
+        let (service, _) = KvService::open(&dir, 1, MEMTABLE_LIMIT, CACHE_BLOCKS).unwrap();
+        let report = run_pipeline(
+            Arc::new(service),
+            FrontEnd::Threaded,
+            2,
+            0.3,
+            PipelineShape::new(500, 100, 16),
+            13,
+        );
         assert!(report.ops() > 0);
         assert_eq!(report.errors, 0);
         // Every acked PUT was covered by some group commit...

@@ -14,7 +14,9 @@ use std::sync::Arc;
 
 use malthusian::pool::{server, KvService};
 use malthusian::pool::{KvClient, PoolConfig, WorkCrew};
-use malthusian::workloads::pipeline::{run_pipeline_loop, PipelineShape};
+use malthusian::workloads::pipeline::{
+    run_pipeline, FrontEnd, PipelineShape, CACHE_BLOCKS, MEMTABLE_LIMIT,
+};
 
 fn interval_ms() -> u64 {
     std::env::var("MALTHUS_BENCH_MS")
@@ -74,8 +76,9 @@ fn main() {
     );
     let mut base = 0.0f64;
     for depth in [1usize, 16] {
-        let report = run_pipeline_loop(
-            2,
+        let report = run_pipeline(
+            Arc::new(KvService::with_shards(2, MEMTABLE_LIMIT, CACHE_BLOCKS)),
+            FrontEnd::Threaded,
             2,
             seconds,
             PipelineShape::new(10_000, 20, depth),
