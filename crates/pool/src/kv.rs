@@ -112,7 +112,7 @@ use malthus_obs::{SlowEntry, SlowRing, SpanContext};
 use malthus_storage::{BatchOp, BatchReply, RecoveryReport, ShardedKv};
 
 use crate::crew::WorkCrew;
-use crate::protocol::{push_u64, write_tag, Parsed, Request};
+use crate::protocol::{push_line, push_u64, write_tag, Parsed, Request};
 
 /// The response line for a write refused by a read-only (WAL-poisoned)
 /// shard.
@@ -658,18 +658,18 @@ impl KvService {
         }
     }
 
-    /// Renders the response to one reply of a storage batch: `VAL
-    /// <value>` or `NIL`; `OK`; `VALS <value>...` with a miss as `-`;
-    /// `OK <pairs-written>`; or the read-only refusal.
-    fn render_batch_reply(out: &mut String, reply: &BatchReply) {
+    /// Renders the response line to one reply of a storage batch, its
+    /// tag echoed: `VAL <value>` or `NIL`; `OK`; `VALS <value>...` with
+    /// a miss as `-`; `OK <pairs-written>`; or the read-only refusal.
+    /// Every line but `VALS` is assembled whole and appended at once
+    /// ([`push_line`]).
+    fn render_batch_reply(out: &mut String, tag: Option<u64>, reply: &BatchReply) {
         match reply {
-            BatchReply::Value(Some(v)) => {
-                out.push_str("VAL ");
-                push_u64(out, *v);
-            }
-            BatchReply::Value(None) => out.push_str("NIL"),
-            BatchReply::Done => out.push_str("OK"),
+            BatchReply::Value(Some(v)) => push_line(out, tag, "VAL ", Some(*v)),
+            BatchReply::Value(None) => push_line(out, tag, "NIL", None),
+            BatchReply::Done => push_line(out, tag, "OK", None),
             BatchReply::Values(values) => {
+                write_tag(out, tag);
                 out.push_str("VALS");
                 for v in values {
                     match v {
@@ -680,12 +680,10 @@ impl KvService {
                         None => out.push_str(" -"),
                     }
                 }
+                out.push('\n');
             }
-            BatchReply::Wrote(pairs) => {
-                out.push_str("OK ");
-                push_u64(out, *pairs as u64);
-            }
-            BatchReply::Readonly => out.push_str(READONLY_ERR),
+            BatchReply::Wrote(pairs) => push_line(out, tag, "OK ", Some(*pairs as u64)),
+            BatchReply::Readonly => push_line(out, tag, READONLY_ERR, None),
         }
     }
 
@@ -764,9 +762,7 @@ impl KvService {
                 .collect();
             let replies = self.store.execute_batch_span(&ops, span);
             for (p, reply) in data.iter().zip(&replies) {
-                write_tag(out, p.tag);
-                Self::render_batch_reply(out, reply);
-                out.push('\n');
+                Self::render_batch_reply(out, p.tag, reply);
             }
             rest = tail;
         }

@@ -443,24 +443,57 @@ fn find_newline(s: &[u8]) -> Option<usize> {
     Some(s.len() - tail.len() + at)
 }
 
-/// The decimal digits of `v`, written from the back of `buf`.
-fn u64_digits(mut v: u64, buf: &mut [u8; 20]) -> &str {
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+/// Writes `v` in decimal into `buf` so that it ends just before
+/// `buf[end]`, two digits at a time (one 64-bit division per pair, not
+/// per digit), and returns where it starts.
+fn digits_before(buf: &mut [u8], end: usize, mut v: u64) -> usize {
+    let mut at = end;
+    while v >= 10 {
+        let pair = (v % 100) as u8;
+        v /= 100;
+        at -= 2;
+        buf[at] = b'0' + pair / 10;
+        buf[at + 1] = b'0' + pair % 10;
     }
-    std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII")
+    // What is left is one digit: the leading one of an odd-length
+    // number, or a zero that is written only when it is the number.
+    if v > 0 || at == end {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    at
 }
 
 /// Appends `v` in decimal — what `write!(out, "{v}")` renders, without
 /// the `core::fmt` call.
 pub(crate) fn push_u64(out: &mut String, v: u64) {
-    out.push_str(u64_digits(v, &mut [0; 20]));
+    let mut digits = [0; 20];
+    let at = digits_before(&mut digits, 20, v);
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends one whole reply line — the `#<tag> ` prefix of a tagged
+/// request, `head`, `value` in decimal if there is one, the newline —
+/// assembled on the stack first, back to front so the digits land in
+/// place, and appended with one `push_str` where the pieces took five
+/// or six.
+pub(crate) fn push_line(out: &mut String, tag: Option<u64>, head: &str, value: Option<u64>) {
+    // `#`, 20 digits and a space; then `head`; 20 digits; `\n`.
+    let mut line = [0u8; 64];
+    let mut at = line.len() - 1;
+    line[at] = b'\n';
+    if let Some(value) = value {
+        at = digits_before(&mut line, at, value);
+    }
+    at -= head.len();
+    line[at..at + head.len()].copy_from_slice(head.as_bytes());
+    if let Some(tag) = tag {
+        at -= 1;
+        line[at] = b' ';
+        at = digits_before(&mut line, at, tag) - 1;
+        line[at] = b'#';
+    }
+    out.push_str(std::str::from_utf8(&line[at..]).expect("a str and ASCII digits"));
 }
 
 /// Appends the `#<tag> ` reply prefix for a tagged request; untagged
@@ -936,23 +969,30 @@ mod tests {
 
     #[test]
     fn push_u64_renders_what_format_renders() {
-        for v in [
-            0,
-            9,
-            10,
-            99,
-            100,
-            4_294_967_295,
-            4_294_967_296,
-            10_000_000_000_000_000_000,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
+        // Every digit count from both sides of its boundary: 0, 9, 10,
+        // 99, 100, …, 10^k - 1, 10^k, …, 10^19, and around 2^32 and
+        // u64::MAX.
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        let values: Vec<u64> = (powers.flat_map(|p| [p - 1, p, p + 1, p.saturating_mul(5)]))
+            .chain([4_294_967_295, 4_294_967_296, u64::MAX - 1, u64::MAX])
+            .collect();
+        for &v in &values {
             let mut out = String::from("VAL ");
             push_u64(&mut out, v);
             assert_eq!(out, format!("VAL {v}"));
+            let mut out = String::from("x");
+            push_line(&mut out, Some(v), "VAL ", Some(v));
+            push_line(&mut out, None, "OK ", Some(v));
+            push_line(&mut out, Some(v), "ERR shard readonly", None);
+            assert_eq!(
+                out,
+                format!("x#{v} VAL {v}\nOK {v}\n#{v} ERR shard readonly\n")
+            );
         }
         let mut out = String::new();
+        push_line(&mut out, None, "NIL", None);
+        assert_eq!(out, "NIL\n");
+        out.clear();
         write_tag(&mut out, None);
         assert_eq!(out, "");
         write_tag(&mut out, Some(u64::MAX));

@@ -318,6 +318,12 @@ impl RwCrLock {
             // The fences order one side's pair in front of the other,
             // so either we observe the cell or the writer observes the
             // drained count.
+            //
+            // Preempted here, this thread can resume in a *later* write
+            // episode and take that one's cell; see
+            // `wait_for_drain_inner`.
+            #[cfg(test)]
+            tests::last_out_pause();
             std::sync::atomic::fence(Ordering::SeqCst);
             let cell = self.wside.drain.swap(ptr::null_mut(), Ordering::AcqRel);
             if !cell.is_null() {
@@ -520,30 +526,43 @@ impl RwCrLock {
             spin.pause();
         }
         self.wside.drain_waits.bump();
-        let cell = WaitCell::new();
-        self.wside
-            .drain
-            .store(&cell as *const WaitCell as *mut WaitCell, Ordering::Release);
-        // Pairs with the fence in `exit_read`; see the comment there.
-        // Without it, this re-check load could be satisfied before the
-        // publication store above drains (store-buffering), letting the
-        // last reader's swap miss the cell while we miss its decrement
-        // — both sides would then wait forever.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if reader_count(self.sync.load(Ordering::Acquire)) == 0 {
-            // The drain may have completed before the cell was
-            // published; reclaim it. Losing the swap means a reader
-            // took the cell and its signal is in flight.
-            if !self
-                .wside
+        // A signal means some reader saw itself last out, not that the
+        // readers of *this* episode are gone: a reader preempted
+        // between its decrement and its swap in `exit_read` can resume
+        // now and signal us with readers inside. So the count is
+        // checked after every signal, and a fresh cell is published
+        // while readers remain; a stale swap can only ever take a live
+        // waiting writer's cell, so this loop is sufficient.
+        loop {
+            let cell = WaitCell::new();
+            self.wside
                 .drain
-                .swap(ptr::null_mut(), Ordering::AcqRel)
-                .is_null()
-            {
+                .store(&cell as *const WaitCell as *mut WaitCell, Ordering::Release);
+            // Pairs with the fence in `exit_read`; see the comment
+            // there. Without it, this re-check load could be satisfied
+            // before the publication store above drains
+            // (store-buffering), letting the last reader's swap miss
+            // the cell while we miss its decrement — both sides would
+            // then wait forever.
+            std::sync::atomic::fence(Ordering::SeqCst);
+            if reader_count(self.sync.load(Ordering::Acquire)) == 0 {
+                // The drain may have completed before the cell was
+                // published; reclaim it. Losing the swap means a
+                // reader took the cell and its signal is in flight.
+                if !self
+                    .wside
+                    .drain
+                    .swap(ptr::null_mut(), Ordering::AcqRel)
+                    .is_null()
+                {
+                    return;
+                }
+            }
+            cell.wait(self.policy);
+            if reader_count(self.sync.load(Ordering::Acquire)) == 0 {
                 return;
             }
         }
-        cell.wait(self.policy);
     }
 }
 
@@ -689,9 +708,109 @@ unsafe impl RawRwLock for RwCrLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::atomic::AtomicU64;
-    use std::sync::{Arc, Barrier};
+    use std::sync::{mpsc, Arc, Barrier};
     use std::time::Duration;
+
+    thread_local! {
+        /// Run by this thread's `exit_read` after it decided it is the
+        /// last reader out and before it takes the drain cell.
+        static LAST_OUT_PAUSE: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn last_out_pause() {
+        LAST_OUT_PAUSE.with_borrow_mut(|pause| pause.as_mut().map(|pause| pause()));
+    }
+
+    /// Spins until `done` holds of `rw`.
+    fn until(rw: &RwCrLock, done: impl Fn(&RwCrLock) -> bool) {
+        while !done(rw) {
+            std::thread::yield_now();
+        }
+    }
+
+    fn drain_published(rw: &RwCrLock) -> bool {
+        !rw.wside.drain.load(Ordering::Acquire).is_null()
+    }
+
+    #[test]
+    fn a_stale_last_reader_cannot_let_a_later_writer_in_over_readers() {
+        // Reader A decides it is the last one out of write episode 1
+        // and stops before taking the drain cell; episode 1's writer is
+        // let in by another arrival's back-out. A resumes during
+        // episode 2 and takes *that* writer's cell while episode 2's
+        // reader is still inside.
+        let rw = Arc::new(RwCrLock::stp());
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (paused_tx, paused) = mpsc::channel();
+        let (resume, resume_rx) = mpsc::channel();
+        let reader_a = std::thread::spawn({
+            let rw = Arc::clone(&rw);
+            move || {
+                rw.read_lock();
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                LAST_OUT_PAUSE.set(Some(Box::new(move || {
+                    paused_tx.send(()).unwrap();
+                    resume_rx.recv().unwrap();
+                })));
+                // SAFETY: held.
+                unsafe { rw.read_unlock() };
+            }
+        });
+        held.recv().unwrap();
+        let writer_1 = std::thread::spawn({
+            let rw = Arc::clone(&rw);
+            move || {
+                rw.write_lock();
+                // SAFETY: held.
+                unsafe { rw.write_unlock() };
+            }
+        });
+        until(&rw, drain_published);
+        release.send(()).unwrap();
+        paused.recv().unwrap();
+        // An optimistic arrival backs out of episode 1 as its last
+        // reader and signals its writer (unless that writer already saw
+        // A's decrement on its own re-check and is in, or gone).
+        if rw.try_read_lock() {
+            // SAFETY: held.
+            unsafe { rw.read_unlock() };
+        }
+        writer_1.join().unwrap();
+
+        rw.read_lock();
+        let entered = Arc::new(AtomicBool::new(false));
+        let writer_2 = std::thread::spawn({
+            let (rw, entered) = (Arc::clone(&rw), Arc::clone(&entered));
+            move || {
+                rw.write_lock();
+                entered.store(true, Ordering::SeqCst);
+                // SAFETY: held.
+                unsafe { rw.write_unlock() };
+            }
+        });
+        until(&rw, drain_published);
+        resume.send(()).unwrap();
+        reader_a.join().unwrap();
+        // A took episode 2's cell and signalled it. The writer must wait
+        // on a fresh cell, not enter over the reader still inside.
+        until(&rw, |rw| {
+            entered.load(Ordering::SeqCst) || drain_published(rw)
+        });
+        let entered_over_reader = entered.load(Ordering::SeqCst);
+        // SAFETY: held.
+        unsafe { rw.read_unlock() };
+        writer_2.join().unwrap();
+        assert!(
+            !entered_over_reader,
+            "a writer entered while a reader held the lock"
+        );
+        assert!(entered.load(Ordering::SeqCst));
+        assert_eq!(rw.active_readers(), 0);
+    }
 
     #[test]
     fn uncontended_read_and_write_round_trip() {

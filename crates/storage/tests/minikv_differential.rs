@@ -11,8 +11,11 @@
 //! keys through [`MiniKv::search_many`] must give the values, the cache
 //! touches in their order and the read count of the same keys served
 //! one after the other with `get_memtable().or_else(get_runs)`.
+//!
+//! The memtable keeps no order, so scans that start and stop inside it
+//! are checked on their own, at every fill level it passes through.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use malthus_park::XorShift64;
 use malthus_storage::{MiniKv, SimpleLru};
@@ -75,6 +78,56 @@ fn run(limit: usize, seed: u64) {
 fn every_reply_matches_a_btreemap_at_every_memtable_limit() {
     for (seed, limit) in [1usize, 2, 7, 64, 4_096].into_iter().enumerate() {
         run(limit, 0xD1FF + seed as u64);
+    }
+}
+
+/// The memtable is unordered, so a scan selects and sorts its part:
+/// scans that start inside the memtable's key range and stop inside it
+/// (small limits), after every put — so at every fill level, from just
+/// frozen to one put short of the next freeze — against a `BTreeMap`.
+#[test]
+fn small_scans_from_mid_memtable_match_a_btreemap_at_every_fill_level() {
+    for (seed, limit) in [2usize, 7, 64].into_iter().enumerate() {
+        let rng = XorShift64::new(0x5CA7 + seed as u64);
+        let mut kv = MiniKv::new(limit);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        // The keys put since the last freeze: the memtable's.
+        let mut memtable = BTreeSet::new();
+        let mut scanned_at_fill = vec![0; limit];
+        let mut most_runs = 0;
+        for put in 0..limit * 60 {
+            let (k, v) = (rng.next_below(KEY_SPACE) * STRIDE, rng.next_u64());
+            kv.put(k, v);
+            most_runs = most_runs.max(kv.run_count());
+            model.insert(k, v);
+            memtable.insert(k);
+            if memtable.len() == limit {
+                memtable.clear();
+            }
+            let Some(&mid) = memtable.iter().nth(memtable.len() / 2) else {
+                continue;
+            };
+            scanned_at_fill[memtable.len()] += 1;
+            for start in [mid.saturating_sub(1), mid, mid + 1] {
+                for n in [0, 1, 2, 3, limit / 2, limit] {
+                    let expect: Vec<(u64, u64)> = model
+                        .range(start..)
+                        .take(n)
+                        .map(|(&k, &v)| (k, v))
+                        .collect();
+                    assert_eq!(
+                        kv.scan_from(start, n),
+                        expect,
+                        "limit {limit} put {put} start {start} n {n}"
+                    );
+                }
+            }
+        }
+        assert_eq!(most_runs, 2, "limit {limit}: no accumulator to shadow");
+        assert!(
+            scanned_at_fill[1..].iter().all(|&scans| scans > 0),
+            "limit {limit}: fill levels scanned {scanned_at_fill:?}"
+        );
     }
 }
 
