@@ -21,16 +21,28 @@
 //! keep runs *statistically* identical, and the `kv_chaos` harness
 //! layers its own strictly deterministic round schedule on top.
 //!
+//! # Who reads which state
+//!
+//! [`FaultPlan::arm`] makes a [`FaultState`] value, handed as an `Arc`
+//! to whatever it faults. A store reads the storage sites and
+//! `shard.stall` from the instance it is opened with
+//! (`WalOptions::faults` in `malthus-storage`), so two tests in one
+//! binary never share a schedule. The reactor's syscall shims have no
+//! store to be handed one, so the `net.*` sites read the process-global
+//! state [`install`] arms; a server hands that same `Arc` to its store,
+//! so one state counts every site.
+//!
 //! # Overhead
 //!
 //! A process that never calls [`install`] pays one relaxed atomic load
 //! per [`fire`] — the `OnceLock` lookup — and nothing else, so the
-//! hooks stay compiled into production binaries.
+//! hooks stay compiled into production binaries. A store opened
+//! without faults has no injection point at all.
 
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A fixed injection point compiled into one of the server's I/O
 /// boundaries.
@@ -110,7 +122,8 @@ pub struct Clause {
     /// At most this many injections, then the site disarms (a fault
     /// window that closes). `None` = unlimited.
     pub budget: Option<u64>,
-    /// Stall duration for [`Site::ShardStall`]; ignored elsewhere.
+    /// Stall duration for [`Site::ShardStall`]; [`DEFAULT_STALL_MS`]
+    /// elsewhere (the grammar refuses a `:stall_ms` there).
     pub stall_ms: u64,
 }
 
@@ -132,11 +145,12 @@ pub struct Clause {
 /// `storage.fsync=1x3` fails the first three fsync opportunities with
 /// certainty, then the site disarms; `net.reset=0.01` resets 1% of
 /// ready connections forever; `shard.stall=0.05:40` stalls 5% of write
-/// groups for 40 ms.
+/// groups for 40 ms. A site may be named once, `seed=` given once, and
+/// only `shard.stall` takes `:stall_ms`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Master seed; `None` lets [`install`] derive one from the clock
-    /// (and return it so the run stays replayable).
+    /// Master seed; `None` lets [`FaultPlan::arm`] derive one from the
+    /// clock (kept in the armed state so the run stays replayable).
     pub seed: Option<u64>,
     /// Armed sites.
     pub clauses: Vec<Clause>,
@@ -145,7 +159,9 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Parses a plan spec (see the type-level grammar). Whitespace
     /// around clauses is tolerated; empty clauses are skipped, so a
-    /// trailing comma is fine.
+    /// trailing comma is fine. A clause the armed state would ignore —
+    /// a repeated site, a second `seed=`, a `:stall_ms` on a site that
+    /// never stalls — is an error naming it.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for part in spec.split(',') {
@@ -157,6 +173,9 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault clause {part:?} has no '='"))?;
             if key == "seed" {
+                if plan.seed.is_some() {
+                    return Err(format!("fault clause {part:?} repeats the seed"));
+                }
                 let seed = value
                     .parse::<u64>()
                     .map_err(|e| format!("bad seed {value:?}: {e}"))?;
@@ -167,7 +186,15 @@ impl FaultPlan {
                 let known: Vec<&str> = SITES.iter().map(|s| s.name()).collect();
                 format!("unknown fault site {key:?} (known: {})", known.join(", "))
             })?;
+            if plan.clauses.iter().any(|c| c.site == site) {
+                return Err(format!("fault clause {part:?} repeats site {key}"));
+            }
             let (value, stall_ms) = match value.split_once(':') {
+                Some(_) if site != Site::ShardStall => {
+                    return Err(format!(
+                        "fault clause {part:?}: only shard.stall takes :<ms>"
+                    ));
+                }
                 Some((v, ms)) => (
                     v,
                     ms.parse::<u64>()
@@ -219,11 +246,23 @@ impl FaultPlan {
         }
         out
     }
+
+    /// Arms the plan as a value to hand to whatever it faults: with
+    /// its `seed=`, else a seed derived from the clock — read it back
+    /// with [`FaultState::seed`], because the run is only replayable if
+    /// someone wrote it down.
+    pub fn arm(&self) -> Arc<FaultState> {
+        Arc::new(FaultState::new(
+            self,
+            self.seed.unwrap_or_else(entropy_seed),
+        ))
+    }
 }
 
 /// One site's armed state. Rate is pre-scaled to a 32-bit threshold
 /// so the hot path compares integers; the budget counts *injections*
 /// (not opportunities) down to disarm.
+#[derive(Debug)]
 struct Point {
     threshold: u64,
     budget: AtomicU64,
@@ -254,8 +293,10 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The armed form of a [`FaultPlan`]: per-site xorshift streams and
-/// counters. Usable standalone (unit tests) or as the process-global
-/// singleton behind [`install`]/[`fire`].
+/// counters. Handed (as an `Arc`, see [`FaultPlan::arm`]) to whatever
+/// it faults; the one behind [`install`]/[`fire`] is the process's
+/// global instance.
+#[derive(Debug)]
 pub struct FaultState {
     points: [Point; SITES.len()],
     seed: u64,
@@ -346,23 +387,15 @@ impl FaultState {
     pub fn checked(&self, site: Site) -> u64 {
         self.points[site.index()].checked.load(Ordering::Relaxed)
     }
-
-    /// Whether any of `sites` is armed (has a nonzero rate).
-    pub fn any_armed(&self, sites: &[Site]) -> bool {
-        sites.iter().any(|s| self.points[s.index()].threshold != 0)
-    }
 }
 
-static ARMED: OnceLock<FaultState> = OnceLock::new();
+static ARMED: OnceLock<Arc<FaultState>> = OnceLock::new();
 
-/// Arms `plan` process-wide and returns the resolved master seed —
-/// print it, because with `plan.seed == None` it is derived from the
-/// clock and the run is only replayable if someone wrote it down.
-/// Idempotent: a second call keeps the first plan and returns its
-/// seed.
-pub fn install(plan: &FaultPlan) -> u64 {
-    let seed = plan.seed.unwrap_or_else(entropy_seed);
-    ARMED.get_or_init(|| FaultState::new(plan, seed)).seed()
+/// Arms `plan` process-wide ([`FaultPlan::arm`]) and returns the armed
+/// state, for the caller to print its seed and hand to whatever else
+/// it faults. Idempotent: a second call keeps the first state.
+pub fn install(plan: &FaultPlan) -> Arc<FaultState> {
+    Arc::clone(ARMED.get_or_init(|| plan.arm()))
 }
 
 fn entropy_seed() -> u64 {
@@ -378,42 +411,10 @@ fn entropy_seed() -> u64 {
     }
 }
 
-/// The process-global armed state, if [`install`] has run.
-pub fn armed() -> Option<&'static FaultState> {
-    ARMED.get()
-}
-
 /// One injection opportunity at `site` against the global plan; false
 /// when no plan is armed (one atomic load).
 pub fn fire(site: Site) -> bool {
     ARMED.get().is_some_and(|s| s.fire(site))
-}
-
-/// Global [`FaultState::stall_ms`]; `None` when no plan is armed.
-pub fn stall_ms(site: Site) -> Option<u64> {
-    ARMED.get().and_then(|s| s.stall_ms(site))
-}
-
-/// Whether the global plan arms any storage-layer site — the sharded
-/// store checks this once at open to decide whether to wrap its WAL
-/// file layers in the injecting adapter.
-pub fn storage_armed() -> bool {
-    ARMED.get().is_some_and(|s| {
-        s.any_armed(&[
-            Site::StorageFsync,
-            Site::StorageShortWrite,
-            Site::StorageEnospc,
-        ])
-    })
-}
-
-/// `(site name, faults injected)` for every site of the global plan
-/// (empty when unarmed) — the `kv_faults_injected_total` feed.
-pub fn injected_counts() -> Vec<(&'static str, u64)> {
-    match ARMED.get() {
-        Some(s) => SITES.iter().map(|&k| (k.name(), s.injected(k))).collect(),
-        None => Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -454,6 +455,17 @@ mod tests {
         assert!(FaultPlan::parse("seed=abc").is_err(), "bad seed");
         assert!(FaultPlan::parse("storage.fsync=1xq").is_err(), "bad budget");
         assert!(FaultPlan::parse("shard.stall=1:q").is_err(), "bad stall");
+        // Clauses the armed state would silently drop.
+        let refusal = |spec: &str| FaultPlan::parse(spec).unwrap_err();
+        let twice = refusal("storage.fsync=1x1,storage.fsync=0");
+        assert!(
+            twice.contains("\"storage.fsync=0\""),
+            "repeated site: {twice}"
+        );
+        let reseeded = refusal("seed=1,net.reset=0.5,seed=2");
+        assert!(reseeded.contains("\"seed=2\""), "second seed: {reseeded}");
+        let stall = refusal("net.reset=0.1:40");
+        assert!(stall.contains("\"net.reset=0.1:40\""), "stray :ms: {stall}");
     }
 
     #[test]
@@ -492,8 +504,6 @@ mod tests {
         let st = FaultState::new(&plan, 1);
         assert!(!st.fire(Site::NetReset));
         assert_eq!(st.checked(Site::NetReset), 0, "disarmed check not counted");
-        assert!(st.any_armed(&[Site::StorageFsync]));
-        assert!(!st.any_armed(&[Site::NetReset, Site::NetEintr]));
     }
 
     #[test]
@@ -512,14 +522,28 @@ mod tests {
         // matter). Arm a site no other global path exercises in this
         // test binary.
         let plan = FaultPlan::parse("seed=9,net.eagain=1x2").unwrap();
-        assert_eq!(install(&plan), 9);
-        assert_eq!(install(&plan), 9, "second install keeps the first");
+        let state = install(&plan);
+        assert_eq!(state.seed(), 9);
+        let other = FaultPlan::parse("seed=10").unwrap();
+        assert!(
+            Arc::ptr_eq(&install(&other), &state),
+            "second install keeps the first"
+        );
         assert!(fire(Site::NetEagain));
         assert!(fire(Site::NetEagain));
         assert!(!fire(Site::NetEagain), "budget spent");
-        assert!(!storage_armed());
-        let counts = injected_counts();
-        let eagain = counts.iter().find(|(n, _)| *n == "net.eagain").unwrap();
-        assert_eq!(eagain.1, 2);
+        assert_eq!(state.injected(Site::NetEagain), 2);
+    }
+
+    #[test]
+    fn arm_resolves_the_seed_once() {
+        assert_eq!(FaultPlan::parse("seed=5").unwrap().arm().seed(), 5);
+        // No `seed=`: one is drawn, and the state keeps it.
+        let plan = FaultPlan::parse("storage.fsync=1x1").unwrap();
+        let state = plan.arm();
+        assert_ne!(state.seed(), 0);
+        assert!(state.fire(Site::StorageFsync));
+        assert!(!state.fire(Site::StorageFsync), "one state, one budget");
+        assert!(plan.arm().fire(Site::StorageFsync), "a second arm is fresh");
     }
 }

@@ -1,8 +1,10 @@
 //! Spurious readiness loses nothing: with `net.eagain` armed, half of
 //! all socket reads and flushes report `EAGAIN` without touching the
-//! socket. The short-read rule leans on the level-triggered re-arm to
-//! redeliver what a cut-short drain left behind; this is that promise
-//! under the worst readiness the fault plan can produce.
+//! socket, and with `net.eintr` armed half of all `epoll_wait`s return
+//! empty as if interrupted. The short-read rule leans on the
+//! level-triggered re-arm to redeliver what a cut-short drain left
+//! behind; this is that promise under the worst readiness the fault
+//! plan can produce.
 //!
 //! Alone in its file because a fault plan is armed process-wide.
 
@@ -36,8 +38,8 @@ impl Handler for Echo {
 
 #[test]
 fn injected_eagain_on_reads_and_flushes_loses_no_line() {
-    let plan = FaultPlan::parse("seed=15,net.eagain=0.5").unwrap();
-    malthus_fault::install(&plan);
+    let plan = FaultPlan::parse("seed=15,net.eagain=0.5,net.eintr=0.5").unwrap();
+    let faults = malthus_fault::install(&plan);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let reactor = Reactor::start(listener, Echo, ReactorConfig::malthusian(2)).unwrap();
     let mut c = TcpStream::connect(reactor.local_addr().unwrap()).unwrap();
@@ -62,9 +64,9 @@ fn injected_eagain_on_reads_and_flushes_loses_no_line() {
     }
     drop((c, reader));
     let stats = reactor.join();
-    let injected = malthus_fault::armed()
-        .expect("plan installed above")
-        .injected(Site::NetEagain);
+    let injected = faults.injected(Site::NetEagain);
     assert!(injected >= 100, "only {injected} EAGAINs were injected");
     assert!(stats.partial_flushes > 0, "no flush met an injected EAGAIN");
+    let interrupted = faults.injected(Site::NetEintr);
+    assert!(interrupted > 0, "no epoll_wait met an injected EINTR");
 }

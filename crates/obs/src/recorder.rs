@@ -64,6 +64,14 @@ pub enum EventKind {
     ConnOpen = 11,
     /// A KV connection was reaped for idleness (`a` = idle secs).
     ConnIdleReap = 12,
+    /// A WAL error poisoned a shard read-only (`a` = shard, `b` = the
+    /// error's `errno`, 0 for an injected fault).
+    ShardReadonly = 13,
+    /// A heal probe of a read-only shard failed (`a` = shard, `b` =
+    /// `errno`, 0 for an injected fault).
+    HealProbeFailed = 14,
+    /// A heal probe flipped a read-only shard writable (`a` = shard).
+    ShardHealed = 15,
 }
 
 impl EventKind {
@@ -83,6 +91,9 @@ impl EventKind {
             EventKind::WalFsync => "wal_fsync",
             EventKind::ConnOpen => "conn_open",
             EventKind::ConnIdleReap => "conn_idle_reap",
+            EventKind::ShardReadonly => "shard_readonly",
+            EventKind::HealProbeFailed => "heal_probe_failed",
+            EventKind::ShardHealed => "shard_healed",
         }
     }
 
@@ -101,6 +112,9 @@ impl EventKind {
             10 => EventKind::WalFsync,
             11 => EventKind::ConnOpen,
             12 => EventKind::ConnIdleReap,
+            13 => EventKind::ShardReadonly,
+            14 => EventKind::HealProbeFailed,
+            15 => EventKind::ShardHealed,
             _ => return None,
         })
     }

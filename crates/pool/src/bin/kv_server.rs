@@ -60,7 +60,9 @@
 //!   process: e.g. `seed=7,storage.fsync=0.01x3,net.reset=0.001`.
 //!   The effective seed is printed (`fault plan armed: seed=…`) so
 //!   any run can be replayed exactly; injection counters are exposed
-//!   as `kv_faults_injected_total{site=…}` via `METRICS`.
+//!   as `kv_faults_injected_total{site=…}` via `METRICS`. A plan
+//!   naming a `storage.*` site or `shard.stall` needs a `--data-dir`:
+//!   a memory-only store has no WAL to fault.
 //! * `--async` / `MALTHUS_KV_ASYNC=1` — serve through the
 //!   readiness-driven reactor front-end (`malthus-net`) instead of a
 //!   thread per connection: `--workers` reactor threads share one
@@ -86,11 +88,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use malthus_fault::Site;
 use malthus_pool::kv::{self, KvService, DEFAULT_SHARDS};
 use malthus_pool::kv::{DEFAULT_CACHE_BLOCKS, DEFAULT_MEMTABLE_LIMIT};
 use malthus_pool::server::{self, ServeOptions, DEFAULT_ADDR};
 use malthus_pool::{serve_async, AsyncServeOptions, PoolConfig, WorkCrew};
-use malthus_storage::{spawn_healer, HealerConfig};
+use malthus_storage::{spawn_healer, HealerConfig, ShardedKv, WalOptions};
 
 /// Set (only) by the `SIGTERM` handler; a watcher thread turns it
 /// into a normal [`ServerControl::stop`].
@@ -234,10 +237,10 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let opts = parse_args(cpus);
 
-    // Arm fault injection before the store opens: the WAL layer
-    // checks `storage_armed()` at open to decide whether to wrap its
-    // file I/O in `ChaosWalIo`.
-    if let Some(spec) = &opts.fault_plan {
+    // Arm fault injection once, before the store opens: the net sites
+    // read the process-global state, and the store is opened with the
+    // same instance, so one state counts every site.
+    let faults = opts.fault_plan.as_ref().map(|spec| {
         let plan = match malthus_fault::FaultPlan::parse(spec) {
             Ok(p) => p,
             Err(e) => {
@@ -245,11 +248,32 @@ fn main() {
                 usage();
             }
         };
-        let seed = malthus_fault::install(&plan);
+        let faults_the_store = |c: &&malthus_fault::Clause| {
+            matches!(
+                c.site,
+                Site::StorageFsync
+                    | Site::StorageShortWrite
+                    | Site::StorageEnospc
+                    | Site::ShardStall
+            )
+        };
+        if let (None, Some(c)) = (&opts.data_dir, plan.clauses.iter().find(faults_the_store)) {
+            eprintln!(
+                "kv_server: --fault-plan arms {} but the store is memory-only: \
+                 it needs --data-dir",
+                c.site.name()
+            );
+            usage();
+        }
+        let faults = malthus_fault::install(&plan);
         // The replay line: paste this exact spec back into
         // `--fault-plan` to reproduce the schedule.
-        eprintln!("# kv_server: fault plan armed: {}", plan.render(seed));
-    }
+        eprintln!(
+            "# kv_server: fault plan armed: {}",
+            plan.render(faults.seed())
+        );
+        faults
+    });
 
     // The same sizing whether the admitted resource is the crew's
     // task queue or the reactor's `epoll_wait`.
@@ -298,11 +322,16 @@ fn main() {
     let service = match &opts.data_dir {
         Some(dir) => {
             let dir = std::path::Path::new(dir);
-            let (service, report) = KvService::open(
+            let wal = WalOptions {
+                faults: faults.clone(),
+                ..WalOptions::default()
+            };
+            let (store, report) = ShardedKv::open_with(
                 dir,
                 opts.shards,
                 DEFAULT_MEMTABLE_LIMIT,
                 DEFAULT_CACHE_BLOCKS,
+                wal,
             )
             .expect("open data dir");
             // The recovery banner: what the WALs gave back, and
@@ -332,7 +361,7 @@ fn main() {
                     report.bad_records()
                 );
             }
-            Arc::new(service)
+            Arc::new(KvService::from_store(store))
         }
         None => {
             eprintln!("# kv_server: memory-only (no --data-dir): writes do not survive restart");
@@ -348,8 +377,9 @@ fn main() {
 
     // With faults armed, every site's injection counter joins the
     // unified registry so `METRICS` (and kvtop) can watch the chaos.
-    if let Some(state) = malthus_fault::armed() {
+    if let Some(state) = &faults {
         for site in malthus_fault::SITES {
+            let state = Arc::clone(state);
             service.registry().counter(
                 "kv_faults_injected_total",
                 "Faults injected at this site by the armed fault plan",

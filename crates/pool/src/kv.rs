@@ -1079,20 +1079,18 @@ mod tests {
 
     #[test]
     fn readonly_shard_renders_err_on_the_wire() {
-        use malthus_storage::{FaultPlan, WalOptions};
+        use malthus_storage::WalOptions;
         let dir = temp_dir("readonly");
         let opts = WalOptions {
-            faults: vec![(
-                0,
-                FaultPlan {
-                    fail_sync_at: Some(0),
-                    ..FaultPlan::default()
-                },
-            )],
+            faults: Some(
+                malthus_fault::FaultPlan::parse("storage.fsync=1x1")
+                    .unwrap()
+                    .arm(),
+            ),
             ..WalOptions::default()
         };
-        // Single shard so key 1 is guaranteed to land on the faulty
-        // one; the multi-shard isolation story is covered at the
+        // Single shard so key 1 is guaranteed to meet the failing
+        // fsync; the multi-shard isolation story is covered at the
         // storage layer.
         let (store, _) = ShardedKv::open_with(&dir, 1, 64, 256, opts).unwrap();
         let svc = Arc::new(KvService::from_store(store));

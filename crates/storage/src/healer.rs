@@ -116,7 +116,7 @@ fn run_healer(store: &ShardedKv, stop: &AtomicBool, cfg: HealerConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{FaultPlan, WalOptions};
+    use crate::wal::WalOptions;
     use std::sync::atomic::AtomicU64;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -128,6 +128,18 @@ mod tests {
         ));
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// Options failing the store's first fsync, and no other.
+    fn first_fsync_fails() -> WalOptions {
+        WalOptions {
+            faults: Some(
+                malthus_fault::FaultPlan::parse("storage.fsync=1x1")
+                    .unwrap()
+                    .arm(),
+            ),
+            ..WalOptions::default()
+        }
     }
 
     #[test]
@@ -142,19 +154,10 @@ mod tests {
     #[test]
     fn healer_revives_a_poisoned_shard_within_its_backoff_budget() {
         let dir = temp_dir("revive");
-        // Shard 0's first sync fails, everything after succeeds —
-        // the single-fault window the healer exists for.
-        let opts = WalOptions {
-            faults: vec![(
-                0,
-                FaultPlan {
-                    fail_sync_at: Some(0),
-                    ..FaultPlan::default()
-                },
-            )],
-            ..WalOptions::default()
-        };
-        let (kv, _) = ShardedKv::open_with(&dir, 2, 64, 64, opts).unwrap();
+        // The store's first sync (shard 0's: its first write goes
+        // there) fails, everything after succeeds — the single-fault
+        // window the healer exists for.
+        let (kv, _) = ShardedKv::open_with(&dir, 2, 64, 64, first_fsync_fails()).unwrap();
         let kv = Arc::new(kv);
         let key0 = (0..1_000u64).find(|&k| kv.router().route(k) == 0).unwrap();
         assert!(kv.put(key0, 1).is_err(), "first sync poisons shard 0");
@@ -195,21 +198,11 @@ mod tests {
     #[test]
     fn direct_probe_heals_and_counts_only_real_attempts() {
         let dir = temp_dir("probe");
-        let opts = WalOptions {
-            faults: vec![(
-                0,
-                FaultPlan {
-                    fail_sync_at: Some(0),
-                    ..FaultPlan::default()
-                },
-            )],
-            ..WalOptions::default()
-        };
-        let (kv, _) = ShardedKv::open_with(&dir, 1, 64, 64, opts).unwrap();
+        let (kv, _) = ShardedKv::open_with(&dir, 1, 64, 64, first_fsync_fails()).unwrap();
         assert!(kv.put(1, 1).is_err());
         assert!(kv.shard_readonly(0));
-        // Direct probe: first succeeds (the injected failure was the
-        // one-shot op 0), flips writable, and counts.
+        // Direct probe: first succeeds (the injected failure spent the
+        // budget), flips writable, and counts.
         assert!(kv.try_heal_shard(0));
         assert!(!kv.shard_readonly(0));
         assert!(kv.try_heal_shard(0), "healthy shard heals trivially");

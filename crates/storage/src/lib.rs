@@ -48,7 +48,6 @@ pub use sharded::{
 };
 pub use simplelru::{LruStats, SimpleLru};
 pub use wal::{
-    crc32, stamp_clean_shutdown, take_clean_shutdown, ChaosWalIo, FaultPlan, FaultyWalIo,
-    FileWalIo, RecoveryReport, ShardRecovery, ShardWal, WalIo, WalOptions, CLEAN_SHUTDOWN_MARKER,
-    DEFAULT_CHECKPOINT_BYTES,
+    crc32, stamp_clean_shutdown, take_clean_shutdown, ChaosWalIo, FileWalIo, RecoveryReport,
+    ShardRecovery, ShardWal, WalIo, WalOptions, CLEAN_SHUTDOWN_MARKER, DEFAULT_CHECKPOINT_BYTES,
 };

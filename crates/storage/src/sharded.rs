@@ -63,6 +63,7 @@ use std::sync::Arc;
 
 use malthus::{current_thread_index, LockCounter, McsCrMutex};
 use malthus_metrics::LatencyHistogram;
+use malthus_obs::EventKind;
 use malthus_rwlock::{RwCrMutex, RwStats};
 
 use crate::minikv::{MiniKv, MAX_RUNS};
@@ -70,7 +71,7 @@ use crate::router::ShardRouter;
 use crate::simplelru::{LruStats, SimpleLru};
 use crate::wal::{
     check_manifest, open_shard_log, stamp_clean_shutdown, take_clean_shutdown, ChaosWalIo,
-    FaultyWalIo, FileWalIo, RecoveryReport, ShardWal, WalIo, WalOptions,
+    FileWalIo, RecoveryReport, ShardWal, WalIo, WalOptions,
 };
 
 /// Upper bound a single [`ShardedKv::scan`] will return, whatever the
@@ -449,13 +450,6 @@ impl Shard {
         pairs: &[(u64, u64)],
         span: &mut malthus_obs::SpanContext,
     ) -> Result<(), WriteError> {
-        if let Some(ms) = malthus_fault::stall_ms(malthus_fault::Site::ShardStall) {
-            // Injected lock-holder stall: sleep while holding the
-            // shard's exclusive lock — the preemption/convoy shape
-            // the Malthusian policy's stall detection reprovisions
-            // around.
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
         if self.readonly.load(Ordering::Relaxed) {
             self.readonly_rejects.fetch_add(1, Ordering::Relaxed);
             return Err(WriteError { shard: index });
@@ -465,12 +459,18 @@ impl Shard {
                 self.wal_errors.fetch_add(1, Ordering::Relaxed);
                 self.readonly.store(true, Ordering::Relaxed);
                 self.readonly_rejects.fetch_add(1, Ordering::Relaxed);
-                eprintln!("# malthus-storage: shard {index} WAL error, going read-only: {e}");
+                record_wal_error(EventKind::ShardReadonly, index, &e);
                 return Err(WriteError { shard: index });
             }
         }
         Ok(())
     }
+}
+
+/// Records a WAL error in the flight recorder: the shard and the
+/// error's `errno`, 0 for an injected fault (which carries none).
+fn record_wal_error(kind: EventKind, shard: usize, e: &io::Error) {
+    malthus_obs::record(kind, shard as u64, e.raw_os_error().map_or(0, |c| c as u64));
 }
 
 /// Racy-snapshot statistics of one shard (see the module-level
@@ -678,8 +678,10 @@ impl ShardedKv {
     /// through the normal [`MiniKv::put`] path, so they count toward
     /// the shard's `writes` counter like any other write.
     ///
-    /// `opts.faults` wires [`FaultyWalIo`] wrappers onto selected
-    /// shards (tests of the read-only degradation path).
+    /// `opts.faults` arms the store: every shard's file layer is
+    /// wrapped in a [`ChaosWalIo`] holding that one state (its storage
+    /// sites and `shard.stall` fire there), so a test arms its own
+    /// store without touching any other in the process.
     ///
     /// # Panics
     ///
@@ -702,7 +704,6 @@ impl ShardedKv {
             clean_marker,
             ..RecoveryReport::default()
         };
-        let chaos = malthus_fault::storage_armed();
         for i in 0..shards {
             let path = dir.join(format!("shard-{i}.wal"));
             let (pairs, file, recovery) = open_shard_log(&path, threshold)?;
@@ -712,9 +713,8 @@ impl ShardedKv {
             // to here plus every group committed since.
             let committed_len = file.metadata()?.len();
             let file_io = FileWalIo::with_path(file, path);
-            let io: Box<dyn WalIo> = match opts.faults.iter().find(|(s, _)| *s == i) {
-                Some((_, plan)) => Box::new(FaultyWalIo::new(file_io, *plan)),
-                None if chaos => Box::new(ChaosWalIo::new(file_io)),
+            let io: Box<dyn WalIo> = match &opts.faults {
+                Some(faults) => Box::new(ChaosWalIo::new(file_io, Arc::clone(faults))),
                 None => Box::new(file_io),
             };
             let mut kv = MiniKv::new(memtable_limit);
@@ -805,7 +805,7 @@ impl ShardedKv {
             Some(wal) => match wal.heal_probe() {
                 Ok(()) => true,
                 Err(e) => {
-                    eprintln!("# malthus-storage: shard {index} heal probe failed: {e}");
+                    record_wal_error(EventKind::HealProbeFailed, index, &e);
                     false
                 }
             },
@@ -816,7 +816,7 @@ impl ShardedKv {
         if healed {
             shard.readonly.store(false, Ordering::Relaxed);
             shard.heals.fetch_add(1, Ordering::Relaxed);
-            eprintln!("# malthus-storage: shard {index} healed, writable again");
+            malthus_obs::record(EventKind::ShardHealed, index as u64, 0);
         }
         healed
     }
@@ -1947,20 +1947,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Options arming a store with the fault plan `spec`.
+    fn faulted(spec: &str) -> WalOptions {
+        WalOptions {
+            faults: Some(malthus_fault::FaultPlan::parse(spec).unwrap().arm()),
+            ..WalOptions::default()
+        }
+    }
+
+    /// The first key `kv` routes to `shard`.
+    fn key_on(kv: &ShardedKv, shard: usize) -> u64 {
+        (0u64..).find(|&k| kv.router().route(k) == shard).unwrap()
+    }
+
     #[test]
     fn fsync_failure_poisons_only_the_affected_shard() {
-        use crate::wal::FaultPlan;
         let dir = temp_dir("poison");
-        let opts = WalOptions {
-            faults: vec![(
-                0,
-                FaultPlan {
-                    fail_sync_at: Some(0),
-                    ..FaultPlan::default()
-                },
-            )],
-            ..WalOptions::default()
-        };
+        let opts = faulted("storage.fsync=1x1");
         let (kv, _) = ShardedKv::open_with(&dir, 4, 64, 256, opts).unwrap();
         let keys = {
             // One key per shard.
@@ -1971,8 +1974,9 @@ mod tests {
             }
             keys.into_iter().map(Option::unwrap).collect::<Vec<_>>()
         };
-        // Shard 0's first fsync fails: the write is refused and the
-        // shard goes read-only.
+        // The store's one injected fsync failure meets its first
+        // write, on shard 0: the write is refused and the shard goes
+        // read-only.
         let err = kv.put(keys[0], 1).unwrap_err();
         assert_eq!(err, WriteError { shard: 0 });
         assert_eq!(kv.get(keys[0]), None, "refused write must not apply");
@@ -2011,24 +2015,16 @@ mod tests {
 
     #[test]
     fn mget_and_mset_are_the_one_op_batch() {
-        use crate::wal::FaultPlan;
-        // Twin stores, shard 0 of each refusing its first fsync: one
+        // Twin stores, shard 0 of each poisoned by its first fsync: one
         // is driven through `mget`/`mset`, the other through the
         // equivalent one-op `execute_batch`. Results and every
         // per-shard counter must agree — there is one executor.
         let open = |tag| {
             let dir = temp_dir(tag);
-            let opts = WalOptions {
-                faults: vec![(
-                    0,
-                    FaultPlan {
-                        fail_sync_at: Some(0),
-                        ..FaultPlan::default()
-                    },
-                )],
-                ..WalOptions::default()
-            };
+            let opts = faulted("storage.fsync=1x1");
             let (kv, _) = ShardedKv::open_with(&dir, 4, 16, 64, opts).unwrap();
+            // Each store's one injected failure meets its first write.
+            assert_eq!(kv.put(key_on(&kv, 0), 0), Err(WriteError { shard: 0 }));
             (kv, dir)
         };
         let (direct, direct_dir) = open("oneop-direct");
@@ -2077,6 +2073,74 @@ mod tests {
         }
         std::fs::remove_dir_all(&direct_dir).unwrap();
         std::fs::remove_dir_all(&batched_dir).unwrap();
+    }
+
+    #[test]
+    fn shard_stall_holds_its_own_shard_only_and_spends_its_budget() {
+        // `shard.stall` sleeps inside the stalled shard's exclusive
+        // hold: a writer on the other shard passes it by.
+        use malthus_fault::Site;
+        let dir = temp_dir("stall");
+        let faults = malthus_fault::FaultPlan::parse("shard.stall=1x1:200")
+            .unwrap()
+            .arm();
+        let opts = WalOptions {
+            faults: Some(Arc::clone(&faults)),
+            ..WalOptions::default()
+        };
+        let (kv, _) = ShardedKv::open_with(&dir, 2, 64, 64, opts).unwrap();
+        let (a, b) = (key_on(&kv, 0), key_on(&kv, 1));
+        let a_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let stalled = s.spawn(|| {
+                let start = std::time::Instant::now();
+                kv.put(a, 1).unwrap();
+                a_done.store(true, Ordering::SeqCst);
+                start.elapsed()
+            });
+            // A draws the one stall before B's write group asks.
+            while faults.injected(Site::ShardStall) == 0 && !stalled.is_finished() {
+                std::thread::yield_now();
+            }
+            kv.put(b, 2).unwrap();
+            assert!(!a_done.load(Ordering::SeqCst), "B waited out A's stall");
+            let took = stalled.join().unwrap();
+            assert!(took.as_millis() >= 200, "A's PUT took {took:?}");
+        });
+        // The budget is spent: A's next write group draws, unstalled.
+        kv.put(a, 3).unwrap();
+        assert_eq!(faults.injected(Site::ShardStall), 1);
+        assert_eq!(faults.checked(Site::ShardStall), 3, "one draw per group");
+        assert_eq!((kv.get(a), kv.get(b)), (Some(3), Some(2)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_errors_and_heals_go_to_the_flight_recorder() {
+        // Two injected fsync failures: the write that poisons the
+        // shard, then the first heal probe. The recorder is the
+        // process's, so the faults land on shard 3, which no other
+        // test in this binary poisons.
+        use malthus_obs::{recorder, EventKind};
+        let dir = temp_dir("recorded");
+        let opts = faulted("storage.fsync=1x2");
+        let (kv, _) = ShardedKv::open_with(&dir, 4, 64, 64, opts).unwrap();
+        recorder::enable(0, 1);
+        assert_eq!(kv.put(key_on(&kv, 3), 1), Err(WriteError { shard: 3 }));
+        assert!(!kv.try_heal_shard(3), "the probe's fsync is refused too");
+        assert!(kv.try_heal_shard(3));
+        let events = recorder::events();
+        recorder::disable();
+        let position = |kind| {
+            events
+                .iter()
+                .position(|e| e.kind == kind && (e.a, e.b) == (3, 0))
+                .unwrap_or_else(|| panic!("no {kind:?} for shard 3: {events:?}"))
+        };
+        let readonly = position(EventKind::ShardReadonly);
+        let probe_failed = position(EventKind::HealProbeFailed);
+        assert!(readonly < probe_failed && probe_failed < position(EventKind::ShardHealed));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -33,10 +33,14 @@
 //! # Fault injection
 //!
 //! The file layer is the [`WalIo`] trait: [`FileWalIo`] is the real
-//! thing, [`FaultyWalIo`] wraps any `WalIo` and fails, short-writes,
-//! or errors-on-fsync at the Nth operation per a [`FaultPlan`]. The
-//! sharded store uses it to prove graceful degradation: an fsync
-//! error poisons only that shard into read-only mode.
+//! thing, [`ChaosWalIo`] wraps any `WalIo` and fails an fsync
+//! (`storage.fsync`), fails an append outright (`storage.enospc`) or
+//! tears it halfway (`storage.short_write`) whenever the
+//! [`FaultState`] it holds says so. A store opened with
+//! [`WalOptions::faults`] wraps every shard's file layer in one, all
+//! holding that same state — the server's `--fault-plan` and every
+//! degradation test take this one path. An fsync error poisons only
+//! its shard into read-only mode.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -44,6 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use malthus_fault::{FaultState, Site};
 use malthus_metrics::LatencyHistogram;
 
 /// Bytes of header before each record's payload (`len` + `crc`).
@@ -268,30 +273,37 @@ impl WalIo for FileWalIo {
     }
 }
 
-/// A [`WalIo`] adapter consulting the process-global
-/// [`malthus_fault`] plan on every operation: fsync failures
-/// (`storage.fsync`), ENOSPC-style append failures (`storage.enospc`,
-/// nothing written), and torn short writes (`storage.short_write`).
+/// A [`WalIo`] adapter consulting its [`FaultState`] on every
+/// operation: fsync failures (`storage.fsync`), ENOSPC-style append
+/// failures (`storage.enospc`, nothing written), torn short writes
+/// (`storage.short_write`, half the record written), and lock-holder
+/// stalls (`shard.stall`: an append sleeps first — appends run under
+/// the shard's exclusive hold, so this is the preemption/convoy shape
+/// the Malthusian policy's stall detection reprovisions around).
 /// Wrapped onto every shard's file layer by `ShardedKv::open_with`
-/// when a plan arms any storage site.
+/// when [`WalOptions::faults`] is set.
 #[derive(Debug)]
 pub struct ChaosWalIo<W> {
     inner: W,
+    faults: Arc<FaultState>,
 }
 
 impl<W: WalIo> ChaosWalIo<W> {
-    /// Wraps `inner`; faults fire per the installed global plan.
-    pub fn new(inner: W) -> Self {
-        ChaosWalIo { inner }
+    /// Wraps `inner`; faults fire per `faults`.
+    pub fn new(inner: W, faults: Arc<FaultState>) -> Self {
+        ChaosWalIo { inner, faults }
     }
 }
 
 impl<W: WalIo> WalIo for ChaosWalIo<W> {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if malthus_fault::fire(malthus_fault::Site::StorageEnospc) {
+        if let Some(ms) = self.faults.stall_ms(Site::ShardStall) {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        if self.faults.fire(Site::StorageEnospc) {
             return Err(io::Error::other("injected ENOSPC: no space left on device"));
         }
-        if malthus_fault::fire(malthus_fault::Site::StorageShortWrite) {
+        if self.faults.fire(Site::StorageShortWrite) {
             self.inner.append(&bytes[..bytes.len() / 2])?;
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
@@ -302,77 +314,7 @@ impl<W: WalIo> WalIo for ChaosWalIo<W> {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if malthus_fault::fire(malthus_fault::Site::StorageFsync) {
-            return Err(io::Error::other("injected fsync failure"));
-        }
-        self.inner.sync()
-    }
-
-    fn reopen(&mut self) -> io::Result<()> {
-        self.inner.reopen()
-    }
-
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.inner.truncate(len)
-    }
-}
-
-/// Which operations a [`FaultyWalIo`] sabotages. Counters are 0-based:
-/// `fail_sync_at: Some(0)` fails the very first sync.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultPlan {
-    /// Fail the Nth append outright (nothing written).
-    pub fail_append_at: Option<u64>,
-    /// Write only half the bytes of the Nth append, then error — the
-    /// torn-write shape a crash mid-`write` leaves behind.
-    pub short_append_at: Option<u64>,
-    /// Fail the Nth sync (bytes may be in the page cache but are not
-    /// durable).
-    pub fail_sync_at: Option<u64>,
-}
-
-/// A [`WalIo`] wrapper that injects faults per a [`FaultPlan`].
-#[derive(Debug)]
-pub struct FaultyWalIo<W> {
-    inner: W,
-    plan: FaultPlan,
-    appends: u64,
-    syncs: u64,
-}
-
-impl<W: WalIo> FaultyWalIo<W> {
-    /// Wraps `inner`, sabotaging per `plan`.
-    pub fn new(inner: W, plan: FaultPlan) -> Self {
-        FaultyWalIo {
-            inner,
-            plan,
-            appends: 0,
-            syncs: 0,
-        }
-    }
-}
-
-impl<W: WalIo> WalIo for FaultyWalIo<W> {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let n = self.appends;
-        self.appends += 1;
-        if self.plan.fail_append_at == Some(n) {
-            return Err(io::Error::other("injected append failure"));
-        }
-        if self.plan.short_append_at == Some(n) {
-            self.inner.append(&bytes[..bytes.len() / 2])?;
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "injected short write",
-            ));
-        }
-        self.inner.append(bytes)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        let n = self.syncs;
-        self.syncs += 1;
-        if self.plan.fail_sync_at == Some(n) {
+        if self.faults.fire(Site::StorageFsync) {
             return Err(io::Error::other("injected fsync failure"));
         }
         self.inner.sync()
@@ -793,10 +735,11 @@ pub struct WalOptions {
     /// Log size past which reopening compacts to a checkpoint record;
     /// 0 means [`DEFAULT_CHECKPOINT_BYTES`].
     pub checkpoint_bytes: u64,
-    /// Fault plans keyed by shard index — those shards' file layers
-    /// are wrapped in [`FaultyWalIo`]. Empty in production; tests use
-    /// it to prove readonly degradation stays per-shard.
-    pub faults: Vec<(usize, FaultPlan)>,
+    /// The armed faults the store is opened with: every shard's file
+    /// layer is wrapped in a [`ChaosWalIo`] holding this state, where
+    /// the storage sites and `shard.stall` fire. `None` (the default)
+    /// faults nothing. The store never reads the process-global state.
+    pub faults: Option<Arc<FaultState>>,
 }
 
 impl WalOptions {
@@ -1049,28 +992,29 @@ mod tests {
         assert_eq!(wal.syncs(), 2, "one fsync per non-empty group");
     }
 
-    #[test]
-    fn faulty_io_fails_the_nth_sync_only() {
-        let plan = FaultPlan {
-            fail_sync_at: Some(1),
-            ..FaultPlan::default()
-        };
-        let mut wal = ShardWal::new(Box::new(FaultyWalIo::new(VecWalIo::default(), plan)));
-        wal.append_group(&[(1, 1)]).unwrap();
-        assert!(wal.append_group(&[(2, 2)]).is_err(), "second sync fails");
-        assert_eq!(wal.syncs(), 1, "failed commit not counted");
+    /// `io` wrapped in a [`ChaosWalIo`] armed with `spec`.
+    fn chaos<W: WalIo>(spec: &str, io: W) -> ChaosWalIo<W> {
+        ChaosWalIo::new(io, malthus_fault::FaultPlan::parse(spec).unwrap().arm())
     }
 
     #[test]
-    fn faulty_io_short_write_leaves_a_torn_record() {
-        let plan = FaultPlan {
-            short_append_at: Some(1),
-            ..FaultPlan::default()
-        };
-        let mut io = FaultyWalIo::new(VecWalIo::default(), plan);
+    fn chaos_io_fails_the_armed_sync_only() {
+        let mut wal = ShardWal::new(Box::new(chaos("storage.fsync=1x1", VecWalIo::default())));
+        assert!(wal.append_group(&[(1, 1)]).is_err(), "the armed sync fails");
+        assert_eq!(wal.syncs(), 0, "failed commit not counted");
+        wal.append_group(&[(2, 2)]).unwrap();
+        assert_eq!(wal.syncs(), 1, "budget spent: the next sync succeeds");
+    }
+
+    #[test]
+    fn chaos_io_short_write_leaves_a_torn_record() {
         let mut rec = Vec::new();
         encode_record(&mut rec, &[(1, 10)]);
-        io.append(&rec).unwrap();
+        let committed = VecWalIo {
+            bytes: rec,
+            syncs: 0,
+        };
+        let mut io = chaos("storage.short_write=1x1", committed);
         let mut rec2 = Vec::new();
         encode_record(&mut rec2, &[(2, 20)]);
         assert!(io.append(&rec2).is_err());
@@ -1193,13 +1137,9 @@ mod tests {
 
         let (pairs, file, rec) = open_shard_log(&path, u64::MAX).unwrap();
         assert_eq!(pairs, vec![(1, 10)]);
-        let plan = FaultPlan {
-            fail_sync_at: Some(0),
-            ..FaultPlan::default()
-        };
-        let mut wal = ShardWal::new(Box::new(FaultyWalIo::new(
+        let mut wal = ShardWal::new(Box::new(chaos(
+            "storage.fsync=1x1",
             FileWalIo::with_path(file, path.clone()),
-            plan,
         )));
         wal.set_committed_len(rec.valid_bytes);
         // The refused commit: append lands, fsync is injected to fail,

@@ -29,6 +29,23 @@ fn shard0_log(dir: &std::path::Path) -> PathBuf {
     dir.join("shard-0.wal")
 }
 
+/// Commits `(1, 10)` to a fresh one-shard store at `dir`, then reopens
+/// it armed with the fault plan `spec`: the committed record is the
+/// prefix the fault must not disturb.
+fn committed_then_armed(dir: &std::path::Path, spec: &str) -> ShardedKv {
+    {
+        let (kv, _) = ShardedKv::open(dir, 1, MEMTABLE, CACHE).unwrap();
+        kv.put(1, 10).unwrap();
+    }
+    let opts = WalOptions {
+        faults: Some(malthus_fault::FaultPlan::parse(spec).unwrap().arm()),
+        ..WalOptions::default()
+    };
+    let (kv, report) = ShardedKv::open_with(dir, 1, MEMTABLE, CACHE, opts).unwrap();
+    assert_eq!(report.pairs(), 1);
+    kv
+}
+
 #[test]
 fn empty_log_opens_clean() {
     let dir = temp_dir("empty");
@@ -194,24 +211,12 @@ fn checkpoint_compacts_overwrite_heavy_logs_on_open() {
 
 #[test]
 fn short_write_on_append_then_reopen_preserves_the_valid_prefix() {
-    use malthus_storage::wal::FaultPlan;
     let dir = temp_dir("shortwrite");
     {
-        // Shard 0's second append is torn halfway (the ENOSPC /
+        // The append after a committed group is torn halfway (the
         // crash-mid-write shape): the first group must survive, the
         // torn one must not resurrect.
-        let opts = WalOptions {
-            faults: vec![(
-                0,
-                FaultPlan {
-                    short_append_at: Some(1),
-                    ..FaultPlan::default()
-                },
-            )],
-            ..WalOptions::default()
-        };
-        let (kv, _) = ShardedKv::open_with(&dir, 1, MEMTABLE, CACHE, opts).unwrap();
-        kv.put(1, 10).unwrap();
+        let kv = committed_then_armed(&dir, "storage.short_write=1x1");
         assert!(kv.put(2, 20).is_err(), "torn append refuses the write");
         assert_eq!(kv.get(2), None, "refused write is not applied");
         assert!(kv.shard_readonly(0));
@@ -234,21 +239,9 @@ fn short_write_on_append_then_reopen_preserves_the_valid_prefix() {
 
 #[test]
 fn healing_after_a_short_write_amputates_the_torn_tail_in_place() {
-    use malthus_storage::wal::FaultPlan;
     let dir = temp_dir("heal-shortwrite");
     {
-        let opts = WalOptions {
-            faults: vec![(
-                0,
-                FaultPlan {
-                    short_append_at: Some(1),
-                    ..FaultPlan::default()
-                },
-            )],
-            ..WalOptions::default()
-        };
-        let (kv, _) = ShardedKv::open_with(&dir, 1, MEMTABLE, CACHE, opts).unwrap();
-        kv.put(1, 10).unwrap();
+        let kv = committed_then_armed(&dir, "storage.short_write=1x1");
         assert!(kv.put(2, 20).is_err(), "torn append refuses the write");
         assert!(kv.shard_readonly(0));
         // Heal without restarting: the probe must cut off the torn
@@ -268,24 +261,13 @@ fn healing_after_a_short_write_amputates_the_torn_tail_in_place() {
 
 #[test]
 fn failed_append_then_reopen_loses_nothing() {
-    use malthus_storage::wal::FaultPlan;
     let dir = temp_dir("enospc");
     {
-        // ENOSPC-style: the second append fails outright, nothing of
-        // the record reaches the file.
-        let opts = WalOptions {
-            faults: vec![(
-                0,
-                FaultPlan {
-                    fail_append_at: Some(1),
-                    ..FaultPlan::default()
-                },
-            )],
-            ..WalOptions::default()
-        };
-        let (kv, _) = ShardedKv::open_with(&dir, 1, MEMTABLE, CACHE, opts).unwrap();
-        kv.put(1, 10).unwrap();
+        // ENOSPC-style: the append after a committed group fails
+        // outright, nothing of the record reaches the file.
+        let kv = committed_then_armed(&dir, "storage.enospc=1x1");
         assert!(kv.put(2, 20).is_err());
+        assert!(kv.shard_readonly(0));
     }
     let (kv, report) = ShardedKv::open(&dir, 1, MEMTABLE, CACHE).unwrap();
     assert!(

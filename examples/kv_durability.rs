@@ -1,14 +1,15 @@
 //! Demonstrates the durability tier: write through the per-shard
 //! group-committed WALs, "crash" (drop without any shutdown path),
-//! reopen and find everything — then inject an fsync failure and
-//! watch exactly one shard degrade to read-only while the rest keep
-//! serving.
+//! reopen and find everything — then reopen armed with the fault plan
+//! `storage.fsync=1x1`, so the store's next fsync fails, and watch
+//! exactly one shard degrade to read-only while the rest keep serving.
 //!
 //! ```sh
 //! cargo run --release --example kv_durability
 //! ```
 
-use malthusian::storage::{BatchOp, BatchReply, FaultPlan, ShardedKv, WalOptions};
+use malthusian::fault::FaultPlan;
+use malthusian::storage::{BatchOp, BatchReply, ShardedKv, WalOptions};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("malthus-ex-durability-{}", std::process::id()));
@@ -42,18 +43,15 @@ fn main() {
         assert_eq!(kv.get(63), Some(630));
     }
 
-    // Generation 3: wire a fault into shard 0's log — its very next
-    // fsync fails. The write that hits it is refused (and NOT
-    // applied), shard 0 turns read-only, the other shards keep
-    // accepting writes, and reads keep working everywhere.
+    // Generation 3: reopen armed with a one-fault plan — the store's
+    // next fsync fails, and the next write is key 0's, on shard 0. That
+    // write is refused (and NOT applied), shard 0 turns read-only, the
+    // other shards keep accepting writes (the budget is spent), and
+    // reads keep working everywhere. `kv_server --fault-plan` arms a
+    // store the same way.
+    let plan = FaultPlan::parse("storage.fsync=1x1").expect("valid plan");
     let opts = WalOptions {
-        faults: vec![(
-            0,
-            FaultPlan {
-                fail_sync_at: Some(0),
-                ..FaultPlan::default()
-            },
-        )],
+        faults: Some(plan.arm()),
         ..WalOptions::default()
     };
     let (kv, _) = ShardedKv::open_with(&dir, shards, 1_024, 256, opts).expect("faulty open");

@@ -14,6 +14,8 @@
 //! * [`machinesim`] — the discrete-event T5 machine model.
 //! * [`storage`] — SimpleLRU, MiniKv, the sharded KV store and its
 //!   write-ahead log, bounded queue, buffer pools.
+//! * [`fault`] — the seed-replayable fault plans a store (or the
+//!   server's net shims) can be armed with.
 //! * [`pool`] — the Malthusian work crew (concurrency-restricting
 //!   executor) and the TCP KV service built on it.
 //! * [`workloads`] — the paper's twelve evaluation workloads.
@@ -35,6 +37,7 @@
 
 pub use malthus as locks;
 pub use malthus_cachesim as cachesim;
+pub use malthus_fault as fault;
 pub use malthus_machinesim as machinesim;
 pub use malthus_metrics as metrics;
 pub use malthus_park as park;
