@@ -59,6 +59,7 @@ use std::time::{Duration, Instant};
 
 use malthus::policy::{self, Membership};
 use malthus_metrics::LatencyHistogram;
+use malthus_obs::{errno, EventKind};
 use malthus_park::{Parker, Unparker};
 
 use crate::handler::{Action, CloseReason, Handler};
@@ -257,6 +258,10 @@ struct Inner<H: Handler> {
     accepts: AtomicU64,
     idle_reaps: AtomicU64,
     partial_flushes: AtomicU64,
+    /// `accept` failures the accept loop survived.
+    accept_errors: AtomicU64,
+    /// Workers that stopped polling because `epoll_wait` failed.
+    poller_exits: AtomicU64,
     /// Buffer capacity held by open connections (each one's share is
     /// its `buffer_bytes`, settled whenever its capacities change).
     buffer_bytes: AtomicUsize,
@@ -329,6 +334,8 @@ impl<H: Handler> Reactor<H> {
             accepts: AtomicU64::new(0),
             idle_reaps: AtomicU64::new(0),
             partial_flushes: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
+            poller_exits: AtomicU64::new(0),
             buffer_bytes: AtomicUsize::new(0),
             ready_hist: LatencyHistogram::new(),
             cfg,
@@ -508,6 +515,20 @@ impl<H: Handler> Reactor<H> {
             move || i.idle_reaps.load(Ordering::Relaxed),
         );
         let i = Arc::clone(&self.inner);
+        registry.counter(
+            "kv_accept_errors_total",
+            "accept() failures the accept loop survived, by front-end.",
+            &[("front", "reactor")],
+            move || i.accept_errors.load(Ordering::Relaxed),
+        );
+        let i = Arc::clone(&self.inner);
+        registry.counter(
+            "kv_reactor_poller_exits_total",
+            "Reactor workers that stopped polling because epoll_wait failed.",
+            no_labels,
+            move || i.poller_exits.load(Ordering::Relaxed),
+        );
+        let i = Arc::clone(&self.inner);
         registry.histogram(
             "kv_reactor_ready_batch",
             "Ready sockets drained per non-empty epoll_wait return.",
@@ -669,7 +690,7 @@ impl<H: Handler> Inner<H> {
             sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT,
             token,
         ) {
-            eprintln!("# reactor: epoll register failed (dropping conn): {e}");
+            malthus_obs::record(EventKind::ConnRegisterFailed, 0, errno(&e));
             if let Some(arc) = self.lookup(token) {
                 let mut c = arc.lock().expect("reactor conn poisoned");
                 self.close_locked(&mut c, CloseReason::Error, false);
@@ -693,7 +714,8 @@ impl<H: Handler> Inner<H> {
                     // One refused/aborted connection must not take
                     // down the reactor (same contract as the threaded
                     // accept loop).
-                    eprintln!("# reactor: accept error (continuing): {e}");
+                    self.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    malthus_obs::record(EventKind::AcceptError, 1, errno(&e));
                     break;
                 }
             }
@@ -984,7 +1006,8 @@ fn worker_loop<H: Handler>(inner: &Arc<Inner<H>>, id: usize, parker: Parker) {
         let n = match polled {
             Ok(n) => n,
             Err(e) => {
-                eprintln!("# reactor: epoll_wait failed (worker {id} exiting): {e}");
+                inner.poller_exits.fetch_add(1, Ordering::Relaxed);
+                malthus_obs::record(EventKind::PollerExit, id as u64, errno(&e));
                 break;
             }
         };
@@ -1073,5 +1096,21 @@ mod tests {
         assert!(inner.admission().is_passive(passive));
         let stats = reactor.join();
         assert_eq!((stats.culls, stats.reprovisions), (1, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn the_conditions_the_recorder_may_miss_are_metrics() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let reactor = Reactor::start(listener, Silent, ReactorConfig::malthusian(1)).unwrap();
+        let registry = malthus_obs::Registry::new();
+        reactor.register_metrics(&registry);
+        let doc = registry.exposition();
+        for needle in [
+            "kv_accept_errors_total{front=\"reactor\"} 0",
+            "kv_reactor_poller_exits_total 0",
+        ] {
+            assert!(doc.contains(needle), "missing {needle:?} in:\n{doc}");
+        }
+        reactor.join();
     }
 }

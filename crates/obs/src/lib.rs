@@ -44,7 +44,7 @@ pub mod registry;
 pub mod slowlog;
 pub mod span;
 
-pub use recorder::{record, EventKind};
+pub use recorder::{errno, record, EventKind};
 pub use registry::Registry;
 pub use slowlog::{SlowEntry, SlowRing};
 pub use span::{SpanContext, Stage};

@@ -72,6 +72,15 @@ pub enum EventKind {
     HealProbeFailed = 14,
     /// A heal probe flipped a read-only shard writable (`a` = shard).
     ShardHealed = 15,
+    /// An `accept` failed and the accept loop carried on (`a` = 0 for
+    /// the threaded front-end, 1 for the reactor; `b` = `errno`).
+    AcceptError = 16,
+    /// An accepted connection could not be registered with epoll and
+    /// was dropped (`b` = `errno`).
+    ConnRegisterFailed = 17,
+    /// `epoll_wait` failed and a reactor worker stopped polling for
+    /// good (`a` = worker, `b` = `errno`).
+    PollerExit = 18,
 }
 
 impl EventKind {
@@ -94,6 +103,9 @@ impl EventKind {
             EventKind::ShardReadonly => "shard_readonly",
             EventKind::HealProbeFailed => "heal_probe_failed",
             EventKind::ShardHealed => "shard_healed",
+            EventKind::AcceptError => "accept_error",
+            EventKind::ConnRegisterFailed => "conn_register_failed",
+            EventKind::PollerExit => "poller_exit",
         }
     }
 
@@ -115,6 +127,9 @@ impl EventKind {
             13 => EventKind::ShardReadonly,
             14 => EventKind::HealProbeFailed,
             15 => EventKind::ShardHealed,
+            16 => EventKind::AcceptError,
+            17 => EventKind::ConnRegisterFailed,
+            18 => EventKind::PollerExit,
             _ => return None,
         })
     }
@@ -307,6 +322,12 @@ pub fn record(kind: EventKind, a: u64, b: u64) {
     record_slow(stride, kind, a, b);
 }
 
+/// The `errno` payload of an event about `e`: its OS error code, 0
+/// for an error that carries none (an injected fault).
+pub fn errno(e: &std::io::Error) -> u64 {
+    e.raw_os_error().map_or(0, |code| code as u64)
+}
+
 #[inline(never)]
 fn record_slow(stride: u32, kind: EventKind, a: u64, b: u64) {
     // 1-in-N sampling: cheap per-thread counter, no atomics.
@@ -390,6 +411,30 @@ mod tests {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_discriminant() {
+        let mut names = std::collections::HashSet::new();
+        let mut v = 0;
+        while let Some(kind) = EventKind::from_u32(v) {
+            assert_eq!(kind as u32, v);
+            assert!(names.insert(kind.as_str()), "{} named twice", kind.as_str());
+            v += 1;
+        }
+        assert_eq!(
+            v,
+            EventKind::PollerExit as u32 + 1,
+            "a gap in the discriminants"
+        );
+        assert_eq!(
+            [16, 17, 18].map(|v| EventKind::from_u32(v).map(EventKind::as_str)),
+            [
+                Some("accept_error"),
+                Some("conn_register_failed"),
+                Some("poller_exit")
+            ]
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -140,8 +140,9 @@ pub fn bind(addr: &str) -> std::io::Result<(TcpListener, ServerControl)> {
 /// responses (one write per batch). Clients
 /// may run closed-loop (one outstanding request) or pipelined (a
 /// tagged window, as `kv_load --pipeline-depth` does). Transient
-/// `accept` failures (`EMFILE`, `ECONNABORTED`, …) are logged and
-/// survived, not propagated.
+/// `accept` failures (`EMFILE`, `ECONNABORTED`, …) are survived, not
+/// propagated: each is counted in `kv_accept_errors_total{front="threaded"}`
+/// and recorded as a flight-recorder `accept_error` event.
 pub fn serve(
     listener: TcpListener,
     control: &ServerControl,
@@ -163,6 +164,14 @@ pub fn serve_with(
     // The crew serving this listener contributes its counters to the
     // service's unified registry (idempotent: replaces on re-serve).
     crew.register_metrics(service.registry());
+    let accept_errors = Arc::new(AtomicU64::new(0));
+    let errors = Arc::clone(&accept_errors);
+    service.registry().counter(
+        "kv_accept_errors_total",
+        "accept() failures the accept loop survived, by front-end.",
+        &[("front", "threaded")],
+        move || errors.load(Ordering::Relaxed),
+    );
     let mut conns: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
     for stream in listener.incoming() {
         if control.stop.load(Ordering::SeqCst) {
@@ -174,7 +183,12 @@ pub fn serve_with(
                 // One refused/aborted connection must not take down
                 // the service; back off briefly in case the cause is
                 // fd exhaustion.
-                eprintln!("# kv: accept error (continuing): {e}");
+                accept_errors.fetch_add(1, Ordering::Relaxed);
+                malthus_obs::record(
+                    malthus_obs::EventKind::AcceptError,
+                    0,
+                    malthus_obs::errno(&e),
+                );
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 continue;
             }
@@ -521,6 +535,11 @@ mod tests {
         assert!(c.roundtrip("BOGUS").unwrap().starts_with("ERR"));
         assert!(c.roundtrip("MSET 1 2 3").unwrap().starts_with("ERR"));
         assert!(c.roundtrip("STATS").unwrap().starts_with("STATS "));
+        let metrics = c.fetch_document("METRICS").unwrap();
+        assert!(
+            metrics.contains("kv_accept_errors_total{front=\"threaded\"} 0"),
+            "{metrics}"
+        );
 
         // A second closed-loop client hammers the service through the
         // restricted crew.

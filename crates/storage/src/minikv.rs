@@ -35,10 +35,13 @@
 //! The unit of search is a *stretch* of keys, not a key
 //! ([`MiniKv::search_many`]): a lookup far beyond the CPU caches is a
 //! chain of dependent misses, and serving keys one at a time lets
-//! nothing of key *i + 1* start before key *i* is done. The walker
-//! goes stage by stage over the whole stretch instead, so the misses
-//! of different keys overlap; single-key callers pass a one-key slice
-//! to the same walker.
+//! nothing of key *i + 1* start before key *i* is done. A run is
+//! indexed down to the cache line (a block's line keys, then one
+//! line of pairs), so each miss of that chain is one stage of the
+//! walker, and the walker goes stage by stage over the whole stretch:
+//! every line a key needs is requested a stage before it is read,
+//! while the other keys' lines are being located. Single-key callers
+//! pass a one-key slice to the same walker.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -52,9 +55,12 @@ use crate::simplelru::SimpleLru;
 /// cache for, at most this many.
 pub(crate) const MAX_RUNS: usize = 2;
 
-/// Pairs per fence block: a run lookup is a search over the fences
-/// plus a binary search inside one block of this many pairs (1 KiB).
-const BLOCK_PAIRS: usize = 64;
+/// Pairs per line: four 16-byte pairs, one 64-byte cache line.
+const LINE_PAIRS: usize = 4;
+
+/// Lines per fence block: a block of `BLOCK_LINES × LINE_PAIRS` = 64
+/// pairs (1 KiB), whose line keys take 128 B.
+const BLOCK_LINES: usize = 16;
 
 /// Filter bits per pair of a filtered run: one `u64` word per four
 /// pairs, 1/64th of the run like the fences.
@@ -69,42 +75,86 @@ const FILTER_BITS_PER_PROBE: u32 = 3;
 /// between two stages stays on the stack.
 const WALK_KEYS: usize = 32;
 
-/// One immutable run: `pairs` strictly ascending by key; `fences`,
-/// the first key of every [`BLOCK_PAIRS`]-pair block of `pairs` —
-/// 1/64th of the run, small enough to stay cache-resident where the
-/// run itself (4 MiB at 250 000 pairs) does not; and, for the
-/// accumulator only, `filter`: a blocked Bloom filter, one word per
-/// probe, that holds every key of `pairs` — sized once per fold cycle
-/// and added to at every freeze. An empty `filter` rejects nothing.
+/// One immutable run: `pairs` strictly ascending by key, indexed in
+/// two levels — `lines`, the first key of every [`LINE_PAIRS`]-pair
+/// line of `pairs` (2 B a pair: 0.5 MiB at 250 000 pairs), and
+/// `fences`, every [`BLOCK_LINES`]th line key: the first key of every
+/// block, 1/64th of the run's keys, small enough to stay
+/// cache-resident where the run itself (4 MiB at 250 000 pairs) and
+/// its line keys do not — and, for the accumulator only, `filter`: a
+/// blocked Bloom filter, one word per probe, that holds every key of
+/// `pairs` — sized once per fold cycle and added to at every freeze.
+/// An empty `filter` rejects nothing.
+///
+/// A lookup goes down the levels in three steps, each ending at the
+/// memory the next one reads: the fences pick the key's block
+/// ([`Run::block_of`]); the block's 16 line keys (128 B, two or three
+/// cache lines) pick its line ([`Run::line_of`]); the line's at most
+/// four pairs (64 B, one or two cache lines) hold the key or not
+/// ([`Run::lower_bound_in`]). Past the cache-resident fences that is
+/// two dependent misses, and the walker requests each before it reads
+/// it.
 ///
 /// Only the accumulator is filtered because only there a rejection
 /// saves anything: it holds one key in sixteen yet stood in front of
 /// every lookup, while the base is the last stop — a miss there is
 /// the answer "absent", and a filter on it bought no throughput for
 /// the time every fold would spend building one.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Run {
     pairs: Vec<(u64, u64)>,
+    lines: Vec<u64>,
     fences: Vec<u64>,
     filter: Vec<u64>,
 }
 
 impl Run {
-    /// Takes over `pairs`, strictly ascending, and the `filter` that
-    /// holds their keys (empty for none), and notes the fences.
+    /// Takes over `pairs`, strictly ascending and not empty, and the
+    /// `filter` that holds their keys (empty for none), and indexes
+    /// them.
     fn new(pairs: Vec<(u64, u64)>, filter: Vec<u64>) -> Run {
+        let mut run = Run {
+            pairs,
+            filter,
+            ..Run::default()
+        };
+        run.index_from(0);
+        run
+    }
+
+    /// Merges the strictly ascending `newer` into the run, newer-wins
+    /// ([`merge_runs`]), and brings the index up to date.
+    ///
+    /// The merge leaves every pair below `newer`'s first key where it
+    /// was, so only the line keys and fences from there on are noted
+    /// again, into the buffers that held the old ones: a freeze of
+    /// keys that land near the end of the run (a preload in key order)
+    /// re-indexes the few lines it changed, not the whole base.
+    fn merge(&mut self, newer: &[(u64, u64)]) {
+        let from = self.pairs.partition_point(|p| p.0 < newer[0].0);
+        merge_runs(newer, &mut self.pairs);
+        self.index_from(from);
+    }
+
+    /// Notes the line keys and fences of `pairs[from..]`; those of
+    /// the pairs below `from` are already in place.
+    fn index_from(&mut self, from: usize) {
+        assert!(!self.pairs.is_empty(), "a run holds a pair");
         debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            self.pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "a run must be strictly ascending"
         );
         #[cfg(test)]
-        tests::PAIRS_WRITTEN.set(tests::PAIRS_WRITTEN.get() + pairs.len() as u64);
-        let fences = pairs.iter().step_by(BLOCK_PAIRS).map(|p| p.0).collect();
-        Run {
-            pairs,
-            fences,
-            filter,
-        }
+        tests::PAIRS_WRITTEN.set(tests::PAIRS_WRITTEN.get() + self.pairs.len() as u64);
+        let line = from / LINE_PAIRS;
+        self.lines.truncate(line);
+        let pairs = &self.pairs[line * LINE_PAIRS..];
+        self.lines
+            .extend(pairs.iter().step_by(LINE_PAIRS).map(|p| p.0));
+        let block = line / BLOCK_LINES;
+        self.fences.truncate(block);
+        let lines = &self.lines[block * BLOCK_LINES..];
+        self.fences.extend(lines.iter().step_by(BLOCK_LINES));
     }
 
     /// Whether the run can hold `key`: never `false` for a key it
@@ -117,24 +167,42 @@ impl Run {
         self.filter[word] & bits == bits
     }
 
-    /// Where the one block that can hold `key` begins in `pairs`,
-    /// picked by the fences.
-    fn block_begin(&self, key: u64) -> usize {
+    /// The one block that can hold `key`, picked by the fences.
+    fn block_of(&self, key: u64) -> usize {
         let block = self.fences.partition_point(|&first| first <= key);
-        block.saturating_sub(1) * BLOCK_PAIRS
+        block.saturating_sub(1)
     }
 
-    /// The block of `pairs` that begins at `begin`.
-    fn block(&self, begin: usize) -> &[(u64, u64)] {
-        &self.pairs[begin..(begin + BLOCK_PAIRS).min(self.pairs.len())]
+    /// The line keys of `block`: 16 of them, fewer in the last block.
+    fn line_keys(&self, block: usize) -> &[u64] {
+        let begin = block * BLOCK_LINES;
+        &self.lines[begin..(begin + BLOCK_LINES).min(self.lines.len())]
     }
 
-    /// Index of the first pair whose key is `>= key`: the fences pick
-    /// the one block that can hold it, a binary search finishes inside
-    /// that block.
+    /// The one line of `block` that can hold `key`, picked by the
+    /// block's line keys.
+    fn line_of(&self, block: usize, key: u64) -> usize {
+        let line = self.line_keys(block).partition_point(|&first| first <= key);
+        block * BLOCK_LINES + line.saturating_sub(1)
+    }
+
+    /// The pairs of `line`: four, fewer in the last line.
+    fn line(&self, line: usize) -> &[(u64, u64)] {
+        let begin = line * LINE_PAIRS;
+        &self.pairs[begin..(begin + LINE_PAIRS).min(self.pairs.len())]
+    }
+
+    /// Index of the first pair whose key is `>= key`, given the `line`
+    /// [`Run::line_of`] picked for it: inside that line, or the first
+    /// pair of the next.
+    fn lower_bound_in(&self, line: usize, key: u64) -> usize {
+        line * LINE_PAIRS + self.line(line).partition_point(|&(k, _)| k < key)
+    }
+
+    /// Index of the first pair whose key is `>= key`: the three steps
+    /// of a lookup, one after the other.
     fn lower_bound(&self, key: u64) -> usize {
-        let begin = self.block_begin(key);
-        begin + self.block(begin).partition_point(|&(k, _)| k < key)
+        self.lower_bound_in(self.line_of(self.block_of(key), key), key)
     }
 
     /// The run's first `limit` pairs with key `>= start`.
@@ -227,29 +295,25 @@ impl MiniKv {
         }
         let mut frozen: Vec<(u64, u64)> = self.memtable.drain().collect();
         radix_sort(&mut frozen);
-        let Some(base) = self.runs.pop() else {
+        let Some(mut base) = self.runs.pop() else {
             self.runs.push(Run::new(frozen, Vec::new()));
             return;
         };
-        let (mut acc, mut filter) = self
-            .runs
-            .pop()
-            .map_or((Vec::new(), Vec::new()), |acc| (acc.pairs, acc.filter));
-        merge_runs(&frozen, &mut acc);
-        if acc.len() * acc.len() >= base.pairs.len() * self.memtable_limit {
-            let mut folded = base.pairs;
-            merge_runs(&acc, &mut folded);
-            self.runs.push(Run::new(folded, Vec::new()));
+        let mut acc = self.runs.pop().unwrap_or_default();
+        acc.merge(&frozen);
+        if acc.pairs.len() * acc.pairs.len() >= base.pairs.len() * self.memtable_limit {
+            base.merge(&acc.pairs);
+            self.runs.push(base);
             return;
         }
-        if filter.is_empty() {
-            filter = accumulator_filter(base.pairs.len(), self.memtable_limit);
+        if acc.filter.is_empty() {
+            acc.filter = accumulator_filter(base.pairs.len(), self.memtable_limit);
         }
         for &(key, _) in &frozen {
-            let (word, bits) = filter_probe(key, filter.len());
-            filter[word] |= bits;
+            let (word, bits) = filter_probe(key, acc.filter.len());
+            acc.filter[word] |= bits;
         }
-        self.runs.push(Run::new(acc, filter));
+        self.runs.push(acc);
         self.runs.push(base);
     }
 
@@ -298,16 +362,19 @@ impl MiniKv {
     ///
     /// Staged over the stretch, not key by key: the memtable for
     /// every key; then run by run, newest first, for every key still
-    /// unanswered the run's filter, its fence search and a load of
-    /// the middle pair of the key's block, and only then the searches
-    /// inside those blocks. Each key's block is on its way into the
-    /// cache while the next key's is being located, which is where a
-    /// lookup in a run far larger than the CPU caches spends its
-    /// time. The warming load is an ordinary load folded into a word
-    /// the optimizer must keep ([`std::hint::black_box`]): nothing
-    /// waits for its value, so the loads of a whole stretch are in
-    /// flight together, as with a prefetch instruction but in safe
-    /// code.
+    /// unanswered three stages, each over the whole stretch before
+    /// the next begins — the run's filter and its fence search, which
+    /// warm the key's block's 16 line keys; the search of those line
+    /// keys, which warms the key's one line of pairs; and the read of
+    /// that line. In a run far larger than the CPU caches a lookup
+    /// misses on the block's line keys and then on its line of pairs,
+    /// the second waiting on the first; here each is on its way into
+    /// the cache a stage before the key reads it, while the other
+    /// keys' are being requested. A warming load is
+    /// an ordinary load folded into a word the optimizer must keep
+    /// ([`std::hint::black_box`]): nothing waits for its value, so
+    /// the loads of a whole stretch are in flight together, as with a
+    /// prefetch instruction but in safe code.
     ///
     /// A run whose filter rejects the key is not consulted (counted
     /// in [`MiniKv::filter_skips`]), and a key stops at the first run
@@ -339,9 +406,9 @@ impl MiniKv {
         let mut skips = 0;
         for (keys, out) in keys.chunks(WALK_KEYS).zip(out.chunks_mut(WALK_KEYS)) {
             // Per key: the runs consulted (bit `r` for `runs[r]`) and
-            // where its block in the run at hand begins.
+            // its block, then its line, in the run at hand.
             let mut looked = [0u8; WALK_KEYS];
-            let mut begins = [0usize; WALK_KEYS];
+            let mut at = [0usize; WALK_KEYS];
             for (r, run) in self.runs.iter().enumerate() {
                 let mut warm = 0;
                 for (i, &key) in keys.iter().enumerate() {
@@ -352,19 +419,27 @@ impl MiniKv {
                         skips += 1;
                         continue;
                     }
-                    begins[i] = run.block_begin(key);
-                    let block = run.block(begins[i]);
-                    warm ^= block[block.len() / 2].0;
+                    at[i] = run.block_of(key);
+                    let line_keys = run.line_keys(at[i]);
+                    // First, middle and last: one load in each of the
+                    // up to three cache lines 128 B span.
+                    let (mid, last) = (line_keys.len() / 2, line_keys.len() - 1);
+                    warm ^= line_keys[0] ^ line_keys[mid] ^ line_keys[last];
                     looked[i] |= 1 << r;
                 }
                 std::hint::black_box(warm);
-                for (i, &key) in keys.iter().enumerate() {
-                    if looked[i] & (1 << r) == 0 {
-                        continue;
-                    }
-                    let block = run.block(begins[i]);
-                    let at = block.partition_point(|&(k, _)| k < key);
-                    out[i] = block.get(at).filter(|p| p.0 == key).map(|p| p.1);
+                // Whether key `i` consults this run.
+                let here = |i: usize| looked[i] & (1 << r) != 0;
+                for (i, &key) in keys.iter().enumerate().filter(|&(i, _)| here(i)) {
+                    at[i] = run.line_of(at[i], key);
+                    let line = run.line(at[i]);
+                    // First and last: the one or two cache lines 64 B span.
+                    warm ^= line[0].0 ^ line[line.len() - 1].0;
+                }
+                std::hint::black_box(warm);
+                for (i, &key) in keys.iter().enumerate().filter(|&(i, _)| here(i)) {
+                    let pair = run.pairs.get(run.lower_bound_in(at[i], key));
+                    out[i] = pair.filter(|p| p.0 == key).map(|p| p.1);
                 }
             }
             for (&key, looked) in keys.iter().zip(looked) {
@@ -445,7 +520,7 @@ impl MiniKv {
     }
 
     /// Runs not consulted because their filter rejected the key: each
-    /// one a fence search, a block search and a block-cache touch that
+    /// one a fence search, a line search and a block-cache touch that
     /// did not happen.
     pub fn filter_skips(&self) -> u64 {
         self.filter_skips.load(Ordering::Relaxed)
@@ -597,7 +672,7 @@ mod tests {
 
     thread_local! {
         /// Pairs written into runs by this thread's stores: the merge
-        /// work [`Run::new`] tallies in test builds.
+        /// work [`Run::index_from`] tallies in test builds.
         pub(super) static PAIRS_WRITTEN: Cell<u64> = const { Cell::new(0) };
         /// Accumulator filters this thread's stores allocated.
         pub(super) static FILTERS_BUILT: Cell<u64> = const { Cell::new(0) };
@@ -616,18 +691,22 @@ mod tests {
         runs_before >= 1 && kv.memtable.is_empty() && kv.run_count() == 1
     }
 
-    /// What must hold of every run: strictly ascending, one fence per
-    /// started block, each fence its block's first key; and a filter
-    /// on the accumulator alone, of at least [`FILTER_BITS_PER_KEY`]
-    /// bits a key, which every one of its keys passes, while the base
-    /// turns no key away.
+    /// What must hold of every run: strictly ascending; one line key
+    /// per started line, each its line's first key; the fences every
+    /// 16th line key; and a filter on the accumulator alone, of at
+    /// least [`FILTER_BITS_PER_KEY`] bits a key, which every one of
+    /// its keys passes, while the base turns no key away.
     fn assert_runs_well_formed(kv: &MiniKv) {
         assert!(kv.runs.len() <= MAX_RUNS);
         for (r, run) in kv.runs.iter().enumerate() {
             assert!(run.pairs.windows(2).all(|w| w[0].0 < w[1].0));
-            assert_eq!(run.fences.len(), run.pairs.len().div_ceil(BLOCK_PAIRS));
+            assert_eq!(run.lines.len(), run.pairs.len().div_ceil(LINE_PAIRS));
+            for (i, &first) in run.lines.iter().enumerate() {
+                assert_eq!(first, run.pairs[i * LINE_PAIRS].0, "line {i}");
+            }
+            assert_eq!(run.fences.len(), run.lines.len().div_ceil(BLOCK_LINES));
             for (i, &fence) in run.fences.iter().enumerate() {
-                assert_eq!(fence, run.pairs[i * BLOCK_PAIRS].0, "fence {i}");
+                assert_eq!(fence, run.lines[i * BLOCK_LINES], "fence {i}");
             }
             if r + 1 < kv.runs.len() {
                 assert!(
@@ -1021,6 +1100,40 @@ mod tests {
         assert_eq!(values, one_by_one);
         assert_eq!(ids, ids_one_by_one);
         assert!(ids.iter().any(|id| id >> 24 == 0) && ids.iter().any(|id| id >> 24 == 1));
+    }
+
+    #[test]
+    fn runs_of_every_length_answer_what_a_btreemap_holds() {
+        // Lengths 1..=140: shorter than a line, than a block, and up to
+        // three blocks, with the last line and the last block cut at
+        // every offset. Keys 10, 20, …; looked up: every held key,
+        // every gap, two below the first and two above the last.
+        for n in 1..=140u64 {
+            let mut kv = MiniKv::new(n as usize);
+            let model: BTreeMap<u64, u64> = (1..=n).map(|i| (i * 10, i)).collect();
+            for (&k, &v) in &model {
+                kv.put(k, v);
+            }
+            assert_eq!((kv.run_count(), kv.memtable.len()), (1, 0), "n {n}");
+            assert_runs_well_formed(&kv);
+            let keys: Vec<u64> = (0..=10 * n + 10).step_by(5).collect();
+            let (mut values, mut ids) = (vec![None; keys.len()], Vec::new());
+            kv.search_many(&keys, &mut values, |id| ids.push(id));
+            for ((&key, value), id) in keys.iter().zip(values).zip(ids.iter()) {
+                assert_eq!(value, model.get(&key).copied(), "n {n} key {key}");
+                assert_eq!(*id, block_id(0, key), "n {n} key {key}");
+            }
+            assert_eq!(ids.len(), keys.len(), "n {n}: one run consulted a key");
+            for &start in &keys {
+                for limit in [1, 3, 70] {
+                    let expect: Vec<(u64, u64)> = (model.range(start..))
+                        .take(limit)
+                        .map(|(&k, &v)| (k, v))
+                        .collect();
+                    assert_eq!(kv.scan_from(start, limit), expect, "n {n} start {start}");
+                }
+            }
+        }
     }
 
     #[test]

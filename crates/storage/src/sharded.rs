@@ -470,7 +470,7 @@ impl Shard {
 /// Records a WAL error in the flight recorder: the shard and the
 /// error's `errno`, 0 for an injected fault (which carries none).
 fn record_wal_error(kind: EventKind, shard: usize, e: &io::Error) {
-    malthus_obs::record(kind, shard as u64, e.raw_os_error().map_or(0, |c| c as u64));
+    malthus_obs::record(kind, shard as u64, malthus_obs::errno(e));
 }
 
 /// Racy-snapshot statistics of one shard (see the module-level
@@ -480,8 +480,8 @@ pub struct ShardSnapshot {
     /// Reads served by this shard's [`MiniKv`]: one per key looked up.
     pub reads: u64,
     /// Runs this shard's reads did not consult because the run's
-    /// filter rejected the key — each one a block search and a
-    /// block-cache lookup that `cache`'s counters never saw.
+    /// filter rejected the key — each one a search of the run's index
+    /// and a block-cache lookup that `cache`'s counters never saw.
     pub filter_skips: u64,
     /// Writes accepted by this shard's [`MiniKv`].
     pub writes: u64,
