@@ -98,7 +98,7 @@ struct LoadArgs {
 /// deeper runs the tagged window.
 fn parse_load_args() -> LoadArgs {
     let mut parsed = LoadArgs {
-        depth: env_u64("MALTHUS_KV_PIPELINE_DEPTH", 1),
+        depth: 1,
         conns: None,
         active: None,
         fail_on_err: false,
@@ -239,77 +239,70 @@ fn main() {
                         0
                     }
                 };
+                // Books one reply; `false` means the transport failed
+                // and the connection is done.
+                let mut book = |reply: std::io::Result<&str>, kind: usize, t0: Instant| {
+                    match reply {
+                        // Failed requests must not pollute the
+                        // throughput/latency figures.
+                        Ok(resp) if resp.starts_with("ERR") => {
+                            errors.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Ok(_) => {
+                            hists[kind].record(t0.elapsed());
+                            ops += 1;
+                        }
+                        Err(_) => {
+                            errors.fetch_add(1, Ordering::Relaxed);
+                            return false;
+                        }
+                    }
+                    true
+                };
                 if depth == 1 {
                     // The classic untagged closed loop — byte-identical
                     // to the pre-pipelining wire traffic.
                     while !stop.load(Ordering::Relaxed) {
                         let kind = build(&mut req);
                         let t0 = Instant::now();
-                        match client.roundtrip(&req) {
-                            Ok(resp) if resp.starts_with("ERR") => {
-                                // Failed requests must not pollute the
-                                // throughput/latency figures.
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(_) => {
-                                hists[kind].record(t0.elapsed());
-                                ops += 1;
-                            }
-                            Err(_) => {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                                return ops;
-                            }
+                        if !book(client.roundtrip(&req), kind, t0) {
+                            break;
                         }
                     }
-                    return ops;
-                }
-                // Tagged window: keep up to `depth` requests in
-                // flight; the server answers in request order, so the
-                // next response must echo the oldest outstanding tag.
-                let mut outstanding: VecDeque<(u64, usize, Instant)> =
-                    VecDeque::with_capacity(depth);
-                let mut seq = 0u64;
-                'window: while !stop.load(Ordering::Relaxed) {
-                    while outstanding.len() < depth {
-                        let kind = build(&mut req);
-                        if client.send_tagged(seq, &req).is_err() {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            break 'window;
+                } else {
+                    // Tagged window: keep up to `depth` requests in
+                    // flight; the server answers in request order, so
+                    // the next response must echo the oldest
+                    // outstanding tag.
+                    let mut outstanding: VecDeque<(u64, usize, Instant)> =
+                        VecDeque::with_capacity(depth);
+                    let mut seq = 0u64;
+                    // Cleared by a failed send: nothing more goes out,
+                    // but the window still drains, so every sent
+                    // request is accounted.
+                    let mut sending = true;
+                    loop {
+                        while sending && !stop.load(Ordering::Relaxed) && outstanding.len() < depth
+                        {
+                            let kind = build(&mut req);
+                            if client.send_tagged(seq, &req).is_err() {
+                                errors.fetch_add(1, Ordering::Relaxed);
+                                sending = false;
+                                break;
+                            }
+                            outstanding.push_back((seq, kind, Instant::now()));
+                            seq += 1;
                         }
-                        outstanding.push_back((seq, kind, Instant::now()));
-                        seq += 1;
-                    }
-                    let (exp, kind, t0) = outstanding.pop_front().expect("window was just filled");
-                    match client.recv_tagged() {
-                        Ok((tag, resp)) => {
+                        // Empty only once the interval is over (or a
+                        // send failed) and the window has drained.
+                        let Some((exp, kind, t0)) = outstanding.pop_front() else {
+                            break;
+                        };
+                        let reply = client.recv_tagged().map(|(tag, resp)| {
                             assert_eq!(tag, exp, "pipeline tag mismatch");
-                            if resp.starts_with("ERR") {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                hists[kind].record(t0.elapsed());
-                                ops += 1;
-                            }
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            return ops;
-                        }
-                    }
-                }
-                // Drain the window so every sent request is accounted.
-                while let Some((exp, kind, t0)) = outstanding.pop_front() {
-                    match client.recv_tagged() {
-                        Ok((tag, resp)) => {
-                            assert_eq!(tag, exp, "pipeline tag mismatch");
-                            if resp.starts_with("ERR") {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                hists[kind].record(t0.elapsed());
-                                ops += 1;
-                            }
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
+                            resp
+                        });
+                        if !book(reply, kind, t0) {
                             break;
                         }
                     }

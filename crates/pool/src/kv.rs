@@ -103,7 +103,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use malthus_metrics::LatencyHistogram;
@@ -173,34 +173,26 @@ pub const DEFAULT_SLOWLOG_THRESHOLD_US: u64 = 10_000;
 /// Service-wide pipeline observability: how much batching the drained
 /// wakeups actually achieved, and what each batch cost to execute.
 ///
-/// `batches`/`max_batch` are updated live, per batch. The batch-size
-/// *distribution* is collected in a per-connection
-/// [`LatencyHistogram`] (reused across that connection's batches,
-/// recording batch sizes as integer "nanoseconds"). Live connections
-/// hand out their histogram through
-/// [`PipelineStats::register_connection`], so quantile queries merge
-/// open connections at query time — a long-lived pipelined client is
-/// visible in `STATS`/`METRICS` *while it runs*, not only after it
-/// disconnects — and the histogram is folded into the service-wide
-/// base on disconnect. All reads share the racy-snapshot contract of
-/// every other counter here.
+/// Every connection records into the same two histograms, as every
+/// batch records into the `kv_stage_ns` stages: `sizes` takes each
+/// drained batch's request count (as integer "nanoseconds"; its count
+/// is the batch total) and `drain_ns` its execution wall time, so a
+/// connection carries no instrument of its own and an open one is
+/// visible in `STATS`/`METRICS` from its first batch. All reads share
+/// the racy-snapshot contract of every other counter here.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
-    batches: AtomicU64,
+    /// Requests per drained batch.
+    sizes: LatencyHistogram,
     max_batch: AtomicU64,
-    /// Closed connections' batch sizes.
-    hist: LatencyHistogram,
-    /// Wall time spent executing drained batches under the crew.
+    /// Wall time spent executing drained batches.
     drain_ns: LatencyHistogram,
-    /// Batch-size histograms of currently-open connections; dead
-    /// weak references are pruned on registration and at query time.
-    live: Mutex<Vec<std::sync::Weak<LatencyHistogram>>>,
 }
 
 impl PipelineStats {
-    /// Records one drained batch of `n` requests (live counters).
+    /// Records one drained batch of `n` requests.
     pub(crate) fn note_batch(&self, n: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.sizes.record_ns(n);
         self.max_batch.fetch_max(n, Ordering::Relaxed);
     }
 
@@ -209,34 +201,10 @@ impl PipelineStats {
         self.drain_ns.record_ns(ns);
     }
 
-    /// Creates a connection's batch-size histogram and registers it
-    /// for query-time merging while the connection lives.
-    pub fn register_connection(&self) -> Arc<LatencyHistogram> {
-        let hist = Arc::new(LatencyHistogram::new());
-        let mut live = self.live.lock().expect("pipeline live list poisoned");
-        live.retain(|w| w.strong_count() > 0);
-        live.push(Arc::downgrade(&hist));
-        hist
-    }
-
-    /// Retires a closing connection: deregisters the live histogram
-    /// *first*, then folds it into the service-wide base — in that
-    /// order so a concurrent quantile query cannot count the
-    /// connection twice.
-    pub fn retire_connection(&self, conn_hist: Arc<LatencyHistogram>) {
-        {
-            let mut live = self.live.lock().expect("pipeline live list poisoned");
-            live.retain(|w| {
-                w.strong_count() > 0 && !std::ptr::eq(w.as_ptr(), Arc::as_ptr(&conn_hist))
-            });
-        }
-        self.hist.merge(&conn_hist);
-    }
-
     /// Total batches drained (one batch = one reader wakeup that
     /// found at least one executable request).
     pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.sizes.count()
     }
 
     /// The largest batch any connection drained in one wakeup.
@@ -244,49 +212,22 @@ impl PipelineStats {
         self.max_batch.load(Ordering::Relaxed)
     }
 
-    /// The merged batch-size distribution: closed connections plus
-    /// every currently-open one.
-    fn merged_hist(&self) -> LatencyHistogram {
-        let merged = LatencyHistogram::new();
-        merged.merge(&self.hist);
-        let live = self.live.lock().expect("pipeline live list poisoned");
-        for w in live.iter() {
-            if let Some(h) = w.upgrade() {
-                merged.merge(&h);
-            }
-        }
-        merged
-    }
-
     /// `(p50, p99)` of the batch-size distribution, in requests per
-    /// batch, over closed **and live** connections.
+    /// batch.
     pub fn batch_quantiles(&self) -> (u64, u64) {
-        let (p50, p99) = self.merged_hist().p50_p99();
+        let (p50, p99) = self.sizes.p50_p99();
         (p50.as_nanos() as u64, p99.as_nanos() as u64)
     }
 
-    /// Snapshot of the merged batch-size distribution (closed + live
-    /// connections), for registry exposition.
+    /// Snapshot of the batch-size distribution, for registry
+    /// exposition.
     pub fn batch_size_snapshot(&self) -> malthus_metrics::HistogramSnapshot {
-        self.merged_hist().snapshot()
+        self.sizes.snapshot()
     }
 
     /// Snapshot of the batch-drain execution-latency distribution.
     pub fn drain_snapshot(&self) -> malthus_metrics::HistogramSnapshot {
         self.drain_ns.snapshot()
-    }
-
-    /// `(p50, p99)` of batch-drain execution latency, nanoseconds.
-    pub fn drain_quantiles(&self) -> (u64, u64) {
-        let (p50, p99) = self.drain_ns.p50_p99();
-        (p50.as_nanos() as u64, p99.as_nanos() as u64)
-    }
-
-    /// Batches folded into the closed-connection distribution (lags
-    /// [`PipelineStats::batches`] while connections are open; the
-    /// quantiles above do *not* lag — they merge live connections).
-    pub fn merged_batches(&self) -> u64 {
-        self.hist.count()
     }
 }
 
@@ -354,7 +295,7 @@ impl KvService {
             let p = Arc::clone(&pipeline);
             registry.histogram(
                 "kv_pipeline_batch_size",
-                "Requests per drained batch (closed plus live connections)",
+                "Requests per drained batch",
                 &[],
                 move || p.batch_size_snapshot(),
             );
@@ -877,10 +818,41 @@ mod tests {
     }
 
     #[test]
-    fn stats_reports_pipeline_fields_before_shards() {
+    fn stats_renders_its_twenty_keys_in_order() {
         let svc = KvService::with_shards(2, 64, 256);
         let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         let stats = one(&svc, &crew, "STATS");
+        let keys: Vec<&str> = stats
+            .strip_prefix("STATS ")
+            .unwrap()
+            .split(' ')
+            .map(|kv| kv.split_once('=').unwrap().0)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "reads",
+                "writes",
+                "completed",
+                "culls",
+                "reprovisions",
+                "promotions",
+                "rculls",
+                "rgrants",
+                "pbatches",
+                "pbatchmax",
+                "pbatch_p50",
+                "pbatch_p99",
+                "wal_syncs",
+                "wal_errors",
+                "readonly_shards",
+                "idle_disconnects",
+                "readonly_rejects",
+                "heal_attempts",
+                "heals",
+                "shards",
+            ]
+        );
         assert!(
             stats.contains("pbatches=0 pbatchmax=0 pbatch_p50=0 pbatch_p99=0"),
             "{stats}"
@@ -1041,28 +1013,22 @@ mod tests {
     }
 
     #[test]
-    fn pbatch_quantiles_see_live_connections() {
+    fn pbatch_fields_read_the_one_batch_size_histogram() {
         let svc = KvService::with_shards(1, 64, 256);
         let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
-        let conn = svc.pipeline_stats().register_connection();
-        for _ in 0..8 {
-            conn.record_ns(16);
+        let p = svc.pipeline_stats();
+        for n in [16, 1, 16, 16] {
+            p.note_batch(n);
         }
-        // The connection is still open, yet its batches are already
-        // visible to the quantiles (the bug this fixes: they used to
-        // appear only after disconnect).
-        let (p50, p99) = svc.pipeline_stats().batch_quantiles();
-        assert!(p50 > 0 && p99 > 0, "live batches invisible: ({p50}, {p99})");
-        assert_eq!(svc.pipeline_stats().merged_batches(), 0, "not folded yet");
-        assert_eq!(svc.pipeline_stats().batch_size_snapshot().count(), 8);
+        // Its count is the batch total: no second counter to drift.
+        assert_eq!(p.batches(), 4);
+        assert_eq!(p.batch_size_snapshot().count(), 4);
+        assert_eq!(p.batch_quantiles(), (16, 16));
         let stats = one(&svc, &crew, "STATS");
-        assert!(!stats.contains("pbatch_p50=0"), "{stats}");
-        // Retiring folds the histogram into the base exactly once —
-        // the merged view must not double-count.
-        svc.pipeline_stats().retire_connection(conn);
-        assert_eq!(svc.pipeline_stats().merged_batches(), 8);
-        assert_eq!(svc.pipeline_stats().batch_size_snapshot().count(), 8);
-        assert_eq!(svc.pipeline_stats().batch_quantiles(), (p50, p99));
+        assert!(
+            stats.contains("pbatches=4 pbatchmax=16 pbatch_p50=16 pbatch_p99=16"),
+            "{stats}"
+        );
         crew.shutdown();
     }
 

@@ -20,12 +20,14 @@
 //! the bytes have really left.
 //!
 //! What changes is the cost model. Per-connection state shrinks from
-//! a thread (stack, scheduler presence) to a session inside the
-//! reactor's slab, so idle connections cost memory, not threads —
-//! `kv_server --async` holds 1024 idle connections on two reactor
-//! threads. Idle reaping moves from per-socket read timeouts to the
-//! reactor's coarse timer wheel, surfacing through the same
-//! `STATS idle_disconnects=` counter.
+//! a thread (stack, scheduler presence) to buffers inside the
+//! reactor's slab — its read/write pair and the session's batch and
+//! reply buffers, empty until the first request and settled back once
+//! replies leave — so idle connections cost memory, not threads, and
+//! opening one allocates nothing here: `kv_server --async` holds 1024
+//! idle connections on two reactor threads. Idle reaping moves from
+//! per-socket read timeouts to the reactor's coarse timer wheel,
+//! surfacing through the same `STATS idle_disconnects=` counter.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -132,7 +134,7 @@ impl Handler for KvHandler {
 
     fn on_open(&self, _stream: &TcpStream) -> KvConn {
         KvConn {
-            session: Session::open(&self.service),
+            session: Session::open(),
             pending: Vec::new(),
         }
     }
@@ -158,6 +160,7 @@ impl Handler for KvHandler {
                 .session
                 .apply(&self.service, &self.admission, &mut span);
             write_buf.extend_from_slice(replies);
+            conn.session.settle();
             if span.is_active() {
                 // Flush happens later, nonblocking, possibly in
                 // pieces; `on_flushed` settles the span.
@@ -193,7 +196,6 @@ impl Handler for KvHandler {
         for mut span in conn.pending.drain(..) {
             self.service.finish_span(&mut span);
         }
-        conn.session.close(&self.service);
     }
 }
 

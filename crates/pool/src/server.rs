@@ -49,7 +49,7 @@ use malthus_obs::SpanContext;
 use crate::crew::WorkCrew;
 use crate::kv::KvService;
 use crate::protocol::{DrainEnd, MAX_LINE_BYTES};
-use crate::session::Session;
+use crate::session::{settle, Session, READ_BLOCK};
 
 /// The cost rule of the threaded front-end: a connection's batch runs
 /// in place on its own thread (under a slot lent by
@@ -65,11 +65,6 @@ use crate::session::Session;
 /// tail short, and four connection threads convoying on the shard
 /// locks do not.
 pub const INLINE_MAX_DRAIN_NS: u64 = 50_000;
-
-/// Bytes a connection thread asks the socket for per `read` (and the
-/// size its request block starts at and settles back to). Bounds a
-/// drained batch.
-const READ_BLOCK: usize = 8 * 1024;
 
 /// Default TCP address for the server and load-generator binaries.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
@@ -251,14 +246,16 @@ fn handle_connection(
     // of it, so a pipelined window costs one system call and the batch
     // is bounded by the block. `block[..filled]` is the unfinished line
     // carried over from the previous read; the block is zeroed once,
-    // here, and grows only while a single line outgrows it.
+    // here, grows only while a single line outgrows it, and settles
+    // back once nothing is carried over (while bytes are, they may be
+    // the start of another long line).
     let mut block = vec![0u8; READ_BLOCK];
     let mut filled = 0;
     // Stays here for a batch that runs in place and round-trips
     // through the completion channel for a queued one, so the steady
     // state allocates at most per *batch* (one boxed task + one
     // channel), never per request.
-    let mut session = Session::open(service);
+    let mut session = Session::open();
     loop {
         if filled == block.len() {
             if filled >= MAX_LINE_BYTES {
@@ -285,7 +282,9 @@ fn handle_connection(
         let (consumed, span) = session.drain(service, &block[..filled]);
         block.copy_within(consumed..filled, 0);
         filled -= consumed;
-        settle_block(&mut block, filled);
+        if filled == 0 {
+            settle(&mut block);
+        }
         if let Some(mut span) = span {
             // The batch is the admission unit, and the reader keeps a
             // single one in flight, so responses from one connection
@@ -302,7 +301,7 @@ fn handle_connection(
             if let Some(slot) = slot {
                 runner.apply(&mut session, &mut span, queue_t0);
                 drop(slot);
-                runner.flush(&session, &mut span);
+                runner.flush(&mut session, &mut span);
             } else {
                 // One crew task per batch. The channel returns the
                 // session for reuse and doubles as the completion
@@ -313,7 +312,7 @@ fn handle_connection(
                 let task_runner = Arc::clone(&runner);
                 let submitted = crew.submit(move || {
                     task_runner.apply(&mut session, &mut span, queue_t0);
-                    task_runner.flush(&session, &mut span);
+                    task_runner.flush(&mut session, &mut span);
                     let _ = tx.send(session);
                 });
                 if submitted.is_err() {
@@ -322,8 +321,7 @@ fn handle_connection(
                 // Nothing comes back from a task that was refused or
                 // died without reporting (panicked mid-request): the
                 // response stream is broken and the session went with
-                // the task, so there is none to close — its live
-                // histogram entry is pruned with its last reference.
+                // the task.
                 let Ok(back) = rx.recv() else {
                     let _ = stream.shutdown(std::net::Shutdown::Both);
                     return;
@@ -346,20 +344,6 @@ fn handle_connection(
     // connection open and the peer blocked in read. `shutdown` acts
     // on the socket itself: the peer sees EOF immediately.
     let _ = stream.shutdown(std::net::Shutdown::Both);
-    session.close(service);
-}
-
-/// The rule for a reader's block after a drain left `carried` bytes of
-/// unfinished line in it: a block grown for one long line goes back to
-/// [`READ_BLOCK`] as soon as nothing is carried over, so a connection
-/// that once sent a large `MSET` does not hold up to a megabyte for
-/// life. While bytes are carried over it keeps its size — they may be
-/// the start of another long line.
-fn settle_block(block: &mut Vec<u8>, carried: usize) {
-    if carried == 0 && block.len() > READ_BLOCK {
-        block.truncate(READ_BLOCK);
-        block.shrink_to_fit();
-    }
 }
 
 /// What running a batch needs besides the session itself; one per
@@ -394,12 +378,14 @@ impl BatchRunner {
 
     /// The half that needs nothing shared: every response of the
     /// applied batch in one write (so they leave in one TCP segment
-    /// where they fit), then the span is finished. May block for as
-    /// long as the client does not read; whoever calls it under an ACS
-    /// place lends that place to the client's socket buffer.
-    fn flush(&self, session: &Session, span: &mut SpanContext) {
+    /// where they fit), the session's buffers settled, then the span is
+    /// finished. May block for as long as the client does not read;
+    /// whoever calls it under an ACS place lends that place to the
+    /// client's socket buffer.
+    fn flush(&self, session: &mut Session, span: &mut SpanContext) {
         let flush_t0 = if span.is_active() { span::now_ns() } else { 0 };
         let _ = (&self.writer).write_all(session.replies());
+        session.settle();
         if flush_t0 != 0 {
             span.add(Stage::Flush, span::now_ns().saturating_sub(flush_t0));
         }
@@ -412,23 +398,6 @@ mod tests {
     use super::*;
     use crate::client::KvClient;
     use crate::crew::PoolConfig;
-
-    #[test]
-    fn a_grown_read_block_settles_back_once_nothing_is_carried_over() {
-        // Grown for one long line, with the start of the next line
-        // carried over: the block keeps its size.
-        let mut block = vec![0u8; 8 * READ_BLOCK];
-        settle_block(&mut block, 3);
-        assert_eq!(block.len(), 8 * READ_BLOCK);
-        // Nothing carried over: back to one READ_BLOCK, really freed.
-        settle_block(&mut block, 0);
-        assert_eq!(block.len(), READ_BLOCK);
-        assert!(block.capacity() < 2 * READ_BLOCK);
-        // A block that never grew is left alone.
-        let at = block.as_ptr();
-        settle_block(&mut block, 0);
-        assert_eq!((block.len(), block.as_ptr()), (READ_BLOCK, at));
-    }
 
     #[test]
     fn slowlog_over_tcp_records_pipelined_batches() {

@@ -13,17 +13,36 @@
 //! it is made in one place and the front-ends cannot drift apart on
 //! the wire.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use malthus_metrics::LatencyHistogram;
 use malthus_obs::span::{self, Stage};
 use malthus_obs::SpanContext;
 
 use crate::kv::{AdmissionStats, KvService};
 use crate::protocol::{drain_lines, write_tag, DrainEnd, Parsed};
 
-/// One connection's protocol state. Its buffers are reused across
+/// Bytes a connection thread asks the socket for per `read`, and the
+/// size every per-connection buffer settles back to ([`settle`]).
+/// Bounds a drained batch.
+pub(crate) const READ_BLOCK: usize = 8 * 1024;
+
+/// The one rule for a connection's reusable buffers — the threaded
+/// reader's block and a session's batch and replies — applied once
+/// what the buffer holds is done with: capacity grown past
+/// [`READ_BLOCK`] bytes for one long line, large batch or large reply
+/// (a `METRICS` scrape, a long `SCAN`) is given back, so the connection
+/// does not hold it for life. At or under `READ_BLOCK` the buffer is
+/// left alone, so ordinary batches never reallocate.
+pub(crate) fn settle<T>(buf: &mut Vec<T>) {
+    let keep = READ_BLOCK / std::mem::size_of::<T>().max(1);
+    if buf.capacity() > keep {
+        buf.truncate(keep);
+        buf.shrink_to(keep);
+    }
+}
+
+/// One connection's protocol state — with its two buffers, everything
+/// a connection costs the service. The buffers are reused across
 /// batches, so a warm connection allocates per *batch* (see
 /// [`KvService::apply_batch_span`]), never per request.
 pub(crate) struct Session {
@@ -31,10 +50,6 @@ pub(crate) struct Session {
     batch: Vec<Parsed>,
     /// The rendered replies of the last applied batch.
     out: String,
-    /// This connection's batch-size distribution: visible to quantile
-    /// queries while the connection lives, folded into the service-wide
-    /// histogram by [`Session::close`] (`STATS pbatch_p50/p99`).
-    conn_hist: Arc<LatencyHistogram>,
     /// How the last [`Session::drain`] ended: whether the connection
     /// carries on, closes, or takes the server down with it.
     pub(crate) end: DrainEnd,
@@ -45,13 +60,12 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    /// The state of a freshly accepted connection.
-    pub(crate) fn open(service: &KvService) -> Session {
+    /// The state of a freshly accepted connection. Allocates nothing.
+    pub(crate) fn open() -> Session {
         malthus_obs::record(malthus_obs::EventKind::ConnOpen, 0, 0);
         Session {
             batch: Vec::new(),
             out: String::new(),
-            conn_hist: service.pipeline_stats().register_connection(),
             end: DrainEnd::Open,
             last_drain_ns: 0,
         }
@@ -87,7 +101,6 @@ impl Session {
             return (drained.consumed, ack.then(SpanContext::detached));
         }
         service.pipeline_stats().note_batch(n);
-        self.conn_hist.record_ns(n);
         span.set_identity(service.next_batch_id(), n as u32);
         if read_t0 != 0 {
             span.add(Stage::Read, span::now_ns().saturating_sub(read_t0));
@@ -125,11 +138,65 @@ impl Session {
         self.out.as_bytes()
     }
 
-    /// Retires the connection: folds its batch-size distribution into
-    /// the service-wide one.
-    pub(crate) fn close(&self, service: &KvService) {
-        service
-            .pipeline_stats()
-            .retire_connection(Arc::clone(&self.conn_hist));
+    /// Once the replies have left: drops them and holds both buffers
+    /// to the [`settle`] rule.
+    pub(crate) fn settle(&mut self) {
+        let mut out = std::mem::take(&mut self.out).into_bytes();
+        out.clear();
+        settle(&mut out);
+        self.out = String::from_utf8(out).expect("an empty buffer is UTF-8");
+        settle(&mut self.batch);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crew::{PoolConfig, WorkCrew};
+
+    #[test]
+    fn a_grown_read_block_settles_back_to_one_read_block() {
+        let mut block = vec![0u8; 8 * READ_BLOCK];
+        settle(&mut block);
+        assert_eq!(block.len(), READ_BLOCK);
+        assert!(block.capacity() < 2 * READ_BLOCK);
+        // A block that never grew is left alone.
+        let at = block.as_ptr();
+        settle(&mut block);
+        assert_eq!((block.len(), block.as_ptr()), (READ_BLOCK, at));
+    }
+
+    /// One batch through `session` the way a front-end runs it:
+    /// drained, applied, its replies flushed, settled. Returns the
+    /// replies' length.
+    fn run(session: &mut Session, svc: &KvService, crew: &WorkCrew, bytes: &[u8]) -> usize {
+        let (consumed, span) = session.drain(svc, bytes);
+        assert_eq!(consumed, bytes.len());
+        let replies = session.apply(svc, crew, &mut span.unwrap()).len();
+        session.settle();
+        replies
+    }
+
+    #[test]
+    fn a_large_batch_does_not_keep_its_buffers_past_the_next_small_one() {
+        let svc = KvService::with_shards(1, 64, 256);
+        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        let mut session = Session::open();
+        // 4 096 requests and 20 KiB of replies in one batch.
+        let replies = run(&mut session, &svc, &crew, "PING\n".repeat(4_096).as_bytes());
+        assert!(replies > 2 * READ_BLOCK, "{replies}");
+        run(&mut session, &svc, &crew, b"#1 PING\n");
+        let (out, batch) = (session.out.capacity(), session.batch.capacity());
+        assert!(out <= READ_BLOCK, "the replies keep {out} bytes");
+        assert!(
+            batch * std::mem::size_of::<Parsed>() <= READ_BLOCK,
+            "the batch keeps {batch} slots"
+        );
+        // Ordinary batches on a settled connection do not reallocate.
+        let at = session.out.as_ptr();
+        let replies = run(&mut session, &svc, &crew, "#1 PING\n".repeat(64).as_bytes());
+        assert_eq!(replies, 64 * "#1 PONG\n".len());
+        assert_eq!(session.out.as_ptr(), at);
+        crew.shutdown();
     }
 }

@@ -6,15 +6,20 @@
 //! shard's write pairs and rendering the replies all run in reused
 //! scratch; these tests are what keeps that reuse from silently
 //! rotting, and what gives the batch of one a number instead of prose.
+//! Opening a connection allocates nothing at all: it carries no
+//! instrument of its own, and its buffers stay empty until it sends.
 //!
 //! Alone in its file: the counting allocator is process-wide (the
 //! counter is per thread, so the tests may run side by side).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, OnceLock};
 
+use malthus_net::Handler;
 use malthus_pool::kv::{AdmissionSnapshot, AdmissionStats};
-use malthus_pool::{KvService, Parsed};
+use malthus_pool::{KvHandler, KvService, Parsed};
 
 thread_local! {
     /// Allocations made by this thread (const-initialized and without a
@@ -121,4 +126,17 @@ fn a_warm_one_request_batch_allocates_at_most_twice() {
             "a warm batch of one `{line}` made {allocations} allocations (budget: ops + replies)"
         );
     }
+}
+
+#[test]
+fn opening_a_reactor_connection_allocates_nothing() {
+    let service = Arc::new(KvService::with_shards(4, 4_096, 256));
+    let handler = KvHandler::new(service, Arc::new(OnceLock::new()));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let before = ALLOCATIONS.with(Cell::get);
+    let conn = handler.on_open(&stream);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    drop(conn);
+    assert_eq!(allocations, 0, "on_open made {allocations} allocations");
 }

@@ -61,7 +61,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use malthus::{current_thread_index, LockCounter, McsCrMutex};
+use malthus::{current_thread_index, McsCrMutex};
 use malthus_metrics::LatencyHistogram;
 use malthus_obs::EventKind;
 use malthus_rwlock::{RwCrMutex, RwStats};
@@ -257,18 +257,9 @@ struct Shard {
     /// [`Shard::touch`]); only [`ShardedKv::shard_stats`] takes it
     /// alone.
     cache: McsCrMutex<SimpleLru>,
-    /// MGET batches that touched this shard. Bumped under the
-    /// *shared* `db` lock, where concurrent bumpers are legal, so
-    /// this must be a real RMW ([`LockCounter::bump`]'s plain
-    /// load+store would lose counts) — same relaxed-atomic treatment
-    /// as `MiniKv`'s read counter.
-    mgets: AtomicU64,
-    /// MSET batches that touched this shard. Bumped only under the
-    /// exclusive `db` write lock, which serializes writers — exactly
-    /// the [`LockCounter`] contract (plain load+store, no RMW).
-    msets: LockCounter,
-    /// Scans that visited this shard (bumped under the shared `db`
-    /// lock; relaxed atomic for the same reason as `mgets`).
+    /// Scans that visited this shard. Bumped under the *shared* `db`
+    /// lock, where concurrent bumpers are legal, so it is a real
+    /// relaxed RMW, not a [`malthus::LockCounter`]'s plain load+store.
     scans: AtomicU64,
     /// Poisoned read-only after a WAL failure. Checked and set under
     /// the exclusive `db` hold; relaxed atomic so the read path and
@@ -355,8 +346,6 @@ impl Shard {
         Shard {
             db: RwCrMutex::default_cr(state),
             cache: McsCrMutex::default_cr(SimpleLru::new(cache_blocks)),
-            mgets: AtomicU64::new(0),
-            msets: LockCounter::new(),
             scans: AtomicU64::new(0),
             readonly: AtomicBool::new(false),
             wal_errors: AtomicU64::new(0),
@@ -373,8 +362,7 @@ impl Shard {
     /// [`MiniKv::search_many`] (memtable for every key, then each run
     /// for the keys still unanswered), writes the values into the ops'
     /// replies and leaves the consulted block ids in `scratch.touches`
-    /// for [`Shard::touch`] to replay. Returns whether an MGET was
-    /// among the ops.
+    /// for [`Shard::touch`] to replay.
     ///
     /// Searching at the moment of the stretch keeps a dirty sub-group
     /// in op order (a later write, or the freeze it causes, cannot
@@ -390,7 +378,7 @@ impl Shard {
         stretch: &[(u32, u32)],
         replies: &mut [BatchReply],
         scratch: &mut ReadScratch,
-    ) -> bool {
+    ) {
         let ReadScratch {
             keys,
             values,
@@ -405,18 +393,13 @@ impl Shard {
         values.clear();
         values.resize(keys.len(), None);
         db.search_many(keys, values, |block| touches.push(block));
-        let mut saw_mget = false;
         for (&(oi, slot), &value) in stretch.iter().zip(values.iter()) {
             match &mut replies[oi as usize] {
                 BatchReply::Value(out) => *out = value,
-                BatchReply::Values(outs) => {
-                    outs[slot as usize] = value;
-                    saw_mget = true;
-                }
+                BatchReply::Values(outs) => outs[slot as usize] = value,
                 _ => unreachable!("read op paired with a write reply"),
             }
         }
-        saw_mget
     }
 
     /// The second half: replays `blocks` — what the sub-group's
@@ -489,10 +472,6 @@ pub struct ShardSnapshot {
     pub keys: usize,
     /// Frozen runs.
     pub runs: usize,
-    /// MGET batches that touched this shard.
-    pub mgets: u64,
-    /// MSET batches that touched this shard.
-    pub msets: u64,
     /// Scans that visited this shard.
     pub scans: u64,
     /// Group commits appended to this shard's WAL (0 if memory-only).
@@ -951,10 +930,6 @@ impl ShardedKv {
     ///   would reorder same-key ops (and cost a second admission).
     /// * Cross-shard remains a racy snapshot: shards are visited one
     ///   at a time, never two locks at once.
-    ///
-    /// The per-shard `mgets`/`msets` batch counters bump **once per
-    /// batch** that brought that op type to the shard, not once per
-    /// [`BatchOp`] — under pipelining the batch is the admission unit.
     pub fn execute_batch(&self, ops: &[BatchOp<'_>]) -> Vec<BatchReply> {
         self.execute_batch_span(ops, &mut malthus_obs::SpanContext::detached())
     }
@@ -1017,7 +992,6 @@ impl ShardedKv {
                 shard_idx as u64,
                 group.len() as u64,
             );
-            let mut saw_mget = false;
             if group.iter().any(is_write) {
                 let mut db = shard.db.write();
                 // Group commit: the whole sub-group's writes (in op
@@ -1042,37 +1016,27 @@ impl ShardedKv {
                 // read stretches applied one by one — their pairs are
                 // the next of `write_pairs`.
                 let mut unapplied = write_pairs.as_slice();
-                let mut saw_mset = false;
                 for stretch in group.chunk_by(|a, b| is_write(a) == is_write(b)) {
                     if !is_write(&stretch[0]) {
-                        saw_mget |= Shard::search(&db, ops, stretch, &mut replies, reads);
+                        Shard::search(&db, ops, stretch, &mut replies, reads);
                         continue;
                     }
                     let (pairs, rest) = unapplied.split_at(stretch.len());
                     unapplied = rest;
                     for (&(oi, _), &(k, v)) in stretch.iter().zip(pairs) {
                         match committed {
-                            Ok(()) => {
-                                db.put(k, v);
-                                saw_mset |= matches!(ops[oi as usize], BatchOp::Mset(_));
-                            }
+                            Ok(()) => db.put(k, v),
                             Err(_) => replies[oi as usize] = BatchReply::Readonly,
                         }
                     }
                 }
-                if saw_mset {
-                    shard.msets.bump();
-                }
                 shard.touch(&reads.touches, tid);
             } else {
                 let db = shard.db.read();
-                saw_mget = Shard::search(&db, ops, group, &mut replies, reads);
+                Shard::search(&db, ops, group, &mut replies, reads);
                 shard.touch(&reads.touches, tid);
             }
             reads.touches.clear();
-            if saw_mget {
-                shard.mgets.fetch_add(1, Ordering::Relaxed);
-            }
             malthus_obs::record(
                 malthus_obs::EventKind::ShardBatchEnd,
                 shard_idx as u64,
@@ -1151,8 +1115,6 @@ impl ShardedKv {
             writes,
             keys,
             runs,
-            mgets: shard.mgets.load(Ordering::Relaxed),
-            msets: shard.msets.get(),
             scans: shard.scans.load(Ordering::Relaxed),
             wal_appends,
             wal_syncs,
@@ -1397,45 +1359,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_count_per_shard_touches() {
+    fn a_scan_counts_once_per_shard_it_visits() {
         let kv = ShardedKv::new(2, 16, 64);
         kv.mset(&[(1, 1), (2, 2), (3, 3), (4, 4)]).unwrap();
-        kv.mget(&[1, 2, 3, 4]);
         kv.scan(0, 10);
-        let stats = kv.stats();
-        let msets: u64 = stats.per_shard.iter().map(|s| s.msets).sum();
-        let mgets: u64 = stats.per_shard.iter().map(|s| s.mgets).sum();
-        let scans: u64 = stats.per_shard.iter().map(|s| s.scans).sum();
-        // Four keys over two shards: each batch touches 1..=2 shards;
-        // the scan visits both.
-        assert!((1..=2).contains(&msets), "msets = {msets}");
-        assert!((1..=2).contains(&mgets), "mgets = {mgets}");
+        let scans: u64 = kv.stats().per_shard.iter().map(|s| s.scans).sum();
         assert_eq!(scans, 2);
-    }
-
-    #[test]
-    fn read_side_batch_counters_survive_concurrent_batches() {
-        // mgets/scans are bumped under the *shared* DB lock, where
-        // bumpers run concurrently — they must be real RMWs, not
-        // LockCounter's plain load+store. Lost counts would leave the
-        // quiescent totals short.
-        let kv = Arc::new(ShardedKv::new(1, 64, 256));
-        let per_thread = 5_000u64;
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let kv = Arc::clone(&kv);
-                std::thread::spawn(move || {
-                    for _ in 0..per_thread {
-                        kv.mget(&[1, 2]);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // One shard: every mget bumps exactly once.
-        assert_eq!(kv.stats().per_shard[0].mgets, 4 * per_thread);
     }
 
     #[test]
@@ -1809,26 +1738,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_counters_bump_once_per_batch_per_shard() {
-        let kv = ShardedKv::new(1, 64, 64);
-        let a = [(1u64, 1u64)];
-        let b = [(2u64, 2u64)];
-        let ka = [1u64];
-        let kb = [2u64];
-        // Two MSETs and two MGETs in ONE batch on one shard: the
-        // batch, not the op, is the admission unit — one bump each.
-        kv.execute_batch(&[
-            BatchOp::Mset(&a),
-            BatchOp::Mset(&b),
-            BatchOp::Mget(&ka),
-            BatchOp::Mget(&kb),
-        ]);
-        let s = &kv.stats().per_shard[0];
-        assert_eq!(s.msets, 1, "one mset touch per batch");
-        assert_eq!(s.mgets, 1, "one mget touch per batch");
-    }
-
-    #[test]
     fn execute_batch_empty_and_degenerate_ops() {
         let kv = ShardedKv::new(2, 16, 64);
         assert!(kv.execute_batch(&[]).is_empty());
@@ -2064,7 +1973,7 @@ mod tests {
         for (shard, (d, b)) in direct.per_shard.iter().zip(&batched.per_shard).enumerate() {
             let counters = |s: &ShardSnapshot| {
                 (
-                    (s.reads, s.writes, s.mgets, s.msets),
+                    (s.reads, s.writes),
                     (s.db_lock.write_episodes, s.wal_syncs, s.readonly_rejects),
                     s.readonly,
                 )

@@ -82,6 +82,13 @@ fn single_write_burst_answers_every_line() {
     close();
 }
 
+#[test]
+fn batch_instruments_agree_while_connections_are_open() {
+    let (addr, _service, close) = start_async_server(2, None);
+    common::batch_instruments_agree_while_connections_are_open(addr);
+    close();
+}
+
 /// QUIT closes without a response; SHUTDOWN answers `OK` (tagged) and
 /// stops the whole server — control verbs through the reactor path.
 #[test]

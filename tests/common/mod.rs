@@ -106,9 +106,9 @@ pub fn single_write_burst_answers_every_line(addr: SocketAddr, service: &KvServi
 }
 
 /// Depth-16 windows from several connections against a 4-shard server:
-/// every response matches its request (tag AND value), and once the
-/// connections close their batch histograms fold into the service-wide
-/// distribution. Run it under [`run_with_watchdog`].
+/// every response matches its request (tag AND value), and every batch
+/// lands in the service-wide batch-size distribution. Run it under
+/// [`run_with_watchdog`].
 pub fn depth_16_stress_against_four_shards(addr: SocketAddr, service: &KvService) {
     let conns = 3usize;
     let per_conn = 2_000u64;
@@ -160,23 +160,41 @@ pub fn depth_16_stress_against_four_shards(addr: SocketAddr, service: &KvService
     for w in workers {
         w.join().unwrap();
     }
-    // Pipeline observability: the stress produced batches, and once
-    // the connections close their histograms merge into the
-    // service-wide distribution (LatencyHistogram::merge across
-    // connections).
+    // Pipeline observability: the stress produced batches, every one of
+    // them in the one service-wide distribution.
     let p = service.pipeline_stats();
     assert!(p.batches() > 0);
     assert!(p.max_batch() >= 1);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while p.merged_batches() == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(
-        p.merged_batches() > 0,
-        "closed connections must fold their batch histograms in"
-    );
+    assert_eq!(p.batch_size_snapshot().count(), p.batches());
     let (p50, p99) = p.batch_quantiles();
     assert!(p50 >= 1 && p99 >= p50, "p50 {p50} p99 {p99}");
+}
+
+/// The batch count and the batch-size distribution are one instrument:
+/// with three connections open, each past a pipelined window, one
+/// `METRICS` scrape reports `kv_pipeline_batches_total` equal to
+/// `kv_pipeline_batch_size_count` (the scrape's own batch in both).
+pub fn batch_instruments_agree_while_connections_are_open(addr: SocketAddr) {
+    let mut conns: Vec<KvClient> = (0..3).map(|_| KvClient::connect(addr).unwrap()).collect();
+    for (c, client) in conns.iter_mut().enumerate() {
+        for t in 0..16u64 {
+            let key = c as u64 * 100 + t;
+            client.send_tagged(t, &format!("PUT {key} {t}")).unwrap();
+        }
+        for t in 0..16u64 {
+            let (tag, resp) = client.recv_tagged().unwrap();
+            assert_eq!((tag, resp), (t, "OK"), "conn {c}");
+        }
+    }
+    let doc = conns[0].fetch_document("METRICS").unwrap();
+    let value = |name: &str| -> f64 {
+        doc.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in:\n{doc}"))
+    };
+    let batches = value("kv_pipeline_batches_total");
+    assert!(batches >= 4.0, "three windows and a scrape: {batches}");
+    assert_eq!(batches, value("kv_pipeline_batch_size_count"), "{doc}");
 }
 
 /// Runs `f` on a helper thread and fails (returning `false`) if it
