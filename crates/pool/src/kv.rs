@@ -894,6 +894,9 @@ mod tests {
             "# TYPE kv_pipeline_batch_size histogram",
             "kv_batch_drain_ns_count",
             "kv_hottest_shard_write_share",
+            "# TYPE kv_shard_runs gauge",
+            "kv_shard_runs{shard=\"0\"}",
+            "kv_shard_index_bytes{shard=\"1\"}",
             "kv_idle_disconnects_total 0",
             "# TYPE kv_stage_ns histogram",
             "kv_stage_ns_bucket{stage=\"lock_wait\",le=",
@@ -905,6 +908,8 @@ mod tests {
         ] {
             assert!(doc.contains(needle), "missing {needle:?} in:\n{doc}");
         }
+        // A run count is a level, not a counter.
+        assert!(!doc.contains("kv_shard_runs_total"), "{doc}");
         assert!(doc.ends_with("# EOF"), "{doc}");
         crew.shutdown();
     }

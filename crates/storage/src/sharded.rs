@@ -472,6 +472,8 @@ pub struct ShardSnapshot {
     pub keys: usize,
     /// Frozen runs.
     pub runs: usize,
+    /// Bytes the runs' indexes take: slot tables and filter words.
+    pub index_bytes: usize,
     /// Scans that visited this shard.
     pub scans: u64,
     /// Group commits appended to this shard's WAL (0 if memory-only).
@@ -1095,7 +1097,17 @@ impl ShardedKv {
     /// Panics if `index` is out of range.
     pub fn shard_stats(&self, index: usize) -> ShardSnapshot {
         let shard = &self.shards[index];
-        let (reads, filter_skips, writes, keys, runs, wal_appends, wal_syncs, wal_bytes) = {
+        let (
+            reads,
+            filter_skips,
+            writes,
+            keys,
+            runs,
+            index_bytes,
+            wal_appends,
+            wal_syncs,
+            wal_bytes,
+        ) = {
             let db = shard.db.read();
             (
                 db.reads(),
@@ -1103,6 +1115,7 @@ impl ShardedKv {
                 db.writes(),
                 db.len_estimate(),
                 db.run_count(),
+                db.index_bytes(),
                 db.wal_appends(),
                 db.wal_syncs(),
                 db.wal_bytes(),
@@ -1115,6 +1128,7 @@ impl ShardedKv {
             writes,
             keys,
             runs,
+            index_bytes,
             scans: shard.scans.load(Ordering::Relaxed),
             wal_appends,
             wal_syncs,
@@ -1129,8 +1143,8 @@ impl ShardedKv {
         }
     }
 
-    /// Registers the store's per-shard counters, the skew gauge, and
-    /// the WAL fsync histogram with a metrics
+    /// Registers the store's per-shard counters and gauges, the skew
+    /// gauge, and the WAL fsync histogram with a metrics
     /// [`Registry`](malthus_obs::Registry).
     ///
     /// Closures capture an `Arc` of the store, so the registry may
@@ -1138,7 +1152,7 @@ impl ShardedKv {
     /// one shard's locks it reports on.
     pub fn register_metrics(self: &Arc<Self>, registry: &malthus_obs::Registry) {
         type SnapshotCounter = fn(&ShardSnapshot) -> u64;
-        let shard_counters: [(&str, &str, SnapshotCounter); 12] = [
+        let shard_counters: [(&str, &str, SnapshotCounter); 11] = [
             ("kv_shard_reads_total", "Reads served by the shard.", |s| {
                 s.reads
             }),
@@ -1175,9 +1189,6 @@ impl ShardedKv {
                 "WAL I/O errors observed.",
                 |s| s.wal_errors,
             ),
-            ("kv_shard_runs_total", "Frozen memtable runs.", |s| {
-                s.runs as u64
-            }),
             (
                 "kv_readonly_rejects_total",
                 "Write groups refused while the shard was read-only.",
@@ -1221,6 +1232,25 @@ impl ShardedKv {
                 |s| s.db_lock.writer_drain_waits,
             ),
         ];
+        type SnapshotGauge = fn(&ShardSnapshot) -> f64;
+        let shard_gauges: [(&str, &str, SnapshotGauge); 4] = [
+            (
+                "kv_shard_keys",
+                "Resident keys (memtable + runs, duplicates included).",
+                |s| s.keys as f64,
+            ),
+            ("kv_shard_runs", "Frozen memtable runs.", |s| s.runs as f64),
+            (
+                "kv_shard_index_bytes",
+                "Bytes of the runs' slot tables and filters.",
+                |s| s.index_bytes as f64,
+            ),
+            (
+                "kv_shard_readonly",
+                "1 when the shard is poisoned read-only after a WAL failure.",
+                |s| u8::from(s.readonly) as f64,
+            ),
+        ];
         for i in 0..self.shards.len() {
             let shard_label = i.to_string();
             for (name, help, f) in shard_counters {
@@ -1238,20 +1268,12 @@ impl ShardedKv {
                     move || f(&store.shard_stats(i)),
                 );
             }
-            let store = Arc::clone(self);
-            registry.gauge(
-                "kv_shard_keys",
-                "Resident keys (memtable + runs, duplicates included).",
-                &[("shard", &shard_label)],
-                move || store.shard_stats(i).keys as f64,
-            );
-            let store = Arc::clone(self);
-            registry.gauge(
-                "kv_shard_readonly",
-                "1 when the shard is poisoned read-only after a WAL failure.",
-                &[("shard", &shard_label)],
-                move || u8::from(store.shard_stats(i).readonly) as f64,
-            );
+            for (name, help, f) in shard_gauges {
+                let store = Arc::clone(self);
+                registry.gauge(name, help, &[("shard", &shard_label)], move || {
+                    f(&store.shard_stats(i))
+                });
+            }
         }
         let store = Arc::clone(self);
         registry.gauge(

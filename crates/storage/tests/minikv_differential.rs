@@ -1,10 +1,11 @@
 //! Differential test: [`MiniKv`] — memtable, accumulator run, base run,
-//! fence-indexed lookups, lazily merged scans — against a `BTreeMap`,
+//! slot-table lookups, lazily merged scans — against a `BTreeMap`,
 //! which is what all of that must add up to. Every reply of a seeded
 //! `put`/`get`/`scan_from` stream is compared, at memtable limits from
 //! "every put freezes" to "freezes are rare", and the store never holds
-//! more than two runs. (The runs' own shape — ascending pairs, fences,
-//! filter, merge work — is checked by the unit tests beside the private
+//! more than two runs. (The runs' own shape — ascending pairs, slot
+//! table, filter, merge and index work — and key sets that crowd one
+//! bucket of a table are checked by the unit tests beside the private
 //! `Run`.)
 //!
 //! And the batch walker against the one-key read path: a stretch of
