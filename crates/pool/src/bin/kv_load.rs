@@ -1,8 +1,8 @@
 //! `kv_load` — closed-loop load generator for `kv_server`.
 //!
-//! Opens `MALTHUS_KV_CONNS` connections, each running a closed loop
-//! of mixed `GET`/`PUT` (and optionally `MGET`) requests over a
-//! xorshift key stream for `MALTHUS_KV_SECONDS`, then reports
+//! Opens `--conns` connections, each running a closed loop of mixed
+//! `GET`/`PUT` (and optionally `MGET`) requests over a xorshift key
+//! stream for `--seconds`, then reports
 //! aggregate throughput plus **per-op-type** counts and p50/p99
 //! latencies from separate
 //! [`LatencyHistogram`]s, merged
@@ -11,8 +11,18 @@
 //! side; PUTs pay writer admission; MGETs batch per shard) and the
 //! overall picture are visible end to end.
 //!
-//! Flags:
+//! Flags (the only way to configure the generator; nothing is read
+//! from the environment):
 //!
+//! * `--addr <host:port>` — server address (default `127.0.0.1:7878`);
+//!   a host name resolves to its first address.
+//! * `--seconds <n>` — measurement interval (default 2).
+//! * `--keys <n>` — key-space size (default 10000).
+//! * `--put-pct <n>` — percentage of PUTs (default 20).
+//! * `--mget-pct <n>` — percentage of MGETs (default 0; at most
+//!   `100 − --put-pct`); each MGET batches [`MGET_BATCH`] keys,
+//!   exercising the cross-shard batched read path.
+//! * `--shutdown` — send `SHUTDOWN` when done.
 //! * `--pipeline-depth <n>` — outstanding requests per connection.
 //!   `1` (the default) is the classic untagged closed loop,
 //!   byte-identical to the pre-pipelining protocol. Depths above 1
@@ -24,39 +34,25 @@
 //!   at depth > 1 it includes time queued in the window — deeper
 //!   pipelines trade per-request latency for throughput, which is
 //!   exactly the trade worth measuring.
-//! * `--conns <n>` — **total** connections to hold open. Without it,
-//!   every connection drives load (the classic closed-loop shape).
-//!   With it, only the `--active` subset runs the request loop; the
-//!   rest connect and then sit idle for the whole interval — the
-//!   many-mostly-idle-connections population the reactor front-end
-//!   exists for. Every idle connection is round-tripped (`PING`)
-//!   after the measurement to prove the server kept it alive, and
-//!   the summary reports `open`/`active`.
-//! * `--active <n>` — size of the driving subset under `--conns`
-//!   (default `MALTHUS_KV_CONNS`, i.e. 4; clamped to `--conns`).
+//! * `--conns <n>` — total connections to hold open (default 4).
+//! * `--active <n>` — how many of them run the request loop (default
+//!   all). The rest connect and then sit idle for the whole interval —
+//!   the many-mostly-idle-connections population the reactor
+//!   front-end exists for. Every idle connection is round-tripped
+//!   (`PING`) after the measurement to prove the server kept it alive,
+//!   and the summary reports `open`/`active`.
 //! * `--fail-on-err` — exit nonzero if *any* request drew an `ERR`
 //!   response or an I/O error. The summary still prints first, so CI
 //!   smokes get both the numbers and a hard verdict.
 //!
-//! Environment knobs:
-//!
-//! * `MALTHUS_KV_ADDR` — server address (default `127.0.0.1:7878`).
-//! * `MALTHUS_KV_CONNECT_TRIES` — connect attempts with capped
-//!   exponential backoff between them (default 3; 10 ms doubling to
-//!   a 40 ms cap), so the generator can be started alongside the
-//!   server in scripts.
-//! * `MALTHUS_KV_CONNS` — concurrent connections (default 4).
-//! * `MALTHUS_KV_SECONDS` — measurement interval (default 2).
-//! * `MALTHUS_KV_KEYS` — key-space size (default 10000).
-//! * `MALTHUS_KV_PUT_PCT` — percentage of PUTs (default 20).
-//! * `MALTHUS_KV_MGET_PCT` — percentage of MGETs (default 0); each
-//!   MGET batches [`MGET_BATCH`] keys, exercising the cross-shard
-//!   batched read path.
-//! * `MALTHUS_KV_SHUTDOWN` — set to `1` to send `SHUTDOWN` when done.
+//! A value out of range exits 2 with the usage line. Every connection
+//! is made with [`CONNECT_TRIES`] attempts under capped exponential
+//! backoff, so the generator can be started alongside the server in
+//! scripts.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,89 +62,110 @@ use malthus_park::XorShift64;
 use malthus_pool::server::DEFAULT_ADDR;
 use malthus_pool::KvClient;
 
-/// Keys per MGET request when `MALTHUS_KV_MGET_PCT` > 0.
+/// Keys per MGET request when `--mget-pct` > 0.
 const MGET_BATCH: usize = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Upper bound on `--pipeline-depth`: far deeper than batching can
 /// pay off, shallow enough that a typo'd depth cannot OOM the window
 /// bookkeeping.
 const MAX_PIPELINE_DEPTH: u64 = 1_024;
 
-/// Parsed command-line flags: window depth plus the connection
-/// population shape.
+/// Connect attempts per connection ([`KvClient::connect_with_backoff`]:
+/// 10 ms doubling to a 40 ms cap between them, ≈4 s in all) — enough
+/// to ride out a slow server boot.
+const CONNECT_TRIES: u32 = 100;
+
+/// Parsed command-line flags: the traffic mix, window depth and the
+/// connection population shape.
 struct LoadArgs {
-    depth: u64,
-    /// Total connections to hold open (`--conns`); `None` keeps the
-    /// classic all-active shape sized by `MALTHUS_KV_CONNS`.
-    conns: Option<u64>,
-    /// Driving subset under `--conns` (`--active`).
-    active: Option<u64>,
+    addr: SocketAddr,
+    seconds: u64,
+    keys: u64,
+    put_pct: u64,
+    mget_pct: u64,
+    /// Send `SHUTDOWN` when done (`--shutdown`).
+    shutdown: bool,
+    depth: usize,
+    /// Total connections to hold open (`--conns`).
+    conns: usize,
+    /// The driving subset of `conns` (`--active`).
+    active: usize,
     /// Exit nonzero when any request errored (`--fail-on-err`).
     fail_on_err: bool,
 }
 
-/// Parses the flags. Depth 1 is the classic untagged closed loop;
-/// deeper runs the tagged window.
-fn parse_load_args() -> LoadArgs {
-    let mut parsed = LoadArgs {
-        depth: 1,
-        conns: None,
-        active: None,
-        fail_on_err: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("kv_load: {name} needs an integer");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--pipeline-depth" => parsed.depth = value("--pipeline-depth"),
-            "--conns" => parsed.conns = Some(value("--conns")),
-            "--active" => parsed.active = Some(value("--active")),
-            "--fail-on-err" => parsed.fail_on_err = true,
-            other => {
-                eprintln!("kv_load: unknown argument {other}");
-                eprintln!(
-                    "usage: kv_load [--pipeline-depth <n>] [--conns <n>] [--active <n>] \
-                     [--fail-on-err]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if parsed.depth == 0 || parsed.depth > MAX_PIPELINE_DEPTH {
-        eprintln!(
-            "kv_load: --pipeline-depth must be in 1..={MAX_PIPELINE_DEPTH}, got {}",
-            parsed.depth
-        );
-        std::process::exit(2);
-    }
-    if parsed.conns == Some(0) {
-        eprintln!("kv_load: --conns must be positive");
-        std::process::exit(2);
-    }
-    parsed
+fn usage(problem: &str) -> ! {
+    eprintln!("kv_load: {problem}");
+    eprintln!(
+        "usage: kv_load [--addr <host:port>] [--seconds <n>] [--keys <n>] [--put-pct <n>] \
+         [--mget-pct <n>] [--shutdown] [--pipeline-depth <n>] [--conns <n>] [--active <n>] \
+         [--fail-on-err]"
+    );
+    std::process::exit(2);
 }
 
-/// Connects with capped exponential backoff
-/// ([`KvClient::connect_with_backoff`]): `MALTHUS_KV_CONNECT_TRIES`
-/// attempts (default 3, 10 ms doubling to a 40 ms cap between them),
-/// so the generator can be started alongside the server in scripts —
-/// CI sets the knob high to ride out slow server boots.
+/// Parses the flags, exiting 2 on a value out of range.
+fn parse_load_args() -> LoadArgs {
+    let mut addr = DEFAULT_ADDR.to_string();
+    let (mut seconds, mut keys, mut put_pct, mut mget_pct) = (2, 10_000, 20, 0);
+    let (mut depth, mut conns, mut active) = (1, 4, None);
+    let (mut shutdown, mut fail_on_err) = (false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |name: &str, lo: u64, hi: u64| -> u64 {
+            match args.next().and_then(|v| v.parse().ok()) {
+                Some(v) if (lo..=hi).contains(&v) => v,
+                _ if hi == u64::MAX => usage(&format!("{name} needs an integer >= {lo}")),
+                _ => usage(&format!("{name} needs an integer in {lo}..={hi}")),
+            }
+        };
+        match arg.as_str() {
+            "--addr" => match args.next() {
+                Some(a) => addr = a,
+                None => usage("--addr needs <host:port>"),
+            },
+            "--seconds" => seconds = value("--seconds", 1, u64::MAX),
+            "--keys" => keys = value("--keys", 1, u64::MAX),
+            "--put-pct" => put_pct = value("--put-pct", 0, 100),
+            "--mget-pct" => mget_pct = value("--mget-pct", 0, 100),
+            "--shutdown" => shutdown = true,
+            "--pipeline-depth" => depth = value("--pipeline-depth", 1, MAX_PIPELINE_DEPTH),
+            "--conns" => conns = value("--conns", 1, u64::MAX),
+            "--active" => active = Some(value("--active", 1, u64::MAX)),
+            "--fail-on-err" => fail_on_err = true,
+            other => usage(&format!("unknown argument {other}")),
+        }
+    }
+    if put_pct + mget_pct > 100 {
+        usage("--put-pct and --mget-pct add up to more than 100");
+    }
+    let active = active.unwrap_or(conns);
+    if active > conns {
+        usage("--active exceeds --conns");
+    }
+    // A host name (`localhost:7878`) resolves to its first address.
+    let addr = match addr.to_socket_addrs().map(|mut a| a.next()) {
+        Ok(Some(a)) => a,
+        Ok(None) => usage(&format!("--addr {addr} resolves to no address")),
+        Err(e) => usage(&format!("--addr {addr}: {e}")),
+    };
+    LoadArgs {
+        addr,
+        seconds,
+        keys,
+        put_pct,
+        mget_pct,
+        shutdown,
+        depth: depth as usize,
+        conns: conns as usize,
+        active: active as usize,
+        fail_on_err,
+    }
+}
+
 fn connect_with_retry(addr: SocketAddr) -> KvClient {
-    let tries = env_u64("MALTHUS_KV_CONNECT_TRIES", 3) as u32;
-    KvClient::connect_with_backoff(addr, tries)
-        .unwrap_or_else(|e| panic!("could not connect to {addr} after {tries} tries: {e}"))
+    KvClient::connect_with_backoff(addr, CONNECT_TRIES)
+        .unwrap_or_else(|e| panic!("could not connect to {addr} after {CONNECT_TRIES} tries: {e}"))
 }
 
 /// One op type's histogram + its label, so reporting stays uniform as
@@ -159,35 +176,25 @@ struct OpTrack {
 }
 
 fn main() {
-    let load_args = parse_load_args();
-    let depth = load_args.depth as usize;
-    let addr: SocketAddr = std::env::var("MALTHUS_KV_ADDR")
-        .unwrap_or_else(|_| DEFAULT_ADDR.to_string())
-        .parse()
-        .expect("MALTHUS_KV_ADDR must be host:port");
-    // The connection population: without --conns every connection is
-    // active (the classic shape). With it, `open` total connections
-    // are held, only `active` of them drive requests, and the
-    // `open - active` remainder sit idle — the population a
+    let LoadArgs {
+        addr,
+        seconds,
+        keys,
+        put_pct,
+        mget_pct,
+        shutdown,
+        depth,
+        conns,
+        active,
+        fail_on_err,
+    } = parse_load_args();
+    // `conns` connections are held, only `active` of them drive
+    // requests, and the remainder sit idle — the population a
     // readiness-driven server should carry for the cost of buffers.
-    let active_default = env_u64("MALTHUS_KV_CONNS", 4) as usize;
-    let (open, conns) = match load_args.conns {
-        Some(total) => {
-            let total = total as usize;
-            let active = load_args.active.map_or(active_default, |a| a as usize);
-            (total, active.min(total).max(1))
-        }
-        None => (active_default, active_default),
-    };
-    let idle_count = open - conns;
-    let seconds = env_u64("MALTHUS_KV_SECONDS", 2);
-    let keys = env_u64("MALTHUS_KV_KEYS", 10_000).max(1);
-    let put_pct = env_u64("MALTHUS_KV_PUT_PCT", 20).min(100);
-    let mget_pct = env_u64("MALTHUS_KV_MGET_PCT", 0).min(100 - put_pct);
-    let send_shutdown = std::env::var("MALTHUS_KV_SHUTDOWN").is_ok_and(|v| v == "1");
+    let idle_count = conns - active;
 
     eprintln!(
-        "# kv_load: {open} connections ({conns} active, {idle_count} idle) x {seconds} s \
+        "# kv_load: {conns} connections ({active} active, {idle_count} idle) x {seconds} s \
          against {addr} (pipeline depth {depth}, {put_pct}% PUT, {mget_pct}% MGET)"
     );
     // The idle population connects first (no threads: the sockets
@@ -205,7 +212,7 @@ fn main() {
     let errors = Arc::new(AtomicU64::new(0));
 
     let started = Instant::now();
-    let workers: Vec<_> = (0..conns)
+    let workers: Vec<_> = (0..active)
         .map(|c| {
             let get_hist = Arc::clone(&get_hist);
             let put_hist = Arc::clone(&put_hist);
@@ -352,7 +359,7 @@ fn main() {
 
     let us = |d: Duration| d.as_secs_f64() * 1e6;
     let mut line = format!(
-        "open {open}  active {conns}  ops {total}  ops/s {:.0}",
+        "open {conns}  active {active}  ops {total}  ops/s {:.0}",
         total as f64 / elapsed
     );
     for t in &tracks {
@@ -382,14 +389,14 @@ fn main() {
         "merged histogram must cover every recorded op"
     );
 
-    if send_shutdown {
+    if shutdown {
         let mut c = connect_with_retry(addr);
         let resp = c.roundtrip("SHUTDOWN").expect("SHUTDOWN round trip");
         eprintln!("# kv_load: shutdown -> {resp}");
     }
 
     let errored = errors.load(Ordering::Relaxed);
-    if load_args.fail_on_err && errored > 0 {
+    if fail_on_err && errored > 0 {
         eprintln!("# kv_load: --fail-on-err: {errored} request(s) failed");
         std::process::exit(1);
     }

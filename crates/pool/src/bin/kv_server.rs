@@ -17,60 +17,55 @@
 //! jittered exponential backoff and flips them writable when their
 //! WAL answers an fsync again.
 //!
-//! Flags (each falls back to the matching environment knob):
+//! Flags (the only way to configure the server; nothing is read from
+//! the environment):
 //!
-//! * `--addr <host:port>` / `MALTHUS_KV_ADDR` — listen address
-//!   (default `127.0.0.1:7878`).
-//! * `--shards <n>` / `MALTHUS_KV_SHARDS` — shard count (default 1,
-//!   the paper-faithful single hot lock pair).
-//! * `--workers <n>` / `MALTHUS_KV_WORKERS` — crew size (default
-//!   `4 × host CPUs`).
-//! * `--queue <n>` / `MALTHUS_KV_QUEUE` — task-queue bound (default
-//!   256).
-//! * `--unrestricted` / `MALTHUS_KV_UNRESTRICTED=1` — disable
-//!   concurrency restriction (for A/B runs).
-//! * `--data-dir <path>` / `MALTHUS_KV_DATA_DIR` — durability root:
-//!   per-shard group-committed WALs, replayed (and reported) at boot.
-//!   Without it the store is memory-only.
-//! * `--no-wal` / `MALTHUS_KV_NO_WAL=1` — ignore any data-dir
-//!   setting and run memory-only (overrides `--data-dir` and
-//!   `MALTHUS_KV_DATA_DIR`).
-//! * `--read-timeout-secs <n>` / `MALTHUS_KV_READ_TIMEOUT_SECS` —
-//!   per-connection idle read timeout (default off); timed-out
-//!   connections are dropped and counted in `STATS
-//!   idle_disconnects=`.
-//! * `--trace-buf <n>` / `MALTHUS_KV_TRACE_BUF` — enable the flight
-//!   recorder with an `n`-event ring per thread (default off: the
-//!   disabled record path is one relaxed load). While enabled,
-//!   `TRACE DUMP` returns the merged event stream, and the server
-//!   prints it to stderr on clean shutdown.
-//! * `--trace-sample <n>` / `MALTHUS_KV_TRACE_SAMPLE` — record one
-//!   event in `n` (default 1 = every event); only meaningful with
-//!   `--trace-buf`.
-//! * `--slowlog-threshold-us <n>` /
-//!   `MALTHUS_KV_SLOWLOG_THRESHOLD_US` — batches whose end-to-end
-//!   latency meets the threshold land in the `SLOWLOG` ring with a
-//!   per-stage breakdown (default 10000 µs; 0 disables capture).
-//! * `--no-spans` / `MALTHUS_KV_NO_SPANS=1` — turn the per-batch
-//!   stage clocks off (`kv_stage_ns` and `SLOWLOG` stop collecting;
-//!   the remaining cost is one relaxed load per instrumentation
-//!   point).
-//! * `--fault-plan <spec>` / `MALTHUS_FAULT_PLAN` — arm the
-//!   deterministic fault-injection layer (`malthus-fault`) for this
-//!   process: e.g. `seed=7,storage.fsync=0.01x3,net.reset=0.001`.
-//!   The effective seed is printed (`fault plan armed: seed=…`) so
-//!   any run can be replayed exactly; injection counters are exposed
-//!   as `kv_faults_injected_total{site=…}` via `METRICS`. A plan
-//!   naming a `storage.*` site or `shard.stall` needs a `--data-dir`:
-//!   a memory-only store has no WAL to fault.
-//! * `--async` / `MALTHUS_KV_ASYNC=1` — serve through the
-//!   readiness-driven reactor front-end (`malthus-net`) instead of a
-//!   thread per connection: `--workers` reactor threads share one
-//!   epoll instance with `epoll_wait` admission Malthusian-restricted
-//!   to the same ACS target, and ready batches execute in place on
-//!   the polling worker. Byte-identical protocol; idle connections
-//!   cost a buffer pair instead of a thread, and `--read-timeout-secs`
-//!   reaps them via the reactor's timer wheel.
+//! * `--addr <host:port>` — listen address (default `127.0.0.1:7878`).
+//! * `--shards <n>` — shard count (default 1, the paper-faithful
+//!   single hot lock pair).
+//! * `--workers <n>` — crew size (default `4 × host CPUs`).
+//! * `--queue <n>` — task-queue bound (default 256).
+//! * `--unrestricted` — disable concurrency restriction (for A/B
+//!   runs): the crew's ACS target, or under `--async` the reactor's
+//!   polling ACS, is set to `--workers`. Nothing else changes: each
+//!   shard's DB lock stays RW-CR and its cache lock MCSCR (widening
+//!   the flag to them is an open ROADMAP direction).
+//! * `--data-dir <path>` — durability root: per-shard group-committed
+//!   WALs, replayed (and reported) at boot. Without it the store is
+//!   memory-only.
+//! * `--no-wal` — memory-only even if `--data-dir` is given.
+//! * `--read-timeout-secs <n>` — per-connection idle read timeout
+//!   (default off); timed-out connections are dropped and counted in
+//!   `STATS idle_disconnects=`.
+//! * `--trace-buf <n>` — enable the flight recorder with an `n`-event
+//!   ring per thread (default off: the disabled record path is one
+//!   relaxed load). While enabled, `TRACE DUMP` returns the merged
+//!   event stream, and the server prints it to stderr on clean
+//!   shutdown.
+//! * `--trace-sample <n>` — record one event in `n` (default 1 =
+//!   every event); only meaningful with `--trace-buf`.
+//! * `--slowlog-threshold-us <n>` — batches whose end-to-end latency
+//!   meets the threshold land in the `SLOWLOG` ring with a per-stage
+//!   breakdown (default 10000 µs; 0 disables capture).
+//! * `--no-spans` — turn the per-batch stage clocks off (`kv_stage_ns`
+//!   and `SLOWLOG` stop collecting; the remaining cost is one relaxed
+//!   load per instrumentation point).
+//! * `--fault-plan <spec>` — arm the deterministic fault-injection
+//!   layer (`malthus-fault`) for this process: e.g.
+//!   `seed=7,storage.fsync=0.01x3,net.reset=0.001`. The effective seed
+//!   is printed (`fault plan armed: seed=…`) so any run can be replayed
+//!   exactly; injection counters are exposed as
+//!   `kv_faults_injected_total{site=…}` via `METRICS`. A plan naming a
+//!   `storage.*` site or `shard.stall` needs a `--data-dir`: a
+//!   memory-only store has no WAL to fault.
+//! * `--async` — serve through the readiness-driven reactor front-end
+//!   (`malthus-net`) instead of a thread per connection: `--workers`
+//!   reactor threads share one epoll instance with `epoll_wait`
+//!   admission Malthusian-restricted to the same ACS target, and ready
+//!   batches execute in place on the polling worker. Byte-identical
+//!   protocol; idle connections cost a buffer pair instead of a
+//!   thread, and `--read-timeout-secs` reaps them via the reactor's
+//!   timer wheel.
 //!
 //! With restriction on, the crew's ACS target is
 //! `min(workers, cpus, shards)` ([`malthus::policy::acs_target`], the
@@ -113,14 +108,6 @@ extern "C" fn on_sigterm(_signum: i32) {
     TERM_REQUESTED.store(true, Ordering::SeqCst);
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
 struct Options {
     addr: String,
     shards: usize,
@@ -151,37 +138,24 @@ fn usage() -> ! {
 
 fn parse_args(cpus: usize) -> Options {
     let mut opts = Options {
-        addr: std::env::var("MALTHUS_KV_ADDR").unwrap_or_else(|_| DEFAULT_ADDR.to_string()),
-        shards: env_usize("MALTHUS_KV_SHARDS", DEFAULT_SHARDS),
-        workers: env_usize("MALTHUS_KV_WORKERS", 4 * cpus),
-        queue: env_usize("MALTHUS_KV_QUEUE", 256),
-        unrestricted: std::env::var("MALTHUS_KV_UNRESTRICTED").is_ok_and(|v| v == "1"),
-        data_dir: std::env::var("MALTHUS_KV_DATA_DIR")
-            .ok()
-            .filter(|d| !d.is_empty()),
-        no_wal: std::env::var("MALTHUS_KV_NO_WAL").is_ok_and(|v| v == "1"),
-        // 0 (or absent) means "no idle timeout".
-        read_timeout_secs: std::env::var("MALTHUS_KV_READ_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        // 0 (or absent) means "flight recorder off".
-        trace_buf: std::env::var("MALTHUS_KV_TRACE_BUF")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        trace_sample: env_usize("MALTHUS_KV_TRACE_SAMPLE", 1),
+        addr: DEFAULT_ADDR.to_string(),
+        shards: DEFAULT_SHARDS,
+        workers: 4 * cpus,
+        queue: 256,
+        unrestricted: false,
+        data_dir: None,
+        no_wal: false,
+        // 0 means "no idle timeout".
+        read_timeout_secs: 0,
+        // 0 means "flight recorder off".
+        trace_buf: 0,
+        trace_sample: 1,
         // 0 means "slowlog capture off"; the default catches batches
         // at or above 10 ms end to end.
-        slowlog_threshold_us: std::env::var("MALTHUS_KV_SLOWLOG_THRESHOLD_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(kv::DEFAULT_SLOWLOG_THRESHOLD_US),
-        no_spans: std::env::var("MALTHUS_KV_NO_SPANS").is_ok_and(|v| v == "1"),
-        r#async: std::env::var("MALTHUS_KV_ASYNC").is_ok_and(|v| v == "1"),
-        fault_plan: std::env::var("MALTHUS_FAULT_PLAN")
-            .ok()
-            .filter(|p| !p.is_empty()),
+        slowlog_threshold_us: kv::DEFAULT_SLOWLOG_THRESHOLD_US,
+        no_spans: false,
+        r#async: false,
+        fault_plan: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

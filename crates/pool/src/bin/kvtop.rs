@@ -21,12 +21,11 @@
 //! restart produces, so the frame degrades to zeros instead of
 //! rendering garbage rates.
 //!
-//! Flags (environment fallbacks in parentheses):
+//! Flags (nothing is read from the environment):
 //!
-//! * `--addr <host:port>` (`MALTHUS_KV_ADDR`) — server address,
-//!   default `127.0.0.1:7878`.
-//! * `--interval-ms <n>` (`MALTHUS_KVTOP_INTERVAL_MS`) — poll
-//!   interval, default 1000.
+//! * `--addr <host:port>` — server address, default `127.0.0.1:7878`;
+//!   a host name resolves to its first address.
+//! * `--interval-ms <n>` — poll interval, default 1000.
 //! * `--frames <n>` — stop after `n` frames (default 0 = run until
 //!   the server goes away or ^C).
 //! * `--once` — render exactly one frame (two polls one interval
@@ -35,7 +34,7 @@
 //! * `--slowlog <n>` — slowlog entries to display (default 5; 0
 //!   hides the panel and skips the `SLOWLOG` poll).
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use malthus_obs::exposition::{interval_quantiles, Exposition};
@@ -425,11 +424,8 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut addr = std::env::var("MALTHUS_KV_ADDR").unwrap_or_else(|_| DEFAULT_ADDR.to_string());
-    let mut interval_ms: u64 = std::env::var("MALTHUS_KVTOP_INTERVAL_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000);
+    let mut addr = DEFAULT_ADDR.to_string();
+    let mut interval_ms: u64 = 1_000;
     let mut frames: u64 = 0;
     let mut once = false;
     let mut slowlog: usize = 5;
@@ -462,7 +458,18 @@ fn main() {
         // script-friendly while still measuring actual rates.
         interval_ms = interval_ms.min(250);
     }
-    let addr: SocketAddr = addr.parse().expect("--addr must be host:port");
+    // A host name (`localhost:7878`) resolves to its first address.
+    let addr: SocketAddr = match addr.to_socket_addrs().map(|mut a| a.next()) {
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            eprintln!("kvtop: --addr {addr} resolves to no address");
+            usage();
+        }
+        Err(e) => {
+            eprintln!("kvtop: --addr {addr}: {e}");
+            usage();
+        }
+    };
     let mut client = KvClient::connect_with_backoff(addr, 10)
         .unwrap_or_else(|e| panic!("could not connect to {addr}: {e}"));
 

@@ -37,6 +37,13 @@ fn spawn_server(dir: &std::path::Path) -> (Child, std::net::SocketAddr) {
             "--data-dir",
             dir.to_str().expect("utf-8 temp path"),
         ])
+        // Names the server once read as settings. Flags are its only
+        // configuration: were these still read, the boot would run
+        // memory-only on the reactor and nothing would survive the
+        // restart below.
+        .env("MALTHUS_KV_NO_WAL", "1")
+        .env("MALTHUS_KV_ASYNC", "1")
+        .env("MALTHUS_KV_SHARDS", "7")
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

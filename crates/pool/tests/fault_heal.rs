@@ -35,9 +35,6 @@ fn spawn_server(dir: &std::path::Path, extra: &[&str]) -> (Child, std::net::Sock
             dir.to_str().expect("utf-8 temp path"),
         ])
         .args(extra)
-        // The test runner's environment must not add faults beyond
-        // the ones this test arms explicitly.
-        .env_remove("MALTHUS_FAULT_PLAN")
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

@@ -18,8 +18,8 @@
 //!   watchdog hard-exits at twice that plus a minute.
 //! * `--data-dir <path>` — campaign data directory (default: a
 //!   seed-named directory under the system temp dir, wiped first).
-//! * `--server <path>` / `MALTHUS_KV_SERVER` — the `kv_server`
-//!   binary under test (default `target/release/kv_server`).
+//! * `--server <path>` — the `kv_server` binary under test (default
+//!   `target/release/kv_server`).
 
 use std::path::PathBuf;
 
@@ -38,9 +38,7 @@ fn main() {
         seed: 1,
         duration_secs: 30,
         dir: PathBuf::new(),
-        server_bin: std::env::var_os("MALTHUS_KV_SERVER")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("target/release/kv_server")),
+        server_bin: PathBuf::from("target/release/kv_server"),
     };
     let mut dir_arg: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -74,8 +72,7 @@ fn main() {
     });
     if !cfg.server_bin.exists() {
         eprintln!(
-            "kv_chaos: server binary {} not found (build it, or set \
-             MALTHUS_KV_SERVER / --server)",
+            "kv_chaos: server binary {} not found (build it, or pass --server)",
             cfg.server_bin.display()
         );
         std::process::exit(2);

@@ -33,7 +33,7 @@
 //! Replayability: [`schedule`] is a pure function of the seed (same
 //! seed → byte-identical round list and per-round fault-plan specs,
 //! unit-tested below), and every spawned server gets an explicit
-//! `seed=…` in its `MALTHUS_FAULT_PLAN`, so a failing campaign is
+//! `seed=…` in its `--fault-plan`, so a failing campaign is
 //! rerun exactly with `kv_chaos --seed <the printed seed>`.
 
 use std::collections::HashMap;
@@ -81,7 +81,7 @@ pub struct Round {
     /// The failure mode this round exercises.
     pub kind: RoundKind,
     /// Per-round seed, derived from the master seed; feeds the
-    /// spawned server's `MALTHUS_FAULT_PLAN` spec verbatim.
+    /// spawned server's `--fault-plan` spec verbatim.
     pub seed: u64,
     /// The `--fault-plan` spec armed in the server for this round
     /// (empty for [`RoundKind::Kill`]).
@@ -190,11 +190,7 @@ fn spawn_server(cfg: &ChaosConfig, plan: &str, r#async: bool) -> Result<Server, 
     cmd.args(["--addr", "127.0.0.1:0", "--data-dir"])
         .arg(&cfg.dir)
         .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        // The harness's own environment must not leak into the
-        // subject: the plan below is the only fault source.
-        .env_remove("MALTHUS_FAULT_PLAN")
-        .env_remove("MALTHUS_KV_ASYNC");
+        .stderr(Stdio::inherit());
     if r#async {
         cmd.arg("--async");
     }
