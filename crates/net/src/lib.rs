@@ -23,5 +23,5 @@ pub mod sys;
 pub mod wheel;
 
 pub use handler::{Action, CloseReason, Handler};
-pub use reactor::{Reactor, ReactorConfig, ReactorStats, StatsProbe};
+pub use reactor::{Reactor, ReactorConfig, ReactorStats};
 pub use wheel::TimerWheel;

@@ -370,14 +370,6 @@ impl<H: Handler> Reactor<H> {
         self.inner.stats()
     }
 
-    /// A cloneable, handler-type-erased window onto [`Reactor::stats`]
-    /// — lets protocol code created *before* the reactor (the handler)
-    /// read reactor counters once it is running.
-    pub fn stats_probe(&self) -> StatsProbe {
-        let inner = Arc::clone(&self.inner);
-        StatsProbe(Arc::new(move || inner.stats()))
-    }
-
     /// Shuts down, joins every worker, closes every remaining
     /// connection (handlers see [`CloseReason::ServerShutdown`]), and
     /// returns the final statistics.
@@ -488,6 +480,13 @@ impl<H: Handler> Reactor<H> {
         );
         let i = Arc::clone(&self.inner);
         registry.counter(
+            "kv_reactor_ready_batches_total",
+            "Ready-connection dispatches, each one handler batch.",
+            no_labels,
+            move || i.ready_batches.load(Ordering::Relaxed),
+        );
+        let i = Arc::clone(&self.inner);
+        registry.counter(
             "kv_reactor_culls_total",
             "Reactor workers passivated by poll admission.",
             no_labels,
@@ -499,6 +498,13 @@ impl<H: Handler> Reactor<H> {
             "Passive reactor workers self-promoted on poll stall.",
             no_labels,
             move || i.admission().stats().reprovisions,
+        );
+        let i = Arc::clone(&self.inner);
+        registry.counter(
+            "kv_reactor_fairness_promotions_total",
+            "Eldest passive reactor workers promoted by the fairness trigger.",
+            no_labels,
+            move || i.admission().stats().fairness_promotions,
         );
         let i = Arc::clone(&self.inner);
         registry.counter(
@@ -544,23 +550,6 @@ impl<H: Handler> Drop for Reactor<H> {
             self.inner.initiate_shutdown();
             self.finish();
         }
-    }
-}
-
-/// See [`Reactor::stats_probe`].
-#[derive(Clone)]
-pub struct StatsProbe(Arc<dyn Fn() -> ReactorStats + Send + Sync>);
-
-impl StatsProbe {
-    /// Current reactor counters.
-    pub fn get(&self) -> ReactorStats {
-        (self.0)()
-    }
-}
-
-impl std::fmt::Debug for StatsProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StatsProbe").finish_non_exhaustive()
     }
 }
 
@@ -1108,6 +1097,8 @@ mod tests {
         for needle in [
             "kv_accept_errors_total{front=\"reactor\"} 0",
             "kv_reactor_poller_exits_total 0",
+            "kv_reactor_ready_batches_total 0",
+            "kv_reactor_fairness_promotions_total 0",
         ] {
             assert!(doc.contains(needle), "missing {needle:?} in:\n{doc}");
         }

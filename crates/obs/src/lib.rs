@@ -45,6 +45,6 @@ pub mod slowlog;
 pub mod span;
 
 pub use recorder::{errno, record, EventKind};
-pub use registry::Registry;
+pub use registry::{Registry, Sample};
 pub use slowlog::{SlowEntry, SlowRing};
 pub use span::{SpanContext, Stage};

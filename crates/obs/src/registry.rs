@@ -42,6 +42,17 @@ impl Source {
     }
 }
 
+/// One family read on its own ([`Registry::sample`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Sample {
+    /// A counter family: its series summed across label sets.
+    Counter(u64),
+    /// A gauge family: its series summed across label sets.
+    Gauge(f64),
+    /// A histogram family: the snapshot of its first-registered series.
+    Histogram(HistogramSnapshot),
+}
+
 struct Entry {
     name: String,
     help: String,
@@ -153,6 +164,27 @@ impl Registry {
     /// Whether nothing has been registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Samples the family `name` and nothing else — what a fixed
+    /// projection of the registry (the `STATS` line) reads. `None` when
+    /// nothing is registered under `name`.
+    pub fn sample(&self, name: &str) -> Option<Sample> {
+        let entries = self.entries.lock().unwrap();
+        let mut members = entries.iter().filter(|e| e.name == name);
+        let mut sample = match &members.next()?.source {
+            Source::Counter(f) => Sample::Counter(f()),
+            Source::Gauge(f) => Sample::Gauge(f()),
+            Source::Histogram(f) => return Some(Sample::Histogram(f())),
+        };
+        for e in members {
+            match (&mut sample, &e.source) {
+                (Sample::Counter(n), Source::Counter(f)) => *n += f(),
+                (Sample::Gauge(g), Source::Gauge(f)) => *g += f(),
+                _ => {}
+            }
+        }
+        Some(sample)
     }
 
     /// Samples every registered source into one Prometheus-text
@@ -314,6 +346,26 @@ mod tests {
         let sum_line = text.lines().find(|l| l.starts_with("req_ns_sum")).unwrap();
         let sum: u64 = sum_line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!((900_000..=1_000_100).contains(&sum));
+    }
+
+    #[test]
+    fn sample_reads_one_family_across_its_label_sets() {
+        let r = Registry::new();
+        r.counter("x_total", "X.", &[("shard", "0")], || 3);
+        r.counter("y_total", "Y.", &[], || 100);
+        r.counter("x_total", "X.", &[("shard", "1")], || 4);
+        r.gauge("g", "G.", &[("shard", "0")], || 1.0);
+        r.gauge("g", "G.", &[("shard", "1")], || 0.5);
+        let h = LatencyHistogram::new();
+        for n in [16, 1, 16, 16] {
+            h.record_ns(n);
+        }
+        let snap = h.snapshot();
+        r.histogram("h_ns", "H.", &[], move || snap.clone());
+        assert_eq!(r.sample("x_total"), Some(Sample::Counter(7)));
+        assert_eq!(r.sample("g"), Some(Sample::Gauge(1.5)));
+        assert_eq!(r.sample("h_ns"), Some(Sample::Histogram(h.snapshot())));
+        assert_eq!(r.sample("absent_total"), None);
     }
 
     #[test]

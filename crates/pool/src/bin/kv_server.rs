@@ -4,15 +4,18 @@
 //! execution admitted by a concurrency-restricting [`WorkCrew`] — a
 //! cheap batch is applied on its connection thread under an ACS place
 //! the crew lends it (and flushed once the place is returned), a dear
-//! one is queued to a crew worker; the exit report's `inline=` counts
-//! the former and `refused=` the cheap ones that asked for a place and
-//! found none idle — over a sharded store: `--shards N` gives each of
-//! N shards its own Malthusian RW-CR DB lock and block-cache lock, so
-//! admission is per shard. Runs until a client sends `SHUTDOWN` or the
+//! one is queued to a crew worker; the exit report's
+//! `crew_inline_total` counts the former and `crew_enter_refused_total`
+//! the cheap ones that asked for a place and found none idle — over a
+//! sharded store: `--shards N` gives each of N shards its own
+//! Malthusian RW-CR DB lock and block-cache lock, so admission is per
+//! shard. Runs until a client sends `SHUTDOWN` or the
 //! process receives `SIGTERM`; either way the server stops accepting,
 //! drains in-flight batches, final-fsyncs every healthy shard and stamps a
 //! clean-shutdown marker in the data dir's `MANIFEST` (reported by
-//! the recovery banner on the next boot). On a durable store a
+//! the recovery banner on the next boot). Its exit report on stderr is
+//! the final `STATS` line and the `METRICS` exposition — the registry
+//! both front-ends' admission counters are in. On a durable store a
 //! background healer probes read-only (poisoned) shards with capped
 //! jittered exponential backoff and flips them writable when their
 //! WAL answers an fsync again.
@@ -84,10 +87,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use malthus_fault::Site;
+use malthus_obs::SpanContext;
 use malthus_pool::kv::{self, KvService, DEFAULT_SHARDS};
 use malthus_pool::kv::{DEFAULT_CACHE_BLOCKS, DEFAULT_MEMTABLE_LIMIT};
 use malthus_pool::server::{self, ServeOptions, DEFAULT_ADDR};
-use malthus_pool::{serve_async, AsyncServeOptions, PoolConfig, WorkCrew};
+use malthus_pool::{serve_async, AsyncServeOptions, Parsed, PoolConfig, WorkCrew};
 use malthus_storage::{spawn_healer, HealerConfig, ShardedKv, WalOptions};
 
 /// Set (only) by the `SIGTERM` handler; a watcher thread turns it
@@ -423,16 +427,8 @@ fn main() {
         )
         .expect("accept loop failed");
 
-        let stats = crew.shutdown();
-        eprintln!(
-            "# kv_server: completed={} inline={} refused={} culls={} reprovisions={} promotions={}",
-            stats.completed,
-            stats.inline,
-            stats.enter_refused,
-            stats.culls,
-            stats.reprovisions,
-            stats.fairness_promotions
-        );
+        // The registry keeps reading the joined crew's counters.
+        crew.shutdown();
     }
     // Shutdown epilogue, in order: stop probing (the healer must not
     // race the final fsync), then final-fsync every healthy shard and
@@ -447,35 +443,12 @@ fn main() {
             Err(e) => eprintln!("# kv_server: clean-shutdown stamp failed: {e}"),
         }
     }
-    // How much per-wakeup batching the pipelined connections achieved
-    // (batch = the lock-admission, fsync and write-flush unit).
-    let p = service.pipeline_stats();
-    let (bp50, bp99) = p.batch_quantiles();
-    eprintln!(
-        "# kv_server: pipeline batches={} max_batch={} batch_p50={bp50} batch_p99={bp99} \
-         idle_disconnects={}",
-        p.batches(),
-        p.max_batch(),
-        service.idle_disconnects(),
-    );
-    // Per-shard exit report: how evenly the traffic spread and what
-    // each shard's admission (and durability) machinery did.
-    for (i, s) in service.store().stats().per_shard.iter().enumerate() {
-        eprintln!(
-            "# kv_server: shard {i}: reads={} filter_skips={} writes={} keys={} runs={} \
-             rculls={} wepisodes={} wal_syncs={} wal_errors={}{}",
-            s.reads,
-            s.filter_skips,
-            s.writes,
-            s.keys,
-            s.runs,
-            s.db_lock.reader_culls,
-            s.db_lock.write_episodes,
-            s.wal_syncs,
-            s.wal_errors,
-            if s.readonly { " READONLY" } else { "" },
-        );
-    }
+    // Exit report: what either front-end's admission, the pipeline and
+    // every shard did, read from the one registry.
+    let mut report = String::new();
+    let verbs = [Parsed::from_line("STATS"), Parsed::from_line("METRICS")];
+    service.apply_batch_span(&verbs, &mut report, &mut SpanContext::detached());
+    eprint!("# kv_server: exit report:\n{report}");
     // With the flight recorder on, the final trace goes to stderr —
     // the post-mortem a crashed-and-restarted run can't give you.
     if opts.trace_buf > 0 {

@@ -6,7 +6,7 @@
 //! TCP: a [`ShardedKv`] of N shards, each
 //! its own `MiniKv` behind a Malthusian **read-write** DB lock plus a
 //! `SimpleLru` block cache behind an MCSCR mutex, with request
-//! execution admitted by a [`WorkCrew`]. Admission control
+//! execution admitted by a [`WorkCrew`](crate::WorkCrew). Admission control
 //! operates at *both* layers: the crew restricts how many threads run
 //! at all, and the N CR lock pairs restrict circulation per shard —
 //! one hot shard culls its own surplus while the others keep serving.
@@ -34,7 +34,7 @@
 //! | `MSET <key> <value>...` | `OK <pairs-written>`, or `ERR shard readonly` |
 //! | `SCAN <start> <limit>` | `RANGE <key>=<value>...` (maybe empty) |
 //! | `PING` | `PONG` |
-//! | `STATS` | `STATS reads=<n> writes=<n> ... shards=<n>` |
+//! | `STATS` | `STATS reads=<n> writes=<n> ... shards=<n>`, read from the `METRICS` registry |
 //! | `METRICS` | the full metrics exposition, then a `# EOF` line |
 //! | `TRACE DUMP` | flight-recorder JSON lines, then a `# EOF` line |
 //! | `SLOWLOG [n]` | slow-batch stage breakdowns, then a `# EOF` line |
@@ -93,12 +93,16 @@
 //!
 //! This module is the service the two front-ends share: the threaded
 //! one ([`crate::server`]: a reader thread per connection, execution
-//! admitted by the [`WorkCrew`]) and the reactor one
+//! admitted by the [`WorkCrew`](crate::WorkCrew)) and the reactor one
 //! ([`crate::kv_async`]: poll admission, no per-connection thread).
 //! Every request of either reaches the store the same way — the
 //! connection's drained batch through [`KvService::apply_batch_span`],
 //! its data runs through [`ShardedKv::execute_batch_span`] — so the
-//! front-ends cannot be told apart on the wire.
+//! front-ends cannot be told apart on the wire. Nothing of the
+//! admission layer rides along: `STATS` is a fixed projection of the
+//! service's [`Registry`](malthus_obs::Registry), into which the crew
+//! or the reactor registers its counters when serving starts
+//! (`STATS_FIELDS`).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -108,23 +112,21 @@ use std::time::Instant;
 
 use malthus_metrics::LatencyHistogram;
 use malthus_obs::span::{self, Stage, STAGE_COUNT};
-use malthus_obs::{SlowEntry, SlowRing, SpanContext};
+use malthus_obs::{Sample, SlowEntry, SlowRing, SpanContext};
 use malthus_storage::{BatchOp, BatchReply, RecoveryReport, ShardedKv};
 
-use crate::crew::WorkCrew;
 use crate::protocol::{push_line, push_u64, write_tag, Parsed, Request};
 
 /// The response line for a write refused by a read-only (WAL-poisoned)
 /// shard.
 pub const READONLY_ERR: &str = "ERR shard readonly";
 
-/// Admission-control counters the `STATS` verb renders — the only
-/// thing request execution ever asks its admission layer for.
-///
-/// Both front-ends implement the supplying trait: the threaded
-/// server's [`WorkCrew`] (task admission) and the reactor front-end's
-/// poll-admission pool, so [`KvService::apply_batch_span`] is
-/// front-end-agnostic.
+/// Admission counters as [`KvService::apply_batch`]'s third argument
+/// once carried them to `STATS`. Nothing in the workspace uses them any
+/// more — `STATS` reads the registry — and they are kept, with the
+/// trait below and that argument, only because
+/// `benchmark/src/probes.rs` implements the trait; all three go when
+/// ROADMAP 1(d) moves that probe.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
     /// Admission units completed (crew tasks / reactor ready-batches).
@@ -137,23 +139,71 @@ pub struct AdmissionSnapshot {
     pub promotions: u64,
 }
 
-/// Source of the [`AdmissionSnapshot`] that `STATS` reports.
+/// Source of the snapshot above, kept for the same reason.
 pub trait AdmissionStats {
     /// Racy counter snapshot (exact while quiescent).
     fn admission_snapshot(&self) -> AdmissionSnapshot;
 }
 
-impl AdmissionStats for WorkCrew {
-    fn admission_snapshot(&self) -> AdmissionSnapshot {
-        let s = self.stats();
-        AdmissionSnapshot {
-            completed: s.completed,
-            culls: s.culls,
-            reprovisions: s.reprovisions,
-            promotions: s.fairness_promotions,
-        }
-    }
+/// How one `STATS` field is read from the service's registry.
+#[derive(Debug, Clone, Copy)]
+enum StatsField {
+    /// The sum of every series of these families. A family nobody
+    /// registered reads 0: the crew's under the reactor front-end, the
+    /// reactor's under the threaded one.
+    Sum(&'static [&'static str]),
+    /// A quantile of this histogram family (bucket floor, as
+    /// [`PipelineStats::batch_quantiles`] reads it).
+    Quantile(&'static str, f64),
 }
+
+/// The `STATS` line: its keys in order, each with the registry
+/// families it projects; `shards=` (the store's shard count) follows.
+const STATS_FIELDS: [(&str, StatsField); 19] = {
+    use StatsField::{Quantile, Sum};
+    [
+        ("reads", Sum(&["kv_shard_reads_total"])),
+        ("writes", Sum(&["kv_shard_writes_total"])),
+        (
+            "completed",
+            Sum(&["crew_completed_total", "kv_reactor_ready_batches_total"]),
+        ),
+        (
+            "culls",
+            Sum(&["crew_culls_total", "kv_reactor_culls_total"]),
+        ),
+        (
+            "reprovisions",
+            Sum(&["crew_reprovisions_total", "kv_reactor_reprovisions_total"]),
+        ),
+        (
+            "promotions",
+            Sum(&[
+                "crew_fairness_promotions_total",
+                "kv_reactor_fairness_promotions_total",
+            ]),
+        ),
+        ("rculls", Sum(&["lock_reader_culls_total"])),
+        (
+            "rgrants",
+            Sum(&[
+                "lock_reader_reprovisions_total",
+                "lock_reader_fairness_grants_total",
+            ]),
+        ),
+        ("pbatches", Sum(&["kv_pipeline_batches_total"])),
+        ("pbatchmax", Sum(&["kv_pipeline_max_batch"])),
+        ("pbatch_p50", Quantile("kv_pipeline_batch_size", 0.50)),
+        ("pbatch_p99", Quantile("kv_pipeline_batch_size", 0.99)),
+        ("wal_syncs", Sum(&["kv_shard_wal_syncs_total"])),
+        ("wal_errors", Sum(&["kv_shard_wal_errors_total"])),
+        ("readonly_shards", Sum(&["kv_shard_readonly"])),
+        ("idle_disconnects", Sum(&["kv_idle_disconnects_total"])),
+        ("readonly_rejects", Sum(&["kv_readonly_rejects_total"])),
+        ("heal_attempts", Sum(&["kv_shard_heal_attempts_total"])),
+        ("heals", Sum(&["kv_shard_heals_total"])),
+    ]
+};
 
 /// Memtable entries before a shard's MiniKv freezes a run.
 pub const DEFAULT_MEMTABLE_LIMIT: usize = 4_096;
@@ -383,13 +433,8 @@ impl KvService {
         Ok((Self::from_store(store), report))
     }
 
-    /// Connections dropped by the server's per-connection read
-    /// timeout
+    /// Counts a connection dropped by its idle timeout
     /// ([`ServeOptions::read_timeout`](crate::server::ServeOptions::read_timeout)).
-    pub fn idle_disconnects(&self) -> u64 {
-        self.idle_disconnects.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn note_idle_disconnect(&self) {
         self.idle_disconnects.fetch_add(1, Ordering::Relaxed);
     }
@@ -472,26 +517,13 @@ impl KvService {
         }
     }
 
-    /// `(reads, writes)` served so far, summed across shards (racy
-    /// snapshot; exact while quiescent).
-    pub fn counters(&self) -> (u64, u64) {
-        let stats = self.store.stats();
-        (stats.reads(), stats.writes())
-    }
-
-    /// CR statistics of the shard DB read-write locks, summed across
-    /// shards (reader culls/grants).
-    pub fn db_lock_stats(&self) -> malthus_rwlock::RwStats {
-        self.store.stats().db_lock_totals()
-    }
-
     /// Renders the response line (without its newline) of a verb that
     /// is not a data op — the aggregates and the control verbs, which
     /// run at their position in the batch; GET/PUT/MGET/MSET only ever
     /// run inside a data run ([`ShardedKv::execute_batch_span`]).
     /// `Quit` and `Shutdown` render here too for in-process callers;
     /// a connection's drain takes them out before its batch gets here.
-    fn control<A: AdmissionStats>(&self, req: &Request, admission: &A, out: &mut String) {
+    fn control(&self, req: &Request, out: &mut String) {
         match req {
             Request::Get(_) | Request::Put(..) | Request::Mget(_) | Request::Mset(_) => {
                 unreachable!("data ops run in their batch's data run")
@@ -508,41 +540,28 @@ impl KvService {
             }
             Request::Ping => out.push_str("PONG"),
             Request::Stats => {
-                // One shard walk for the whole response: counters and
-                // lock stats come from the same snapshot, and the
-                // per-shard locks (including the exclusive cache
-                // locks, which contend with the GET path) are taken
-                // once, not twice.
-                let store = self.store.stats();
-                let (reads, writes) = (store.reads(), store.writes());
-                let s = admission.admission_snapshot();
-                let db = store.db_lock_totals();
-                let (bp50, bp99) = self.pipeline.batch_quantiles();
-                let _ = write!(
-                    out,
-                    "STATS reads={reads} writes={writes} completed={} culls={} \
-                     reprovisions={} promotions={} rculls={} rgrants={} \
-                     pbatches={} pbatchmax={} pbatch_p50={bp50} pbatch_p99={bp99} \
-                     wal_syncs={} wal_errors={} readonly_shards={} \
-                     idle_disconnects={} readonly_rejects={} heal_attempts={} \
-                     heals={} shards={}",
-                    s.completed,
-                    s.culls,
-                    s.reprovisions,
-                    s.promotions,
-                    db.reader_culls,
-                    db.reader_reprovisions + db.reader_fairness_grants,
-                    self.pipeline.batches(),
-                    self.pipeline.max_batch(),
-                    store.wal_syncs(),
-                    store.wal_errors(),
-                    store.readonly_shards(),
-                    self.idle_disconnects(),
-                    store.readonly_rejects(),
-                    store.heal_attempts(),
-                    store.heals(),
-                    self.store.shard_count()
-                );
+                // Family by family, each sample taking only the locks
+                // its own closures take: `STATS` is a control verb, off
+                // every gated path.
+                out.push_str("STATS");
+                for (key, field) in STATS_FIELDS {
+                    let value = match field {
+                        StatsField::Sum(families) => families
+                            .iter()
+                            .map(|f| match self.registry.sample(f) {
+                                Some(Sample::Counter(n)) => n,
+                                Some(Sample::Gauge(g)) => g as u64,
+                                _ => 0,
+                            })
+                            .sum(),
+                        StatsField::Quantile(family, q) => match self.registry.sample(family) {
+                            Some(Sample::Histogram(h)) => h.quantile(q).as_nanos() as u64,
+                            _ => 0,
+                        },
+                    };
+                    let _ = write!(out, " {key}={value}");
+                }
+                let _ = write!(out, " shards={}", self.store.shard_count());
             }
             Request::Metrics => {
                 // Multi-line response: the full Prometheus-text-style
@@ -628,17 +647,16 @@ impl KvService {
         }
     }
 
-    /// Executes one drained batch, appending every response line (in
-    /// request order, newline-terminated, tags echoed) to `out`: the
-    /// detached-span form of [`KvService::apply_batch_span`], the one
-    /// entry every request takes.
+    /// [`KvService::apply_batch_span`] with a detached span. The
+    /// unused `_admission` argument is kept only for
+    /// `benchmark/src/probes.rs`, until ROADMAP 1(d) moves that probe.
     pub fn apply_batch<A: AdmissionStats>(
         &self,
         batch: &[Parsed],
-        admission: &A,
+        _admission: &A,
         out: &mut String,
     ) {
-        self.apply_batch_span(batch, admission, out, &mut SpanContext::detached());
+        self.apply_batch_span(batch, out, &mut SpanContext::detached());
     }
 
     /// The one request path: executes a drained batch, appending every
@@ -662,13 +680,7 @@ impl KvService {
     /// [`ShardedKv::execute_batch_span`], and whatever execution time
     /// remains after subtracting those becomes the `exec` stage — so
     /// the stage sum tracks the batch's wall time by construction.
-    pub fn apply_batch_span<A: AdmissionStats>(
-        &self,
-        batch: &[Parsed],
-        admission: &A,
-        out: &mut String,
-        span: &mut SpanContext,
-    ) {
+    pub fn apply_batch_span(&self, batch: &[Parsed], out: &mut String, span: &mut SpanContext) {
         let t0 = if span.is_active() {
             span::take_waits(); // discard waits that are not ours
             span::now_ns()
@@ -685,7 +697,7 @@ impl KvService {
             if run == 0 {
                 write_tag(out, first.tag);
                 match &first.body {
-                    Ok(req) => self.control(req, admission, out),
+                    Ok(req) => self.control(req, out),
                     Err(e) => {
                         out.push_str("ERR ");
                         out.push_str(e);
@@ -753,12 +765,16 @@ impl std::fmt::Debug for KvService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crew::PoolConfig;
+    use crate::crew::{PoolConfig, WorkCrew};
 
     /// The reply to `line` sent as a batch of one, newline stripped.
-    fn one(svc: &KvService, crew: &WorkCrew, line: &str) -> String {
+    fn one(svc: &KvService, line: &str) -> String {
         let mut out = String::new();
-        svc.apply_batch(&[Parsed::from_line(line)], crew, &mut out);
+        svc.apply_batch_span(
+            &[Parsed::from_line(line)],
+            &mut out,
+            &mut SpanContext::detached(),
+        );
         assert_eq!(out.pop(), Some('\n'), "{line}: {out:?}");
         out
     }
@@ -766,7 +782,6 @@ mod tests {
     #[test]
     fn apply_batch_preserves_request_order_and_tags() {
         let svc = KvService::with_shards(4, 64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         let batch: Vec<Parsed> = [
             "#1 PUT 10 100",
             "#2 GET 10",    // same-key read after write, same batch
@@ -781,7 +796,7 @@ mod tests {
         .map(|l| Parsed::from_line(l))
         .collect();
         let mut out = String::new();
-        svc.apply_batch(&batch, &crew, &mut out);
+        svc.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
         assert_eq!(
             out,
             "#1 OK\n\
@@ -793,7 +808,6 @@ mod tests {
              #6 VALS 100 110 -\n\
              #7 PONG\n"
         );
-        crew.shutdown();
     }
 
     #[test]
@@ -802,26 +816,23 @@ mod tests {
         // DB-lock acquisition — the admission amortization the whole
         // pipelined protocol exists for.
         let svc = KvService::with_shards(1, 1_024, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         let before = svc.store().stats().per_shard[0].db_lock.write_episodes;
         let lines: Vec<String> = (0..32u64).map(|k| format!("#{k} PUT {k} {k}")).collect();
         let batch: Vec<Parsed> = lines.iter().map(|l| Parsed::from_line(l)).collect();
         let mut out = String::new();
-        svc.apply_batch(&batch, &crew, &mut out);
+        svc.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
         let after = svc.store().stats().per_shard[0].db_lock.write_episodes;
         assert_eq!(after - before, 1, "one write episode for 32 puts");
         assert_eq!(out.lines().count(), 32);
         for (k, l) in out.lines().enumerate() {
             assert_eq!(l, format!("#{k} OK"));
         }
-        crew.shutdown();
     }
 
     #[test]
     fn stats_renders_its_twenty_keys_in_order() {
         let svc = KvService::with_shards(2, 64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
-        let stats = one(&svc, &crew, "STATS");
+        let stats = one(&svc, "STATS");
         let keys: Vec<&str> = stats
             .strip_prefix("STATS ")
             .unwrap()
@@ -862,7 +873,6 @@ mod tests {
             "{stats}"
         );
         assert!(stats.ends_with("shards=2"), "{stats}");
-        crew.shutdown();
     }
 
     #[test]
@@ -873,7 +883,7 @@ mod tests {
         svc.store().put(1, 10).unwrap();
         svc.store().put(2, 20).unwrap();
         assert_eq!(svc.store().get(1), Some(10));
-        let doc = one(&svc, &crew, "METRICS");
+        let doc = one(&svc, "METRICS");
         // One unified exposition: shard counters, per-shard lock
         // counters, crew counters, WAL/latency histograms, and the
         // hot-shard gauge, `# EOF`-terminated.
@@ -921,7 +931,6 @@ mod tests {
         // execution window, so their sum never exceeds the total and
         // trails it only by the few stamps outside any stage.
         let svc = KvService::with_shards(4, 4_096, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         span::set_enabled(true);
         let mset: String = std::iter::once("MSET".to_string())
             .chain((0..512u64).flat_map(|k| [k.to_string(), (k * 7).to_string()]))
@@ -931,7 +940,7 @@ mod tests {
         let batch: Vec<Parsed> = lines.iter().map(|l| Parsed::from_line(l)).collect();
         let mut span = SpanContext::start(1, batch.len() as u32);
         let mut out = String::new();
-        svc.apply_batch_span(&batch, &crew, &mut out, &mut span);
+        svc.apply_batch_span(&batch, &mut out, &mut span);
         svc.finish_span(&mut span);
         let total = span.total_ns();
         let sum = span.stage_sum();
@@ -944,13 +953,11 @@ mod tests {
             "unattributed {} of {total} ns exceeds {slack}: {span:?}",
             total - sum
         );
-        crew.shutdown();
     }
 
     #[test]
     fn slowlog_verb_returns_breakdowns_and_reset_hides_them() {
         let svc = KvService::with_shards(1, 4_096, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         span::set_enabled(true);
         svc.set_slowlog_threshold_us(1); // ~everything qualifies
         assert_eq!(svc.slowlog_threshold_us(), 1);
@@ -959,9 +966,9 @@ mod tests {
         let batch: Vec<Parsed> = lines.iter().map(|l| Parsed::from_line(l)).collect();
         let mut span = SpanContext::start(7, batch.len() as u32);
         let mut out = String::new();
-        svc.apply_batch_span(&batch, &crew, &mut out, &mut span);
+        svc.apply_batch_span(&batch, &mut out, &mut span);
         svc.finish_span(&mut span);
-        let doc = one(&svc, &crew, "SLOWLOG 10");
+        let doc = one(&svc, "SLOWLOG 10");
         assert!(
             doc.starts_with("SLOWLOG entries=1 inserted=1 threshold_us=1\n"),
             "{doc}"
@@ -980,14 +987,14 @@ mod tests {
         }
         assert!(doc.ends_with("# EOF"), "{doc}");
         // RESET hides the entries but keeps the inserted count.
-        assert_eq!(one(&svc, &crew, "SLOWLOG RESET"), "OK");
-        let doc = one(&svc, &crew, "SLOWLOG 10");
+        assert_eq!(one(&svc, "SLOWLOG RESET"), "OK");
+        let doc = one(&svc, "SLOWLOG 10");
         assert!(doc.starts_with("SLOWLOG entries=0 inserted=1"), "{doc}");
         // Threshold 0 disables insertion entirely.
         svc.set_slowlog_threshold_us(0);
         let mut span = SpanContext::start(8, batch.len() as u32);
         let mut out = String::new();
-        svc.apply_batch_span(&batch, &crew, &mut out, &mut span);
+        svc.apply_batch_span(&batch, &mut out, &mut span);
         svc.finish_span(&mut span);
         assert_eq!(
             svc.slowlog().inserted(),
@@ -995,17 +1002,15 @@ mod tests {
             "disabled slowlog must not grow"
         );
         // The stage histograms collected regardless.
-        assert_eq!(one(&svc, &crew, "SLOWLOG RESET"), "OK");
-        crew.shutdown();
+        assert_eq!(one(&svc, "SLOWLOG RESET"), "OK");
     }
 
     #[test]
     fn trace_dump_renders_recorded_events() {
         let svc = KvService::with_shards(1, 64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         malthus_obs::recorder::enable(256, 1);
         malthus_obs::record(malthus_obs::EventKind::ConnOpen, 57_005, 48_879);
-        let doc = one(&svc, &crew, "TRACE DUMP");
+        let doc = one(&svc, "TRACE DUMP");
         malthus_obs::recorder::disable();
         assert!(doc.ends_with("# EOF"), "{doc}");
         let marker = doc
@@ -1014,13 +1019,11 @@ mod tests {
             .unwrap_or_else(|| panic!("marker event missing in:\n{doc}"));
         assert!(marker.contains("\"b\":48879"), "{marker}");
         assert!(marker.starts_with('{') && marker.ends_with('}'), "{marker}");
-        crew.shutdown();
     }
 
     #[test]
     fn pbatch_fields_read_the_one_batch_size_histogram() {
         let svc = KvService::with_shards(1, 64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         let p = svc.pipeline_stats();
         for n in [16, 1, 16, 16] {
             p.note_batch(n);
@@ -1029,12 +1032,11 @@ mod tests {
         assert_eq!(p.batches(), 4);
         assert_eq!(p.batch_size_snapshot().count(), 4);
         assert_eq!(p.batch_quantiles(), (16, 16));
-        let stats = one(&svc, &crew, "STATS");
+        let stats = one(&svc, "STATS");
         assert!(
             stats.contains("pbatches=4 pbatchmax=16 pbatch_p50=16 pbatch_p99=16"),
             "{stats}"
         );
-        crew.shutdown();
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -1065,21 +1067,19 @@ mod tests {
         // storage layer.
         let (store, _) = ShardedKv::open_with(&dir, 1, 64, 256, opts).unwrap();
         let svc = Arc::new(KvService::from_store(store));
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
-        assert_eq!(one(&svc, &crew, "PUT 1 2"), READONLY_ERR);
-        assert_eq!(one(&svc, &crew, "GET 1"), "NIL", "reads survive");
-        assert_eq!(one(&svc, &crew, "MSET 1 2"), READONLY_ERR);
+        assert_eq!(one(&svc, "PUT 1 2"), READONLY_ERR);
+        assert_eq!(one(&svc, "GET 1"), "NIL", "reads survive");
+        assert_eq!(one(&svc, "MSET 1 2"), READONLY_ERR);
         // The batch path renders the same refusal per write op.
         let batch: Vec<Parsed> = ["#1 PUT 5 50", "#2 GET 5"]
             .iter()
             .map(|l| Parsed::from_line(l))
             .collect();
         let mut out = String::new();
-        svc.apply_batch(&batch, &crew, &mut out);
+        svc.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
         assert_eq!(out, format!("#1 {READONLY_ERR}\n#2 NIL\n"));
-        let stats = one(&svc, &crew, "STATS");
+        let stats = one(&svc, "STATS");
         assert!(stats.contains("wal_errors=1 readonly_shards=1"), "{stats}");
-        crew.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1112,9 +1112,9 @@ mod tests {
             assert_eq!(svc.store().get(k), Some(k * 3), "key {k}");
         }
         assert_eq!(svc.store().get(999), None);
-        let (reads, writes) = svc.counters();
-        assert_eq!(reads, 41);
-        assert_eq!(writes, 40);
+        let stats = svc.store().stats();
+        assert_eq!(stats.reads(), 41);
+        assert_eq!(stats.writes(), 40);
     }
 
     #[test]
@@ -1166,28 +1166,24 @@ mod tests {
     #[test]
     fn a_batch_of_one_renders_the_wire_responses() {
         let svc = KvService::new(64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
-        assert_eq!(one(&svc, &crew, "PUT 5 6"), "OK");
-        assert_eq!(one(&svc, &crew, "GET 5"), "VAL 6");
-        assert_eq!(one(&svc, &crew, "GET 6"), "NIL");
-        assert_eq!(one(&svc, &crew, "PING"), "PONG");
-        let stats = one(&svc, &crew, "STATS");
+        assert_eq!(one(&svc, "PUT 5 6"), "OK");
+        assert_eq!(one(&svc, "GET 5"), "VAL 6");
+        assert_eq!(one(&svc, "GET 6"), "NIL");
+        assert_eq!(one(&svc, "PING"), "PONG");
+        let stats = one(&svc, "STATS");
         // Two GETs above: one hit, one miss.
         assert!(stats.starts_with("STATS reads=2 writes=1"), "{stats}");
         assert!(stats.ends_with("shards=1"), "{stats}");
-        crew.shutdown();
     }
 
     #[test]
     fn a_batch_of_one_renders_the_batched_verbs_across_shards() {
         let svc = KvService::with_shards(4, 64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
-        assert_eq!(one(&svc, &crew, "MSET 1 10 2 20 3 30"), "OK 3");
-        assert_eq!(one(&svc, &crew, "MGET 2 9 1"), "VALS 20 - 10");
-        assert_eq!(one(&svc, &crew, "SCAN 2 10"), "RANGE 2=20 3=30");
-        assert_eq!(one(&svc, &crew, "SCAN 100 10"), "RANGE");
-        let stats = one(&svc, &crew, "STATS");
+        assert_eq!(one(&svc, "MSET 1 10 2 20 3 30"), "OK 3");
+        assert_eq!(one(&svc, "MGET 2 9 1"), "VALS 20 - 10");
+        assert_eq!(one(&svc, "SCAN 2 10"), "RANGE 2=20 3=30");
+        assert_eq!(one(&svc, "SCAN 100 10"), "RANGE");
+        let stats = one(&svc, "STATS");
         assert!(stats.ends_with("shards=4"), "{stats}");
-        crew.shutdown();
     }
 }

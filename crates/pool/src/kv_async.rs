@@ -17,7 +17,9 @@
 //! here is the front-end itself: poll admission in place of a task
 //! queue (so spans carry no `queue` stage), the reactor's write buffer
 //! in place of a blocking write, and the `flush` stage settled when
-//! the bytes have really left.
+//! the bytes have really left. Poll admission's counters reach `STATS`
+//! the way the crew's do, as registry series (`completed=` is
+//! `kv_reactor_ready_batches_total`), so the handler carries none.
 //!
 //! What changes is the cost model. Per-connection state shrinks from
 //! a thread (stack, scheduler presence) to buffers inside the
@@ -31,14 +33,14 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-use malthus_net::{Action, CloseReason, Handler, Reactor, ReactorConfig, StatsProbe};
+use malthus_net::{Action, CloseReason, Handler, Reactor, ReactorConfig};
 use malthus_obs::span::Stage;
 use malthus_obs::SpanContext;
 
-use crate::kv::{AdmissionSnapshot, AdmissionStats, KvService};
+use crate::kv::KvService;
 use crate::protocol::DrainEnd;
 use crate::server::ServerControl;
 use crate::session::Session;
@@ -70,33 +72,6 @@ impl AsyncServeOptions {
     }
 }
 
-/// [`AdmissionStats`] over the reactor's counters, so the `STATS`
-/// verb renders poll-admission numbers in the same fields the
-/// threaded server fills from the crew: `completed` counts ready
-/// batches (the reactor's admission unit), culls/reprovisions/
-/// promotions count poll-crew membership churn.
-///
-/// The probe cell starts empty — the handler must exist before the
-/// reactor that will answer its stats does — and `STATS` renders
-/// zeros until [`serve_async`] fills it right after reactor start.
-#[derive(Clone)]
-struct ReactorAdmission(Arc<OnceLock<StatsProbe>>);
-
-impl AdmissionStats for ReactorAdmission {
-    fn admission_snapshot(&self) -> AdmissionSnapshot {
-        let Some(probe) = self.0.get() else {
-            return AdmissionSnapshot::default();
-        };
-        let s = probe.get();
-        AdmissionSnapshot {
-            completed: s.ready_batches,
-            culls: s.culls,
-            reprovisions: s.reprovisions,
-            promotions: s.fairness_promotions,
-        }
-    }
-}
-
 /// Per-connection protocol state: the session plus the spans still
 /// waiting for their flush. This — not a thread — is the whole
 /// per-connection footprint of the async front-end.
@@ -111,21 +86,16 @@ pub struct KvConn {
 }
 
 /// The [`Handler`] gluing the reactor to [`KvService`]. Cheap to
-/// clone (two `Arc`s); the reactor owns one clone per start.
+/// clone (one `Arc`); the reactor owns one clone per start.
 #[derive(Clone)]
 pub struct KvHandler {
     service: Arc<KvService>,
-    admission: ReactorAdmission,
 }
 
 impl KvHandler {
-    /// A handler over `service` whose `STATS` admission numbers come
-    /// from the (not-yet-started) reactor via the shared probe cell.
-    pub fn new(service: Arc<KvService>, probe: Arc<OnceLock<StatsProbe>>) -> Self {
-        KvHandler {
-            service,
-            admission: ReactorAdmission(probe),
-        }
+    /// A handler over `service`.
+    pub fn new(service: Arc<KvService>) -> Self {
+        KvHandler { service }
     }
 }
 
@@ -156,9 +126,7 @@ impl Handler for KvHandler {
             // `epoll_wait`, not at a task queue. The reactor flushes
             // the write buffer — a `SHUTDOWN`'s `OK` included — before
             // it honours the returned action.
-            let replies = conn
-                .session
-                .apply(&self.service, &self.admission, &mut span);
+            let replies = conn.session.apply(&self.service, &mut span);
             write_buf.extend_from_slice(replies);
             conn.session.settle();
             if span.is_active() {
@@ -203,24 +171,19 @@ impl Handler for KvHandler {
 /// is called or a client sends `SHUTDOWN` — the async counterpart of
 /// [`crate::server::serve`]. Registers the reactor's gauges and counters
 /// in the service's unified registry (as `serve` does the crew's), so
-/// `METRICS` and `kvtop` see whichever front-end is live.
+/// `METRICS`, `STATS` and `kvtop` see whichever front-end is live.
 pub fn serve_async(
     listener: TcpListener,
     control: &ServerControl,
     service: Arc<KvService>,
     opts: AsyncServeOptions,
 ) -> std::io::Result<()> {
-    // The handler must exist before the reactor, but STATS needs the
-    // reactor's counters: the probe cell breaks the cycle, filled the
-    // moment the reactor exists. Until then STATS renders zeros.
-    let probe = Arc::new(OnceLock::new());
-    let handler = KvHandler::new(Arc::clone(&service), Arc::clone(&probe));
+    let handler = KvHandler::new(Arc::clone(&service));
     let cfg = ReactorConfig::malthusian(opts.workers)
         .with_acs_target(opts.acs_target)
         .with_read_timeout(opts.read_timeout)
         .with_stop_flag(Arc::clone(&control.stop));
     let reactor = Reactor::start(listener, handler, cfg)?;
-    let _ = probe.set(reactor.stats_probe());
     reactor.register_metrics(service.registry());
     // Blocks until SHUTDOWN / control.stop() / stop-flag store; the
     // reactor closes remaining connections on its way out.

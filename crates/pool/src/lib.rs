@@ -25,7 +25,9 @@
 //!   (`GET`/`PUT`/`MGET`/`MSET`, a run of one included) through
 //!   `ShardedKv::execute_batch_span` — one lock hold per touched
 //!   shard; `SCAN`/`STATS` and the control verbs render between the
-//!   runs. [`protocol`] is its wire grammar.
+//!   runs. `STATS` is a fixed projection of the service's metrics
+//!   registry, so no admission handle rides that path. [`protocol`] is
+//!   its wire grammar.
 //! * [`server`] and [`kv_async`] — the two front-ends, which share the
 //!   per-connection driver (bytes in → drained batch → replies out)
 //!   and keep only their accept loop, their admission choice and their

@@ -237,7 +237,6 @@ fn handle_connection(
     };
     let runner = Arc::new(BatchRunner {
         service: Arc::clone(service),
-        crew: Arc::clone(crew),
         writer,
     });
     // Requests are read a block at a time, not a line at a time: one
@@ -359,7 +358,6 @@ fn handle_connection(
 /// write them would cost more than the write.
 struct BatchRunner {
     service: Arc<KvService>,
-    crew: Arc<WorkCrew>,
     writer: TcpStream,
 }
 
@@ -373,7 +371,7 @@ impl BatchRunner {
         if queue_t0 != 0 {
             span.add(Stage::Queue, span::now_ns().saturating_sub(queue_t0));
         }
-        session.apply(&self.service, &*self.crew, span);
+        session.apply(&self.service, span);
     }
 
     /// The half that needs nothing shared: every response of the
@@ -398,6 +396,7 @@ mod tests {
     use super::*;
     use crate::client::KvClient;
     use crate::crew::PoolConfig;
+    use malthus_obs::Sample;
 
     #[test]
     fn slowlog_over_tcp_records_pipelined_batches() {
@@ -470,7 +469,11 @@ mod tests {
                 }
             }
         }
-        assert!(svc.idle_disconnects() >= 1);
+        let idle = svc.registry().sample("kv_idle_disconnects_total");
+        assert!(
+            matches!(idle, Some(Sample::Counter(n)) if n >= 1),
+            "{idle:?}"
+        );
         control.stop();
         server.join().unwrap();
         crew.shutdown();

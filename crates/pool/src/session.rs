@@ -11,14 +11,16 @@
 //! accounting, span identity and the `read` stage, execution, reply
 //! rendering, the `SHUTDOWN` acknowledgement — is here, so a change to
 //! it is made in one place and the front-ends cannot drift apart on
-//! the wire.
+//! the wire. The admission layer is not among it: a session never
+//! sees the crew or the reactor, and `STATS` reads what they register
+//! in the service's registry.
 
 use std::time::Instant;
 
 use malthus_obs::span::{self, Stage};
 use malthus_obs::SpanContext;
 
-use crate::kv::{AdmissionStats, KvService};
+use crate::kv::KvService;
 use crate::protocol::{drain_lines, write_tag, DrainEnd, Parsed};
 
 /// Bytes a connection thread asks the socket for per `read`, and the
@@ -111,16 +113,11 @@ impl Session {
     /// Applies the drained batch and returns the bytes to flush: the
     /// batch's reply lines in request order, then the `OK` of a
     /// `SHUTDOWN` that ended the drain — one buffer, so one flush.
-    pub(crate) fn apply<A: AdmissionStats>(
-        &mut self,
-        service: &KvService,
-        admission: &A,
-        span: &mut SpanContext,
-    ) -> &[u8] {
+    pub(crate) fn apply(&mut self, service: &KvService, span: &mut SpanContext) -> &[u8] {
         self.out.clear();
         if !self.batch.is_empty() {
             let start = Instant::now();
-            service.apply_batch_span(&self.batch, admission, &mut self.out, span);
+            service.apply_batch_span(&self.batch, &mut self.out, span);
             self.last_drain_ns = start.elapsed().as_nanos() as u64;
             service.pipeline_stats().note_drain_ns(self.last_drain_ns);
             self.batch.clear();
@@ -152,7 +149,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crew::{PoolConfig, WorkCrew};
 
     #[test]
     fn a_grown_read_block_settles_back_to_one_read_block() {
@@ -169,10 +165,10 @@ mod tests {
     /// One batch through `session` the way a front-end runs it:
     /// drained, applied, its replies flushed, settled. Returns the
     /// replies' length.
-    fn run(session: &mut Session, svc: &KvService, crew: &WorkCrew, bytes: &[u8]) -> usize {
+    fn run(session: &mut Session, svc: &KvService, bytes: &[u8]) -> usize {
         let (consumed, span) = session.drain(svc, bytes);
         assert_eq!(consumed, bytes.len());
-        let replies = session.apply(svc, crew, &mut span.unwrap()).len();
+        let replies = session.apply(svc, &mut span.unwrap()).len();
         session.settle();
         replies
     }
@@ -180,12 +176,11 @@ mod tests {
     #[test]
     fn a_large_batch_does_not_keep_its_buffers_past_the_next_small_one() {
         let svc = KvService::with_shards(1, 64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
         let mut session = Session::open();
         // 4 096 requests and 20 KiB of replies in one batch.
-        let replies = run(&mut session, &svc, &crew, "PING\n".repeat(4_096).as_bytes());
+        let replies = run(&mut session, &svc, "PING\n".repeat(4_096).as_bytes());
         assert!(replies > 2 * READ_BLOCK, "{replies}");
-        run(&mut session, &svc, &crew, b"#1 PING\n");
+        run(&mut session, &svc, b"#1 PING\n");
         let (out, batch) = (session.out.capacity(), session.batch.capacity());
         assert!(out <= READ_BLOCK, "the replies keep {out} bytes");
         assert!(
@@ -194,9 +189,8 @@ mod tests {
         );
         // Ordinary batches on a settled connection do not reallocate.
         let at = session.out.as_ptr();
-        let replies = run(&mut session, &svc, &crew, "#1 PING\n".repeat(64).as_bytes());
+        let replies = run(&mut session, &svc, "#1 PING\n".repeat(64).as_bytes());
         assert_eq!(replies, 64 * "#1 PONG\n".len());
         assert_eq!(session.out.as_ptr(), at);
-        crew.shutdown();
     }
 }

@@ -15,10 +15,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use malthus_net::Handler;
-use malthus_pool::kv::{AdmissionSnapshot, AdmissionStats};
+use malthus_obs::SpanContext;
 use malthus_pool::{KvHandler, KvService, Parsed};
 
 thread_local! {
@@ -54,14 +54,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-struct NoAdmission;
-
-impl AdmissionStats for NoAdmission {
-    fn admission_snapshot(&self) -> AdmissionSnapshot {
-        AdmissionSnapshot::default()
-    }
-}
-
 #[test]
 fn a_warm_get_put_batch_allocates_at_most_twice() {
     const SHARDS: usize = 4;
@@ -91,13 +83,13 @@ fn a_warm_get_put_batch_allocates_at_most_twice() {
     // to size.
     for _ in 0..3 {
         out.clear();
-        service.apply_batch(&batch, &NoAdmission, &mut out);
+        service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
     }
     assert_eq!(out.lines().count(), 16);
 
     out.clear();
     let before = ALLOCATIONS.with(Cell::get);
-    service.apply_batch(&batch, &NoAdmission, &mut out);
+    service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(out.lines().count(), 16);
     assert!(
@@ -114,11 +106,11 @@ fn a_warm_one_request_batch_allocates_at_most_twice() {
         let mut out = String::new();
         for _ in 0..3 {
             out.clear();
-            service.apply_batch(&batch, &NoAdmission, &mut out);
+            service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
         }
         out.clear();
         let before = ALLOCATIONS.with(Cell::get);
-        service.apply_batch(&batch, &NoAdmission, &mut out);
+        service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
         let allocations = ALLOCATIONS.with(Cell::get) - before;
         assert_eq!(out.lines().count(), 1, "{line}: {out:?}");
         assert!(
@@ -131,7 +123,7 @@ fn a_warm_one_request_batch_allocates_at_most_twice() {
 #[test]
 fn opening_a_reactor_connection_allocates_nothing() {
     let service = Arc::new(KvService::with_shards(4, 4_096, 256));
-    let handler = KvHandler::new(service, Arc::new(OnceLock::new()));
+    let handler = KvHandler::new(service);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let before = ALLOCATIONS.with(Cell::get);

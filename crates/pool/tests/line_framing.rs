@@ -13,6 +13,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use malthus_metrics::LatencyHistogram;
+use malthus_obs::exposition::Exposition;
+use malthus_obs::SpanContext;
 use malthus_park::XorShift64;
 use malthus_pool::protocol::MAX_BATCH_KEYS;
 use malthus_pool::{
@@ -226,19 +229,14 @@ fn without_batching_counters(replies: &str) -> String {
 
 #[test]
 fn a_seeded_script_in_random_chunks_reads_the_same_from_both_front_ends_and_the_model() {
-    struct NoAdmission;
-    impl malthus_pool::kv::AdmissionStats for NoAdmission {
-        fn admission_snapshot(&self) -> malthus_pool::kv::AdmissionSnapshot {
-            Default::default()
-        }
-    }
     let rng = XorShift64::new(0x5E55_1011);
     let script = script(&rng);
     // The model: one thread, one request at a time, no sockets.
     let model = service();
     let mut want = String::new();
     for line in script.lines().filter(|l| !l.is_empty() && *l != "QUIT") {
-        model.apply_batch(&[Parsed::from_line(line)], &NoAdmission, &mut want);
+        let batch = [Parsed::from_line(line)];
+        model.apply_batch_span(&batch, &mut want, &mut SpanContext::detached());
     }
     let want = without_batching_counters(&want);
     let requests = want.lines().count();
@@ -286,4 +284,116 @@ fn a_seeded_script_in_random_chunks_reads_the_same_from_both_front_ends_and_the_
     let streams = streams.into_inner();
     assert!(streams[0] == want, "the threaded front-end left the model");
     assert!(streams[1] == want, "the reactor front-end left the model");
+}
+
+/// `STATS` is a projection of the `METRICS` registry: after a pipelined
+/// run with `MGET`s, a quiescent server answers one batch holding both
+/// verbs — so both describe the same instant — with a `STATS` line
+/// every field of which is what the scrape's series give.
+#[test]
+fn every_stats_field_is_what_the_metrics_scrape_says() {
+    for reactor in [false, true] {
+        let (addr, close) = start(reactor);
+        let (mut c, mut replies) = connect(addr);
+        let window: String = (0..64u64)
+            .map(|t| match t % 4 {
+                0 => format!("#{t} PUT {t} {}\n", t * 10),
+                1 | 2 => format!("#{t} GET {}\n", t - 1),
+                _ => format!("#{t} MGET {} {} 999\n", t - 3, t - 2),
+            })
+            .collect();
+        for _ in 0..8 {
+            c.write_all(window.as_bytes()).unwrap();
+            for _ in 0..64 {
+                assert!(!reply(&mut replies).starts_with("ERR"));
+            }
+        }
+        c.write_all(b"STATS\nMETRICS\n").unwrap();
+        let stats = reply(&mut replies);
+        let mut doc = String::new();
+        while !doc.ends_with("# EOF\n") {
+            assert!(replies.read_line(&mut doc).unwrap() > 0, "{doc}");
+        }
+        close();
+
+        let m = Exposition::parse(&doc);
+        let sum = |names: &[&str]| -> u64 {
+            let series = m.series.iter().filter(|s| names.contains(&s.name.as_str()));
+            series.map(|s| s.value).sum::<f64>() as u64
+        };
+        // The batch-size histogram rebuilt from its cumulative buckets:
+        // an observation just under each bucket's bound lands in that
+        // bucket, so its quantiles are the server's.
+        let sizes = LatencyHistogram::new();
+        let mut below = 0.0;
+        for (le, cumulative) in m.buckets("kv_pipeline_batch_size", &[]) {
+            if le.is_finite() {
+                for _ in 0..(cumulative - below) as u64 {
+                    sizes.record_ns(le as u64 - 1);
+                }
+                below = cumulative;
+            }
+        }
+        let (p50, p99) = sizes.p50_p99();
+        let admission: [&str; 4] = if reactor {
+            [
+                "kv_reactor_ready_batches_total",
+                "kv_reactor_culls_total",
+                "kv_reactor_reprovisions_total",
+                "kv_reactor_fairness_promotions_total",
+            ]
+        } else {
+            [
+                "crew_completed_total",
+                "crew_culls_total",
+                "crew_reprovisions_total",
+                "crew_fairness_promotions_total",
+            ]
+        };
+        let want = [
+            ("reads", sum(&["kv_shard_reads_total"])),
+            ("writes", sum(&["kv_shard_writes_total"])),
+            ("completed", sum(&[admission[0]])),
+            ("culls", sum(&[admission[1]])),
+            ("reprovisions", sum(&[admission[2]])),
+            ("promotions", sum(&[admission[3]])),
+            ("rculls", sum(&["lock_reader_culls_total"])),
+            (
+                "rgrants",
+                sum(&[
+                    "lock_reader_reprovisions_total",
+                    "lock_reader_fairness_grants_total",
+                ]),
+            ),
+            ("pbatches", sum(&["kv_pipeline_batches_total"])),
+            ("pbatchmax", sum(&["kv_pipeline_max_batch"])),
+            ("pbatch_p50", p50.as_nanos() as u64),
+            ("pbatch_p99", p99.as_nanos() as u64),
+            ("wal_syncs", sum(&["kv_shard_wal_syncs_total"])),
+            ("wal_errors", sum(&["kv_shard_wal_errors_total"])),
+            ("readonly_shards", sum(&["kv_shard_readonly"])),
+            ("idle_disconnects", sum(&["kv_idle_disconnects_total"])),
+            ("readonly_rejects", sum(&["kv_readonly_rejects_total"])),
+            ("heal_attempts", sum(&["kv_shard_heal_attempts_total"])),
+            ("heals", sum(&["kv_shard_heals_total"])),
+            (
+                "shards",
+                m.label_values("kv_shard_reads_total", "shard").len() as u64,
+            ),
+        ];
+        let got: Vec<(&str, u64)> = stats
+            .trim_end()
+            .strip_prefix("STATS ")
+            .unwrap_or_else(|| panic!("not a STATS line: {stats:?}"))
+            .split(' ')
+            .map(|kv| {
+                let (k, v) = kv.split_once('=').unwrap();
+                (k, v.parse().unwrap())
+            })
+            .collect();
+        let front = if reactor { "reactor" } else { "threaded" };
+        assert_eq!(got, want, "{front}: STATS against METRICS:\n{doc}");
+        assert!(want[2].1 > 0, "{front}: nothing completed");
+        assert!(want[0].1 > 0 && want[1].1 > 0 && want[8].1 > 0, "{front}");
+    }
 }

@@ -182,9 +182,10 @@ mod tests {
         kv.put(key0, 2).expect("healed shard accepts writes");
         assert_eq!(kv.get(key0), Some(2));
         let stats = kv.stats();
-        assert!(stats.heal_attempts() >= 1);
-        assert_eq!(stats.heals(), 1);
-        assert!(stats.readonly_rejects() >= 1, "the refusal was counted");
+        let shard0 = &stats.per_shard[0];
+        assert!(shard0.heal_attempts >= 1);
+        assert_eq!(shard0.heals, 1);
+        assert!(shard0.readonly_rejects >= 1, "the refusal was counted");
         stop.store(true, Ordering::Relaxed);
         handle.join().unwrap();
         // The write that failed its commit is absent, the healed one
@@ -206,9 +207,10 @@ mod tests {
         assert!(kv.try_heal_shard(0));
         assert!(!kv.shard_readonly(0));
         assert!(kv.try_heal_shard(0), "healthy shard heals trivially");
-        let s = kv.stats();
-        assert_eq!(s.heal_attempts(), 1, "healthy-shard call is not an attempt");
-        assert_eq!(s.heals(), 1);
+        let stats = kv.stats();
+        let s = &stats.per_shard[0];
+        assert_eq!(s.heal_attempts, 1, "healthy-shard call is not an attempt");
+        assert_eq!(s.heals, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -516,19 +516,6 @@ impl ShardedKvStats {
         self.per_shard.iter().map(|s| s.writes).sum()
     }
 
-    /// Field-wise sum of the per-shard DB lock counters.
-    pub fn db_lock_totals(&self) -> RwStats {
-        let mut t = RwStats::default();
-        for s in &self.per_shard {
-            t.reader_culls += s.db_lock.reader_culls;
-            t.reader_reprovisions += s.db_lock.reader_reprovisions;
-            t.reader_fairness_grants += s.db_lock.reader_fairness_grants;
-            t.write_episodes += s.db_lock.write_episodes;
-            t.writer_drain_waits += s.db_lock.writer_drain_waits;
-        }
-        t
-    }
-
     /// The busiest shard's share of all writes, in `[0, 1]`
     /// (0 when no writes happened). The skew diagnostic the
     /// `sharded_contention` workload reports.
@@ -552,21 +539,6 @@ impl ShardedKvStats {
     /// Shards currently poisoned read-only.
     pub fn readonly_shards(&self) -> usize {
         self.per_shard.iter().filter(|s| s.readonly).count()
-    }
-
-    /// Total write groups refused while a shard was read-only.
-    pub fn readonly_rejects(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.readonly_rejects).sum()
-    }
-
-    /// Total heal probes attempted across shards.
-    pub fn heal_attempts(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.heal_attempts).sum()
-    }
-
-    /// Total successful heals across shards.
-    pub fn heals(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.heals).sum()
     }
 }
 

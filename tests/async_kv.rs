@@ -13,6 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use malthus_obs::Sample;
 use malthus_pool::{serve_async, server, AsyncServeOptions, KvClient, KvService};
 
 mod common;
@@ -128,12 +129,16 @@ fn idle_connections_feed_idle_disconnects() {
     let mut busy = KvClient::connect(addr).unwrap();
     let _idle_a = TcpStream::connect(addr).unwrap();
     let _idle_b = TcpStream::connect(addr).unwrap();
+    let idle = || match service.registry().sample("kv_idle_disconnects_total") {
+        Some(Sample::Counter(n)) => n,
+        other => panic!("kv_idle_disconnects_total reads {other:?}"),
+    };
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while service.idle_disconnects() < 2 {
+    while idle() < 2 {
         assert!(
             std::time::Instant::now() < deadline,
             "idle connections were not reaped within 10s (saw {})",
-            service.idle_disconnects()
+            idle()
         );
         assert_eq!(busy.roundtrip("PING").unwrap(), "PONG");
         std::thread::sleep(Duration::from_millis(50));

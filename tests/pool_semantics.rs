@@ -242,7 +242,7 @@ fn kv_service_round_trips_under_the_restricted_crew() {
 
     let stats = crew.shutdown();
     assert!(stats.completed >= 603, "completed = {}", stats.completed);
-    let (reads, writes) = svc.counters();
-    assert_eq!(writes, 300);
-    assert_eq!(reads, 302);
+    let store = svc.store().stats();
+    assert_eq!(store.writes(), 300);
+    assert_eq!(store.reads(), 302);
 }

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-use malthus_pool::kv::{AdmissionSnapshot, AdmissionStats};
+use malthus_obs::SpanContext;
 use malthus_pool::{KvService, Parsed};
 use malthus_storage::{BatchOp, BatchReply, ShardRouter, ShardedKv};
 
@@ -217,19 +217,9 @@ fn writers_on_different_shards_hold_exclusive_locks_simultaneously() {
     );
 }
 
-/// `STATS` never appears in the batches below, so admission counters
-/// are never asked for.
-struct NoAdmission;
-
-impl AdmissionStats for NoAdmission {
-    fn admission_snapshot(&self) -> AdmissionSnapshot {
-        AdmissionSnapshot::default()
-    }
-}
-
 /// Overwritten keys keep their latest value through freeze-time run
 /// merges, end to end: every key gets a fresh value per round through
-/// `KvService::apply_batch` (wire grammar → `execute_batch`), rounds
+/// `KvService::apply_batch_span` (wire grammar → `execute_batch`), rounds
 /// are sized so every shard freezes some 25 times — each freeze merged
 /// over the shard's accumulator run, the accumulator folded over the
 /// base every few freezes — and then every key is read back through
@@ -262,7 +252,7 @@ fn overwrites_survive_run_merges_end_to_end() {
             lines.push(format!("MSET {}", pairs.join(" ")));
             let batch: Vec<Parsed> = lines.iter().map(|l| Parsed::from_line(l)).collect();
             out.clear();
-            service.apply_batch(&batch, &NoAdmission, &mut out);
+            service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
             assert!(!out.contains("ERR"), "round {round}: {out}");
         }
     }
@@ -288,7 +278,7 @@ fn overwrites_survive_run_merges_end_to_end() {
             .map(|k| Parsed::from_line(&format!("GET {k}")))
             .collect();
         out.clear();
-        service.apply_batch(&batch, &NoAdmission, &mut out);
+        service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
         let want: String = window
             .iter()
             .map(|&k| format!("VAL {}\n", fresh(k, last)))
