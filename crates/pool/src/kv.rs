@@ -110,7 +110,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use malthus_metrics::LatencyHistogram;
+use malthus_metrics::{HistogramSnapshot, LatencyHistogram};
 use malthus_obs::span::{self, Stage, STAGE_COUNT};
 use malthus_obs::{Sample, SlowEntry, SlowRing, SpanContext};
 use malthus_storage::{BatchOp, BatchReply, RecoveryReport, ShardedKv};
@@ -146,21 +146,20 @@ pub trait AdmissionStats {
 }
 
 /// How one `STATS` field is read from the service's registry.
-#[derive(Debug, Clone, Copy)]
 enum StatsField {
     /// The sum of every series of these families. A family nobody
     /// registered reads 0: the crew's under the reactor front-end, the
     /// reactor's under the threaded one.
     Sum(&'static [&'static str]),
-    /// A quantile of this histogram family (bucket floor, as
-    /// [`PipelineStats::batch_quantiles`] reads it).
-    Quantile(&'static str, f64),
+    /// p50 / p99 of the line's one `kv_pipeline_batch_size` snapshot.
+    BatchP50,
+    BatchP99,
 }
 
 /// The `STATS` line: its keys in order, each with the registry
 /// families it projects; `shards=` (the store's shard count) follows.
 const STATS_FIELDS: [(&str, StatsField); 19] = {
-    use StatsField::{Quantile, Sum};
+    use StatsField::{BatchP50, BatchP99, Sum};
     [
         ("reads", Sum(&["kv_shard_reads_total"])),
         ("writes", Sum(&["kv_shard_writes_total"])),
@@ -193,8 +192,8 @@ const STATS_FIELDS: [(&str, StatsField); 19] = {
         ),
         ("pbatches", Sum(&["kv_pipeline_batches_total"])),
         ("pbatchmax", Sum(&["kv_pipeline_max_batch"])),
-        ("pbatch_p50", Quantile("kv_pipeline_batch_size", 0.50)),
-        ("pbatch_p99", Quantile("kv_pipeline_batch_size", 0.99)),
+        ("pbatch_p50", BatchP50),
+        ("pbatch_p99", BatchP99),
         ("wal_syncs", Sum(&["kv_shard_wal_syncs_total"])),
         ("wal_errors", Sum(&["kv_shard_wal_errors_total"])),
         ("readonly_shards", Sum(&["kv_shard_readonly"])),
@@ -204,6 +203,12 @@ const STATS_FIELDS: [(&str, StatsField); 19] = {
         ("heals", Sum(&["kv_shard_heals_total"])),
     ]
 };
+
+/// Bucket-floor `(p50, p99)` of a batch-size snapshot, in requests.
+fn batch_p50_p99(sizes: &HistogramSnapshot) -> (u64, u64) {
+    let (p50, p99) = sizes.p50_p99();
+    (p50.as_nanos() as u64, p99.as_nanos() as u64)
+}
 
 /// Memtable entries before a shard's MiniKv freezes a run.
 pub const DEFAULT_MEMTABLE_LIMIT: usize = 4_096;
@@ -265,18 +270,17 @@ impl PipelineStats {
     /// `(p50, p99)` of the batch-size distribution, in requests per
     /// batch.
     pub fn batch_quantiles(&self) -> (u64, u64) {
-        let (p50, p99) = self.sizes.p50_p99();
-        (p50.as_nanos() as u64, p99.as_nanos() as u64)
+        batch_p50_p99(&self.sizes.snapshot())
     }
 
     /// Snapshot of the batch-size distribution, for registry
     /// exposition.
-    pub fn batch_size_snapshot(&self) -> malthus_metrics::HistogramSnapshot {
+    pub fn batch_size_snapshot(&self) -> HistogramSnapshot {
         self.sizes.snapshot()
     }
 
     /// Snapshot of the batch-drain execution-latency distribution.
-    pub fn drain_snapshot(&self) -> malthus_metrics::HistogramSnapshot {
+    pub fn drain_snapshot(&self) -> HistogramSnapshot {
         self.drain_ns.snapshot()
     }
 }
@@ -544,6 +548,10 @@ impl KvService {
                 // its own closures take: `STATS` is a control verb, off
                 // every gated path.
                 out.push_str("STATS");
+                let batch = match self.registry.sample("kv_pipeline_batch_size") {
+                    Some(Sample::Histogram(h)) => batch_p50_p99(&h),
+                    _ => (0, 0),
+                };
                 for (key, field) in STATS_FIELDS {
                     let value = match field {
                         StatsField::Sum(families) => families
@@ -554,10 +562,8 @@ impl KvService {
                                 _ => 0,
                             })
                             .sum(),
-                        StatsField::Quantile(family, q) => match self.registry.sample(family) {
-                            Some(Sample::Histogram(h)) => h.quantile(q).as_nanos() as u64,
-                            _ => 0,
-                        },
+                        StatsField::BatchP50 => batch.0,
+                        StatsField::BatchP99 => batch.1,
                     };
                     let _ = write!(out, " {key}={value}");
                 }

@@ -184,6 +184,8 @@ mod tests {
         let stats = kv.stats();
         let shard0 = &stats.per_shard[0];
         assert!(shard0.heal_attempts >= 1);
+        // Store-wide: the healthy shard recorded no heal.
+        assert_eq!(stats.per_shard.iter().map(|s| s.heals).sum::<u64>(), 1);
         assert_eq!(shard0.heals, 1);
         assert!(shard0.readonly_rejects >= 1, "the refusal was counted");
         stop.store(true, Ordering::Relaxed);
