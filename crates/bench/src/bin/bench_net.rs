@@ -1,5 +1,5 @@
 //! `bench_net` — pipelined-KV throughput sweep of the **reactor
-//! front-end** (`serve_async`: readiness-driven reactor workers with
+//! front-end** (`Front::Reactor`: readiness-driven reactor workers with
 //! Malthusian poll admission) over real loopback TCP: writes
 //! `BENCH_net.json`.
 //!

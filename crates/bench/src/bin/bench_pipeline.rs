@@ -1,5 +1,5 @@
 //! `bench_pipeline` — pipelined-KV throughput sweep of the
-//! **threaded front-end** (`server::serve`: thread-per-connection
+//! **threaded front-end** (`Front::Threaded`: thread-per-connection
 //! readers, cheap batches applied in place under a lent crew slot)
 //! over real loopback TCP: writes `BENCH_pipeline.json`.
 //!

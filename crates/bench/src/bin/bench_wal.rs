@@ -5,7 +5,7 @@
 //! `workloads::pipeline` live loop against a **durable** store: each
 //! cell opens a fresh `KvService` over a fresh temporary data
 //! directory (one shard: one WAL, the hardest group-commit case),
-//! boots `server::serve` on it, drives it with windowed tagged
+//! boots the threaded front-end on it, drives it with windowed tagged
 //! clients at 100% PUT (every op pays the WAL), and tears both down.
 //! Series are named `depth<D>@shards1`, one contended cell per
 //! connection count, interleaved median-of-trials — the

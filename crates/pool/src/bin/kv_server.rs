@@ -49,10 +49,9 @@
 //!   every event); only meaningful with `--trace-buf`.
 //! * `--slowlog-threshold-us <n>` — batches whose end-to-end latency
 //!   meets the threshold land in the `SLOWLOG` ring with a per-stage
-//!   breakdown (default 10000 µs; 0 disables capture).
-//! * `--no-spans` — turn the per-batch stage clocks off (`kv_stage_ns`
-//!   and `SLOWLOG` stop collecting; the remaining cost is one relaxed
-//!   load per instrumentation point).
+//!   breakdown (default 10000 µs; 0 disables capture). Per-batch spans
+//!   are always on; `bench_obs` prices them against a spans-off
+//!   baseline in process.
 //! * `--fault-plan <spec>` — arm the deterministic fault-injection
 //!   layer (`malthus-fault`) for this process: e.g.
 //!   `seed=7,storage.fsync=0.01x3,net.reset=0.001`. The effective seed
@@ -69,6 +68,11 @@
 //!   protocol; idle connections cost a buffer pair instead of a
 //!   thread, and `--read-timeout-secs` reaps them via the reactor's
 //!   timer wheel.
+//!
+//! Either front-end boots through [`Server::start`]: the flags pick
+//! its [`Front`] — a crew (`Front::Threaded`) or a reactor config
+//! (`Front::Reactor`) — once, here, and `--read-timeout-secs` is the
+//! one idle timeout both take.
 //!
 //! With restriction on, the crew's ACS target is
 //! `min(workers, cpus, shards)` ([`malthus::policy::acs_target`], the
@@ -90,14 +94,14 @@ use malthus_fault::Site;
 use malthus_obs::SpanContext;
 use malthus_pool::kv::{self, KvService, DEFAULT_SHARDS};
 use malthus_pool::kv::{DEFAULT_CACHE_BLOCKS, DEFAULT_MEMTABLE_LIMIT};
-use malthus_pool::server::{self, ServeOptions, DEFAULT_ADDR};
-use malthus_pool::{serve_async, AsyncServeOptions, Parsed, PoolConfig, WorkCrew};
+use malthus_pool::server::{Front, Server, DEFAULT_ADDR};
+use malthus_pool::{Parsed, PoolConfig, ReactorConfig, WorkCrew};
 use malthus_storage::{spawn_healer, HealerConfig, ShardedKv, WalOptions};
 
 /// Set (only) by the `SIGTERM` handler; a watcher thread turns it
 /// into a normal [`ServerControl::stop`].
 ///
-/// [`ServerControl::stop`]: malthus_pool::server::ServerControl::stop
+/// [`ServerControl::stop`]: malthus_pool::ServerControl::stop
 static TERM_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 const SIGTERM: i32 = 15;
@@ -124,7 +128,6 @@ struct Options {
     trace_buf: usize,
     trace_sample: usize,
     slowlog_threshold_us: u64,
-    no_spans: bool,
     r#async: bool,
     fault_plan: Option<String>,
 }
@@ -134,7 +137,7 @@ fn usage() -> ! {
         "usage: kv_server [--addr <host:port>] [--shards <n>] [--workers <n>] \
          [--queue <n>] [--unrestricted] [--data-dir <path>] [--no-wal] \
          [--read-timeout-secs <n>] [--trace-buf <n>] [--trace-sample <n>] \
-         [--slowlog-threshold-us <n>] [--no-spans] [--async] \
+         [--slowlog-threshold-us <n>] [--async] \
          [--fault-plan <spec>]"
     );
     std::process::exit(2);
@@ -157,7 +160,6 @@ fn parse_args(cpus: usize) -> Options {
         // 0 means "slowlog capture off"; the default catches batches
         // at or above 10 ms end to end.
         slowlog_threshold_us: kv::DEFAULT_SLOWLOG_THRESHOLD_US,
-        no_spans: false,
         r#async: false,
         fault_plan: None,
     };
@@ -196,7 +198,6 @@ fn parse_args(cpus: usize) -> Options {
                     usage();
                 }
             },
-            "--no-spans" => opts.no_spans = true,
             "--async" => opts.r#async = true,
             "--fault-plan" => match args.next() {
                 Some(p) => opts.fault_plan = Some(p),
@@ -260,11 +261,6 @@ fn main() {
     } else {
         malthus::policy::acs_target(opts.workers, opts.shards)
     };
-    let cfg = if opts.unrestricted {
-        PoolConfig::unrestricted(opts.workers, opts.queue)
-    } else {
-        PoolConfig::malthusian(opts.workers, opts.queue).with_acs_target(acs)
-    };
     eprintln!(
         "# kv_server: {} front-end, {} shards, {} workers (ACS target {acs}), \
          queue bound {}, {cpus} host CPUs",
@@ -282,20 +278,15 @@ fn main() {
         );
     }
 
-    if opts.no_spans {
-        malthus_obs::span::set_enabled(false);
-        eprintln!("# kv_server: span tracing off (--no-spans)");
-    } else {
-        eprintln!(
-            "# kv_server: span tracing on, slowlog threshold {} µs{}",
-            opts.slowlog_threshold_us,
-            if opts.slowlog_threshold_us == 0 {
-                " (capture off)"
-            } else {
-                ""
-            }
-        );
-    }
+    eprintln!(
+        "# kv_server: span tracing on, slowlog threshold {} µs{}",
+        opts.slowlog_threshold_us,
+        if opts.slowlog_threshold_us == 0 {
+            " (capture off)"
+        } else {
+            ""
+        }
+    );
 
     let service = match &opts.data_dir {
         Some(dir) => {
@@ -367,8 +358,20 @@ fn main() {
         }
     }
 
-    let (listener, control) = server::bind(&opts.addr).expect("bind listen address");
-    println!("listening on {}", control.addr());
+    let front = if opts.r#async {
+        Front::Reactor(ReactorConfig::malthusian(opts.workers).with_acs_target(acs))
+    } else if opts.unrestricted {
+        let cfg = PoolConfig::unrestricted(opts.workers, opts.queue);
+        Front::Threaded(Arc::new(WorkCrew::new(cfg)))
+    } else {
+        let cfg = PoolConfig::malthusian(opts.workers, opts.queue).with_acs_target(acs);
+        Front::Threaded(Arc::new(WorkCrew::new(cfg)))
+    };
+    let read_timeout =
+        (opts.read_timeout_secs > 0).then(|| Duration::from_secs(opts.read_timeout_secs as u64));
+    let server = Server::start(&opts.addr, Arc::clone(&service), front, read_timeout)
+        .expect("start the front-end");
+    println!("listening on {}", server.addr());
 
     // SIGTERM → the same graceful path as the SHUTDOWN verb. The
     // handler only flips an atomic; this watcher does the real work
@@ -381,7 +384,7 @@ fn main() {
         signal(SIGTERM, on_sigterm as *const () as usize);
     }
     {
-        let control = control.clone();
+        let control = server.control();
         std::thread::Builder::new()
             .name("kv-sigterm".into())
             .spawn(move || loop {
@@ -406,30 +409,9 @@ fn main() {
         )
     });
 
-    let read_timeout =
-        (opts.read_timeout_secs > 0).then(|| Duration::from_secs(opts.read_timeout_secs as u64));
-    if opts.r#async {
-        let async_opts = AsyncServeOptions {
-            workers: opts.workers,
-            acs_target: acs,
-            read_timeout,
-        };
-        serve_async(listener, &control, Arc::clone(&service), async_opts).expect("reactor failed");
-    } else {
-        let serve_opts = ServeOptions { read_timeout };
-        let crew = Arc::new(WorkCrew::new(cfg));
-        server::serve_with(
-            listener,
-            &control,
-            Arc::clone(&crew),
-            Arc::clone(&service),
-            serve_opts,
-        )
-        .expect("accept loop failed");
-
-        // The registry keeps reading the joined crew's counters.
-        crew.shutdown();
-    }
+    // Serves until SHUTDOWN or SIGTERM; a threaded front-end's crew is
+    // drained and joined before this returns.
+    server.wait();
     // Shutdown epilogue, in order: stop probing (the healer must not
     // race the final fsync), then final-fsync every healthy shard and
     // stamp the clean marker. Only after the stamp is the exit clean.

@@ -11,9 +11,8 @@
 //! * **Culling, reprovisioning, boost decay, long-term fairness** —
 //!   [`Membership`]'s. The crew supplies its events: *progress* is a
 //!   dequeue (or a slot lent), *drained* is a worker finding the queue
-//!   empty, *work waiting* is a backlog at
-//!   [`PoolConfig::backlog_watermark`]; a unit of work taken is the
-//!   moment for boost decay, one finished for the fairness rotation
+//!   empty, *work waiting* is a non-empty queue; a unit of work taken
+//!   is the moment for boost decay, one finished for the fairness rotation
 //!   (one clock reading per unit either way). It parks a
 //!   culled worker as a *standby thread* (the paper's LOITER appendix,
 //!   A.1: a timed park, after which the worker asks the machine
@@ -47,13 +46,11 @@ use malthus::policy::{self, Membership, MembershipStats};
 use malthus_park::{Parker, Unparker};
 
 /// A unit of work.
-pub type Task = Box<dyn FnOnce() + Send + 'static>;
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Why a submission was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The queue is at its bound (only from [`WorkCrew::try_submit`]).
-    QueueFull,
     /// The crew is shutting down; no new work is accepted.
     ShuttingDown,
 }
@@ -61,7 +58,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::QueueFull => write!(f, "task queue is full"),
             SubmitError::ShuttingDown => write!(f, "work crew is shutting down"),
         }
     }
@@ -80,11 +76,8 @@ pub struct PoolConfig {
     /// Task-queue bound; blocking [`WorkCrew::submit`] applies
     /// backpressure past it.
     pub queue_bound: usize,
-    /// Minimum backlog depth for stall-driven reprovisioning from the
-    /// passive stack (1 = any pending task counts as backed up).
-    pub backlog_watermark: usize,
-    /// How long dequeues must stall (with backlog at the watermark)
-    /// before a passive worker is promoted.
+    /// How long dequeues must stall (with tasks queued) before a
+    /// passive worker is promoted.
     pub stall_threshold: Duration,
     /// Average period (in completed tasks) of the episodic
     /// eldest-passive promotion; `None` disables it.
@@ -101,7 +94,6 @@ impl PoolConfig {
             workers,
             acs_target: workers,
             queue_bound,
-            backlog_watermark: 1,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
             fairness_period: None,
             seed: policy::DEFAULT_SEED,
@@ -117,7 +109,6 @@ impl PoolConfig {
             workers,
             acs_target: policy::acs_target(workers, usize::MAX),
             queue_bound,
-            backlog_watermark: 1,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
             fairness_period: Some(policy::DEFAULT_FAIRNESS_PERIOD),
             seed: policy::DEFAULT_SEED,
@@ -136,12 +127,6 @@ impl PoolConfig {
         self
     }
 
-    /// Overrides the reprovision watermark.
-    pub fn with_backlog_watermark(mut self, watermark: usize) -> Self {
-        self.backlog_watermark = watermark;
-        self
-    }
-
     /// Overrides the dequeue-stall window.
     pub fn with_stall_threshold(mut self, stall: Duration) -> Self {
         self.stall_threshold = stall;
@@ -156,14 +141,6 @@ impl PoolConfig {
             "ACS target cannot exceed the worker count"
         );
         assert!(self.queue_bound > 0, "queue bound must be positive");
-        assert!(self.backlog_watermark > 0, "watermark must be positive");
-        // A watermark the backlog can never reach (submit blocks at
-        // the bound) would silently disable reprovisioning and strand
-        // tasks behind a blocked worker.
-        assert!(
-            self.backlog_watermark <= self.queue_bound,
-            "watermark beyond the queue bound can never trigger"
-        );
     }
 }
 
@@ -174,7 +151,7 @@ impl PoolConfig {
 /// shut down.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks accepted by `submit`/`try_submit`.
+    /// Tasks accepted by [`WorkCrew::submit`].
     pub submitted: u64,
     /// Units of work executed to completion: dequeued tasks plus
     /// [`Slot`]s returned.
@@ -244,7 +221,7 @@ impl Shared {
 
     /// The backlog the stack top must rescue if dequeues stall.
     fn work_waiting(&self, state: &State) -> bool {
-        state.queue.len() >= self.cfg.backlog_watermark
+        !state.queue.is_empty()
     }
 
     /// Wakes an idle worker for a freshly queued task. Stalls are not
@@ -334,7 +311,7 @@ impl WorkCrew {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (zero workers, ACS
-    /// target above the worker count, zero queue bound or watermark).
+    /// target above the worker count, zero queue bound).
     pub fn new(cfg: PoolConfig) -> Self {
         cfg.validate();
         let parkers: Vec<Parker> = (0..cfg.workers).map(|_| Parker::new()).collect();
@@ -391,11 +368,8 @@ impl WorkCrew {
     /// call and differences it at the top of the task closure, which
     /// covers both the backpressure block here and the backlog wait.
     pub fn submit(&self, task: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        self.submit_boxed(Box::new(task))
-    }
-
-    /// [`WorkCrew::submit`] for an already boxed task.
-    pub fn submit_boxed(&self, task: Task) -> Result<(), SubmitError> {
+        // Allocate outside the crew's critical section.
+        let task: Task = Box::new(task);
         let shared = &*self.shared;
         let mut state = shared.state.lock().expect("crew mutex poisoned");
         while state.queue.len() >= shared.cfg.queue_bound && !state.shutdown {
@@ -405,28 +379,6 @@ impl WorkCrew {
             return Err(SubmitError::ShuttingDown);
         }
         state.queue.push_back(task);
-        shared.submitted.fetch_add(1, Ordering::Relaxed);
-        malthus_obs::record(
-            malthus_obs::EventKind::CrewAdmit,
-            state.queue.len() as u64,
-            0,
-        );
-        shared.signal_work(&mut state);
-        Ok(())
-    }
-
-    /// Submits a task without blocking; fails with
-    /// [`SubmitError::QueueFull`] at the bound.
-    pub fn try_submit(&self, task: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        let shared = &*self.shared;
-        let mut state = shared.state.lock().expect("crew mutex poisoned");
-        if state.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if state.queue.len() >= shared.cfg.queue_bound {
-            return Err(SubmitError::QueueFull);
-        }
-        state.queue.push_back(Box::new(task));
         shared.submitted.fetch_add(1, Ordering::Relaxed);
         malthus_obs::record(
             malthus_obs::EventKind::CrewAdmit,
@@ -467,24 +419,9 @@ impl WorkCrew {
         Some(Slot { shared, worker })
     }
 
-    /// Current queue depth (racy diagnostic).
-    pub fn backlog(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("crew mutex poisoned")
-            .queue
-            .len()
-    }
-
     /// Number of passivated workers right now (racy diagnostic).
     pub fn passive_len(&self) -> usize {
         self.shared.members().passive
-    }
-
-    /// The configuration the crew was built with.
-    pub fn config(&self) -> &PoolConfig {
-        &self.shared.cfg
     }
 
     /// Racy live snapshot of the activity counters.
@@ -851,7 +788,7 @@ mod tests {
         let cfg = PoolConfig::malthusian(4, 16)
             .with_acs_target(1)
             .with_fairness_period(Some(4))
-            .with_backlog_watermark(16); // never reprovision via backlog
+            .with_stall_threshold(Duration::from_secs(3600)); // never reprovision via backlog
         let crew = WorkCrew::new(cfg);
         let hits = count_tasks(&crew, 3_000);
         let stats = crew.shutdown();
@@ -871,48 +808,10 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_reports_a_full_queue() {
-        // One worker wedged on a gate keeps the queue from draining.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let crew = WorkCrew::new(
-            PoolConfig::malthusian(1, 2)
-                .with_acs_target(1)
-                .with_fairness_period(None),
-        );
-        let g = Arc::clone(&gate);
-        crew.submit(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        })
-        .unwrap();
-        // Fill the bound while the worker is wedged.
-        let mut saw_full = false;
-        for _ in 0..50 {
-            match crew.try_submit(|| {}) {
-                Ok(()) => {}
-                Err(SubmitError::QueueFull) => {
-                    saw_full = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected {e:?}"),
-            }
-        }
-        assert!(saw_full, "bounded queue must eventually refuse work");
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        crew.shutdown();
-    }
-
-    #[test]
     fn submit_after_shutdown_is_refused() {
         let crew = WorkCrew::new(PoolConfig::unrestricted(2, 8));
         crew.shutdown();
         assert_eq!(crew.submit(|| {}), Err(SubmitError::ShuttingDown));
-        assert_eq!(crew.try_submit(|| {}), Err(SubmitError::ShuttingDown));
     }
 
     #[test]
@@ -929,9 +828,7 @@ mod tests {
     #[test]
     fn blocking_submit_applies_backpressure_without_loss() {
         let crew = Arc::new(WorkCrew::new(
-            PoolConfig::malthusian(2, 4)
-                .with_acs_target(1)
-                .with_backlog_watermark(2),
+            PoolConfig::malthusian(2, 4).with_acs_target(1),
         ));
         let hits = Arc::new(AtomicU64::new(0));
         let submitters: Vec<_> = (0..3)
@@ -1137,19 +1034,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "watermark beyond the queue bound")]
-    fn unreachable_watermark_is_rejected() {
-        WorkCrew::new(PoolConfig::malthusian(2, 8).with_backlog_watermark(9));
-    }
-
-    #[test]
     #[should_panic(expected = "ACS target cannot exceed")]
     fn invalid_config_panics() {
         WorkCrew::new(PoolConfig {
             workers: 2,
             acs_target: 3,
             queue_bound: 4,
-            backlog_watermark: 2,
             stall_threshold: Duration::from_millis(5),
             fairness_period: None,
             seed: 1,

@@ -56,7 +56,7 @@
 //! while GETs keep working and other shards keep serving. `STATS`
 //! reports `wal_syncs=`/`wal_errors=`/`readonly_shards=` (and
 //! `idle_disconnects=`, see
-//! [`ServeOptions::read_timeout`](crate::server::ServeOptions::read_timeout)).
+//! the `read_timeout` of [`Server::start`](crate::server::Server::start)).
 //!
 //! # Pipelining: tagged requests and batched under-lock execution
 //!
@@ -438,7 +438,7 @@ impl KvService {
     }
 
     /// Counts a connection dropped by its idle timeout
-    /// ([`ServeOptions::read_timeout`](crate::server::ServeOptions::read_timeout)).
+    /// (the `read_timeout` of [`Server::start`](crate::server::Server::start)).
     pub(crate) fn note_idle_disconnect(&self) {
         self.idle_disconnects.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,7 +1,8 @@
-//! The reactor front-end for the KV service: the same wire protocol,
-//! spans, WAL group commit and SLOWLOG as [`crate::server::serve`], but
-//! driven by `malthus-net`'s readiness reactor instead of a thread
-//! per connection.
+//! The reactor front-end for the KV service ([`Front::Reactor`]): the
+//! same wire protocol, spans, WAL group commit and SLOWLOG as the
+//! threaded front-end, but driven by `malthus-net`'s readiness reactor
+//! instead of a thread per connection. [`Server::start`] boots it, as
+//! it boots the threaded one; this module is the [`Handler`] it runs.
 //!
 //! The threaded front-end restricts *execution* (the crew) while
 //! spending one blocked reader thread per connection; this front-end
@@ -30,47 +31,20 @@
 //! idle connections on two reactor threads. Idle reaping moves from
 //! per-socket read timeouts to the reactor's coarse timer wheel,
 //! surfacing through the same `STATS idle_disconnects=` counter.
+//!
+//! [`Front::Reactor`]: crate::server::Front::Reactor
+//! [`Server::start`]: crate::server::Server::start
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
-use malthus_net::{Action, CloseReason, Handler, Reactor, ReactorConfig};
+use malthus_net::{Action, CloseReason, Handler};
 use malthus_obs::span::Stage;
 use malthus_obs::SpanContext;
 
 use crate::kv::KvService;
 use crate::protocol::DrainEnd;
-use crate::server::ServerControl;
 use crate::session::Session;
-
-/// Knobs for [`serve_async`] — the reactor-side analogue of
-/// [`crate::server::ServeOptions`].
-#[derive(Debug, Clone, Copy)]
-pub struct AsyncServeOptions {
-    /// Total reactor worker threads (active + passive).
-    pub workers: usize,
-    /// Target active circulating set of `epoll_wait` callers; surplus
-    /// workers cull to the passive stack.
-    pub acs_target: usize,
-    /// Idle-connection timeout, enforced by the reactor's timer wheel
-    /// (`None` never reaps — byte-compatible with the threaded
-    /// default).
-    pub read_timeout: Option<Duration>,
-}
-
-impl AsyncServeOptions {
-    /// `workers` reactor threads with the Malthusian default ACS
-    /// (min(workers, cpus)) and no idle reaping.
-    pub fn malthusian(workers: usize) -> Self {
-        AsyncServeOptions {
-            workers: workers.max(1),
-            acs_target: malthus::policy::acs_target(workers, usize::MAX),
-            read_timeout: None,
-        }
-    }
-}
 
 /// Per-connection protocol state: the session plus the spans still
 /// waiting for their flush. This — not a thread — is the whole
@@ -165,32 +139,4 @@ impl Handler for KvHandler {
             self.service.finish_span(&mut span);
         }
     }
-}
-
-/// Serves `listener` through the reactor until [`ServerControl::stop`]
-/// is called or a client sends `SHUTDOWN` — the async counterpart of
-/// [`crate::server::serve`]. Registers the reactor's gauges and counters
-/// in the service's unified registry (as `serve` does the crew's), so
-/// `METRICS`, `STATS` and `kvtop` see whichever front-end is live.
-pub fn serve_async(
-    listener: TcpListener,
-    control: &ServerControl,
-    service: Arc<KvService>,
-    opts: AsyncServeOptions,
-) -> std::io::Result<()> {
-    let handler = KvHandler::new(Arc::clone(&service));
-    let cfg = ReactorConfig::malthusian(opts.workers)
-        .with_acs_target(opts.acs_target)
-        .with_read_timeout(opts.read_timeout)
-        .with_stop_flag(Arc::clone(&control.stop));
-    let reactor = Reactor::start(listener, handler, cfg)?;
-    reactor.register_metrics(service.registry());
-    // Blocks until SHUTDOWN / control.stop() / stop-flag store; the
-    // reactor closes remaining connections on its way out.
-    reactor.wait();
-    // A SHUTDOWN verb stopped the reactor directly: reflect it in the
-    // control flag so `stop()`-side observers agree the server is
-    // down (the threaded path gets this for free via control.stop()).
-    control.stop.store(true, Ordering::SeqCst);
-    Ok(())
 }

@@ -35,7 +35,10 @@
 //!   admits (cheap ones applied in place on a lent slot that is
 //!   returned before the reply is written, dear ones queued), or
 //!   a readiness reactor whose `epoll_wait` is itself
-//!   Malthusian-admitted. [`client`] is the matching [`KvClient`].
+//!   Malthusian-admitted. Either starts the one way,
+//!   [`Server::start`] with a [`Front`] — `Front::Threaded(crew)` or
+//!   `Front::Reactor(config)` — and stops through the [`Server`] it
+//!   returns. [`client`] is the matching [`KvClient`].
 //!   Binaries: `kv_server` (`--shards`, `--async`), `kv_load`
 //!   (`--pipeline-depth`, per-op-type latencies), `kvtop`.
 //!
@@ -75,8 +78,9 @@ pub mod server;
 mod session;
 
 pub use client::KvClient;
-pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, Task, WorkCrew, DEFAULT_STALL_THRESHOLD};
+pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, WorkCrew, DEFAULT_STALL_THRESHOLD};
 pub use kv::{KvService, PipelineStats};
-pub use kv_async::{serve_async, AsyncServeOptions, KvHandler};
+pub use kv_async::KvHandler;
+pub use malthus_net::ReactorConfig;
 pub use protocol::{Parsed, Request};
-pub use server::{ServeOptions, ServerControl};
+pub use server::{Front, Server, ServerControl};

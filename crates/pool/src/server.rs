@@ -1,8 +1,10 @@
-//! The threaded front-end: an accept loop, one reader thread per
-//! connection, and the work crew as the admission layer.
+//! [`Server::start`], the one way to run the KV service over TCP through
+//! either [`Front`] — a reader thread per connection with the work crew
+//! as the admission layer, or the reactor of [`kv_async`](crate::kv_async)
+//! — and the threaded front-end itself.
 //!
-//! Connection readers are plain threads (cheap, blocked on I/O); all
-//! request *execution* is admitted by the crew, which is where
+//! Connection readers are plain threads (cheap, blocked on I/O); all request
+//! *execution* is admitted by the crew, which is where
 //! concurrency is restricted — but admission does not always mean a
 //! hand-off. A batch whose connection's previous batch was cheap
 //! (under [`INLINE_MAX_DRAIN_NS`]) runs **in place** on the reader
@@ -41,13 +43,16 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use malthus_net::{Reactor, ReactorConfig};
 use malthus_obs::span::{self, Stage};
 use malthus_obs::SpanContext;
 
 use crate::crew::WorkCrew;
 use crate::kv::KvService;
+use crate::kv_async::KvHandler;
 use crate::protocol::{DrainEnd, MAX_LINE_BYTES};
 use crate::session::{settle, Session, READ_BLOCK};
 
@@ -69,56 +74,120 @@ pub const INLINE_MAX_DRAIN_NS: u64 = 50_000;
 /// Default TCP address for the server and load-generator binaries.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
-/// Handle used to stop a running [`serve`] loop.
-#[derive(Clone)]
+/// Which front-end a [`Server`] runs, with its admission layer.
+pub enum Front {
+    /// A reader thread per connection, its batches admitted by the
+    /// crew; the server shuts the crew down when it stops.
+    Threaded(Arc<WorkCrew>),
+    /// The readiness reactor, its `epoll_wait` admitted;
+    /// [`Server::start`] sets the config's read timeout and stop flag.
+    Reactor(ReactorConfig),
+}
+
+/// A running front-end: started by [`Server::start`], over once
+/// [`Server::stop`] or [`Server::wait`] returns. Merely dropping it
+/// leaves a threaded front-end serving on a detached thread.
+pub struct Server {
+    control: ServerControl,
+    running: Running,
+}
+
+enum Running {
+    /// The accept loop's thread and the crew it dispatches onto.
+    Threaded(JoinHandle<()>, Arc<WorkCrew>),
+    Reactor(Reactor<KvHandler>),
+}
+
+impl Server {
+    /// Binds `addr` and serves `service` through `front` until
+    /// [`Server::stop`], [`ServerControl::stop`] or a client's
+    /// `SHUTDOWN`. `read_timeout` is both front-ends' idle timeout
+    /// (`SO_RCVTIMEO` per threaded reader, the reactor's timer wheel): a
+    /// connection silent that long is dropped and counted in `STATS
+    /// idle_disconnects=`; `None` never times out. The front-end's
+    /// admission counters join the service's registry.
+    pub fn start(
+        addr: &str,
+        service: Arc<KvService>,
+        front: Front,
+        read_timeout: Option<Duration>,
+    ) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        let control = ServerControl {
+            stop: Arc::new(AtomicBool::new(false)),
+            addr: listener.local_addr()?,
+        };
+        let running = match front {
+            Front::Threaded(crew) => {
+                let (control, served) = (control.clone(), Arc::clone(&crew));
+                let accept = std::thread::Builder::new()
+                    .name("kv-accept".into())
+                    .spawn(move || serve(listener, &control, served, service, read_timeout))?;
+                Running::Threaded(accept, crew)
+            }
+            Front::Reactor(cfg) => {
+                let cfg = cfg
+                    .with_read_timeout(read_timeout)
+                    .with_stop_flag(Arc::clone(&control.stop));
+                let reactor = Reactor::start(listener, KvHandler::new(Arc::clone(&service)), cfg)?;
+                reactor.register_metrics(service.registry());
+                Running::Reactor(reactor)
+            }
+        };
+        Ok(Server { control, running })
+    }
+
+    /// The address the server accepts on (useful with port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.control.addr
+    }
+
+    /// A handle that stops the server from another thread.
+    pub fn control(&self) -> ServerControl {
+        self.control.clone()
+    }
+
+    /// [`ServerControl::stop`], then [`Server::wait`].
+    pub fn stop(self) {
+        self.control.stop();
+        self.wait();
+    }
+
+    /// Blocks until the server stops, then tears it down: every open
+    /// connection is disconnected (a batch already read is answered
+    /// first), and a threaded front-end's crew drains its queue and
+    /// joins its workers. The registry keeps reading the crew's and the
+    /// reactor's final counters.
+    pub fn wait(self) {
+        match self.running {
+            Running::Threaded(accept, crew) => {
+                accept.join().expect("accept loop panicked");
+                crew.shutdown();
+            }
+            Running::Reactor(reactor) => {
+                reactor.wait();
+            }
+        }
+    }
+}
+
+/// Stops a running [`Server`] from any thread (`kv_server`'s `SIGTERM`
+/// watcher holds one).
+#[derive(Clone, Debug)]
 pub struct ServerControl {
-    pub(crate) stop: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
     addr: SocketAddr,
 }
 
 impl ServerControl {
-    /// The address the server is accepting on (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Asks the accept loop to exit; the loop is unblocked with a
-    /// self-connect and open connections are disconnected by
-    /// [`serve`] on its way out.
+    /// Asks the server to stop: sets the stop flag, which the accept
+    /// loop and the reactor check on every accept, and self-connects to
+    /// wake them. Open connections are disconnected on the way out.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the blocking `accept`.
         let _ = TcpStream::connect(self.addr);
     }
-}
-
-impl std::fmt::Debug for ServerControl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerControl")
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
-/// Per-server connection-handling knobs for [`serve_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeOptions {
-    /// Per-connection read timeout. `None` (the default) never times
-    /// out — byte-compatible with the pre-timeout server. With
-    /// `Some(t)`, a connection idle (no request bytes) for `t` is
-    /// disconnected and counted in `STATS idle_disconnects=`, so a
-    /// dead client cannot pin its reader thread forever.
-    pub read_timeout: Option<Duration>,
-}
-
-/// Binds `addr` and returns the listener plus its control handle.
-pub fn bind(addr: &str) -> std::io::Result<(TcpListener, ServerControl)> {
-    let listener = TcpListener::bind(addr)?;
-    let control = ServerControl {
-        stop: Arc::new(AtomicBool::new(false)),
-        addr: listener.local_addr()?,
-    };
-    Ok((listener, control))
 }
 
 /// Runs the accept loop until [`ServerControl::stop`] is called or a
@@ -138,24 +207,13 @@ pub fn bind(addr: &str) -> std::io::Result<(TcpListener, ServerControl)> {
 /// `accept` failures (`EMFILE`, `ECONNABORTED`, …) are survived, not
 /// propagated: each is counted in `kv_accept_errors_total{front="threaded"}`
 /// and recorded as a flight-recorder `accept_error` event.
-pub fn serve(
+fn serve(
     listener: TcpListener,
     control: &ServerControl,
     crew: Arc<WorkCrew>,
     service: Arc<KvService>,
-) -> std::io::Result<()> {
-    serve_with(listener, control, crew, service, ServeOptions::default())
-}
-
-/// [`serve`] with explicit [`ServeOptions`] (per-connection read
-/// timeout).
-pub fn serve_with(
-    listener: TcpListener,
-    control: &ServerControl,
-    crew: Arc<WorkCrew>,
-    service: Arc<KvService>,
-    opts: ServeOptions,
-) -> std::io::Result<()> {
+    read_timeout: Option<Duration>,
+) {
     // The crew serving this listener contributes its counters to the
     // service's unified registry (idempotent: replaces on re-serve).
     crew.register_metrics(service.registry());
@@ -199,7 +257,7 @@ pub fn serve_with(
         let control = control.clone();
         conns.push((
             std::thread::spawn(move || {
-                handle_connection(stream, &crew, &service, &control, opts);
+                handle_connection(stream, &crew, &service, &control, read_timeout);
             }),
             peer,
         ));
@@ -216,7 +274,6 @@ pub fn serve_with(
     for (c, _) in conns {
         let _ = c.join();
     }
-    Ok(())
 }
 
 fn handle_connection(
@@ -224,13 +281,13 @@ fn handle_connection(
     crew: &Arc<WorkCrew>,
     service: &Arc<KvService>,
     control: &ServerControl,
-    opts: ServeOptions,
+    read_timeout: Option<Duration>,
 ) {
     // Few short responses per flush: Nagle + the peer's delayed ACK
     // would otherwise stall every reply by tens of milliseconds.
     let _ = stream.set_nodelay(true);
-    if opts.read_timeout.is_some() {
-        let _ = stream.set_read_timeout(opts.read_timeout);
+    if read_timeout.is_some() {
+        let _ = stream.set_read_timeout(read_timeout);
     }
     let Ok(writer) = stream.try_clone() else {
         return;
@@ -400,19 +457,12 @@ mod tests {
 
     #[test]
     fn slowlog_over_tcp_records_pipelined_batches() {
-        let (listener, control) = bind("127.0.0.1:0").unwrap();
-        let addr = control.addr();
         let crew = Arc::new(WorkCrew::new(PoolConfig::unrestricted(2, 16)));
         let svc = Arc::new(KvService::with_shards(1, 4_096, 256));
         span::set_enabled(true);
         svc.set_slowlog_threshold_us(1); // everything is "slow"
-        let server = {
-            let crew = Arc::clone(&crew);
-            let svc = Arc::clone(&svc);
-            let control = control.clone();
-            std::thread::spawn(move || serve(listener, &control, crew, svc).unwrap())
-        };
-        let mut c = KvClient::connect(addr).unwrap();
+        let server = Server::start("127.0.0.1:0", svc, Front::Threaded(crew), None).unwrap();
+        let mut c = KvClient::connect(server.addr()).unwrap();
         // A pipelined window: the whole burst drains as one traced
         // batch (or a few, depending on TCP segmentation).
         for t in 0..64u64 {
@@ -434,26 +484,16 @@ mod tests {
         assert!(entry.contains(" EXEC_NS "), "{entry}");
         assert_eq!(c.roundtrip("SLOWLOG RESET").unwrap(), "OK");
         assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK");
-        server.join().unwrap();
-        crew.shutdown();
+        server.wait();
     }
 
     #[test]
     fn idle_read_timeout_disconnects_and_counts() {
-        let (listener, control) = bind("127.0.0.1:0").unwrap();
-        let addr = control.addr();
         let crew = Arc::new(WorkCrew::new(PoolConfig::unrestricted(1, 8)));
         let svc = Arc::new(KvService::new(64, 256));
-        let opts = ServeOptions {
-            read_timeout: Some(Duration::from_millis(50)),
-        };
-        let server = {
-            let crew = Arc::clone(&crew);
-            let svc = Arc::clone(&svc);
-            let control = control.clone();
-            std::thread::spawn(move || serve_with(listener, &control, crew, svc, opts).unwrap())
-        };
-        let mut c = KvClient::connect(addr).unwrap();
+        let (front, timeout) = (Front::Threaded(crew), Some(Duration::from_millis(50)));
+        let server = Server::start("127.0.0.1:0", Arc::clone(&svc), front, timeout).unwrap();
+        let mut c = KvClient::connect(server.addr()).unwrap();
         assert_eq!(c.roundtrip("PING").unwrap(), "PONG");
         // Go idle past the timeout: the server must hang up on us.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -474,27 +514,20 @@ mod tests {
             matches!(idle, Some(Sample::Counter(n)) if n >= 1),
             "{idle:?}"
         );
-        control.stop();
-        server.join().unwrap();
-        crew.shutdown();
+        server.stop();
     }
 
     #[test]
     fn end_to_end_over_tcp() {
-        let (listener, control) = bind("127.0.0.1:0").unwrap();
-        let addr = control.addr();
         let crew = Arc::new(WorkCrew::new(
             PoolConfig::malthusian(3, 32).with_acs_target(1),
         ));
         // Two shards: the closed-loop traffic below crosses shard
         // boundaries over real TCP.
         let svc = Arc::new(KvService::with_shards(2, 64, 256));
-        let server = {
-            let crew = Arc::clone(&crew);
-            let svc = Arc::clone(&svc);
-            let control = control.clone();
-            std::thread::spawn(move || serve(listener, &control, crew, svc).unwrap())
-        };
+        let front = Front::Threaded(Arc::clone(&crew));
+        let server = Server::start("127.0.0.1:0", svc, front, None).unwrap();
+        let addr = server.addr();
 
         let mut c = KvClient::connect(addr).unwrap();
         assert_eq!(c.roundtrip("PING").unwrap(), "PONG");
@@ -524,16 +557,17 @@ mod tests {
             );
         }
 
-        // SHUTDOWN with `c2` still connected: `serve` must disconnect
-        // the idle connection itself rather than wait for the client
-        // to hang up.
+        // SHUTDOWN with `c2` still connected: the server must
+        // disconnect the idle connection itself rather than wait for
+        // the client to hang up.
         assert_eq!(c.roundtrip("SHUTDOWN").unwrap(), "OK");
-        server.join().unwrap();
+        server.wait();
         drop(c2);
-        let stats = crew.shutdown();
-        // PING + PUT + 2 GETs + STATS + 400 closed-loop ops, each its
-        // own single-request batch (SHUTDOWN never reaches the crew;
-        // the ERR lines ride batch tasks too).
+        // Exact: the server shut the crew down. PING + PUT + 2 GETs +
+        // STATS + 400 closed-loop ops, each its own single-request
+        // batch (SHUTDOWN never reaches the crew; the ERR lines ride
+        // batch tasks too).
+        let stats = crew.stats();
         assert!(stats.completed >= 405, "completed = {}", stats.completed);
     }
 }

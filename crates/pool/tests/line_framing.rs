@@ -7,10 +7,11 @@
 //! connection, and a seeded script of every request shape, delivered
 //! in random-sized pieces, whose reply stream must be the same bytes
 //! from both front-ends and from a sequential model of the service.
+//! Stopping either front-end does not wait on a client that sits idle.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use malthus_metrics::LatencyHistogram;
@@ -18,9 +19,7 @@ use malthus_obs::exposition::Exposition;
 use malthus_obs::SpanContext;
 use malthus_park::XorShift64;
 use malthus_pool::protocol::MAX_BATCH_KEYS;
-use malthus_pool::{
-    serve_async, server, AsyncServeOptions, KvService, Parsed, PoolConfig, WorkCrew,
-};
+use malthus_pool::{Front, KvService, Parsed, PoolConfig, ReactorConfig, Server, WorkCrew};
 
 /// The store every server here, and the model they are compared with,
 /// is built over.
@@ -28,34 +27,14 @@ fn service() -> KvService {
     KvService::with_shards(4, 4_096, 256)
 }
 
-/// Boots one front-end on an ephemeral port; the closer stops it.
-fn start(reactor: bool) -> (SocketAddr, Box<dyn FnOnce()>) {
-    let (listener, control) = server::bind("127.0.0.1:0").unwrap();
-    let addr = control.addr();
-    let service = Arc::new(service());
-    let crew = Arc::new(WorkCrew::new(PoolConfig::malthusian(2, 16)));
-    let server = {
-        let (control, crew) = (control.clone(), Arc::clone(&crew));
-        std::thread::spawn(move || {
-            if reactor {
-                serve_async(
-                    listener,
-                    &control,
-                    service,
-                    AsyncServeOptions::malthusian(2),
-                )
-            } else {
-                server::serve(listener, &control, crew, service)
-            }
-            .unwrap()
-        })
+/// Boots one front-end on an ephemeral port.
+fn start(reactor: bool) -> Server {
+    let front = if reactor {
+        Front::Reactor(ReactorConfig::malthusian(2))
+    } else {
+        Front::Threaded(Arc::new(WorkCrew::new(PoolConfig::malthusian(2, 16))))
     };
-    let closer = move || {
-        control.stop();
-        server.join().unwrap();
-        crew.shutdown();
-    };
-    (addr, Box::new(closer))
+    Server::start("127.0.0.1:0", Arc::new(service()), front, None).unwrap()
 }
 
 fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
@@ -76,9 +55,40 @@ fn reply(reader: &mut BufReader<TcpStream>) -> String {
 
 fn on_both_front_ends(case: impl Fn(SocketAddr)) {
     for reactor in [false, true] {
-        let (addr, close) = start(reactor);
-        case(addr);
-        close();
+        let server = start(reactor);
+        case(server.addr());
+        server.stop();
+    }
+}
+
+/// `Server::stop` disconnects a client that has sent nothing instead of
+/// waiting for it: with one client's pipelined window answered and
+/// another connected and idle, it returns within 5 s on either
+/// front-end, and the idle client then reads EOF.
+#[test]
+fn stop_returns_with_an_idle_client_connected() {
+    for reactor in [false, true] {
+        let server = start(reactor);
+        // Connected first, so it is accepted before the busy client
+        // whose answers below prove that one was.
+        let (_idle, mut idle_replies) = connect(server.addr());
+        let (mut busy, mut replies) = connect(server.addr());
+        let window: String = (0..32u64).map(|t| format!("#{t} PUT {t} {t}\n")).collect();
+        busy.write_all(window.as_bytes()).unwrap();
+        for t in 0..32u64 {
+            assert_eq!(reply(&mut replies), format!("#{t} OK\n"));
+        }
+        let (done, stopped) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.stop();
+            let _ = done.send(());
+        });
+        let in_time = stopped.recv_timeout(Duration::from_secs(5)).is_ok();
+        assert!(in_time, "reactor={reactor}: stop waited on the idle client");
+        stopper.join().unwrap();
+        let mut rest = Vec::new();
+        idle_replies.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, b"", "reactor={reactor}: the idle client reads EOF");
     }
 }
 
@@ -293,8 +303,8 @@ fn a_seeded_script_in_random_chunks_reads_the_same_from_both_front_ends_and_the_
 #[test]
 fn every_stats_field_is_what_the_metrics_scrape_says() {
     for reactor in [false, true] {
-        let (addr, close) = start(reactor);
-        let (mut c, mut replies) = connect(addr);
+        let server = start(reactor);
+        let (mut c, mut replies) = connect(server.addr());
         let window: String = (0..64u64)
             .map(|t| match t % 4 {
                 0 => format!("#{t} PUT {t} {}\n", t * 10),
@@ -314,7 +324,7 @@ fn every_stats_field_is_what_the_metrics_scrape_says() {
         while !doc.ends_with("# EOF\n") {
             assert!(replies.read_line(&mut doc).unwrap() > 0, "{doc}");
         }
-        close();
+        server.stop();
 
         let m = Exposition::parse(&doc);
         let sum = |names: &[&str]| -> u64 {

@@ -7,8 +7,8 @@
 //! slice of the batch under **one** DB-lock acquisition, and flush
 //! every response in one write — so the closed loop is priced by the
 //! store, not by per-request round trips and scheduler handoffs.
-//! This module measures that end to end: it boots a real
-//! [`server::serve`] loop on an ephemeral loopback port, drives it with
+//! This module measures that end to end: it boots a real front-end
+//! ([`Server::start`]) on an ephemeral loopback port, drives it with
 //! `conns` windowed client threads (depth 1 = the classic untagged
 //! closed loop), and reports throughput *plus the admission
 //! evidence* — drained-batch statistics from the server's
@@ -25,8 +25,7 @@ use std::time::{Duration, Instant};
 
 use malthus_park::XorShift64;
 use malthus_pool::kv::KvService;
-use malthus_pool::server;
-use malthus_pool::{serve_async, AsyncServeOptions, KvClient, PoolConfig, WorkCrew};
+use malthus_pool::{Front, KvClient, PoolConfig, ReactorConfig, Server, WorkCrew};
 
 /// Per-shard memtable limit for the workload store: large enough that
 /// run freezes are rare during a cell, so the measured exclusive
@@ -142,13 +141,14 @@ fn connect_with_retry(addr: SocketAddr) -> KvClient {
         .unwrap_or_else(|e| panic!("could not connect to {addr} after {TRIES} tries: {e}"))
 }
 
-/// Which server front-end a pipeline cell boots.
+/// Which server front-end a pipeline cell boots; [`run_pipeline`]
+/// turns it into the [`Front`] it starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontEnd {
     /// Thread-per-connection readers dispatching onto a [`WorkCrew`]
-    /// ([`server::serve`]).
+    /// ([`Front::Threaded`]).
     Threaded,
-    /// The `malthus-net` reactor ([`serve_async`]): poll-admitted
+    /// The `malthus-net` reactor ([`Front::Reactor`]): poll-admitted
     /// workers, ready connections drained as batches in place.
     Reactor,
 }
@@ -196,24 +196,24 @@ pub fn run_pipeline(
     seed: u64,
 ) -> PipelineReport {
     let shards = service.store().shard_count();
-    let (listener, control) = server::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = control.addr();
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The reactor needs no thread per connection, so its pool stays
-    // small; the threaded crew is sized as `kv_server` sizes it.
-    let workers = match front {
-        FrontEnd::Threaded => (2 * conns).max(4),
-        FrontEnd::Reactor => cpus.max(2),
+    // small; the threaded crew is sized as `kv_server` sizes it, and
+    // built before the prefill so its surplus workers have culled by
+    // the time the interval starts.
+    let front = match front {
+        FrontEnd::Threaded => {
+            let workers = (2 * conns).max(4);
+            let acs = malthus::policy::acs_target(workers, shards);
+            let crew = WorkCrew::new(PoolConfig::malthusian(workers, 256).with_acs_target(acs));
+            Front::Threaded(Arc::new(crew))
+        }
+        FrontEnd::Reactor => {
+            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let workers = cpus.max(2);
+            let acs = malthus::policy::acs_target(workers, shards);
+            Front::Reactor(ReactorConfig::malthusian(workers).with_acs_target(acs))
+        }
     };
-    let acs = malthus::policy::acs_target(workers, shards);
-    // Only the threaded front-end dispatches onto a crew; building
-    // one for a reactor cell would just park idle threads during the
-    // measurement.
-    let crew = (front == FrontEnd::Threaded).then(|| {
-        Arc::new(WorkCrew::new(
-            PoolConfig::malthusian(workers, 256).with_acs_target(acs),
-        ))
-    });
     // Prefill so the GET side of the mix can hit. Chunked MSETs keep
     // this cheap on a durable store: one group commit per chunk per
     // shard instead of one fsync per key.
@@ -241,24 +241,9 @@ pub fn run_pipeline(
     let writes_before = before.writes();
     let wal_syncs_before = before.wal_syncs();
 
-    let server = match &crew {
-        Some(crew) => {
-            let crew = Arc::clone(crew);
-            let service = Arc::clone(&service);
-            let control = control.clone();
-            std::thread::spawn(move || server::serve(listener, &control, crew, service))
-        }
-        None => {
-            let service = Arc::clone(&service);
-            let control = control.clone();
-            let opts = AsyncServeOptions {
-                workers,
-                acs_target: acs,
-                read_timeout: None,
-            };
-            std::thread::spawn(move || serve_async(listener, &control, service, opts))
-        }
-    };
+    let server =
+        Server::start("127.0.0.1:0", Arc::clone(&service), front, None).expect("bind loopback");
+    let addr = server.addr();
 
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));
@@ -351,8 +336,7 @@ pub fn run_pipeline(
         _ => 0.0,
     };
 
-    control.stop();
-    server.join().expect("server thread").expect("serve loop");
+    server.stop();
     let after = service.store().stats();
     let episodes_after: u64 = after
         .per_shard
@@ -361,7 +345,7 @@ pub fn run_pipeline(
         .sum();
     let writes_after = after.writes();
     let p = service.pipeline_stats();
-    let report = PipelineReport {
+    PipelineReport {
         reads: reads.load(Ordering::SeqCst),
         writes: writes.load(Ordering::SeqCst),
         errors: errors.load(Ordering::SeqCst),
@@ -371,11 +355,7 @@ pub fn run_pipeline(
         server_writes: writes_after.saturating_sub(writes_before),
         exclusive_episodes: episodes_after.saturating_sub(episodes_before),
         wal_syncs: after.wal_syncs().saturating_sub(wal_syncs_before),
-    };
-    if let Some(crew) = crew {
-        crew.shutdown();
     }
-    report
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@
 
 use std::sync::Arc;
 
-use malthusian::pool::{server, KvService};
-use malthusian::pool::{KvClient, PoolConfig, WorkCrew};
+use malthusian::pool::{Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
 use malthusian::workloads::pipeline::{
     run_pipeline, FrontEnd, PipelineShape, CACHE_BLOCKS, MEMTABLE_LIMIT,
 };
@@ -27,22 +26,14 @@ fn interval_ms() -> u64 {
 
 fn main() {
     // A small live server for the wire-level tour.
-    let (listener, control) = server::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = control.addr();
-    let crew = Arc::new(WorkCrew::new(
-        PoolConfig::malthusian(4, 64).with_acs_target(1),
-    ));
+    let crew = WorkCrew::new(PoolConfig::malthusian(4, 64).with_acs_target(1));
     let service = Arc::new(KvService::with_shards(2, 1_024, 4_096));
-    let server = {
-        let crew = Arc::clone(&crew);
-        let service = Arc::clone(&service);
-        let control = control.clone();
-        std::thread::spawn(move || server::serve(listener, &control, crew, service).unwrap())
-    };
+    let front = Front::Threaded(Arc::new(crew));
+    let server = Server::start("127.0.0.1:0", service, front, None).expect("bind loopback");
 
     // A tagged burst: eight requests leave before any response is
     // read; the replies echo the tags in request order.
-    let mut c = KvClient::connect(addr).unwrap();
+    let mut c = KvClient::connect(server.addr()).unwrap();
     for tag in 0..8u64 {
         c.send_tagged(tag, &format!("PUT {tag} {}", tag * 100))
             .unwrap();
@@ -63,9 +54,7 @@ fn main() {
     println!("# {stats}");
     assert!(stats.contains("pbatches="), "{stats}");
     drop(c);
-    control.stop();
-    server.join().unwrap();
-    crew.shutdown();
+    server.stop();
 
     // The A/B that motivates the protocol: same traffic at depth 1
     // and depth 16 (fresh server per run, 2 connections, 20% PUT).

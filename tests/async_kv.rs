@@ -1,5 +1,5 @@
 //! The pipelined-KV wire invariants, replayed against the **reactor
-//! front-end** (`serve_async`): tagged responses echo in request
+//! front-end** (`Front::Reactor`): tagged responses echo in request
 //! order, tagged/untagged streams interleave, malformed tags earn
 //! `ERR` without killing the connection, a single-segment burst
 //! answers every line, a depth-16 stress run passes under the
@@ -14,42 +14,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use malthus_obs::Sample;
-use malthus_pool::{serve_async, server, AsyncServeOptions, KvClient, KvService};
+use malthus_pool::{Front, KvClient, KvService, ReactorConfig, Server};
 
 mod common;
 
-/// Boots a reactor-front-end server on an ephemeral loopback port;
-/// returns the address and a closer that shuts everything down.
+/// Boots a reactor-front-end server (three workers, one polling) on
+/// an ephemeral loopback port; returns the address and a closer that
+/// shuts everything down.
 fn start_async_server(
     shards: usize,
     read_timeout: Option<Duration>,
 ) -> (SocketAddr, Arc<KvService>, impl FnOnce()) {
-    let (listener, control) = server::bind("127.0.0.1:0").unwrap();
-    let addr = control.addr();
     let service = Arc::new(KvService::with_shards(shards, 64, 256));
-    let server = {
-        let service = Arc::clone(&service);
-        let control = control.clone();
-        std::thread::spawn(move || {
-            serve_async(
-                listener,
-                &control,
-                service,
-                AsyncServeOptions {
-                    workers: 3,
-                    acs_target: 1,
-                    read_timeout,
-                },
-            )
-            .unwrap()
-        })
-    };
-    let service_out = Arc::clone(&service);
-    let closer = move || {
-        control.stop();
-        server.join().unwrap();
-    };
-    (addr, service_out, closer)
+    let front = Front::Reactor(ReactorConfig::malthusian(3).with_acs_target(1));
+    let server = Server::start("127.0.0.1:0", Arc::clone(&service), front, read_timeout).unwrap();
+    (server.addr(), service, move || server.stop())
 }
 
 #[test]

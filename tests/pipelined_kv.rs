@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use malthus_pool::protocol::MAX_BATCH_KEYS;
-use malthus_pool::{server, KvClient, KvService, PoolConfig, WorkCrew};
+use malthus_pool::{server, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
 
 mod common;
 use common::run_with_watchdog;
@@ -46,24 +46,11 @@ fn start_server_with(
     shards: usize,
     crew: PoolConfig,
 ) -> (SocketAddr, Arc<KvService>, Arc<WorkCrew>, impl FnOnce()) {
-    let (listener, control) = server::bind("127.0.0.1:0").unwrap();
-    let addr = control.addr();
     let crew = Arc::new(WorkCrew::new(crew));
     let service = Arc::new(KvService::with_shards(shards, 64, 256));
-    let server = {
-        let crew = Arc::clone(&crew);
-        let service = Arc::clone(&service);
-        let control = control.clone();
-        std::thread::spawn(move || server::serve(listener, &control, crew, service).unwrap())
-    };
-    let service_out = Arc::clone(&service);
-    let crew_out = Arc::clone(&crew);
-    let closer = move || {
-        control.stop();
-        server.join().unwrap();
-        crew.shutdown();
-    };
-    (addr, service_out, crew_out, closer)
+    let front = Front::Threaded(Arc::clone(&crew));
+    let server = Server::start("127.0.0.1:0", Arc::clone(&service), front, None).unwrap();
+    (server.addr(), service, crew, move || server.stop())
 }
 
 #[test]

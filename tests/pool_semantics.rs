@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use malthusian::pool::{server, KvClient, KvService, PoolConfig, WorkCrew};
+use malthusian::pool::{Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
 
 #[test]
 fn culled_workers_are_reprovisioned_and_no_task_is_lost() {
@@ -192,18 +192,13 @@ fn shutdown_with_a_slot_lent_drains_the_queue_without_hanging() {
 
 #[test]
 fn kv_service_round_trips_under_the_restricted_crew() {
-    let (listener, control) = server::bind("127.0.0.1:0").unwrap();
-    let addr = control.addr();
     let crew = Arc::new(WorkCrew::new(
         PoolConfig::malthusian(4, 64).with_acs_target(1),
     ));
     let svc = Arc::new(KvService::new(128, 1_024));
-    let server = {
-        let crew = Arc::clone(&crew);
-        let svc = Arc::clone(&svc);
-        let control = control.clone();
-        std::thread::spawn(move || server::serve(listener, &control, crew, svc).unwrap())
-    };
+    let front = Front::Threaded(Arc::clone(&crew));
+    let server = Server::start("127.0.0.1:0", Arc::clone(&svc), front, None).unwrap();
+    let addr = server.addr();
 
     // Two concurrent closed-loop clients with disjoint key ranges.
     let clients: Vec<_> = (0..2u64)
@@ -238,9 +233,9 @@ fn kv_service_round_trips_under_the_restricted_crew() {
     let stats_line = cl.roundtrip("STATS").unwrap();
     assert!(stats_line.starts_with("STATS reads="), "{stats_line}");
     assert_eq!(cl.roundtrip("SHUTDOWN").unwrap(), "OK");
-    server.join().unwrap();
+    server.wait();
 
-    let stats = crew.shutdown();
+    let stats = crew.stats(); // exact: the server shut the crew down
     assert!(stats.completed >= 603, "completed = {}", stats.completed);
     let store = svc.store().stats();
     assert_eq!(store.writes(), 300);
