@@ -5,8 +5,7 @@
 //! ```
 //!
 //! Compares every contended cell present in both documents (works on
-//! `BENCH_locks.json`, `BENCH_rwlock.json` and `BENCH_shard.json`
-//! alike) and reports the per-lock and overall **weighted
+//! `BENCH_locks.json` and `BENCH_rwlock.json` alike) and reports the per-lock and overall **weighted
 //! geometric-mean** speedup of NEW over OLD. Instead of trusting
 //! every median equally, each cell's log-ratio is weighted by
 //! `1 / (1 + spread_old + spread_new)` using the recorded

@@ -41,7 +41,6 @@ fn main() {
         series: locks.map(|(name, mk)| (name.to_string(), mk)).to_vec(),
         cells: thread_sweep(&[1, 4, 8]),
         trials: trials(),
-        diagnostics: &[],
         axes: Vec::new(),
     };
     eprintln!(
@@ -49,7 +48,7 @@ fn main() {
     );
     let result = sweep.run(
         Some(&mut |mk| uncontended_ns_per_op(&*mk(), uncontended_iters)),
-        &mut |mk, threads, _| (contended_ops_per_sec(mk(), threads, contended_ms), vec![]),
+        &mut |mk, threads, _| contended_ops_per_sec(mk(), threads, contended_ms),
     );
     result.emit("BENCH_locks.json", &[]);
 }

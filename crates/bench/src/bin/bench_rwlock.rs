@@ -56,7 +56,6 @@ fn main() {
             .collect(),
         cells: thread_sweep(&[2, 4, 8]),
         trials: trials(),
-        diagnostics: &[],
         axes: vec![("read_fractions", fractions.clone())],
     };
     eprintln!("# bench_rwlock: fractions {fractions:?}, {contended_ms} ms per cell");
@@ -66,8 +65,7 @@ fn main() {
     let result = sweep.run(
         Some(&mut |&(mk, _)| uncontended_read_ns(&*mk(), uncontended_iters)),
         &mut |&(mk, read_pct), threads, seed| {
-            let ops = contended_rw_ops_per_sec(mk(), read_pct, threads, contended_ms, seed);
-            (ops, vec![])
+            contended_rw_ops_per_sec(mk(), read_pct, threads, contended_ms, seed)
         },
     );
 

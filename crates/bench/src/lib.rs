@@ -12,7 +12,6 @@
 
 pub mod compare;
 pub mod livebench;
-pub mod pipebench;
 pub mod rwbench;
 pub mod sweep;
 

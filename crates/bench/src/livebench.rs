@@ -230,12 +230,11 @@ mod tests {
             series: vec![("MCS-STP".to_string(), McsLock::stp as fn() -> McsLock)],
             cells: vec![1, 2],
             trials: 1,
-            diagnostics: &[],
             axes: Vec::new(),
         };
         let out = sweep.run(
             Some(&mut |mk| uncontended_ns_per_op(&mk(), 1_000)),
-            &mut |mk, threads, _| (contended_ops_per_sec(Arc::new(mk()), threads, 20), vec![]),
+            &mut |mk, threads, _| contended_ops_per_sec(Arc::new(mk()), threads, 20),
         );
         assert_eq!(out.series.len(), 1);
         let s = &out.series[0];

@@ -4,26 +4,21 @@
 //! The paper's evaluation (§6) is one experiment shape — sweep a
 //! thread count, interleave the series, report the median — so it is
 //! written once: a [`Sweep`] names the series, the cell sizes, the
-//! trial count and the per-cell diagnostics; [`Sweep::run`] drives
-//! the round-major interleaved loop (every series × cell measured
-//! once per round, so slow host drift biases all series equally
-//! instead of whichever happened to run last); the [`SweepResult`]
-//! owns everything after it — median and spread per cell, the
-//! diagnostic maps, the host triple `bench_compare` weighs cells by,
-//! the text table and the write. A binary is left with its series
+//! trial count; [`Sweep::run`] drives the round-major interleaved
+//! loop (every series × cell measured once per round, so slow host
+//! drift biases all series equally instead of whichever happened to
+//! run last); the [`SweepResult`] owns everything after it — median
+//! and spread per cell, the host triple `bench_compare` weighs cells
+//! by, the text table and the write. A binary is left with its series
 //! definitions, its cell function and its headline lines.
 
 use malthus_metrics::{format_table, Column};
 
 use crate::livebench::{median, rel_spread, to_json, Series};
 
-/// One measured cell: ops/s plus the cell's diagnostics, in the order
-/// [`Sweep::diagnostics`] names them.
-pub type Sample = (f64, Vec<f64>);
-
 /// A sweep definition. `S` is whatever the binary's cell function
-/// needs to build one series (a lock factory, a `(depth, shards)`
-/// pair, …).
+/// needs to build one series (a lock factory, a `(lock, read
+/// fraction)` pair, …).
 pub struct Sweep<S> {
     /// Series in legend order: document name plus its definition.
     pub series: Vec<(String, S)>,
@@ -33,20 +28,17 @@ pub struct Sweep<S> {
     /// Interleaved rounds; a cell reports the median of this many
     /// samples. Passed by value: only a `main` reads the environment.
     pub trials: usize,
-    /// Names of the per-cell diagnostics, each emitted as a
-    /// `{"series": {"cell": median}}` map.
-    pub diagnostics: &'static [&'static str],
     /// The other swept dimensions the series names encode
-    /// (`depth_sweep`, `shard_sweep`, …), recorded in the document.
+    /// (`read_fractions`, …), recorded in the document.
     pub axes: Vec<(&'static str, Vec<usize>)>,
 }
 
-/// Raw samples of a sweep: `cells[series][cell]` holds one [`Sample`]
-/// per round, `uncontended[series]` one latency per round (empty when
-/// the sweep has no single-thread latency cell).
+/// Raw samples of a sweep: `cells[series][cell]` holds one ops/s
+/// sample per round, `uncontended[series]` one latency per round
+/// (empty when the sweep has no single-thread latency cell).
 struct Samples {
     uncontended: Vec<Vec<f64>>,
-    cells: Vec<Vec<Vec<Sample>>>,
+    cells: Vec<Vec<Vec<f64>>>,
 }
 
 /// The host's CPU count (0 when it cannot be determined) — recorded
@@ -64,7 +56,7 @@ impl<S> Sweep<S> {
     pub fn run(
         &self,
         mut uncontended: Option<&mut dyn FnMut(&S) -> f64>,
-        measure: &mut dyn FnMut(&S, usize, u64) -> Sample,
+        measure: &mut dyn FnMut(&S, usize, u64) -> f64,
     ) -> SweepResult {
         let mut samples = Samples {
             uncontended: vec![Vec::new(); self.series.len()],
@@ -96,8 +88,6 @@ impl<S> Sweep<S> {
     /// measured on a host of `host_cpus` CPUs.
     fn summarize(&self, samples: &Samples, host_cpus: usize) -> SweepResult {
         let mut series = Vec::new();
-        let mut diagnostics: Vec<(&'static str, Vec<Vec<f64>>)> =
-            (self.diagnostics.iter().map(|&name| (name, Vec::new()))).collect();
         for (i, (name, _)) in self.series.iter().enumerate() {
             let mut s = Series {
                 name: name.clone(),
@@ -108,22 +98,14 @@ impl<S> Sweep<S> {
                 contended: Vec::new(),
                 contended_spread: Vec::new(),
             };
-            for (_, rows) in &mut diagnostics {
-                rows.push(Vec::new());
-            }
-            for (&cell, trials) in self.cells.iter().zip(&samples.cells[i]) {
-                let ops: Vec<f64> = trials.iter().map(|t| t.0).collect();
-                s.contended_spread.push((cell, rel_spread(&ops)));
-                s.contended.push((cell, median(ops)));
-                for (d, (_, rows)) in diagnostics.iter_mut().enumerate() {
-                    rows[i].push(median(trials.iter().map(|t| t.1[d]).collect()));
-                }
+            for (&cell, ops) in self.cells.iter().zip(&samples.cells[i]) {
+                s.contended_spread.push((cell, rel_spread(ops)));
+                s.contended.push((cell, median(ops.clone())));
             }
             series.push(s);
         }
         SweepResult {
             series,
-            diagnostics,
             cells: self.cells.clone(),
             axes: self.axes.clone(),
             host_cpus,
@@ -131,13 +113,11 @@ impl<S> Sweep<S> {
     }
 }
 
-/// A finished sweep: medians, spreads and diagnostics per cell, plus
-/// what the document says about the host that measured them.
+/// A finished sweep: medians and spreads per cell, plus what the
+/// document says about the host that measured them.
 pub struct SweepResult {
     /// Per-series medians and spreads, in legend order.
     pub series: Vec<Series>,
-    /// `(name, medians[series][cell])` per diagnostic.
-    diagnostics: Vec<(&'static str, Vec<Vec<f64>>)>,
     cells: Vec<usize>,
     axes: Vec<(&'static str, Vec<usize>)>,
     host_cpus: usize,
@@ -150,82 +130,27 @@ fn json_list(xs: impl IntoIterator<Item = usize>) -> String {
 }
 
 impl SweepResult {
-    fn position(&self, series: &str, cell: usize) -> (usize, usize) {
-        let i = self.series.iter().position(|s| s.name == series);
-        let j = self.cells.iter().position(|&c| c == cell);
-        match (i, j) {
-            (Some(i), Some(j)) => (i, j),
-            _ => panic!("cell {series}/{cell} was not swept"),
-        }
-    }
-
     /// Median ops/s of one cell, for a binary's headline lines.
     ///
     /// # Panics
     ///
     /// Panics if the series or the cell was not part of the sweep.
     pub fn ops(&self, series: &str, cell: usize) -> f64 {
-        let (i, j) = self.position(series, cell);
-        self.series[i].contended[j].1
-    }
-
-    /// Median of the diagnostic `name` at one cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the diagnostic, the series or the cell was not part
-    /// of the sweep.
-    pub fn diagnostic(&self, name: &str, series: &str, cell: usize) -> f64 {
-        let (i, j) = self.position(series, cell);
-        let (_, medians) = (self.diagnostics.iter())
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("diagnostic {name} was not recorded"));
-        medians[i][j]
-    }
-
-    /// The same measurements under other series names: `rename`
-    /// returns a series' new name, or `None` to leave it out.
-    /// (`bench_obs` cuts its per-mode part files this way, so the
-    /// parts share cell names and `bench_compare` lines them up.)
-    pub fn renamed(&self, rename: impl Fn(&str) -> Option<String>) -> SweepResult {
-        let kept: Vec<(usize, String)> = (self.series.iter().enumerate())
-            .filter_map(|(i, s)| Some((i, rename(&s.name)?)))
-            .collect();
-        SweepResult {
-            series: (kept.iter())
-                .map(|(i, name)| Series {
-                    name: name.clone(),
-                    ..self.series[*i].clone()
-                })
-                .collect(),
-            diagnostics: (self.diagnostics.iter())
-                .map(|(n, m)| (*n, kept.iter().map(|(i, _)| m[*i].clone()).collect()))
-                .collect(),
-            cells: self.cells.clone(),
-            axes: self.axes.clone(),
-            host_cpus: self.host_cpus,
+        let i = self.series.iter().position(|s| s.name == series);
+        let j = self.cells.iter().position(|&c| c == cell);
+        match (i, j) {
+            (Some(i), Some(j)) => self.series[i].contended[j].1,
+            _ => panic!("cell {series}/{cell} was not swept"),
         }
     }
 
-    /// Renders the document: series sections, diagnostic maps,
-    /// `host_cpus`, the axes, `threads_swept`,
-    /// `oversubscribed_threads` (cells above the host's CPU count:
-    /// scheduler noise dominates there, and `bench_compare` discounts
-    /// them), then the binary's own `extras` as raw JSON values.
+    /// Renders the document: series sections, `host_cpus`, the axes,
+    /// `threads_swept`, `oversubscribed_threads` (cells above the
+    /// host's CPU count: scheduler noise dominates there, and
+    /// `bench_compare` discounts them), then the binary's own `extras`
+    /// as raw JSON values.
     pub fn to_json(&self, extras: &[(&str, String)]) -> String {
-        let mut all: Vec<(&str, String)> = Vec::new();
-        for (name, medians) in &self.diagnostics {
-            let per_series: Vec<String> = (self.series.iter().zip(medians))
-                .map(|(s, row)| {
-                    let cells: Vec<String> = (self.cells.iter().zip(row))
-                        .map(|(c, m)| format!("\"{c}\": {m:.3}"))
-                        .collect();
-                    format!("\"{}\": {{{}}}", s.name, cells.join(", "))
-                })
-                .collect();
-            all.push((name, format!("{{{}}}", per_series.join(", "))));
-        }
-        all.push(("host_cpus", self.host_cpus.to_string()));
+        let mut all = vec![("host_cpus", self.host_cpus.to_string())];
         for (name, values) in &self.axes {
             all.push((name, json_list(values.iter().copied())));
         }
@@ -238,7 +163,7 @@ impl SweepResult {
     }
 
     /// The human-readable table: one row per series, one column per
-    /// cell (`ops/s`, then the cell's diagnostics in parentheses).
+    /// cell.
     pub fn table(&self) -> String {
         let latency = self.series.iter().any(|s| s.uncontended_ns.is_finite());
         let mut columns = vec![Column::left("series")];
@@ -246,52 +171,32 @@ impl SweepResult {
             columns.push(Column::right("uncontended"));
         }
         columns.extend(self.cells.iter().map(|c| Column::right(format!("{c}T"))));
-        let rows: Vec<Vec<String>> = (self.series.iter().enumerate())
-            .map(|(i, s)| {
+        let rows: Vec<Vec<String>> = (self.series.iter())
+            .map(|s| {
                 let mut row = vec![s.name.clone()];
                 if latency {
                     row.push(format!("{:.1} ns", s.uncontended_ns));
                 }
-                for (j, (_, ops)) in s.contended.iter().enumerate() {
-                    let diags: Vec<String> = (self.diagnostics.iter())
-                        .map(|(_, m)| format!("{:.3}", m[i][j]))
-                        .collect();
-                    row.push(if diags.is_empty() {
-                        format!("{ops:.0}/s")
-                    } else {
-                        format!("{ops:.0}/s ({})", diags.join(" "))
-                    });
-                }
+                row.extend(s.contended.iter().map(|(_, ops)| format!("{ops:.0}/s")));
                 row
             })
             .collect();
-        let mut out = format_table(&columns, &rows);
-        if !self.diagnostics.is_empty() {
-            let names: Vec<&str> = self.diagnostics.iter().map(|(n, _)| *n).collect();
-            out.push_str(&format!("# (..) = {}\n", names.join(", ")));
-        }
-        out
+        format_table(&columns, &rows)
     }
 
-    /// Writes the document to `path`.
+    /// Prints the table and writes the document to `MALTHUS_BENCH_OUT`
+    /// (default `default_out`).
     ///
     /// # Panics
     ///
     /// Panics if the file cannot be written: a bench run whose
     /// recording is lost has failed.
-    pub fn write(&self, path: &str, extras: &[(&str, String)]) {
-        std::fs::write(path, self.to_json(extras))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("# wrote {path}");
-    }
-
-    /// Prints the table and writes the document to `MALTHUS_BENCH_OUT`
-    /// (default `default_out`); returns the path written.
-    pub fn emit(&self, default_out: &str, extras: &[(&str, String)]) -> String {
+    pub fn emit(&self, default_out: &str, extras: &[(&str, String)]) {
         print!("{}", self.table());
         let path = std::env::var("MALTHUS_BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
-        self.write(&path, extras);
-        path
+        std::fs::write(&path, self.to_json(extras))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        eprintln!("# wrote {path}");
     }
 }
 
@@ -299,30 +204,27 @@ impl SweepResult {
 mod tests {
     use super::*;
     use crate::compare;
-    use crate::pipebench::depth_series;
 
-    /// The `bench_pipeline` shape: depth × shards series, connection
-    /// cells, two diagnostics.
-    fn pipeline_sweep(trials: usize) -> Sweep<(usize, usize)> {
+    /// A depth × shards sweep over connection cells: series
+    /// `depth<D>@shards<S>`, depth major.
+    fn depth_sweep(trials: usize) -> Sweep<(usize, usize)> {
         Sweep {
-            series: depth_series(&[1, 16], &[2]),
+            series: vec![
+                ("depth1@shards2".to_string(), (1, 2)),
+                ("depth16@shards2".to_string(), (16, 2)),
+            ],
             cells: vec![2, 4],
             trials,
-            diagnostics: &["exclusive_episodes_per_write", "mean_drained_batch"],
             axes: vec![("depth_sweep", vec![1, 16]), ("shard_sweep", vec![2])],
         }
     }
 
-    /// `cells[series][cell]` from per-trial `(ops, excl, batch)`.
-    fn samples(cells: [[[(f64, f64, f64); 3]; 2]; 2]) -> Samples {
+    /// `cells[series][cell]` from per-trial ops/s.
+    fn samples(cells: [[[f64; 3]; 2]; 2]) -> Samples {
         Samples {
             uncontended: vec![Vec::new(); 2],
             cells: (cells.iter())
-                .map(|series| {
-                    (series.iter())
-                        .map(|trials| trials.iter().map(|&(o, e, b)| (o, vec![e, b])).collect())
-                        .collect()
-                })
+                .map(|series| series.iter().map(|trials| trials.to_vec()).collect())
                 .collect(),
         }
     }
@@ -331,14 +233,14 @@ mod tests {
     fn rounds_interleave_every_series_and_cell_under_distinct_seeds() {
         let mut calls = Vec::new();
         let mut latency_calls = Vec::new();
-        let result = pipeline_sweep(3).run(
+        let result = depth_sweep(3).run(
             Some(&mut |&def| {
                 latency_calls.push(def);
                 10.0
             }),
             &mut |&def, cell, seed| {
                 calls.push((def, cell, seed));
-                (cell as f64, vec![0.0, 0.0])
+                cell as f64
             },
         );
         // Round-major: one full pass over series x cells, three times.
@@ -352,25 +254,18 @@ mod tests {
         assert_eq!(seeds.len(), calls.len(), "a seed was reused");
         assert_eq!(result.ops("depth16@shards2", 4), 4.0);
         assert_eq!(result.series[0].uncontended_ns, 10.0);
+        assert!(result.table().contains("depth1@shards2"));
     }
 
     #[test]
-    fn pipeline_shape_renders_the_parent_document_byte_for_byte() {
+    fn a_sweep_renders_its_document_byte_for_byte() {
         let samples = samples([
-            [
-                [(100.0, 1.0, 1.0), (120.0, 1.0, 1.0), (110.0, 1.0, 1.0)],
-                [(90.5, 1.0, 1.0), (80.25, 1.0, 1.0), (85.0, 1.0, 1.0)],
-            ],
-            [
-                [(400.0, 0.5, 6.0), (300.0, 0.4, 5.0), (350.0, 0.45, 5.5)],
-                [(500.0, 0.3, 8.0), (450.0, 0.35, 9.0), (475.125, 0.25, 10.0)],
-            ],
+            [[100.0, 120.0, 110.0], [90.5, 80.25, 85.0]],
+            [[400.0, 300.0, 350.0], [500.0, 450.0, 475.125]],
         ]);
-        let doc = pipeline_sweep(3)
+        let doc = depth_sweep(3)
             .summarize(&samples, 2)
             .to_json(&[("put_pct", "20".into()), ("keys", "10000".into())]);
-        // Rendered by the parent's `bench_pipeline` (its `to_json` plus
-        // hand-built extras) from the same samples.
         let golden = r#"{
   "contended_ops_per_sec": {
     "depth1@shards2": {"2": 110.00, "4": 85.00},
@@ -380,8 +275,6 @@ mod tests {
     "depth1@shards2": {"2": 0.182, "4": 0.121},
     "depth16@shards2": {"2": 0.286, "4": 0.105}
   },
-  "exclusive_episodes_per_write": {"depth1@shards2": {"2": 1.000, "4": 1.000}, "depth16@shards2": {"2": 0.450, "4": 0.300}},
-  "mean_drained_batch": {"depth1@shards2": {"2": 1.000, "4": 1.000}, "depth16@shards2": {"2": 5.500, "4": 9.000}},
   "host_cpus": 2,
   "depth_sweep": [1, 16],
   "shard_sweep": [2],
@@ -396,8 +289,7 @@ mod tests {
 
     #[test]
     fn every_document_tells_compare_which_cells_oversubscribe_the_host() {
-        let flat = [[[(100.0, 1.0, 1.0); 3]; 2]; 2];
-        let result = pipeline_sweep(3).summarize(&samples(flat), 2);
+        let result = depth_sweep(3).summarize(&samples([[[100.0; 3]; 2]; 2]), 2);
         let doc = compare::parse(&result.to_json(&[])).unwrap();
         for key in ["host_cpus", "threads_swept", "oversubscribed_threads"] {
             assert!(doc.get(key).is_some(), "document lacks {key}");
@@ -409,17 +301,5 @@ mod tests {
             // 2-connection cells are not.
             assert_eq!(cell.oversubscribed, cell.threads == "4", "{cell:?}");
         }
-    }
-
-    #[test]
-    fn renamed_parts_share_cell_names() {
-        let flat = [[[(100.0, 1.0, 1.0); 3]; 2]; 2];
-        let result = pipeline_sweep(3).summarize(&samples(flat), 2);
-        let part = result.renamed(|name| Some(format!("x@{}", name.strip_prefix("depth16@")?)));
-        assert_eq!(part.series.len(), 1);
-        assert_eq!(part.ops("x@shards2", 2), 100.0);
-        assert_eq!(part.diagnostic("mean_drained_batch", "x@shards2", 4), 1.0);
-        assert!(compare::parse(&part.to_json(&[])).is_ok());
-        assert!(result.table().contains("depth1@shards2"));
     }
 }

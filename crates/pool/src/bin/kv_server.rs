@@ -50,8 +50,8 @@
 //! * `--slowlog-threshold-us <n>` — batches whose end-to-end latency
 //!   meets the threshold land in the `SLOWLOG` ring with a per-stage
 //!   breakdown (default 10000 µs; 0 disables capture). Per-batch spans
-//!   are always on; `bench_obs` prices them against a spans-off
-//!   baseline in process.
+//!   are always on; the end-to-end benchmark prices a span's close as
+//!   `obs.span_finish_ns_per_batch`.
 //! * `--fault-plan <spec>` — arm the deterministic fault-injection
 //!   layer (`malthus-fault`) for this process: e.g.
 //!   `seed=7,storage.fsync=0.01x3,net.reset=0.001`. The effective seed

@@ -2,23 +2,27 @@
 //! applying a GET/PUT batch allocates at most twice — the `ops` vector
 //! handed to storage and the `replies` vector it hands back — whether
 //! it holds sixteen ops over 4 shards or, the degenerate case every
-//! request of a depth-1 client is, one. Grouping by shard, collecting a
-//! shard's write pairs and rendering the replies all run in reused
-//! scratch; these tests are what keeps that reuse from silently
-//! rotting, and what gives the batch of one a number instead of prose.
+//! request of a depth-1 client is, one. Tracing the batch as the
+//! server does (a live span with its stage clocks, the flight recorder
+//! sampling, the slowlog capturing) adds nothing to that budget.
+//! Grouping by shard, collecting a shard's write pairs and rendering
+//! the replies all run in reused scratch; these tests are what keeps
+//! that reuse from silently rotting, and what gives the batch of one a
+//! number instead of prose.
 //! Opening a connection allocates nothing at all: it carries no
 //! instrument of its own, and its buffers stay empty until it sends.
 //!
 //! Alone in its file: the counting allocator is process-wide (the
-//! counter is per thread, so the tests may run side by side).
+//! counter is per thread, but the recorder's gate is process-wide, so
+//! the tests take turns under [`COUNTING`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use malthus_net::Handler;
-use malthus_obs::SpanContext;
+use malthus_obs::{recorder, span, SpanContext};
 use malthus_pool::{KvHandler, KvService, Parsed};
 
 thread_local! {
@@ -54,8 +58,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by every test while it counts: the traced case turns the
+/// flight recorder on for the whole process, and a recorder ring is
+/// allocated by the first event a thread keeps.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn a_warm_get_put_batch_allocates_at_most_twice() {
+    let _turn = counting();
     const SHARDS: usize = 4;
     let service = KvService::with_shards(SHARDS, 4_096, 256);
     // Sixteen tagged ops the way a depth-16 client sends them: three
@@ -79,27 +93,57 @@ fn a_warm_get_put_batch_allocates_at_most_twice() {
     assert_eq!(touched, [true; SHARDS], "the batch must span every shard");
 
     let mut out = String::new();
-    // Warm-up: the keys enter the memtable, the scratch and `out` grow
-    // to size.
-    for _ in 0..3 {
-        out.clear();
-        service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
+    // Untraced, then traced the way the server traces: a live span
+    // with the stage clocks on, closed through `finish_span`, the
+    // recorder sampling 1 in 64, and every batch slow enough for the
+    // slowlog.
+    for traced in [false, true] {
+        if traced {
+            span::set_enabled(true);
+            recorder::enable(4_096, 64);
+            service.set_slowlog_threshold_us(1);
+        }
+        let mut apply = |id: u64| {
+            out.clear();
+            if traced {
+                let mut span = SpanContext::start(id, 16);
+                service.apply_batch_span(&batch, &mut out, &mut span);
+                service.finish_span(&mut span);
+            } else {
+                service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
+            }
+            assert_eq!(out.lines().count(), 16);
+        };
+        // Warm-up: the keys enter the memtable, the scratch and `out`
+        // grow to size, and the recorder has kept one of this thread's
+        // events (allocating its ring).
+        for id in 0..200 {
+            apply(id);
+        }
+        let slow_before = service.slowlog().inserted();
+        let mut most = 0;
+        for id in 200..400 {
+            let before = ALLOCATIONS.with(Cell::get);
+            apply(id);
+            most = most.max(ALLOCATIONS.with(Cell::get) - before);
+        }
+        if traced {
+            recorder::disable();
+            assert!(!recorder::events().is_empty(), "the recorder kept no event");
+            let slow = service.slowlog().inserted() - slow_before;
+            assert_eq!(slow, 200, "every traced batch takes the slowlog push");
+        }
+        assert!(
+            most <= 2,
+            "a warm 16-op batch (traced: {traced}) made {most} allocations \
+             (budget: ops + replies)"
+        );
     }
-    assert_eq!(out.lines().count(), 16);
-
-    out.clear();
-    let before = ALLOCATIONS.with(Cell::get);
-    service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(out.lines().count(), 16);
-    assert!(
-        allocations <= 2,
-        "a warm 16-op batch made {allocations} allocations (budget: ops + replies)"
-    );
 }
 
 #[test]
 fn a_warm_one_request_batch_allocates_at_most_twice() {
+    let _turn = counting();
     let service = KvService::with_shards(4, 4_096, 256);
     for line in ["#7 GET 1000", "GET 1000", "#8 PUT 1000 5", "PUT 1000 6"] {
         let batch = [Parsed::from_line(line)];
@@ -122,6 +166,7 @@ fn a_warm_one_request_batch_allocates_at_most_twice() {
 
 #[test]
 fn opening_a_reactor_connection_allocates_nothing() {
+    let _turn = counting();
     let service = Arc::new(KvService::with_shards(4, 4_096, 256));
     let handler = KvHandler::new(service);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();

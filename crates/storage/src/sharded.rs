@@ -525,8 +525,8 @@ impl ShardedKvStats {
     }
 
     /// Total WAL fsyncs across shards. With group commit this divided
-    /// by [`ShardedKvStats::writes`] is the fsyncs-per-write ratio the
-    /// `bench_wal` sweep records.
+    /// by [`ShardedKvStats::writes`] is the fsyncs-per-write ratio (the
+    /// end-to-end benchmark's `storage.fsyncs_per_put`).
     pub fn wal_syncs(&self) -> u64 {
         self.per_shard.iter().map(|s| s.wal_syncs).sum()
     }
@@ -1841,8 +1841,8 @@ mod tests {
         kv.execute_batch(&ops);
         let after = kv.stats().wal_syncs();
         assert_eq!(after - before, 1, "16 batched puts, one fsync");
-        // 16 singleton puts: 16 fsyncs — the contrast bench_wal
-        // measures as fsyncs-per-write vs pipeline depth.
+        // 16 singleton puts: 16 fsyncs — what a depth-1 client pays
+        // per write, and the batch above amortizes.
         for k in 0..16u64 {
             kv.put(100 + k, k).unwrap();
         }

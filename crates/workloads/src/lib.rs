@@ -22,7 +22,6 @@
 //! | [`pool_saturation`] | §7 (beyond locks) | scheduler-level CR via the work crew |
 //! | [`rwreadwrite`] | §6.5 (live, RW locks) | read-fraction sweep over the RW-CR lock |
 //! | [`sharded_contention`] | beyond §6.5 (live, sharded) | skewed traffic over N per-shard lock pairs |
-//! | [`pipeline`] | beyond §6.5 (live, TCP) | tagged pipelining, batched under-lock execution |
 //!
 //! [`LockChoice`] names the lock configurations of the figures
 //! (`MCS-S`, `MCS-STP`, `MCSCR-S`, `MCSCR-STP`, `null`).
@@ -39,7 +38,6 @@ pub mod keymap;
 pub mod lrucache;
 pub mod mmicro;
 pub mod perlish;
-pub mod pipeline;
 pub mod pool_saturation;
 pub mod prodcons;
 pub mod randarray;

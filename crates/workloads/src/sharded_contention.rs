@@ -1,5 +1,5 @@
 //! Live sharded-KV contention with a tunable key-skew (the workload
-//! behind `bench_shard`).
+//! behind `examples/sharded_kv.rs`).
 //!
 //! The sharded backend's claim is *graceful degradation under skew*:
 //! when one shard goes hot, that shard's Malthusian lock pair culls

@@ -2,9 +2,10 @@
 //! front-end** (`Front::Reactor`): tagged responses echo in request
 //! order, tagged/untagged streams interleave, malformed tags earn
 //! `ERR` without killing the connection, a single-segment burst
-//! answers every line, a depth-16 stress run passes under the
-//! watchdog, and — reactor-specific — idle connections are reaped by
-//! the timer wheel into `STATS idle_disconnects=`. The protocol is
+//! answers every line, a depth-1 client runs one request per batch, a
+//! depth-16 stress run passes under the watchdog, and —
+//! reactor-specific — idle connections are reaped by the timer wheel
+//! into `STATS idle_disconnects=`. The protocol is
 //! byte-identical between front-ends, so the shared assertions are
 //! the very functions (`tests/common`) that `tests/pipelined_kv.rs`
 //! runs against the threaded server.
@@ -66,6 +67,13 @@ fn single_write_burst_answers_every_line() {
 fn batch_instruments_agree_while_connections_are_open() {
     let (addr, _service, close) = start_async_server(2, None);
     common::batch_instruments_agree_while_connections_are_open(addr);
+    close();
+}
+
+#[test]
+fn a_depth_one_client_runs_one_request_per_batch() {
+    let (addr, service, close) = start_async_server(2, None);
+    common::a_depth_one_client_runs_one_request_per_batch(addr, &service);
     close();
 }
 

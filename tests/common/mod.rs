@@ -105,9 +105,47 @@ pub fn single_write_burst_answers_every_line(addr: SocketAddr, service: &KvServi
     );
 }
 
-/// Depth-16 windows from several connections against a 4-shard server:
-/// every response matches its request (tag AND value), and every batch
-/// lands in the service-wide batch-size distribution. Run it under
+/// A depth-1 client (one untagged request, then its reply) is the
+/// classic closed loop: every request drains as a batch of its own,
+/// and every PUT pays its own exclusive DB-lock episode.
+pub fn a_depth_one_client_runs_one_request_per_batch(addr: SocketAddr, service: &KvService) {
+    let (batches, writes, episodes) = (
+        service.pipeline_stats().batches(),
+        service.store().stats().writes(),
+        write_episodes(service),
+    );
+    let mut c = KvClient::connect(addr).unwrap();
+    for k in 0..64u64 {
+        assert_eq!(c.roundtrip(&format!("PUT {k} {}", k + 1)).unwrap(), "OK");
+        assert_eq!(
+            c.roundtrip(&format!("GET {k}")).unwrap(),
+            format!("VAL {}", k + 1)
+        );
+    }
+    let p = service.pipeline_stats();
+    assert_eq!(p.batches() - batches, 128, "one batch per request");
+    assert_eq!(p.max_batch(), 1);
+    assert_eq!(service.store().stats().writes() - writes, 64);
+    let episodes = write_episodes(service) - episodes;
+    assert_eq!(episodes, 64, "one write episode per PUT");
+}
+
+/// Exclusive DB-lock episodes, summed across the store's shards.
+fn write_episodes(service: &KvService) -> u64 {
+    let stats = service.store().stats();
+    stats
+        .per_shard
+        .iter()
+        .map(|s| s.db_lock.write_episodes)
+        .sum()
+}
+
+/// Depth-16 windows from several connections against a fresh
+/// memory-only 4-shard server: every response matches its request
+/// (tag AND value), every batch lands in the service-wide batch-size
+/// distribution, the store took exactly the PUTs the clients saw
+/// acknowledged, batching never costs more than one exclusive episode
+/// per write, and nothing was fsynced. Run it under
 /// [`run_with_watchdog`].
 pub fn depth_16_stress_against_four_shards(addr: SocketAddr, service: &KvService) {
     let conns = 3usize;
@@ -168,6 +206,11 @@ pub fn depth_16_stress_against_four_shards(addr: SocketAddr, service: &KvService
     assert_eq!(p.batch_size_snapshot().count(), p.batches());
     let (p50, p99) = p.batch_quantiles();
     assert!(p50 >= 1 && p99 >= p50, "p50 {p50} p99 {p99}");
+    let stats = service.store().stats();
+    assert_eq!(stats.writes(), conns as u64 * per_conn / 2);
+    let episodes = write_episodes(service);
+    assert!(episodes <= stats.writes(), "{episodes} write episodes");
+    assert_eq!(stats.wal_syncs(), 0, "a memory-only store fsyncs nothing");
 }
 
 /// The batch count and the batch-size distribution are one instrument:

@@ -2,9 +2,11 @@
 //! responses echo their tags **in request order**, tagged and
 //! untagged requests interleave on one connection, a malformed tag
 //! earns an `ERR` without killing the connection, burst framing
-//! (many requests in one TCP segment) answers every line, and a
+//! (many requests in one TCP segment) answers every line, a depth-1
+//! client runs one request per batch and one write episode per PUT, a
 //! depth-16 window against a 4-shard server survives a stress run
-//! under the watchdog pattern.
+//! under the watchdog pattern, and a durable store group-commits
+//! what arrives over the wire.
 //!
 //! A batch reaches the store one of two ways — in place on its
 //! connection thread under a lent crew slot, or queued to a crew
@@ -38,16 +40,18 @@ fn start_server(shards: usize) -> (SocketAddr, Arc<KvService>, impl FnOnce()) {
 fn start_server_with_crew(
     shards: usize,
 ) -> (SocketAddr, Arc<KvService>, Arc<WorkCrew>, impl FnOnce()) {
-    start_server_with(shards, PoolConfig::malthusian(4, 64).with_acs_target(1))
+    let service = KvService::with_shards(shards, 64, 256);
+    start_server_with(service, PoolConfig::malthusian(4, 64).with_acs_target(1))
 }
 
-/// [`start_server_with_crew`] over a crew of the caller's shape.
+/// [`start_server_with_crew`] over a service and a crew of the
+/// caller's making.
 fn start_server_with(
-    shards: usize,
+    service: KvService,
     crew: PoolConfig,
 ) -> (SocketAddr, Arc<KvService>, Arc<WorkCrew>, impl FnOnce()) {
     let crew = Arc::new(WorkCrew::new(crew));
-    let service = Arc::new(KvService::with_shards(shards, 64, 256));
+    let service = Arc::new(service);
     let front = Front::Threaded(Arc::clone(&crew));
     let server = Server::start("127.0.0.1:0", Arc::clone(&service), front, None).unwrap();
     (server.addr(), service, crew, move || server.stop())
@@ -86,6 +90,32 @@ fn batch_instruments_agree_while_connections_are_open() {
     let (addr, _service, close) = start_server(2);
     common::batch_instruments_agree_while_connections_are_open(addr);
     close();
+}
+
+#[test]
+fn a_depth_one_client_runs_one_request_per_batch() {
+    let (addr, service, close) = start_server(2);
+    common::a_depth_one_client_runs_one_request_per_batch(addr, &service);
+    close();
+}
+
+/// Over a durable store every acknowledged PUT was covered by a group
+/// commit, and a group commit covers at least one write: `0 < fsyncs
+/// <= writes`.
+#[test]
+fn a_durable_store_group_commits_over_the_wire() {
+    let dir = std::env::temp_dir().join(format!("malthus-pipelined-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (service, _) = KvService::open(&dir, 2, 64, 256).unwrap();
+    let (addr, service, _crew, close) =
+        start_server_with(service, PoolConfig::malthusian(4, 64).with_acs_target(1));
+    common::tagged_responses_echo_in_request_order(addr);
+    close();
+    let stats = service.store().stats();
+    assert_eq!(stats.writes(), 32);
+    let syncs = stats.wal_syncs();
+    assert!(syncs > 0 && syncs <= stats.writes(), "{syncs} fsyncs");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Under the watchdog so a lost wakeup fails loudly instead of hanging
@@ -341,7 +371,8 @@ fn a_client_that_stops_reading_does_not_hold_an_acs_place() {
         let cfg = PoolConfig::malthusian(2, 16)
             .with_acs_target(1)
             .with_fairness_period(None);
-        let (addr, service, crew, close) = start_server_with(2, cfg);
+        let (addr, service, crew, close) =
+            start_server_with(KvService::with_shards(2, 64, 256), cfg);
         // 1024 keys with 20-digit values, loaded past the crew: each
         // SCAN answers ≈27 KiB, the batch ≈17 MiB — several times what
         // a send buffer (4 MiB at most) and the window of a receiver
