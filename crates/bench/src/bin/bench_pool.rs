@@ -23,7 +23,7 @@ use std::time::Duration;
 use malthus_bench::livebench::median;
 use malthus_bench::sweep::host_cpus;
 use malthus_bench::{env_sweep, env_u64};
-use malthus_pool::PoolConfig;
+use malthus_pool::{Admission, PoolConfig};
 use malthus_workloads::pool_saturation::{run_pool_saturation, SaturationReport, SaturationShape};
 
 /// One measured cell, median-of-trials.
@@ -48,9 +48,9 @@ fn summarize(rounds: &[SaturationReport]) -> Cell {
         ops_per_sec: median(rounds.iter().map(|r| r.ops_per_sec).collect()),
         p50_us: median(rounds.iter().map(|r| r.p50.as_secs_f64() * 1e6).collect()),
         p99_us: median(rounds.iter().map(|r| r.p99.as_secs_f64() * 1e6).collect()),
-        culls: median_u64(rounds, |r| r.pool.culls),
-        reprovisions: median_u64(rounds, |r| r.pool.reprovisions),
-        promotions: median_u64(rounds, |r| r.pool.fairness_promotions),
+        culls: median_u64(rounds, |r| r.pool.members.culls),
+        reprovisions: median_u64(rounds, |r| r.pool.members.reprovisions),
+        promotions: median_u64(rounds, |r| r.pool.members.fairness_promotions),
     }
 }
 
@@ -85,7 +85,7 @@ fn main() {
         for (i, &factor) in factors.iter().enumerate() {
             let workers = (cpus * factor).max(factor);
             unrestricted[i].push(run_pool_saturation(
-                PoolConfig::unrestricted(workers, queue_bound),
+                PoolConfig::new(Admission::unrestricted(workers), queue_bound),
                 interval,
                 shape,
             ));

@@ -9,12 +9,15 @@
 //! ([`should_cull`]/[`should_reprovision`]), for the read-write lock's
 //! shared side ([`rw_reader_batch`], consumed by `malthus-rwlock`),
 //! and one layer up, where the contended resource is the CPU set (§7's
-//! "applies to any contended resource"): [`Membership`] is the whole
-//! executor-level machine — which threads circulate, which are parked
-//! LIFO, when the top is reprovisioned, when the eldest rotates back
-//! in — written once, sized by [`acs_target`], and owned by both
-//! executors under the mutex each already had.
+//! "applies to any contended resource"). There the executor admission
+//! point is written once for both executors: one configuration
+//! ([`Admission`], sized by [`acs_target`]), one machine
+//! ([`Membership`] — which threads circulate, which are parked LIFO,
+//! when the top is reprovisioned, when the eldest rotates back in —
+//! owned by each executor under the mutex it already had) and one
+//! exported shape for its numbers ([`register_admission`]).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use malthus_park::XorShift64;
@@ -119,9 +122,71 @@ pub const DEFAULT_SEED: u64 = 0x4D41_4C54;
 /// thread sleeps while the work is attended.
 const RELAXED_WINDOWS: u32 = 8;
 
+/// How one executor admission point is set up: the crew's task queue
+/// and the reactor's `epoll_wait` both take it as is. Checked by
+/// [`Membership::new`], the one place an ACS target is validated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admission {
+    /// Total worker threads (active + passive).
+    pub workers: usize,
+    /// Steady-state ACS limit; workers beyond it passivate, and
+    /// `workers` disables restriction.
+    pub acs_target: usize,
+    /// How long progress must stall, with work waiting, before the
+    /// passive stack top promotes itself.
+    pub stall: Duration,
+    /// Average period (in units of work) of the episodic
+    /// eldest-passive promotion; `None` disables it.
+    pub fairness_period: Option<u64>,
+}
+
+impl Admission {
+    /// The Malthusian point: ACS capped at the host's parallelism (or
+    /// `workers`, if smaller), the default stall window and the
+    /// paper's 1/1000 fairness period.
+    pub fn malthusian(workers: usize) -> Self {
+        Admission {
+            workers,
+            acs_target: acs_target(workers, usize::MAX),
+            stall: DEFAULT_STALL_THRESHOLD,
+            fairness_period: Some(DEFAULT_FAIRNESS_PERIOD),
+        }
+    }
+
+    /// The control: every worker circulates and nobody is parked.
+    pub fn unrestricted(workers: usize) -> Self {
+        Admission {
+            workers,
+            acs_target: workers,
+            stall: DEFAULT_STALL_THRESHOLD,
+            fairness_period: None,
+        }
+    }
+
+    /// Overrides the steady-state ACS limit.
+    pub fn with_acs_target(mut self, acs_target: usize) -> Self {
+        self.acs_target = acs_target;
+        self
+    }
+
+    /// Overrides the stall window.
+    pub fn with_stall(mut self, stall: Duration) -> Self {
+        self.stall = stall;
+        self
+    }
+
+    /// Overrides the fairness period (`None` disables promotion).
+    pub fn with_fairness_period(mut self, period: Option<u64>) -> Self {
+        self.fairness_period = period;
+        self
+    }
+}
+
 /// Gauge and counter snapshot of a [`Membership`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MembershipStats {
+    /// The steady-state ACS limit (`workers` once released).
+    pub target: usize,
     /// Workers in the active circulating set.
     pub active: usize,
     /// Workers on the passive stack.
@@ -180,28 +245,23 @@ impl Membership {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 <= target <= workers`, or if `fairness_period`
-    /// is `Some(0)`.
-    pub fn new(
-        workers: usize,
-        target: usize,
-        stall: Duration,
-        fairness_period: Option<u64>,
-        seed: u64,
-        now: Instant,
-    ) -> Self {
+    /// Panics unless `1 <= acs_target <= workers`, or if
+    /// `fairness_period` is `Some(0)`.
+    pub fn new(cfg: Admission, now: Instant) -> Self {
         assert!(
-            (1..=workers).contains(&target),
+            (1..=cfg.workers).contains(&cfg.acs_target),
             "ACS target must be in 1..=workers"
         );
         Membership {
-            workers,
-            target,
-            stall,
+            workers: cfg.workers,
+            target: cfg.acs_target,
+            stall: cfg.stall,
             boost: 0,
-            active: workers,
+            active: cfg.workers,
             passive: Vec::new(),
-            fairness: fairness_period.map(|p| FairnessTrigger::new(p, seed)),
+            fairness: cfg
+                .fairness_period
+                .map(|p| FairnessTrigger::new(p, DEFAULT_SEED)),
             last_progress: now,
             last_boost_change: now,
             culls: 0,
@@ -332,12 +392,74 @@ impl Membership {
     /// Current gauges and counters.
     pub fn stats(&self) -> MembershipStats {
         MembershipStats {
+            target: self.target,
             active: self.active,
             passive: self.passive.len(),
             culls: self.culls,
             reprovisions: self.reprovisions,
             fairness_promotions: self.fairness_promotions,
         }
+    }
+}
+
+/// Exports one executor admission point's [`MembershipStats`]: the
+/// gauges `malthus_acs_size`, `malthus_acs_target` and
+/// `malthus_passive_depth`, labelled `{point=…}` (`crew`, `reactor`),
+/// and the counters `<counter_prefix>{culls,reprovisions,
+/// fairness_promotions}_total`, unlabelled. `stats` reads the point's
+/// machine under its owner's mutex; registering again replaces the
+/// sources.
+pub fn register_admission(
+    registry: &malthus_obs::Registry,
+    point: &str,
+    counter_prefix: &str,
+    stats: impl Fn() -> MembershipStats + Send + Sync + 'static,
+) {
+    let stats = Arc::new(stats);
+    type Read = fn(&MembershipStats) -> u64;
+    let gauges: [(&str, &str, Read); 3] = [
+        (
+            "malthus_acs_size",
+            "Workers in the active circulating set, by admission point.",
+            |m| m.active as u64,
+        ),
+        (
+            "malthus_acs_target",
+            "Steady-state ACS limit, by admission point.",
+            |m| m.target as u64,
+        ),
+        (
+            "malthus_passive_depth",
+            "Workers parked on the passive LIFO stack, by admission point.",
+            |m| m.passive as u64,
+        ),
+    ];
+    let counters: [(&str, &str, Read); 3] = [
+        (
+            "culls_total",
+            "Workers culled onto the passive stack by admission control.",
+            |m| m.culls,
+        ),
+        (
+            "reprovisions_total",
+            "Passive workers self-promoted on a progress stall.",
+            |m| m.reprovisions,
+        ),
+        (
+            "fairness_promotions_total",
+            "Eldest passive workers promoted by the fairness trigger.",
+            |m| m.fairness_promotions,
+        ),
+    ];
+    for (name, help, f) in gauges {
+        let stats = Arc::clone(&stats);
+        registry.gauge(name, help, &[("point", point)], move || f(&stats()) as f64);
+    }
+    for (name, help, f) in counters {
+        let stats = Arc::clone(&stats);
+        registry.counter(&format!("{counter_prefix}{name}"), help, &[], move || {
+            f(&stats())
+        });
     }
 }
 
@@ -586,8 +708,12 @@ mod tests {
             for fair in [false, true] {
                 let now = Instant::now();
                 let period = fair.then_some(1);
+                let cfg = Admission::malthusian(workers)
+                    .with_acs_target(target)
+                    .with_stall(WINDOW)
+                    .with_fairness_period(period);
                 let start = Node {
-                    m: Membership::new(workers, target, WINDOW, period, 1, now),
+                    m: Membership::new(cfg, now),
                     now,
                 };
                 start.check();
@@ -615,10 +741,21 @@ mod tests {
         assert!(total > 100, "only {total} states");
     }
 
+    /// The one validation rule of an admission point, for the crew and
+    /// the reactor alike: a target of none, or of more workers than
+    /// there are, is refused rather than clamped.
     #[test]
-    #[should_panic(expected = "ACS target must be in 1..=workers")]
-    fn membership_rejects_a_target_beyond_the_workers() {
-        Membership::new(2, 3, WINDOW, None, 1, Instant::now());
+    fn invalid_config_panics() {
+        for (workers, target) in [(2, 3), (2, 0), (0, 1)] {
+            let cfg = Admission::unrestricted(workers).with_acs_target(target);
+            let refused = std::panic::catch_unwind(|| Membership::new(cfg, Instant::now()));
+            let message = refused.expect_err("an invalid target was accepted");
+            assert_eq!(
+                message.downcast_ref::<&str>(),
+                Some(&"ACS target must be in 1..=workers"),
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use malthus::policy::{self, Membership};
+use malthus::policy::{self, Admission, Membership, MembershipStats};
 use malthus_metrics::LatencyHistogram;
 use malthus_obs::{errno, EventKind};
 use malthus_park::{Parker, Unparker};
@@ -95,22 +95,14 @@ const ACCEPT_BUDGET: usize = 256;
 /// protocol-broken (or hostile) and is closed.
 const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-/// Reactor sizing and admission knobs.
+/// Reactor sizing and admission knobs: the admission point its
+/// pollers pass through, and the reactor's own two.
 #[derive(Clone)]
 pub struct ReactorConfig {
-    /// Total reactor worker threads (active + passive).
-    pub workers: usize,
-    /// Steady-state ACS limit on concurrent pollers; `workers`
-    /// disables restriction.
-    pub acs_target: usize,
-    /// How stale the last `epoll_wait` return must be (with nobody
-    /// polling) before the passive stack top self-promotes.
-    pub stall_threshold: Duration,
-    /// Average period (in ready-batch dispatches) of the episodic
-    /// eldest-passive promotion; `None` disables it.
-    pub fairness_period: Option<u64>,
-    /// Seed for the fairness trigger's Bernoulli trials.
-    pub seed: u64,
+    /// Pollers, poll ACS target, stall window and fairness period (in
+    /// ready-batch dispatches). A stall is the last `epoll_wait`
+    /// return going stale with nobody polling.
+    pub admission: Admission,
     /// Idle timeout: connections with no request bytes for this long
     /// are reaped by the timer wheel. `None` never reaps.
     pub read_timeout: Option<Duration>,
@@ -122,36 +114,29 @@ pub struct ReactorConfig {
 }
 
 impl ReactorConfig {
-    /// A Malthusian reactor: `workers` threads, ACS capped at the
-    /// host's parallelism, the default stall window, the paper's
-    /// 1/1000 fairness period.
-    pub fn malthusian(workers: usize) -> Self {
+    /// A reactor whose pollers are admitted by `admission`.
+    pub fn new(admission: Admission) -> Self {
         ReactorConfig {
-            workers: workers.max(1),
-            acs_target: policy::acs_target(workers, usize::MAX),
-            stall_threshold: policy::DEFAULT_STALL_THRESHOLD,
-            fairness_period: Some(policy::DEFAULT_FAIRNESS_PERIOD),
-            seed: policy::DEFAULT_SEED,
+            admission,
             read_timeout: None,
             stop_flag: None,
         }
     }
 
-    /// Overrides the steady-state ACS limit (clamped to `workers`).
+    /// A reactor of [`Admission::malthusian`] pollers.
+    pub fn malthusian(workers: usize) -> Self {
+        Self::new(Admission::malthusian(workers))
+    }
+
+    /// Overrides the steady-state ACS limit.
     pub fn with_acs_target(mut self, acs_target: usize) -> Self {
-        self.acs_target = acs_target.clamp(1, self.workers);
+        self.admission = self.admission.with_acs_target(acs_target);
         self
     }
 
     /// Sets the idle-connection reap timeout.
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Overrides the poll-stall window.
-    pub fn with_stall_threshold(mut self, stall: Duration) -> Self {
-        self.stall_threshold = stall;
         self
     }
 
@@ -168,22 +153,15 @@ impl ReactorConfig {
 pub struct ReactorStats {
     /// Connections currently registered.
     pub conns_open: usize,
-    /// Workers currently in the active circulating set.
-    pub active_workers: usize,
-    /// Workers currently parked on the passive stack.
-    pub passive_workers: usize,
+    /// The poll admission machine: ACS size and target, passive depth,
+    /// culls, reprovisions and fairness promotions.
+    pub members: MembershipStats,
     /// Total `epoll_wait` returns.
     pub epoll_waits: u64,
     /// Ready-connection dispatches (each is one handler batch).
     pub ready_batches: u64,
     /// Connections accepted.
     pub accepts: u64,
-    /// Workers culled onto the passive stack.
-    pub culls: u64,
-    /// Passive workers self-promoted on poll stall.
-    pub reprovisions: u64,
-    /// Eldest-passive promotions by the fairness trigger.
-    pub fairness_promotions: u64,
     /// Connections reaped by the idle timer wheel.
     pub idle_reaps: u64,
     /// Flush attempts that could not complete and re-armed `EPOLLOUT`.
@@ -278,18 +256,11 @@ pub struct Reactor<H: Handler> {
 
 impl<H: Handler> Reactor<H> {
     /// Takes ownership of `listener`, registers it with a fresh epoll
-    /// instance, and spawns `cfg.workers` admission-managed reactor
-    /// threads. Returns once the workers are running; serving needs
-    /// no further calls.
+    /// instance, and spawns `cfg.admission.workers` admission-managed
+    /// reactor threads. Returns once the workers are running; serving
+    /// needs no further calls.
     pub fn start(listener: TcpListener, handler: H, cfg: ReactorConfig) -> io::Result<Reactor<H>> {
-        let adm = Membership::new(
-            cfg.workers,
-            cfg.acs_target,
-            cfg.stall_threshold,
-            cfg.fairness_period,
-            cfg.seed,
-            Instant::now(),
-        );
+        let adm = Membership::new(cfg.admission, Instant::now());
         listener.set_nonblocking(true)?;
         let epfd = sys::epoll_create()?;
         let (wake_r, wake_w) = match sys::wake_pipe() {
@@ -309,7 +280,7 @@ impl<H: Handler> Reactor<H> {
             sys::EPOLLIN | sys::EPOLLONESHOT,
             TOKEN_LISTENER,
         )?;
-        let parkers: Vec<Parker> = (0..cfg.workers).map(|_| Parker::new()).collect();
+        let parkers: Vec<Parker> = (0..cfg.admission.workers).map(|_| Parker::new()).collect();
         let unparkers = parkers.iter().map(Parker::unparker).collect();
         let inner = Arc::new(Inner {
             epfd,
@@ -439,8 +410,9 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Registers the reactor's gauges, counters and the ready-batch
-    /// histogram with a metrics registry (idempotent: re-registration
-    /// replaces the sources).
+    /// histogram with a metrics registry, its poll admission as
+    /// `point="reactor"` ([`policy::register_admission`]); idempotent:
+    /// re-registration replaces the sources.
     pub fn register_metrics(&self, registry: &malthus_obs::Registry) {
         let no_labels: &[(&str, &str)] = &[];
         let i = Arc::clone(&self.inner);
@@ -458,19 +430,9 @@ impl<H: Handler> Reactor<H> {
             move || i.buffer_bytes.load(Ordering::Relaxed) as f64,
         );
         let i = Arc::clone(&self.inner);
-        registry.gauge(
-            "kv_reactor_workers",
-            "Reactor workers by admission state.",
-            &[("state", "active")],
-            move || i.admission().stats().active as f64,
-        );
-        let i = Arc::clone(&self.inner);
-        registry.gauge(
-            "kv_reactor_workers",
-            "Reactor workers by admission state.",
-            &[("state", "passive")],
-            move || i.admission().stats().passive as f64,
-        );
+        policy::register_admission(registry, "reactor", "kv_reactor_", move || {
+            i.admission().stats()
+        });
         let i = Arc::clone(&self.inner);
         registry.counter(
             "kv_epoll_waits_total",
@@ -484,27 +446,6 @@ impl<H: Handler> Reactor<H> {
             "Ready-connection dispatches, each one handler batch.",
             no_labels,
             move || i.ready_batches.load(Ordering::Relaxed),
-        );
-        let i = Arc::clone(&self.inner);
-        registry.counter(
-            "kv_reactor_culls_total",
-            "Reactor workers passivated by poll admission.",
-            no_labels,
-            move || i.admission().stats().culls,
-        );
-        let i = Arc::clone(&self.inner);
-        registry.counter(
-            "kv_reactor_reprovisions_total",
-            "Passive reactor workers self-promoted on poll stall.",
-            no_labels,
-            move || i.admission().stats().reprovisions,
-        );
-        let i = Arc::clone(&self.inner);
-        registry.counter(
-            "kv_reactor_fairness_promotions_total",
-            "Eldest passive reactor workers promoted by the fairness trigger.",
-            no_labels,
-            move || i.admission().stats().fairness_promotions,
         );
         let i = Arc::clone(&self.inner);
         registry.counter(
@@ -574,17 +515,12 @@ impl<H: Handler> Inner<H> {
     }
 
     fn stats(&self) -> ReactorStats {
-        let members = self.admission().stats();
         ReactorStats {
             conns_open: self.conns_open.load(Ordering::SeqCst),
-            active_workers: members.active,
-            passive_workers: members.passive,
+            members: self.admission().stats(),
             epoll_waits: self.epoll_waits.load(Ordering::Relaxed),
             ready_batches: self.ready_batches.load(Ordering::Relaxed),
             accepts: self.accepts.load(Ordering::Relaxed),
-            culls: members.culls,
-            reprovisions: members.reprovisions,
-            fairness_promotions: members.fairness_promotions,
             idle_reaps: self.idle_reaps.load(Ordering::Relaxed),
             partial_flushes: self.partial_flushes.load(Ordering::Relaxed),
             buffer_bytes: self.buffer_bytes.load(Ordering::Relaxed),
@@ -1057,10 +993,12 @@ mod tests {
     fn a_spurious_unpark_leaves_a_passive_worker_parked() {
         // A stall window of an hour: nothing but an unpark wakes the
         // passive worker, and nothing legitimately promotes it.
-        let mut cfg = ReactorConfig::malthusian(2)
-            .with_acs_target(1)
-            .with_stall_threshold(Duration::from_secs(3600));
-        cfg.fairness_period = None;
+        let cfg = ReactorConfig::new(
+            Admission::malthusian(2)
+                .with_acs_target(1)
+                .with_stall(Duration::from_secs(3600))
+                .with_fairness_period(None),
+        );
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let reactor = Reactor::start(listener, Silent, cfg).unwrap();
         let inner = &reactor.inner;
@@ -1084,7 +1022,8 @@ mod tests {
         assert_eq!(most_polling, 1, "the passive worker went polling");
         assert!(inner.admission().is_passive(passive));
         let stats = reactor.join();
-        assert_eq!((stats.culls, stats.reprovisions), (1, 0), "{stats:?}");
+        let members = stats.members;
+        assert_eq!((members.culls, members.reprovisions), (1, 0), "{stats:?}");
     }
 
     #[test]

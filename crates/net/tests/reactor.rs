@@ -10,6 +10,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use malthus::policy::Admission;
 use malthus_net::{sys, Action, CloseReason, Handler, Reactor, ReactorConfig};
 
 /// Echoes every complete line back, uppercased; `quit` closes and
@@ -362,23 +363,23 @@ fn surplus_workers_cull_to_the_passive_stack() {
     }
     let stats = reactor.stats();
     assert!(
-        stats.culls >= 3,
+        stats.members.culls >= 3,
         "expected ≥3 culls with 4 workers and ACS 1, saw {}",
-        stats.culls
+        stats.members.culls
     );
     // Membership settles to active + passive == workers once no
     // promotion/cull is mid-flight; poll until it does.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let s = reactor.stats();
-        if s.active_workers + s.passive_workers == 4 && s.passive_workers >= 2 {
+        let s = reactor.stats().members;
+        if s.active + s.passive == 4 && s.passive >= 2 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "membership never settled: active={} passive={}",
-            s.active_workers,
-            s.passive_workers
+            s.active,
+            s.passive
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -398,17 +399,19 @@ fn connect_watched(addr: std::net::SocketAddr) -> TcpStream {
 #[test]
 fn a_blocked_handler_reprovisions_a_passive_poller() {
     let stall = Duration::from_millis(25);
-    let mut cfg = ReactorConfig::malthusian(2)
-        .with_acs_target(1)
-        .with_stall_threshold(stall);
-    cfg.fairness_period = None;
+    let cfg = ReactorConfig::new(
+        Admission::malthusian(2)
+            .with_acs_target(1)
+            .with_stall(stall)
+            .with_fairness_period(None),
+    );
     let (echo, open_gate) = Echo::gated();
     let (reactor, _echo, addr) = start_echo_with(cfg, echo);
     // Declared after the reactor, so dropped before it: a failed
     // assertion opens the gate before the reactor joins its workers.
     let open_gate = open_gate;
     wait_until("the surplus poller to cull", || {
-        reactor.stats().passive_workers == 1
+        reactor.stats().members.passive == 1
     });
     let mut blocked = connect_watched(addr);
     let mut other = connect_watched(addr);
@@ -442,15 +445,15 @@ fn a_blocked_handler_reprovisions_a_passive_poller() {
         open_gate.send(()).unwrap();
         let deadline = Instant::now() + stall * 20;
         let mut stats = reactor.stats();
-        while stats.active_workers != 1 && Instant::now() < deadline {
+        while stats.members.active != 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
             stats = reactor.stats();
         }
         stop.store(true, Ordering::SeqCst);
-        (stats.active_workers == 1, stats)
+        (stats.members.active == 1, stats)
     });
     assert_eq!(read_line(&mut blocked), "WAIT");
-    assert!(rescued.reprovisions >= 1, "{rescued:?}");
+    assert!(rescued.members.reprovisions >= 1, "{rescued:?}");
     assert!(rescue <= stall * 20, "rescue took {rescue:?}");
     assert!(settled, "the boost outlived the stall: {stats:?}");
     reactor.join();
@@ -462,10 +465,12 @@ fn rotation_never_leaves_the_poll_unattended() {
     // passive worker, and a stall window of an hour means no rescue can
     // paper over a rotation that leaves nobody polling: the round trip
     // would simply never come back.
-    let mut cfg = ReactorConfig::malthusian(3)
-        .with_acs_target(1)
-        .with_stall_threshold(Duration::from_secs(3600));
-    cfg.fairness_period = Some(1);
+    let cfg = ReactorConfig::new(
+        Admission::malthusian(3)
+            .with_acs_target(1)
+            .with_stall(Duration::from_secs(3600))
+            .with_fairness_period(Some(1)),
+    );
     let (reactor, _echo, addr) = start_echo(cfg);
     let mut c = connect_watched(addr);
     for i in 0..3_000 {
@@ -473,12 +478,12 @@ fn rotation_never_leaves_the_poll_unattended() {
         assert_eq!(read_line(&mut c), format!("TRIP-{i}"));
     }
     wait_until("the last rotation to settle", || {
-        let s = reactor.stats();
-        (s.active_workers, s.passive_workers) == (1, 2)
+        let s = reactor.stats().members;
+        (s.active, s.passive) == (1, 2)
     });
     let stats = reactor.stats();
-    assert!(stats.fairness_promotions > 0, "{stats:?}");
-    assert_eq!(stats.reprovisions, 0, "{stats:?}");
+    assert!(stats.members.fairness_promotions > 0, "{stats:?}");
+    assert_eq!(stats.members.reprovisions, 0, "{stats:?}");
     drop(c);
     reactor.join();
 }

@@ -28,11 +28,12 @@
 //!   single hot lock pair).
 //! * `--workers <n>` — crew size (default `4 × host CPUs`).
 //! * `--queue <n>` — task-queue bound (default 256).
-//! * `--unrestricted` — disable concurrency restriction (for A/B
-//!   runs): the crew's ACS target, or under `--async` the reactor's
-//!   polling ACS, is set to `--workers`. Nothing else changes: each
-//!   shard's DB lock stays RW-CR and its cache lock MCSCR (widening
-//!   the flag to them is an open ROADMAP direction).
+//! * `--unrestricted` — disable executor restriction (for A/B runs):
+//!   the one admission point — the crew's, or under `--async` the
+//!   reactor's — is `Admission::unrestricted(workers)`, every worker
+//!   circulating. Nothing else changes: each shard's DB lock stays
+//!   RW-CR and its cache lock MCSCR (widening the flag to them is an
+//!   open ROADMAP direction).
 //! * `--data-dir <path>` — durability root: per-shard group-committed
 //!   WALs, replayed (and reported) at boot. Without it the store is
 //!   memory-only.
@@ -74,22 +75,26 @@
 //! (`Front::Reactor`) — once, here, and `--read-timeout-secs` is the
 //! one idle timeout both take.
 //!
-//! With restriction on, the crew's ACS target is
-//! `min(workers, cpus, shards)` ([`malthus::policy::acs_target`], the
-//! one sizing rule both front-ends use): one hot lock pair deserves one
-//! circulating thread (more would just queue at the lock — the §6.5
-//! situation), and each extra shard adds an independent admission
-//! point that can keep one more thread usefully busy, up to the core
-//! count. This sizing is writer-centric: readers *share* each shard's
-//! RW-CR lock, so on a multi-core host a read-heavy single-shard
-//! workload would profit from an ACS above the shard count — size
-//! `--shards` toward the core count there, or pass `--unrestricted`;
-//! the measure-and-adapt ACS the ROADMAP plans is the real fix.
+//! The flags make one admission choice, [`Admission`], and hand it to
+//! whichever front-end they name; [`malthus::policy::Membership`]
+//! checks it (`1 ≤ ACS target ≤ workers`) for both. With restriction
+//! on, the ACS target is `min(workers, cpus, shards)`
+//! ([`malthus::policy::acs_target`], the one sizing rule): one hot
+//! lock pair deserves one circulating thread (more would just queue
+//! at the lock — the §6.5 situation), and each extra shard adds an
+//! independent admission point that can keep one more thread usefully
+//! busy, up to the core count. This sizing is writer-centric: readers
+//! *share* each shard's RW-CR lock, so on a multi-core host a
+//! read-heavy single-shard workload would profit from an ACS above the
+//! shard count — size `--shards` toward the core count there, or pass
+//! `--unrestricted`; the measure-and-adapt ACS the ROADMAP plans is the
+//! real fix.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use malthus::policy::{self, Admission};
 use malthus_fault::Site;
 use malthus_obs::SpanContext;
 use malthus_pool::kv::{self, KvService, DEFAULT_SHARDS};
@@ -254,19 +259,21 @@ fn main() {
         faults
     });
 
-    // The same sizing whether the admitted resource is the crew's
-    // task queue or the reactor's `epoll_wait`.
-    let acs = if opts.unrestricted {
-        opts.workers
+    // One admission point, whether the admitted resource is the
+    // crew's task queue or the reactor's `epoll_wait`.
+    let admission = if opts.unrestricted {
+        Admission::unrestricted(opts.workers)
     } else {
-        malthus::policy::acs_target(opts.workers, opts.shards)
+        let acs = policy::acs_target(opts.workers, opts.shards);
+        Admission::malthusian(opts.workers).with_acs_target(acs)
     };
     eprintln!(
-        "# kv_server: {} front-end, {} shards, {} workers (ACS target {acs}), \
+        "# kv_server: {} front-end, {} shards, {} workers (ACS target {}), \
          queue bound {}, {cpus} host CPUs",
         if opts.r#async { "reactor" } else { "threaded" },
         opts.shards,
         opts.workers,
+        admission.acs_target,
         opts.queue
     );
 
@@ -359,12 +366,9 @@ fn main() {
     }
 
     let front = if opts.r#async {
-        Front::Reactor(ReactorConfig::malthusian(opts.workers).with_acs_target(acs))
-    } else if opts.unrestricted {
-        let cfg = PoolConfig::unrestricted(opts.workers, opts.queue);
-        Front::Threaded(Arc::new(WorkCrew::new(cfg)))
+        Front::Reactor(ReactorConfig::new(admission))
     } else {
-        let cfg = PoolConfig::malthusian(opts.workers, opts.queue).with_acs_target(acs);
+        let cfg = PoolConfig::new(admission, opts.queue);
         Front::Threaded(Arc::new(WorkCrew::new(cfg)))
     };
     let read_timeout =

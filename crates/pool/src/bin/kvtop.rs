@@ -5,8 +5,10 @@
 //! exposition (parsed with the shared [`malthus_obs::exposition`]
 //! parser) and renders interval **rates** (ops/s, fsyncs/s, batches/s
 //! — diffed between polls) next to the admission picture (exclusive
-//! episodes per write, crew active/passive and batches run in place per
-//! second, hot-shard write share),
+//! episodes per write, hot-shard write share, one line per executor
+//! admission point — ACS size against target, passive depth, cull,
+//! reprovision and promotion rates — and the crew's batches run in
+//! place per second),
 //! interval latency quantiles (batch size, batch drain, fsync —
 //! computed from histogram-bucket deltas), a per-stage **latency
 //! waterfall** (where the interval's batches spent their time:
@@ -311,7 +313,8 @@ fn render(
     );
     let _ = writeln!(
         f,
-        "excl episodes/write {:>6.3}   fsyncs/s {:>8.0}   fsync p50/p99 {}",
+        "excl episodes/write {:>6.3}   fsyncs/s {:>8.0}   fsync p50/p99 {}   \
+         hot-shard write share {:.2}   readonly shards {readonly:.0}   idle disconnects {:.0}",
         excl_per_write,
         fsyncs_s,
         fmt_quantiles_ns(interval_quantiles(
@@ -320,6 +323,8 @@ fn render(
             "kv_wal_fsync_ns",
             &[]
         )),
+        later.exp.get("kv_hottest_shard_write_share"),
+        later.exp.get("kv_idle_disconnects_total"),
     );
     let batch_q = interval_quantiles(&later.exp, &earlier.exp, "kv_pipeline_batch_size", &[])
         .map_or("-/-".to_string(), |(p50, p99)| format!("{p50:.0}/{p99:.0}"));
@@ -334,36 +339,46 @@ fn render(
             &[]
         )),
     );
-    let _ = writeln!(
-        f,
-        "crew active {:.0}  passive {:.0}  backlog {:.0}  inline/s {:.0}  refused/s {:.0}   \
-         hot-shard write share {:.2}   readonly shards {readonly:.0}   idle disconnects {:.0}",
-        later.exp.get("crew_active_workers"),
-        later.exp.get("crew_passive_workers"),
-        later.exp.get("crew_backlog"),
-        rate(later, earlier, "crew_inline_total", &[]),
-        rate(later, earlier, "crew_enter_refused_total", &[]),
-        later.exp.get("kv_hottest_shard_write_share"),
-        later.exp.get("kv_idle_disconnects_total"),
-    );
-    // Reactor panel: present only when the server runs the async
-    // front-end (its registration is what creates these series).
+    // One admission line for each executor point the server runs
+    // (`crew` threaded, `reactor` under --async), then that front-end's
+    // own panel; each family exists only where it was registered.
+    for point in later.exp.label_values("malthus_acs_size", "point") {
+        let gauge = |name: &str| later.exp.value(name, &[("point", &point)]).unwrap_or(0.0);
+        let prefix = if point == "crew" {
+            "crew_"
+        } else {
+            "kv_reactor_"
+        };
+        let per_s = |what: &str| rate(later, earlier, &format!("{prefix}{what}_total"), &[]);
+        let _ = writeln!(
+            f,
+            "{point} acs {:.0}/{:.0}  passive {:.0}   culls/s {:.0}  reprovisions/s {:.0}  \
+             promotions/s {:.0}",
+            gauge("malthus_acs_size"),
+            gauge("malthus_acs_target"),
+            gauge("malthus_passive_depth"),
+            per_s("culls"),
+            per_s("reprovisions"),
+            per_s("fairness_promotions"),
+        );
+    }
+    if later.exp.value("crew_backlog", &[]).is_some() {
+        let _ = writeln!(
+            f,
+            "crew backlog {:.0}  inline/s {:.0}  refused/s {:.0}",
+            later.exp.get("crew_backlog"),
+            rate(later, earlier, "crew_inline_total", &[]),
+            rate(later, earlier, "crew_enter_refused_total", &[]),
+        );
+    }
     if later.exp.value("kv_conns_open", &[]).is_some() {
         let ready_q = interval_quantiles(&later.exp, &earlier.exp, "kv_reactor_ready_batch", &[])
             .map_or("-/-".to_string(), |(p50, p99)| format!("{p50:.0}/{p99:.0}"));
         let _ = writeln!(
             f,
-            "reactor conns {:.0}  pollers active {:.0}  passive {:.0}   epoll_waits/s {:.0}   \
-             ready batch p50/p99 {ready_q}   partial flushes {:.0}",
+            "reactor conns {:.0}   epoll_waits/s {:.0}   ready batch p50/p99 {ready_q}   \
+             partial flushes {:.0}",
             later.exp.get("kv_conns_open"),
-            later
-                .exp
-                .value("kv_reactor_workers", &[("state", "active")])
-                .unwrap_or(0.0),
-            later
-                .exp
-                .value("kv_reactor_workers", &[("state", "passive")])
-                .unwrap_or(0.0),
             rate(later, earlier, "kv_epoll_waits_total", &[]),
             later.exp.get("kv_reactor_partial_flushes_total"),
         );

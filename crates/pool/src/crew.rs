@@ -39,10 +39,9 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-pub use malthus::policy::DEFAULT_STALL_THRESHOLD;
-use malthus::policy::{self, Membership, MembershipStats};
+use malthus::policy::{self, Admission, Membership, MembershipStats};
 use malthus_park::{Parker, Unparker};
 
 /// A unit of work.
@@ -65,82 +64,35 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Configuration for a [`WorkCrew`].
+/// Configuration for a [`WorkCrew`]: its admission point and the
+/// bound of the queue that feeds it.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Total worker threads (active + passive).
-    pub workers: usize,
-    /// Steady-state ACS limit. Workers beyond it passivate; `workers`
-    /// disables restriction entirely.
-    pub acs_target: usize,
+    /// Workers, ACS target, stall window and fairness period.
+    pub admission: Admission,
     /// Task-queue bound; blocking [`WorkCrew::submit`] applies
     /// backpressure past it.
     pub queue_bound: usize,
-    /// How long dequeues must stall (with tasks queued) before a
-    /// passive worker is promoted.
-    pub stall_threshold: Duration,
-    /// Average period (in completed tasks) of the episodic
-    /// eldest-passive promotion; `None` disables it.
-    pub fairness_period: Option<u64>,
-    /// Seed for the fairness trigger's Bernoulli trials.
-    pub seed: u64,
 }
 
 impl PoolConfig {
-    /// An unrestricted pool: every worker dequeues, no passive stack.
-    /// The control for the Malthusian crew in benchmarks.
-    pub fn unrestricted(workers: usize, queue_bound: usize) -> Self {
+    /// A crew admitted by `admission` behind a queue of `queue_bound`.
+    pub fn new(admission: Admission, queue_bound: usize) -> Self {
         PoolConfig {
-            workers,
-            acs_target: workers,
+            admission,
             queue_bound,
-            stall_threshold: DEFAULT_STALL_THRESHOLD,
-            fairness_period: None,
-            seed: policy::DEFAULT_SEED,
         }
     }
 
-    /// A Malthusian crew: ACS limited to the host's parallelism (or
-    /// `workers`, whichever is smaller), stall-driven reprovisioning
-    /// on any pending backlog, and the paper's default 1/1000
-    /// fairness period.
+    /// A crew of [`Admission::malthusian`] workers.
     pub fn malthusian(workers: usize, queue_bound: usize) -> Self {
-        PoolConfig {
-            workers,
-            acs_target: policy::acs_target(workers, usize::MAX),
-            queue_bound,
-            stall_threshold: DEFAULT_STALL_THRESHOLD,
-            fairness_period: Some(policy::DEFAULT_FAIRNESS_PERIOD),
-            seed: policy::DEFAULT_SEED,
-        }
+        Self::new(Admission::malthusian(workers), queue_bound)
     }
 
     /// Overrides the steady-state ACS limit.
     pub fn with_acs_target(mut self, acs_target: usize) -> Self {
-        self.acs_target = acs_target;
+        self.admission = self.admission.with_acs_target(acs_target);
         self
-    }
-
-    /// Overrides the fairness period (`None` disables promotion).
-    pub fn with_fairness_period(mut self, period: Option<u64>) -> Self {
-        self.fairness_period = period;
-        self
-    }
-
-    /// Overrides the dequeue-stall window.
-    pub fn with_stall_threshold(mut self, stall: Duration) -> Self {
-        self.stall_threshold = stall;
-        self
-    }
-
-    fn validate(&self) {
-        assert!(self.workers > 0, "crew needs at least one worker");
-        assert!(self.acs_target > 0, "ACS target must be positive");
-        assert!(
-            self.acs_target <= self.workers,
-            "ACS target cannot exceed the worker count"
-        );
-        assert!(self.queue_bound > 0, "queue bound must be positive");
     }
 }
 
@@ -163,13 +115,9 @@ pub struct PoolStats {
     /// non-empty, no worker idle, or shutting down) — "no idle place",
     /// as opposed to a caller that chose to queue without asking.
     pub enter_refused: u64,
-    /// Workers culled onto the passive stack (excluding fairness
-    /// swaps).
-    pub culls: u64,
-    /// Passive workers promoted because the queue backed up.
-    pub reprovisions: u64,
-    /// Episodic promotions of the eldest passive worker.
-    pub fairness_promotions: u64,
+    /// The admission machine: ACS size and target, passive depth,
+    /// culls, reprovisions and fairness promotions.
+    pub members: MembershipStats,
     /// Tasks that panicked (isolated; the worker survives).
     pub panicked: u64,
     /// Tasks completed per worker, indexed by worker id.
@@ -310,24 +258,18 @@ impl WorkCrew {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (zero workers, ACS
-    /// target above the worker count, zero queue bound).
+    /// Panics if the admission point is invalid ([`Membership::new`])
+    /// or the queue bound is zero.
     pub fn new(cfg: PoolConfig) -> Self {
-        cfg.validate();
-        let parkers: Vec<Parker> = (0..cfg.workers).map(|_| Parker::new()).collect();
+        let members = Membership::new(cfg.admission, Instant::now());
+        assert!(cfg.queue_bound > 0, "queue bound must be positive");
+        let workers = cfg.admission.workers;
+        let parkers: Vec<Parker> = (0..workers).map(|_| Parker::new()).collect();
         let unparkers: Vec<Unparker> = parkers.iter().map(Parker::unparker).collect();
-        let members = Membership::new(
-            cfg.workers,
-            cfg.acs_target,
-            cfg.stall_threshold,
-            cfg.fairness_period,
-            cfg.seed | 1,
-            Instant::now(),
-        );
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                roles: vec![Role::Active; cfg.workers],
+                roles: vec![Role::Active; workers],
                 idle: Vec::new(),
                 members,
                 shutdown: false,
@@ -339,7 +281,7 @@ impl WorkCrew {
             inline: AtomicU64::new(0),
             enter_refused: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
-            per_worker: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
+            per_worker: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             cfg,
         });
         let handles = parkers
@@ -419,23 +361,15 @@ impl WorkCrew {
         Some(Slot { shared, worker })
     }
 
-    /// Number of passivated workers right now (racy diagnostic).
-    pub fn passive_len(&self) -> usize {
-        self.shared.members().passive
-    }
-
     /// Racy live snapshot of the activity counters.
     pub fn stats(&self) -> PoolStats {
         let s = &*self.shared;
-        let members = s.members();
         PoolStats {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
             inline: s.inline.load(Ordering::Relaxed),
             enter_refused: s.enter_refused.load(Ordering::Relaxed),
-            culls: members.culls,
-            reprovisions: members.reprovisions,
-            fairness_promotions: members.fairness_promotions,
+            members: s.members(),
             panicked: s.panicked.load(Ordering::Relaxed),
             per_worker_completed: s
                 .per_worker
@@ -446,7 +380,9 @@ impl WorkCrew {
     }
 
     /// Registers the crew's counters and gauges with a metrics
-    /// [`Registry`](malthus_obs::Registry).
+    /// [`Registry`](malthus_obs::Registry): its admission point as
+    /// `point="crew"` ([`policy::register_admission`]) and the crew's
+    /// own queue and completion counts.
     ///
     /// The closures capture the crew's shared state (not the
     /// [`WorkCrew`] handle), so the registry does not keep the crew's
@@ -454,8 +390,7 @@ impl WorkCrew {
     /// simply replaces the sources.
     pub fn register_metrics(&self, registry: &malthus_obs::Registry) {
         type SharedCounter = fn(&Shared) -> u64;
-        let no_labels: &[(&str, &str)] = &[];
-        let counters: [(&str, &str, SharedCounter); 8] = [
+        let counters: [(&str, &str, SharedCounter); 5] = [
             ("crew_submitted_total", "Tasks accepted by the crew.", |s| {
                 s.submitted.load(Ordering::Relaxed)
             }),
@@ -474,48 +409,21 @@ impl WorkCrew {
                 "try_enter calls that found no idle place to lend.",
                 |s| s.enter_refused.load(Ordering::Relaxed),
             ),
-            (
-                "crew_culls_total",
-                "Workers passivated by admission control.",
-                |s| s.members().culls,
-            ),
-            (
-                "crew_reprovisions_total",
-                "Passive workers self-promoted on backlog stall.",
-                |s| s.members().reprovisions,
-            ),
-            (
-                "crew_fairness_promotions_total",
-                "Eldest passive workers promoted by the fairness trigger.",
-                |s| s.members().fairness_promotions,
-            ),
             ("crew_panicked_total", "Tasks that panicked.", |s| {
                 s.panicked.load(Ordering::Relaxed)
             }),
         ];
         for (name, help, f) in counters {
             let shared = Arc::clone(&self.shared);
-            registry.counter(name, help, no_labels, move || f(&shared));
+            registry.counter(name, help, &[], move || f(&shared));
         }
         let shared = Arc::clone(&self.shared);
-        registry.gauge(
-            "crew_active_workers",
-            "Workers currently in the active circulating set.",
-            no_labels,
-            move || shared.members().active as f64,
-        );
-        let shared = Arc::clone(&self.shared);
-        registry.gauge(
-            "crew_passive_workers",
-            "Workers currently parked on the passive LIFO stack.",
-            no_labels,
-            move || shared.members().passive as f64,
-        );
+        policy::register_admission(registry, "crew", "crew_", move || shared.members());
         let shared = Arc::clone(&self.shared);
         registry.gauge(
             "crew_backlog",
             "Tasks queued and not yet dequeued.",
-            no_labels,
+            &[],
             move || {
                 let state = shared.state.lock().expect("crew mutex poisoned");
                 state.queue.len() as f64
@@ -567,8 +475,7 @@ impl Drop for WorkCrew {
 impl std::fmt::Debug for WorkCrew {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkCrew")
-            .field("workers", &self.shared.cfg.workers)
-            .field("acs_target", &self.shared.cfg.acs_target)
+            .field("admission", &self.shared.cfg.admission)
             .field("stats", &self.stats())
             .finish()
     }
@@ -710,14 +617,14 @@ mod tests {
 
     #[test]
     fn unrestricted_pool_runs_everything() {
-        let crew = WorkCrew::new(PoolConfig::unrestricted(4, 32));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(4), 32));
         let hits = count_tasks(&crew, 500);
         let stats = crew.shutdown();
         assert_eq!(hits.load(Ordering::Relaxed), 500);
         assert_eq!(stats.completed, 500);
         assert_eq!(stats.submitted, 500);
-        assert_eq!(stats.culls, 0, "unrestricted crews never cull");
-        assert_eq!(stats.fairness_promotions, 0);
+        assert_eq!(stats.members.culls, 0, "unrestricted crews never cull");
+        assert_eq!(stats.members.fairness_promotions, 0);
     }
 
     #[test]
@@ -725,15 +632,16 @@ mod tests {
         // 6 workers, ACS of 1: five workers must be culled, and a
         // CPU-bound stream must complete entirely on the restricted
         // set without losing work.
-        let cfg = PoolConfig::malthusian(6, 8)
+        let admission = Admission::malthusian(6)
             .with_acs_target(1)
             .with_fairness_period(None);
+        let cfg = PoolConfig::new(admission, 8);
         let crew = WorkCrew::new(cfg);
         let hits = count_tasks(&crew, 2_000);
         let stats = crew.shutdown();
         assert_eq!(hits.load(Ordering::Relaxed), 2_000, "no lost tasks");
         assert_eq!(stats.completed, 2_000);
-        assert!(stats.culls >= 5, "culls = {}", stats.culls);
+        assert!(stats.members.culls >= 5, "culls = {}", stats.members.culls);
     }
 
     #[test]
@@ -742,14 +650,15 @@ mod tests {
         // pending backlog must promote a culled worker (work
         // conservation) so no task is stranded behind the blocker.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let cfg = PoolConfig::malthusian(3, 16)
+        let admission = Admission::malthusian(3)
             .with_acs_target(1)
             .with_fairness_period(None)
-            .with_stall_threshold(Duration::from_millis(5));
+            .with_stall(Duration::from_millis(5));
+        let cfg = PoolConfig::new(admission, 16);
         let crew = WorkCrew::new(cfg);
         // Give culling a moment so the gate lands on the lone active.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while crew.passive_len() < 2 && std::time::Instant::now() < deadline {
+        while crew.stats().members.passive < 2 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         let g = Arc::clone(&gate);
@@ -777,7 +686,7 @@ mod tests {
         cv.notify_all();
         let stats = crew.shutdown();
         assert_eq!(drained, 200, "tasks stranded: {mid_stats:?}");
-        assert!(mid_stats.reprovisions >= 1, "{mid_stats:?}");
+        assert!(mid_stats.members.reprovisions >= 1, "{mid_stats:?}");
         assert_eq!(stats.completed, 201);
     }
 
@@ -785,18 +694,19 @@ mod tests {
     fn fairness_trigger_promotes_the_eldest_passive_worker() {
         // ACS of 1 with an aggressive fairness period: every worker
         // must eventually rotate through the ACS and complete tasks.
-        let cfg = PoolConfig::malthusian(4, 16)
+        let admission = Admission::malthusian(4)
             .with_acs_target(1)
             .with_fairness_period(Some(4))
-            .with_stall_threshold(Duration::from_secs(3600)); // never reprovision via backlog
+            .with_stall(Duration::from_secs(3600)); // never reprovision via backlog
+        let cfg = PoolConfig::new(admission, 16);
         let crew = WorkCrew::new(cfg);
         let hits = count_tasks(&crew, 3_000);
         let stats = crew.shutdown();
         assert_eq!(hits.load(Ordering::Relaxed), 3_000);
         assert!(
-            stats.fairness_promotions > 0,
+            stats.members.fairness_promotions > 0,
             "promotions = {}",
-            stats.fairness_promotions
+            stats.members.fairness_promotions
         );
         for (w, &n) in stats.per_worker_completed.iter().enumerate() {
             assert!(
@@ -809,7 +719,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_is_refused() {
-        let crew = WorkCrew::new(PoolConfig::unrestricted(2, 8));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(2), 8));
         crew.shutdown();
         assert_eq!(crew.submit(|| {}), Err(SubmitError::ShuttingDown));
     }
@@ -857,24 +767,23 @@ mod tests {
     }
 
     #[test]
-    fn passive_len_reflects_culling() {
-        let crew = WorkCrew::new(
-            PoolConfig::malthusian(4, 8)
-                .with_acs_target(1)
-                .with_fairness_period(None),
-        );
+    fn passive_depth_reflects_culling() {
+        let admission = Admission::malthusian(4)
+            .with_acs_target(1)
+            .with_fairness_period(None);
+        let crew = WorkCrew::new(PoolConfig::new(admission, 8));
         // With no work, three workers are surplus and must passivate.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while crew.passive_len() < 3 && std::time::Instant::now() < deadline {
+        while crew.stats().members.passive < 3 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(crew.passive_len(), 3);
+        assert_eq!(crew.stats().members.passive, 3);
         crew.shutdown();
     }
 
     #[test]
     fn panicking_tasks_are_isolated() {
-        let crew = WorkCrew::new(PoolConfig::unrestricted(2, 8));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(2), 8));
         crew.submit(|| panic!("request bug")).unwrap();
         let hits = count_tasks(&crew, 20);
         let stats = crew.shutdown();
@@ -910,7 +819,7 @@ mod tests {
         // real submit sends, so a worker is idle *and* the queue is
         // non-empty — must make `try_enter` refuse, and must run
         // before anything submitted after it.
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(1), 8));
         drop(enter_when_idle(&crew));
         let order = Arc::new(Mutex::new(Vec::new()));
         let o = Arc::clone(&order);
@@ -929,7 +838,7 @@ mod tests {
     fn a_panicking_slot_holder_returns_the_slot() {
         // (c) One worker, so a slot that is not given back leaves
         // nobody to run the next task (no passive worker to promote).
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(1), 8));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _slot = enter_when_idle(&crew);
             panic!("request bug on a connection thread");
@@ -949,10 +858,11 @@ mod tests {
         // (e) ACS of 1, lent to a holder that then "blocks" (as in a
         // write to a slow client): the backlog behind it must promote
         // a culled worker exactly as a blocked task would.
-        let cfg = PoolConfig::malthusian(3, 32)
+        let admission = Admission::malthusian(3)
             .with_acs_target(1)
             .with_fairness_period(None)
-            .with_stall_threshold(Duration::from_millis(5));
+            .with_stall(Duration::from_millis(5));
+        let cfg = PoolConfig::new(admission, 32);
         let crew = WorkCrew::new(cfg);
         let slot = enter_when_idle(&crew);
         let hits = count_tasks(&crew, 20);
@@ -961,7 +871,7 @@ mod tests {
         drop(slot);
         let stats = crew.shutdown();
         assert!(drained, "tasks stranded behind the slot: {mid_stats:?}");
-        assert!(mid_stats.reprovisions >= 1, "{mid_stats:?}");
+        assert!(mid_stats.members.reprovisions >= 1, "{mid_stats:?}");
         assert_eq!((stats.completed, stats.inline), (21, 1));
     }
 
@@ -970,7 +880,7 @@ mod tests {
         // (f) The only worker is lent and a task waits in the queue: a
         // stray unpark must not make the worker dequeue beside its
         // slot holder — that would be two threads in an ACS of one.
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(1), 8));
         let slot = enter_when_idle(&crew);
         let hits = count_tasks(&crew, 1);
         for _ in 0..5 {
@@ -994,13 +904,14 @@ mod tests {
         // promotes the culled worker, so a stray unpark must not make
         // it dequeue — that would be two threads in an ACS of one.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let cfg = PoolConfig::malthusian(2, 8)
+        let admission = Admission::malthusian(2)
             .with_acs_target(1)
             .with_fairness_period(None)
-            .with_stall_threshold(Duration::from_secs(3600));
+            .with_stall(Duration::from_secs(3600));
+        let cfg = PoolConfig::new(admission, 8);
         let crew = WorkCrew::new(cfg);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while crew.passive_len() < 1 && Instant::now() < deadline {
+        while crew.stats().members.passive < 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         let g = Arc::clone(&gate);
@@ -1030,19 +941,10 @@ mod tests {
         let stats = crew.shutdown();
         assert_eq!(ran_early, 0, "the passive worker dequeued");
         assert!(still_passive, "passive = {passive:?}");
-        assert_eq!((stats.culls, stats.reprovisions), (1, 0), "{stats:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "ACS target cannot exceed")]
-    fn invalid_config_panics() {
-        WorkCrew::new(PoolConfig {
-            workers: 2,
-            acs_target: 3,
-            queue_bound: 4,
-            stall_threshold: Duration::from_millis(5),
-            fairness_period: None,
-            seed: 1,
-        });
+        assert_eq!(
+            (stats.members.culls, stats.members.reprovisions),
+            (1, 0),
+            "{stats:?}"
+        );
     }
 }

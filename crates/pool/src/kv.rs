@@ -267,12 +267,6 @@ impl PipelineStats {
         self.max_batch.load(Ordering::Relaxed)
     }
 
-    /// `(p50, p99)` of the batch-size distribution, in requests per
-    /// batch.
-    pub fn batch_quantiles(&self) -> (u64, u64) {
-        batch_p50_p99(&self.sizes.snapshot())
-    }
-
     /// Snapshot of the batch-size distribution, for registry
     /// exposition.
     pub fn batch_size_snapshot(&self) -> HistogramSnapshot {
@@ -772,6 +766,7 @@ impl std::fmt::Debug for KvService {
 mod tests {
     use super::*;
     use crate::crew::{PoolConfig, WorkCrew};
+    use malthus::policy::Admission;
 
     /// The reply to `line` sent as a batch of one, newline stripped.
     fn one(svc: &KvService, line: &str) -> String {
@@ -884,7 +879,7 @@ mod tests {
     #[test]
     fn metrics_exposition_covers_every_layer() {
         let svc = KvService::with_shards(2, 64, 256);
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 8));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(1), 8));
         crew.register_metrics(svc.registry());
         svc.store().put(1, 10).unwrap();
         svc.store().put(2, 20).unwrap();
@@ -903,7 +898,10 @@ mod tests {
             "crew_completed_total",
             "crew_inline_total",
             "crew_enter_refused_total",
-            "crew_active_workers",
+            "malthus_acs_size{point=\"crew\"} 1",
+            "malthus_acs_target{point=\"crew\"} 1",
+            "malthus_passive_depth{point=\"crew\"} 0",
+            "crew_culls_total 0",
             "kv_shard_wal_syncs_total{shard=\"0\"}",
             "# TYPE kv_wal_fsync_ns histogram",
             "kv_wal_fsync_ns_count",
@@ -1037,7 +1035,8 @@ mod tests {
         // Its count is the batch total: no second counter to drift.
         assert_eq!(p.batches(), 4);
         assert_eq!(p.batch_size_snapshot().count(), 4);
-        assert_eq!(p.batch_quantiles(), (16, 16));
+        let sixteen = std::time::Duration::from_nanos(16);
+        assert_eq!(p.batch_size_snapshot().p50_p99(), (sixteen, sixteen));
         let stats = one(&svc, "STATS");
         assert!(
             stats.contains("pbatches=4 pbatchmax=16 pbatch_p50=16 pbatch_p99=16"),

@@ -78,9 +78,10 @@ pub mod server;
 mod session;
 
 pub use client::KvClient;
-pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, WorkCrew, DEFAULT_STALL_THRESHOLD};
+pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, WorkCrew};
 pub use kv::{KvService, PipelineStats};
 pub use kv_async::KvHandler;
+pub use malthus::policy::{Admission, MembershipStats};
 pub use malthus_net::ReactorConfig;
 pub use protocol::{Parsed, Request};
 pub use server::{Front, Server, ServerControl};

@@ -453,11 +453,13 @@ mod tests {
     use super::*;
     use crate::client::KvClient;
     use crate::crew::PoolConfig;
+    use malthus::policy::Admission;
     use malthus_obs::Sample;
 
     #[test]
     fn slowlog_over_tcp_records_pipelined_batches() {
-        let crew = Arc::new(WorkCrew::new(PoolConfig::unrestricted(2, 16)));
+        let cfg = PoolConfig::new(Admission::unrestricted(2), 16);
+        let crew = Arc::new(WorkCrew::new(cfg));
         let svc = Arc::new(KvService::with_shards(1, 4_096, 256));
         span::set_enabled(true);
         svc.set_slowlog_threshold_us(1); // everything is "slow"
@@ -489,7 +491,8 @@ mod tests {
 
     #[test]
     fn idle_read_timeout_disconnects_and_counts() {
-        let crew = Arc::new(WorkCrew::new(PoolConfig::unrestricted(1, 8)));
+        let cfg = PoolConfig::new(Admission::unrestricted(1), 8);
+        let crew = Arc::new(WorkCrew::new(cfg));
         let svc = Arc::new(KvService::new(64, 256));
         let (front, timeout) = (Front::Threaded(crew), Some(Duration::from_millis(50)));
         let server = Server::start("127.0.0.1:0", Arc::clone(&svc), front, timeout).unwrap();

@@ -151,6 +151,7 @@ pub fn run_pool_saturation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malthus_pool::Admission;
 
     #[test]
     fn saturation_completes_work_and_measures_latency() {
@@ -173,11 +174,11 @@ mod tests {
     #[test]
     fn unrestricted_control_also_runs() {
         let r = run_pool_saturation(
-            PoolConfig::unrestricted(4, 32),
+            PoolConfig::new(Admission::unrestricted(4), 32),
             Duration::from_millis(100),
             SaturationShape::default(),
         );
         assert!(r.completed > 0);
-        assert_eq!(r.pool.culls, 0);
+        assert_eq!(r.pool.members.culls, 0);
     }
 }

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use malthusian::pool::PoolConfig;
+use malthusian::pool::{Admission, PoolConfig};
 use malthusian::workloads::pool_saturation::{run_pool_saturation, SaturationShape};
 
 fn main() {
@@ -25,7 +25,10 @@ fn main() {
 
     println!("work crew at 4x oversubscription: {workers} workers on {cpus} CPU(s)\n");
     for (label, cfg) in [
-        ("unrestricted", PoolConfig::unrestricted(workers, 64)),
+        (
+            "unrestricted",
+            PoolConfig::new(Admission::unrestricted(workers), 64),
+        ),
         ("malthusian", PoolConfig::malthusian(workers, 64)),
     ] {
         let r = run_pool_saturation(cfg, interval, shape);
@@ -35,9 +38,9 @@ fn main() {
             r.ops_per_sec,
             r.p50.as_secs_f64() * 1e6,
             r.p99.as_secs_f64() * 1e6,
-            r.pool.culls,
-            r.pool.reprovisions,
-            r.pool.fairness_promotions,
+            r.pool.members.culls,
+            r.pool.members.reprovisions,
+            r.pool.members.fairness_promotions,
         );
     }
     println!(

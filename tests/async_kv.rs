@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use malthus_obs::Sample;
-use malthus_pool::{Front, KvClient, KvService, ReactorConfig, Server};
+use malthus_pool::{Admission, Front, KvClient, KvService, ReactorConfig, Server};
 
 mod common;
 
@@ -92,6 +92,25 @@ fn control_verbs_match_the_threaded_front_end() {
     let mut c = KvClient::connect(addr).unwrap();
     assert_eq!(c.roundtrip("#9 SHUTDOWN").unwrap(), "#9 OK");
     close(); // already stopping; must not hang or double-panic
+}
+
+#[test]
+fn the_admission_point_exports_one_family() {
+    let start = |admission| {
+        let service = Arc::new(KvService::with_shards(2, 64, 256));
+        let front = Front::Reactor(ReactorConfig::new(admission));
+        Server::start("127.0.0.1:0", service, front, None).unwrap()
+    };
+    let restricted = start(Admission::malthusian(4).with_acs_target(1));
+    let unrestricted = start(Admission::unrestricted(4));
+    common::the_admission_point_exports_one_family(
+        "reactor",
+        "kv_reactor_culls_total",
+        restricted.addr(),
+        unrestricted.addr(),
+    );
+    restricted.stop();
+    unrestricted.stop();
 }
 
 /// The depth-16 stress of the threaded suite, under the watchdog so a

@@ -7,7 +7,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use malthus_pool::{KvClient, KvService};
 
@@ -204,8 +204,8 @@ pub fn depth_16_stress_against_four_shards(addr: SocketAddr, service: &KvService
     assert!(p.batches() > 0);
     assert!(p.max_batch() >= 1);
     assert_eq!(p.batch_size_snapshot().count(), p.batches());
-    let (p50, p99) = p.batch_quantiles();
-    assert!(p50 >= 1 && p99 >= p50, "p50 {p50} p99 {p99}");
+    let (p50, p99) = p.batch_size_snapshot().p50_p99();
+    assert!(p50.as_nanos() >= 1 && p99 >= p50, "p50 {p50:?} p99 {p99:?}");
     let stats = service.store().stats();
     assert_eq!(stats.writes(), conns as u64 * per_conn / 2);
     let episodes = write_episodes(service);
@@ -238,6 +238,49 @@ pub fn batch_instruments_agree_while_connections_are_open(addr: SocketAddr) {
     let batches = value("kv_pipeline_batches_total");
     assert!(batches >= 4.0, "three windows and a scrape: {batches}");
     assert_eq!(batches, value("kv_pipeline_batch_size_count"), "{doc}");
+}
+
+/// One executor admission point, one exported family: `restricted` is
+/// a server of 4 workers held to an ACS target of 1 and
+/// `unrestricted` one of 4 workers all circulating, both admitted at
+/// `point` (`crew` or `reactor`), whose cull counter is `culls`.
+pub fn the_admission_point_exports_one_family(
+    point: &str,
+    culls: &str,
+    restricted: SocketAddr,
+    unrestricted: SocketAddr,
+) {
+    let scrape = |addr| {
+        let doc = KvClient::connect(addr)
+            .unwrap()
+            .fetch_document("METRICS")
+            .unwrap();
+        move |name: &str| -> f64 {
+            let series = if name == culls {
+                name.to_string()
+            } else {
+                format!("{name}{{point=\"{point}\"}}")
+            };
+            doc.lines()
+                .find_map(|l| l.strip_prefix(&series)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no {series} in:\n{doc}"))
+        }
+    };
+    let series = scrape(restricted);
+    assert_eq!(series("malthus_acs_target"), 1.0);
+    // The two gauges are read one after the other, so a cull between
+    // them can tear one scrape; every worker is either in the ACS or
+    // on the passive stack once the machine has settled.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut series = series;
+    while series("malthus_acs_size") + series("malthus_passive_depth") != 4.0 {
+        assert!(Instant::now() < deadline, "ACS + passive never read 4");
+        std::thread::sleep(Duration::from_millis(5));
+        series = scrape(restricted);
+    }
+    let series = scrape(unrestricted);
+    assert_eq!(series("malthus_acs_target"), 4.0);
+    assert_eq!(series(culls), 0.0);
 }
 
 /// Runs `f` on a helper thread and fails (returning `false`) if it

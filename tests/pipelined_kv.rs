@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use malthus_pool::protocol::MAX_BATCH_KEYS;
-use malthus_pool::{server, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
+use malthus_pool::{server, Admission, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
 
 mod common;
 use common::run_with_watchdog;
@@ -116,6 +116,24 @@ fn a_durable_store_group_commits_over_the_wire() {
     let syncs = stats.wal_syncs();
     assert!(syncs > 0 && syncs <= stats.writes(), "{syncs} fsyncs");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_admission_point_exports_one_family() {
+    let start = |admission| {
+        let crew = PoolConfig::new(admission, 64);
+        start_server_with(KvService::with_shards(2, 64, 256), crew)
+    };
+    let (restricted, _, _, close_restricted) = start(Admission::malthusian(4).with_acs_target(1));
+    let (unrestricted, _, _, close_unrestricted) = start(Admission::unrestricted(4));
+    common::the_admission_point_exports_one_family(
+        "crew",
+        "crew_culls_total",
+        restricted,
+        unrestricted,
+    );
+    close_restricted();
+    close_unrestricted();
 }
 
 /// Under the watchdog so a lost wakeup fails loudly instead of hanging
@@ -322,22 +340,28 @@ fn the_cost_rule_flips_both_ways_on_one_connection() {
         let pairs: Vec<String> = (0..MAX_BATCH_KEYS as u64)
             .map(|k| format!("{} {}", round * MAX_BATCH_KEYS as u64 + k, round))
             .collect();
-        // Dear batch, then two cheap ones, one batch at a time.
+        // Dear batch, then three cheap ones, one batch at a time.
         let (reply, dear, _) = roundtrip(&format!("#{round} MSET {}", pairs.join(" ")));
         assert_eq!(reply, format!("#{round} OK {MAX_BATCH_KEYS}"));
         let probe = round * MAX_BATCH_KEYS as u64 + 7;
-        let (reply, cheap, queued) = roundtrip(&format!("GET {probe}"));
+        let (reply, _, queued) = roundtrip(&format!("GET {probe}"));
         assert_eq!(reply, format!("VAL {round}"));
         if dear == Cost::Dear {
             // A dear predecessor: handed to a crew worker, always.
             assert_eq!(queued, 1, "round {round}: ran in place after a dear batch");
             dear_rounds += 1;
         }
+        // The cheap predecessor is a PING, not the GET: a GET on a
+        // loaded host can cost a bucket that straddles the constant,
+        // while a PING never touches the store.
+        let (reply, cheap, _) = roundtrip("#4 PING");
+        assert_eq!(reply, "#4 PONG");
         let (reply, _, queued) = roundtrip("#5 PING");
         assert_eq!(reply, "#5 PONG");
         // A cheap predecessor: in place whenever a worker is idle to
-        // lend its slot (the one that ran the GET may still be on its
-        // way back), so it is counted here and asserted below.
+        // lend its slot (the one that ran an earlier batch may still
+        // be on its way back), so it is counted here and asserted
+        // below.
         ran_in_place += u64::from(cheap == Cost::Cheap && queued == 0);
         if dear_rounds >= rounds && ran_in_place > 0 {
             break;
@@ -368,9 +392,10 @@ fn a_client_that_stops_reading_does_not_hold_an_acs_place() {
     const SCANS: usize = 680; // "SCAN 0 1024\n" x 680 = 8160 bytes: one read block
     const WINDOWS: u64 = 300;
     let done = run_with_watchdog(Duration::from_secs(120), || {
-        let cfg = PoolConfig::malthusian(2, 16)
+        let admission = Admission::malthusian(2)
             .with_acs_target(1)
             .with_fairness_period(None);
+        let cfg = PoolConfig::new(admission, 16);
         let (addr, service, crew, close) =
             start_server_with(KvService::with_shards(2, 64, 256), cfg);
         // 1024 keys with 20-digit values, loaded past the crew: each
@@ -385,7 +410,7 @@ fn a_client_that_stops_reading_does_not_hold_an_acs_place() {
         // the place to lend — before A asks for it; a batch that met
         // the workers still starting up would be queued, and block a
         // worker rather than the reader.
-        while crew.passive_len() == 0 || crew.try_enter().is_none() {
+        while crew.stats().members.passive == 0 || crew.try_enter().is_none() {
             std::thread::sleep(Duration::from_millis(1));
         }
         let mut a = TcpStream::connect(addr).unwrap();

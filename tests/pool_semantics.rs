@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use malthusian::pool::{Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
+use malthusian::pool::{Admission, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
 
 #[test]
 fn culled_workers_are_reprovisioned_and_no_task_is_lost() {
@@ -17,10 +17,11 @@ fn culled_workers_are_reprovisioned_and_no_task_is_lost() {
     // A task that wedges the lone active worker forces the standby
     // machinery to reprovision, and every submitted task must still
     // run exactly once.
-    let cfg = PoolConfig::malthusian(5, 32)
+    let admission = Admission::malthusian(5)
         .with_acs_target(1)
         .with_fairness_period(None)
-        .with_stall_threshold(Duration::from_millis(5));
+        .with_stall(Duration::from_millis(5));
+    let cfg = PoolConfig::new(admission, 32);
     let crew = WorkCrew::new(cfg);
     let hits = Arc::new(AtomicU64::new(0));
     for batch in 0..4 {
@@ -41,18 +42,19 @@ fn culled_workers_are_reprovisioned_and_no_task_is_lost() {
     assert_eq!(hits.load(Ordering::Relaxed), 400, "no lost tasks");
     assert_eq!(stats.completed, 404);
     assert_eq!(stats.submitted, 404);
-    assert!(stats.culls >= 4, "culls = {}", stats.culls);
+    assert!(stats.members.culls >= 4, "culls = {}", stats.members.culls);
     assert!(
-        stats.reprovisions >= 1,
+        stats.members.reprovisions >= 1,
         "blocked service must reprovision: {stats:?}"
     );
 }
 
 #[test]
 fn fairness_trigger_rotates_every_worker_through_the_acs() {
-    let cfg = PoolConfig::malthusian(4, 32)
+    let admission = Admission::malthusian(4)
         .with_acs_target(1)
         .with_fairness_period(Some(8));
+    let cfg = PoolConfig::new(admission, 32);
     let crew = WorkCrew::new(cfg);
     for i in 0..4_000u64 {
         crew.submit(move || {
@@ -63,9 +65,9 @@ fn fairness_trigger_rotates_every_worker_through_the_acs() {
     let stats = crew.shutdown();
     assert_eq!(stats.completed, 4_000);
     assert!(
-        stats.fairness_promotions > 0,
+        stats.members.fairness_promotions > 0,
         "promotions = {}",
-        stats.fairness_promotions
+        stats.members.fairness_promotions
     );
     for (w, &n) in stats.per_worker_completed.iter().enumerate() {
         assert!(
@@ -93,10 +95,11 @@ fn lent_slots_and_queued_tasks_together_never_exceed_the_acs() {
     // (aggressive fairness rotation on, stall reprovisioning out of
     // reach so the limit cannot be boosted): whichever way the work
     // gets in, at most two threads are ever inside it.
-    let cfg = PoolConfig::malthusian(6, 64)
+    let admission = Admission::malthusian(6)
         .with_acs_target(2)
         .with_fairness_period(Some(16))
-        .with_stall_threshold(Duration::from_secs(3_600));
+        .with_stall(Duration::from_secs(3_600));
+    let cfg = PoolConfig::new(admission, 64);
     let crew = Arc::new(WorkCrew::new(cfg));
     let in_flight = Arc::new(AtomicUsize::new(0));
     let high_water = Arc::new(AtomicUsize::new(0));
@@ -140,7 +143,7 @@ fn lent_slots_and_queued_tasks_together_never_exceed_the_acs() {
     let stats = crew.shutdown();
     assert_eq!(stats.completed, 4 * per_caller, "{stats:?}");
     assert_eq!(stats.completed, stats.submitted + stats.inline, "{stats:?}");
-    assert_eq!(stats.reprovisions, 0, "the limit was never boosted");
+    assert_eq!(stats.members.reprovisions, 0, "the limit was never boosted");
     assert!(stats.inline >= 4 * per_caller / 3, "{stats:?}");
     assert!(stats.submitted >= 4 * per_caller / 3, "{stats:?}");
     assert_eq!(
@@ -159,7 +162,7 @@ fn shutdown_with_a_slot_lent_drains_the_queue_without_hanging() {
     // it, and must not wait for the slot to come back.
     let (tx, rx) = mpsc::channel();
     let runner = std::thread::spawn(move || {
-        let crew = WorkCrew::new(PoolConfig::unrestricted(1, 64));
+        let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(1), 64));
         let slot = loop {
             match crew.try_enter() {
                 Some(slot) => break slot,
