@@ -24,6 +24,11 @@
 //! | [`ClhLock`] | FIFO local-spin baseline | §5.4 |
 //! | [`TasLock`], [`TatasLock`] | unfair competitive baselines | Figure 2, A.1 |
 //!
+//! [`McsLock`], [`McsCrLock`] and [`McsCrnLock`] are one MCS queue under
+//! three admission policies: they share its arrival, hand-off,
+//! reprovisioning, culling and grafting code, and each lock's unlock only
+//! chooses among those edits (MCS makes none).
+//!
 //! Every algorithm implements [`RawLock`] and plugs into the
 //! [`Mutex`]/[`MutexGuard`] RAII wrapper. CR is also available for
 //! condition variables ([`CrCondvar`]) and semaphores
@@ -70,6 +75,7 @@ mod mutex;
 mod node;
 pub mod pad;
 pub mod policy;
+mod queue;
 mod raw;
 mod semaphore;
 mod tas;

@@ -9,38 +9,15 @@
 //! granted the lock is the one that has waited longest and is thus the
 //! most likely to have parked, so handovers eat context-switch
 //! latencies inside the effective critical section.
+//!
+//! MCS is the policy of the shared MCS queue that never edits it;
+//! [`McsCrLock`](crate::McsCrLock) and [`McsCrnLock`](crate::McsCrnLock)
+//! edit the same queue.
 
-use std::cell::UnsafeCell;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use malthus_park::WaitPolicy;
 
-use malthus_park::{SpinThenYield, WaitPolicy};
-
-use crate::node::{alloc_node, free_node, QNode};
-use crate::pad::CachePadded;
+use crate::queue::McsQueue;
 use crate::raw::RawLock;
-
-/// Spins until `node.next` has been linked by an in-flight arrival.
-///
-/// The arrival is mid-publication, so the wait is normally a handful
-/// of pauses; the yield fallback covers the arrival being descheduled
-/// on an oversubscribed host.
-///
-/// # Safety
-///
-/// `node` must be a live queue node for which an arrival is known to
-/// be in progress (tail no longer equals `node`).
-pub(crate) unsafe fn wait_link(node: *mut QNode) -> *mut QNode {
-    let mut spin = SpinThenYield::new();
-    loop {
-        // SAFETY: caller guarantees `node` is live.
-        let next = unsafe { (*node).next.load(Ordering::Acquire) };
-        if !next.is_null() {
-            return next;
-        }
-        spin.pause();
-    }
-}
 
 /// A classic MCS lock, parameterized by waiting policy.
 ///
@@ -56,19 +33,8 @@ pub(crate) unsafe fn wait_link(node: *mut QNode) -> *mut QNode {
 /// *stp.lock() += 1;
 /// ```
 pub struct McsLock {
-    /// The arrival-contended word, on its own cache line.
-    tail: CachePadded<AtomicPtr<QNode>>,
-    /// The owner's node; accessed only by the current lock holder, so
-    /// it must not share a line with the arrival-hammered `tail`.
-    owner: CachePadded<UnsafeCell<*mut QNode>>,
-    policy: WaitPolicy,
+    q: McsQueue<()>,
 }
-
-// SAFETY: `tail` is atomic and `owner` is serialized by the lock
-// itself (only the holder touches it).
-unsafe impl Send for McsLock {}
-// SAFETY: see above.
-unsafe impl Sync for McsLock {}
 
 impl Default for McsLock {
     fn default() -> Self {
@@ -80,9 +46,7 @@ impl McsLock {
     /// Creates an unlocked MCS lock with the given waiting policy.
     pub fn new(policy: WaitPolicy) -> Self {
         McsLock {
-            tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            owner: CachePadded::new(UnsafeCell::new(ptr::null_mut())),
-            policy,
+            q: McsQueue::new((), policy),
         }
     }
 
@@ -98,16 +62,7 @@ impl McsLock {
 
     /// Returns `true` if any thread holds or waits for the lock.
     pub fn is_contended_or_held(&self) -> bool {
-        !self.tail.load(Ordering::Acquire).is_null()
-    }
-}
-
-impl Drop for McsLock {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.tail.get_mut().is_null(),
-            "McsLock dropped while held or contended"
-        );
+        !self.q.is_idle()
     }
 }
 
@@ -117,90 +72,33 @@ impl Drop for McsLock {
 // the tail swap/CAS and the wait-cell signal.
 unsafe impl RawLock for McsLock {
     fn lock(&self) {
-        let node = alloc_node();
-        let prev = self.tail.swap(node, Ordering::AcqRel);
-        if !prev.is_null() {
-            // SAFETY: `prev` is live: its owner cannot release and free
-            // it before observing our link (the MCS protocol waits for
-            // `next` once the tail has moved past it).
-            unsafe {
-                (*prev).next.store(node, Ordering::Release);
-                (*node).cell.wait(self.policy);
-            }
-        }
-        // SAFETY: we hold the lock; `owner` is ours.
-        unsafe { *self.owner.get() = node };
+        self.q.lock();
     }
 
     fn try_lock(&self) -> bool {
-        let node = alloc_node();
-        // Success: Acquire pairs with the releasing CAS of the previous
-        // owner, and Release publishes `node`'s sanitized `next = null`
-        // store — an arrival that swaps the tail will *write* through
-        // that field, and without the release edge its link store and
-        // our stale null store would be unordered (lost-waiter risk on
-        // weakly-ordered hardware). Failure: the observed pointer is
-        // unused.
-        if self
-            .tail
-            .compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: we hold the lock.
-            unsafe { *self.owner.get() = node };
-            true
-        } else {
-            // SAFETY: the node was never published.
-            unsafe { free_node(node) };
-            false
-        }
+        self.q.try_lock()
     }
 
     unsafe fn unlock(&self) {
-        // SAFETY: caller holds the lock.
-        let me = unsafe { *self.owner.get() };
-        debug_assert!(!me.is_null());
-        // SAFETY: `me` is our live node.
-        let mut succ = unsafe { (*me).next.load(Ordering::Acquire) };
-        if succ.is_null() {
-            // Success: Release hands the critical section to the next
-            // acquirer. Failure: observed value unused; `wait_link`
-            // supplies the Acquire edge before we touch the successor.
-            if self
-                .tail
-                .compare_exchange(me, ptr::null_mut(), Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-            {
-                // No successor; the queue is empty.
-                // SAFETY: nobody else can reach `me` after the CAS.
-                unsafe { free_node(me) };
-                return;
+        // SAFETY: caller holds the lock. MCS never culls, so nothing
+        // is ever reprovisioned: the successor is granted as is.
+        unsafe {
+            let me = self.q.owner();
+            if let Some(succ) = self.q.successor(me, |_| {}) {
+                self.q.grant(me, succ);
             }
-            // An arrival swapped the tail but has not linked yet.
-            // SAFETY: the arrival is committed to writing `me.next`.
-            succ = unsafe { wait_link(me) };
         }
-        // SAFETY: `succ` is a live waiting node; signalling releases it
-        // and we never touch it afterwards.
-        unsafe { (*succ).cell.signal() };
-        // SAFETY: after the successor is linked no thread references
-        // `me` (arrivals only touch the current tail's `next`).
-        unsafe { free_node(me) };
     }
 
     fn name(&self) -> &'static str {
-        match self.policy {
-            WaitPolicy::Spin => "MCS-S",
-            WaitPolicy::SpinThenPark { .. } => "MCS-STP",
-            WaitPolicy::Park => "MCS-P",
-        }
+        self.q.name(["MCS-S", "MCS-STP", "MCS-P"])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn hammer(lock: Arc<McsLock>, threads: usize, iters: usize) -> u64 {

@@ -1,6 +1,7 @@
 //! MCSCR: the Malthusian MCS lock with concurrency restriction (§4).
 //!
-//! MCSCR is a classic MCS lock whose *unlock* path edits the queue:
+//! MCSCR is the MCS queue ([`McsLock`](crate::McsLock)'s) under a
+//! policy whose *unlock* path edits the queue:
 //!
 //! * **Culling** — if nodes exist strictly between the owner's node and
 //!   the tail, the queue holds surplus threads; one is excised per
@@ -22,15 +23,13 @@
 //! the lock itself. Absent contention MCSCR behaves precisely like MCS.
 
 use std::cell::UnsafeCell;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
 
+use malthus_obs::{record, EventKind};
 use malthus_park::{WaitPolicy, XorShift64};
 
-use crate::mcs::wait_link;
-use crate::node::{alloc_node, free_node, QNode};
-use crate::pad::{CachePadded, LockCounter};
+use crate::pad::LockCounter;
 use crate::policy::{FairnessTrigger, DEFAULT_FAIRNESS_PERIOD};
+use crate::queue::McsQueue;
 use crate::raw::RawLock;
 
 /// Monotonic counters describing CR activity on one lock.
@@ -42,153 +41,6 @@ pub struct CrStats {
     pub reprovisions: u64,
     /// Passive-tail promotions from the fairness Bernoulli trial.
     pub fairness_grants: u64,
-}
-
-/// A doubly-linked list of passivated nodes, protected by the lock.
-///
-/// Head = most recently passivated ("warm" end, used to reprovision);
-/// tail = least recently arrived ("cold" end, used for fairness).
-pub(crate) struct PassiveList {
-    head: *mut QNode,
-    tail: *mut QNode,
-    len: usize,
-}
-
-impl PassiveList {
-    pub(crate) const fn new() -> Self {
-        PassiveList {
-            head: ptr::null_mut(),
-            tail: ptr::null_mut(),
-            len: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pushes `node` at the head.
-    ///
-    /// # Safety
-    ///
-    /// `node` must be live, not in any list, and the caller must hold
-    /// the lock that protects this list.
-    pub(crate) unsafe fn push_head(&mut self, node: *mut QNode) {
-        // SAFETY: caller guarantees exclusive, live access.
-        unsafe {
-            (*node).pprev.set(ptr::null_mut());
-            (*node).pnext.set(self.head);
-            // Sanitize the chain link so a later graft starts clean.
-            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
-            if self.head.is_null() {
-                self.tail = node;
-            } else {
-                (*self.head).pprev.set(node);
-            }
-        }
-        self.head = node;
-        self.len += 1;
-    }
-
-    /// Pops the head (most recently passivated), or null if empty.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the protecting lock.
-    pub(crate) unsafe fn pop_head(&mut self) -> *mut QNode {
-        let node = self.head;
-        if node.is_null() {
-            return node;
-        }
-        // SAFETY: `node` is live and ours.
-        unsafe {
-            self.head = (*node).pnext.get();
-            if self.head.is_null() {
-                self.tail = ptr::null_mut();
-            } else {
-                (*self.head).pprev.set(ptr::null_mut());
-            }
-            (*node).pnext.set(ptr::null_mut());
-        }
-        self.len -= 1;
-        node
-    }
-
-    /// Pops the tail (least recently arrived), or null if empty.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the protecting lock.
-    pub(crate) unsafe fn pop_tail(&mut self) -> *mut QNode {
-        let node = self.tail;
-        if node.is_null() {
-            return node;
-        }
-        // SAFETY: `node` is live and ours.
-        unsafe {
-            self.tail = (*node).pprev.get();
-            if self.tail.is_null() {
-                self.head = ptr::null_mut();
-            } else {
-                (*self.tail).pnext.set(ptr::null_mut());
-            }
-            (*node).pprev.set(ptr::null_mut());
-        }
-        self.len -= 1;
-        node
-    }
-
-    /// Removes an arbitrary interior node.
-    ///
-    /// # Safety
-    ///
-    /// `node` must currently be a member of this list; the caller must
-    /// hold the protecting lock.
-    pub(crate) unsafe fn unlink(&mut self, node: *mut QNode) {
-        // SAFETY: membership guaranteed by caller.
-        unsafe {
-            let prev = (*node).pprev.get();
-            let next = (*node).pnext.get();
-            if prev.is_null() {
-                self.head = next;
-            } else {
-                (*prev).pnext.set(next);
-            }
-            if next.is_null() {
-                self.tail = prev;
-            } else {
-                (*next).pprev.set(prev);
-            }
-            (*node).pprev.set(ptr::null_mut());
-            (*node).pnext.set(ptr::null_mut());
-        }
-        self.len -= 1;
-    }
-
-    /// Returns the tail (eldest) node without removing it, or null.
-    pub(crate) fn tail_node(&self) -> *mut QNode {
-        self.tail
-    }
-
-    /// Iterates from tail (eldest) toward head.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the protecting lock; the visitor must not
-    /// mutate the list.
-    pub(crate) unsafe fn for_each_from_tail(&self, mut f: impl FnMut(*mut QNode)) {
-        let mut cur = self.tail;
-        while !cur.is_null() {
-            // SAFETY: list membership keeps nodes live.
-            let prev = unsafe { (*cur).pprev.get() };
-            f(cur);
-            cur = prev;
-        }
-    }
 }
 
 /// The MCSCR lock: MCS with concurrency restriction.
@@ -204,36 +56,18 @@ impl PassiveList {
 /// assert_eq!(*m.lock(), 1);
 /// ```
 pub struct McsCrLock {
-    /// The arrival-contended word: every `lock()` RMWs it. Isolated on
-    /// its own cache line so holder-side CR edits never ping-pong with
-    /// arrivals.
-    tail: CachePadded<AtomicPtr<QNode>>,
-    /// All lock-protected state, grouped on a separate line from
-    /// `tail`: only the current holder touches any of it.
-    cr: CachePadded<CrState>,
-    policy: WaitPolicy,
+    q: McsQueue<CrState>,
 }
 
 /// Holder-only state of an [`McsCrLock`]; serialized by the lock
 /// itself (§4: "the MCS lock protects the excess list").
 struct CrState {
-    /// Owner's node.
-    owner: UnsafeCell<*mut QNode>,
-    /// The passive set.
-    passive: UnsafeCell<PassiveList>,
     /// Fairness Bernoulli trial state.
     fairness: UnsafeCell<FairnessTrigger>,
     culls: LockCounter,
     reprovisions: LockCounter,
     fairness_grants: LockCounter,
 }
-
-// SAFETY: `tail` is an atomic and the counters tolerate racy reads;
-// `owner`, `passive` and `fairness` are accessed only by the current
-// lock holder, so the lock itself serializes them.
-unsafe impl Send for McsCrLock {}
-// SAFETY: see above.
-unsafe impl Sync for McsCrLock {}
 
 impl Default for McsCrLock {
     fn default() -> Self {
@@ -245,17 +79,14 @@ impl McsCrLock {
     /// Creates an MCSCR lock with explicit policy, fairness period and
     /// PRNG seed.
     pub fn with_params(policy: WaitPolicy, fairness_period: u64, seed: u64) -> Self {
+        let cr = CrState {
+            fairness: UnsafeCell::new(FairnessTrigger::new(fairness_period, seed)),
+            culls: LockCounter::new(),
+            reprovisions: LockCounter::new(),
+            fairness_grants: LockCounter::new(),
+        };
         McsCrLock {
-            tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            cr: CachePadded::new(CrState {
-                owner: UnsafeCell::new(ptr::null_mut()),
-                passive: UnsafeCell::new(PassiveList::new()),
-                fairness: UnsafeCell::new(FairnessTrigger::new(fairness_period, seed)),
-                culls: LockCounter::new(),
-                reprovisions: LockCounter::new(),
-                fairness_grants: LockCounter::new(),
-            }),
-            policy,
+            q: McsQueue::new(cr, policy),
         }
     }
 
@@ -286,7 +117,7 @@ impl McsCrLock {
         // SAFETY: reading a usize is fine for a diagnostic; the value
         // may be stale but never tears on supported platforms. We
         // still go through the UnsafeCell pointer read.
-        unsafe { (*self.cr.passive.get()).len() }
+        unsafe { (*self.q.passive()).len() }
     }
 
     /// Snapshot of CR activity counters.
@@ -300,10 +131,11 @@ impl McsCrLock {
     /// guaranteed to balance once the lock is quiescent — after all
     /// contending threads have been joined.
     pub fn cr_stats(&self) -> CrStats {
+        let cr = self.q.state();
         CrStats {
-            culls: self.cr.culls.get(),
-            reprovisions: self.cr.reprovisions.get(),
-            fairness_grants: self.cr.fairness_grants.get(),
+            culls: cr.culls.get(),
+            reprovisions: cr.reprovisions.get(),
+            fairness_grants: cr.fairness_grants.get(),
         }
     }
 
@@ -311,63 +143,6 @@ impl McsCrLock {
     /// address, stable for the lock's lifetime.
     fn id(&self) -> u64 {
         self as *const Self as usize as u64
-    }
-
-    /// Grants the lock to `node` by grafting it immediately after the
-    /// owner `me`, inheriting the rest of the chain.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the lock; `me` must be the owner's node and
-    /// `node` must be a live node in no list.
-    unsafe fn graft_as_successor(&self, me: *mut QNode, node: *mut QNode) {
-        // SAFETY: caller contract; see each step.
-        unsafe {
-            let succ = (*me).next.load(Ordering::Acquire);
-            if succ.is_null() {
-                // `node.next` must be null *before* the CAS can publish
-                // `node` as the tail: the instant it is tail, arrivals
-                // may link through it.
-                (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
-                // Success needs only Release (publish `node`'s null
-                // link); nothing is read through the swapped-out value.
-                // Failure needs nothing at all: the returned pointer is
-                // unused and `wait_link` below supplies the Acquire
-                // edge for the successor dereference.
-                if self
-                    .tail
-                    .compare_exchange(me, node, Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    (*node).cell.signal();
-                    free_node(me);
-                    return;
-                }
-                // An arrival got in first; wait for its link.
-                let succ = wait_link(me);
-                (*node).next.store(succ, Ordering::Release);
-                (*node).cell.signal();
-                free_node(me);
-                return;
-            }
-            (*node).next.store(succ, Ordering::Release);
-            (*node).cell.signal();
-            free_node(me);
-        }
-    }
-}
-
-impl Drop for McsCrLock {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.tail.get_mut().is_null(),
-            "McsCrLock dropped while held or contended"
-        );
-        debug_assert!(
-            // SAFETY: exclusive access in Drop.
-            unsafe { (*self.cr.passive.get()).is_empty() },
-            "McsCrLock dropped with passivated waiters"
-        );
     }
 }
 
@@ -378,249 +153,61 @@ impl Drop for McsCrLock {
 // liveness are preserved.
 unsafe impl RawLock for McsCrLock {
     fn lock(&self) {
-        let node = alloc_node();
-        let prev = self.tail.swap(node, Ordering::AcqRel);
-        if !prev.is_null() {
-            // Span tracing: the uncontended path above never reads the
-            // clock; this already-blocking slow path stamps its wait so
-            // the service can attribute lock admission cost per batch.
-            let t0 = if malthus_obs::span::enabled() {
-                malthus_obs::span::now_ns()
-            } else {
-                0
-            };
-            // SAFETY: `prev` is live until it observes our link.
-            unsafe {
-                (*prev).next.store(node, Ordering::Release);
-                (*node).cell.wait(self.policy);
-            }
-            if t0 != 0 {
-                let total = malthus_obs::span::now_ns().saturating_sub(t0);
-                // If a holder culled us to the passive list it stamped
-                // the moment into our node (the wake signal orders the
-                // stamp before this read); split the wait there —
-                // before the stamp was ordinary MCS admission, after it
-                // was Malthusian passive-list residency.
-                // SAFETY: we hold the lock; the node is ours again.
-                let culled_at = unsafe { (*node).culled_at.swap(0, Ordering::Relaxed) };
-                if culled_at > t0 {
-                    let admission = culled_at - t0;
-                    malthus_obs::span::add_lock_wait(admission);
-                    malthus_obs::span::add_cull_wait(total.saturating_sub(admission));
-                } else {
-                    malthus_obs::span::add_lock_wait(total);
-                }
-            }
-        }
-        // SAFETY: we hold the lock.
-        unsafe { *self.cr.owner.get() = node };
+        self.q.lock();
     }
 
     fn try_lock(&self) -> bool {
-        let node = alloc_node();
-        // Success: Acquire pairs with the previous owner's releasing
-        // CAS/graft so the critical section is ordered, and Release
-        // publishes `node`'s sanitized `next = null` store to the
-        // arrival that will link through it (see McsLock::try_lock).
-        // Failure: the observed pointer is unused.
-        if self
-            .tail
-            .compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: we hold the lock.
-            unsafe { *self.cr.owner.get() = node };
-            true
-        } else {
-            // SAFETY: never published.
-            unsafe { free_node(node) };
-            false
-        }
+        self.q.try_lock()
     }
 
     unsafe fn unlock(&self) {
         // SAFETY: caller holds the lock; all fields below are
         // lock-protected.
         unsafe {
-            let me = *self.cr.owner.get();
-            debug_assert!(!me.is_null());
-            let passive = &mut *self.cr.passive.get();
+            let me = self.q.owner();
+            let cr = self.q.state();
+            let passive = &mut *self.q.passive();
 
             // Long-term fairness: occasionally cede to the eldest
             // passivated thread (the passive tail).
-            if !passive.is_empty() && (*self.cr.fairness.get()).fire() {
+            if !passive.is_empty() && (*cr.fairness.get()).fire() {
                 let eldest = passive.pop_tail();
-                self.cr.fairness_grants.bump();
-                malthus_obs::record(malthus_obs::EventKind::LockFairnessGrant, self.id(), 0);
-                self.graft_as_successor(me, eldest);
+                cr.fairness_grants.bump();
+                record(EventKind::LockFairnessGrant, self.id(), 0);
+                self.q.graft(me, eldest, eldest);
                 return;
             }
 
-            let mut succ = (*me).next.load(Ordering::Acquire);
-            if succ.is_null() {
-                // Chain is (apparently) just us. Work conservation:
-                // reprovision from the passive head before the lock can
-                // go idle.
-                if !passive.is_empty() {
-                    let warm = passive.pop_head();
-                    (*warm).next.store(ptr::null_mut(), Ordering::Relaxed);
-                    // Success: Release publishes `warm`'s null link (and
-                    // the critical section, for the eventual next owner).
-                    // Failure: observed value unused; `wait_link`
-                    // supplies the Acquire edge.
-                    if self
-                        .tail
-                        .compare_exchange(me, warm, Ordering::Release, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        self.cr.reprovisions.bump();
-                        malthus_obs::record(malthus_obs::EventKind::LockReprovision, self.id(), 0);
-                        (*warm).cell.signal();
-                        free_node(me);
-                        return;
-                    }
-                    // A real arrival appeared; undo and treat it as the
-                    // successor.
-                    passive.push_head(warm);
-                    succ = wait_link(me);
-                } else {
-                    // Orderings as above: Release hands the critical
-                    // section to the next lock()/try_lock() acquirer.
-                    if self
-                        .tail
-                        .compare_exchange(me, ptr::null_mut(), Ordering::Release, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        free_node(me);
-                        return;
-                    }
-                    succ = wait_link(me);
-                }
-            }
+            let Some(mut succ) = self.q.successor(me, |_| {
+                cr.reprovisions.bump();
+                record(EventKind::LockReprovision, self.id(), 0);
+            }) else {
+                return;
+            };
 
             // Culling: if `succ` is not the tail there is at least one
             // node beyond it, i.e. surplus. Excise one node per unlock.
-            // Relaxed suffices: the Acquire load that produced `succ`
-            // synchronized with its arrival, whose tail swap therefore
-            // happened-before this load — we cannot observe a tail
-            // older than `succ`, and observing `succ` or newer only
-            // ever skips a cull (conservative, safe).
-            if succ != self.tail.load(Ordering::Relaxed) {
-                let next = wait_link(succ);
-                // Span tracing: stamp the cull moment into the victim's
-                // node so it can split its wait into admission vs
-                // passive residency on wake (the eventual signal orders
-                // this store before the victim's read).
-                if malthus_obs::span::enabled() {
-                    (*succ)
-                        .culled_at
-                        .store(malthus_obs::span::now_ns(), Ordering::Relaxed);
-                }
-                passive.push_head(succ);
-                self.cr.culls.bump();
-                malthus_obs::record(malthus_obs::EventKind::LockCull, self.id(), 0);
+            if let Some(next) = self.q.cull(succ) {
                 succ = next;
+                cr.culls.bump();
+                record(EventKind::LockCull, self.id(), 0);
             }
 
-            malthus_obs::record(malthus_obs::EventKind::LockHandoff, self.id(), 0);
-            (*succ).cell.signal();
-            free_node(me);
+            record(EventKind::LockHandoff, self.id(), 0);
+            self.q.grant(me, succ);
         }
     }
 
     fn name(&self) -> &'static str {
-        match self.policy {
-            WaitPolicy::Spin => "MCSCR-S",
-            WaitPolicy::SpinThenPark { .. } => "MCSCR-STP",
-            WaitPolicy::Park => "MCSCR-P",
-        }
+        self.q.name(["MCSCR-S", "MCSCR-STP", "MCSCR-P"])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn passive_list_push_pop_head() {
-        let mut l = PassiveList::new();
-        let a = alloc_node();
-        let b = alloc_node();
-        // SAFETY: test owns the nodes and the (conceptual) lock.
-        unsafe {
-            l.push_head(a);
-            l.push_head(b);
-            assert_eq!(l.len(), 2);
-            assert_eq!(l.pop_head(), b);
-            assert_eq!(l.pop_head(), a);
-            assert!(l.pop_head().is_null());
-            free_node(a);
-            free_node(b);
-        }
-    }
-
-    #[test]
-    fn passive_list_pop_tail_is_eldest() {
-        let mut l = PassiveList::new();
-        let a = alloc_node();
-        let b = alloc_node();
-        let c = alloc_node();
-        // SAFETY: test owns everything.
-        unsafe {
-            l.push_head(a); // a is eldest (pushed first = culled first)
-            l.push_head(b);
-            l.push_head(c);
-            assert_eq!(l.pop_tail(), a);
-            assert_eq!(l.pop_tail(), b);
-            assert_eq!(l.pop_tail(), c);
-            assert!(l.is_empty());
-            free_node(a);
-            free_node(b);
-            free_node(c);
-        }
-    }
-
-    #[test]
-    fn passive_list_unlink_interior() {
-        let mut l = PassiveList::new();
-        let a = alloc_node();
-        let b = alloc_node();
-        let c = alloc_node();
-        // SAFETY: test owns everything.
-        unsafe {
-            l.push_head(a);
-            l.push_head(b);
-            l.push_head(c);
-            l.unlink(b);
-            assert_eq!(l.len(), 2);
-            assert_eq!(l.pop_head(), c);
-            assert_eq!(l.pop_head(), a);
-            free_node(a);
-            free_node(b);
-            free_node(c);
-        }
-    }
-
-    #[test]
-    fn passive_list_tail_iteration_order() {
-        let mut l = PassiveList::new();
-        let a = alloc_node();
-        let b = alloc_node();
-        // SAFETY: test owns everything.
-        unsafe {
-            l.push_head(a);
-            l.push_head(b);
-            let mut seen = Vec::new();
-            l.for_each_from_tail(|n| seen.push(n));
-            assert_eq!(seen, vec![a, b]);
-            l.pop_head();
-            l.pop_head();
-            free_node(a);
-            free_node(b);
-        }
-    }
 
     fn hammer(lock: Arc<McsCrLock>, threads: usize, iters: usize) -> u64 {
         let counter = Arc::new(AtomicU64::new(0));

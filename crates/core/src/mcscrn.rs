@@ -1,32 +1,29 @@
 //! MCSCRN: NUMA-aware concurrency restriction (§9.1 "Future Work").
 //!
-//! MCSCRN starts from MCSCR but changes the culling *criterion*:
-//! instead of passivating surplus threads generally, the unlock path
-//! culls threads that are **remote** — running on a NUMA node other
-//! than the currently preferred *home* node — onto an explicit remote
-//! list. Periodically the unlock operator selects a new home node from
-//! the remote list (the eldest waiter's node, conferring long-term
-//! fairness) and drains that node's threads back into the main chain.
-//! A deficit on the main chain reprovisions from the remote list, so
-//! the policy stays work conserving. Unlike cohort locks, MCSCRN is
-//! non-hierarchical: one small fixed-size lock word, no per-node
-//! sublocks.
+//! MCSCRN is the MCS queue [`McsCrLock`](crate::McsCrLock) edits, with
+//! a different culling *criterion*: instead of passivating surplus
+//! threads generally, the unlock path culls threads that are **remote**
+//! — running on a NUMA node other than the currently preferred *home*
+//! node — onto an explicit remote list. Periodically the unlock
+//! operator selects a new home node from the remote list (the eldest
+//! waiter's node, conferring long-term fairness) and drains that node's
+//! threads back into the main chain. A deficit on the main chain
+//! reprovisions from the remote list, so the policy stays work
+//! conserving. Unlike cohort locks, MCSCRN is non-hierarchical: one
+//! small fixed-size lock word, no per-node sublocks.
 //!
 //! Threads declare their NUMA node via
 //! [`set_current_numa_node`](crate::set_current_numa_node); a real
 //! deployment would sample `getcpu`-style topology information.
 
 use std::cell::UnsafeCell;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use malthus_park::{WaitPolicy, XorShift64};
 
-use crate::mcs::wait_link;
-use crate::mcscr::PassiveList;
-use crate::node::{alloc_node, free_node, QNode};
-use crate::pad::{CachePadded, LockCounter};
-use crate::policy::FairnessTrigger;
+use crate::pad::LockCounter;
+use crate::policy::{FairnessTrigger, DEFAULT_FAIRNESS_PERIOD};
+use crate::queue::McsQueue;
 use crate::raw::RawLock;
 
 /// Sentinel meaning "no home node selected yet".
@@ -56,22 +53,13 @@ pub struct NumaStats {
 /// *m.lock() += 1;
 /// ```
 pub struct McsCrnLock {
-    /// The arrival-contended word, on its own cache line.
-    tail: CachePadded<AtomicPtr<QNode>>,
-    /// All holder-side state, grouped away from `tail`.
-    ncr: CachePadded<NumaCrState>,
-    policy: WaitPolicy,
+    q: McsQueue<NumaCrState>,
 }
 
 /// Holder-only state of an [`McsCrnLock`]; serialized by the lock
 /// itself. `home` stays atomic only because [`McsCrnLock::home_node`]
 /// reads it without the lock; it is written exclusively by the holder.
 struct NumaCrState {
-    /// Owner's node.
-    owner: UnsafeCell<*mut QNode>,
-    /// Remote (culled) threads. Head = most recently culled,
-    /// tail = eldest.
-    remote: UnsafeCell<PassiveList>,
     /// Currently preferred home node ([`NO_HOME`] until first
     /// contended unlock).
     home: AtomicU32,
@@ -83,13 +71,6 @@ struct NumaCrState {
     drained: LockCounter,
 }
 
-// SAFETY: `tail` and `home` are atomics and the counters tolerate racy
-// reads; `owner`, `remote` and `rotation` are accessed only by the
-// current lock holder.
-unsafe impl Send for McsCrnLock {}
-// SAFETY: see above.
-unsafe impl Sync for McsCrnLock {}
-
 impl Default for McsCrnLock {
     fn default() -> Self {
         Self::stp()
@@ -99,25 +80,26 @@ impl Default for McsCrnLock {
 impl McsCrnLock {
     /// Creates an MCSCRN lock with explicit parameters.
     pub fn with_params(policy: WaitPolicy, rotation_period: u64, seed: u64) -> Self {
+        let ncr = NumaCrState {
+            home: AtomicU32::new(NO_HOME),
+            rotation: UnsafeCell::new(FairnessTrigger::new(rotation_period, seed)),
+            remote_culls: LockCounter::new(),
+            reprovisions: LockCounter::new(),
+            home_rotations: LockCounter::new(),
+            drained: LockCounter::new(),
+        };
         McsCrnLock {
-            tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            ncr: CachePadded::new(NumaCrState {
-                owner: UnsafeCell::new(ptr::null_mut()),
-                remote: UnsafeCell::new(PassiveList::new()),
-                home: AtomicU32::new(NO_HOME),
-                rotation: UnsafeCell::new(FairnessTrigger::new(rotation_period, seed)),
-                remote_culls: LockCounter::new(),
-                reprovisions: LockCounter::new(),
-                home_rotations: LockCounter::new(),
-                drained: LockCounter::new(),
-            }),
-            policy,
+            q: McsQueue::new(ncr, policy),
         }
     }
 
     /// Creates an MCSCRN lock with the default 1/1000 rotation period.
     pub fn new(policy: WaitPolicy) -> Self {
-        Self::with_params(policy, 1000, XorShift64::from_entropy().next_u64())
+        Self::with_params(
+            policy,
+            DEFAULT_FAIRNESS_PERIOD,
+            XorShift64::from_entropy().next_u64(),
+        )
     }
 
     /// Unbounded polite spinning variant.
@@ -132,7 +114,7 @@ impl McsCrnLock {
 
     /// The currently preferred home NUMA node, if any.
     pub fn home_node(&self) -> Option<u32> {
-        match self.ncr.home.load(Ordering::Relaxed) {
+        match self.q.state().home.load(Ordering::Relaxed) {
             NO_HOME => None,
             n => Some(n),
         }
@@ -145,63 +127,13 @@ impl McsCrnLock {
     /// but possibly lagging in-flight unlocks; cross-counter balance
     /// holds once the lock is quiescent.
     pub fn numa_stats(&self) -> NumaStats {
+        let ncr = self.q.state();
         NumaStats {
-            remote_culls: self.ncr.remote_culls.get(),
-            reprovisions: self.ncr.reprovisions.get(),
-            home_rotations: self.ncr.home_rotations.get(),
-            drained: self.ncr.drained.get(),
+            remote_culls: ncr.remote_culls.get(),
+            reprovisions: ncr.reprovisions.get(),
+            home_rotations: ncr.home_rotations.get(),
+            drained: ncr.drained.get(),
         }
-    }
-
-    /// Grafts the chain `first ..= last` (already linked through
-    /// `next`) immediately after owner `me` and grants to `first`.
-    ///
-    /// # Safety
-    ///
-    /// Caller holds the lock; the chain nodes are live and in no list;
-    /// `last.next` is writable by us.
-    unsafe fn graft_chain(&self, me: *mut QNode, first: *mut QNode, last: *mut QNode) {
-        // SAFETY: caller contract.
-        unsafe {
-            let succ = (*me).next.load(Ordering::Acquire);
-            if succ.is_null() {
-                (*last).next.store(ptr::null_mut(), Ordering::Relaxed);
-                // Orderings as in McsCrLock::graft_as_successor:
-                // Release publishes the chain links; the failure value
-                // is unused (wait_link re-acquires).
-                if self
-                    .tail
-                    .compare_exchange(me, last, Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    (*first).cell.signal();
-                    free_node(me);
-                    return;
-                }
-                let succ = wait_link(me);
-                (*last).next.store(succ, Ordering::Release);
-                (*first).cell.signal();
-                free_node(me);
-                return;
-            }
-            (*last).next.store(succ, Ordering::Release);
-            (*first).cell.signal();
-            free_node(me);
-        }
-    }
-}
-
-impl Drop for McsCrnLock {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.tail.get_mut().is_null(),
-            "McsCrnLock dropped while held or contended"
-        );
-        debug_assert!(
-            // SAFETY: exclusive access in Drop.
-            unsafe { (*self.ncr.remote.get()).is_empty() },
-            "McsCrnLock dropped with culled waiters"
-        );
     }
 }
 
@@ -210,61 +142,36 @@ impl Drop for McsCrnLock {
 // reprovision/drain).
 unsafe impl RawLock for McsCrnLock {
     fn lock(&self) {
-        let node = alloc_node();
-        let prev = self.tail.swap(node, Ordering::AcqRel);
-        if !prev.is_null() {
-            // SAFETY: `prev` is live until it observes our link.
-            unsafe {
-                (*prev).next.store(node, Ordering::Release);
-                (*node).cell.wait(self.policy);
-            }
-        }
-        // SAFETY: we hold the lock.
-        unsafe { *self.ncr.owner.get() = node };
+        self.q.lock();
     }
 
     fn try_lock(&self) -> bool {
-        let node = alloc_node();
-        // Orderings as in McsCrLock::try_lock (AcqRel success: Acquire
-        // for the critical section, Release for the node's null link).
-        if self
-            .tail
-            .compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: we hold the lock.
-            unsafe { *self.ncr.owner.get() = node };
-            true
-        } else {
-            // SAFETY: never published.
-            unsafe { free_node(node) };
-            false
-        }
+        self.q.try_lock()
     }
 
     unsafe fn unlock(&self) {
         // SAFETY: caller holds the lock; fields below lock-protected.
         unsafe {
-            let me = *self.ncr.owner.get();
-            debug_assert!(!me.is_null());
-            let remote = &mut *self.ncr.remote.get();
+            let me = self.q.owner();
+            let ncr = self.q.state();
+            // The passive list holds the remote (culled) threads.
+            let remote = &mut *self.q.passive();
 
             // Adopt a home node lazily: the first contended unlock
             // anoints the owner's node.
-            if self.ncr.home.load(Ordering::Relaxed) == NO_HOME {
-                self.ncr.home.store((*me).numa.get(), Ordering::Relaxed);
+            if ncr.home.load(Ordering::Relaxed) == NO_HOME {
+                ncr.home.store((*me).numa.get(), Ordering::Relaxed);
             }
 
             // Periodic rotation: pick the eldest remote waiter's node
             // as the new home and drain that node's threads back.
-            if !remote.is_empty() && (*self.ncr.rotation.get()).fire() {
-                let eldest = remote.tail_node();
-                let new_home = (*eldest).numa.get();
-                self.ncr.home.store(new_home, Ordering::Relaxed);
-                self.ncr.home_rotations.bump();
+            if !remote.is_empty() && (*ncr.rotation.get()).fire() {
+                let new_home = (*remote.tail_node()).numa.get();
+                ncr.home.store(new_home, Ordering::Relaxed);
+                ncr.home_rotations.bump();
 
                 // Collect matching nodes eldest-first and unlink them.
-                let mut matches: Vec<*mut QNode> = Vec::new();
+                let mut matches = Vec::new();
                 remote.for_each_from_tail(|n| {
                     if (*n).numa.get() == new_home {
                         matches.push(n);
@@ -273,75 +180,40 @@ unsafe impl RawLock for McsCrnLock {
                 for &n in &matches {
                     remote.unlink(n);
                 }
-                self.ncr.drained.add(matches.len() as u64);
+                ncr.drained.add(matches.len() as u64);
                 // Link them into a chain: eldest first.
                 for pair in matches.windows(2) {
                     (*pair[0]).next.store(pair[1], Ordering::Relaxed);
                 }
-                let first = matches[0];
-                let last = *matches.last().expect("non-empty by construction");
-                self.graft_chain(me, first, last);
+                // The eldest itself matches, so the chain is not empty.
+                self.q.graft(me, matches[0], matches[matches.len() - 1]);
                 return;
             }
 
-            let mut succ = (*me).next.load(Ordering::Acquire);
-            if succ.is_null() {
-                // Work conservation: reprovision from the remote list.
-                // CAS orderings as in McsCrLock::unlock.
-                if !remote.is_empty() {
-                    let warm = remote.pop_head();
-                    (*warm).next.store(ptr::null_mut(), Ordering::Relaxed);
-                    if self
-                        .tail
-                        .compare_exchange(me, warm, Ordering::Release, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        self.ncr.reprovisions.bump();
-                        // The newcomer's node becomes the de-facto home.
-                        self.ncr.home.store((*warm).numa.get(), Ordering::Relaxed);
-                        (*warm).cell.signal();
-                        free_node(me);
-                        return;
-                    }
-                    remote.push_head(warm);
-                    succ = wait_link(me);
-                } else {
-                    if self
-                        .tail
-                        .compare_exchange(me, ptr::null_mut(), Ordering::Release, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        free_node(me);
-                        return;
-                    }
-                    succ = wait_link(me);
-                }
-            }
+            // Work conservation: reprovision from the remote list.
+            let Some(mut succ) = self.q.successor(me, |warm| {
+                ncr.reprovisions.bump();
+                // The newcomer's node becomes the de-facto home.
+                ncr.home.store((*warm).numa.get(), Ordering::Relaxed);
+            }) else {
+                return;
+            };
 
             // NUMA culling: if the successor is remote *and* not the
             // tail (work conservation needs somebody left), cull it.
-            // The Relaxed tail load is safe for the same reason as in
-            // McsCrLock::unlock: `succ`'s arrival happened-before this
-            // load, so we cannot observe a tail older than `succ`.
-            let home = self.ncr.home.load(Ordering::Relaxed);
-            if (*succ).numa.get() != home && succ != self.tail.load(Ordering::Relaxed) {
-                let next = wait_link(succ);
-                remote.push_head(succ);
-                self.ncr.remote_culls.bump();
-                succ = next;
+            if (*succ).numa.get() != ncr.home.load(Ordering::Relaxed) {
+                if let Some(next) = self.q.cull(succ) {
+                    succ = next;
+                    ncr.remote_culls.bump();
+                }
             }
 
-            (*succ).cell.signal();
-            free_node(me);
+            self.q.grant(me, succ);
         }
     }
 
     fn name(&self) -> &'static str {
-        match self.policy {
-            WaitPolicy::Spin => "MCSCRN-S",
-            WaitPolicy::SpinThenPark { .. } => "MCSCRN-STP",
-            WaitPolicy::Park => "MCSCRN-P",
-        }
+        self.q.name(["MCSCRN-S", "MCSCRN-STP", "MCSCRN-P"])
     }
 }
 

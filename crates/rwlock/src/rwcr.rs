@@ -55,7 +55,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use malthus::policy::{self, FairnessTrigger, DEFAULT_FAIRNESS_PERIOD};
-use malthus::{CachePadded, CrStats, LockCounter, McsCrLock, RawLock, TasLock};
+use malthus::{CachePadded, LockCounter, McsCrLock, RawLock, TasLock};
 use malthus_park::{SpinThenYield, WaitCell, WaitPolicy, XorShift64};
 
 use crate::raw::RawRwLock;
@@ -270,11 +270,6 @@ impl RwCrLock {
         reader_count(self.sync.load(Ordering::Relaxed))
     }
 
-    /// Whether a write episode is in progress (racy).
-    pub fn is_write_active(&self) -> bool {
-        self.sync.load(Ordering::Relaxed) & WRITER_BIT != 0
-    }
-
     /// Snapshot of RW-CR activity counters (racy; see [`RwStats`]).
     pub fn stats(&self) -> RwStats {
         RwStats {
@@ -284,12 +279,6 @@ impl RwCrLock {
             write_episodes: self.wside.write_episodes.get(),
             writer_drain_waits: self.wside.drain_waits.get(),
         }
-    }
-
-    /// CR statistics of the writer-side MCSCR queue (writer culls,
-    /// reprovisions, fairness grants among *writers*).
-    pub fn writer_stats(&self) -> CrStats {
-        self.writer.cr_stats()
     }
 
     /// The flight-recorder identity of this lock instance: its

@@ -216,10 +216,23 @@ fn metric(doc: &str, name: &str) -> u64 {
 /// still partition its total.
 #[test]
 fn cheap_batches_run_in_place_and_keep_the_wire_invariants() {
-    let (addr, service, _crew, close) = start_server_with_crew(2);
+    let (addr, service, crew, close) = start_server_with_crew(2);
     service.set_slowlog_threshold_us(1); // capture every batch's span
     check_order_and_interleave(addr, 0);
     let mut c = KvClient::connect(addr).unwrap();
+    // On a busy host every batch of the load above may have queued:
+    // with an ACS of 1 a batch applied under load costs more than the
+    // cost rule's bound, so its connection keeps queueing. A PING on
+    // this fresh connection is cheap, so it asks for a place; it runs
+    // in place once the worker that ran the last of that load is back
+    // to idle, which a preempted worker may not yet be.
+    for _ in 0..1_000 {
+        assert_eq!(c.roundtrip("PING").unwrap(), "PONG");
+        if crew.stats().inline > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let metrics = c.fetch_document("METRICS").unwrap();
     let inline = metric(&metrics, "crew_inline_total");
     assert!(inline > 0, "no batch ran in place:\n{metrics}");
