@@ -230,11 +230,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets counters (contents stay resident).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Invalidates all contents and counters.
     pub fn clear(&mut self) {
         for set in &mut self.sets {

@@ -154,11 +154,6 @@ impl Hierarchy {
         self.llc.stats()
     }
 
-    /// Per-core DTLB statistics.
-    pub fn tlb_stats(&self, core: usize) -> crate::tlb::TlbStats {
-        self.tlb[core].stats()
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &HierarchyConfig {
         &self.config

@@ -3,7 +3,7 @@
 //! Threads execute [`Action`] programs in simulated cycles. Compute
 //! and memory segments are scaled by the machine's speed law (pipeline
 //! sharing, fusion loss, time multiplexing); blocking actions suspend
-//! threads on the lock/condvar/semaphore models; handover costs follow
+//! threads on the lock and condvar models; handover costs follow
 //! §5 of the paper: cheap flag writes for spinning successors, kernel
 //! unpark latencies for parked ones, and expected dispatch delays for
 //! preempted spinners when the machine is oversubscribed.
@@ -17,7 +17,7 @@ use malthus_park::XorShift64;
 use crate::locks::{Arrival, LockKind, SimLock, WaitMode};
 use crate::machine::MachineConfig;
 use crate::report::RunReport;
-use crate::sync::{SemAcquire, SimCondvar, SimSemaphore};
+use crate::sync::SimCondvar;
 use crate::workload::{Action, SimWorkload, WorkloadCtx};
 
 /// What a blocked thread is waiting on.
@@ -26,7 +26,6 @@ enum WaitOn {
     Lock(usize),
     /// Waiting inside a condvar's wait list (no wakeable object yet).
     Cv,
-    Sem(usize),
 }
 
 /// Scheduler-visible thread state.
@@ -99,18 +98,6 @@ pub struct CvSpec {
     pub wait: WaitMode,
 }
 
-/// Specification of a simulated semaphore.
-pub struct SemSpec {
-    /// Initial permits.
-    pub permits: usize,
-    /// Probability a waiter is prepended (LIFO side).
-    pub prepend_probability: f64,
-    /// Discipline PRNG seed.
-    pub seed: u64,
-    /// Waiting policy for semaphore waiters.
-    pub wait: WaitMode,
-}
-
 /// Builder for one simulation run.
 pub struct Simulation {
     machine: MachineConfig,
@@ -119,8 +106,6 @@ pub struct Simulation {
     cvs: Vec<SimCondvar>,
     cv_waits: Vec<WaitMode>,
     /// For cv waiters: which lock to reacquire on wake.
-    sems: Vec<SimSemaphore>,
-    sem_waits: Vec<WaitMode>,
     threads: Vec<Thread>,
     hierarchy: Hierarchy,
 
@@ -151,8 +136,6 @@ impl Simulation {
             lock_waits: Vec::new(),
             cvs: Vec::new(),
             cv_waits: Vec::new(),
-            sems: Vec::new(),
-            sem_waits: Vec::new(),
             threads: Vec::new(),
             now: 0,
             seq: 0,
@@ -182,17 +165,6 @@ impl Simulation {
             .push(SimCondvar::new(spec.prepend_probability, spec.seed));
         self.cv_waits.push(spec.wait);
         self.cvs.len() - 1
-    }
-
-    /// Adds a semaphore; returns its index.
-    pub fn add_semaphore(&mut self, spec: SemSpec) -> usize {
-        self.sems.push(SimSemaphore::new(
-            spec.permits,
-            spec.prepend_probability,
-            spec.seed,
-        ));
-        self.sem_waits.push(spec.wait);
-        self.sems.len() - 1
     }
 
     /// Adds a thread running `workload`; returns its id.
@@ -336,7 +308,7 @@ impl Simulation {
         }
     }
 
-    /// Grants a lock/semaphore wait: the wakee resumes its program.
+    /// Grants a lock wait: the wakee resumes its program.
     /// Returns the charge to the waker.
     fn grant_resume(&mut self, tid: usize) -> u64 {
         let (delay, charge) = self.wake_cost(tid);
@@ -463,25 +435,6 @@ impl Simulation {
                     if charge > 0 {
                         self.schedule(self.now + charge, Event::Resume(tid));
                         return;
-                    }
-                    continue;
-                }
-                Action::SemAcquire(s) => match self.sems[s].acquire(tid) {
-                    SemAcquire::Granted => continue,
-                    SemAcquire::Enqueued => {
-                        let mode = self.sem_waits[s];
-                        self.begin_wait(tid, WaitOn::Sem(s), mode);
-                        return;
-                    }
-                },
-                Action::SemRelease(s) => {
-                    let woken = self.sems[s].release();
-                    if let Some(w) = woken {
-                        let charge = self.grant_resume(w);
-                        if charge > 0 {
-                            self.schedule(self.now + charge, Event::Resume(tid));
-                            return;
-                        }
                     }
                     continue;
                 }

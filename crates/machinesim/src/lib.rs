@@ -10,7 +10,7 @@
 //!
 //! * [`MachineConfig`] — topology and the execution-speed law
 //!   (pipeline fusion/sharing, time multiplexing, park/unpark costs).
-//! * [`SimLock`]/[`SimCondvar`]/[`SimSemaphore`] — queue-level models
+//! * [`SimLock`]/[`SimCondvar`] — queue-level models
 //!   of the evaluated admission policies, making the same decisions as
 //!   the live algorithms via the shared `malthus::policy` module.
 //! * [`Simulation`] — the event engine: threads run [`Action`]
@@ -61,11 +61,11 @@ mod sync;
 mod workload;
 
 pub use analytic::AnalyticModel;
-pub use engine::{CvSpec, LockSpec, SemSpec, Simulation};
+pub use engine::{CvSpec, LockSpec, Simulation};
 pub use locks::{Arrival, LockKind, SimLock, SimLockStats, ThreadId, WaitMode};
 pub use machine::{seconds_to_cycles, MachineConfig, CLOCK_HZ};
 pub use report::RunReport;
-pub use sync::{SemAcquire, SimCondvar, SimSemaphore};
+pub use sync::SimCondvar;
 pub use workload::{layout, Action, MemPattern, SimWorkload, WorkloadCtx};
 
 // Re-export the policy vocabulary shared with the live locks.

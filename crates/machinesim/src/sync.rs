@@ -1,9 +1,9 @@
-//! Simulated condition variables and semaphores with CR disciplines.
+//! Simulated condition variables with CR disciplines.
 //!
-//! These model the paper's §6.10–6.11 constructs: explicit wait lists
+//! These model the paper's §6.10 construct: explicit wait lists
 //! whose insertion side is a Bernoulli append/prepend mix. Probability
 //! 0 = strict FIFO (the baseline); 999/1000 = the paper's mostly-LIFO
-//! CR form; 1 = strict LIFO (Folly `LifoSem`).
+//! CR form; 1 = strict LIFO.
 
 use std::collections::VecDeque;
 
@@ -69,70 +69,6 @@ impl SimCondvar {
     }
 }
 
-/// A simulated counting semaphore with direct permit handoff.
-#[derive(Debug)]
-pub struct SimSemaphore {
-    permits: usize,
-    waiters: VecDeque<ThreadId>,
-    discipline: AdmissionDiscipline,
-}
-
-/// Result of a simulated semaphore acquire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SemAcquire {
-    /// A permit was available; the caller proceeds.
-    Granted,
-    /// The caller joined the wait list.
-    Enqueued,
-}
-
-impl SimSemaphore {
-    /// Creates a semaphore with `permits` available permits.
-    pub fn new(permits: usize, prepend_probability: f64, seed: u64) -> Self {
-        SimSemaphore {
-            permits,
-            waiters: VecDeque::new(),
-            discipline: AdmissionDiscipline::new(prepend_probability, seed),
-        }
-    }
-
-    /// Attempts to take a permit; enqueues on exhaustion.
-    pub fn acquire(&mut self, t: ThreadId) -> SemAcquire {
-        if self.permits > 0 {
-            self.permits -= 1;
-            SemAcquire::Granted
-        } else {
-            if self.discipline.prepend() {
-                self.waiters.push_front(t);
-            } else {
-                self.waiters.push_back(t);
-            }
-            SemAcquire::Enqueued
-        }
-    }
-
-    /// Releases a permit; a waiter (if any) receives it directly.
-    pub fn release(&mut self) -> Option<ThreadId> {
-        match self.waiters.pop_front() {
-            Some(t) => Some(t),
-            None => {
-                self.permits += 1;
-                None
-            }
-        }
-    }
-
-    /// Available permits.
-    pub fn permits(&self) -> usize {
-        self.permits
-    }
-
-    /// Blocked acquirers.
-    pub fn waiters(&self) -> usize {
-        self.waiters.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,29 +103,5 @@ mod tests {
         assert_eq!(cv.notify_all(), vec![1, 2]);
         assert!(cv.is_empty());
         assert_eq!(cv.wakes, 2);
-    }
-
-    #[test]
-    fn semaphore_counts_and_handoffs() {
-        let mut s = SimSemaphore::new(1, 0.0, 1);
-        assert_eq!(s.acquire(1), SemAcquire::Granted);
-        assert_eq!(s.acquire(2), SemAcquire::Enqueued);
-        // Release hands the permit directly to thread 2.
-        assert_eq!(s.release(), Some(2));
-        assert_eq!(s.permits(), 0);
-        // No waiters: the permit is banked.
-        assert_eq!(s.release(), None);
-        assert_eq!(s.permits(), 1);
-    }
-
-    #[test]
-    fn lifo_semaphore_wakes_most_recent() {
-        let mut s = SimSemaphore::new(0, 1.0, 1);
-        s.acquire(1);
-        s.acquire(2);
-        s.acquire(3);
-        assert_eq!(s.release(), Some(3));
-        assert_eq!(s.release(), Some(2));
-        assert_eq!(s.release(), Some(1));
     }
 }

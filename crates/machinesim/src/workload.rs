@@ -4,8 +4,7 @@
 //! runnable, the engine asks for the next [`Action`] and executes it
 //! in simulated time (charging memory latencies through the cache
 //! hierarchy and applying the machine's speed law). Blocking actions
-//! (lock acquire, condvar wait, semaphore acquire) suspend the thread
-//! until granted.
+//! (lock acquire, condvar wait) suspend the thread until granted.
 
 use malthus_park::XorShift64;
 
@@ -115,16 +114,6 @@ pub enum Action {
     /// Wake all condvar waiters.
     CondNotifyAll(
         /// Condvar index.
-        usize,
-    ),
-    /// Acquire a semaphore permit (blocking).
-    SemAcquire(
-        /// Semaphore index.
-        usize,
-    ),
-    /// Release a semaphore permit.
-    SemRelease(
-        /// Semaphore index.
         usize,
     ),
     /// Mark the end of one benchmark iteration (throughput counter).

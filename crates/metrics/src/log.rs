@@ -79,11 +79,6 @@ impl AdmissionLog {
         sizes.iter().sum::<f64>() / sizes.len() as f64
     }
 
-    /// Average LWSS with the paper's default 1000-admission window.
-    pub fn average_lwss_default(&self) -> f64 {
-        self.average_lwss(DEFAULT_LWSS_WINDOW)
-    }
-
     /// Per-admission time-to-reacquire values (§1): for each admission
     /// by a thread that has acquired before, the number of admissions
     /// since its previous acquisition. First-time admissions produce

@@ -293,11 +293,6 @@ pub fn is_enabled() -> bool {
     GATE.load(Ordering::Relaxed) != 0
 }
 
-/// The active sampling stride (0 when disabled).
-pub fn sample_stride() -> u32 {
-    GATE.load(Ordering::Relaxed)
-}
-
 /// Empties every ring. Callers must quiesce recording first
 /// ([`disable`] and join or idle the instrumented threads): clearing
 /// races benignly with a concurrent writer, but the writer's event

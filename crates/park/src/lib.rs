@@ -48,5 +48,5 @@ mod waitcell;
 pub use backoff::Backoff;
 pub use parker::{ParkResult, Parker, Unparker};
 pub use rng::XorShift64;
-pub use spin::{cpu_relax, polite_spin, SpinThenYield, SpinWait, SPIN_YIELD_BUDGET};
+pub use spin::{cpu_relax, polite_spin, SpinThenYield, SPIN_YIELD_BUDGET};
 pub use waitcell::{WaitCell, WaitOutcome, WaitPolicy, DEFAULT_SPIN_CYCLES};

@@ -38,8 +38,7 @@ pub const SPIN_YIELD_BUDGET: u32 = 256;
 /// [`SPIN_YIELD_BUDGET`], voluntary `yield_now` afterwards.
 ///
 /// Use this for spin loops with no upper bound (waiting for a lock
-/// handoff or a queue link); use [`SpinWait`] for short bounded waits
-/// where the awaited store is known to be imminent.
+/// handoff or a queue link).
 #[derive(Debug, Default)]
 pub struct SpinThenYield {
     spins: u32,
@@ -64,66 +63,9 @@ impl SpinThenYield {
     }
 }
 
-/// An adaptive local-spin helper with an escalating pause count.
-///
-/// Intended for *local* spinning on a flag the current thread owns
-/// (MCS-style); a simple fixed/short backoff suffices there, per §5.1
-/// ("a simple fixed back-off usually suffices for local spinning").
-#[derive(Debug, Default)]
-pub struct SpinWait {
-    step: u32,
-}
-
-impl SpinWait {
-    /// Maximum exponent for the pause burst (2^6 = 64 pauses).
-    const MAX_STEP: u32 = 6;
-
-    /// Creates a fresh spin helper.
-    pub fn new() -> Self {
-        SpinWait { step: 0 }
-    }
-
-    /// Spins one escalating burst; returns the number of pause
-    /// iterations executed.
-    pub fn spin(&mut self) -> u32 {
-        let pauses = 1u32 << self.step;
-        polite_spin(pauses);
-        if self.step < Self::MAX_STEP {
-            self.step += 1;
-        }
-        pauses
-    }
-
-    /// Resets the escalation back to a single pause.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spinwait_escalates_then_saturates() {
-        let mut s = SpinWait::new();
-        let mut seen = Vec::new();
-        for _ in 0..10 {
-            seen.push(s.spin());
-        }
-        assert_eq!(&seen[..7], &[1, 2, 4, 8, 16, 32, 64]);
-        assert_eq!(seen[7], 64);
-        assert_eq!(seen[9], 64);
-    }
-
-    #[test]
-    fn spinwait_reset_restarts() {
-        let mut s = SpinWait::new();
-        s.spin();
-        s.spin();
-        s.reset();
-        assert_eq!(s.spin(), 1);
-    }
 
     #[test]
     fn polite_spin_zero_is_noop() {

@@ -8,8 +8,8 @@
 //! `crew_inline_total` counts the former and `crew_enter_refused_total`
 //! the cheap ones that asked for a place and found none idle — over a
 //! sharded store: `--shards N` gives each of N shards its own
-//! Malthusian RW-CR DB lock and block-cache lock, so admission is per
-//! shard. Runs until a client sends `SHUTDOWN` or the
+//! Malthusian RW-CR DB lock and MCSCR block-cache lock, so admission is
+//! per shard. Runs until a client sends `SHUTDOWN` or the
 //! process receives `SIGTERM`; either way the server stops accepting,
 //! drains in-flight batches, final-fsyncs every healthy shard and stamps a
 //! clean-shutdown marker in the data dir's `MANIFEST` (reported by
@@ -28,12 +28,13 @@
 //!   single hot lock pair).
 //! * `--workers <n>` — crew size (default `4 × host CPUs`).
 //! * `--queue <n>` — task-queue bound (default 256).
-//! * `--unrestricted` — disable executor restriction (for A/B runs):
-//!   the one admission point — the crew's, or under `--async` the
+//! * `--unrestricted` — no restriction at any admission point (for A/B
+//!   runs): the executor's — the crew's, or under `--async` the
 //!   reactor's — is `Admission::unrestricted(workers)`, every worker
-//!   circulating. Nothing else changes: each shard's DB lock stays
-//!   RW-CR and its cache lock MCSCR (widening the flag to them is an
-//!   open ROADMAP direction).
+//!   circulating, and every shard takes the paper's baseline lock pair
+//!   ([`McsPair`]): an RW lock whose writers queue FIFO on MCS and
+//!   whose write phase wakes every passive reader at once, and an MCS
+//!   cache lock.
 //! * `--data-dir <path>` — durability root: per-shard group-committed
 //!   WALs, replayed (and reported) at boot. Without it the store is
 //!   memory-only.
@@ -75,10 +76,13 @@
 //! (`Front::Reactor`) — once, here, and `--read-timeout-secs` is the
 //! one idle timeout both take.
 //!
-//! The flags make one admission choice, [`Admission`], and hand it to
-//! whichever front-end they name; [`malthus::policy::Membership`]
-//! checks it (`1 ≤ ACS target ≤ workers`) for both. With restriction
-//! on, the ACS target is `min(workers, cpus, shards)`
+//! The flags make one choice of restriction, here and nowhere else: an
+//! [`Admission`] handed to whichever front-end they name
+//! ([`malthus::policy::Membership`] checks it, `1 ≤ ACS target ≤
+//! workers`, for both) and a shard [`LockPair`], a type from here on —
+//! `run::<CrPair>` or `run::<McsPair>` — so the request path carries no
+//! branch on it. The boot banner names the pair. With restriction on,
+//! the ACS target is `min(workers, cpus, shards)`
 //! ([`malthus::policy::acs_target`], the one sizing rule): one hot
 //! lock pair deserves one circulating thread (more would just queue
 //! at the lock — the §6.5 situation), and each extra shard adds an
@@ -95,13 +99,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use malthus::policy::{self, Admission};
+use malthus_fault::FaultState;
 use malthus_fault::Site;
 use malthus_obs::SpanContext;
 use malthus_pool::kv::{self, KvService, DEFAULT_SHARDS};
 use malthus_pool::kv::{DEFAULT_CACHE_BLOCKS, DEFAULT_MEMTABLE_LIMIT};
 use malthus_pool::server::{Front, Server, DEFAULT_ADDR};
 use malthus_pool::{Parsed, PoolConfig, ReactorConfig, WorkCrew};
-use malthus_storage::{spawn_healer, HealerConfig, ShardedKv, WalOptions};
+use malthus_storage::{
+    spawn_healer, CrPair, HealerConfig, LockPair, McsPair, ShardedKv, WalOptions,
+};
 
 /// Set (only) by the `SIGTERM` handler; a watcher thread turns it
 /// into a normal [`ServerControl::stop`].
@@ -260,13 +267,25 @@ fn main() {
     });
 
     // One admission point, whether the admitted resource is the
-    // crew's task queue or the reactor's `epoll_wait`.
-    let admission = if opts.unrestricted {
-        Admission::unrestricted(opts.workers)
+    // crew's task queue or the reactor's `epoll_wait`, and one lock
+    // pair for every shard: restricted at both, or at neither.
+    if opts.unrestricted {
+        run::<McsPair>(&opts, cpus, faults, Admission::unrestricted(opts.workers));
     } else {
         let acs = policy::acs_target(opts.workers, opts.shards);
-        Admission::malthusian(opts.workers).with_acs_target(acs)
-    };
+        let admission = Admission::malthusian(opts.workers).with_acs_target(acs);
+        run::<CrPair>(&opts, cpus, faults, admission);
+    }
+}
+
+/// Boots the store over the lock pair `P`, serves it until `SHUTDOWN`
+/// or `SIGTERM`, and prints the exit report.
+fn run<P: LockPair>(
+    opts: &Options,
+    cpus: usize,
+    faults: Option<Arc<FaultState>>,
+    admission: Admission,
+) {
     eprintln!(
         "# kv_server: {} front-end, {} shards, {} workers (ACS target {}), \
          queue bound {}, {cpus} host CPUs",
@@ -302,7 +321,7 @@ fn main() {
                 faults: faults.clone(),
                 ..WalOptions::default()
             };
-            let (store, report) = ShardedKv::open_with(
+            let (store, report) = ShardedKv::<P>::durable(
                 dir,
                 opts.shards,
                 DEFAULT_MEMTABLE_LIMIT,
@@ -341,13 +360,15 @@ fn main() {
         }
         None => {
             eprintln!("# kv_server: memory-only (no --data-dir): writes do not survive restart");
-            Arc::new(KvService::with_shards(
+            Arc::new(KvService::from_store(ShardedKv::<P>::memory(
                 opts.shards,
                 DEFAULT_MEMTABLE_LIMIT,
                 DEFAULT_CACHE_BLOCKS,
-            ))
+            )))
         }
     };
+    let (db_lock, cache_lock) = service.store().lock_names();
+    eprintln!("# kv_server: shard locks: {db_lock} + {cache_lock}");
 
     service.set_slowlog_threshold_us(opts.slowlog_threshold_us);
 

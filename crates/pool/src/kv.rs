@@ -10,6 +10,10 @@
 //! operates at *both* layers: the crew restricts how many threads run
 //! at all, and the N CR lock pairs restrict circulation per shard —
 //! one hot shard culls its own surplus while the others keep serving.
+//! The service is generic over the store's [`LockPair`], [`CrPair`] by
+//! default; over [`McsPair`](malthus_storage::McsPair) (with an
+//! unrestricted crew or reactor, as `kv_server --unrestricted` builds
+//! it) neither layer restricts.
 //!
 //! `GET`s take their shard's DB lock *shared*, so point lookups run
 //! genuinely concurrently; memtable hits never touch the exclusive
@@ -113,7 +117,7 @@ use std::time::Instant;
 use malthus_metrics::{HistogramSnapshot, LatencyHistogram};
 use malthus_obs::span::{self, Stage, STAGE_COUNT};
 use malthus_obs::{Sample, SlowEntry, SlowRing, SpanContext};
-use malthus_storage::{BatchOp, BatchReply, RecoveryReport, ShardedKv};
+use malthus_storage::{BatchOp, BatchReply, CrPair, LockPair, RecoveryReport, ShardedKv};
 
 use crate::protocol::{push_line, push_u64, write_tag, Parsed, Request};
 
@@ -283,8 +287,8 @@ impl PipelineStats {
 /// of §6.5, behind fixed fibonacci-hash routing. Also owns the
 /// unified [`Registry`](malthus_obs::Registry) every layer registers
 /// into — the `METRICS` verb renders it in one exposition.
-pub struct KvService {
-    store: Arc<ShardedKv>,
+pub struct KvService<P: LockPair = CrPair> {
+    store: Arc<ShardedKv<P>>,
     pipeline: Arc<PipelineStats>,
     idle_disconnects: Arc<AtomicU64>,
     registry: malthus_obs::Registry,
@@ -314,12 +318,27 @@ impl KvService {
         Self::from_store(ShardedKv::new(shards, memtable_limit, cache_blocks))
     }
 
+    /// Opens a **durable** service over `dir` (per-shard WALs replayed
+    /// on open; see [`ShardedKv::open`]), returning the service and
+    /// what recovery found — the `kv_server` boot banner.
+    pub fn open(
+        dir: &Path,
+        shards: usize,
+        memtable_limit: usize,
+        cache_blocks: usize,
+    ) -> std::io::Result<(Self, RecoveryReport)> {
+        let (store, report) = ShardedKv::open(dir, shards, memtable_limit, cache_blocks)?;
+        Ok((Self::from_store(store), report))
+    }
+}
+
+impl<P: LockPair> KvService<P> {
     /// Wraps an already-built store (memory-only, durable, or
     /// fault-injected via
     /// [`ShardedKv::open_with`](malthus_storage::ShardedKv::open_with)),
     /// registering the store's, pipeline's, and service's metrics
     /// into a fresh unified registry.
-    pub fn from_store(store: ShardedKv) -> Self {
+    pub fn from_store(store: ShardedKv<P>) -> Self {
         let store = Arc::new(store);
         let pipeline = Arc::new(PipelineStats::default());
         let idle_disconnects = Arc::new(AtomicU64::new(0));
@@ -418,19 +437,6 @@ impl KvService {
         }
     }
 
-    /// Opens a **durable** service over `dir` (per-shard WALs replayed
-    /// on open; see [`ShardedKv::open`]), returning the service and
-    /// what recovery found — the `kv_server` boot banner.
-    pub fn open(
-        dir: &Path,
-        shards: usize,
-        memtable_limit: usize,
-        cache_blocks: usize,
-    ) -> std::io::Result<(Self, RecoveryReport)> {
-        let (store, report) = ShardedKv::open(dir, shards, memtable_limit, cache_blocks)?;
-        Ok((Self::from_store(store), report))
-    }
-
     /// Counts a connection dropped by its idle timeout
     /// (the `read_timeout` of [`Server::start`](crate::server::Server::start)).
     pub(crate) fn note_idle_disconnect(&self) {
@@ -438,13 +444,13 @@ impl KvService {
     }
 
     /// The backing sharded store (per-shard lock and stats access).
-    pub fn store(&self) -> &ShardedKv {
+    pub fn store(&self) -> &ShardedKv<P> {
         &self.store
     }
 
     /// A shared handle to the backing store — what background workers
     /// that outlive a borrow (the shard healer) hold.
-    pub fn store_arc(&self) -> Arc<ShardedKv> {
+    pub fn store_arc(&self) -> Arc<ShardedKv<P>> {
         Arc::clone(&self.store)
     }
 
@@ -756,7 +762,7 @@ impl Default for KvService {
     }
 }
 
-impl std::fmt::Debug for KvService {
+impl<P: LockPair> std::fmt::Debug for KvService<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvService").finish_non_exhaustive()
     }

@@ -42,6 +42,8 @@ use malthus_net::{Action, CloseReason, Handler};
 use malthus_obs::span::Stage;
 use malthus_obs::SpanContext;
 
+use malthus_storage::{CrPair, LockPair};
+
 use crate::kv::KvService;
 use crate::protocol::DrainEnd;
 use crate::session::Session;
@@ -62,18 +64,18 @@ pub struct KvConn {
 /// The [`Handler`] gluing the reactor to [`KvService`]. Cheap to
 /// clone (one `Arc`); the reactor owns one clone per start.
 #[derive(Clone)]
-pub struct KvHandler {
-    service: Arc<KvService>,
+pub struct KvHandler<P: LockPair = CrPair> {
+    service: Arc<KvService<P>>,
 }
 
-impl KvHandler {
+impl<P: LockPair> KvHandler<P> {
     /// A handler over `service`.
-    pub fn new(service: Arc<KvService>) -> Self {
+    pub fn new(service: Arc<KvService<P>>) -> Self {
         KvHandler { service }
     }
 }
 
-impl Handler for KvHandler {
+impl<P: LockPair> Handler for KvHandler<P> {
     type Conn = KvConn;
 
     fn on_open(&self, _stream: &TcpStream) -> KvConn {

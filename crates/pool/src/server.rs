@@ -50,6 +50,8 @@ use malthus_net::{Reactor, ReactorConfig};
 use malthus_obs::span::{self, Stage};
 use malthus_obs::SpanContext;
 
+use malthus_storage::{CrPair, LockPair};
+
 use crate::crew::WorkCrew;
 use crate::kv::KvService;
 use crate::kv_async::KvHandler;
@@ -87,18 +89,18 @@ pub enum Front {
 /// A running front-end: started by [`Server::start`], over once
 /// [`Server::stop`] or [`Server::wait`] returns. Merely dropping it
 /// leaves a threaded front-end serving on a detached thread.
-pub struct Server {
+pub struct Server<P: LockPair = CrPair> {
     control: ServerControl,
-    running: Running,
+    running: Running<P>,
 }
 
-enum Running {
+enum Running<P: LockPair> {
     /// The accept loop's thread and the crew it dispatches onto.
     Threaded(JoinHandle<()>, Arc<WorkCrew>),
-    Reactor(Reactor<KvHandler>),
+    Reactor(Reactor<KvHandler<P>>),
 }
 
-impl Server {
+impl<P: LockPair> Server<P> {
     /// Binds `addr` and serves `service` through `front` until
     /// [`Server::stop`], [`ServerControl::stop`] or a client's
     /// `SHUTDOWN`. `read_timeout` is both front-ends' idle timeout
@@ -108,10 +110,10 @@ impl Server {
     /// admission counters join the service's registry.
     pub fn start(
         addr: &str,
-        service: Arc<KvService>,
+        service: Arc<KvService<P>>,
         front: Front,
         read_timeout: Option<Duration>,
-    ) -> std::io::Result<Server> {
+    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let control = ServerControl {
             stop: Arc::new(AtomicBool::new(false)),
@@ -207,11 +209,11 @@ impl ServerControl {
 /// `accept` failures (`EMFILE`, `ECONNABORTED`, …) are survived, not
 /// propagated: each is counted in `kv_accept_errors_total{front="threaded"}`
 /// and recorded as a flight-recorder `accept_error` event.
-fn serve(
+fn serve<P: LockPair>(
     listener: TcpListener,
     control: &ServerControl,
     crew: Arc<WorkCrew>,
-    service: Arc<KvService>,
+    service: Arc<KvService<P>>,
     read_timeout: Option<Duration>,
 ) {
     // The crew serving this listener contributes its counters to the
@@ -276,10 +278,10 @@ fn serve(
     }
 }
 
-fn handle_connection(
+fn handle_connection<P: LockPair>(
     stream: TcpStream,
     crew: &Arc<WorkCrew>,
-    service: &Arc<KvService>,
+    service: &Arc<KvService<P>>,
     control: &ServerControl,
     read_timeout: Option<Duration>,
 ) {
@@ -413,12 +415,12 @@ fn handle_connection(
 /// between the two; queued, the crew worker runs both back to back —
 /// it is the thread that has the replies, and waking the reader to
 /// write them would cost more than the write.
-struct BatchRunner {
-    service: Arc<KvService>,
+struct BatchRunner<P: LockPair> {
+    service: Arc<KvService<P>>,
     writer: TcpStream,
 }
 
-impl BatchRunner {
+impl<P: LockPair> BatchRunner<P> {
     /// The half that needs an ACS place: closes the span's `queue`
     /// stage — `queue_t0` (0 = spans off) → here: the time spent in
     /// `try_enter` for a batch run in place, submit → start on a crew

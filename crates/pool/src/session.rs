@@ -20,6 +20,8 @@ use std::time::Instant;
 use malthus_obs::span::{self, Stage};
 use malthus_obs::SpanContext;
 
+use malthus_storage::LockPair;
+
 use crate::kv::KvService;
 use crate::protocol::{drain_lines, write_tag, DrainEnd, Parsed};
 
@@ -84,9 +86,9 @@ impl Session {
     /// stage covers UTF-8 validation and parsing, never the wait for
     /// traffic; it is detached when tracing is off or there is no
     /// batch.
-    pub(crate) fn drain(
+    pub(crate) fn drain<P: LockPair>(
         &mut self,
-        service: &KvService,
+        service: &KvService<P>,
         bytes: &[u8],
     ) -> (usize, Option<SpanContext>) {
         let mut span = if span::enabled() {
@@ -113,7 +115,11 @@ impl Session {
     /// Applies the drained batch and returns the bytes to flush: the
     /// batch's reply lines in request order, then the `OK` of a
     /// `SHUTDOWN` that ended the drain — one buffer, so one flush.
-    pub(crate) fn apply(&mut self, service: &KvService, span: &mut SpanContext) -> &[u8] {
+    pub(crate) fn apply<P: LockPair>(
+        &mut self,
+        service: &KvService<P>,
+        span: &mut SpanContext,
+    ) -> &[u8] {
         self.out.clear();
         if !self.batch.is_empty() {
             let start = Instant::now();

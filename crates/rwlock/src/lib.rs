@@ -54,5 +54,5 @@ mod rwcr;
 mod rwmutex;
 
 pub use raw::RawRwLock;
-pub use rwcr::{RwCrLock, RwStats};
+pub use rwcr::{RwCrLock, RwStats, WriterQueue};
 pub use rwmutex::{RwCrMutex, RwMutex, RwReadGuard, RwWriteGuard};

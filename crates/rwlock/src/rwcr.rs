@@ -8,7 +8,10 @@
 //! * **Writers** queue through a full [`McsCrLock`]: MCS arrival order,
 //!   surplus writers culled onto the MCSCR passive list, episodic
 //!   eldest-writer fairness grants — the writer side inherits every
-//!   property of §4 unchanged.
+//!   property of §4 unchanged. The writer queue is a type parameter
+//!   ([`WriterQueue`]): over a plain [`McsLock`] with an unbounded
+//!   reader batch, [`RwCrLock::mcs`], the lock restricts neither side —
+//!   the paper's baseline.
 //! * **Readers** share a padded atomic reader count (one `fetch_add`
 //!   per uncontended acquisition). While a write episode is in
 //!   progress, arriving readers are *culled* onto a passive list
@@ -55,7 +58,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use malthus::policy::{self, FairnessTrigger, DEFAULT_FAIRNESS_PERIOD};
-use malthus::{CachePadded, LockCounter, McsCrLock, RawLock, TasLock};
+use malthus::{CachePadded, LockCounter, McsCrLock, McsLock, RawLock, TasLock};
 use malthus_park::{SpinThenYield, WaitCell, WaitPolicy, XorShift64};
 
 use crate::raw::RawRwLock;
@@ -149,7 +152,24 @@ struct ReaderSide {
     fairness_grants: LockCounter,
 }
 
-/// Writer-side scratch: serialized by the writer `McsCrLock`.
+/// The queue an [`RwCrLock`] serializes its writers through: it is only
+/// ever `lock`ed, `try_lock`ed and `unlock`ed, so any mutex will do.
+/// Each queue names the RW lock built on it.
+pub trait WriterQueue: RawLock {
+    /// The RW lock's `name()` under the `Spin`, `SpinThenPark` and
+    /// `Park` waiting policies.
+    const RW_NAMES: [&'static str; 3];
+}
+
+impl WriterQueue for McsCrLock {
+    const RW_NAMES: [&'static str; 3] = ["RW-CR-S", "RW-CR-STP", "RW-CR-P"];
+}
+
+impl WriterQueue for McsLock {
+    const RW_NAMES: [&'static str; 3] = ["RW-MCS-S", "RW-MCS-STP", "RW-MCS-P"];
+}
+
+/// Writer-side scratch: serialized by the writer queue.
 struct WriterSide {
     /// The cell a pending writer waits on for the reader drain; null
     /// outside a drain wait. Swapped (taken) by the last exiting
@@ -159,7 +179,9 @@ struct WriterSide {
     drain_waits: LockCounter,
 }
 
-/// The Malthusian reader-writer lock (`RW-CR`).
+/// The Malthusian reader-writer lock (`RW-CR`), generic over its
+/// writer queue `W`. The default, [`McsCrLock`], restricts both sides;
+/// [`RwCrLock::mcs`] is the unrestricted baseline (`RW-MCS`).
 ///
 /// # Examples
 ///
@@ -177,9 +199,10 @@ struct WriterSide {
 /// assert!(!rw.try_read_lock()); // writers exclude
 /// unsafe { rw.write_unlock() };
 /// ```
-pub struct RwCrLock {
-    /// Writer admission: the full MCSCR machinery (internally padded).
-    writer: McsCrLock,
+pub struct RwCrLock<W: WriterQueue = McsCrLock> {
+    /// Writer admission: by default the full MCSCR machinery
+    /// (internally padded).
+    writer: W,
     /// The one reader-hammered word: writer bit + active reader count.
     sync: CachePadded<AtomicU64>,
     /// Passive-reader list + reader stats, on their own line.
@@ -194,11 +217,11 @@ pub struct RwCrLock {
 
 // SAFETY: `sync`, `len` and `drain` are atomics; `list`/`fairness`
 // are guarded by the `gate` TAS; the writer-side counters are
-// serialized by the writer McsCrLock. Cell pointers in the list stay
+// serialized by the writer queue. Cell pointers in the list stay
 // live until signalled (their owners are captive in `WaitCell::wait`).
-unsafe impl Send for RwCrLock {}
+unsafe impl<W: WriterQueue> Send for RwCrLock<W> {}
 // SAFETY: see above.
-unsafe impl Sync for RwCrLock {}
+unsafe impl<W: WriterQueue> Sync for RwCrLock<W> {}
 
 impl Default for RwCrLock {
     fn default() -> Self {
@@ -215,26 +238,8 @@ impl RwCrLock {
         seed: u64,
         acs_limit: usize,
     ) -> Self {
-        RwCrLock {
-            writer: McsCrLock::with_params(policy, fairness_period, seed ^ 0x9E37_79B9),
-            sync: CachePadded::new(AtomicU64::new(0)),
-            rside: CachePadded::new(ReaderSide {
-                gate: TasLock::new(),
-                len: AtomicUsize::new(0),
-                list: UnsafeCell::new(VecDeque::new()),
-                fairness: UnsafeCell::new(FairnessTrigger::new(fairness_period, seed)),
-                culls: LockCounter::new(),
-                reprovisions: LockCounter::new(),
-                fairness_grants: LockCounter::new(),
-            }),
-            wside: CachePadded::new(WriterSide {
-                drain: AtomicPtr::new(ptr::null_mut()),
-                write_episodes: LockCounter::new(),
-                drain_waits: LockCounter::new(),
-            }),
-            policy,
-            acs_limit: acs_limit.max(1),
-        }
+        let writer = McsCrLock::with_params(policy, fairness_period, seed ^ 0x9E37_79B9);
+        Self::with_writer(writer, policy, fairness_period, seed, acs_limit)
     }
 
     /// Creates an RW-CR lock with the given waiting policy, the
@@ -257,6 +262,55 @@ impl RwCrLock {
     /// `RW-CR-STP`: spin-then-park (the recommended configuration).
     pub fn stp() -> Self {
         Self::new(WaitPolicy::spin_then_park())
+    }
+}
+
+impl RwCrLock<McsLock> {
+    /// `RW-MCS-STP`, the unrestricted baseline: writers queue FIFO on
+    /// an [`McsLock`] and a closing write phase wakes every passive
+    /// reader at once (an unbounded reader batch).
+    pub fn mcs() -> Self {
+        Self::with_writer(
+            McsLock::stp(),
+            WaitPolicy::spin_then_park(),
+            DEFAULT_FAIRNESS_PERIOD,
+            XorShift64::from_entropy().next_u64(),
+            usize::MAX,
+        )
+    }
+}
+
+impl<W: WriterQueue> RwCrLock<W> {
+    /// Creates an RW lock over `writer` with explicit waiting policy,
+    /// reader fairness period, PRNG seed and reader admission-batch
+    /// limit (`usize::MAX`: every passive reader at once).
+    fn with_writer(
+        writer: W,
+        policy: WaitPolicy,
+        fairness_period: u64,
+        seed: u64,
+        acs_limit: usize,
+    ) -> Self {
+        RwCrLock {
+            writer,
+            sync: CachePadded::new(AtomicU64::new(0)),
+            rside: CachePadded::new(ReaderSide {
+                gate: TasLock::new(),
+                len: AtomicUsize::new(0),
+                list: UnsafeCell::new(VecDeque::new()),
+                fairness: UnsafeCell::new(FairnessTrigger::new(fairness_period, seed)),
+                culls: LockCounter::new(),
+                reprovisions: LockCounter::new(),
+                fairness_grants: LockCounter::new(),
+            }),
+            wside: CachePadded::new(WriterSide {
+                drain: AtomicPtr::new(ptr::null_mut()),
+                write_episodes: LockCounter::new(),
+                drain_waits: LockCounter::new(),
+            }),
+            policy,
+            acs_limit: acs_limit.max(1),
+        }
     }
 
     /// Number of readers currently passivated (racy hint).
@@ -555,7 +609,7 @@ impl RwCrLock {
     }
 }
 
-impl Drop for RwCrLock {
+impl<W: WriterQueue> Drop for RwCrLock<W> {
     fn drop(&mut self) {
         debug_assert_eq!(
             *self.sync.get_mut(),
@@ -574,7 +628,7 @@ impl Drop for RwCrLock {
     }
 }
 
-// SAFETY: writers serialize through the inner McsCrLock and enter
+// SAFETY: writers serialize through the writer queue and enter
 // their critical section only after setting the writer bit and
 // observing a zero reader count; the bit blocks new reader slots
 // (the fast path backs out, fairness grants CAS against the bit), so
@@ -584,7 +638,7 @@ impl Drop for RwCrLock {
 // gate), every drain wakes at least one passive reader, and a woken
 // reader either admits (carrying the cascade) or re-passivates
 // against a writer whose own release drains again.
-unsafe impl RawRwLock for RwCrLock {
+unsafe impl<W: WriterQueue> RawRwLock for RwCrLock<W> {
     fn read_lock(&self) {
         // Set once this thread has been through the passive list: its
         // eventual admission must then carry the drain chain (a
@@ -686,10 +740,11 @@ unsafe impl RawRwLock for RwCrLock {
     }
 
     fn name(&self) -> &'static str {
+        let [spin, stp, park] = W::RW_NAMES;
         match self.policy {
-            WaitPolicy::Spin => "RW-CR-S",
-            WaitPolicy::SpinThenPark { .. } => "RW-CR-STP",
-            WaitPolicy::Park => "RW-CR-P",
+            WaitPolicy::Spin => spin,
+            WaitPolicy::SpinThenPark { .. } => stp,
+            WaitPolicy::Park => park,
         }
     }
 }
@@ -713,7 +768,7 @@ mod tests {
     }
 
     /// Spins until `done` holds of `rw`.
-    fn until(rw: &RwCrLock, done: impl Fn(&RwCrLock) -> bool) {
+    fn until<W: WriterQueue>(rw: &RwCrLock<W>, done: impl Fn(&RwCrLock<W>) -> bool) {
         while !done(rw) {
             std::thread::yield_now();
         }
@@ -969,10 +1024,49 @@ mod tests {
         assert_eq!(s.reader_fairness_grants, s.reader_culls, "{s:?}");
     }
 
+    /// Parks six readers behind a held write lock and releases it with
+    /// one `write_unlock`; returns how many readers were still passive
+    /// when that call returned, once all six have been in and out.
+    fn passive_after_one_write_unlock<W: WriterQueue + 'static>(rw: RwCrLock<W>) -> usize {
+        let rw = Arc::new(rw);
+        rw.write_lock();
+        let readers: Vec<_> = (0..6)
+            .map(|_| {
+                let rw = Arc::clone(&rw);
+                std::thread::spawn(move || {
+                    rw.read_lock();
+                    // SAFETY: held.
+                    unsafe { rw.read_unlock() };
+                })
+            })
+            .collect();
+        until(&rw, |rw| rw.passive_readers() == 6);
+        // SAFETY: held since before the spawns.
+        unsafe { rw.write_unlock() };
+        let passive = rw.passive_readers();
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!((rw.passive_readers(), rw.active_readers()), (0, 0));
+        passive
+    }
+
+    #[test]
+    fn the_mcs_baseline_grants_every_passive_reader_in_one_write_unlock() {
+        // The whole batch is granted under the gate before the call
+        // returns.
+        assert_eq!(passive_after_one_write_unlock(RwCrLock::mcs()), 0);
+        // RW-CR with a batch of 2 grants two and leaves the rest to the
+        // cascade; every reader still gets in.
+        let rw = RwCrLock::with_params(WaitPolicy::spin_then_park(), 1_000, 7, 2);
+        assert!(passive_after_one_write_unlock(rw) <= 4);
+    }
+
     #[test]
     fn names_follow_policy() {
         assert_eq!(RwCrLock::spin().name(), "RW-CR-S");
         assert_eq!(RwCrLock::stp().name(), "RW-CR-STP");
         assert_eq!(RwCrLock::new(WaitPolicy::park()).name(), "RW-CR-P");
+        assert_eq!(RwCrLock::mcs().name(), "RW-MCS-STP");
     }
 }

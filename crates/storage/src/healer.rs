@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::sharded::ShardedKv;
+use crate::sharded::{LockPair, ShardedKv};
 
 /// Backoff policy (and determinism knob) for [`spawn_healer`].
 #[derive(Debug, Clone, Copy)]
@@ -70,8 +70,8 @@ fn jittered(rng: &mut u64, ms: u64) -> u64 {
 /// `heal_attempts`/`heals` counters, so they flow into STATS, the
 /// metrics registry (`kv_shard_heal_attempts_total`,
 /// `kv_shard_heals_total`) and kvtop with no extra wiring.
-pub fn spawn_healer(
-    store: Arc<ShardedKv>,
+pub fn spawn_healer<P: LockPair>(
+    store: Arc<ShardedKv<P>>,
     stop: Arc<AtomicBool>,
     cfg: HealerConfig,
 ) -> JoinHandle<()> {
@@ -81,7 +81,7 @@ pub fn spawn_healer(
         .expect("spawn kv-healer")
 }
 
-fn run_healer(store: &ShardedKv, stop: &AtomicBool, cfg: HealerConfig) {
+fn run_healer<P: LockPair>(store: &ShardedKv<P>, stop: &AtomicBool, cfg: HealerConfig) {
     let n = store.shard_count();
     let mut rng = if cfg.seed == 0 { 1 } else { cfg.seed };
     let mut backoff_ms = vec![cfg.initial_backoff_ms; n];

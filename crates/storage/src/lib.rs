@@ -17,8 +17,9 @@
 //!
 //! On top of the substrates, the crate ships two genuinely new
 //! layers: [`ShardedKv`], a sharded KV backend where each shard is a
-//! [`MiniKv`] + [`SimpleLru`] behind its **own** Malthusian
-//! `RwCrMutex`/`McsCrMutex` pair with fixed fibonacci-hash routing
+//! [`MiniKv`] + [`SimpleLru`] behind its **own** lock pair — Malthusian
+//! RW-CR + MCSCR by default, a [`LockPair`] type parameter — with fixed
+//! fibonacci-hash routing
 //! ([`ShardRouter`]) — N independent admission-restricted locks
 //! instead of §6.5's single hot pair (see the [`sharded`] module docs
 //! for the cross-shard snapshot-consistency contract) — and a
@@ -43,8 +44,8 @@ pub use healer::{spawn_healer, HealerConfig};
 pub use minikv::MiniKv;
 pub use router::{ShardRouter, FIB_HASH_MULT};
 pub use sharded::{
-    hottest_share, BatchOp, BatchReply, ShardSnapshot, ShardState, ShardedKv, ShardedKvStats,
-    WriteError, MAX_SCAN_LIMIT,
+    hottest_share, BatchOp, BatchReply, CrPair, LockPair, McsPair, ShardSnapshot, ShardState,
+    ShardedKv, ShardedKvStats, WriteError, MAX_SCAN_LIMIT,
 };
 pub use simplelru::{LruStats, SimpleLru};
 pub use wal::{

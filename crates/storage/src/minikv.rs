@@ -51,11 +51,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::simplelru::SimpleLru;
 
-/// The most runs a store ever holds: the accumulator and the base. A
-/// lookup that misses the memtable consults, and so touches the block
-/// cache for, at most this many.
-pub(crate) const MAX_RUNS: usize = 2;
-
 /// Pairs per slot of a freshly built slot table, at least: four
 /// 16-byte pairs, one 64-byte cache line.
 const SLOT_PAIRS: usize = 4;
@@ -242,7 +237,7 @@ impl Run {
 pub struct MiniKv {
     /// Unordered: order is made at freeze and by a scan.
     memtable: HashMap<u64, u64, SeededMix>,
-    /// At most [`MAX_RUNS`] immutable runs. **Ordering invariant:
+    /// At most two immutable runs. **Ordering invariant:
     /// `runs[0]` is the newest run and the last element the oldest** —
     /// with two, the accumulator then the base; a lone run is the
     /// base. Reads walk front to back so the newest value of a key is
@@ -684,8 +679,13 @@ fn merge_runs(newer: &[(u64, u64)], older: &mut Vec<(u64, u64)>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The most runs a store ever holds: the accumulator and the base. A
+    /// lookup that misses the memtable consults, and so touches the
+    /// block cache for, at most this many.
+    pub(crate) const MAX_RUNS: usize = 2;
     use std::cell::Cell;
     use std::collections::BTreeMap;
 

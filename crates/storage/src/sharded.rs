@@ -1,16 +1,19 @@
-//! The sharded KV backend: N independent Malthusian lock pairs.
+//! The sharded KV backend: N independent lock pairs, Malthusian by
+//! default.
 //!
 //! §6.5 of *Malthusian Locks* evaluates CR on leveldb's two hot locks
 //! — faithful, but a single-lock design caps the whole service at one
 //! admission point: however well the lock behaves under contention,
 //! only one writer makes progress at a time. [`ShardedKv`] splits the
 //! store into `N` shards, each a [`MiniKv`] plus its own
-//! [`SimpleLru`] block cache behind its **own**
-//! [`RwCrMutex`]/[`McsCrMutex`] pair, with fixed fibonacci-hash
-//! routing ([`ShardRouter`]). The N Malthusian locks *are* the
-//! system's admission surface: contention on one hot shard culls that
-//! shard's surplus threads while the other shards keep serving at
-//! full speed.
+//! [`SimpleLru`] block cache behind its **own** lock pair, with fixed
+//! fibonacci-hash routing ([`ShardRouter`]). The pair is a type,
+//! [`LockPair`]: by default [`CrPair`], an RW-CR DB lock and an MCSCR
+//! cache lock, whose N Malthusian locks *are* the system's admission
+//! surface — contention on one hot shard culls that shard's surplus
+//! threads while the other shards keep serving at full speed.
+//! [`McsPair`] is the unrestricted baseline of §6.5: MCS in place of
+//! MCSCR at both locks, and every passive reader woken at once.
 //!
 //! # Snapshot-consistency contract
 //!
@@ -61,12 +64,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use malthus::{current_thread_index, McsCrMutex};
+use malthus::{current_thread_index, McsCrLock, McsLock, Mutex, RawLock};
 use malthus_metrics::LatencyHistogram;
 use malthus_obs::EventKind;
-use malthus_rwlock::{RwCrMutex, RwStats};
+use malthus_rwlock::{RawRwLock, RwCrLock, RwMutex, RwStats, WriterQueue};
 
-use crate::minikv::{MiniKv, MAX_RUNS};
+use crate::minikv::MiniKv;
 use crate::router::ShardRouter;
 use crate::simplelru::{LruStats, SimpleLru};
 use crate::wal::{
@@ -245,18 +248,55 @@ impl std::fmt::Debug for ShardState {
     }
 }
 
+/// The two locks of every shard, chosen once as a type: the DB lock is
+/// an [`RwCrLock`] over the writer queue `Writer`, the block-cache lock
+/// a default `Cache`. [`CrPair`] restricts at both; [`McsPair`], the
+/// paper's §6.5 baseline, at neither.
+pub trait LockPair: 'static {
+    /// The DB lock's writer queue.
+    type Writer: WriterQueue;
+    /// The block-cache lock.
+    type Cache: RawLock + Default;
+    /// A fresh DB lock.
+    fn db() -> RwCrLock<Self::Writer>;
+}
+
+/// The Malthusian pair, the default: `RW-CR-STP` + `MCSCR-STP`.
+#[derive(Debug, Clone, Copy)]
+pub struct CrPair;
+
+impl LockPair for CrPair {
+    type Writer = McsCrLock;
+    type Cache = McsCrLock;
+    fn db() -> RwCrLock {
+        RwCrLock::stp()
+    }
+}
+
+/// The unrestricted baseline: `RW-MCS-STP` + `MCS-STP`.
+#[derive(Debug, Clone, Copy)]
+pub struct McsPair;
+
+impl LockPair for McsPair {
+    type Writer = McsLock;
+    type Cache = McsLock;
+    fn db() -> RwCrLock<McsLock> {
+        RwCrLock::mcs()
+    }
+}
+
 /// One shard: a [`MiniKv`] (+ optional WAL) and its block cache
 /// behind their own lock pair, plus batch counters.
-struct Shard {
+struct Shard<P: LockPair> {
     /// The shard's central database lock (memtable + runs + WAL).
-    db: RwCrMutex<ShardState>,
+    db: RwMutex<ShardState, RwCrLock<P::Writer>>,
     /// The shard's block-cache lock (exclusive: lookups edit recency).
     /// Always taken inside a `db` hold (db → cache), at most once per
     /// sub-group and only for the sub-group's LRU touches — the runs
     /// are searched before it is taken (see [`Shard::search`] and
     /// [`Shard::touch`]); only [`ShardedKv::shard_stats`] takes it
     /// alone.
-    cache: McsCrMutex<SimpleLru>,
+    cache: Mutex<SimpleLru, P::Cache>,
     /// Scans that visited this shard. Bumped under the *shared* `db`
     /// lock, where concurrent bumpers are legal, so it is a real
     /// relaxed RMW, not a [`malthus::LockCounter`]'s plain load+store.
@@ -341,11 +381,11 @@ impl BatchScratch {
     }
 }
 
-impl Shard {
+impl<P: LockPair> Shard<P> {
     fn build(state: ShardState, cache_blocks: usize) -> Self {
         Shard {
-            db: RwCrMutex::default_cr(state),
-            cache: McsCrMutex::default_cr(SimpleLru::new(cache_blocks)),
+            db: RwMutex::with_raw(P::db(), state),
+            cache: Mutex::new(SimpleLru::new(cache_blocks)),
             scans: AtomicU64::new(0),
             readonly: AtomicBool::new(false),
             wal_errors: AtomicU64::new(0),
@@ -543,9 +583,9 @@ impl ShardedKvStats {
 }
 
 /// A sharded KV store: `N` × ([`MiniKv`] + [`SimpleLru`]) behind `N`
-/// independent Malthusian lock pairs, with fixed fibonacci-hash
-/// routing — optionally durable via per-shard group-committed WALs
-/// ([`ShardedKv::open`]).
+/// independent lock pairs of type `P` (Malthusian by default), with
+/// fixed fibonacci-hash routing — optionally durable via per-shard
+/// group-committed WALs ([`ShardedKv::open`]).
 ///
 /// See the module docs for the cross-shard snapshot-consistency and
 /// durability contracts.
@@ -560,9 +600,9 @@ impl ShardedKvStats {
 /// assert_eq!(kv.mget(&[1, 2, 9]), vec![Some(10), Some(20), None]);
 /// assert_eq!(kv.scan(2, 8), vec![(2, 20), (3, 30)]);
 /// ```
-pub struct ShardedKv {
+pub struct ShardedKv<P: LockPair = CrPair> {
     router: ShardRouter,
-    shards: Vec<Shard>,
+    shards: Vec<Shard<P>>,
     /// Fsync latencies across all shards (empty for memory-only
     /// stores: no WAL, no fsyncs). Shared with each [`ShardWal`].
     fsync_hist: Arc<LatencyHistogram>,
@@ -583,21 +623,7 @@ impl ShardedKv {
     /// per-shard parameters are invalid (via [`MiniKv::new`] /
     /// [`SimpleLru::new`]).
     pub fn new(shards: usize, memtable_limit: usize, cache_blocks: usize) -> Self {
-        let router = ShardRouter::new(shards);
-        let shards = (0..shards)
-            .map(|_| {
-                Shard::build(
-                    ShardState::memory(MiniKv::new(memtable_limit)),
-                    cache_blocks,
-                )
-            })
-            .collect();
-        ShardedKv {
-            router,
-            shards,
-            fsync_hist: Arc::new(LatencyHistogram::new()),
-            dir: None,
-        }
+        Self::memory(shards, memtable_limit, cache_blocks)
     }
 
     /// Opens a **durable** store rooted at `dir` with default
@@ -619,10 +645,42 @@ impl ShardedKv {
         )
     }
 
-    /// Opens a durable store rooted at `dir`: one `shard-<i>.wal` per
-    /// shard plus a `MANIFEST` pinning the shard count (keys are
-    /// hash-routed; reopening with a different count is refused with
-    /// [`io::ErrorKind::InvalidInput`]).
+    /// [`ShardedKv::durable`] over the default lock pair.
+    pub fn open_with(
+        dir: &Path,
+        shards: usize,
+        memtable_limit: usize,
+        cache_blocks: usize,
+        opts: WalOptions,
+    ) -> io::Result<(Self, RecoveryReport)> {
+        Self::durable(dir, shards, memtable_limit, cache_blocks, opts)
+    }
+}
+
+impl<P: LockPair> ShardedKv<P> {
+    /// [`ShardedKv::new`] over the lock pair `P`.
+    pub fn memory(shards: usize, memtable_limit: usize, cache_blocks: usize) -> Self {
+        let router = ShardRouter::new(shards);
+        let shards = (0..shards)
+            .map(|_| {
+                Shard::build(
+                    ShardState::memory(MiniKv::new(memtable_limit)),
+                    cache_blocks,
+                )
+            })
+            .collect();
+        ShardedKv {
+            router,
+            shards,
+            fsync_hist: Arc::new(LatencyHistogram::new()),
+            dir: None,
+        }
+    }
+
+    /// Opens a durable store over the lock pair `P`, rooted at `dir`:
+    /// one `shard-<i>.wal` per shard plus a `MANIFEST` pinning the
+    /// shard count (keys are hash-routed; reopening with a different
+    /// count is refused with [`io::ErrorKind::InvalidInput`]).
     ///
     /// Each shard's log is replayed — tolerating a torn tail and
     /// stopping at the first checksum mismatch, recovering the valid
@@ -639,7 +697,7 @@ impl ShardedKv {
     /// # Panics
     ///
     /// Same parameter panics as [`ShardedKv::new`].
-    pub fn open_with(
+    pub fn durable(
         dir: &Path,
         shards: usize,
         memtable_limit: usize,
@@ -704,6 +762,13 @@ impl ShardedKv {
         self.shards.len()
     }
 
+    /// The names of the shard DB lock and the block-cache lock (every
+    /// shard's are alike): `("RW-CR-STP", "MCSCR-STP")` over [`CrPair`].
+    pub fn lock_names(&self) -> (&'static str, &'static str) {
+        let shard = &self.shards[0];
+        (shard.db.raw().name(), shard.cache.raw().name())
+    }
+
     /// The router (so callers — tests, diagnostics — can predict
     /// which shard a key lands on).
     pub fn router(&self) -> ShardRouter {
@@ -718,7 +783,7 @@ impl ShardedKv {
     /// # Panics
     ///
     /// Panics if `index >= shard_count()`.
-    pub fn db_lock(&self, index: usize) -> &RwCrMutex<ShardState> {
+    pub fn db_lock(&self, index: usize) -> &RwMutex<ShardState, RwCrLock<P::Writer>> {
         &self.shards[index].db
     }
 
@@ -800,43 +865,28 @@ impl ShardedKv {
         stamp_clean_shutdown(dir)
     }
 
-    /// Inserts or updates one key (exclusive access to its shard
-    /// only). On a durable store the pair is group-committed (here a
-    /// group of one — batch writes via [`ShardedKv::mset`] or
-    /// [`ShardedKv::execute_batch`] to amortize the fsync) before it
-    /// is applied; `Err` means the shard is read-only and nothing was
-    /// written.
+    /// Inserts or updates one key: the one-op batch
+    /// `[BatchOp::Put(key, value)]` through [`ShardedKv::execute_batch`],
+    /// so it takes its shard's DB lock exclusive and, on a durable
+    /// store, group-commits a group of one before the pair is applied
+    /// (batch writes to amortize the fsync). `Err` means the shard is
+    /// read-only and nothing was written.
     pub fn put(&self, key: u64, value: u64) -> Result<(), WriteError> {
-        let index = self.router.route(key);
-        let shard = &self.shards[index];
-        let mut db = shard.db.write();
-        shard.wal_commit(
-            index,
-            &mut db,
-            &[(key, value)],
-            &mut malthus_obs::SpanContext::detached(),
-        )?;
-        db.put(key, value);
-        Ok(())
+        let span = &mut malthus_obs::SpanContext::detached();
+        let (_, refused) = self.execute(&[BatchOp::Put(key, value)], span);
+        refused.map_or(Ok(()), Err)
     }
 
-    /// Point lookup on the key's shard, for in-process callers (wire
-    /// requests arrive through [`ShardedKv::execute_batch_span`]):
-    /// shared DB lock, memtable first, then the runs; the block-cache
-    /// lock is taken only after a memtable miss, once the search is
-    /// done, for the touches of the runs consulted — nested in the
-    /// fixed db → cache order.
+    /// Point lookup on the key's shard, for in-process callers: the
+    /// one-op batch `[BatchOp::Get(key)]` through
+    /// [`ShardedKv::execute_batch`] — shared DB lock, memtable first,
+    /// then the runs, and the block-cache lock only after a memtable
+    /// miss, for the touches of the runs consulted.
     pub fn get(&self, key: u64) -> Option<u64> {
-        let shard = &self.shards[self.router.route(key)];
-        let db = shard.db.read();
-        let mut value = [None];
-        let (mut blocks, mut consulted) = ([0; MAX_RUNS], 0);
-        db.search_many(&[key], &mut value, |block| {
-            blocks[consulted] = block;
-            consulted += 1;
-        });
-        shard.touch(&blocks[..consulted], current_thread_index());
-        value[0]
+        match self.execute_batch(&[BatchOp::Get(key)]).pop() {
+            Some(BatchReply::Value(value)) => value,
+            other => unreachable!("a GET answers with its value, not {other:?}"),
+        }
     }
 
     /// Batched lookup, results in `keys` order: the one-op batch
@@ -992,7 +1042,7 @@ impl ShardedKv {
                 let mut unapplied = write_pairs.as_slice();
                 for stretch in group.chunk_by(|a, b| is_write(a) == is_write(b)) {
                     if !is_write(&stretch[0]) {
-                        Shard::search(&db, ops, stretch, &mut replies, reads);
+                        Shard::<P>::search(&db, ops, stretch, &mut replies, reads);
                         continue;
                     }
                     let (pairs, rest) = unapplied.split_at(stretch.len());
@@ -1007,7 +1057,7 @@ impl ShardedKv {
                 shard.touch(&reads.touches, tid);
             } else {
                 let db = shard.db.read();
-                Shard::search(&db, ops, group, &mut replies, reads);
+                Shard::<P>::search(&db, ops, group, &mut replies, reads);
                 shard.touch(&reads.touches, tid);
             }
             reads.touches.clear();
@@ -1264,7 +1314,7 @@ impl ShardedKv {
     }
 }
 
-impl std::fmt::Debug for ShardedKv {
+impl<P: LockPair> std::fmt::Debug for ShardedKv<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedKv")
             .field("shards", &self.shards.len())
@@ -1275,6 +1325,7 @@ impl std::fmt::Debug for ShardedKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minikv::tests::MAX_RUNS;
     use std::sync::Arc;
 
     #[test]

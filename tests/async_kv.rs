@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use malthus_obs::Sample;
 use malthus_pool::{Admission, Front, KvClient, KvService, ReactorConfig, Server};
+use malthus_storage::{LockPair, McsPair, ShardedKv};
 
 mod common;
 
@@ -94,15 +95,22 @@ fn control_verbs_match_the_threaded_front_end() {
     close(); // already stopping; must not hang or double-panic
 }
 
+/// The unrestricted server is built as `kv_server --unrestricted
+/// --async` builds it: every worker circulating, over the MCS lock pair.
 #[test]
 fn the_admission_point_exports_one_family() {
-    let start = |admission| {
-        let service = Arc::new(KvService::with_shards(2, 64, 256));
+    fn start<P: LockPair>(service: KvService<P>, admission: Admission) -> Server<P> {
         let front = Front::Reactor(ReactorConfig::new(admission));
-        Server::start("127.0.0.1:0", service, front, None).unwrap()
-    };
-    let restricted = start(Admission::malthusian(4).with_acs_target(1));
-    let unrestricted = start(Admission::unrestricted(4));
+        Server::start("127.0.0.1:0", Arc::new(service), front, None).unwrap()
+    }
+    let restricted = start(
+        KvService::with_shards(2, 64, 256),
+        Admission::malthusian(4).with_acs_target(1),
+    );
+    let unrestricted = start(
+        KvService::from_store(ShardedKv::<McsPair>::memory(2, 64, 256)),
+        Admission::unrestricted(4),
+    );
     common::the_admission_point_exports_one_family(
         "reactor",
         "kv_reactor_culls_total",

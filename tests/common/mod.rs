@@ -242,8 +242,9 @@ pub fn batch_instruments_agree_while_connections_are_open(addr: SocketAddr) {
 
 /// One executor admission point, one exported family: `restricted` is
 /// a server of 4 workers held to an ACS target of 1 and
-/// `unrestricted` one of 4 workers all circulating, both admitted at
-/// `point` (`crew` or `reactor`), whose cull counter is `culls`.
+/// `unrestricted` one of 4 workers all circulating over the MCS lock
+/// pair, both admitted at `point` (`crew` or `reactor`), whose cull
+/// counter is `culls`.
 pub fn the_admission_point_exports_one_family(
     point: &str,
     culls: &str,

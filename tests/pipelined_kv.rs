@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use malthus_pool::protocol::MAX_BATCH_KEYS;
 use malthus_pool::{server, Admission, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
+use malthus_storage::{LockPair, McsPair, ShardedKv};
 
 mod common;
 use common::run_with_watchdog;
@@ -46,10 +47,10 @@ fn start_server_with_crew(
 
 /// [`start_server_with_crew`] over a service and a crew of the
 /// caller's making.
-fn start_server_with(
-    service: KvService,
+fn start_server_with<P: LockPair>(
+    service: KvService<P>,
     crew: PoolConfig,
-) -> (SocketAddr, Arc<KvService>, Arc<WorkCrew>, impl FnOnce()) {
+) -> (SocketAddr, Arc<KvService<P>>, Arc<WorkCrew>, impl FnOnce()) {
     let crew = Arc::new(WorkCrew::new(crew));
     let service = Arc::new(service);
     let front = Front::Threaded(Arc::clone(&crew));
@@ -118,14 +119,18 @@ fn a_durable_store_group_commits_over_the_wire() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The unrestricted server is built as `kv_server --unrestricted`
+/// builds it: every worker circulating, over the MCS lock pair.
 #[test]
 fn the_admission_point_exports_one_family() {
-    let start = |admission| {
-        let crew = PoolConfig::new(admission, 64);
-        start_server_with(KvService::with_shards(2, 64, 256), crew)
-    };
-    let (restricted, _, _, close_restricted) = start(Admission::malthusian(4).with_acs_target(1));
-    let (unrestricted, _, _, close_unrestricted) = start(Admission::unrestricted(4));
+    let (restricted, _, _, close_restricted) = start_server_with(
+        KvService::with_shards(2, 64, 256),
+        PoolConfig::new(Admission::malthusian(4).with_acs_target(1), 64),
+    );
+    let (unrestricted, _, _, close_unrestricted) = start_server_with(
+        KvService::from_store(ShardedKv::<McsPair>::memory(2, 64, 256)),
+        PoolConfig::new(Admission::unrestricted(4), 64),
+    );
     common::the_admission_point_exports_one_family(
         "crew",
         "crew_culls_total",

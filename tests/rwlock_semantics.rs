@@ -8,7 +8,7 @@ use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use malthus_park::WaitPolicy;
-use malthus_rwlock::{RawRwLock, RwCrLock, RwCrMutex, RwMutex};
+use malthus_rwlock::{RawRwLock, RwCrLock, RwCrMutex, RwMutex, WriterQueue};
 use malthus_workloads::rwreadwrite::{run_rw_loop, RwLoopShape, SharedTableRw};
 
 /// Readers must be able to hold the lock simultaneously: all of them
@@ -16,32 +16,36 @@ use malthus_workloads::rwreadwrite::{run_rw_loop, RwLoopShape, SharedTableRw};
 /// would deadlock here, so the whole test runs under a watchdog.
 #[test]
 fn readers_share_writers_exclude() {
-    let done = run_with_watchdog(Duration::from_secs(30), || {
-        let rw = Arc::new(RwCrLock::stp());
-        let inside = Arc::new(Barrier::new(4));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let rw = Arc::clone(&rw);
-            let inside = Arc::clone(&inside);
-            handles.push(std::thread::spawn(move || {
-                rw.read_lock();
-                inside.wait(); // 4 concurrent read-side holders
-                               // SAFETY: held.
-                unsafe { rw.read_unlock() };
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+    fn check<W: WriterQueue + 'static>(rw: RwCrLock<W>) {
+        let done = run_with_watchdog(Duration::from_secs(30), || {
+            let rw = Arc::new(rw);
+            let inside = Arc::new(Barrier::new(4));
+            let mut handles = Vec::new();
+            for _ in 0..4 {
+                let rw = Arc::clone(&rw);
+                let inside = Arc::clone(&inside);
+                handles.push(std::thread::spawn(move || {
+                    rw.read_lock();
+                    inside.wait(); // 4 concurrent read-side holders
+                                   // SAFETY: held.
+                    unsafe { rw.read_unlock() };
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
 
-        // While a writer holds, neither side can slip in.
-        rw.write_lock();
-        assert!(!rw.try_read_lock());
-        assert!(!rw.try_write_lock());
-        // SAFETY: held.
-        unsafe { rw.write_unlock() };
-    });
-    assert!(done, "readers deadlocked: the lock is not shared");
+            // While a writer holds, neither side can slip in.
+            rw.write_lock();
+            assert!(!rw.try_read_lock());
+            assert!(!rw.try_write_lock());
+            // SAFETY: held.
+            unsafe { rw.write_unlock() };
+        });
+        assert!(done, "readers deadlocked: the lock is not shared");
+    }
+    check(RwCrLock::stp());
+    check(RwCrLock::mcs());
 }
 
 /// Writer exclusion stress: a non-atomic register mutated only under
@@ -49,33 +53,37 @@ fn readers_share_writers_exclude() {
 /// state. Deterministic thread counts and seeds.
 #[test]
 fn writer_exclusion_protects_plain_data() {
-    let table: Arc<RwCrMutex<[u64; 8]>> = Arc::new(RwCrMutex::default_cr([0; 8]));
-    let mut handles = Vec::new();
-    for t in 0..2u64 {
-        let table = Arc::clone(&table);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..2_000u64 {
-                let stamp = t * 1_000_000 + i;
-                let mut w = table.write();
-                for slot in w.iter_mut() {
-                    *slot = stamp;
+    fn check<W: WriterQueue + 'static>(rw: RwCrLock<W>) {
+        let table = Arc::new(RwMutex::with_raw(rw, [0u64; 8]));
+        let mut handles = Vec::new();
+        for t in 0..2u64 {
+            let table = Arc::clone(&table);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..2_000u64 {
+                    let stamp = t * 1_000_000 + i;
+                    let mut w = table.write();
+                    for slot in w.iter_mut() {
+                        *slot = stamp;
+                    }
                 }
-            }
-        }));
+            }));
+        }
+        for _ in 0..4 {
+            let table = Arc::clone(&table);
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..4_000 {
+                    let r = table.read();
+                    let first = r[0];
+                    assert!(r.iter().all(|&s| s == first), "torn read: {:?}", *r);
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
     }
-    for _ in 0..4 {
-        let table = Arc::clone(&table);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..4_000 {
-                let r = table.read();
-                let first = r[0];
-                assert!(r.iter().all(|&s| s == first), "torn read: {:?}", *r);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    check(RwCrLock::stp());
+    check(RwCrLock::mcs());
 }
 
 /// No lost wakeups when passive readers are culled mid-acquire: a
@@ -163,9 +171,9 @@ fn writer_is_admitted_under_read_heavy_load() {
     assert!(done, "the writer starved under 99%-read load");
 }
 
-/// Deterministic xorshift stress sweep across thread counts and both
-/// waiting policies, via the live workload runner (whose torn-read
-/// oracle is the exclusion check).
+/// Deterministic xorshift stress sweep across thread counts, both
+/// waiting policies and the MCS-writer baseline, via the live workload
+/// runner (whose torn-read oracle is the exclusion check).
 #[test]
 fn xorshift_stress_sweep_is_consistent() {
     for &threads in &[2usize, 4, 8] {
@@ -178,6 +186,10 @@ fn xorshift_stress_sweep_is_consistent() {
             (
                 "RW-CR-STP",
                 Arc::new(RwCrMutex::default_cr(vec![0u64; 16])) as Arc<dyn SharedTableRw>,
+            ),
+            (
+                "RW-MCS-STP",
+                Arc::new(RwMutex::with_raw(RwCrLock::mcs(), vec![0u64; 16])),
             ),
         ] {
             let report = run_rw_loop(

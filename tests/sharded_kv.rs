@@ -2,7 +2,9 @@
 //! router distribution, batched ops round-tripping across shards,
 //! coherent racy-snapshot STATS under concurrent writers, and — the
 //! point of sharding — lock *independence*: readers and writers on
-//! different shards hold their locks simultaneously.
+//! different shards hold their locks simultaneously. The store
+//! semantics run over both lock pairs, the default and the MCS
+//! baseline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
@@ -10,7 +12,7 @@ use std::time::Duration;
 
 use malthus_obs::SpanContext;
 use malthus_pool::{KvService, Parsed};
-use malthus_storage::{BatchOp, BatchReply, ShardRouter, ShardedKv};
+use malthus_storage::{BatchOp, BatchReply, CrPair, LockPair, McsPair, ShardRouter, ShardedKv};
 
 /// Finds one key per shard (smallest key routing there), so lock
 /// tests can aim at specific shards deterministically.
@@ -73,28 +75,32 @@ fn router_distribution_is_balanced_under_uniform_keys() {
 /// order, including duplicate and missing keys.
 #[test]
 fn mget_mset_round_trip_across_shards() {
-    let kv = ShardedKv::new(4, 64, 256);
-    let pairs: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 7, k * 7 + 1)).collect();
-    assert_eq!(kv.mset(&pairs).unwrap(), 200);
+    fn check<P: LockPair>() {
+        let kv = ShardedKv::<P>::memory(4, 64, 256);
+        let pairs: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 7, k * 7 + 1)).collect();
+        assert_eq!(kv.mset(&pairs).unwrap(), 200);
 
-    // The batch must actually have crossed shards.
-    let stats = kv.stats();
-    assert!(
-        stats.per_shard.iter().all(|s| s.writes > 0),
-        "200 spread keys must touch all 4 shards: {:?}",
-        stats.per_shard.iter().map(|s| s.writes).collect::<Vec<_>>()
-    );
+        // The batch must actually have crossed shards.
+        let stats = kv.stats();
+        assert!(
+            stats.per_shard.iter().all(|s| s.writes > 0),
+            "200 spread keys must touch all 4 shards: {:?}",
+            stats.per_shard.iter().map(|s| s.writes).collect::<Vec<_>>()
+        );
 
-    let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
-    let got = kv.mget(&keys);
-    for (i, (&(k, v), g)) in pairs.iter().zip(&got).enumerate() {
-        assert_eq!(*g, Some(v), "key {k} at position {i}");
+        let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
+        let got = kv.mget(&keys);
+        for (i, (&(k, v), g)) in pairs.iter().zip(&got).enumerate() {
+            assert_eq!(*g, Some(v), "key {k} at position {i}");
+        }
+        // Misses interleaved with hits, order preserved.
+        assert_eq!(
+            kv.mget(&[0, 1_000_003, 7, 1_000_005, 7]),
+            vec![Some(1), None, Some(8), None, Some(8)]
+        );
     }
-    // Misses interleaved with hits, order preserved.
-    assert_eq!(
-        kv.mget(&[0, 1_000_003, 7, 1_000_005, 7]),
-        vec![Some(1), None, Some(8), None, Some(8)]
-    );
+    check::<CrPair>();
+    check::<McsPair>();
 }
 
 /// STATS sampled while writers run must be a coherent racy snapshot:
@@ -102,35 +108,39 @@ fn mget_mset_round_trip_across_shards() {
 /// total, and exact once the writers join.
 #[test]
 fn stats_while_writing_returns_a_coherent_sum() {
-    let kv = Arc::new(ShardedKv::new(4, 128, 256));
-    let per_writer = 5_000u64;
-    let writers: Vec<_> = (0..3u64)
-        .map(|t| {
-            let kv = Arc::clone(&kv);
-            std::thread::spawn(move || {
-                for i in 0..per_writer {
-                    kv.put(t * 1_000_000 + i * 13, i).unwrap();
-                }
+    fn check<P: LockPair>() {
+        let kv = Arc::new(ShardedKv::<P>::memory(4, 128, 256));
+        let per_writer = 5_000u64;
+        let writers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let kv = Arc::clone(&kv);
+                std::thread::spawn(move || {
+                    for i in 0..per_writer {
+                        kv.put(t * 1_000_000 + i * 13, i).unwrap();
+                    }
+                })
             })
-        })
-        .collect();
-    let mut last = 0u64;
-    while last < 3 * per_writer {
-        let stats = kv.stats();
-        let sum = stats.writes();
-        let by_shard: u64 = stats.per_shard.iter().map(|s| s.writes).sum();
-        assert_eq!(sum, by_shard, "aggregate must equal the shard sum");
-        assert!(sum >= last, "sum went backwards: {sum} < {last}");
-        assert!(sum <= 3 * per_writer, "sum overshot: {sum}");
-        if writers.iter().all(|w| w.is_finished()) {
-            break;
+            .collect();
+        let mut last = 0u64;
+        while last < 3 * per_writer {
+            let stats = kv.stats();
+            let sum = stats.writes();
+            let by_shard: u64 = stats.per_shard.iter().map(|s| s.writes).sum();
+            assert_eq!(sum, by_shard, "aggregate must equal the shard sum");
+            assert!(sum >= last, "sum went backwards: {sum} < {last}");
+            assert!(sum <= 3 * per_writer, "sum overshot: {sum}");
+            if writers.iter().all(|w| w.is_finished()) {
+                break;
+            }
+            last = sum;
         }
-        last = sum;
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(kv.stats().writes(), 3 * per_writer, "exact once quiescent");
     }
-    for w in writers {
-        w.join().unwrap();
-    }
-    assert_eq!(kv.stats().writes(), 3 * per_writer, "exact once quiescent");
+    check::<CrPair>();
+    check::<McsPair>();
 }
 
 /// Two readers on *different* shards hold their shard read locks
@@ -226,77 +236,81 @@ fn writers_on_different_shards_hold_exclusive_locks_simultaneously() {
 /// both the service and the store.
 #[test]
 fn overwrites_survive_run_merges_end_to_end() {
-    const SHARDS: usize = 4;
-    const MEMTABLE: usize = 16;
-    // About 25 keys a shard: a key's next value is frozen while its
-    // last one still sits in the accumulator, so all three merge
-    // orders (memtable, accumulator, base) are exercised.
-    const KEYS: u64 = 100;
-    const ROUNDS: u64 = 16;
-    let service = KvService::with_shards(SHARDS, MEMTABLE, 64);
-    let fresh = |key: u64, round: u64| round * 1_000_000 + key * 3 + 1;
-    let keys: Vec<u64> = (0..KEYS).collect();
-    let mut out = String::new();
-    for round in 0..ROUNDS {
+    fn check<P: LockPair>() {
+        const SHARDS: usize = 4;
+        const MEMTABLE: usize = 16;
+        // About 25 keys a shard: a key's next value is frozen while its
+        // last one still sits in the accumulator, so all three merge
+        // orders (memtable, accumulator, base) are exercised.
+        const KEYS: u64 = 100;
+        const ROUNDS: u64 = 16;
+        let service = KvService::from_store(ShardedKv::<P>::memory(SHARDS, MEMTABLE, 64));
+        let fresh = |key: u64, round: u64| round * 1_000_000 + key * 3 + 1;
+        let keys: Vec<u64> = (0..KEYS).collect();
+        let mut out = String::new();
+        for round in 0..ROUNDS {
+            for window in keys.chunks(16) {
+                // Half the window as PUTs, half as one MSET.
+                let (puts, mset) = window.split_at(window.len() / 2);
+                let mut lines: Vec<String> = puts
+                    .iter()
+                    .map(|&k| format!("PUT {k} {}", fresh(k, round)))
+                    .collect();
+                let pairs: Vec<String> = mset
+                    .iter()
+                    .map(|&k| format!("{k} {}", fresh(k, round)))
+                    .collect();
+                lines.push(format!("MSET {}", pairs.join(" ")));
+                let batch: Vec<Parsed> = lines.iter().map(|l| Parsed::from_line(l)).collect();
+                out.clear();
+                service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
+                assert!(!out.contains("ERR"), "round {round}: {out}");
+            }
+        }
+        let stats = service.store().stats();
+        for (i, shard) in stats.per_shard.iter().enumerate() {
+            let freezes = shard.writes / MEMTABLE as u64;
+            assert!(freezes > 4, "shard {i} froze only {freezes} times");
+            assert!(shard.runs <= 2, "shard {i} holds {} runs", shard.runs);
+            // Every key was written ROUNDS times; a store that merged its
+            // runs no longer holds most of the shadowed values.
+            assert!(
+                shard.keys as u64 <= shard.writes / 2,
+                "shard {i} never merged: {} pairs resident of {} written",
+                shard.keys,
+                shard.writes
+            );
+        }
+
+        let last = ROUNDS - 1;
         for window in keys.chunks(16) {
-            // Half the window as PUTs, half as one MSET.
-            let (puts, mset) = window.split_at(window.len() / 2);
-            let mut lines: Vec<String> = puts
+            let batch: Vec<Parsed> = window
                 .iter()
-                .map(|&k| format!("PUT {k} {}", fresh(k, round)))
+                .map(|k| Parsed::from_line(&format!("GET {k}")))
                 .collect();
-            let pairs: Vec<String> = mset
-                .iter()
-                .map(|&k| format!("{k} {}", fresh(k, round)))
-                .collect();
-            lines.push(format!("MSET {}", pairs.join(" ")));
-            let batch: Vec<Parsed> = lines.iter().map(|l| Parsed::from_line(l)).collect();
             out.clear();
             service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
-            assert!(!out.contains("ERR"), "round {round}: {out}");
+            let want: String = window
+                .iter()
+                .map(|&k| format!("VAL {}\n", fresh(k, last)))
+                .collect();
+            assert_eq!(out, want, "stale value served for keys {window:?}");
+        }
+        let replies = service.store().execute_batch(&[BatchOp::Mget(&keys)]);
+        let want: Vec<Option<u64>> = keys.iter().map(|&k| Some(fresh(k, last))).collect();
+        assert_eq!(replies, vec![BatchReply::Values(want)]);
+        // A read is a key looked up, however many of them a shard serves
+        // in one pass: the GETs above and the MGET, nothing else.
+        let stats = service.store().stats();
+        assert_eq!(stats.reads(), 2 * KEYS);
+        for (i, shard) in stats.per_shard.iter().enumerate() {
+            let lookups = shard.cache.hits + shard.cache.misses;
+            assert!(shard.filter_skips <= shard.reads, "shard {i}: {shard:?}");
+            assert!(lookups + shard.filter_skips <= 2 * shard.reads, "shard {i}");
         }
     }
-    let stats = service.store().stats();
-    for (i, shard) in stats.per_shard.iter().enumerate() {
-        let freezes = shard.writes / MEMTABLE as u64;
-        assert!(freezes > 4, "shard {i} froze only {freezes} times");
-        assert!(shard.runs <= 2, "shard {i} holds {} runs", shard.runs);
-        // Every key was written ROUNDS times; a store that merged its
-        // runs no longer holds most of the shadowed values.
-        assert!(
-            shard.keys as u64 <= shard.writes / 2,
-            "shard {i} never merged: {} pairs resident of {} written",
-            shard.keys,
-            shard.writes
-        );
-    }
-
-    let last = ROUNDS - 1;
-    for window in keys.chunks(16) {
-        let batch: Vec<Parsed> = window
-            .iter()
-            .map(|k| Parsed::from_line(&format!("GET {k}")))
-            .collect();
-        out.clear();
-        service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
-        let want: String = window
-            .iter()
-            .map(|&k| format!("VAL {}\n", fresh(k, last)))
-            .collect();
-        assert_eq!(out, want, "stale value served for keys {window:?}");
-    }
-    let replies = service.store().execute_batch(&[BatchOp::Mget(&keys)]);
-    let want: Vec<Option<u64>> = keys.iter().map(|&k| Some(fresh(k, last))).collect();
-    assert_eq!(replies, vec![BatchReply::Values(want)]);
-    // A read is a key looked up, however many of them a shard serves
-    // in one pass: the GETs above and the MGET, nothing else.
-    let stats = service.store().stats();
-    assert_eq!(stats.reads(), 2 * KEYS);
-    for (i, shard) in stats.per_shard.iter().enumerate() {
-        let lookups = shard.cache.hits + shard.cache.misses;
-        assert!(shard.filter_skips <= shard.reads, "shard {i}: {shard:?}");
-        assert!(lookups + shard.filter_skips <= 2 * shard.reads, "shard {i}");
-    }
+    check::<CrPair>();
+    check::<McsPair>();
 }
 
 /// While one shard's writer *holds* its exclusive lock, reads and
