@@ -267,26 +267,29 @@ impl HistogramSnapshot {
         (self.quantile(0.50), self.quantile(0.99))
     }
 
-    /// Iterates the non-empty buckets as `(upper_bound_ns, count)`
-    /// pairs, in increasing bound order.
+    /// Iterates every bucket, empty ones included, as
+    /// `(upper_bound_ns, count)` pairs in increasing bound order — the
+    /// same fixed bounds for every snapshot, so a rendering of them
+    /// names the same series whatever was recorded.
     ///
     /// The bound is the *exclusive* upper edge of the bucket (the next
     /// bucket's floor), which is what a Prometheus `le` label wants to
     /// within one bucket quantum. The final bucket reports
     /// `u64::MAX`.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.counts.iter().enumerate().map(|(i, &n)| {
+            let bound = if i + 1 < BUCKETS {
+                bucket_floor(i + 1)
+            } else {
+                u64::MAX
+            };
+            (bound, n)
+        })
+    }
+
+    /// [`HistogramSnapshot::buckets`] without the empty ones.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let bound = if i + 1 < BUCKETS {
-                    bucket_floor(i + 1)
-                } else {
-                    u64::MAX
-                };
-                (bound, n)
-            })
+        self.buckets().filter(|&(_, n)| n > 0)
     }
 
     /// Approximate sum of all observations in nanoseconds, computed

@@ -12,11 +12,13 @@
 //! The exposition subset emitted here: `# HELP`/`# TYPE` comments,
 //! `counter` and `gauge` samples with optional `{key="value"}`
 //! labels, and `histogram` families rendered as cumulative
-//! `_bucket{le="..."}` lines plus `_sum`/`_count` (the sum is
-//! reconstructed from bucket floors, so it underestimates by at most
-//! the histogram's ~6% bucket quantization).
+//! `_bucket{le="..."}` lines — one for every fixed bucket, empty or
+//! not, so two scrapes of one binary name the same series — plus
+//! `_sum`/`_count` (the sum is reconstructed from bucket floors, so it
+//! underestimates by at most the histogram's ~6% bucket quantization).
 
 use malthus_metrics::HistogramSnapshot;
+use std::fmt::Write;
 use std::sync::Mutex;
 
 /// Samples a counter: a monotonically non-decreasing `u64`.
@@ -216,11 +218,14 @@ impl Registry {
                     }
                     Source::Histogram(f) => {
                         let snap = f();
+                        // Every fixed bucket is a line, so the labels
+                        // up to the `le` value are rendered once.
+                        let le = render_labels(&e.labels, Some(""));
+                        let le_open = le.strip_suffix("\"}").expect("an le label closes");
                         let mut cum = 0u64;
-                        for (bound, n) in snap.nonzero_buckets() {
+                        for (bound, n) in snap.buckets() {
                             cum += n;
-                            let le = render_labels(&e.labels, Some(&bound.to_string()));
-                            out.push_str(&format!("{}_bucket{} {}\n", e.name, le, cum));
+                            let _ = writeln!(out, "{}_bucket{le_open}{bound}\"}} {cum}", e.name);
                         }
                         let inf = render_labels(&e.labels, Some("+Inf"));
                         out.push_str(&format!("{}_bucket{} {}\n", e.name, inf, snap.count()));
@@ -333,19 +338,50 @@ mod tests {
         assert!(text.contains("# TYPE req_ns histogram\n"));
         assert!(text.contains("req_ns_bucket{le=\"+Inf\"} 3\n"));
         assert!(text.contains("req_ns_count 3\n"));
-        // Buckets are cumulative: the small bucket holds 2, the large
-        // one all 3.
-        let lines: Vec<&str> = text
+        // Buckets are cumulative: every bound from the small bucket up
+        // holds 2, every one from the large bucket up all 3.
+        let counts: Vec<u64> = text
             .lines()
             .filter(|l| l.starts_with("req_ns_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].ends_with(" 2"));
-        assert!(lines[1].ends_with(" 3"));
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "not cumulative");
+        let mut steps: Vec<u64> = counts.clone();
+        steps.dedup();
+        assert_eq!(steps, [0, 2, 3]);
         // _sum is the floor-approximate total.
         let sum_line = text.lines().find(|l| l.starts_with("req_ns_sum")).unwrap();
         let sum: u64 = sum_line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!((900_000..=1_000_100).contains(&sum));
+    }
+
+    #[test]
+    fn two_scrapes_with_different_data_name_the_same_series() {
+        let h = Arc::new(LatencyHistogram::new());
+        let r = Registry::new();
+        let h2 = Arc::clone(&h);
+        r.histogram(
+            "req_ns",
+            "Request latency.",
+            &[("stage", "exec")],
+            move || h2.snapshot(),
+        );
+        let series = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| !l.starts_with('#'))
+                .map(|l| l.rsplit_once(' ').unwrap().0.to_string())
+                .collect()
+        };
+        let empty = r.exposition();
+        h.record_ns(3);
+        h.record_ns(70_000);
+        let first = r.exposition();
+        h.record_ns(u64::MAX);
+        let second = r.exposition();
+        assert_ne!(first, second, "the data differ");
+        assert_eq!(series(&empty), series(&first));
+        assert_eq!(series(&first), series(&second));
+        assert!(second.contains("req_ns_bucket{stage=\"exec\",le=\"+Inf\"} 3\n"));
     }
 
     #[test]

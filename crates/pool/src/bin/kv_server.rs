@@ -3,10 +3,11 @@
 //! Serves the line protocol of [`malthus_pool::kv`] with request
 //! execution admitted by a concurrency-restricting [`WorkCrew`] — a
 //! cheap batch is applied on its connection thread under an ACS place
-//! the crew lends it (and flushed once the place is returned), a dear
-//! one is queued to a crew worker; the exit report's
-//! `crew_inline_total` counts the former and `crew_enter_refused_total`
-//! the cheap ones that asked for a place and found none idle — over a
+//! the crew lends it (waiting in the crew's queue for one if none is
+//! idle, and flushed once the place is returned), a dear one is queued
+//! to a crew worker; the exit report's `crew_inline_total` counts the
+//! former, `crew_submitted_total` the latter and
+//! `crew_enter_refused_total` the cheap ones that had to wait — over a
 //! sharded store: `--shards N` gives each of N shards its own
 //! Malthusian RW-CR DB lock and MCSCR block-cache lock, so admission is
 //! per shard. Runs until a client sends `SHUTDOWN` or the

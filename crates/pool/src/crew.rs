@@ -23,22 +23,29 @@
 //!   and the next submission wakes the most recently idled one.
 //! * **Lending** — a thread that would otherwise block on a crew
 //!   round trip (submit, park, be unparked by the worker's reply) may
-//!   instead borrow an *idle* ACS member's place with
-//!   [`WorkCrew::try_enter`] and run the work itself: no parked thread
-//!   is woken on the critical path (§4, and the hand-off costs of §5).
-//!   The lent worker stays parked and stays counted in the ACS, so the
+//!   instead borrow an ACS member's place and run the work itself: no
+//!   crew worker is woken on the critical path (§4, and the hand-off
+//!   costs of §5). [`WorkCrew::try_enter`] lends an *idle* member's
+//!   place or refuses; [`WorkCrew::enter`] lends one too, and when none
+//!   is idle its caller joins the queue as a *waiter* and parks until a
+//!   place is handed to it — by a dropped [`Slot`], or by a worker that
+//!   pops it after a task, which then parks in its stead. That costs
+//!   one wake-up (the waiter's), not the two of a submitted task. The
+//!   lent worker stays parked and stays counted in the ACS, so the
 //!   number of threads executing crew work never exceeds the ACS
-//!   limit, and a slot is only lent while the queue is empty, so a
-//!   caller never overtakes queued work. Dropping the [`Slot`] returns
-//!   the place exactly as the worker finishing a task would have.
+//!   limit. Waiters and tasks share the one FIFO queue, so nobody
+//!   overtakes queued work in either direction, and a place is only
+//!   lent at once while the queue is empty. Dropping the [`Slot`]
+//!   returns the place exactly as the worker finishing a task would
+//!   have, handing it straight on if a waiter is next.
 //!
 //! Tasks are never lost: culled workers are reprovisioned while
 //! backlog exists, and [`WorkCrew::shutdown`] drains the queue before
 //! any worker exits.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use malthus::policy::{self, Admission, Membership, MembershipStats};
@@ -46,6 +53,63 @@ use malthus_park::{Parker, Unparker};
 
 /// A unit of work.
 type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// What the crew's one FIFO queue holds: work for a worker to run, or
+/// a thread parked in [`WorkCrew::enter`] until a place is handed to it.
+enum Job {
+    Task(Task),
+    Waiter(Arc<Grant>),
+}
+
+/// A [`Grant`] not yet answered.
+const WAITING: usize = usize::MAX;
+/// A [`Grant`] answered by shutdown: no place will come.
+const SHUT: usize = usize::MAX - 1;
+
+/// The shared half of a [`Waiter`]: where a returned place is granted.
+struct Grant {
+    /// [`WAITING`], [`SHUT`] or the id of the worker whose place it is:
+    /// stored `Release` by whoever answers, loaded `Acquire` by the
+    /// waiter.
+    answer: AtomicUsize,
+    unparker: Unparker,
+}
+
+impl Grant {
+    /// Answers the waiter and wakes it; the one unpark of a hand-off.
+    fn answer(&self, answer: usize) {
+        self.answer.store(answer, Ordering::Release);
+        self.unparker.unpark();
+    }
+}
+
+/// A thread's standing record for [`WorkCrew::enter`]: the parker it
+/// waits on and the cell a place is granted through. Made once per
+/// entering thread (the threaded KV front-end keeps one per
+/// connection), so a warm `enter` allocates nothing, even when it
+/// waits.
+pub struct Waiter {
+    parker: Parker,
+    grant: Arc<Grant>,
+}
+
+impl Waiter {
+    /// A record for the calling thread to wait on.
+    pub fn new() -> Self {
+        let parker = Parker::new();
+        let grant = Arc::new(Grant {
+            answer: AtomicUsize::new(WAITING),
+            unparker: parker.unparker(),
+        });
+        Waiter { parker, grant }
+    }
+}
+
+impl Default for Waiter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// Why a submission was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,9 +175,9 @@ pub struct PoolStats {
     /// The part of `completed` that ran on the caller's thread under a
     /// lent [`Slot`]; not charged to `per_worker_completed`.
     pub inline: u64,
-    /// [`WorkCrew::try_enter`] calls that found no place to lend (queue
-    /// non-empty, no worker idle, or shutting down) — "no idle place",
-    /// as opposed to a caller that chose to queue without asking.
+    /// [`WorkCrew::enter`] calls that found no idle place to lend (queue
+    /// non-empty or no worker idle) and waited for one to be handed
+    /// over.
     pub enter_refused: u64,
     /// The admission machine: ACS size and target, passive depth,
     /// culls, reprovisions and fairness promotions.
@@ -136,7 +200,11 @@ enum Role {
 }
 
 struct State {
-    queue: VecDeque<Task>,
+    /// Tasks and waiters, served in arrival order.
+    queue: VecDeque<Job>,
+    /// How many of `queue` are waiters (they do not count against the
+    /// queue bound: each entering thread has at most one).
+    waiters: usize,
     roles: Vec<Role>,
     /// Ids of `Idle` workers, most recently idled last.
     idle: Vec<usize>,
@@ -181,18 +249,43 @@ impl Shared {
             self.unparkers[w].unpark();
         }
     }
+
+    /// Marks `worker`'s place lent and refreshes the stall stamp as a
+    /// dequeue would (the caller has shed any stale boost at `now`
+    /// first); the caller hands the place to its new holder.
+    fn lend(&self, state: &mut State, worker: usize, now: Instant) {
+        state.roles[worker] = Role::Lent;
+        state.members.progress(now);
+    }
+
+    /// Lends the most recently idled worker's place to the calling
+    /// thread, if the queue is empty (nobody is overtaken) and a worker
+    /// is idle.
+    fn lend_idle(&self, state: &mut State) -> Option<Slot<'_>> {
+        if !state.queue.is_empty() {
+            return None;
+        }
+        let worker = state.idle.pop()?;
+        let now = Instant::now();
+        state.members.decay(now);
+        self.lend(state, worker, now);
+        Some(Slot {
+            shared: self,
+            worker,
+        })
+    }
 }
 
-/// An ACS place lent by [`WorkCrew::try_enter`]: while it lives, the
-/// holder's thread stands in for one parked crew worker. Dropping it
-/// (also on unwind) does that worker's post-task bookkeeping and
-/// returns the place.
+/// An ACS place lent by [`WorkCrew::enter`] or [`WorkCrew::try_enter`]:
+/// while it lives, the holder's thread stands in for one parked crew
+/// worker. Dropping it (also on unwind) does that worker's post-task
+/// bookkeeping and returns the place — straight to the waiter at the
+/// front of the queue, if one is there.
 ///
 /// Hold it for the shared-state work only. Every place held is one the
-/// next caller cannot borrow, and a refused caller pays the two
-/// hand-offs lending exists to avoid — so private work that can wait
-/// (writing a reply to the holder's own socket) belongs after the
-/// drop, as the threaded KV front-end does it.
+/// next caller cannot borrow and must wait for — so private work that
+/// can wait (writing a reply to the holder's own socket) belongs after
+/// the drop, as the threaded KV front-end does it.
 #[must_use = "the slot is returned when this guard drops"]
 pub struct Slot<'a> {
     shared: &'a Shared,
@@ -211,6 +304,23 @@ impl Drop for Slot<'_> {
         let mut state = shared.state.lock().expect("crew mutex poisoned");
         if state.roles[w] != Role::Lent {
             return; // `shutdown` already released the worker
+        }
+        // A waiter next in line takes the place as it stands: the
+        // worker stays parked and `Lent`, unless its boost has decayed
+        // to a surplus, which is not passed on.
+        if let Some(Job::Waiter(_)) = state.queue.front() {
+            let now = Instant::now();
+            state.members.decay(now);
+            if !state.members.surplus() {
+                let Some(Job::Waiter(next)) = state.queue.pop_front() else {
+                    unreachable!("the front is a waiter");
+                };
+                state.waiters -= 1;
+                shared.lend(&mut state, w, now);
+                drop(state);
+                next.answer(w);
+                return;
+            }
         }
         // Work queued behind the slot, or a boost that decayed to a
         // surplus: the worker must run its own loop. Otherwise it goes
@@ -269,6 +379,7 @@ impl WorkCrew {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
+                waiters: 0,
                 roles: vec![Role::Active; workers],
                 idle: Vec::new(),
                 members,
@@ -314,13 +425,13 @@ impl WorkCrew {
         let task: Task = Box::new(task);
         let shared = &*self.shared;
         let mut state = shared.state.lock().expect("crew mutex poisoned");
-        while state.queue.len() >= shared.cfg.queue_bound && !state.shutdown {
+        while state.queue.len() - state.waiters >= shared.cfg.queue_bound && !state.shutdown {
             state = shared.not_full.wait(state).expect("crew condvar poisoned");
         }
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        state.queue.push_back(task);
+        state.queue.push_back(Job::Task(task));
         shared.submitted.fetch_add(1, Ordering::Relaxed);
         malthus_obs::record(
             malthus_obs::EventKind::CrewAdmit,
@@ -331,34 +442,61 @@ impl WorkCrew {
         Ok(())
     }
 
-    /// Borrows an **idle** ACS member's place so the caller can run
-    /// one unit of crew work on its own thread, with no hand-off.
+    /// Borrows an ACS member's place so the caller can run one unit of
+    /// crew work on its own thread, with no hand-off; waits for one if
+    /// none is idle.
     ///
-    /// Refuses (`None`) when the crew is shutting down, when the queue
-    /// is non-empty (a caller never overtakes queued work), or when no
-    /// worker is idle (every ACS place is running or lent) — the
-    /// caller then falls back to [`WorkCrew::submit`]. The lent worker
-    /// stays parked and counted in the ACS, so admission arithmetic is
-    /// unchanged; the stall stamp is refreshed as a dequeue would, and
-    /// a holder that then blocks is rescued by the same stall-driven
-    /// reprovisioning as a blocked task.
+    /// With the queue empty and a worker idle, the place is lent at
+    /// once, as [`WorkCrew::try_enter`] lends it. Otherwise the caller
+    /// joins the back of the queue as a waiter (counted in
+    /// [`PoolStats::enter_refused`]) and parks on `waiter` until
+    /// whoever next returns a place with the waiter at the front hands
+    /// it over: a dropped [`Slot`], or a worker done with its task,
+    /// which then parks `Lent` in its stead. The executing set never
+    /// exceeds the ACS, a grant refreshes the stall stamp as a lend
+    /// does, and a holder that blocks is rescued by the same
+    /// stall-driven reprovisioning as a blocked task — the promoted
+    /// worker pops the waiter and lends it its own place.
+    ///
+    /// `None` only when the crew is shutting down, which releases every
+    /// waiter.
+    pub fn enter(&self, waiter: &mut Waiter) -> Option<Slot<'_>> {
+        let shared = &*self.shared;
+        let mut state = shared.state.lock().expect("crew mutex poisoned");
+        if state.shutdown {
+            return None;
+        }
+        if let Some(slot) = shared.lend_idle(&mut state) {
+            return Some(slot);
+        }
+        waiter.grant.answer.store(WAITING, Ordering::Relaxed);
+        state
+            .queue
+            .push_back(Job::Waiter(Arc::clone(&waiter.grant)));
+        state.waiters += 1;
+        drop(state);
+        shared.enter_refused.fetch_add(1, Ordering::Relaxed);
+        loop {
+            match waiter.grant.answer.load(Ordering::Acquire) {
+                WAITING => waiter.parker.park(),
+                SHUT => return None,
+                worker => return Some(Slot { shared, worker }),
+            }
+        }
+    }
+
+    /// The non-blocking [`WorkCrew::enter`]: borrows an **idle** ACS
+    /// member's place, or refuses (`None`) when the crew is shutting
+    /// down, when the queue is non-empty (a caller never overtakes
+    /// queued work or waiters), or when no worker is idle (every ACS
+    /// place is running or lent).
     pub fn try_enter(&self) -> Option<Slot<'_>> {
         let shared = &*self.shared;
         let mut state = shared.state.lock().expect("crew mutex poisoned");
-        let idle = if state.shutdown || !state.queue.is_empty() {
-            None
-        } else {
-            state.idle.pop()
-        };
-        let Some(worker) = idle else {
-            shared.enter_refused.fetch_add(1, Ordering::Relaxed);
+        if state.shutdown {
             return None;
-        };
-        state.roles[worker] = Role::Lent;
-        let now = Instant::now();
-        state.members.decay(now);
-        state.members.progress(now);
-        Some(Slot { shared, worker })
+        }
+        shared.lend_idle(&mut state)
     }
 
     /// Racy live snapshot of the activity counters.
@@ -406,7 +544,7 @@ impl WorkCrew {
             ),
             (
                 "crew_enter_refused_total",
-                "try_enter calls that found no idle place to lend.",
+                "enter calls that found no idle place and waited for one.",
                 |s| s.enter_refused.load(Ordering::Relaxed),
             ),
             ("crew_panicked_total", "Tasks that panicked.", |s| {
@@ -422,7 +560,7 @@ impl WorkCrew {
         let shared = Arc::clone(&self.shared);
         registry.gauge(
             "crew_backlog",
-            "Tasks queued and not yet dequeued.",
+            "Tasks and waiters queued and not yet served.",
             &[],
             move || {
                 let state = shared.state.lock().expect("crew mutex poisoned");
@@ -437,6 +575,16 @@ impl WorkCrew {
         {
             let mut state = self.shared.state.lock().expect("crew mutex poisoned");
             state.shutdown = true;
+            // Every waiter leaves empty-handed: no place is lent from
+            // here on, and the queue keeps only the tasks to drain.
+            state.queue.retain(|job| match job {
+                Job::Task(_) => true,
+                Job::Waiter(grant) => {
+                    grant.answer(SHUT);
+                    false
+                }
+            });
+            state.waiters = 0;
             // Making every worker `Active` releases idle, lent and
             // passive workers from their park loops, and nothing culls
             // after `release_all`, so they all help drain the queue.
@@ -492,7 +640,7 @@ fn park_until_released<'a>(
     me: usize,
     parker: &Parker,
     shared: &'a Shared,
-) -> std::sync::MutexGuard<'a, State> {
+) -> MutexGuard<'a, State> {
     loop {
         parker.park();
         let state = shared.state.lock().expect("crew mutex poisoned");
@@ -517,8 +665,8 @@ fn standby_park<'a>(
     me: usize,
     parker: &Parker,
     shared: &'a Shared,
-    mut state: std::sync::MutexGuard<'a, State>,
-) -> std::sync::MutexGuard<'a, State> {
+    mut state: MutexGuard<'a, State>,
+) -> MutexGuard<'a, State> {
     loop {
         let interval = state.members.standby_interval(shared.work_waiting(&state));
         drop(state);
@@ -553,34 +701,47 @@ fn worker_loop(me: usize, parker: Parker, shared: &Shared) {
             state = standby_park(me, &parker, shared, state);
             continue;
         }
-        // 2. Take work.
-        if let Some(task) = state.queue.pop_front() {
-            state.members.progress(now);
-            drop(state);
-            shared.not_full.notify_one();
-            // A panicking task is a bug in the submitted work, not in
-            // the crew; isolate it so the worker (and its slot in the
-            // admission machine) survives.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-            match outcome {
-                Ok(()) => {
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    shared.per_worker[me].fetch_add(1, Ordering::Relaxed);
+        // 2. Take work: a task to run, or a waiter to lend my place
+        //    to — I park `Lent` in its stead until the place comes back.
+        match state.queue.pop_front() {
+            Some(Job::Task(task)) => {
+                state.members.progress(now);
+                drop(state);
+                shared.not_full.notify_one();
+                // A panicking task is a bug in the submitted work, not
+                // in the crew; isolate it so the worker (and its slot
+                // in the admission machine) survives.
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+                match outcome {
+                    Ok(()) => {
+                        shared.completed.fetch_add(1, Ordering::Relaxed);
+                        shared.per_worker[me].fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(_) => {
+                        shared.panicked.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-                Err(_) => {
-                    shared.panicked.fetch_add(1, Ordering::Relaxed);
+                state = shared.state.lock().expect("crew mutex poisoned");
+                // 3. Long-term fairness: episodically swap with the
+                //    eldest passive worker — the pool analogue of the
+                //    lock ceding ownership to the tail of its passive
+                //    list (§4).
+                if let Some(eldest) = state.members.rotate(me) {
+                    malthus_obs::record(malthus_obs::EventKind::CrewPromote, eldest as u64, 1);
+                    shared.unparkers[eldest].unpark();
+                    state = standby_park(me, &parker, shared, state);
                 }
+                continue;
             }
-            state = shared.state.lock().expect("crew mutex poisoned");
-            // 3. Long-term fairness: episodically swap with the eldest
-            //    passive worker — the pool analogue of the lock ceding
-            //    ownership to the tail of its passive list (§4).
-            if let Some(eldest) = state.members.rotate(me) {
-                malthus_obs::record(malthus_obs::EventKind::CrewPromote, eldest as u64, 1);
-                shared.unparkers[eldest].unpark();
-                state = standby_park(me, &parker, shared, state);
+            Some(Job::Waiter(next)) => {
+                state.waiters -= 1;
+                shared.lend(&mut state, me, now);
+                drop(state);
+                next.answer(me);
+                state = park_until_released(me, &parker, shared);
+                continue;
             }
-            continue;
+            None => {}
         }
         // 4. Queue empty.
         if state.shutdown {
@@ -824,7 +985,12 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         let o = Arc::clone(&order);
         let first: Task = Box::new(move || o.lock().unwrap().push(1));
-        crew.shared.state.lock().unwrap().queue.push_back(first);
+        crew.shared
+            .state
+            .lock()
+            .unwrap()
+            .queue
+            .push_back(Job::Task(first));
         assert!(crew.try_enter().is_none(), "queued work must go first");
         let o = Arc::clone(&order);
         crew.submit(move || o.lock().unwrap().push(2)).unwrap();
@@ -946,5 +1112,156 @@ mod tests {
             (1, 0),
             "{stats:?}"
         );
+    }
+
+    /// Waits until the crew's queue holds `n` jobs (tasks and waiters).
+    fn wait_for_backlog(crew: &WorkCrew, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while crew.shared.state.lock().unwrap().queue.len() < n {
+            assert!(Instant::now() < deadline, "the backlog never reached {n}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn waiters_and_tasks_are_served_in_one_fifo_order() {
+        // One worker, its place held here: a task, a waiter, a task and
+        // a waiter queue behind it in that order, and each is served
+        // in turn — the worker runs a task, then hands its place to the
+        // waiter behind it, which hands it back by dropping its slot.
+        let crew = Arc::new(WorkCrew::new(PoolConfig::new(
+            Admission::unrestricted(1),
+            8,
+        )));
+        let slot = enter_when_idle(&crew);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let mut waiters = Vec::new();
+        for (at, label) in [1, 2, 3, 4].into_iter().enumerate() {
+            let o = Arc::clone(&order);
+            if label % 2 == 1 {
+                crew.submit(move || o.lock().unwrap().push(label)).unwrap();
+            } else {
+                let crew = Arc::clone(&crew);
+                waiters.push(std::thread::spawn(move || {
+                    let slot = crew.enter(&mut Waiter::new());
+                    assert!(slot.is_some(), "a waiter was refused");
+                    o.lock().unwrap().push(label);
+                }));
+            }
+            wait_for_backlog(&crew, at + 1);
+        }
+        assert!(crew.try_enter().is_none(), "nobody overtakes the queue");
+        drop(slot);
+        for w in waiters {
+            w.join().unwrap();
+        }
+        let stats = crew.shutdown();
+        assert_eq!(*order.lock().unwrap(), [1, 2, 3, 4]);
+        assert_eq!((stats.completed, stats.inline), (5, 3));
+        assert_eq!(stats.enter_refused, 2, "both waiters waited");
+    }
+
+    #[test]
+    fn entering_threads_never_exceed_the_acs() {
+        // Eight threads enter an ACS of 2 in a loop; with no stall
+        // rescue (a window of an hour) nothing may widen the set, so at
+        // most two of them ever hold a place at once.
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 2_000;
+        let admission = Admission::malthusian(4)
+            .with_acs_target(2)
+            .with_fairness_period(None)
+            .with_stall(Duration::from_secs(3600));
+        let crew = Arc::new(WorkCrew::new(PoolConfig::new(admission, 8)));
+        let (holders, most) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (crew, holders, most) =
+                    (Arc::clone(&crew), Arc::clone(&holders), Arc::clone(&most));
+                std::thread::spawn(move || {
+                    let mut waiter = Waiter::new();
+                    for _ in 0..ROUNDS {
+                        let slot = crew.enter(&mut waiter).expect("the crew is running");
+                        let now = holders.fetch_add(1, Ordering::SeqCst) + 1;
+                        most.fetch_max(now, Ordering::SeqCst);
+                        // Give the others the CPU while holding, so any
+                        // place lent twice shows as a third holder.
+                        std::thread::yield_now();
+                        holders.fetch_sub(1, Ordering::SeqCst);
+                        drop(slot);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let stats = crew.shutdown();
+        let most = most.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&most), "{most} holders at once: {stats:?}");
+        assert_eq!(stats.inline, THREADS * ROUNDS);
+        assert_eq!(stats.members.reprovisions, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn shutdown_releases_every_waiter() {
+        let crew = Arc::new(WorkCrew::new(PoolConfig::new(
+            Admission::unrestricted(1),
+            8,
+        )));
+        let slot = enter_when_idle(&crew);
+        let waiters: Vec<_> = (0..4)
+            .map(|_| {
+                let crew = Arc::clone(&crew);
+                std::thread::spawn(move || crew.enter(&mut Waiter::new()).is_none())
+            })
+            .collect();
+        wait_for_backlog(&crew, 4);
+        let stats = crew.shutdown();
+        drop(slot);
+        for w in waiters {
+            assert!(w.join().unwrap(), "a waiter was lent a place at shutdown");
+        }
+        assert_eq!((stats.enter_refused, stats.inline), (4, 0));
+        assert!(
+            crew.enter(&mut Waiter::new()).is_none(),
+            "nothing after shutdown"
+        );
+    }
+
+    #[test]
+    fn a_waiter_behind_a_wedged_holder_is_rescued_by_a_promoted_worker() {
+        // ACS of 1, its place held here and never returned while the
+        // waiter waits: the stall window promotes a culled worker, which
+        // pops the waiter and lends it its own place.
+        let admission = Admission::malthusian(3)
+            .with_acs_target(1)
+            .with_fairness_period(None)
+            .with_stall(Duration::from_millis(5));
+        let crew = Arc::new(WorkCrew::new(PoolConfig::new(admission, 16)));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while crew.stats().members.passive < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let wedged = enter_when_idle(&crew);
+        let entered = Arc::new(AtomicU64::new(0));
+        let waiter = {
+            let (crew, entered) = (Arc::clone(&crew), Arc::clone(&entered));
+            std::thread::spawn(move || {
+                let slot = crew.enter(&mut Waiter::new());
+                entered.store(u64::from(slot.is_some()), Ordering::SeqCst);
+            })
+        };
+        let rescued = wait_for(&entered, 1);
+        let mid_stats = crew.stats();
+        drop(wedged);
+        waiter.join().unwrap();
+        let stats = crew.shutdown();
+        assert!(
+            rescued,
+            "the waiter stayed behind the wedged holder: {mid_stats:?}"
+        );
+        assert!(mid_stats.members.reprovisions >= 1, "{mid_stats:?}");
+        assert_eq!((stats.inline, stats.enter_refused), (2, 1));
     }
 }

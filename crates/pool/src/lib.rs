@@ -8,12 +8,13 @@
 //! * [`WorkCrew`] — a bounded-queue executor whose worker threads are
 //!   partitioned into an active circulating set and a LIFO passive
 //!   stack, with stall-driven reprovisioning, episodic eldest-first
-//!   fairness promotion, and *lending*: a caller may borrow an idle
-//!   ACS member's place ([`WorkCrew::try_enter`]) and run its work in
-//!   place instead of paying a hand-off — holding the [`Slot`] for the
-//!   shared-state part of that work only, so the place is back before
-//!   the caller turns to anything private and slow. The partition
-//!   itself is
+//!   fairness promotion, and *lending*: a caller may borrow an ACS
+//!   member's place ([`WorkCrew::enter`]: an idle member's at once, or
+//!   the next one returned, handed to it as it waits in the queue) and
+//!   run its work in place instead of paying a hand-off — holding the
+//!   [`Slot`] for the shared-state part of that work only, so the place
+//!   is back before the caller turns to anything private and slow. The
+//!   partition itself is
 //!   [`malthus::policy::Membership`] — the one executor-level machine,
 //!   which `malthus-net`'s reactor owns too — kept under the crew's
 //!   mutex; the crew's own are the queue, idling and lending.
@@ -32,8 +33,9 @@
 //!   per-connection driver (bytes in → drained batch → replies out)
 //!   and keep only their accept loop, their admission choice and their
 //!   flush: a reader thread per connection whose batches the crew
-//!   admits (cheap ones applied in place on a lent slot that is
-//!   returned before the reply is written, dear ones queued), or
+//!   admits (cheap ones applied in place on a lent slot, waited for if
+//!   none is idle and returned before the reply is written, dear ones
+//!   queued), or
 //!   a readiness reactor whose `epoll_wait` is itself
 //!   Malthusian-admitted. Either starts the one way,
 //!   [`Server::start`] with a [`Front`] — `Front::Threaded(crew)` or
@@ -78,7 +80,7 @@ pub mod server;
 mod session;
 
 pub use client::KvClient;
-pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, WorkCrew};
+pub use crew::{PoolConfig, PoolStats, Slot, SubmitError, Waiter, WorkCrew};
 pub use kv::{KvService, PipelineStats};
 pub use kv_async::KvHandler;
 pub use malthus::policy::{Admission, MembershipStats};

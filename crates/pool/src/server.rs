@@ -8,12 +8,16 @@
 //! concurrency is restricted — but admission does not always mean a
 //! hand-off. A batch whose connection's previous batch was cheap
 //! (under [`INLINE_MAX_DRAIN_NS`]) runs **in place** on the reader
-//! thread when [`WorkCrew::try_enter`] can lend it an idle ACS
-//! member's place: the parked worker stays parked, nobody is woken on
-//! the critical path, and the number of threads executing never
-//! exceeds the ACS limit. A dear batch, or one that finds the queue
-//! non-empty or no worker idle, is submitted to the crew's FIFO queue
-//! and the reader waits for its flush. Either way a reader has one
+//! thread under an ACS place lent by [`WorkCrew::enter`]: an idle
+//! member's at once, or, when every place is running or lent, the
+//! next one returned, handed straight to the reader waiting at the
+//! front of the crew's queue. The lent worker stays parked, the only
+//! wake-up is the waiting reader's own, and the number of threads
+//! executing never exceeds the ACS limit. A dear batch is submitted to
+//! the crew's FIFO queue and the reader waits for its flush: a crew
+//! worker that runs queued batches back to back keeps a durable store's
+//! fsync hold busy, where readers that take the place in turn drain
+//! smaller batches between its fsyncs. Either way a reader has one
 //! batch in flight at a time, so batches from one connection never
 //! interleave; the next burst accumulates in the socket while the
 //! current batch executes, which is exactly what makes the next drain
@@ -52,7 +56,7 @@ use malthus_obs::SpanContext;
 
 use malthus_storage::{CrPair, LockPair};
 
-use crate::crew::WorkCrew;
+use crate::crew::{Waiter, WorkCrew};
 use crate::kv::KvService;
 use crate::kv_async::KvHandler;
 use crate::protocol::{DrainEnd, MAX_LINE_BYTES};
@@ -60,9 +64,9 @@ use crate::session::{settle, Session, READ_BLOCK};
 
 /// The cost rule of the threaded front-end: a connection's batch runs
 /// in place on its own thread (under a slot lent by
-/// [`WorkCrew::try_enter`]) only while that connection's previous
-/// batch applied in under this many nanoseconds; a dearer one is
-/// queued to the crew as before.
+/// [`WorkCrew::enter`]) only while that connection's previous batch
+/// applied in under this many nanoseconds; a dearer one is queued to
+/// the crew.
 ///
 /// 50 µs, because handing a batch to a crew worker costs a 30–40 µs
 /// round trip (two park/unpark pairs; `pool.crew_roundtrip_us` in the
@@ -200,9 +204,9 @@ impl ServerControl {
 /// Each connection gets a reader thread that drains complete request
 /// lines per wakeup into one batch. A cheap batch is applied on the
 /// reader thread itself under an ACS place lent by `crew`
-/// ([`WorkCrew::try_enter`], see [`INLINE_MAX_DRAIN_NS`]) and flushed
-/// once the place is returned; any other is submitted to `crew` as one
-/// task. Whichever thread applies the batch renders and flushes its
+/// ([`WorkCrew::enter`], see [`INLINE_MAX_DRAIN_NS`]) and flushed
+/// once the place is returned; a dear one is submitted to `crew` as
+/// one task. Whichever thread applies the batch renders and flushes its
 /// responses (one write per batch). Clients
 /// may run closed-loop (one outstanding request) or pipelined (a
 /// tagged window, as `kv_load --pipeline-depth` does). Transient
@@ -311,9 +315,12 @@ fn handle_connection<P: LockPair>(
     let mut filled = 0;
     // Stays here for a batch that runs in place and round-trips
     // through the completion channel for a queued one, so the steady
-    // state allocates at most per *batch* (one boxed task + one
+    // state allocates at most per *queued batch* (one boxed task + one
     // channel), never per request.
     let mut session = Session::open();
+    // This connection's record in the crew's queue while it waits for
+    // a place: made once, so waiting allocates nothing.
+    let mut waiter = Waiter::new();
     loop {
         if filled == block.len() {
             if filled >= MAX_LINE_BYTES {
@@ -348,11 +355,13 @@ fn handle_connection<P: LockPair>(
             // single one in flight, so responses from one connection
             // never interleave. A cheap batch — its connection's last
             // one applied in under `INLINE_MAX_DRAIN_NS` — is applied
-            // right here under a lent ACS slot, held for the apply
-            // only; otherwise it is handed to the crew.
+            // right here under a lent ACS slot (waited for, if none is
+            // idle), held for the apply only; otherwise it is handed to
+            // the crew. Only a crew shutting down lends nothing, and
+            // then the submit below answers `ERR shutting down`.
             let queue_t0 = if span.is_active() { span::now_ns() } else { 0 };
             let slot = if session.last_drain_ns < INLINE_MAX_DRAIN_NS {
-                crew.try_enter()
+                crew.enter(&mut waiter)
             } else {
                 None
             };
@@ -423,7 +432,7 @@ struct BatchRunner<P: LockPair> {
 impl<P: LockPair> BatchRunner<P> {
     /// The half that needs an ACS place: closes the span's `queue`
     /// stage — `queue_t0` (0 = spans off) → here: the time spent in
-    /// `try_enter` for a batch run in place, submit → start on a crew
+    /// `enter` for a batch run in place, submit → start on a crew
     /// worker (backlog + admission) for a queued one — and applies the
     /// batch, leaving its rendered replies in the session.
     fn apply(&self, session: &mut Session, span: &mut SpanContext, queue_t0: u64) {

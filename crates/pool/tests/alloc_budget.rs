@@ -11,6 +11,8 @@
 //! number instead of prose.
 //! Opening a connection allocates nothing at all: it carries no
 //! instrument of its own, and its buffers stay empty until it sends.
+//! Nor does admission in place: a warm `WorkCrew::enter` that has to
+//! wait for a place, and the returned slot that hands it one.
 //!
 //! Alone in its file: the counting allocator is process-wide (the
 //! counter is per thread, but the recorder's gate is process-wide, so
@@ -19,11 +21,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use malthus_net::Handler;
 use malthus_obs::{recorder, span, SpanContext};
-use malthus_pool::{KvHandler, KvService, Parsed};
+use malthus_pool::{Admission, KvHandler, KvService, Parsed, PoolConfig, Waiter, WorkCrew};
 
 thread_local! {
     /// Allocations made by this thread (const-initialized and without a
@@ -107,7 +110,14 @@ fn a_warm_get_put_batch_allocates_at_most_twice() {
             out.clear();
             if traced {
                 let mut span = SpanContext::start(id, 16);
+                let started = span::now_ns();
                 service.apply_batch_span(&batch, &mut out, &mut span);
+                // An in-process batch can finish inside the slowlog's
+                // 1 µs floor; hold the span open past it, allocating
+                // nothing, so every batch takes the slowlog push.
+                while span::now_ns() - started < 1_000 {
+                    std::hint::spin_loop();
+                }
                 service.finish_span(&mut span);
             } else {
                 service.apply_batch_span(&batch, &mut out, &mut SpanContext::detached());
@@ -176,4 +186,64 @@ fn opening_a_reactor_connection_allocates_nothing() {
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     drop(conn);
     assert_eq!(allocations, 0, "on_open made {allocations} allocations");
+}
+
+#[test]
+fn a_warm_enter_that_waits_and_the_hand_off_that_wakes_it_allocate_nothing() {
+    let _turn = counting();
+    const WARM: u64 = 10;
+    const ROUNDS: u64 = 110;
+    // One worker: while this thread holds its place, the entrant's
+    // `enter` must queue and park until the drop below hands it over.
+    let crew = WorkCrew::new(PoolConfig::new(Admission::unrestricted(1), 8));
+    // Once the worker has idled, this thread's own `enter` never waits:
+    // the entrant's drop below idles the worker before it signals.
+    while crew.try_enter().is_none() {
+        std::thread::yield_now();
+    }
+    let (go, done, most) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let await_round = |flag: &AtomicU64, round: u64| {
+        while flag.load(Ordering::SeqCst) < round {
+            std::thread::yield_now();
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut waiter = Waiter::new();
+            for round in 1..=ROUNDS {
+                await_round(&go, round);
+                let before = ALLOCATIONS.with(Cell::get);
+                let slot = crew.enter(&mut waiter).expect("the crew is running");
+                drop(slot);
+                if round > WARM {
+                    most.fetch_max(ALLOCATIONS.with(Cell::get) - before, Ordering::SeqCst);
+                }
+                done.store(round, Ordering::SeqCst);
+            }
+        });
+        let mut waiter = Waiter::new();
+        let mut hand_off = 0;
+        for round in 1..=ROUNDS {
+            let slot = crew.enter(&mut waiter).expect("the crew is running");
+            go.store(round, Ordering::SeqCst);
+            // The entrant is queued once its wait is counted.
+            while crew.stats().enter_refused < round {
+                std::thread::yield_now();
+            }
+            let before = ALLOCATIONS.with(Cell::get);
+            drop(slot);
+            if round > WARM {
+                hand_off = hand_off.max(ALLOCATIONS.with(Cell::get) - before);
+            }
+            await_round(&done, round);
+        }
+        assert_eq!(hand_off, 0, "a hand-off made {hand_off} allocations");
+    });
+    let most = most.load(Ordering::SeqCst);
+    assert_eq!(most, 0, "a waiting enter made {most} allocations");
+    let stats = crew.shutdown();
+    assert_eq!(
+        (stats.inline, stats.enter_refused),
+        (2 * ROUNDS + 1, ROUNDS)
+    );
 }

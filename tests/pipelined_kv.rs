@@ -9,22 +9,24 @@
 //! what arrives over the wire.
 //!
 //! A batch reaches the store one of two ways — in place on its
-//! connection thread under a lent crew slot, or queued to a crew
-//! worker — and which one is chosen from observed state, so the last
-//! three tests replay the tag-order, interleave and `SHUTDOWN`-drain
-//! invariants in set-ups that pin each way and one that flips between
-//! them on a single connection. A lent slot covers a batch's apply and
-//! not its reply `write`, and the last test holds the server to that
-//! with a client that stops reading.
+//! connection thread under a lent crew slot (at once, or after waiting
+//! in the crew's queue for one), or queued to a crew worker — and which
+//! one is chosen from observed state, so the last four tests replay the
+//! tag-order, interleave and `SHUTDOWN`-drain invariants in set-ups
+//! that pin a slot lent at once, a slot waited for, and one connection
+//! that flips between in place and queued. A lent slot covers a
+//! batch's apply and not its reply `write`, and the last test holds the
+//! server to that with a client that stops reading.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use malthus_fault::{FaultPlan, Site};
 use malthus_pool::protocol::MAX_BATCH_KEYS;
 use malthus_pool::{server, Admission, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
-use malthus_storage::{LockPair, McsPair, ShardedKv};
+use malthus_storage::{LockPair, McsPair, ShardedKv, WalOptions};
 
 mod common;
 use common::run_with_watchdog;
@@ -216,28 +218,30 @@ fn metric(doc: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {name} in:\n{doc}"))
 }
 
-/// Cheap batches on an otherwise idle crew run in place: the
-/// invariants hold, `crew_inline_total` moves, and every span's stages
-/// still partition its total.
+/// Cheap batches run in place — with an idle worker to lend its
+/// place, or by waiting for one — so every cheap batch of a connection
+/// does: the invariants hold, `crew_inline_total` moves, and every
+/// span's stages still partition its total.
 #[test]
 fn cheap_batches_run_in_place_and_keep_the_wire_invariants() {
+    const PINGS: u64 = 16;
     let (addr, service, crew, close) = start_server_with_crew(2);
     service.set_slowlog_threshold_us(1); // capture every batch's span
     check_order_and_interleave(addr, 0);
+    // A fresh connection has no dear predecessor and a PING never
+    // touches the store, so each of its batches is cheap: none may be
+    // handed to a crew worker, however busy the host.
     let mut c = KvClient::connect(addr).unwrap();
-    // On a busy host every batch of the load above may have queued:
-    // with an ACS of 1 a batch applied under load costs more than the
-    // cost rule's bound, so its connection keeps queueing. A PING on
-    // this fresh connection is cheap, so it asks for a place; it runs
-    // in place once the worker that ran the last of that load is back
-    // to idle, which a preempted worker may not yet be.
-    for _ in 0..1_000 {
+    let before = crew.stats();
+    for _ in 0..PINGS {
         assert_eq!(c.roundtrip("PING").unwrap(), "PONG");
-        if crew.stats().inline > 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
     }
+    let after = crew.stats();
+    assert_eq!(
+        (after.submitted, after.inline - before.inline),
+        (before.submitted, PINGS),
+        "a PING batch was queued: {before:?} -> {after:?}"
+    );
     let metrics = c.fetch_document("METRICS").unwrap();
     let inline = metric(&metrics, "crew_inline_total");
     assert!(inline > 0, "no batch ran in place:\n{metrics}");
@@ -281,8 +285,10 @@ fn cheap_batches_run_in_place_and_keep_the_wire_invariants() {
 }
 
 /// ACS of 1 under four concurrent connections, with the one place
-/// held by the test itself until a batch has had to queue: the queued
-/// path keeps the same invariants.
+/// held by the test itself until a reader has had to wait for it in
+/// the crew's queue: batches that wait (and are handed a place, by the
+/// test's returned slot, by each other or by a rescuing worker) keep
+/// the same invariants.
 #[test]
 fn queued_batches_keep_the_wire_invariants() {
     let done = run_with_watchdog(Duration::from_secs(60), || {
@@ -296,9 +302,9 @@ fn queued_batches_keep_the_wire_invariants() {
         let conns: Vec<_> = (0..4u64)
             .map(|c| std::thread::spawn(move || check_order_and_interleave(addr, c * 1_000_000)))
             .collect();
-        // Nothing is idle to lend, so the first batches must queue
-        // (and stall reprovisioning must rescue them from behind us).
-        while crew.stats().submitted == 0 {
+        // Nothing is idle to lend, so the first cheap batch must wait
+        // (and stall reprovisioning may rescue it from behind us).
+        while crew.stats().enter_refused == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         drop(slot);
@@ -314,23 +320,36 @@ fn queued_batches_keep_the_wire_invariants() {
 /// One connection alternating dear batches with cheap ones: each dear
 /// batch sends the next one to the queue, each cheap one lets the next
 /// run in place, and replies stay in order and correct across every
-/// flip. Which batches were dear is not assumed from their size but
-/// read back from the service's own record of what each one cost
-/// (`kv_batch_drain_ns`, the number the rule itself compares against
-/// [`server::INLINE_MAX_DRAIN_NS`]); the largest `MSET` the protocol
-/// takes is the candidate, retried until enough of them were dear.
+/// flip. The dear batch is a `PUT` to a durable store whose every WAL
+/// append stalls a millisecond (`shard.stall`, under the shard's
+/// exclusive hold), so it costs over [`server::INLINE_MAX_DRAIN_NS`]
+/// on any host; what each batch cost is still read back from the
+/// service's own record (`kv_batch_drain_ns`, the number the rule
+/// itself compares against the constant).
 #[test]
 fn the_cost_rule_flips_both_ways_on_one_connection() {
     /// What the service recorded for one batch, as far as its
     /// histogram bucket tells.
-    #[derive(PartialEq)]
+    #[derive(Debug, PartialEq)]
     enum Cost {
         Dear,
         Cheap,
         /// The bucket straddles the constant.
         Unknown,
     }
-    let (addr, service, crew, close) = start_server_with_crew(4);
+    const ROUNDS: u64 = 12;
+    let dir = std::env::temp_dir().join(format!("malthus-cost-rule-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let faults = FaultPlan::parse("shard.stall=1:1").unwrap().arm();
+    let opts = WalOptions {
+        faults: Some(Arc::clone(&faults)),
+        ..WalOptions::default()
+    };
+    let (store, _) = ShardedKv::open_with(&dir, 4, 64, 256, opts).unwrap();
+    let (addr, service, crew, close) = start_server_with(
+        KvService::from_store(store),
+        PoolConfig::malthusian(4, 64).with_acs_target(1),
+    );
     let mut c = KvClient::connect(addr).unwrap();
     // One request per round trip, so one batch and one new sample.
     let mut seen = service.pipeline_stats().drain_snapshot();
@@ -353,48 +372,39 @@ fn the_cost_rule_flips_both_ways_on_one_connection() {
         };
         (reply, cost, queued)
     };
-    let (rounds, mut dear_rounds, mut ran_in_place) = (12u64, 0u64, 0u64);
-    for round in 0..4 * rounds {
-        let pairs: Vec<String> = (0..MAX_BATCH_KEYS as u64)
-            .map(|k| format!("{} {}", round * MAX_BATCH_KEYS as u64 + k, round))
-            .collect();
+    let mut ran_in_place = 0u64;
+    for round in 0..ROUNDS {
         // Dear batch, then three cheap ones, one batch at a time.
-        let (reply, dear, _) = roundtrip(&format!("#{round} MSET {}", pairs.join(" ")));
-        assert_eq!(reply, format!("#{round} OK {MAX_BATCH_KEYS}"));
-        let probe = round * MAX_BATCH_KEYS as u64 + 7;
-        let (reply, _, queued) = roundtrip(&format!("GET {probe}"));
+        let key = 1_000 + round;
+        let (reply, dear, _) = roundtrip(&format!("#{round} PUT {key} {round}"));
+        assert_eq!(reply, format!("#{round} OK"));
+        assert_eq!(dear, Cost::Dear, "round {round}: the stalled PUT was cheap");
+        let (reply, _, queued) = roundtrip(&format!("GET {key}"));
         assert_eq!(reply, format!("VAL {round}"));
-        if dear == Cost::Dear {
-            // A dear predecessor: handed to a crew worker, always.
-            assert_eq!(queued, 1, "round {round}: ran in place after a dear batch");
-            dear_rounds += 1;
-        }
-        // The cheap predecessor is a PING, not the GET: a GET on a
-        // loaded host can cost a bucket that straddles the constant,
-        // while a PING never touches the store.
+        // A dear predecessor: handed to a crew worker, always.
+        assert_eq!(queued, 1, "round {round}: ran in place after a dear batch");
+        // The cheap predecessor is a PING, not the GET: a GET run on a
+        // crew worker of a loaded host can cost a bucket that
+        // straddles the constant, while a PING never touches the store.
         let (reply, cheap, _) = roundtrip("#4 PING");
         assert_eq!(reply, "#4 PONG");
         let (reply, _, queued) = roundtrip("#5 PING");
         assert_eq!(reply, "#5 PONG");
-        // A cheap predecessor: in place whenever a worker is idle to
-        // lend its slot (the one that ran an earlier batch may still
-        // be on its way back), so it is counted here and asserted
-        // below.
-        ran_in_place += u64::from(cheap == Cost::Cheap && queued == 0);
-        if dear_rounds >= rounds && ran_in_place > 0 {
-            break;
+        // A cheap predecessor: in place, waiting for the place if the
+        // worker that ran the GET has not given it back yet.
+        if cheap == Cost::Cheap {
+            assert_eq!(queued, 0, "round {round}: queued after a cheap batch");
+            ran_in_place += 1;
         }
     }
     let stats = crew.stats();
-    assert!(
-        dear_rounds >= rounds,
-        "{dear_rounds} dear batches; {stats:?}"
-    );
-    assert!(stats.submitted >= dear_rounds, "{stats:?}");
+    assert_eq!(faults.injected(Site::ShardStall), ROUNDS, "one stall a PUT");
+    assert!(stats.submitted >= ROUNDS, "{stats:?}");
     assert!(ran_in_place > 0 && stats.inline > 0, "{stats:?}");
     drop(c);
     check_shutdown_drains_the_window(addr);
     close();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A client that stops reading costs the crew nothing: connection A
