@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out
+//! Ablation bench for MCSCR's fairness period
 //! (`cargo bench --bench ablation`): the fairness-period
 //! throughput-vs-Gini frontier on the simulated RandArray at 32
 //! threads. Dependency-free (`harness = false`); the simulator is

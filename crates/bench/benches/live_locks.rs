@@ -10,10 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use malthus::{
-    ClhLock, LifoCrLock, LoiterLock, McsCrLock, McsCrnLock, McsLock, RawLock, TasLock, TatasLock,
-    TicketLock,
-};
+use malthus::{McsCrLock, McsLock, RawLock, TasLock};
 use malthus_bench::livebench::{
     contended_ops_per_sec, contended_ops_per_sec_with, uncontended_ns_per_op,
 };
@@ -36,16 +33,10 @@ fn main() {
     println!("{:<22} {:>13}   {:>20}", "lock", "uncontended", "contended");
 
     bench_raw("TAS", TasLock::new);
-    bench_raw("TATAS", TatasLock::new);
-    bench_raw("Ticket", TicketLock::new);
-    bench_raw("CLH", ClhLock::new);
     bench_raw("MCS-S", McsLock::spin);
     bench_raw("MCS-STP", McsLock::stp);
     bench_raw("MCSCR-S", McsCrLock::spin);
     bench_raw("MCSCR-STP", McsCrLock::stp);
-    bench_raw("MCSCRN-STP", McsCrnLock::stp);
-    bench_raw("LIFO-CR-STP", LifoCrLock::stp);
-    bench_raw("LOITER", LoiterLock::default);
 
     // std::sync::Mutex reference point (not a RawLock — its guard is
     // scoped — so it goes through the closure-based harness variant).

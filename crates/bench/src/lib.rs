@@ -1,9 +1,10 @@
 //! Shared harness plumbing for the figure/table binaries.
 //!
 //! Every binary regenerates one figure or table from the paper's
-//! evaluation (§6) on the simulated T5 (see DESIGN.md). Output is a
-//! plain-text table: thread count on the first column, one series per
-//! lock, matching the figure's legend. `MALTHUS_SIM_SECONDS` scales
+//! evaluation (§6) on the simulated T5 (README, "Regenerating the
+//! paper's figures"). Output is a plain-text table: thread count on
+//! the first column, one series per lock, matching the figure's
+//! legend. `MALTHUS_SIM_SECONDS` scales
 //! the simulated measurement interval (default 0.02 s; the paper used
 //! 10 s on real hardware — shapes converge long before that in the
 //! deterministic simulator).

@@ -1,28 +1,16 @@
 //! Convenience aliases and constructors for common lock/mutex pairings.
 
-use crate::lifocr::LifoCrLock;
-use crate::loiter::LoiterLock;
 use crate::mcs::McsLock;
 use crate::mcscr::McsCrLock;
-use crate::mcscrn::McsCrnLock;
 use crate::mutex::Mutex;
 use crate::tas::TasLock;
-use crate::ticket::TicketLock;
 
 /// `std::sync::Mutex`-alike over a naive TAS lock.
 pub type TasMutex<T> = Mutex<T, TasLock>;
-/// Mutex over a ticket lock (strict FIFO, global spinning).
-pub type TicketMutex<T> = Mutex<T, TicketLock>;
 /// Mutex over a classic MCS lock.
 pub type McsMutex<T> = Mutex<T, McsLock>;
 /// Mutex over the Malthusian MCSCR lock.
 pub type McsCrMutex<T> = Mutex<T, McsCrLock>;
-/// Mutex over the NUMA-aware MCSCRN lock.
-pub type McsCrnMutex<T> = Mutex<T, McsCrnLock>;
-/// Mutex over the LIFO-CR stack lock.
-pub type LifoCrMutex<T> = Mutex<T, LifoCrLock>;
-/// Mutex over the LOITER composite lock.
-pub type LoiterMutex<T> = Mutex<T, LoiterLock>;
 
 impl<T> Mutex<T, McsLock> {
     /// MCS with spin-then-park waiting (`MCS-STP`).
@@ -44,13 +32,6 @@ impl<T> Mutex<T, McsCrLock> {
     }
 }
 
-impl<T> Mutex<T, LifoCrLock> {
-    /// LIFO-CR with spin-then-park waiting.
-    pub fn default_lifo_cr(value: T) -> Self {
-        Mutex::with_raw(LifoCrLock::stp(), value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,14 +41,12 @@ mod tests {
         let a = McsMutex::default_stp(1u8);
         let b = McsMutex::default_spin(2u8);
         let c = McsCrMutex::default_cr(3u8);
-        let d = LifoCrMutex::default_lifo_cr(4u8);
-        assert_eq!(*a.lock() + *b.lock() + *c.lock() + *d.lock(), 10);
+        assert_eq!(*a.lock() + *b.lock() + *c.lock(), 6);
     }
 
     #[test]
     fn plain_aliases_default() {
         let t: TasMutex<u32> = TasMutex::new(1);
-        let k: TicketMutex<u32> = TicketMutex::new(2);
-        assert_eq!(*t.lock() + *k.lock(), 3);
+        assert_eq!(*t.lock(), 1);
     }
 }

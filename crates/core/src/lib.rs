@@ -16,24 +16,21 @@
 //! | Type | Policy | Role in the paper |
 //! |---|---|---|
 //! | [`McsCrLock`] | CR via queue editing | the main contribution (§4) |
-//! | [`LoiterLock`] | CR via outer-TAS/inner-MCS | appendix A.1 |
-//! | [`LifoCrLock`] | CR via LIFO stack | appendix A.2 |
-//! | [`McsCrnLock`] | NUMA-aware CR | §9.1 (future work) |
 //! | [`McsLock`] | strict FIFO baseline | §4, Figure 2 |
-//! | [`TicketLock`] | FIFO global-spin baseline | §5.4 |
-//! | [`ClhLock`] | FIFO local-spin baseline | §5.4 |
-//! | [`TasLock`], [`TatasLock`] | unfair competitive baselines | Figure 2, A.1 |
+//! | [`TasLock`] | unfair competitive baseline; RW-CR's gate | Figure 2 |
 //!
-//! [`McsLock`], [`McsCrLock`] and [`McsCrnLock`] are one MCS queue under
-//! three admission policies: they share its arrival, hand-off,
-//! reprovisioning, culling and grafting code, and each lock's unlock only
-//! chooses among those edits (MCS makes none).
+//! [`McsLock`] and [`McsCrLock`] are one MCS queue under two admission
+//! policies: they share its arrival, hand-off, reprovisioning, culling
+//! and grafting code, and each lock's unlock only chooses among those
+//! edits (MCS makes none).
 //!
 //! Every algorithm implements [`RawLock`] and plugs into the
-//! [`Mutex`]/[`MutexGuard`] RAII wrapper. CR is also available for
-//! condition variables ([`CrCondvar`]) and semaphores
-//! ([`CrSemaphore`]) via the mostly-LIFO admission discipline of
-//! §6.10–6.11.
+//! [`Mutex`]/[`MutexGuard`] RAII wrapper. [`Instrumented`] wraps any of
+//! them to record the admission history the paper's fairness metrics
+//! read. The mostly-LIFO admission discipline of §6.10–6.11 for
+//! condition variables and semaphores is
+//! [`policy::AdmissionDiscipline`], which the simulator's condvar
+//! model runs.
 //!
 //! # Quick start
 //!
@@ -63,42 +60,25 @@
 #![warn(missing_docs)]
 
 mod aliases;
-mod clh;
-mod condvar;
 mod instrument;
-mod lifocr;
-mod loiter;
 mod mcs;
 mod mcscr;
-mod mcscrn;
 mod mutex;
 mod node;
 pub mod pad;
 pub mod policy;
 mod queue;
 mod raw;
-mod semaphore;
 mod tas;
-mod ticket;
 
-pub use aliases::{
-    LifoCrMutex, LoiterMutex, McsCrMutex, McsCrnMutex, McsMutex, TasMutex, TicketMutex,
-};
-pub use clh::ClhLock;
-pub use condvar::CrCondvar;
+pub use aliases::{McsCrMutex, McsMutex, TasMutex};
 pub use instrument::{current_thread_index, Instrumented};
-pub use lifocr::{LifoCrLock, LifoStats};
-pub use loiter::{LoiterLock, LoiterStats};
 pub use mcs::McsLock;
 pub use mcscr::{CrStats, McsCrLock};
-pub use mcscrn::{McsCrnLock, NumaStats};
 pub use mutex::{Mutex, MutexGuard};
-pub use node::{current_numa_node, set_current_numa_node};
 pub use pad::{CachePadded, LockCounter};
 pub use raw::RawLock;
-pub use semaphore::CrSemaphore;
-pub use tas::{TasLock, TatasLock};
-pub use ticket::TicketLock;
+pub use tas::TasLock;
 
 // Re-export the waiting-policy vocabulary so downstream users need
 // only this crate.

@@ -11,8 +11,7 @@
 //! latencies inside the effective critical section.
 //!
 //! MCS is the policy of the shared MCS queue that never edits it;
-//! [`McsCrLock`](crate::McsCrLock) and [`McsCrnLock`](crate::McsCrnLock)
-//! edit the same queue.
+//! [`McsCrLock`](crate::McsCrLock) edits the same queue.
 
 use malthus_park::WaitPolicy;
 

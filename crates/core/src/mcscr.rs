@@ -174,7 +174,7 @@ unsafe impl RawLock for McsCrLock {
                 let eldest = passive.pop_tail();
                 cr.fairness_grants.bump();
                 record(EventKind::LockFairnessGrant, self.id(), 0);
-                self.q.graft(me, eldest, eldest);
+                self.q.graft(me, eldest);
                 return;
             }
 

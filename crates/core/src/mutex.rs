@@ -153,13 +153,6 @@ impl<T: ?Sized, L: RawLock> Drop for MutexGuard<'_, T, L> {
     }
 }
 
-impl<'a, T: ?Sized, L: RawLock> MutexGuard<'a, T, L> {
-    /// The mutex this guard locks (used by [`Condvar`](crate::CrCondvar)).
-    pub(crate) fn mutex(&self) -> &'a Mutex<T, L> {
-        self.mutex
-    }
-}
-
 impl<T: ?Sized + fmt::Debug, L: RawLock> fmt::Debug for MutexGuard<'_, T, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)

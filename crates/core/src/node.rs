@@ -1,6 +1,6 @@
 //! Queue nodes shared by the MCS-family locks, with a per-thread arena.
 //!
-//! MCS, MCSCR and MCSCRN all enqueue one node per acquisition. Because
+//! MCS and MCSCR both enqueue one node per acquisition. Because
 //! [`RawLock`](crate::RawLock) carries no guard token, nodes live on
 //! the heap rather than the waiter's stack; a thread-local arena
 //! amortizes the allocation to nearly nothing on the hot path. A node's
@@ -10,10 +10,9 @@
 //! # Hot-path discipline
 //!
 //! The arena is designed so `lock()` costs exactly **one** TLS access:
-//! the free list and the thread's NUMA id live in the same
-//! thread-local [`NodeArena`], and nodes are **sanitized on `free`**
-//! (wait cell rearmed, links nulled) rather than on `alloc`, so
-//! [`alloc_node`] is a pop plus one `Cell` store of the NUMA id.
+//! the free list lives in one thread-local [`NodeArena`], and nodes are
+//! **sanitized on `free`** (wait cell rearmed, links nulled) rather
+//! than on `alloc`, so [`alloc_node`] is a bare pop.
 //! Initializing the TLS slot on first use also registers the arena's
 //! destructor, so thread exit reclaims every cached node.
 
@@ -26,14 +25,12 @@ use malthus_park::WaitCell;
 /// A queue node for the MCS family.
 ///
 /// `next` is the MCS chain link (written by the successor's arrival).
-/// `pprev`/`pnext` link the node into a lock-private doubly-linked
-/// list — the passive set for MCSCR, the remote set for MCSCRN — and
-/// are only ever touched by the current lock holder. `numa` is the
-/// arriving thread's NUMA node id, used by MCSCRN's culling criterion.
-/// `culled_at` is a span-tracing stamp: the lock holder stores the
-/// monotonic time it moved this node to the passive list (0 = never
-/// culled), and the waiter reads it back on wake to split its total
-/// wait into admission time vs passive-list residency.
+/// `pprev`/`pnext` link the node into MCSCR's lock-private
+/// doubly-linked passive list and are only ever touched by the current
+/// lock holder. `culled_at` is a span-tracing stamp: the lock holder
+/// stores the monotonic time it moved this node to the passive list
+/// (0 = never culled), and the waiter reads it back on wake to split
+/// its total wait into admission time vs passive-list residency.
 ///
 /// The node is aligned (hence padded) to 128 bytes so that two nodes
 /// never share a cache line or a prefetch pair: a waiter spins on its
@@ -47,7 +44,6 @@ pub(crate) struct QNode {
     pub(crate) next: AtomicPtr<QNode>,
     pub(crate) pprev: Cell<*mut QNode>,
     pub(crate) pnext: Cell<*mut QNode>,
-    pub(crate) numa: Cell<u32>,
     pub(crate) culled_at: AtomicU64,
 }
 
@@ -58,7 +54,6 @@ impl QNode {
             next: AtomicPtr::new(ptr::null_mut()),
             pprev: Cell::new(ptr::null_mut()),
             pnext: Cell::new(ptr::null_mut()),
-            numa: Cell::new(0),
             culled_at: AtomicU64::new(0),
         }
     }
@@ -68,27 +63,20 @@ impl QNode {
 /// global allocator.
 const CACHE_CAP: usize = 32;
 
-/// Per-thread node arena; one TLS access yields a sanitized node plus
-/// the thread's NUMA id. Reclaims its contents at thread exit.
+/// Per-thread node arena; one TLS access yields a sanitized node.
+/// Reclaims its contents at thread exit.
 struct NodeArena {
     free: RefCell<Vec<*mut QNode>>,
-    numa: Cell<u32>,
 }
 
 impl NodeArena {
     /// Pops a pre-sanitized cached node, or allocates a fresh one.
     fn acquire(&self) -> *mut QNode {
-        let node = self
-            .free
+        // Nodes are sanitized when freed, so a cached one is ready.
+        self.free
             .borrow_mut()
             .pop()
-            .unwrap_or_else(|| Box::into_raw(Box::new(QNode::new())));
-        // Nodes are sanitized when freed; only the NUMA id can have
-        // changed since then.
-        // SAFETY: the node came from this thread's arena or a fresh
-        // Box; no other thread references it.
-        unsafe { (*node).numa.set(self.numa.get()) };
-        node
+            .unwrap_or_else(|| Box::into_raw(Box::new(QNode::new())))
     }
 
     /// Caches a sanitized node; returns it back if the arena is full.
@@ -117,31 +105,14 @@ thread_local! {
     static NODE_ARENA: NodeArena = const {
         NodeArena {
             free: RefCell::new(Vec::new()),
-            numa: Cell::new(0),
         }
     };
-}
-
-/// Declares the calling thread's NUMA node id for MCSCRN culling.
-///
-/// Defaults to node 0. On a real deployment this would query the OS
-/// (e.g. `getcpu`); tests and benchmarks assign ids explicitly. A call
-/// during thread teardown (TLS destroyed) is ignored.
-pub fn set_current_numa_node(node: u32) {
-    let _ = NODE_ARENA.try_with(|a| a.numa.set(node));
-}
-
-/// Returns the calling thread's declared NUMA node id (0 during
-/// thread teardown).
-pub fn current_numa_node() -> u32 {
-    NODE_ARENA.try_with(|a| a.numa.get()).unwrap_or(0)
 }
 
 /// Allocates (or reuses) a node owned by the calling thread.
 ///
 /// The returned node has a fresh (unsignalled) wait cell, a null
-/// `next`, clear list links, and the caller's NUMA id. Exactly one
-/// thread-local access.
+/// `next` and clear list links. Exactly one thread-local access.
 pub(crate) fn alloc_node() -> *mut QNode {
     NODE_ARENA
         .try_with(NodeArena::acquire)
@@ -281,23 +252,6 @@ mod tests {
             for &n in &nodes {
                 // SAFETY: owned by this thread, quiescent.
                 unsafe { free_node(n) };
-            }
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn numa_id_defaults_and_sets() {
-        std::thread::spawn(|| {
-            assert_eq!(current_numa_node(), 0);
-            set_current_numa_node(3);
-            assert_eq!(current_numa_node(), 3);
-            let n = alloc_node();
-            // SAFETY: we own the node.
-            unsafe {
-                assert_eq!((*n).numa.get(), 3);
-                free_node(n);
             }
         })
         .join()

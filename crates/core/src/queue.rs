@@ -1,8 +1,8 @@
-//! One MCS queue, three admission policies: [`McsLock`](crate::McsLock),
-//! [`McsCrLock`](crate::McsCrLock) and [`McsCrnLock`](crate::McsCrnLock)
-//! share its arrival, hand-off or release, reprovisioning, culling and
-//! grafting. A lock's `unlock` only chooses among these edits, all made
-//! while holding the lock, which therefore protects the passive list.
+//! One MCS queue, two admission policies: [`McsLock`](crate::McsLock)
+//! and [`McsCrLock`](crate::McsCrLock) share its arrival, hand-off or
+//! release, reprovisioning, culling and grafting. A lock's `unlock` only
+//! chooses among these edits, all made while holding the lock, which
+//! therefore protects the passive list.
 
 use std::cell::UnsafeCell;
 use std::ptr;
@@ -52,7 +52,7 @@ pub(crate) struct McsQueue<S> {
 struct Holder<S> {
     /// Owner's node.
     owner: UnsafeCell<*mut QNode>,
-    /// The passive set (MCSCRN's remote set; empty under MCS).
+    /// The passive set (empty under MCS).
     passive: UnsafeCell<PassiveList>,
     /// The policy's state (trigger, counters).
     state: S,
@@ -61,7 +61,7 @@ struct Holder<S> {
 // SAFETY: `tail` is an atomic and `policy` is never written. `owner`,
 // the passive list and the policy state's `UnsafeCell`s are accessed
 // only by the lock holder, so the lock serializes them; the rest of the
-// state is atomic (counters, MCSCRN's home node), read racily.
+// state is atomic counters, read racily.
 unsafe impl<S> Send for McsQueue<S> {}
 // SAFETY: see above.
 unsafe impl<S> Sync for McsQueue<S> {}
@@ -293,25 +293,24 @@ impl<S> McsQueue<S> {
         }
     }
 
-    /// Grafts the chain `first ..= last`, already linked through `next`,
-    /// immediately after the owner `me`, inheriting the rest of the
-    /// queue, and grants the lock to `first`.
+    /// Grafts `node` immediately after the owner `me`, inheriting the
+    /// rest of the queue, and grants the lock to it.
     ///
     /// # Safety
     ///
-    /// Caller must hold the lock, `me` must be the owner's node, and the
-    /// chain's nodes must be live waiters in no list.
-    pub(crate) unsafe fn graft(&self, me: *mut QNode, first: *mut QNode, last: *mut QNode) {
+    /// Caller must hold the lock, `me` must be the owner's node, and
+    /// `node` must be a live waiter in no list.
+    pub(crate) unsafe fn graft(&self, me: *mut QNode, node: *mut QNode) {
         // SAFETY: caller contract; see each step.
         unsafe {
             let mut succ = (*me).next.load(Ordering::Acquire);
             if succ.is_null() {
-                succ = self.replace_tail(me, last);
+                succ = self.replace_tail(me, node);
             }
             if !succ.is_null() {
-                (*last).next.store(succ, Ordering::Release);
+                (*node).next.store(succ, Ordering::Release);
             }
-            self.grant(me, first);
+            self.grant(me, node);
         }
     }
 
@@ -423,7 +422,7 @@ impl PassiveList {
     /// # Safety
     ///
     /// `node` must currently be a member of this list.
-    pub(crate) unsafe fn unlink(&mut self, node: *mut QNode) {
+    unsafe fn unlink(&mut self, node: *mut QNode) {
         // SAFETY: membership guaranteed by caller.
         unsafe {
             let prev = (*node).pprev.get();
@@ -442,22 +441,6 @@ impl PassiveList {
             (*node).pnext.set(ptr::null_mut());
         }
         self.len -= 1;
-    }
-
-    /// Returns the tail (eldest) node without removing it, or null.
-    pub(crate) fn tail_node(&self) -> *mut QNode {
-        self.tail
-    }
-
-    /// Iterates from tail (eldest) toward head.
-    pub(crate) fn for_each_from_tail(&self, mut f: impl FnMut(*mut QNode)) {
-        let mut cur = self.tail;
-        while !cur.is_null() {
-            // SAFETY: list membership keeps nodes live.
-            let prev = unsafe { (*cur).pprev.get() };
-            f(cur);
-            cur = prev;
-        }
     }
 }
 
@@ -522,25 +505,6 @@ mod tests {
             free_node(a);
             free_node(b);
             free_node(c);
-        }
-    }
-
-    #[test]
-    fn passive_list_tail_iteration_order() {
-        let mut l = PassiveList::new();
-        let a = alloc_node();
-        let b = alloc_node();
-        // SAFETY: test owns everything.
-        unsafe {
-            l.push_head(a);
-            l.push_head(b);
-            let mut seen = Vec::new();
-            l.for_each_from_tail(|n| seen.push(n));
-            assert_eq!(seen, vec![a, b]);
-            l.pop_head();
-            l.pop_head();
-            free_node(a);
-            free_node(b);
         }
     }
 }

@@ -1,16 +1,14 @@
-//! Test-and-set locks: the simplest competitive-succession baselines.
+//! Test-and-set lock: the simplest competitive-succession baseline.
 //!
 //! The paper's Figure 2 contrasts TAS with MCS: TAS uses competitive
 //! succession (the unlock simply releases and any waiter or arrival may
 //! pounce), global spinning, allows unbounded bypass/starvation, and
 //! performs best under light contention or preemption. [`TasLock`] is
-//! the naive polite spinner; [`TatasLock`] adds the test-and-test-and-
-//! set read loop plus randomized exponential backoff, which damps the
-//! thundering-herd coherence storms described in appendix A.1.
+//! a polite test-and-test-and-set spinner; RW-CR uses it as its gate.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use malthus_park::{Backoff, SpinThenYield, XorShift64};
+use malthus_park::SpinThenYield;
 
 use crate::raw::RawLock;
 
@@ -76,71 +74,6 @@ unsafe impl RawLock for TasLock {
     }
 }
 
-/// Test-and-test-and-set with randomized exponential backoff.
-///
-/// Each thread keeps an independent [`Backoff`] (thread-local, keyed by
-/// nothing — contention windows are short) so waiters decorrelate. Like
-/// all TAS-family locks it admits unbounded bypass; the paper uses that
-/// laxity as the fairness baseline for "common mutexes".
-#[derive(Debug, Default)]
-pub struct TatasLock {
-    held: AtomicBool,
-}
-
-impl TatasLock {
-    /// Creates an unlocked lock.
-    pub const fn new() -> Self {
-        TatasLock {
-            held: AtomicBool::new(false),
-        }
-    }
-
-    #[inline]
-    fn try_acquire(&self) -> bool {
-        !self.held.load(Ordering::Relaxed)
-            && self
-                .held
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-    }
-}
-
-// SAFETY: as for `TasLock`; backoff affects only timing, not exclusion.
-unsafe impl RawLock for TatasLock {
-    fn lock(&self) {
-        if self.try_acquire() {
-            return;
-        }
-        let seed = XorShift64::from_entropy().next_u64();
-        let mut backoff = Backoff::for_tas(seed);
-        // The randomized backoff decorrelates waiters; the yield helper
-        // additionally cedes the CPU once the host is oversubscribed.
-        let mut spin = SpinThenYield::new();
-        loop {
-            while self.held.load(Ordering::Relaxed) {
-                backoff.pause();
-                spin.pause();
-            }
-            if self.try_acquire() {
-                return;
-            }
-            backoff.pause();
-        }
-    }
-
-    fn try_lock(&self) -> bool {
-        self.try_acquire()
-    }
-
-    unsafe fn unlock(&self) {
-        self.held.store(false, Ordering::Release);
-    }
-
-    fn name(&self) -> &'static str {
-        "TATAS"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,12 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn tatas_mutual_exclusion() {
-        let total = hammer(Arc::new(TatasLock::new()), 8, 2_000);
-        assert_eq!(total, 8 * 2_000);
-    }
-
-    #[test]
     fn try_lock_fails_when_held() {
         let l = TasLock::new();
         assert!(l.try_lock());
@@ -196,17 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn tatas_try_lock_round_trip() {
-        let l = TatasLock::new();
-        assert!(l.try_lock());
-        assert!(!l.try_lock());
-        // SAFETY: acquired above.
-        unsafe { l.unlock() };
-    }
-
-    #[test]
     fn names() {
         assert_eq!(TasLock::new().name(), "TAS");
-        assert_eq!(TatasLock::new().name(), "TATAS");
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use malthus::{McsCrLock, McsCrnLock, McsLock, RawLock, WaitPolicy};
+use malthus::{McsCrLock, McsLock, RawLock, WaitPolicy};
 use malthus_obs::span;
 
 /// How long the holder keeps the lock once every waiter is about to
@@ -53,15 +53,6 @@ fn a_blocked_mcs_waiter_reads_its_lock_wait() {
     };
     assert!(lock_wait >= MIN_WAIT_NS, "lock_wait {lock_wait} ns");
     assert_eq!(cull_wait, 0, "MCS never culls");
-}
-
-#[test]
-fn a_blocked_mcscrn_waiter_reads_its_lock_wait() {
-    let [(lock_wait, cull_wait)] = blocked_waits(McsCrnLock::stp(), 1)[..] else {
-        unreachable!()
-    };
-    assert!(lock_wait >= MIN_WAIT_NS, "lock_wait {lock_wait} ns");
-    assert_eq!(cull_wait, 0, "one waiter is never surplus");
 }
 
 #[test]

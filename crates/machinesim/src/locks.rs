@@ -49,11 +49,6 @@ pub enum LockKind {
         /// condition.
         cull_slack: usize,
     },
-    /// LIFO-CR: stack admission with periodic eldest extraction.
-    Lifo {
-        /// The Bernoulli fairness trial.
-        fairness: FairnessTrigger,
-    },
 }
 
 /// CR activity counters (mirrors `malthus::CrStats`).
@@ -145,10 +140,7 @@ impl SimLock {
             self.admissions.push(t as u32);
             return Arrival::Granted;
         }
-        match self.kind {
-            LockKind::Lifo { .. } => self.queue.push_front(t),
-            _ => self.queue.push_back(t),
-        }
+        self.queue.push_back(t);
         Arrival::Enqueued
     }
 
@@ -194,14 +186,6 @@ impl SimLock {
                     } else {
                         None
                     }
-                }
-            }
-            LockKind::Lifo { fairness } => {
-                if !self.queue.is_empty() && fairness.fire() {
-                    self.stats.fairness_grants += 1;
-                    self.queue.pop_back()
-                } else {
-                    self.queue.pop_front()
                 }
             }
         };
@@ -253,23 +237,6 @@ mod tests {
         assert_eq!(l.release(), Some(3));
         assert_eq!(l.release(), None);
         assert_eq!(l.admissions(), &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn lifo_grants_most_recent_first() {
-        let mut l = SimLock::new(
-            LockKind::Lifo {
-                fairness: FairnessTrigger::new(1_000_000, 7),
-            },
-            WaitMode::Spin,
-        );
-        l.arrive(0);
-        l.arrive(1);
-        l.arrive(2);
-        l.arrive(3);
-        assert_eq!(l.release(), Some(3));
-        assert_eq!(l.release(), Some(2));
-        assert_eq!(l.release(), Some(1));
     }
 
     #[test]

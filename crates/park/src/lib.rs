@@ -12,8 +12,6 @@
 //!   enqueues a cell, then waits on it with a [`WaitPolicy`] (polite
 //!   local spinning, spin-then-park, or immediate parking) while the
 //!   lock's unlock path signals it.
-//! * [`Backoff`] — fixed and randomized-exponential backoff for global
-//!   spinning (TAS-style locks).
 //! * [`XorShift64`] — the Marsaglia xorshift PRNG the paper uses for
 //!   Bernoulli fairness trials (§4).
 //! * [`stats`] — global counters for voluntary context switches and
@@ -38,15 +36,13 @@
 
 #![warn(missing_docs)]
 
-mod backoff;
 mod parker;
 mod rng;
 mod spin;
 pub mod stats;
 mod waitcell;
 
-pub use backoff::Backoff;
 pub use parker::{ParkResult, Parker, Unparker};
 pub use rng::XorShift64;
-pub use spin::{cpu_relax, polite_spin, SpinThenYield, SPIN_YIELD_BUDGET};
+pub use spin::{cpu_relax, SpinThenYield, SPIN_YIELD_BUDGET};
 pub use waitcell::{WaitCell, WaitOutcome, WaitPolicy, DEFAULT_SPIN_CYCLES};

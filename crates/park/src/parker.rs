@@ -132,10 +132,10 @@ impl Parker {
 
     /// Blocks for at most `timeout`, consuming a permit if one arrives.
     ///
-    /// Timed parking underpins the LOITER standby-thread fence-elision
-    /// optimization (paper, appendix A.1 footnote): the standby thread
-    /// periodically polls rather than relying on a fence in the unlock
-    /// fast path.
+    /// Timed parking underpins the standby threads of the crew and the
+    /// reactor (after the paper's LOITER standby thread, appendix A.1):
+    /// a passive worker periodically polls rather than relying on a
+    /// wake-up from the fast path.
     pub fn park_timeout(&self, timeout: Duration) -> ParkResult {
         if self
             .inner

@@ -12,14 +12,6 @@ pub fn cpu_relax() {
     std::hint::spin_loop();
 }
 
-/// Spins politely for approximately `iterations` loop steps.
-#[inline]
-pub fn polite_spin(iterations: u32) {
-    for _ in 0..iterations {
-        cpu_relax();
-    }
-}
-
 /// Polite pauses executed by an unbounded waiter before it starts
 /// interleaving voluntary yields.
 ///
@@ -66,11 +58,6 @@ impl SpinThenYield {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn polite_spin_zero_is_noop() {
-        polite_spin(0);
-    }
 
     #[test]
     fn spin_then_yield_survives_many_iterations() {

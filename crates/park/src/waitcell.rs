@@ -1,6 +1,6 @@
 //! Per-waiter wait cells and waiting policies.
 //!
-//! Queue locks (MCS, MCSCR, LIFO-CR, LOITER's inner lock) have each
+//! Queue locks (MCS, MCSCR, RW-CR's passive readers) have each
 //! waiter busy-wait on a *local* flag that the unlock path eventually
 //! sets. [`WaitCell`] packages that flag together with the waiting
 //! thread's [`Unparker`](crate::Unparker) so that a single cell

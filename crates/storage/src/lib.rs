@@ -1,19 +1,15 @@
-//! Storage substrates backing the paper's application benchmarks.
+//! Storage substrates of the sharded KV service.
 //!
-//! The paper evaluates CR on real lock-hungry software we cannot ship:
-//! leveldb (Figure 8), CEPH's `SimpleLRU` (Figure 12), a COZ-style
-//! bounded queue (Figure 10), and a blocking buffer pool (Figure 14).
-//! This crate implements functional equivalents from scratch so those
-//! workloads run as real code (the splay-tree allocator of Figure 7
-//! and the Kyoto Cabinet cache of Figure 9 exist as simulator models
-//! only, in `malthus-workloads`):
+//! The paper evaluates CR on real lock-hungry software we cannot ship,
+//! among it leveldb (Figure 8) and CEPH's `SimpleLRU` (Figure 12). The
+//! figures themselves run on the `malthus-machinesim` models in
+//! `malthus-workloads`; this crate implements functional equivalents
+//! of the two stores from scratch, and the service runs them:
 //!
 //! | Type | Stands in for | Used by |
 //! |---|---|---|
-//! | [`MiniKv`] | leveldb 1.18 (memtable + block-cache) | readwhilewriting |
-//! | [`SimpleLru`] | CEPH `SimpleLRU` (exact LRU; slab + hash index, not CEPH's `std::map`) | LRUCache |
-//! | [`BoundedQueue`] | COZ `producer_consumer` queue | prodcons |
-//! | [`BufferPool`] | the §6.11 blocking buffer pool | bufferpool |
+//! | [`MiniKv`] | leveldb 1.18 (memtable + block-cache) | each [`ShardedKv`] shard |
+//! | [`SimpleLru`] | CEPH `SimpleLRU` (exact LRU; slab + hash index, not CEPH's `std::map`) | each shard's block cache; Figure 12's model runs its operations |
 //!
 //! On top of the substrates, the crate ships two genuinely new
 //! layers: [`ShardedKv`], a sharded KV backend where each shard is a
@@ -29,8 +25,6 @@
 
 #![warn(missing_docs)]
 
-mod bounded_queue;
-mod buffer_pool;
 pub mod healer;
 mod minikv;
 mod router;
@@ -38,8 +32,6 @@ pub mod sharded;
 mod simplelru;
 pub mod wal;
 
-pub use bounded_queue::BoundedQueue;
-pub use buffer_pool::{BufferPool, PoolBuffer, SemBufferPool};
 pub use healer::{spawn_healer, HealerConfig};
 pub use minikv::MiniKv;
 pub use router::{ShardRouter, FIB_HASH_MULT};

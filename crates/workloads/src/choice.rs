@@ -16,10 +16,6 @@ pub enum LockChoice {
     McsCrS,
     /// MCSCR with spin-then-park (the paper's headline config).
     McsCrStp,
-    /// LIFO-CR with unbounded polite spinning.
-    LifoCrS,
-    /// LIFO-CR with spin-then-park.
-    LifoCrStp,
 }
 
 impl LockChoice {
@@ -39,8 +35,6 @@ impl LockChoice {
             LockChoice::McsStp => "MCS-STP",
             LockChoice::McsCrS => "MCSCR-S",
             LockChoice::McsCrStp => "MCSCR-STP",
-            LockChoice::LifoCrS => "LIFO-CR-S",
-            LockChoice::LifoCrStp => "LIFO-CR-STP",
         }
     }
 
@@ -65,28 +59,13 @@ impl LockChoice {
                 },
                 WaitMode::SpinThenPark,
             ),
-            LockChoice::LifoCrS => (
-                LockKind::Lifo {
-                    fairness: FairnessTrigger::default_period(seed),
-                },
-                WaitMode::Spin,
-            ),
-            LockChoice::LifoCrStp => (
-                LockKind::Lifo {
-                    fairness: FairnessTrigger::default_period(seed),
-                },
-                WaitMode::SpinThenPark,
-            ),
         };
         LockSpec { kind, wait }
     }
 
     /// Whether this is a concurrency-restricting configuration.
     pub fn is_cr(&self) -> bool {
-        matches!(
-            self,
-            LockChoice::McsCrS | LockChoice::McsCrStp | LockChoice::LifoCrS | LockChoice::LifoCrStp
-        )
+        matches!(self, LockChoice::McsCrS | LockChoice::McsCrStp)
     }
 }
 
@@ -112,7 +91,7 @@ mod tests {
     #[test]
     fn cr_classification() {
         assert!(LockChoice::McsCrS.is_cr());
-        assert!(LockChoice::LifoCrStp.is_cr());
+        assert!(LockChoice::McsCrStp.is_cr());
         assert!(!LockChoice::McsS.is_cr());
         assert!(!LockChoice::Null.is_cr());
     }

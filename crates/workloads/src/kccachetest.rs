@@ -7,7 +7,7 @@
 //! past 16 threads the spin variants additionally fight for pipelines.
 //!
 //! kccachetest's internal footprints are not in the paper, so the
-//! region sizes are calibrated stand-ins (DESIGN.md §2): a hot hash
+//! region sizes are calibrated stand-ins: a hot hash
 //! directory plus a records region larger than the LLC, with a
 //! per-thread operation buffer.
 

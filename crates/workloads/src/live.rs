@@ -4,7 +4,7 @@
 //! runners exercise the *real* lock implementations on the host so
 //! integration tests and examples can observe actual admission orders
 //! and mutual exclusion. Throughput shapes on an arbitrary container
-//! host are NOT expected to match the paper (see DESIGN.md §2).
+//! host are NOT expected to match the paper.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -206,9 +206,9 @@ mod tests {
 
     #[test]
     fn cr_stays_in_the_same_conveyance_band() {
-        // Partial reproduction (see EXPERIMENTS.md, Figure 10): the
-        // FIFO 3-acquisitions-per-message cost reproduces exactly and
-        // CR's acquisition discount appears, but the full fast-flow
+        // Partial reproduction of Figure 10: the FIFO
+        // 3-acquisitions-per-message cost reproduces exactly and CR's
+        // acquisition discount appears, but the full fast-flow
         // throughput win does not emerge from the DES at this scale.
         // This test pins the reproduced band so regressions are
         // caught.

@@ -8,7 +8,7 @@
 //! scales with the number of circulating readers.
 //!
 //! leveldb's internal parameters are not in the paper, so region sizes
-//! here are calibrated stand-ins (DESIGN.md §2); the contention
+//! here are calibrated stand-ins; the contention
 //! structure — two hot locks, read-mostly — is the faithful part.
 
 use malthus_machinesim::{

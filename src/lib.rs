@@ -3,9 +3,8 @@
 //! Re-exports the whole workspace so examples and downstream users
 //! need a single dependency:
 //!
-//! * [`locks`] — the concurrency-restricting lock algorithms
-//!   (`McsCrLock`, `LoiterLock`, `LifoCrLock`, `McsCrnLock`) plus
-//!   baselines, `Mutex`/`Condvar`/`Semaphore` wrappers.
+//! * [`locks`] — the concurrency-restricting MCSCR lock (`McsCrLock`),
+//!   its MCS and TAS baselines and the `Mutex` RAII wrapper.
 //! * [`rwlock`] — the Malthusian reader-writer lock (`RwCrLock`) and
 //!   its `RwMutex` RAII wrapper.
 //! * [`park`] — the park/unpark waiting substrate.
@@ -13,15 +12,15 @@
 //! * [`cachesim`] — the installer-tagged cache/TLB emulation.
 //! * [`machinesim`] — the discrete-event T5 machine model.
 //! * [`storage`] — SimpleLRU, MiniKv, the sharded KV store and its
-//!   write-ahead log, bounded queue, buffer pools.
+//!   write-ahead log.
 //! * [`fault`] — the seed-replayable fault plans a store (or the
 //!   server's net shims) can be armed with.
 //! * [`pool`] — the Malthusian work crew (concurrency-restricting
 //!   executor) and the TCP KV service built on it.
 //! * [`workloads`] — the paper's twelve evaluation workloads.
 //!
-//! See `README.md` for a tour and `DESIGN.md`/`EXPERIMENTS.md` for the
-//! reproduction methodology and results.
+//! See `README.md` for a tour, the reproduction methodology and the
+//! results.
 //!
 //! # Examples
 //!
