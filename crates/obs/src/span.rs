@@ -2,15 +2,15 @@
 //!
 //! PR 7's histograms say *that* p99 is high; this module says *where*
 //! a slow batch spent its time. A [`SpanContext`] is created by the
-//! connection reader when a batch is drained and threaded through the
-//! crew task, `KvService::apply_batch`, `ShardedKv::execute_batch`
+//! connection reader when a batch is drained and threaded through
+//! `KvService::apply_batch`, `ShardedKv::execute_batch`
 //! and `ShardWal::append_group`; each layer folds the duration of its
 //! stage into the context. Lock admission cost is attributed
 //! separately from hold time: the CR locks report their
 //! enqueue→acquire waits (and, distinctly, time spent *culled* on a
 //! passive list) through a thread-local accumulator that the service
 //! drains once per batch — the lock APIs cannot take a span
-//! parameter, but a batch executes on exactly one crew worker, so the
+//! parameter, but a batch executes on exactly one thread, so the
 //! thread is the span while the batch runs.
 //!
 //! The clocks are designed to be left on in production (the
@@ -38,7 +38,9 @@ pub enum Stage {
     /// Draining and parsing the batch's request lines off the socket
     /// buffer (excludes the idle wait for the first byte).
     Read = 0,
-    /// Sitting in the crew's task queue: submit → execution start.
+    /// Waiting in `WorkCrew::enter` for an ACS place to be lent:
+    /// the threaded front-end's admission wait (0 when a place was
+    /// idle; the reactor's batches have none).
     Queue = 1,
     /// Blocked on lock admission (enqueue→acquire on the MCS chain,
     /// reader retry spins, writer drain waits) across every lock the

@@ -1,14 +1,13 @@
 //! `kv_server` — the Malthusian KV service over TCP.
 //!
 //! Serves the line protocol of [`malthus_pool::kv`] with request
-//! execution admitted by a concurrency-restricting [`WorkCrew`] — a
-//! cheap batch is applied on its connection thread under an ACS place
-//! the crew lends it (waiting in the crew's queue for one if none is
-//! idle, and flushed once the place is returned), a dear one is queued
-//! to a crew worker; the exit report's `crew_inline_total` counts the
-//! former, `crew_submitted_total` the latter and
-//! `crew_enter_refused_total` the cheap ones that had to wait — over a
-//! sharded store: `--shards N` gives each of N shards its own
+//! execution admitted by a concurrency-restricting [`WorkCrew`] — every
+//! batch is applied on its connection thread under an ACS place the
+//! crew lends it (waiting in the crew's queue for one if none is idle)
+//! and flushed once the place is returned; the exit report's
+//! `crew_inline_total` counts those batches, `crew_enter_refused_total`
+//! the ones that had to wait, and `crew_submitted_total` stays 0 — over
+//! a sharded store: `--shards N` gives each of N shards its own
 //! Malthusian RW-CR DB lock and MCSCR block-cache lock, so admission is
 //! per shard. Runs until a client sends `SHUTDOWN` or the
 //! process receives `SIGTERM`; either way the server stops accepting,
@@ -28,7 +27,10 @@
 //! * `--shards <n>` — shard count (default 1, the paper-faithful
 //!   single hot lock pair).
 //! * `--workers <n>` — crew size (default `4 × host CPUs`).
-//! * `--queue <n>` — task-queue bound (default 256).
+//! * `--queue <n>` — the crew's task-queue bound (default 256). It
+//!   bounds submitted tasks only, and the server submits none (readers
+//!   waiting for a place do not count against it), so it changes
+//!   nothing; it is still accepted for callers that pass it.
 //! * `--unrestricted` — no restriction at any admission point (for A/B
 //!   runs): the executor's — the crew's, or under `--async` the
 //!   reactor's — is `Admission::unrestricted(workers)`, every worker
@@ -151,7 +153,8 @@ fn usage() -> ! {
          [--queue <n>] [--unrestricted] [--data-dir <path>] [--no-wal] \
          [--read-timeout-secs <n>] [--trace-buf <n>] [--trace-sample <n>] \
          [--slowlog-threshold-us <n>] [--async] \
-         [--fault-plan <spec>]"
+         [--fault-plan <spec>]\n\
+         (--queue bounds submitted crew tasks only, and the server submits none)"
     );
     std::process::exit(2);
 }

@@ -415,11 +415,10 @@ impl WorkCrew {
     /// Submits a task, blocking while the queue is at its bound
     /// (backpressure).
     ///
-    /// Span tracing note: the crew does not stamp tasks itself — a
-    /// caller that wants submit→start latency attributed (the KV
-    /// service's `queue` stage) captures `span::now_ns()` before this
-    /// call and differences it at the top of the task closure, which
-    /// covers both the backpressure block here and the backlog wait.
+    /// The crew does not stamp tasks itself: a caller that wants
+    /// submit→start latency captures a clock before this call and
+    /// differences it at the top of the task closure, which covers both
+    /// the backpressure block here and the backlog wait.
     pub fn submit(&self, task: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
         // Allocate outside the crew's critical section.
         let task: Task = Box::new(task);

@@ -15,8 +15,8 @@
 //! is handed to the same per-connection `Session` the threaded reader
 //! drives — drain, [`KvService::apply_batch_span`], render — so
 //! clients cannot tell the front-ends apart on the wire. What is left
-//! here is the front-end itself: poll admission in place of a task
-//! queue (so spans carry no `queue` stage), the reactor's write buffer
+//! here is the front-end itself: poll admission in place of the crew's
+//! wait for a place (so spans carry no `queue` stage), the reactor's write buffer
 //! in place of a blocking write, and the `flush` stage settled when
 //! the bytes have really left. Poll admission's counters reach `STATS`
 //! the way the crew's do, as registry series (`completed=` is

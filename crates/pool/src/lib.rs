@@ -33,10 +33,9 @@
 //!   per-connection driver (bytes in → drained batch → replies out)
 //!   and keep only their accept loop, their admission choice and their
 //!   flush: a reader thread per connection whose batches the crew
-//!   admits (cheap ones applied in place on a lent slot, waited for if
-//!   none is idle and returned before the reply is written, dear ones
-//!   queued), or
-//!   a readiness reactor whose `epoll_wait` is itself
+//!   admits (each applied in place on a lent slot, waited for if none
+//!   is idle and returned before the reply is written), or a readiness
+//!   reactor whose `epoll_wait` is itself
 //!   Malthusian-admitted. Either starts the one way,
 //!   [`Server::start`] with a [`Front`] — `Front::Threaded(crew)` or
 //!   `Front::Reactor(config)` — and stops through the [`Server`] it

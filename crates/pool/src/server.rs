@@ -4,24 +4,20 @@
 //! — and the threaded front-end itself.
 //!
 //! Connection readers are plain threads (cheap, blocked on I/O); all request
-//! *execution* is admitted by the crew, which is where
-//! concurrency is restricted — but admission does not always mean a
-//! hand-off. A batch whose connection's previous batch was cheap
-//! (under [`INLINE_MAX_DRAIN_NS`]) runs **in place** on the reader
-//! thread under an ACS place lent by [`WorkCrew::enter`]: an idle
-//! member's at once, or, when every place is running or lent, the
-//! next one returned, handed straight to the reader waiting at the
-//! front of the crew's queue. The lent worker stays parked, the only
-//! wake-up is the waiting reader's own, and the number of threads
-//! executing never exceeds the ACS limit. A dear batch is submitted to
-//! the crew's FIFO queue and the reader waits for its flush: a crew
-//! worker that runs queued batches back to back keeps a durable store's
-//! fsync hold busy, where readers that take the place in turn drain
-//! smaller batches between its fsyncs. Either way a reader has one
-//! batch in flight at a time, so batches from one connection never
-//! interleave; the next burst accumulates in the socket while the
-//! current batch executes, which is exactly what makes the next drain
-//! bigger under load (group-commit dynamics).
+//! *execution* is admitted by the crew, which is where concurrency is
+//! restricted. Admission restricts *how many* threads execute, not
+//! *which* ones (§4: keep the active circulating set minimal, park the
+//! rest), so every batch runs **in place** on its own reader thread
+//! under an ACS place lent by [`WorkCrew::enter`]: an idle member's at
+//! once, or, when every place is running or lent, the next one
+//! returned, handed straight to the reader waiting at the front of the
+//! crew's queue. The lent worker stays parked, the only wake-up is the
+//! waiting reader's own, and the number of threads executing never
+//! exceeds the ACS limit. A reader has one batch in flight at a time,
+//! so batches from one connection never interleave; the next burst
+//! accumulates in the socket while the current batch executes, which is
+//! exactly what makes the next drain bigger under load (group-commit
+//! dynamics).
 //!
 //! A lent place covers the **apply** and nothing else. A batch is two
 //! halves — *apply* (the shard locks, the store, the WAL: everything
@@ -31,28 +27,22 @@
 //! returns the place between the two and flushes holding nothing. For a
 //! cheap batch the flush is about two thirds of the whole (≈8.8 µs of
 //! loopback `write` against ≈4.5 µs of apply for 16 ops), and a client
-//! that stops reading blocks only its own reader, not an ACS place. A
-//! *queued* batch is applied and flushed on the crew worker, on
-//! purpose: returning the replies to the reader first would put a
-//! park/unpark hand-off (≈19 µs) in front of every reply of exactly
-//! the batches that were dear enough to queue (`deep_read` 1.11M →
-//! 1.01M ops/s, p99 500 → 592 µs when tried).
+//! that stops reading blocks only its own reader, not an ACS place.
 //!
 //! What a drained batch *means* — framing, accounting, spans,
 //! execution, rendering — is the per-connection `Session` both
 //! front-ends share; this module keeps only the accept loop, the
-//! read block, the lend-or-queue choice and the blocking flush.
+//! read block, the wait for a place and the blocking flush.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use malthus_net::{Reactor, ReactorConfig};
 use malthus_obs::span::{self, Stage};
-use malthus_obs::SpanContext;
 
 use malthus_storage::{CrPair, LockPair};
 
@@ -61,21 +51,6 @@ use crate::kv::KvService;
 use crate::kv_async::KvHandler;
 use crate::protocol::{DrainEnd, MAX_LINE_BYTES};
 use crate::session::{settle, Session, READ_BLOCK};
-
-/// The cost rule of the threaded front-end: a connection's batch runs
-/// in place on its own thread (under a slot lent by
-/// [`WorkCrew::enter`]) only while that connection's previous batch
-/// applied in under this many nanoseconds; a dearer one is queued to
-/// the crew.
-///
-/// 50 µs, because handing a batch to a crew worker costs a 30–40 µs
-/// round trip (two park/unpark pairs; `pool.crew_roundtrip_us` in the
-/// benchmark's ledger) and only pays once the work outweighs it —
-/// where batches are long (≈150 µs on a store far beyond its block
-/// cache) the crew's FIFO queue and always-running workers keep the
-/// tail short, and four connection threads convoying on the shard
-/// locks do not.
-pub const INLINE_MAX_DRAIN_NS: u64 = 50_000;
 
 /// Default TCP address for the server and load-generator binaries.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
@@ -198,16 +173,13 @@ impl ServerControl {
 
 /// Runs the accept loop until [`ServerControl::stop`] is called or a
 /// client sends `SHUTDOWN`; on stop, still-open connections are
-/// disconnected (in-flight requests already on the crew complete, but
-/// their responses may not be deliverable).
+/// disconnected (a batch already read is applied and answered first).
 ///
 /// Each connection gets a reader thread that drains complete request
-/// lines per wakeup into one batch. A cheap batch is applied on the
-/// reader thread itself under an ACS place lent by `crew`
-/// ([`WorkCrew::enter`], see [`INLINE_MAX_DRAIN_NS`]) and flushed
-/// once the place is returned; a dear one is submitted to `crew` as
-/// one task. Whichever thread applies the batch renders and flushes its
-/// responses (one write per batch). Clients
+/// lines per wakeup into one batch, applies it on the reader thread
+/// itself under an ACS place lent by `crew` ([`WorkCrew::enter`],
+/// waited for if none is idle) and flushes its responses (one write
+/// per batch) once the place is returned. Clients
 /// may run closed-loop (one outstanding request) or pipelined (a
 /// tagged window, as `kv_load --pipeline-depth` does). Transient
 /// `accept` failures (`EMFILE`, `ECONNABORTED`, …) are survived, not
@@ -284,8 +256,8 @@ fn serve<P: LockPair>(
 
 fn handle_connection<P: LockPair>(
     stream: TcpStream,
-    crew: &Arc<WorkCrew>,
-    service: &Arc<KvService<P>>,
+    crew: &WorkCrew,
+    service: &KvService<P>,
     control: &ServerControl,
     read_timeout: Option<Duration>,
 ) {
@@ -295,13 +267,6 @@ fn handle_connection<P: LockPair>(
     if read_timeout.is_some() {
         let _ = stream.set_read_timeout(read_timeout);
     }
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
-    let runner = Arc::new(BatchRunner {
-        service: Arc::clone(service),
-        writer,
-    });
     // Requests are read a block at a time, not a line at a time: one
     // `read` takes whatever the socket holds (up to the free part of
     // the block) and the session's drain takes every complete line out
@@ -313,10 +278,6 @@ fn handle_connection<P: LockPair>(
     // the start of another long line).
     let mut block = vec![0u8; READ_BLOCK];
     let mut filled = 0;
-    // Stays here for a batch that runs in place and round-trips
-    // through the completion channel for a queued one, so the steady
-    // state allocates at most per *queued batch* (one boxed task + one
-    // channel), never per request.
     let mut session = Session::open();
     // This connection's record in the crew's queue while it waits for
     // a place: made once, so waiting allocates nothing.
@@ -353,48 +314,29 @@ fn handle_connection<P: LockPair>(
         if let Some(mut span) = span {
             // The batch is the admission unit, and the reader keeps a
             // single one in flight, so responses from one connection
-            // never interleave. A cheap batch — its connection's last
-            // one applied in under `INLINE_MAX_DRAIN_NS` — is applied
-            // right here under a lent ACS slot (waited for, if none is
-            // idle), held for the apply only; otherwise it is handed to
-            // the crew. Only a crew shutting down lends nothing, and
-            // then the submit below answers `ERR shutting down`.
+            // never interleave. The span's `queue` stage is the wait
+            // for a place (0 = spans off).
             let queue_t0 = if span.is_active() { span::now_ns() } else { 0 };
-            let slot = if session.last_drain_ns < INLINE_MAX_DRAIN_NS {
-                crew.enter(&mut waiter)
-            } else {
-                None
+            // Only a crew shutting down lends nothing: the batch is
+            // refused and the connection closed.
+            let Some(slot) = crew.enter(&mut waiter) else {
+                let _ = (&stream).write_all(b"ERR shutting down\n");
+                break;
             };
-            if let Some(slot) = slot {
-                runner.apply(&mut session, &mut span, queue_t0);
-                drop(slot);
-                runner.flush(&mut session, &mut span);
-            } else {
-                // One crew task per batch. The channel returns the
-                // session for reuse and doubles as the completion
-                // signal; the wait overlaps the client's own
-                // turnaround, and the next burst accumulates in the
-                // socket meanwhile.
-                let (tx, rx) = mpsc::channel();
-                let task_runner = Arc::clone(&runner);
-                let submitted = crew.submit(move || {
-                    task_runner.apply(&mut session, &mut span, queue_t0);
-                    task_runner.flush(&mut session, &mut span);
-                    let _ = tx.send(session);
-                });
-                if submitted.is_err() {
-                    let _ = (&runner.writer).write_all(b"ERR shutting down\n");
-                }
-                // Nothing comes back from a task that was refused or
-                // died without reporting (panicked mid-request): the
-                // response stream is broken and the session went with
-                // the task.
-                let Ok(back) = rx.recv() else {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return;
-                };
-                session = back;
+            if queue_t0 != 0 {
+                span.add(Stage::Queue, span::now_ns().saturating_sub(queue_t0));
             }
+            session.apply(service, &mut span);
+            // The place covers the shared half only: the flush below
+            // may block for as long as the client does not read.
+            drop(slot);
+            let flush_t0 = if span.is_active() { span::now_ns() } else { 0 };
+            let _ = (&stream).write_all(session.replies());
+            session.settle();
+            if flush_t0 != 0 {
+                span.add(Stage::Flush, span::now_ns().saturating_sub(flush_t0));
+            }
+            service.finish_span(&mut span);
         }
         match session.end {
             DrainEnd::Open => {}
@@ -407,56 +349,10 @@ fn handle_connection<P: LockPair>(
         }
     }
     // The accept loop holds its own clone of this socket (its
-    // shutdown handle), so merely dropping our halves would leave the
+    // shutdown handle), so merely dropping ours would leave the
     // connection open and the peer blocked in read. `shutdown` acts
     // on the socket itself: the peer sees EOF immediately.
     let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-/// What running a batch needs besides the session itself; one per
-/// connection, shared by its reader thread and the crew tasks it
-/// submits.
-///
-/// A batch runs as [`apply`](BatchRunner::apply) then
-/// [`flush`](BatchRunner::flush), each written once. Only `apply`
-/// touches anything shared, so only `apply` needs an ACS place: in
-/// place, the reader drops its lent [`Slot`](crate::crew::Slot)
-/// between the two; queued, the crew worker runs both back to back —
-/// it is the thread that has the replies, and waking the reader to
-/// write them would cost more than the write.
-struct BatchRunner<P: LockPair> {
-    service: Arc<KvService<P>>,
-    writer: TcpStream,
-}
-
-impl<P: LockPair> BatchRunner<P> {
-    /// The half that needs an ACS place: closes the span's `queue`
-    /// stage — `queue_t0` (0 = spans off) → here: the time spent in
-    /// `enter` for a batch run in place, submit → start on a crew
-    /// worker (backlog + admission) for a queued one — and applies the
-    /// batch, leaving its rendered replies in the session.
-    fn apply(&self, session: &mut Session, span: &mut SpanContext, queue_t0: u64) {
-        if queue_t0 != 0 {
-            span.add(Stage::Queue, span::now_ns().saturating_sub(queue_t0));
-        }
-        session.apply(&self.service, span);
-    }
-
-    /// The half that needs nothing shared: every response of the
-    /// applied batch in one write (so they leave in one TCP segment
-    /// where they fit), the session's buffers settled, then the span is
-    /// finished. May block for as long as the client does not read;
-    /// whoever calls it under an ACS place lends that place to the
-    /// client's socket buffer.
-    fn flush(&self, session: &mut Session, span: &mut SpanContext) {
-        let flush_t0 = if span.is_active() { span::now_ns() } else { 0 };
-        let _ = (&self.writer).write_all(session.replies());
-        session.settle();
-        if flush_t0 != 0 {
-            span.add(Stage::Flush, span::now_ns().saturating_sub(flush_t0));
-        }
-        self.service.finish_span(span);
-    }
 }
 
 #[cfg(test)]
@@ -579,9 +475,10 @@ mod tests {
         drop(c2);
         // Exact: the server shut the crew down. PING + PUT + 2 GETs +
         // STATS + 400 closed-loop ops, each its own single-request
-        // batch (SHUTDOWN never reaches the crew; the ERR lines ride
-        // batch tasks too).
+        // batch run under a lent place (SHUTDOWN never reaches the
+        // crew; the ERR lines are batches too).
         let stats = crew.stats();
-        assert!(stats.completed >= 405, "completed = {}", stats.completed);
+        assert!(stats.inline >= 405, "{stats:?}");
+        assert_eq!(stats.submitted, 0, "a batch was queued: {stats:?}");
     }
 }

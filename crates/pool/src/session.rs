@@ -3,9 +3,9 @@
 //!
 //! Both front-ends own one [`Session`] per connection and differ only
 //! in what surrounds it — how bytes arrive (a blocking `read` into the
-//! reader's block, or the reactor's readiness read), which thread
-//! applies the batch (a lent crew slot or a queued crew task, or the
-//! reactor worker that won poll admission) and how the replies leave
+//! reader's block, or the reactor's readiness read), what admits the
+//! batch (a crew slot lent to the reader, or the reactor worker's win
+//! of poll admission) and how the replies leave
 //! (one blocking `write`, or the reactor's write buffer). Everything
 //! that decides *what a drained batch means* — line framing, batch
 //! accounting, span identity and the `read` stage, execution, reply
@@ -57,10 +57,6 @@ pub(crate) struct Session {
     /// How the last [`Session::drain`] ended: whether the connection
     /// carries on, closes, or takes the server down with it.
     pub(crate) end: DrainEnd,
-    /// Wall nanoseconds the connection's last batch took to apply —
-    /// what `kv_batch_drain_ns` records, and the observable the
-    /// threaded front-end's in-place/queued choice is made from.
-    pub(crate) last_drain_ns: u64,
 }
 
 impl Session {
@@ -71,7 +67,6 @@ impl Session {
             batch: Vec::new(),
             out: String::new(),
             end: DrainEnd::Open,
-            last_drain_ns: 0,
         }
     }
 
@@ -114,7 +109,8 @@ impl Session {
 
     /// Applies the drained batch and returns the bytes to flush: the
     /// batch's reply lines in request order, then the `OK` of a
-    /// `SHUTDOWN` that ended the drain — one buffer, so one flush.
+    /// `SHUTDOWN` that ended the drain — one buffer, so one flush. The
+    /// apply's wall time is recorded in `kv_batch_drain_ns`.
     pub(crate) fn apply<P: LockPair>(
         &mut self,
         service: &KvService<P>,
@@ -124,8 +120,8 @@ impl Session {
         if !self.batch.is_empty() {
             let start = Instant::now();
             service.apply_batch_span(&self.batch, &mut self.out, span);
-            self.last_drain_ns = start.elapsed().as_nanos() as u64;
-            service.pipeline_stats().note_drain_ns(self.last_drain_ns);
+            let drain_ns = start.elapsed().as_nanos() as u64;
+            service.pipeline_stats().note_drain_ns(drain_ns);
             self.batch.clear();
         }
         if let DrainEnd::Shutdown(tag) = self.end {

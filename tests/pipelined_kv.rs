@@ -8,15 +8,15 @@
 //! under the watchdog pattern, and a durable store group-commits
 //! what arrives over the wire.
 //!
-//! A batch reaches the store one of two ways — in place on its
-//! connection thread under a lent crew slot (at once, or after waiting
-//! in the crew's queue for one), or queued to a crew worker — and which
-//! one is chosen from observed state, so the last four tests replay the
+//! Every batch reaches the store the same way — in place on its
+//! connection thread under a lent crew slot, at once or after waiting
+//! in the crew's queue for one — so the last tests replay the
 //! tag-order, interleave and `SHUTDOWN`-drain invariants in set-ups
-//! that pin a slot lent at once, a slot waited for, and one connection
-//! that flips between in place and queued. A lent slot covers a
-//! batch's apply and not its reply `write`, and the last test holds the
-//! server to that with a client that stops reading.
+//! that pin a slot lent at once, dear batches over a stalled durable
+//! store, and a slot waited for, and answer a batch the crew refuses at
+//! shutdown. A lent slot covers a batch's apply and not its reply
+//! `write`, and the last test holds the server to that with a client
+//! that stops reading.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use malthus_fault::{FaultPlan, Site};
 use malthus_pool::protocol::MAX_BATCH_KEYS;
-use malthus_pool::{server, Admission, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
+use malthus_pool::{Admission, Front, KvClient, KvService, PoolConfig, Server, WorkCrew};
 use malthus_storage::{LockPair, McsPair, ShardedKv, WalOptions};
 
 mod common;
@@ -218,19 +218,17 @@ fn metric(doc: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {name} in:\n{doc}"))
 }
 
-/// Cheap batches run in place — with an idle worker to lend its
-/// place, or by waiting for one — so every cheap batch of a connection
-/// does: the invariants hold, `crew_inline_total` moves, and every
-/// span's stages still partition its total.
+/// Every batch runs in place — with an idle worker to lend its place,
+/// or by waiting for one — however cheap or dear: the invariants hold,
+/// `crew_inline_total` counts every batch, nothing is submitted to a
+/// crew worker, and every span's stages still partition its total.
 #[test]
-fn cheap_batches_run_in_place_and_keep_the_wire_invariants() {
+fn every_batch_runs_in_place_and_keeps_the_wire_invariants() {
     const PINGS: u64 = 16;
+    const ROUNDS: u64 = 12;
     let (addr, service, crew, close) = start_server_with_crew(2);
     service.set_slowlog_threshold_us(1); // capture every batch's span
     check_order_and_interleave(addr, 0);
-    // A fresh connection has no dear predecessor and a PING never
-    // touches the store, so each of its batches is cheap: none may be
-    // handed to a crew worker, however busy the host.
     let mut c = KvClient::connect(addr).unwrap();
     let before = crew.stats();
     for _ in 0..PINGS {
@@ -239,7 +237,7 @@ fn cheap_batches_run_in_place_and_keep_the_wire_invariants() {
     let after = crew.stats();
     assert_eq!(
         (after.submitted, after.inline - before.inline),
-        (before.submitted, PINGS),
+        (0, PINGS),
         "a PING batch was queued: {before:?} -> {after:?}"
     );
     let metrics = c.fetch_document("METRICS").unwrap();
@@ -282,6 +280,44 @@ fn cheap_batches_run_in_place_and_keep_the_wire_invariants() {
     drop(c);
     check_shutdown_drains_the_window(addr);
     close();
+
+    // Dear batches take the same path. On one connection to a durable
+    // store whose every WAL append stalls a millisecond (`shard.stall`,
+    // under the shard's exclusive hold), PUT batches that each cost
+    // over 1 ms alternate with GETs and PINGs, one batch a round trip.
+    let dir = std::env::temp_dir().join(format!("malthus-in-place-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let faults = FaultPlan::parse("shard.stall=1:1").unwrap().arm();
+    let opts = WalOptions {
+        faults: Some(Arc::clone(&faults)),
+        ..WalOptions::default()
+    };
+    let (store, _) = ShardedKv::open_with(&dir, 4, 64, 256, opts).unwrap();
+    let (addr, service, crew, close) = start_server_with(
+        KvService::from_store(store),
+        PoolConfig::malthusian(4, 64).with_acs_target(1),
+    );
+    let mut c = KvClient::connect(addr).unwrap();
+    for round in 0..ROUNDS {
+        let key = 1_000 + round;
+        let put = c.roundtrip(&format!("#{round} PUT {key} {round}")).unwrap();
+        assert_eq!(put, format!("#{round} OK"));
+        let get = c.roundtrip(&format!("GET {key}")).unwrap();
+        assert_eq!(get, format!("VAL {round}"));
+        assert_eq!(c.roundtrip("#4 PING").unwrap(), "#4 PONG");
+    }
+    assert_eq!(faults.injected(Site::ShardStall), ROUNDS, "one stall a PUT");
+    let stats = crew.stats();
+    assert_eq!(service.pipeline_stats().batches(), 3 * ROUNDS);
+    assert_eq!(
+        (stats.submitted, stats.inline),
+        (0, 3 * ROUNDS),
+        "a batch did not run in place: {stats:?}"
+    );
+    drop(c);
+    check_shutdown_drains_the_window(addr);
+    close();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// ACS of 1 under four concurrent connections, with the one place
@@ -317,94 +353,22 @@ fn queued_batches_keep_the_wire_invariants() {
     assert!(done, "queued set-up timed out");
 }
 
-/// One connection alternating dear batches with cheap ones: each dear
-/// batch sends the next one to the queue, each cheap one lets the next
-/// run in place, and replies stay in order and correct across every
-/// flip. The dear batch is a `PUT` to a durable store whose every WAL
-/// append stalls a millisecond (`shard.stall`, under the shard's
-/// exclusive hold), so it costs over [`server::INLINE_MAX_DRAIN_NS`]
-/// on any host; what each batch cost is still read back from the
-/// service's own record (`kv_batch_drain_ns`, the number the rule
-/// itself compares against the constant).
+/// A batch that meets a crew already shut down is refused, not lost:
+/// its connection reads `ERR shutting down`, then EOF, and the server
+/// still stops.
 #[test]
-fn the_cost_rule_flips_both_ways_on_one_connection() {
-    /// What the service recorded for one batch, as far as its
-    /// histogram bucket tells.
-    #[derive(Debug, PartialEq)]
-    enum Cost {
-        Dear,
-        Cheap,
-        /// The bucket straddles the constant.
-        Unknown,
-    }
-    const ROUNDS: u64 = 12;
-    let dir = std::env::temp_dir().join(format!("malthus-cost-rule-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let faults = FaultPlan::parse("shard.stall=1:1").unwrap().arm();
-    let opts = WalOptions {
-        faults: Some(Arc::clone(&faults)),
-        ..WalOptions::default()
-    };
-    let (store, _) = ShardedKv::open_with(&dir, 4, 64, 256, opts).unwrap();
-    let (addr, service, crew, close) = start_server_with(
-        KvService::from_store(store),
-        PoolConfig::malthusian(4, 64).with_acs_target(1),
-    );
-    let mut c = KvClient::connect(addr).unwrap();
-    // One request per round trip, so one batch and one new sample.
-    let mut seen = service.pipeline_stats().drain_snapshot();
-    let mut roundtrip = |line: &str| {
-        let queued_before = crew.stats().submitted;
-        let reply = c.roundtrip(line).unwrap().to_owned();
-        let queued = crew.stats().submitted - queued_before;
-        let now = service.pipeline_stats().drain_snapshot();
-        let sample = now.delta(&seen);
-        assert_eq!(sample.count(), 1, "one batch per round trip");
-        let floor = sample.quantile(1.0).as_nanos() as u64;
-        let (ceiling, _) = sample.nonzero_buckets().next().unwrap();
-        seen = now;
-        let cost = if floor >= server::INLINE_MAX_DRAIN_NS {
-            Cost::Dear
-        } else if ceiling <= server::INLINE_MAX_DRAIN_NS {
-            Cost::Cheap
-        } else {
-            Cost::Unknown
-        };
-        (reply, cost, queued)
-    };
-    let mut ran_in_place = 0u64;
-    for round in 0..ROUNDS {
-        // Dear batch, then three cheap ones, one batch at a time.
-        let key = 1_000 + round;
-        let (reply, dear, _) = roundtrip(&format!("#{round} PUT {key} {round}"));
-        assert_eq!(reply, format!("#{round} OK"));
-        assert_eq!(dear, Cost::Dear, "round {round}: the stalled PUT was cheap");
-        let (reply, _, queued) = roundtrip(&format!("GET {key}"));
-        assert_eq!(reply, format!("VAL {round}"));
-        // A dear predecessor: handed to a crew worker, always.
-        assert_eq!(queued, 1, "round {round}: ran in place after a dear batch");
-        // The cheap predecessor is a PING, not the GET: a GET run on a
-        // crew worker of a loaded host can cost a bucket that
-        // straddles the constant, while a PING never touches the store.
-        let (reply, cheap, _) = roundtrip("#4 PING");
-        assert_eq!(reply, "#4 PONG");
-        let (reply, _, queued) = roundtrip("#5 PING");
-        assert_eq!(reply, "#5 PONG");
-        // A cheap predecessor: in place, waiting for the place if the
-        // worker that ran the GET has not given it back yet.
-        if cheap == Cost::Cheap {
-            assert_eq!(queued, 0, "round {round}: queued after a cheap batch");
-            ran_in_place += 1;
-        }
-    }
-    let stats = crew.stats();
-    assert_eq!(faults.injected(Site::ShardStall), ROUNDS, "one stall a PUT");
-    assert!(stats.submitted >= ROUNDS, "{stats:?}");
-    assert!(ran_in_place > 0 && stats.inline > 0, "{stats:?}");
-    drop(c);
-    check_shutdown_drains_the_window(addr);
-    close();
-    let _ = std::fs::remove_dir_all(&dir);
+fn a_batch_at_crew_shutdown_is_answered_err_and_closed() {
+    let done = run_with_watchdog(Duration::from_secs(60), || {
+        let (addr, _service, crew, close) = start_server_with_crew(1);
+        let mut c = KvClient::connect(addr).unwrap();
+        crew.shutdown();
+        // A one-request batch, which asks the crew for a place.
+        assert_eq!(c.roundtrip("PING").unwrap(), "ERR shutting down");
+        let eof = c.recv_line().map(str::to_owned).unwrap_err();
+        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+        close();
+    });
+    assert!(done, "the server did not stop after a refused batch");
 }
 
 /// A client that stops reading costs the crew nothing: connection A
@@ -435,12 +399,12 @@ fn a_client_that_stops_reading_does_not_hold_an_acs_place() {
             .collect();
         service.store().mset(&pairs).unwrap();
         // The crew has settled — one worker culled, the other idle with
-        // the place to lend — before A asks for it; a batch that met
-        // the workers still starting up would be queued, and block a
-        // worker rather than the reader.
+        // the place to lend — before A asks for it, so A's batch takes
+        // the crew's only place.
         while crew.stats().members.passive == 0 || crew.try_enter().is_none() {
             std::thread::sleep(Duration::from_millis(1));
         }
+        let settled = crew.stats().inline;
         let mut a = TcpStream::connect(addr).unwrap();
         a.write_all("SCAN 0 1024\n".repeat(SCANS).as_bytes())
             .unwrap();
@@ -451,8 +415,6 @@ fn a_client_that_stops_reading_does_not_hold_an_acs_place() {
         while service.pipeline_stats().drain_snapshot().count() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let before = crew.stats();
-        assert_eq!(before.submitted, 0, "A's batch was queued: {before:?}");
         let deadline = Instant::now() + Duration::from_secs(10);
         while crew.try_enter().is_none() {
             assert!(
@@ -462,6 +424,10 @@ fn a_client_that_stops_reading_does_not_hold_an_acs_place() {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+        // Two places were returned since the crew settled: A's, and
+        // the one the probe above was lent next.
+        let stats = crew.stats();
+        assert_eq!(stats.inline - settled, 2, "A ran elsewhere: {stats:?}");
         let b = TcpStream::connect(addr).unwrap();
         let mut b_writer = b.try_clone().unwrap();
         let mut b_reader = BufReader::new(b);
