@@ -16,7 +16,6 @@ fn main() {
         sim.add_lock(LockSpec {
             kind: LockKind::Cr {
                 fairness: FairnessTrigger::new(period, 7),
-                cull_slack: 0,
             },
             wait: WaitMode::SpinThenPark,
         });

@@ -18,13 +18,16 @@
 //! | [`McsCrLock`] | CR via queue editing | the main contribution (§4) |
 //! | [`McsLock`] | strict FIFO baseline | §4, Figure 2 |
 //! | [`TasLock`] | unfair competitive baseline; RW-CR's gate | Figure 2 |
+//! | [`RwCrLock`] | CR on both sides of a reader-writer lock | §7's "any contended resource" |
 //!
 //! [`McsLock`] and [`McsCrLock`] are one MCS queue under two admission
 //! policies: they share its arrival, hand-off, reprovisioning, culling
-//! and grafting code, and each lock's unlock only chooses among those
-//! edits (MCS makes none).
+//! and grafting code, and each lock's unlock only performs the edit
+//! that [`policy::release`] picks (MCS makes none). [`RwCrLock`]'s
+//! writers queue on an [`McsCrLock`], and its culled readers park on
+//! the same passive list and are granted by the same decision.
 //!
-//! Every algorithm implements [`RawLock`] and plugs into the
+//! Every mutex implements [`RawLock`] and plugs into the
 //! [`Mutex`]/[`MutexGuard`] RAII wrapper. [`Instrumented`] wraps any of
 //! them to record the admission history the paper's fairness metrics
 //! read. The mostly-LIFO admission discipline of §6.10–6.11 for
@@ -69,6 +72,7 @@ pub mod pad;
 pub mod policy;
 mod queue;
 mod raw;
+mod rwcr;
 mod tas;
 
 pub use aliases::{McsCrMutex, McsMutex, TasMutex};
@@ -77,7 +81,8 @@ pub use mcs::McsLock;
 pub use mcscr::{CrStats, McsCrLock};
 pub use mutex::{Mutex, MutexGuard};
 pub use pad::{CachePadded, LockCounter};
-pub use raw::RawLock;
+pub use raw::{RawLock, RawRwLock};
+pub use rwcr::{RwCrLock, RwStats, WriterQueue};
 pub use tas::TasLock;
 
 // Re-export the waiting-policy vocabulary so downstream users need

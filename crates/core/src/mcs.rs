@@ -79,11 +79,12 @@ unsafe impl RawLock for McsLock {
     }
 
     unsafe fn unlock(&self) {
-        // SAFETY: caller holds the lock. MCS never culls, so nothing
-        // is ever reprovisioned: the successor is granted as is.
+        // SAFETY: caller holds the lock. MCS never culls, so its
+        // passive list stays empty and nothing is ever reprovisioned:
+        // the successor is granted as is.
         unsafe {
             let me = self.q.owner();
-            if let Some(succ) = self.q.successor(me, |_| {}) {
+            if let Some(succ) = self.q.successor(me) {
                 self.q.grant(me, succ);
             }
         }

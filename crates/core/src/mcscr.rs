@@ -18,7 +18,10 @@
 //!   is grafted into the chain immediately after the owner and granted
 //!   the lock.
 //!
-//! The lock-acquire path is exactly classic MCS; all CR manipulations
+//! Which of these an unlock performs is
+//! [`policy::release`](crate::policy::release)'s decision, the one that
+//! RW-CR's reader grant and the simulator's lock also make. The
+//! lock-acquire path is exactly classic MCS; all CR manipulations
 //! happen while holding the lock, so the passive list is protected by
 //! the lock itself. Absent contention MCSCR behaves precisely like MCS.
 
@@ -28,7 +31,7 @@ use malthus_obs::{record, EventKind};
 use malthus_park::{WaitPolicy, XorShift64};
 
 use crate::pad::LockCounter;
-use crate::policy::{FairnessTrigger, DEFAULT_FAIRNESS_PERIOD};
+use crate::policy::{self, FairnessTrigger, Release, DEFAULT_FAIRNESS_PERIOD};
 use crate::queue::McsQueue;
 use crate::raw::RawLock;
 
@@ -114,10 +117,7 @@ impl McsCrLock {
     ///
     /// Exact only when sampled by the lock holder; racy otherwise.
     pub fn passive_len(&self) -> usize {
-        // SAFETY: reading a usize is fine for a diagnostic; the value
-        // may be stale but never tears on supported platforms. We
-        // still go through the UnsafeCell pointer read.
-        unsafe { (*self.q.passive()).len() }
+        self.q.passive_len()
     }
 
     /// Snapshot of CR activity counters.
@@ -166,35 +166,38 @@ unsafe impl RawLock for McsCrLock {
         unsafe {
             let me = self.q.owner();
             let cr = self.q.state();
-            let passive = &mut *self.q.passive();
-
-            // Long-term fairness: occasionally cede to the eldest
-            // passivated thread (the passive tail).
-            if !passive.is_empty() && (*cr.fairness.get()).fire() {
-                let eldest = passive.pop_tail();
-                cr.fairness_grants.bump();
-                record(EventKind::LockFairnessGrant, self.id(), 0);
-                self.q.graft(me, eldest);
-                return;
+            let passive = self.q.passive();
+            let release = policy::release(
+                passive.len(),
+                &mut *cr.fairness.get(),
+                || self.q.successor(me),
+                |&succ| self.q.queued_beyond(succ),
+            );
+            match release {
+                Release::GraftEldest => {
+                    cr.fairness_grants.bump();
+                    record(EventKind::LockFairnessGrant, self.id(), 0);
+                    self.q.graft(me, passive.pop_tail());
+                }
+                Release::Reprovision => {
+                    // `successor` made the passive head the tail.
+                    cr.reprovisions.bump();
+                    record(EventKind::LockReprovision, self.id(), 0);
+                    self.q.grant(me, passive.pop_head());
+                }
+                Release::Cull(succ) => {
+                    // Excise one surplus node per unlock.
+                    cr.culls.bump();
+                    record(EventKind::LockCull, self.id(), 0);
+                    record(EventKind::LockHandoff, self.id(), 0);
+                    self.q.grant(me, self.q.cull(succ));
+                }
+                Release::Handoff(Some(succ)) => {
+                    record(EventKind::LockHandoff, self.id(), 0);
+                    self.q.grant(me, succ);
+                }
+                Release::Handoff(None) => {}
             }
-
-            let Some(mut succ) = self.q.successor(me, |_| {
-                cr.reprovisions.bump();
-                record(EventKind::LockReprovision, self.id(), 0);
-            }) else {
-                return;
-            };
-
-            // Culling: if `succ` is not the tail there is at least one
-            // node beyond it, i.e. surplus. Excise one node per unlock.
-            if let Some(next) = self.q.cull(succ) {
-                succ = next;
-                cr.culls.bump();
-                record(EventKind::LockCull, self.id(), 0);
-            }
-
-            record(EventKind::LockHandoff, self.id(), 0);
-            self.q.grant(me, succ);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Queue nodes shared by the MCS-family locks, with a per-thread arena.
 //!
-//! MCS and MCSCR both enqueue one node per acquisition. Because
+//! MCS and MCSCR both enqueue one node per acquisition, and RW-CR
+//! parks each culled reader on one. Because
 //! [`RawLock`](crate::RawLock) carries no guard token, nodes live on
 //! the heap rather than the waiter's stack; a thread-local arena
 //! amortizes the allocation to nearly nothing on the hot path. A node's
@@ -18,16 +19,18 @@
 
 use std::cell::{Cell, RefCell};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 use malthus_park::WaitCell;
 
 /// A queue node for the MCS family.
 ///
 /// `next` is the MCS chain link (written by the successor's arrival).
-/// `pprev`/`pnext` link the node into MCSCR's lock-private
-/// doubly-linked passive list and are only ever touched by the current
-/// lock holder. `culled_at` is a span-tracing stamp: the lock holder
+/// `pprev`/`pnext` link the node into a [`PassiveList`](crate::queue::PassiveList) (MCSCR's,
+/// or RW-CR's reader list) and are only ever touched under the lock
+/// that guards it. `slot_granted` is set by an RW-CR grant that took
+/// the culled reader's read slot for it, before the signal. `culled_at`
+/// is a span-tracing stamp: the lock holder
 /// stores the monotonic time it moved this node to the passive list
 /// (0 = never culled), and the waiter reads it back on wake to split
 /// its total wait into admission time vs passive-list residency.
@@ -44,6 +47,7 @@ pub(crate) struct QNode {
     pub(crate) next: AtomicPtr<QNode>,
     pub(crate) pprev: Cell<*mut QNode>,
     pub(crate) pnext: Cell<*mut QNode>,
+    pub(crate) slot_granted: AtomicBool,
     pub(crate) culled_at: AtomicU64,
 }
 
@@ -54,6 +58,7 @@ impl QNode {
             next: AtomicPtr::new(ptr::null_mut()),
             pprev: Cell::new(ptr::null_mut()),
             pnext: Cell::new(ptr::null_mut()),
+            slot_granted: AtomicBool::new(false),
             culled_at: AtomicU64::new(0),
         }
     }
@@ -137,6 +142,7 @@ pub(crate) unsafe fn free_node(node: *mut QNode) {
         (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
         (*node).pprev.set(ptr::null_mut());
         (*node).pnext.set(ptr::null_mut());
+        (*node).slot_granted.store(false, Ordering::Relaxed);
         (*node).culled_at.store(0, Ordering::Relaxed);
     }
     let overflow = NODE_ARENA

@@ -5,11 +5,12 @@
 //! crew, `malthus-net`'s reactor) must make the *same* admission
 //! decisions for the reproduction to be faithful, so the decisions are
 //! factored out here: when to cull, when to reprovision, and when to
-//! pay the long-term-fairness tax — at lock level
-//! ([`should_cull`]/[`should_reprovision`]), for the read-write lock's
-//! shared side ([`rw_reader_batch`], consumed by `malthus-rwlock`),
-//! and one layer up, where the contended resource is the CPU set (§7's
-//! "applies to any contended resource"). There the executor admission
+//! pay the long-term-fairness tax. At lock level that is one function,
+//! [`release`], which `McsCrLock`'s unlock, RW-CR's reader grant and
+//! the simulator's `SimLock::release` all call; the read-write lock's
+//! shared side also bounds its grants with [`rw_reader_batch`]. One
+//! layer up, where the contended resource is the CPU set (§7's
+//! "applies to any contended resource"), the executor admission
 //! point is written once for both executors: one configuration
 //! ([`Admission`], sized by [`acs_target`]), one machine
 //! ([`Membership`] — which threads circulate, which are parked LIFO,
@@ -78,26 +79,52 @@ impl FairnessTrigger {
     }
 }
 
-/// Decides whether the main queue holds surplus (cullable) threads.
-///
-/// The MCSCR criterion (§4): surplus exists when there are
-/// *intermediate* nodes strictly between the owner's node and the
-/// current tail — i.e. at least three chain nodes including the
-/// owner's. Expressed over counts: with `waiters` threads queued
-/// behind the owner, surplus exists when `waiters >= 2` (the tail
-/// stays; one waiter is needed to keep the lock saturated).
-pub fn should_cull(waiters_behind_owner: usize) -> bool {
-    waiters_behind_owner >= 2
+/// What one lock-level release does (§4). [`release`] picks it; the
+/// lock performs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Release<S> {
+    /// Long-term fairness: the eldest passive waiter is grafted in
+    /// behind the owner and granted the lock.
+    GraftEldest,
+    /// Work conservation: nobody is queued behind the owner, so the
+    /// warmest passive waiter (the most recently culled) is granted
+    /// rather than let the lock go idle while threads wait.
+    Reprovision,
+    /// Culling: a waiter is queued beyond the successor `S`, so `S` is
+    /// surplus. It joins the passive set's warm end, and the waiter
+    /// behind it is granted.
+    Cull(S),
+    /// The successor is granted as is; with none, the lock goes free.
+    Handoff(Option<S>),
 }
 
-/// Decides whether the lock must reprovision from the passive set.
+/// The one lock-level release decision of §4, made in the paper's
+/// order: the eldest graft (a `1/period` trial, drawn only when
+/// someone is passive), then reprovisioning (nobody queued, someone
+/// passive), then culling (a waiter beyond the successor), else the
+/// plain hand-off.
 ///
-/// Work conservation (§1): the critical section must never go
-/// intentionally unoccupied while passivated threads exist. With an
-/// empty main queue and a non-empty passive set, one passive thread is
-/// promoted.
-pub fn should_reprovision(main_queue_empty: bool, passive_len: usize) -> bool {
-    main_queue_empty && passive_len > 0
+/// The queue shape is read lazily, only as far as the answer needs:
+/// `successor` (the waiter queued behind the owner, if any) is asked
+/// only once the trial has not fired, and `beyond` (whether a waiter
+/// is queued behind that successor) only when there is one. A lock
+/// that never culls therefore never draws its trigger, and its
+/// uncontended release asks only for the successor.
+#[inline]
+pub fn release<S>(
+    passive_len: usize,
+    fairness: &mut FairnessTrigger,
+    successor: impl FnOnce() -> Option<S>,
+    beyond: impl FnOnce(&S) -> bool,
+) -> Release<S> {
+    if passive_len > 0 && fairness.fire() {
+        return Release::GraftEldest;
+    }
+    match successor() {
+        None if passive_len > 0 => Release::Reprovision,
+        Some(succ) if beyond(&succ) => Release::Cull(succ),
+        succ => Release::Handoff(succ),
+    }
 }
 
 /// The one steady-state ACS-sizing rule for executor-level admission
@@ -472,7 +499,7 @@ pub fn register_admission(
 /// admission limit. The remaining passive readers are admitted by the
 /// cascade (each granted reader pulls the next once it is running) or
 /// by the next write episode, keeping the circulating set bounded the
-/// same way [`should_cull`] bounds a mutex's chain.
+/// same way culling ([`Release::Cull`]) bounds a mutex's chain.
 pub fn rw_reader_batch(passive_len: usize, acs_limit: usize) -> usize {
     passive_len.min(acs_limit.max(1))
 }
@@ -547,19 +574,61 @@ impl AdmissionDiscipline {
 mod tests {
     use super::*;
 
+    /// Every input of the lock-level decision: passive length 0, 1 and
+    /// 2; a trial that fires (period 1) or never does; no successor, a
+    /// successor only, or one with a waiter behind it. Checks §4's order
+    /// and that the queue shape and the trigger are read only when the
+    /// answer depends on them.
     #[test]
-    fn cull_requires_two_waiters() {
-        assert!(!should_cull(0));
-        assert!(!should_cull(1));
-        assert!(should_cull(2));
-        assert!(should_cull(10));
-    }
-
-    #[test]
-    fn reprovision_requires_empty_queue_and_passives() {
-        assert!(!should_reprovision(false, 5));
-        assert!(!should_reprovision(true, 0));
-        assert!(should_reprovision(true, 1));
+    fn release_decision_table() {
+        for passive_len in 0..=2 {
+            for fires in [true, false] {
+                for queued in 0..=2usize {
+                    let mut trigger = FairnessTrigger::new(if fires { 1 } else { u64::MAX }, 3);
+                    let before = format!("{trigger:?}");
+                    let (mut asked_successor, mut asked_beyond) = (false, false);
+                    let got = release(
+                        passive_len,
+                        &mut trigger,
+                        || {
+                            asked_successor = true;
+                            (queued > 0).then_some(queued)
+                        },
+                        |_| {
+                            asked_beyond = true;
+                            queued > 1
+                        },
+                    );
+                    let case = format!("passive {passive_len} fires {fires} queued {queued}");
+                    let drawn = format!("{trigger:?}") != before;
+                    assert_eq!(drawn, passive_len > 0, "{case}");
+                    let want = if passive_len > 0 && fires {
+                        Release::GraftEldest
+                    } else if queued == 0 && passive_len > 0 {
+                        Release::Reprovision
+                    } else if queued > 1 {
+                        Release::Cull(queued)
+                    } else {
+                        Release::Handoff((queued > 0).then_some(queued))
+                    };
+                    assert_eq!(got, want, "{case}");
+                    // The eldest graft comes first, and only with someone
+                    // passive; the queue is not even looked at.
+                    assert_eq!(got == Release::GraftEldest, passive_len > 0 && fires);
+                    assert_eq!(asked_successor, got != Release::GraftEldest, "{case}");
+                    // Reprovision only with no successor; cull only with
+                    // a waiter beyond it, which is asked about only when
+                    // a successor exists.
+                    if got == Release::Reprovision {
+                        assert_eq!(queued, 0, "{case}");
+                    }
+                    if let Release::Cull(_) = got {
+                        assert!(queued > 1, "{case}");
+                    }
+                    assert_eq!(asked_beyond, asked_successor && queued > 0, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

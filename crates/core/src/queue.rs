@@ -1,12 +1,15 @@
-//! One MCS queue, two admission policies: [`McsLock`](crate::McsLock)
-//! and [`McsCrLock`](crate::McsCrLock) share its arrival, hand-off or
-//! release, reprovisioning, culling and grafting. A lock's `unlock` only
-//! chooses among these edits, all made while holding the lock, which
-//! therefore protects the passive list.
+//! One MCS queue and one passive list. [`McsLock`](crate::McsLock)
+//! and [`McsCrLock`](crate::McsCrLock) share the queue's arrival,
+//! hand-off or release, reprovisioning, culling and grafting; a lock's
+//! `unlock` only performs the edit that
+//! [`policy::release`](crate::policy::release) picks (MCS makes none),
+//! all while holding the lock, which therefore protects the passive
+//! list. [`PassiveList`] also holds RW-CR's culled readers, there
+//! behind the reader gate.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use malthus_obs::span;
 use malthus_park::{SpinThenYield, WaitPolicy};
@@ -36,6 +39,18 @@ unsafe fn wait_link(node: *mut QNode) -> *mut QNode {
     }
 }
 
+/// A lock's name under its waiting policy: `[spin, stp, park]`.
+pub(crate) fn policy_name(
+    policy: WaitPolicy,
+    [spin, stp, park]: [&'static str; 3],
+) -> &'static str {
+    match policy {
+        WaitPolicy::Spin => spin,
+        WaitPolicy::SpinThenPark { .. } => stp,
+        WaitPolicy::Park => park,
+    }
+}
+
 /// An MCS queue plus the holder-only state `S` of the policy that
 /// edits it.
 pub(crate) struct McsQueue<S> {
@@ -53,7 +68,7 @@ struct Holder<S> {
     /// Owner's node.
     owner: UnsafeCell<*mut QNode>,
     /// The passive set (empty under MCS).
-    passive: UnsafeCell<PassiveList>,
+    passive: PassiveList,
     /// The policy's state (trigger, counters).
     state: S,
 }
@@ -72,7 +87,7 @@ impl<S> McsQueue<S> {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             holder: CachePadded::new(Holder {
                 owner: UnsafeCell::new(ptr::null_mut()),
-                passive: UnsafeCell::new(PassiveList::new()),
+                passive: PassiveList::new(),
                 state,
             }),
             policy,
@@ -84,18 +99,23 @@ impl<S> McsQueue<S> {
         &self.holder.state
     }
 
-    /// The passive set; only the lock holder may dereference it.
-    pub(crate) fn passive(&self) -> *mut PassiveList {
-        self.holder.passive.get()
+    /// The passive set.
+    ///
+    /// # Safety
+    ///
+    /// Caller must hold the lock to edit it; anyone may read its length.
+    pub(crate) unsafe fn passive(&self) -> &PassiveList {
+        &self.holder.passive
+    }
+
+    /// Number of passivated waiters (racy unless read by the holder).
+    pub(crate) fn passive_len(&self) -> usize {
+        self.holder.passive.len()
     }
 
     /// The lock's name under its waiting policy: `[spin, stp, park]`.
-    pub(crate) fn name(&self, [spin, stp, park]: [&'static str; 3]) -> &'static str {
-        match self.policy {
-            WaitPolicy::Spin => spin,
-            WaitPolicy::SpinThenPark { .. } => stp,
-            WaitPolicy::Park => park,
-        }
+    pub(crate) fn name(&self, names: [&'static str; 3]) -> &'static str {
+        policy_name(self.policy, names)
     }
 
     /// Returns `true` if no thread holds or waits for the lock.
@@ -182,19 +202,18 @@ impl<S> McsQueue<S> {
     }
 
     /// Returns the successor linked behind the owner `me`, still to be
-    /// granted. With nobody linked, reprovisions (grants the lock to the
-    /// passive head once `reprovisioned(head)` has counted it) or
-    /// releases the lock, and returns None.
+    /// granted. With nobody linked, closes the queue instead and returns
+    /// None: the passive head (the warmest culled waiter) becomes the
+    /// tail in `me`'s place, for the caller to pop and grant — or, with
+    /// the passive list empty, the lock is released and `me` freed. An
+    /// arrival that beats the close is returned as the successor, and
+    /// the passive list is left as it was.
     ///
     /// # Safety
     ///
     /// Caller must hold the lock, and `me` must be the owner's node.
     #[inline]
-    pub(crate) unsafe fn successor(
-        &self,
-        me: *mut QNode,
-        reprovisioned: impl FnOnce(*mut QNode),
-    ) -> Option<*mut QNode> {
+    pub(crate) unsafe fn successor(&self, me: *mut QNode) -> Option<*mut QNode> {
         // SAFETY: caller contract; see each step.
         unsafe {
             let succ = (*me).next.load(Ordering::Acquire);
@@ -202,27 +221,18 @@ impl<S> McsQueue<S> {
                 return Some(succ);
             }
             // The chain is (apparently) just us. Work conservation:
-            // reprovision from the passive head before the lock can go
-            // idle.
-            let passive = &mut *self.passive();
-            let warm = passive.pop_head();
+            // close onto the passive head before the lock can go idle.
+            let warm = self.holder.passive.head.get();
             let succ = self.replace_tail(me, warm);
             if succ.is_null() {
                 if warm.is_null() {
                     // No successor; the queue is empty. Nobody else can
                     // reach `me` after the CAS.
                     free_node(me);
-                } else {
-                    reprovisioned(warm);
-                    self.grant(me, warm);
                 }
                 return None;
             }
-            // A real arrival appeared; undo any reprovision and treat
-            // it as the successor.
-            if !warm.is_null() {
-                passive.push_head(warm);
-            }
+            // A real arrival appeared first: it is the successor.
             Some(succ)
         }
     }
@@ -261,22 +271,25 @@ impl<S> McsQueue<S> {
         }
     }
 
-    /// If a node is queued behind `succ` (the queue holds surplus),
-    /// culls `succ` onto the passive head and returns that node, the new
-    /// successor; returns None when `succ` is the tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the lock; `succ` must be the owner's successor.
-    pub(crate) unsafe fn cull(&self, succ: *mut QNode) -> Option<*mut QNode> {
+    /// Whether a node is queued behind `succ`, the owner's successor
+    /// (the queue holds surplus).
+    pub(crate) fn queued_beyond(&self, succ: *mut QNode) -> bool {
         // Relaxed suffices: the Acquire load that produced `succ`
         // synchronized with its arrival, whose tail swap therefore
         // happened-before this load — we cannot observe a tail older
         // than `succ`, and observing `succ` or newer only ever skips a
         // cull (conservative, safe).
-        if succ == self.tail.load(Ordering::Relaxed) {
-            return None;
-        }
+        succ != self.tail.load(Ordering::Relaxed)
+    }
+
+    /// Culls `succ` onto the passive head and returns the node behind
+    /// it, the new successor.
+    ///
+    /// # Safety
+    ///
+    /// Caller must hold the lock; `succ` must be the owner's successor
+    /// with a node queued behind it ([`queued_beyond`](Self::queued_beyond)).
+    pub(crate) unsafe fn cull(&self, succ: *mut QNode) -> *mut QNode {
         // SAFETY: a node is linked or linking behind `succ`, and the
         // lock protects the passive list.
         unsafe {
@@ -288,8 +301,8 @@ impl<S> McsQueue<S> {
             if span::enabled() {
                 (*succ).culled_at.store(span::now_ns(), Ordering::Relaxed);
             }
-            (*self.passive()).push_head(succ);
-            Some(next)
+            self.holder.passive.push_head(succ);
+            next
         }
     }
 
@@ -340,39 +353,42 @@ impl<S> Drop for McsQueue<S> {
             "MCS-family lock dropped while held or contended"
         );
         debug_assert!(
-            self.holder.passive.get_mut().is_empty(),
+            self.holder.passive.is_empty(),
             "MCS-family lock dropped with passivated waiters"
         );
     }
 }
 
-/// A doubly-linked list of passivated nodes, protected by the lock.
+/// A doubly-linked list of passivated nodes, edited only under the
+/// lock that owns it (MCSCR's own, RW-CR's reader gate).
 ///
 /// Head = most recently passivated ("warm" end, used to reprovision);
 /// tail = least recently arrived ("cold" end, used for fairness).
 /// Members are live: [`push_head`](Self::push_head) asks it of its
-/// caller, and a node leaves only by being popped or unlinked.
+/// caller, and a node leaves only by being popped or unlinked. The
+/// length is atomic so that threads not holding the lock may peek at
+/// it (a racy hint).
 pub(crate) struct PassiveList {
-    head: *mut QNode,
-    tail: *mut QNode,
-    len: usize,
+    head: Cell<*mut QNode>,
+    tail: Cell<*mut QNode>,
+    len: AtomicUsize,
 }
 
 impl PassiveList {
     pub(crate) const fn new() -> Self {
         PassiveList {
-            head: ptr::null_mut(),
-            tail: ptr::null_mut(),
-            len: 0,
+            head: Cell::new(ptr::null_mut()),
+            tail: Cell::new(ptr::null_mut()),
+            len: AtomicUsize::new(0),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.len.load(Ordering::Relaxed)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Pushes `node` at the head.
@@ -380,26 +396,27 @@ impl PassiveList {
     /// # Safety
     ///
     /// `node` must be live until it leaves the list, and in no list.
-    pub(crate) unsafe fn push_head(&mut self, node: *mut QNode) {
+    pub(crate) unsafe fn push_head(&self, node: *mut QNode) {
+        let head = self.head.get();
         // SAFETY: caller guarantees exclusive, live access.
         unsafe {
             (*node).pprev.set(ptr::null_mut());
-            (*node).pnext.set(self.head);
+            (*node).pnext.set(head);
             // Sanitize the chain link so a later graft starts clean.
             (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
-            if self.head.is_null() {
-                self.tail = node;
+            if head.is_null() {
+                self.tail.set(node);
             } else {
-                (*self.head).pprev.set(node);
+                (*head).pprev.set(node);
             }
         }
-        self.head = node;
-        self.len += 1;
+        self.head.set(node);
+        self.len.store(self.len() + 1, Ordering::Relaxed);
     }
 
     /// Pops the head (most recently passivated), or null if empty.
-    pub(crate) fn pop_head(&mut self) -> *mut QNode {
-        let node = self.head;
+    pub(crate) fn pop_head(&self) -> *mut QNode {
+        let node = self.head.get();
         if !node.is_null() {
             // SAFETY: the head is a member.
             unsafe { self.unlink(node) };
@@ -408,8 +425,8 @@ impl PassiveList {
     }
 
     /// Pops the tail (least recently arrived), or null if empty.
-    pub(crate) fn pop_tail(&mut self) -> *mut QNode {
-        let node = self.tail;
+    pub(crate) fn pop_tail(&self) -> *mut QNode {
+        let node = self.tail.get();
         if !node.is_null() {
             // SAFETY: the tail is a member.
             unsafe { self.unlink(node) };
@@ -422,25 +439,25 @@ impl PassiveList {
     /// # Safety
     ///
     /// `node` must currently be a member of this list.
-    unsafe fn unlink(&mut self, node: *mut QNode) {
+    unsafe fn unlink(&self, node: *mut QNode) {
         // SAFETY: membership guaranteed by caller.
         unsafe {
             let prev = (*node).pprev.get();
             let next = (*node).pnext.get();
             if prev.is_null() {
-                self.head = next;
+                self.head.set(next);
             } else {
                 (*prev).pnext.set(next);
             }
             if next.is_null() {
-                self.tail = prev;
+                self.tail.set(prev);
             } else {
                 (*next).pprev.set(prev);
             }
             (*node).pprev.set(ptr::null_mut());
             (*node).pnext.set(ptr::null_mut());
         }
-        self.len -= 1;
+        self.len.store(self.len() - 1, Ordering::Relaxed);
     }
 }
 
@@ -450,7 +467,7 @@ mod tests {
 
     #[test]
     fn passive_list_push_pop_head() {
-        let mut l = PassiveList::new();
+        let l = PassiveList::new();
         let a = alloc_node();
         let b = alloc_node();
         // SAFETY: test owns the nodes and the (conceptual) lock.
@@ -468,7 +485,7 @@ mod tests {
 
     #[test]
     fn passive_list_pop_tail_is_eldest() {
-        let mut l = PassiveList::new();
+        let l = PassiveList::new();
         let a = alloc_node();
         let b = alloc_node();
         let c = alloc_node();
@@ -489,7 +506,7 @@ mod tests {
 
     #[test]
     fn passive_list_unlink_interior() {
-        let mut l = PassiveList::new();
+        let l = PassiveList::new();
         let a = alloc_node();
         let b = alloc_node();
         let c = alloc_node();

@@ -1,4 +1,5 @@
-//! The raw lock interface implemented by every algorithm in this crate.
+//! The raw lock interfaces: [`RawLock`], implemented by every mutex in
+//! this crate, and [`RawRwLock`], implemented by RW-CR.
 
 /// A raw mutual-exclusion primitive.
 ///
@@ -32,6 +33,53 @@ pub unsafe trait RawLock: Send + Sync {
     unsafe fn unlock(&self);
 
     /// A short human-readable algorithm name (used by benchmark output).
+    fn name(&self) -> &'static str;
+}
+
+/// A raw reader-writer lock.
+///
+/// Implementations provide shared/exclusive exclusion only; data
+/// protection is layered on top by `malthus_rwlock::RwMutex`. The
+/// trait is `unsafe` because the guard types rely on the
+/// implementation actually providing the advertised exclusion.
+///
+/// # Safety
+///
+/// An implementor must guarantee that while any thread holds the
+/// write side, no other thread holds either side, and that read-side
+/// holders only ever coexist with other read-side holders.
+pub unsafe trait RawRwLock: Send + Sync {
+    /// Acquires the lock for shared (read) access, blocking per the
+    /// lock's waiting policy.
+    fn read_lock(&self);
+
+    /// Attempts to acquire shared access without waiting.
+    fn try_read_lock(&self) -> bool;
+
+    /// Releases one shared acquisition.
+    ///
+    /// # Safety
+    ///
+    /// Must be called exactly once per shared acquisition, by the
+    /// thread that acquired it, while it is held.
+    unsafe fn read_unlock(&self);
+
+    /// Acquires the lock for exclusive (write) access.
+    fn write_lock(&self);
+
+    /// Attempts to acquire exclusive access without waiting.
+    fn try_write_lock(&self) -> bool;
+
+    /// Releases the exclusive acquisition.
+    ///
+    /// # Safety
+    ///
+    /// Must be called exactly once per exclusive acquisition, by the
+    /// thread that acquired it, while it is held.
+    unsafe fn write_unlock(&self);
+
+    /// A short human-readable algorithm name (used by benchmark
+    /// output).
     fn name(&self) -> &'static str;
 }
 

@@ -14,18 +14,22 @@
 //!   the paper's baseline.
 //! * **Readers** share a padded atomic reader count (one `fetch_add`
 //!   per uncontended acquisition). While a write episode is in
-//!   progress, arriving readers are *culled* onto a passive list
-//!   (LIFO-granted, Parker-backed via [`WaitCell`]) instead of
-//!   spinning on the contended word. When the write phase closes, only
-//!   a bounded batch ([`policy::rw_reader_batch`]) of passive readers
-//!   is woken; each reader admitted out of the passive list then pulls
-//!   one more passive reader in as it starts running (an admission
-//!   *cascade*), so the active reader set ramps instead of stampeding,
-//!   yet the list fully drains whenever readers-only traffic persists
-//!   (work conservation). An episodic [`FairnessTrigger`] grants the
-//!   *eldest* passive reader instead of the warmest, bounding
-//!   long-term reader unfairness exactly like the mutex's 1/1000
-//!   promotion.
+//!   progress, an arriving reader is *culled* instead of spinning on
+//!   the contended word: it parks on a node from its thread's arena,
+//!   pushed onto the same passive list MCSCR culls its waiters onto
+//!   (head = most recently culled, tail = eldest). When the write
+//!   phase closes, only a bounded batch ([`policy::rw_reader_batch`])
+//!   of passive readers is woken, and each grant is
+//!   [`policy::release`]'s decision — the one MCSCR's unlock makes,
+//!   here with no queue behind the list: the warmest reader (the head)
+//!   is reprovisioned, or, when the episodic [`FairnessTrigger`] fires,
+//!   the *eldest* (the tail) is granted instead, bounding long-term
+//!   reader unfairness exactly like the mutex's 1/1000 promotion. Each
+//!   reader admitted out of the passive list then pulls one more
+//!   passive reader in as it starts running (an admission *cascade*),
+//!   so the active reader set ramps instead of stampeding, yet the
+//!   list fully drains whenever readers-only traffic persists (work
+//!   conservation).
 //!
 //! Normal wakeups are **advisory**: the woken reader re-contends on
 //! the fast path once it is actually running, so a writer's drain
@@ -37,6 +41,8 @@
 //! an advisory wakeup would always lose the admission race and
 //! re-passivate — the eldest reader is still admitted with certainty,
 //! the same bounded-unfairness contract MCSCR gives its passive tail.
+//! The grant says so through one flag on the reader's node, set before
+//! the signal.
 //! Writers are never starved at all: setting the writer bit blocks
 //! new reader admissions, and existing read slots drain in bounded
 //! time.
@@ -46,22 +52,26 @@
 //! All RMWs on the packed `sync` word are `AcqRel`, so the release
 //! sequence through it orders every critical section against every
 //! later acquisition. The passive list is guarded by a tiny leaf TAS
-//! gate; the no-lost-wakeup argument is: a reader parks only after
-//! re-checking the writer bit *under the gate*, and every writer
-//! clears the bit *before* taking the gate to drain, so a parked
-//! reader's cell is always visible to the drain that follows the bit
-//! clear it raced with.
+//! gate; the no-lost-wakeup argument is: a reader pushes its node only
+//! after re-checking the writer bit *under the gate*, and every writer
+//! clears the bit *before* taking the gate to drain, so a pushed node
+//! is always on the list the drain that follows the bit clear it raced
+//! with walks. A node leaves the list only by a pop under the gate, so
+//! it is signalled exactly once; its reader stays captive in
+//! `WaitCell::wait` until then and frees the node (back to its own
+//! arena) only after waking, and [`WaitCell::signal`] never touches a
+//! cell after releasing its waiter, so no granter reaches a freed node.
 
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use malthus::policy::{self, FairnessTrigger, DEFAULT_FAIRNESS_PERIOD};
-use malthus::{CachePadded, LockCounter, McsCrLock, McsLock, RawLock, TasLock};
 use malthus_park::{SpinThenYield, WaitCell, WaitPolicy, XorShift64};
 
-use crate::raw::RawRwLock;
+use crate::node::{alloc_node, free_node};
+use crate::policy::{self, FairnessTrigger, Release, DEFAULT_FAIRNESS_PERIOD};
+use crate::queue::{policy_name, PassiveList};
+use crate::raw::{RawLock, RawRwLock};
+use crate::{CachePadded, LockCounter, McsCrLock, McsLock, Mutex, MutexGuard, TasLock};
 
 /// Writer-active flag in the packed `sync` word; the low 63 bits are
 /// the active reader count (including slots granted to still-waking
@@ -96,8 +106,7 @@ fn reader_count(sync: u64) -> u64 {
 
 /// Monotonic counters describing CR activity on one RW-CR lock.
 ///
-/// Same raciness contract as
-/// [`McsCrLock::cr_stats`](malthus::McsCrLock::cr_stats): tear-free
+/// Same raciness contract as [`McsCrLock::cr_stats`]: tear-free
 /// but possibly lagging in-flight releases; cross-counter invariants
 /// (`reader_culls == reader_reprovisions + reader_fairness_grants`)
 /// balance only once the lock is quiescent. A reader that is woken
@@ -122,35 +131,21 @@ pub struct RwStats {
     pub writer_drain_waits: u64,
 }
 
-/// One passivated reader: both fields point into the waiter's stack
-/// frame, which stays live until the cell is signalled (the waiter is
-/// captive in `WaitCell::wait`).
-#[derive(Clone, Copy)]
-struct PassiveReader {
-    cell: *const WaitCell,
-    /// Set (before the signal) when the granter pre-assigned the
-    /// waiter its read slot — the fairness path. Advisory wakeups
-    /// leave it false and the waiter re-contends.
-    slot_granted: *const AtomicBool,
-}
-
 /// Reader-side state: the passive list and its statistics, guarded by
 /// the `gate` leaf lock (never held across any blocking operation).
 struct ReaderSide {
-    /// Tiny leaf TAS protecting `list` and `fairness`.
-    gate: TasLock,
-    /// Mirror of `list.len()` for lock-free peeks (maintained under
-    /// the gate; readers treat it as a hint).
-    len: AtomicUsize,
-    /// Passive readers: front = eldest, back = most recently culled.
-    /// An entry is popped exactly once and signalled exactly once.
-    list: UnsafeCell<VecDeque<PassiveReader>>,
-    /// Eldest-first Bernoulli trial state.
-    fairness: UnsafeCell<FairnessTrigger>,
+    /// Tiny leaf TAS guarding `passive`'s edits and the eldest-first
+    /// Bernoulli trial it holds.
+    gate: Mutex<FairnessTrigger, TasLock>,
+    /// Culled readers' nodes; its length is a lock-free hint.
+    passive: PassiveList,
     culls: LockCounter,
     reprovisions: LockCounter,
     fairness_grants: LockCounter,
 }
+
+/// The held reader gate: the proof that the passive list may be edited.
+type ReaderGate<'a> = MutexGuard<'a, FairnessTrigger, TasLock>;
 
 /// The queue an [`RwCrLock`] serializes its writers through: it is only
 /// ever `lock`ed, `try_lock`ed and `unlock`ed, so any mutex will do.
@@ -186,7 +181,7 @@ struct WriterSide {
 /// # Examples
 ///
 /// ```
-/// use malthus_rwlock::{RawRwLock, RwCrLock};
+/// use malthus::{RawRwLock, RwCrLock};
 ///
 /// let rw = RwCrLock::stp();
 /// rw.read_lock();
@@ -215,10 +210,11 @@ pub struct RwCrLock<W: WriterQueue = McsCrLock> {
     acs_limit: usize,
 }
 
-// SAFETY: `sync`, `len` and `drain` are atomics; `list`/`fairness`
-// are guarded by the `gate` TAS; the writer-side counters are
-// serialized by the writer queue. Cell pointers in the list stay
-// live until signalled (their owners are captive in `WaitCell::wait`).
+// SAFETY: `sync`, `drain` and the passive list's length are atomics;
+// the list's links are edited only under the `gate` TAS; the
+// writer-side counters are serialized by the writer queue.
+// Nodes on the list stay live until signalled (their owners are
+// captive in `WaitCell::wait`).
 unsafe impl<W: WriterQueue> Send for RwCrLock<W> {}
 // SAFETY: see above.
 unsafe impl<W: WriterQueue> Sync for RwCrLock<W> {}
@@ -295,10 +291,8 @@ impl<W: WriterQueue> RwCrLock<W> {
             writer,
             sync: CachePadded::new(AtomicU64::new(0)),
             rside: CachePadded::new(ReaderSide {
-                gate: TasLock::new(),
-                len: AtomicUsize::new(0),
-                list: UnsafeCell::new(VecDeque::new()),
-                fairness: UnsafeCell::new(FairnessTrigger::new(fairness_period, seed)),
+                gate: Mutex::with_raw(TasLock::new(), FairnessTrigger::new(fairness_period, seed)),
+                passive: PassiveList::new(),
                 culls: LockCounter::new(),
                 reprovisions: LockCounter::new(),
                 fairness_grants: LockCounter::new(),
@@ -315,7 +309,7 @@ impl<W: WriterQueue> RwCrLock<W> {
 
     /// Number of readers currently passivated (racy hint).
     pub fn passive_readers(&self) -> usize {
-        self.rside.len.load(Ordering::Relaxed)
+        self.rside.passive.len()
     }
 
     /// Number of active read slots (racy; includes granted-but-still-
@@ -383,55 +377,32 @@ impl<W: WriterQueue> RwCrLock<W> {
     /// increment are one CAS so a grant can never interleave with a
     /// writer's drain check.
     fn try_grant_slot(&self) -> bool {
-        let mut cur = self.sync.load(Ordering::Relaxed);
-        loop {
-            if cur & WRITER_BIT != 0 {
-                return false;
-            }
-            match self
-                .sync
-                .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => return true,
-                Err(observed) => cur = observed,
-            }
-        }
+        self.sync
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |cur| {
+                (cur & WRITER_BIT == 0).then_some(cur + 1)
+            })
+            .is_ok()
     }
 
-    /// Wakes up to `max` passive readers; returns the number woken.
+    /// Grants up to `max` passive readers, each by
+    /// [`policy::release`]'s decision with no queue behind the list.
     ///
-    /// Normal wakeups pop the warmest waiter and are advisory (the
-    /// waiter re-contends once scheduled). When the fairness trigger
-    /// fires, the *eldest* waiter is woken with its read slot
-    /// pre-assigned, so it cannot lose the admission race however
-    /// saturated the writer stream is.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the reader gate. If `writer_held`, the caller
-    /// must hold the writer lock with the writer bit already cleared
-    /// (a fairness slot may then use a plain `fetch_add`: no
-    /// concurrent writer can claim the lock); otherwise the slot is
-    /// CAS-granted and degrades to an advisory wakeup if a writer
-    /// claims the lock first.
-    unsafe fn grant_locked(&self, max: usize, writer_held: bool) -> usize {
-        // SAFETY: gate held per the contract.
-        let list = unsafe { &mut *self.rside.list.get() };
-        let fairness = unsafe { &mut *self.rside.fairness.get() };
-        let mut woken = 0;
-        while woken < max && !list.is_empty() {
-            let (waiter, with_slot) = if fairness.fire() {
-                let waiter = list.pop_front().expect("non-empty");
-                let slot = if writer_held {
-                    self.sync.fetch_add(1, Ordering::AcqRel);
-                    true
-                } else {
-                    self.try_grant_slot()
+    /// A reprovision pops the warmest reader (the head) and wakes it
+    /// advisorily: it re-contends once scheduled. A fairness graft pops
+    /// the *eldest* (the tail) and first takes its read slot, by a CAS
+    /// that fails only if a writer holds or has claimed the lock (the
+    /// reader is then woken advisorily), so it cannot lose the
+    /// admission race however saturated the writer stream is.
+    fn grant(&self, gate: &mut ReaderGate<'_>, max: usize) {
+        let passive = &self.rside.passive;
+        for _ in 0..max {
+            // A passive reader waits behind no queue: no successor.
+            let (node, with_slot) =
+                match policy::release(passive.len(), gate, || None, |_: &()| false) {
+                    Release::GraftEldest => (passive.pop_tail(), self.try_grant_slot()),
+                    Release::Reprovision => (passive.pop_head(), false),
+                    _ => break,
                 };
-                (waiter, slot)
-            } else {
-                (list.pop_back().expect("non-empty"), false)
-            };
             if with_slot {
                 self.rside.fairness_grants.bump();
                 malthus_obs::record(malthus_obs::EventKind::LockFairnessGrant, self.id(), 0);
@@ -439,38 +410,27 @@ impl<W: WriterQueue> RwCrLock<W> {
                 self.rside.reprovisions.bump();
                 malthus_obs::record(malthus_obs::EventKind::LockReprovision, self.id(), 0);
             }
-            // SAFETY: the waiter is captive until signalled; each
-            // entry is popped (hence signalled) exactly once, and the
+            // SAFETY: the reader is captive until signalled; a node is
+            // popped under the gate (hence signalled) once, and the
             // slot flag is published before the signal.
             unsafe {
                 if with_slot {
-                    (*waiter.slot_granted).store(true, Ordering::Release);
+                    (*node).slot_granted.store(true, Ordering::Release);
                 }
-                (*waiter.cell).signal();
+                (*node).cell.signal();
             }
-            woken += 1;
         }
-        self.rside.len.store(list.len(), Ordering::Relaxed);
-        woken
     }
 
     /// Opens a read phase after a write episode: grants a bounded
     /// batch of passive readers their slots.
     ///
-    /// Caller must hold the writer lock with the writer bit already
-    /// cleared. The gate is always taken — an emptiness peek could
-    /// miss a reader that passivated against the just-closed phase.
+    /// The gate is always taken — an emptiness peek could miss a
+    /// reader that passivated against the just-closed phase.
     fn open_read_phase(&self) {
-        self.rside.gate.lock();
-        // SAFETY: gate held for the list read and for `grant_locked`.
-        unsafe {
-            let len = (*self.rside.list.get()).len();
-            let batch = policy::rw_reader_batch(len, self.acs_limit);
-            if batch > 0 {
-                self.grant_locked(batch, true);
-            }
-            self.rside.gate.unlock();
-        }
+        let mut gate = self.rside.gate.lock();
+        let batch = policy::rw_reader_batch(self.rside.passive.len(), self.acs_limit);
+        self.grant(&mut gate, batch);
     }
 
     /// One admission-cascade step: a running reader pulls the next
@@ -480,48 +440,35 @@ impl<W: WriterQueue> RwCrLock<W> {
     /// backs off if the gate is busy (whoever holds it continues the
     /// drain or is a passivator whose writer will).
     fn cascade(&self, must: bool) {
-        if self.rside.len.load(Ordering::Relaxed) == 0 {
+        if self.rside.passive.is_empty() {
             return;
         }
-        if must {
-            self.rside.gate.lock();
-        } else if !self.rside.gate.try_lock() {
-            return;
-        }
-        // SAFETY: gate held; we do not hold the writer lock.
-        unsafe {
-            self.grant_locked(1, false);
-            self.rside.gate.unlock();
+        let gate = if must {
+            Some(self.rside.gate.lock())
+        } else {
+            self.rside.gate.try_lock()
+        };
+        if let Some(mut gate) = gate {
+            self.grant(&mut gate, 1);
         }
     }
 
     /// Culls the calling reader onto the passive list and waits for a
     /// wakeup (advisory) or a fairness grant (slot pre-assigned).
     fn passivate_reader(&self) -> CullOutcome {
-        self.rside.gate.lock();
+        let gate = self.rside.gate.lock();
         if self.sync.load(Ordering::Acquire) & WRITER_BIT == 0 {
             // Phase closed while we took the gate: a park here could
             // never be woken (the drain for that phase already ran).
-            // SAFETY: gate held by us.
-            unsafe { self.rside.gate.unlock() };
             return CullOutcome::PhaseOpen;
         }
-        let cell = WaitCell::new();
-        let slot_granted = AtomicBool::new(false);
-        // SAFETY: gate held; both pointees outlive the list entry
-        // because we do not leave this frame before the cell is
-        // signalled.
-        unsafe {
-            let list = &mut *self.rside.list.get();
-            list.push_back(PassiveReader {
-                cell: &cell,
-                slot_granted: &slot_granted,
-            });
-            self.rside.len.store(list.len(), Ordering::Relaxed);
-            self.rside.culls.bump();
-            malthus_obs::record(malthus_obs::EventKind::LockCull, self.id(), 0);
-            self.rside.gate.unlock();
-        }
+        let node = alloc_node();
+        // SAFETY: gate held; the node is ours and in no list, and it
+        // stays live until we free it below, after its signal.
+        unsafe { self.rside.passive.push_head(node) };
+        self.rside.culls.bump();
+        malthus_obs::record(malthus_obs::EventKind::LockCull, self.id(), 0);
+        drop(gate);
         // Span tracing: the park below *is* passive-list residency —
         // the Malthusian long-tail wait — so it feeds the cull_wait
         // accumulator, distinct from ordinary admission (lock_wait).
@@ -530,11 +477,18 @@ impl<W: WriterQueue> RwCrLock<W> {
         } else {
             0
         };
-        cell.wait(self.policy);
+        // SAFETY: the granter popped the node before signalling it and
+        // never touches it after, so once woken it is ours alone.
+        let slot_granted = unsafe {
+            (*node).cell.wait(self.policy);
+            let granted = (*node).slot_granted.load(Ordering::Acquire);
+            free_node(node);
+            granted
+        };
         if t0 != 0 {
             malthus_obs::span::add_cull_wait(malthus_obs::span::now_ns().saturating_sub(t0));
         }
-        if slot_granted.load(Ordering::Acquire) {
+        if slot_granted {
             // The granter already took our slot; carry the cascade so
             // the list keeps draining while readers flow.
             self.cascade(true);
@@ -621,8 +575,7 @@ impl<W: WriterQueue> Drop for RwCrLock<W> {
             "RwCrLock dropped with a pending writer drain"
         );
         debug_assert!(
-            // SAFETY: exclusive access in Drop.
-            unsafe { (*self.rside.list.get()).is_empty() },
+            self.rside.passive.is_empty(),
             "RwCrLock dropped with passivated readers"
         );
     }
@@ -740,20 +693,16 @@ unsafe impl<W: WriterQueue> RawRwLock for RwCrLock<W> {
     }
 
     fn name(&self) -> &'static str {
-        let [spin, stp, park] = W::RW_NAMES;
-        match self.policy {
-            WaitPolicy::Spin => spin,
-            WaitPolicy::SpinThenPark { .. } => stp,
-            WaitPolicy::Park => park,
-        }
+        policy_name(self.policy, W::RW_NAMES)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::QNode;
     use std::cell::RefCell;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::{mpsc, Arc, Barrier};
     use std::time::Duration;
 
@@ -1022,6 +971,48 @@ mod tests {
         assert!(s.reader_culls >= 1, "{s:?}");
         assert_eq!(s.reader_reprovisions, 0, "{s:?}");
         assert_eq!(s.reader_fairness_grants, s.reader_culls, "{s:?}");
+    }
+
+    #[test]
+    fn a_grant_wakes_the_warmest_reader_and_a_fairness_grant_the_eldest() {
+        // A trigger that never fires: the grant reprovisions.
+        let rw = RwCrLock::with_params(WaitPolicy::spin(), u64::MAX, 5, 4);
+        // Culled in this order: `eldest` first, `warmest` last.
+        let [eldest, middle, warmest] = [alloc_node(), alloc_node(), alloc_node()];
+        // SAFETY: the test owns every node until it frees them.
+        let woken = |n: *mut QNode| unsafe {
+            (
+                (*n).cell.is_signaled(),
+                (*n).slot_granted.load(Ordering::Acquire),
+            )
+        };
+        let mut gate = rw.rside.gate.lock();
+        for node in [eldest, middle, warmest] {
+            // SAFETY: gate held; the node is live and in no list.
+            unsafe { rw.rside.passive.push_head(node) };
+        }
+        rw.grant(&mut gate, 1);
+        assert_eq!(woken(warmest), (true, false));
+        assert_eq!(woken(eldest), (false, false));
+        assert_eq!(woken(middle), (false, false));
+        // Period 1: the grant takes the eldest's slot and wakes it.
+        *gate = FairnessTrigger::new(1, 5);
+        rw.grant(&mut gate, 1);
+        assert_eq!(woken(eldest), (true, true));
+        assert_eq!(woken(middle), (false, false));
+        assert_eq!(rw.active_readers(), 1);
+        let s = rw.stats();
+        assert_eq!((s.reader_reprovisions, s.reader_fairness_grants), (1, 1));
+        assert_eq!(rw.rside.passive.pop_head(), middle);
+        drop(gate);
+        // SAFETY: the granted slot is released once; every node is out
+        // of the list and was allocated here.
+        unsafe {
+            rw.read_unlock();
+            for node in [eldest, middle, warmest] {
+                free_node(node);
+            }
+        }
     }
 
     /// Parks six readers behind a held write lock and releases it with

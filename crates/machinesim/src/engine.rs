@@ -642,7 +642,6 @@ mod tests {
         sim.add_lock(LockSpec {
             kind: LockKind::Cr {
                 fairness: FairnessTrigger::new(1000, 7),
-                cull_slack: 0,
             },
             wait: WaitMode::Spin,
         });

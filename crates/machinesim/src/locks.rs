@@ -1,17 +1,17 @@
 //! Queue-level models of the evaluated lock admission policies.
 //!
 //! The simulator re-expresses each lock as a policy over an explicit
-//! waiter queue, making the *same* decisions as the live algorithms in
-//! the `malthus` crate — culling (one surplus waiter per release),
-//! work-conserving reprovisioning, and the Bernoulli fairness trial —
-//! via the shared `malthus::policy` module. What the simulator omits
-//! is the memory-level mechanics (CAS races, chain links); what it
-//! keeps is the admission order, which is what the paper's metrics
-//! measure.
+//! waiter queue. Its MCSCR release calls `malthus::policy::release`,
+//! the same function `McsCrLock::unlock` calls, so it makes the live
+//! lock's decisions in the live lock's order — the Bernoulli fairness
+//! graft, work-conserving reprovisioning, culling (one surplus waiter
+//! per release), else the hand-off. What the simulator omits is the
+//! memory-level mechanics (CAS races, chain links); what it keeps is
+//! the admission order, which is what the paper's metrics measure.
 
 use std::collections::VecDeque;
 
-use malthus::policy::{should_cull, should_reprovision, FairnessTrigger};
+use malthus::policy::{self, FairnessTrigger, Release};
 
 /// Simulator thread identifier.
 pub type ThreadId = usize;
@@ -39,15 +39,6 @@ pub enum LockKind {
     Cr {
         /// The Bernoulli fairness trial (default period 1000).
         fairness: FairnessTrigger,
-        /// Hysteresis: extra waiters (beyond the paper's minimum of
-        /// 2) required before culling fires. The live lock reacts to
-        /// instantaneous queue shape on real hardware where timing
-        /// variance is small; the discrete-event model sees coarser
-        /// variance (batched wakeups), so a slack of 1 damps the
-        /// cull/reprovision oscillation that would otherwise thrash
-        /// threads through park/unpark. 0 reproduces the exact paper
-        /// condition.
-        cull_slack: usize,
     },
 }
 
@@ -149,56 +140,44 @@ impl SimLock {
     /// For CR kinds this is where queue editing happens, mirroring the
     /// MCSCR unlock path (§4).
     pub fn release(&mut self) -> Option<ThreadId> {
-        if matches!(self.kind, LockKind::Null) {
-            return None;
-        }
-        debug_assert!(self.held, "release of an unheld SimLock");
         let next = match &mut self.kind {
-            LockKind::Null => unreachable!(),
+            LockKind::Null => return None,
             LockKind::Fifo => self.queue.pop_front(),
-            LockKind::Cr {
-                fairness,
-                cull_slack,
-            } => {
-                let cull_slack = *cull_slack;
-                if !self.passive.is_empty() && fairness.fire() {
-                    // Long-term fairness: the eldest passive thread is
-                    // grafted in as the immediate successor.
-                    self.stats.fairness_grants += 1;
-                    self.passive.pop_back()
-                } else if should_reprovision(self.queue.is_empty(), self.passive.len()) {
-                    // Work conservation: promote the warm end.
-                    self.stats.reprovisions += 1;
-                    self.passive.pop_front()
-                } else {
-                    let succ = self.queue.pop_front();
-                    if let Some(succ) = succ {
-                        if should_cull(self.queue.len() + 1) && self.queue.len() > cull_slack {
-                            // Surplus: passivate the longest waiter and
-                            // grant the next one, exactly as MCSCR
-                            // excises the first intermediate node.
-                            self.passive.push_front(succ);
-                            self.stats.culls += 1;
-                            self.queue.pop_front()
-                        } else {
-                            Some(succ)
-                        }
-                    } else {
-                        None
+            LockKind::Cr { fairness } => {
+                let queue = &self.queue;
+                match policy::release(
+                    self.passive.len(),
+                    fairness,
+                    || queue.front().copied(),
+                    |_| queue.len() > 1,
+                ) {
+                    Release::GraftEldest => {
+                        self.stats.fairness_grants += 1;
+                        self.passive.pop_back()
                     }
+                    Release::Reprovision => {
+                        self.stats.reprovisions += 1;
+                        self.passive.pop_front()
+                    }
+                    Release::Cull(succ) => {
+                        // Passivate the longest waiter and grant the next
+                        // one, as MCSCR excises the first intermediate
+                        // node.
+                        self.queue.pop_front();
+                        self.passive.push_front(succ);
+                        self.stats.culls += 1;
+                        self.queue.pop_front()
+                    }
+                    Release::Handoff(_) => self.queue.pop_front(),
                 }
             }
         };
+        debug_assert!(self.held, "release of an unheld SimLock");
         match next {
-            Some(t) => {
-                self.admissions.push(t as u32);
-                Some(t)
-            }
-            None => {
-                self.held = false;
-                None
-            }
+            Some(t) => self.admissions.push(t as u32),
+            None => self.held = false,
         }
+        next
     }
 }
 
@@ -210,7 +189,6 @@ mod tests {
         SimLock::new(
             LockKind::Cr {
                 fairness: FairnessTrigger::new(period, 42),
-                cull_slack: 0,
             },
             WaitMode::SpinThenPark,
         )

@@ -12,17 +12,20 @@
 //!   writer culling, reprovisioning and eldest-writer fairness come
 //!   from §4 unchanged;
 //! * the **reader side** is a padded shared counter whose surplus is
-//!   culled onto a Parker-backed passive list during write episodes,
-//!   reprovisioned in bounded batches
-//!   ([`malthus::policy::rw_reader_batch`]) with slots granted
-//!   *before* wakeup (so granted readers cannot lose admission races),
-//!   an admission cascade that drains the list under readers-only
-//!   traffic, and the paper's episodic
-//!   [`FairnessTrigger`](malthus::policy::FairnessTrigger) granting
-//!   the eldest passive reader.
+//!   culled during write episodes onto MCSCR's own passive list, one
+//!   arena node per parked reader, and granted by MCSCR's own release
+//!   decision ([`malthus::policy::release`]): the warmest reader is
+//!   woken to re-contend, in bounded batches
+//!   ([`malthus::policy::rw_reader_batch`]) with an admission cascade
+//!   that drains the list under readers-only traffic, and the paper's
+//!   episodic [`FairnessTrigger`](malthus::policy::FairnessTrigger)
+//!   grants the eldest passive reader with its slot taken *before*
+//!   wakeup (so it cannot lose the admission race).
 //!
-//! [`RwCrLock`] is the raw algorithm ([`RawRwLock`]); [`RwMutex`] /
-//! [`RwCrMutex`] add the `std::sync::RwLock`-shaped RAII surface.
+//! [`RwCrLock`] is the raw algorithm ([`RawRwLock`]); it lives in
+//! `malthus` beside the queue and passive list it shares with MCSCR,
+//! and this crate re-exports it. [`RwMutex`] / [`RwCrMutex`] add the
+//! `std::sync::RwLock`-shaped RAII surface.
 //!
 //! # Quick start
 //!
@@ -49,10 +52,7 @@
 
 #![warn(missing_docs)]
 
-mod raw;
-mod rwcr;
 mod rwmutex;
 
-pub use raw::RawRwLock;
-pub use rwcr::{RwCrLock, RwStats, WriterQueue};
+pub use malthus::{RawRwLock, RwCrLock, RwStats, WriterQueue};
 pub use rwmutex::{RwCrMutex, RwMutex, RwReadGuard, RwWriteGuard};

@@ -5,8 +5,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-use crate::raw::RawRwLock;
-use crate::rwcr::RwCrLock;
+use malthus::{RawRwLock, RwCrLock};
 
 /// A reader-writer lock protecting a `T`, generic over the algorithm.
 ///

@@ -48,14 +48,12 @@ impl LockChoice {
             LockChoice::McsCrS => (
                 LockKind::Cr {
                     fairness: FairnessTrigger::default_period(seed),
-                    cull_slack: 0,
                 },
                 WaitMode::Spin,
             ),
             LockChoice::McsCrStp => (
                 LockKind::Cr {
                     fairness: FairnessTrigger::default_period(seed),
-                    cull_slack: 0,
                 },
                 WaitMode::SpinThenPark,
             ),
