@@ -103,7 +103,7 @@ impl<S> McsQueue<S> {
     ///
     /// # Safety
     ///
-    /// Caller must hold the lock to edit it; anyone may read its length.
+    /// Caller must hold the lock (others read [`passive_len`](Self::passive_len)).
     pub(crate) unsafe fn passive(&self) -> &PassiveList {
         &self.holder.passive
     }
@@ -383,10 +383,14 @@ impl PassiveList {
         }
     }
 
+    // Inline: RW-CR's reader fast path peeks here, from whichever crate
+    // instantiates it.
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len.load(Ordering::Relaxed)
     }
 
+    #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -40,12 +40,11 @@
 //! *before* the wakeup, so under a saturating writer stream — where
 //! an advisory wakeup would always lose the admission race and
 //! re-passivate — the eldest reader is still admitted with certainty,
-//! the same bounded-unfairness contract MCSCR gives its passive tail.
-//! The grant says so through one flag on the reader's node, set before
-//! the signal.
-//! Writers are never starved at all: setting the writer bit blocks
-//! new reader admissions, and existing read slots drain in bounded
-//! time.
+//! the same bounded-unfairness contract MCSCR gives its passive tail;
+//! it tells the reader so through one flag on its node, set before the
+//! signal. Writers are never starved at all: setting the writer bit
+//! blocks new reader admissions, and existing read slots drain in
+//! bounded time.
 //!
 //! # Ordering protocol
 //!
@@ -54,9 +53,9 @@
 //! later acquisition. The passive list is guarded by a tiny leaf TAS
 //! gate; the no-lost-wakeup argument is: a reader pushes its node only
 //! after re-checking the writer bit *under the gate*, and every writer
-//! clears the bit *before* taking the gate to drain, so a pushed node
-//! is always on the list the drain that follows the bit clear it raced
-//! with walks. A node leaves the list only by a pop under the gate, so
+//! clears the bit *before* taking the gate to drain, so the drain that
+//! follows the bit clear a reader raced with always finds its node on
+//! the list. A node leaves the list only by a pop under the gate, so
 //! it is signalled exactly once; its reader stays captive in
 //! `WaitCell::wait` until then and frees the node (back to its own
 //! arena) only after waking, and [`WaitCell::signal`] never touches a
