@@ -429,7 +429,10 @@ impl<W: WriterQueue> RwCrLock<W> {
     fn open_read_phase(&self) {
         let mut gate = self.rside.gate.lock();
         let batch = policy::rw_reader_batch(self.rside.passive.len(), self.acs_limit);
-        self.grant(&mut gate, batch);
+        // Most write episodes end with nobody passive: skip the call.
+        if batch > 0 {
+            self.grant(&mut gate, batch);
+        }
     }
 
     /// One admission-cascade step: a running reader pulls the next
